@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .circuit import GATE_BY_NAME
 from .engine import (
     STATUS_REPAIRED,
     RepairConfig,
@@ -59,16 +59,6 @@ def _positive_float(text: str) -> float:
     if v <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {v}")
     return v
-
-
-def _default_threads() -> int:
-    env = os.environ.get("QREP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _timestamp() -> str:
@@ -116,10 +106,18 @@ def _parse_fault_gate(text: str) -> GateId:
         ) from None
 
 
+_CATALOG_GATES = tuple(name for name, kind in GATE_BY_NAME.items() if kind.is_unitary)
+
+
 def _parse_catalog(text: str) -> tuple[str, ...]:
     names = tuple(n.strip() for n in text.split(",") if n.strip())
     if not names:
         raise argparse.ArgumentTypeError("catalog must name at least one gate")
+    for name in names:
+        if name not in _CATALOG_GATES:
+            raise argparse.ArgumentTypeError(
+                f"{name!r} is not a catalog gate; choose from {','.join(_CATALOG_GATES)}"
+            )
     return names
 
 
@@ -144,7 +142,6 @@ def _add_repair_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--opt-tol", type=_positive_float, default=1e-3)
     p.add_argument("--top-k", type=_positive_int, default=10)
     p.add_argument("--catalog", type=_parse_catalog, default=DEFAULT_PATCH_CATALOG)
-    p.add_argument("--threads", type=_positive_int, default=_default_threads())
     p.add_argument("--fault-gate", type=_parse_fault_gate, default=None,
                    help="ground-truth gate id like '2:cx:0-1' for rank metrics")
     p.add_argument("--out", default=None, help="report path (stdout when omitted)")
@@ -171,7 +168,6 @@ def _config_from_args(args) -> RepairConfig:
         seed=args.seed,
         top_k=args.top_k,
         patch_catalog=args.catalog,
-        threads=args.threads,
     )
 
 

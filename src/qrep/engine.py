@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,6 @@ from .optimizer import OptBudget, minimize_params
 from .patcher import (
     DEFAULT_PATCH_CATALOG,
     Patch,
-    PatchQueue,
     apply_patch,
     generate_patches,
     order_uniform,
@@ -52,7 +50,7 @@ class RepairConfig:
     seed: int = 0
     top_k: int = 10
     patch_catalog: tuple[str, ...] = DEFAULT_PATCH_CATALOG
-    threads: int = 1
+    threads: int = 1  # unused; perfbench/workloads.py passes it and changes only with the benchmark
 
     def __post_init__(self) -> None:
         if (self.budget_evals is None) == (self.budget_seconds is None):
@@ -65,8 +63,6 @@ class RepairConfig:
             raise ValueError("iterations must be >= 1")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -83,7 +79,6 @@ class RepairConfig:
             "seed": self.seed,
             "top_k": self.top_k,
             "patch_catalog": list(self.patch_catalog),
-            "threads": self.threads,
         }
 
 
@@ -119,19 +114,6 @@ class Budget:
 
     def charge(self) -> None:
         self.evals_used += 1
-
-
-@dataclass
-class EngineState:
-    """Mutable mid-run snapshot, mostly useful for tests and debugging."""
-
-    remaining_budget: float
-    iteration_budget: float
-    iteration: int
-    table: SuspiciousnessTable
-    queue: PatchQueue
-    candidates: list["_Candidate"]
-    evals_used: int
 
 
 @dataclass
@@ -210,23 +192,16 @@ class _Run:
         self.cfg = cfg
         self.fault_gate = fault_gate
         self.budget = Budget(cfg.budget_evals, cfg.budget_seconds)
-        self.executor = (
-            ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-        )
         self.table = SuspiciousnessTable.for_circuit(c_init)
         self.candidates: list[_Candidate] = []
         self.baseline: FitnessScore | None = None
         self.partial_localisation = False
         self.start = time.monotonic()
 
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(wait=False)
-
     def evaluate(self, c: Circuit) -> FitnessScore:
         self.budget.precheck()
         self.budget.charge()
-        return fitness(c, self.ts, self.cfg.oracle, executor=self.executor)
+        return fitness(c, self.ts, self.cfg.oracle)
 
     def record_patch(self, patch: Patch, params: tuple[float, ...], value: float) -> None:
         self.candidates.append(
@@ -240,10 +215,12 @@ class _Run:
 
     # -- patch trials ------------------------------------------------------
 
-    def try_patch(self, patch: Patch) -> float:
+    def try_patch(self, patch: Patch, rng: np.random.Generator | None = None) -> float:
         """Best fitness achieved by the patch; raises _FullPass on a repair
         and BudgetExhaustedError (after recording partial progress) when the
-        allowance runs out mid-trial."""
+        allowance runs out mid-trial. Parametric patches get their angles
+        from COBYLA, or, given ``rng`` (random search), from ``max_evals``
+        uniform draws."""
         if not patch.is_parametric:
             cand = apply_patch(self.c_init, patch)
             score = self.evaluate(cand)
@@ -277,38 +254,19 @@ class _Run:
                 full_pass.append(_FullPass(cand, score))
             return score.value
 
-        minimize_params(objective, patch.gate.param_count, self.cfg.opt)
+        if rng is None:
+            minimize_params(objective, patch.gate.param_count, self.cfg.opt)
+        else:
+            for _ in range(self.cfg.opt.max_evals):
+                objective(tuple(rng.uniform(0.0, 2.0 * math.pi, patch.gate.param_count).tolist()))
+                if full_pass or exhausted:
+                    break
         if full_pass:
             raise full_pass[0]
         if exhausted:
             if best_value < math.inf:
                 self.record_patch(patch, best_params, best_value)
             raise exhausted[0]
-        self.record_patch(patch, best_params, best_value)
-        return best_value
-
-    def try_patch_random(self, patch: Patch, rng: np.random.Generator) -> float:
-        """Random-search trial: parametric patches get max_evals uniform
-        angle draws instead of the optimizer."""
-        if not patch.is_parametric:
-            return self.try_patch(patch)
-        best_value = math.inf
-        best_params: tuple[float, ...] = ()
-        try:
-            for _ in range(self.cfg.opt.max_evals):
-                params = tuple(rng.uniform(0.0, 2.0 * math.pi, patch.gate.param_count).tolist())
-                cand = apply_patch(self.c_init, patch, params)
-                score = self.evaluate(cand)
-                if score.value < best_value:
-                    best_value = score.value
-                    best_params = params
-                if score.all_passed():
-                    self.record_patch(patch, params, score.value)
-                    raise _FullPass(cand, score)
-        except BudgetExhaustedError:
-            if best_value < math.inf:
-                self.record_patch(patch, best_params, best_value)
-            raise
         self.record_patch(patch, best_params, best_value)
         return best_value
 
@@ -371,17 +329,7 @@ class _Run:
         spent0 = self.budget.spent
         b_r = self.budget.limit - spent0
         total = self.cfg.iterations
-        state = EngineState(
-            remaining_budget=b_r,
-            iteration_budget=b_r / total,
-            iteration=0,
-            table=self.table,
-            queue=queue,
-            candidates=self.candidates,
-            evals_used=self.budget.evals_used,
-        )
         for i in range(1, total + 1):
-            state.iteration = i
             end_mark = spent0 + b_r * (i / total)
             while len(queue) > 0 and self.budget.spent < end_mark:
                 patch = queue.popleft()
@@ -393,7 +341,6 @@ class _Run:
                     return self.finalize(STATUS_NOT_FIXED, None)
                 if patch.anchor is not None and patch.anchor in self.table.scores:
                     self.table.add(patch.anchor, self.baseline.value - value)
-                state.evals_used = self.budget.evals_used
             if len(queue) == 0:
                 break
             if i < total and self.table.scores:
@@ -401,7 +348,6 @@ class _Run:
                 keep_n = max(1, math.ceil(frac * len(self.table.scores)))
                 keep = set(self.table.ranking()[:keep_n])
                 queue = prune_to_gates(queue, keep)
-                state.queue = queue
         return self.finalize(STATUS_NOT_FIXED, None)
 
     def run_random_search(self) -> RepairReport:
@@ -414,7 +360,7 @@ class _Run:
         for idx in order:
             patch = pool[int(idx)]
             try:
-                value = self.try_patch_random(patch, rng)
+                value = self.try_patch(patch, rng)
             except _FullPass as fp:
                 return self.finalize(STATUS_REPAIRED, fp.circuit)
             except BudgetExhaustedError:
@@ -431,11 +377,7 @@ def repair(
     fault_gate: GateId | None = None,
 ) -> RepairReport:
     """Full pipeline: baseline, removal sweep, iterated patch search."""
-    run = _Run(c_init, ts, cfg, fault_gate)
-    try:
-        return run.run_repair()
-    finally:
-        run.close()
+    return _Run(c_init, ts, cfg, fault_gate).run_repair()
 
 
 def random_search(
@@ -446,8 +388,4 @@ def random_search(
 ) -> RepairReport:
     """Evaluation-matched baseline: unordered seeded patch draws, random
     angles for parametric patches, no localisation or pruning."""
-    run = _Run(c_init, ts, cfg, fault_gate)
-    try:
-        return run.run_random_search()
-    finally:
-        run.close()
+    return _Run(c_init, ts, cfg, fault_gate).run_random_search()

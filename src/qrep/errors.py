@@ -38,6 +38,10 @@ class WidthMismatchError(QRepError, ValueError):
     """Operands defined over different qubit counts / outcome spaces."""
 
 
+class ExpectedTableError(QRepError, ValueError):
+    """Malformed expected-distribution table or test-case id."""
+
+
 class SuiteTooWideError(QRepError, ValueError):
     """Suite generation would enumerate too many basis states."""
 

@@ -114,6 +114,13 @@ class _Parser:
                 val = val * rhs
         return val
 
+    def parse_angle(self) -> float:
+        tok = self.peek()
+        val = self.parse_expr()
+        if not math.isfinite(val):
+            raise QasmSyntaxError(f"non-finite angle {val}", tok.line, tok.col)
+        return val
+
     def parse_factor(self) -> float:
         tok = self.next()
         if tok.val == "-":
@@ -248,10 +255,10 @@ def parse_qasm(text: str) -> Circuit:
             params: tuple[float, ...] = ()
             if p.peek() and p.peek().val == "(":
                 p.expect("(")
-                vals = [p.parse_expr()]
+                vals = [p.parse_angle()]
                 while p.peek() and p.peek().val == ",":
                     p.expect(",")
-                    vals.append(p.parse_expr())
+                    vals.append(p.parse_angle())
                 p.expect(")")
                 params = tuple(vals)
             if len(params) != kind.param_count:

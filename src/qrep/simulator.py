@@ -3,9 +3,10 @@
 Conventions: little-endian amplitude ordering (qubit 0 is the least
 significant bit of the state index) and outcome bitstrings with qubit 0
 rightmost, so index i maps to ``format(i, f"0{q}b")``. Gates are applied as
-in-place amplitude kernels on a reshaped [2]*q tensor; qubit k lives on axis
-q-1-k. No full 2^q x 2^q matrix is ever built here; the dense-matrix
-product lives in the test suite as an independent oracle.
+amplitude kernels on one [B, 1, 2, ..., 2] tensor that holds a batch of B
+inputs; qubit k lives on axis q+1-k. No full 2^q x 2^q matrix is ever built
+here; the dense-matrix product lives in the test suite as an independent
+oracle.
 """
 from __future__ import annotations
 
@@ -128,40 +129,48 @@ def _matrix_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
     raise ValueError(f"{kind.gate_name} is not a single-qubit gate")
 
 
-def _apply_1q(state: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    t = state.reshape([2] * n)
-    axis = n - 1 - qubit
-    t = np.moveaxis(t, axis, -1)
-    t = t @ m.T
-    return np.moveaxis(t, -1, axis).reshape(-1)
+def _apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    axis = n + 1 - qubit
+    return np.moveaxis(np.moveaxis(t, axis, -1) @ m.T, -1, axis)
 
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:
-    idx: list = [slice(None)] * n
+    # index of the amplitudes whose qubits hold the assigned bits, in every row
+    idx: list = [slice(None)] * (n + 2)
     for qubit, bit in assignments.items():
-        idx[n - 1 - qubit] = bit
+        idx[n + 1 - qubit] = bit
     return tuple(idx)
 
 
-def _apply_gate(state: np.ndarray, g: GateApp, n: int) -> np.ndarray:
+def _apply_gate(t: np.ndarray, g: GateApp, n: int) -> np.ndarray:
+    """Apply ``g`` to the batched tensor ``t``, which belongs to the running
+    simulation and may be updated in place.
+
+    Phases are multiplied out of place with the array first
+    (``t[s] = t[s] * z``): numpy picks its complex-multiply loop by length
+    and operand order, and the in-place and scalar-first forms made a row's
+    rounding depend on how many inputs shared the batch.
+    """
     kind = g.kind
     if kind.num_qubits == 1:
-        return _apply_1q(state, _matrix_1q(kind, g.params), g.qubits[0], n)
+        return _apply_1q(t, _matrix_1q(kind, g.params), g.qubits[0], n)
 
-    t = state.reshape([2] * n).copy()
     if kind is GateKind.CX:
         c, x = g.qubits
         a, b = _slices(n, {c: 1, x: 0}), _slices(n, {c: 1, x: 1})
         t[a], t[b] = t[b].copy(), t[a].copy()
     elif kind is GateKind.CZ:
-        t[_slices(n, {g.qubits[0]: 1, g.qubits[1]: 1})] *= -1.0
+        s = _slices(n, {g.qubits[0]: 1, g.qubits[1]: 1})
+        t[s] = -t[s]
     elif kind is GateKind.CP:
-        t[_slices(n, {g.qubits[0]: 1, g.qubits[1]: 1})] *= cmath.exp(1j * g.params[0])
+        s = _slices(n, {g.qubits[0]: 1, g.qubits[1]: 1})
+        t[s] = t[s] * cmath.exp(1j * g.params[0])
     elif kind is GateKind.CRZ:
         c, x = g.qubits
         half = g.params[0] / 2.0
-        t[_slices(n, {c: 1, x: 0})] *= cmath.exp(-1j * half)
-        t[_slices(n, {c: 1, x: 1})] *= cmath.exp(1j * half)
+        a, b = _slices(n, {c: 1, x: 0}), _slices(n, {c: 1, x: 1})
+        t[a] = t[a] * cmath.exp(-1j * half)
+        t[b] = t[b] * cmath.exp(1j * half)
     elif kind is GateKind.SWAP:
         a, b = g.qubits
         lo, hi = _slices(n, {a: 0, b: 1}), _slices(n, {a: 1, b: 0})
@@ -173,81 +182,70 @@ def _apply_gate(state: np.ndarray, g: GateApp, n: int) -> np.ndarray:
         t[a], t[b] = t[b].copy(), t[a].copy()
     else:
         raise ValueError(f"no kernel for {kind.gate_name}")
-    return t.reshape(-1)
+    return t
 
+
+BASIS_ORDER = (MeasBasis.X, MeasBasis.Y, MeasBasis.Z)
 
 _BASIS_ROTATIONS: dict[MeasBasis, tuple[GateKind, ...]] = {
-    MeasBasis.Z: (),
     MeasBasis.X: (GateKind.H,),
     MeasBasis.Y: (GateKind.SDG, GateKind.H),
+    MeasBasis.Z: (),
 }
 
 
-def run_statevector(
-    c: Circuit,
-    input_state: int,
-    basis: MeasBasis = MeasBasis.Z,
-    check_norm_every_gate: bool = False,
-) -> np.ndarray:
-    """Final statevector for |input_state> run through ``c`` plus basis rotation."""
+def run_all_bases(c: Circuit, inputs) -> np.ndarray:
+    """Born-rule probabilities of every input in every basis, as an array
+    indexed ``[basis, k, outcome]``: bases in :data:`BASIS_ORDER`, ``k`` the
+    position of the input in ``inputs``.
+
+    All inputs pass through the gate list together as one [B, 1, 2, ..., 2]
+    tensor. The unit axis keeps the core of every single-qubit matmul a
+    2x2 block, whatever B and q are, so a row does not depend on the batch it
+    is computed in and :func:`run_exact` agrees bit for bit with a suite.
+    """
     n = c.num_qubits
-    if not 0 <= input_state < 2**n:
-        raise WidthMismatchError(f"input {input_state} out of range for {n} qubits")
-    state = np.zeros(2**n, dtype=complex)
-    state[input_state] = 1.0
+    idx = np.asarray(inputs, dtype=np.intp).reshape(-1)
+    bad = idx[(idx < 0) | (idx >= 2**n)]
+    if bad.size:
+        raise WidthMismatchError(f"input {bad[0]} out of range for {n} qubits")
+    batch = len(idx)
+    state = np.zeros((batch, 2**n), dtype=complex)
+    state[np.arange(batch), idx] = 1.0
+    t = state.reshape((batch, 1) + (2,) * n)
     for g in c.gates:
-        state = _apply_gate(state, g, n)
-        if check_norm_every_gate:
-            norm = float(np.vdot(state, state).real)
-            if abs(norm - 1.0) > _NORM_ATOL:
-                raise AssertionError(f"norm drifted to {norm} after {g.kind.gate_name}@{g.position}")
-    for rot in _BASIS_ROTATIONS[basis]:
-        m = _matrix_1q(rot, ())
-        for q in range(n):
-            state = _apply_1q(state, m, q, n)
-    norm = float(np.vdot(state, state).real)
-    if abs(norm - 1.0) > _NORM_ATOL:
-        raise AssertionError(f"final norm {norm} drifted beyond tolerance")
-    return state
+        t = _apply_gate(t, g, n)
+    out = np.empty((len(BASIS_ORDER), batch, 2**n))
+    for k, basis in enumerate(BASIS_ORDER):
+        s = t
+        for rot in _BASIS_ROTATIONS[basis]:
+            m = _matrix_1q(rot, ())
+            for q in range(n):
+                s = _apply_1q(s, m, q, n)
+        probs = np.abs(s.reshape(batch, -1)) ** 2
+        norms = probs.sum(axis=1)
+        drift = np.abs(norms - 1.0)
+        if np.any(drift > _NORM_ATOL):
+            raise AssertionError(f"final norm {norms[drift.argmax()]} drifted beyond tolerance")
+        out[k] = probs / norms[:, None]
+    return out
 
 
 def run_exact(c: Circuit, input_state: int, basis: MeasBasis = MeasBasis.Z) -> Distribution:
     """Born-rule outcome probabilities for |input_state> under ``c`` in ``basis``."""
-    state = run_statevector(c, input_state, basis)
-    probs = np.abs(state) ** 2
-    probs /= probs.sum()
-    return Distribution(c.num_qubits, probs)
+    return Distribution(c.num_qubits, run_all_bases(c, [input_state])[BASIS_ORDER.index(basis), 0])
 
 
-def run_all_bases(c: Circuit, input_state: int) -> dict[MeasBasis, Distribution]:
-    """One circuit pass, then each basis rotation on a copy of the final state."""
-    n = c.num_qubits
-    if not 0 <= input_state < 2**n:
-        raise WidthMismatchError(f"input {input_state} out of range for {n} qubits")
-    state = np.zeros(2**n, dtype=complex)
-    state[input_state] = 1.0
-    for g in c.gates:
-        state = _apply_gate(state, g, n)
-    out = {}
-    for basis, rots in _BASIS_ROTATIONS.items():
-        s = state
-        for rot in rots:
-            m = _matrix_1q(rot, ())
-            for q in range(n):
-                s = _apply_1q(s, m, q, n)
-        probs = np.abs(s) ** 2
-        probs /= probs.sum()
-        out[basis] = Distribution(n, probs)
-    return out
-
-
-def sample(d: Distribution, shots: int, seed: int) -> Distribution:
+def sample_frequencies(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Empirical frequencies from ``shots`` independent draws; seed-deterministic."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, d.probs)
-    return Distribution(d.num_qubits, counts / shots)
+    return np.random.default_rng(seed).multinomial(shots, probs) / shots
+
+
+def sample(d: Distribution, shots: int, seed: int) -> Distribution:
+    """:func:`sample_frequencies` of a :class:`Distribution`."""
+    return Distribution(d.num_qubits, sample_frequencies(d.probs, shots, seed))
 
 
 def default_shots(q: int) -> int:

@@ -9,16 +9,20 @@ failed-case count plus the Hellinger distances summed over every case.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import Circuit
-from .errors import NoFailingTestError, SuiteTooWideError, WidthMismatchError
-from .simulator import Distribution, MeasBasis, default_shots, run_all_bases, sample
-
-BASIS_ORDER = (MeasBasis.X, MeasBasis.Y, MeasBasis.Z)
+from .errors import ExpectedTableError, NoFailingTestError, SuiteTooWideError, WidthMismatchError
+from .simulator import (
+    BASIS_ORDER,
+    Distribution,
+    MeasBasis,
+    default_shots,
+    run_all_bases,
+    sample_frequencies,
+)
 
 DEFAULT_TAU_FAIL = 0.1
 DEFAULT_EPS_ZERO = 1e-9
@@ -38,6 +42,27 @@ class TestSuite:
     num_qubits: int
     cases: tuple[TestCase, ...]
     reference: Circuit | None = None
+    # derived from ``cases`` once, so an evaluation is one kernel call plus
+    # array operations: the sorted simulated inputs, each case's
+    # (basis, input) index into the kernel's output, and the expected
+    # probabilities stacked in case order, with their square roots
+    inputs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    case_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    expected: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_expected: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inputs = sorted({tc.input_state for tc in self.cases})
+        column = {s: k for k, s in enumerate(inputs)}
+        rows = (
+            np.array([BASIS_ORDER.index(tc.basis) for tc in self.cases], dtype=np.intp),
+            np.array([column[tc.input_state] for tc in self.cases], dtype=np.intp),
+        )
+        expected = np.stack([tc.expected.probs for tc in self.cases])
+        object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "case_rows", rows)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "sqrt_expected", np.sqrt(expected))
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -54,7 +79,6 @@ class Verdict:
 class FitnessScore:
     failed_count: int
     hellinger_sum: float
-    verdicts: tuple[Verdict, ...] = ()
 
     @property
     def value(self) -> float:
@@ -105,7 +129,7 @@ def parse_case_id(cid: str) -> tuple[MeasBasis, int, int]:
         if set(bits) - {"0", "1"} or not bits:
             raise ValueError
     except ValueError:
-        raise ValueError(f"bad test-case id {cid!r}; expected like 'Z:0010'") from None
+        raise ExpectedTableError(f"bad test-case id {cid!r}; expected like 'Z:0010'") from None
     return basis, int(bits, 2), len(bits)
 
 
@@ -116,34 +140,52 @@ def generate_suite(
     q = reference.num_qubits
     if q > max_qubits:
         raise SuiteTooWideError(f"{q} qubits would need {3 * 2**q} test cases (max {max_qubits} qubits)")
-    cases = []
-    for input_state in range(2**q):
-        by_basis = run_all_bases(reference, input_state)
-        for basis in BASIS_ORDER:
-            cases.append(
-                TestCase(
-                    id=case_id(basis, input_state, q),
-                    input_state=input_state,
-                    basis=basis,
-                    expected=by_basis[basis],
-                )
-            )
-    return TestSuite(num_qubits=q, cases=tuple(cases), reference=reference)
+    probs = run_all_bases(reference, range(2**q))
+    cases = tuple(
+        TestCase(
+            id=case_id(basis, input_state, q),
+            input_state=input_state,
+            basis=basis,
+            expected=Distribution(q, probs[b, input_state]),
+        )
+        for input_state in range(2**q)
+        for b, basis in enumerate(BASIS_ORDER)
+    )
+    return TestSuite(num_qubits=q, cases=cases, reference=reference)
+
+
+def _is_probability(p) -> bool:
+    return isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p)
 
 
 def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
-    """Suite from an expected-distribution map {case_id: {bitstring: prob}}."""
+    """Suite from an expected-distribution map {case_id: {bitstring: prob}}.
+
+    A malformed map raises :class:`ExpectedTableError` naming the case. A
+    distribution must sum to 1 within 1e-9; rounded tables are rejected,
+    not renormalised.
+    """
+    if not isinstance(expected, dict):
+        raise ExpectedTableError("expected-distribution table must map case ids to distributions")
     if not expected:
-        raise ValueError("expected-distribution map is empty")
+        raise ExpectedTableError("expected-distribution map is empty")
     cases = []
     width = None
     for cid in sorted(expected):
         basis, input_state, q = parse_case_id(cid)
+        if q > DEFAULT_MAX_SUITE_QUBITS:
+            raise SuiteTooWideError(f"case {cid!r} has {q} qubits (max {DEFAULT_MAX_SUITE_QUBITS})")
         if width is None:
             width = q
         elif q != width:
             raise WidthMismatchError(f"case {cid!r} width {q} != {width}")
-        dist = Distribution.from_dict(q, expected[cid])
+        probs = expected[cid]
+        if not isinstance(probs, dict) or not all(map(_is_probability, probs.values())):
+            raise ExpectedTableError(f"case {cid!r}: expected a map from bit strings to finite numbers")
+        try:
+            dist = Distribution.from_dict(q, probs)
+        except ValueError as e:
+            raise ExpectedTableError(f"case {cid!r}: {e}") from None
         cases.append(TestCase(id=cid, input_state=input_state, basis=basis, expected=dist))
     return TestSuite(num_qubits=width, cases=tuple(cases), reference=None)
 
@@ -176,41 +218,29 @@ def _case_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master & (2**63 - 1), index]).generate_state(1)[0])
 
 
-def fitness(
-    c: Circuit,
-    ts: TestSuite,
-    cfg: OracleConfig = OracleConfig(),
-    executor: Executor | None = None,
-) -> FitnessScore:
+def fitness(c: Circuit, ts: TestSuite, cfg: OracleConfig = OracleConfig()) -> FitnessScore:
     """Evaluate every test case; value = failed count + summed Hellinger.
 
-    The sum accumulates in suite order so results are identical no matter how
-    the per-input simulations are scheduled.
+    One kernel call simulates every suite input in all bases; :func:`judge`'s
+    two rules then run as array operations over the observed rows. The
+    Hellinger sum accumulates sequentially in suite order.
     """
     if c.num_qubits != ts.num_qubits:
         raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, suite has {ts.num_qubits}")
-    tau = cfg.resolve_tau(ts.num_qubits)
-    shots = cfg.resolve_shots(ts.num_qubits) if cfg.mode == "sampled" else None
-
-    inputs = sorted({tc.input_state for tc in ts.cases})
-    if executor is not None and len(inputs) > 1:
-        dists = dict(zip(inputs, executor.map(lambda s: run_all_bases(c, s), inputs)))
-    else:
-        dists = {s: run_all_bases(c, s) for s in inputs}
-
-    verdicts = []
-    failed = 0
-    h_sum = 0.0
-    for i, tc in enumerate(ts.cases):
-        observed = dists[tc.input_state][tc.basis]
-        if shots is not None:
-            observed = sample(observed, shots, _case_seed(cfg.seed, i))
-        v = judge(observed, tc, tau_fail=tau, eps_zero=cfg.eps_zero)
-        verdicts.append(v)
-        if not v.passed:
-            failed += 1
-        h_sum += v.hellinger
-    return FitnessScore(failed_count=failed, hellinger_sum=h_sum, verdicts=tuple(verdicts))
+    observed = run_all_bases(c, ts.inputs)[ts.case_rows]
+    if cfg.mode == "sampled":
+        shots = cfg.resolve_shots(ts.num_qubits)
+        observed = np.stack(
+            [sample_frequencies(row, shots, _case_seed(cfg.seed, i)) for i, row in enumerate(observed)]
+        )
+    wrong = np.any((observed > cfg.eps_zero) & (ts.expected <= cfg.eps_zero), axis=1)
+    diff = np.sqrt(observed) - ts.sqrt_expected
+    # a stack of (1 x n) @ (n x 1) products runs numpy's dot loop, so each
+    # distance is rounded exactly as hellinger()'s np.dot rounds it
+    sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+    h = np.minimum(np.sqrt(sq) / math.sqrt(2.0), 1.0)
+    failed = int(np.count_nonzero(wrong | (h > cfg.resolve_tau(ts.num_qubits))))
+    return FitnessScore(failed_count=failed, hellinger_sum=float(np.cumsum(h)[-1]))
 
 
 def require_failing(score: FitnessScore, what: str = "circuit") -> None:

@@ -245,12 +245,57 @@ def test_no_subcommand_exit_one():
     assert run([]) == EXIT_ERROR
 
 
-def test_threads_env_fallback(circuits, tmp_path, monkeypatch):
-    monkeypatch.setenv("QREP_THREADS", "2")
-    out = tmp_path / "report.json"
+# -------------------------------------------------------------- bad inputs
+
+def _one_error_line(err: str) -> bool:
+    lines = [ln for ln in err.splitlines() if "error:" in ln]
+    return len(lines) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub", ["repair", "baseline-rs", "mutate"])
+@pytest.mark.parametrize("catalog", ["foo", "measure", "h,barrier", ","])
+def test_bad_catalog_rejected_at_parse_time(circuits, tmp_path, capsys, sub, catalog):
+    if sub == "mutate":
+        argv = ["mutate", "--circuit", circuits["ref"], "--per-group", "1",
+                "--out-dir", str(tmp_path / "m")]
+    else:
+        argv = [sub, "--circuit", circuits["hard"], "--reference", circuits["ref"],
+                "--budget-evals", "4"]
+    code = run([*argv, "--catalog", catalog])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert "--catalog" in err
+
+
+@pytest.mark.parametrize(
+    "table,names",
+    [
+        ([{"Z:00": {"00": 1.0}}], None),
+        ({}, None),
+        ({"Z:0a": {"00": 1.0}}, "Z:0a"),
+        ({"Z:00": {"00": "half", "11": 0.5}}, "Z:00"),
+        ({"Z:00": {"00": None}}, "Z:00"),
+        ({"Z:00": {"00": True}}, "Z:00"),
+        ({"Z:00": {"00": float("nan")}}, "Z:00"),
+        ({"Z:00": [1.0, 0.0, 0.0, 0.0]}, "Z:00"),
+        ({"Z:00": {"00": 0.5, "11": 0.499}}, "Z:00"),
+        ({"Z:00": {"00": 1.5, "11": -0.5}}, "Z:00"),
+        ({"Z:00": {"0x": 1.0}}, "Z:00"),
+        ({"Z:" + "0" * 40: {"0" * 40: 1.0}}, "Z:" + "0" * 40),
+    ],
+)
+def test_bad_expected_table_is_one_line_error(circuits, tmp_path, capsys, table, names):
+    exp_path = tmp_path / "expected.json"
+    exp_path.write_text(json.dumps(table))
     code = run([
-        "repair", "--circuit", circuits["easy"], "--reference", circuits["ref"],
-        "--budget-evals", "50", "--out", str(out),
+        "repair", "--circuit", circuits["easy"], "--expected", str(exp_path),
+        "--budget-evals", "10",
     ])
-    assert code == EXIT_OK
-    assert json.loads(out.read_text())["config"]["threads"] == 2
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.startswith("qrep: error:")
+    if names is not None:
+        assert repr(names) in err
+

@@ -47,7 +47,6 @@ def test_config_validation_ranges():
         dict(budget_seconds=0.0),
         dict(budget_evals=10, iterations=0),
         dict(budget_evals=10, top_k=0),
-        dict(budget_evals=10, threads=0),
     ):
         with pytest.raises(ValueError):
             RepairConfig(**bad)
@@ -203,16 +202,6 @@ def test_repair_deterministic(bell, bell_suite):
     b = repair(broken, bell_suite, cfg_evals(60, seed=4)).to_dict()
     a.pop("wall_seconds"); b.pop("wall_seconds")
     assert a == b
-
-
-def test_threads_do_not_change_results(bell, bell_suite):
-    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
-    solo = repair(broken, bell_suite, cfg_evals(60)).to_dict()
-    multi = repair(broken, bell_suite, cfg_evals(60, threads=3)).to_dict()
-    solo.pop("wall_seconds"); multi.pop("wall_seconds")
-    solo_cfg = solo.pop("config"); multi_cfg = multi.pop("config")
-    assert solo == multi
-    assert solo_cfg["threads"] == 1 and multi_cfg["threads"] == 3
 
 
 def test_seconds_budget_mode_smoke(bell, bell_suite):

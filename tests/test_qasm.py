@@ -87,6 +87,15 @@ def test_reserved_and_unknown_statements(stmt, err):
         parse_qasm(src)
 
 
+@pytest.mark.parametrize("angle", ["1e999", "-1e999", "1e308*10", "1e999-1e999"])
+def test_non_finite_angle_rejected_with_location(angle):
+    src = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\nrx({angle}) q[0];\n'
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm(src)
+    assert (exc.value.line, exc.value.col) == (5, 4)
+    assert "non-finite angle" in str(exc.value)
+
+
 def test_version_and_header_enforced():
     with pytest.raises(QasmSyntaxError):
         parse_qasm('include "qelib1.inc";\n')

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import dense_probs, gate_matrix
-from conftest import random_circuit
+from conftest import RANDOM_KINDS, random_circuit
 from qrep.circuit import GateApp, GateKind, build_circuit
 from qrep.simulator import (
+    BASIS_ORDER,
     Distribution,
     MeasBasis,
     default_shots,
@@ -97,9 +98,10 @@ def test_random_circuits_match_oracle(seed, num_qubits, num_gates):
 
 
 def test_run_all_bases_consistent(bell):
-    by_basis = run_all_bases(bell, 0)
-    for basis in MeasBasis:
-        assert by_basis[basis].allclose(run_exact(bell, 0, basis))
+    probs = run_all_bases(bell, [0])
+    assert probs.shape == (3, 1, 4)
+    for k, basis in enumerate(BASIS_ORDER):
+        assert np.array_equal(probs[k, 0], run_exact(bell, 0, basis).probs)
 
 
 def test_distribution_validation():
@@ -145,3 +147,32 @@ def test_norm_preserved_deep_circuit(rng):
     c = random_circuit(rng, 3, 60)
     d = run_exact(c, 0)
     assert d.probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_batched_kernel_matches_dense_oracle_and_per_input_rows():
+    # every gate kind, up to 4 qubits, every input and basis of each circuit
+    rng = np.random.default_rng(2603)
+    seen = set()
+    for _ in range(220):
+        q = int(rng.integers(1, 5))
+        c = random_circuit(rng, q, int(rng.integers(0, 16)))
+        seen.update(g.kind.gate_name for g in c.gates)
+        probs = run_all_bases(c, range(2**q))
+        assert probs.shape == (3, 2**q, 2**q)
+        for s in range(2**q):
+            single = run_all_bases(c, [s])
+            # a row does not depend on the batch it is computed in
+            assert np.array_equal(single[:, 0], probs[:, s])
+            for k, basis in enumerate(BASIS_ORDER):
+                want = dense_probs(c, s, basis.value)
+                assert np.max(np.abs(probs[k, s] - want)) < 1e-10
+    assert seen == set(RANDOM_KINDS)
+
+
+def test_run_all_bases_input_order_and_bounds(bell):
+    probs = run_all_bases(bell, [3, 0, 3])
+    assert np.array_equal(probs[:, 0], probs[:, 2])
+    assert np.array_equal(probs[:, 1], run_all_bases(bell, [0])[:, 0])
+    for bad in ([4], [0, -1]):
+        with pytest.raises(ValueError):
+            run_all_bases(bell, bad)

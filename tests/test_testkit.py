@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import random_circuit
 from oracles import hellinger_ref
-from qrep.circuit import GateApp, GateKind, build_circuit, remove_gate, replace_gate
+from qrep.circuit import build_circuit, remove_gate
 from qrep.errors import NoFailingTestError, SuiteTooWideError, WidthMismatchError
-from qrep.simulator import Distribution, MeasBasis, run_exact
+from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, run_exact, sample
 from qrep.testkit import (
     OracleConfig,
+    _case_seed,
     case_id,
     fitness,
     generate_suite,
@@ -147,7 +149,6 @@ def test_fitness_zero_on_reference(bell):
     assert score.value == 0.0
     assert score.failed_count == 0
     assert score.hellinger_sum == 0.0
-    assert len(score.verdicts) == len(ts)
 
 
 def test_fitness_counts_and_sums(bell):
@@ -196,19 +197,50 @@ def test_sampled_reference_still_passes(bell):
     assert score.all_passed()  # widened tau absorbs shot noise
 
 
-def test_fitness_executor_equivalence(bell):
-    from concurrent.futures import ThreadPoolExecutor
-
-    ts = generate_suite(bell)
-    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
-    solo = fitness(broken, ts)
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        multi = fitness(broken, ts, executor=pool)
-    assert solo == multi
-
-
 def test_require_failing(bell):
     ts = generate_suite(bell)
     with pytest.raises(NoFailingTestError):
         require_failing(fitness(bell, ts))
     require_failing(fitness(remove_gate(bell, 0), ts))  # no raise
+
+
+# ------------------------------------------- fitness vs the per-case oracle
+
+def _judge_loop(c, ts, cfg):
+    """Reference fitness: one simulation per input, a Distribution and a
+    judge() verdict per case, summed in suite order."""
+    tau = cfg.resolve_tau(ts.num_qubits)
+    failed, h_sum = 0, 0.0
+    for i, tc in enumerate(ts.cases):
+        row = run_all_bases(c, [tc.input_state])[BASIS_ORDER.index(tc.basis), 0]
+        observed = Distribution(ts.num_qubits, row)
+        if cfg.mode == "sampled":
+            observed = sample(observed, cfg.resolve_shots(ts.num_qubits), _case_seed(cfg.seed, i))
+        v = judge(observed, tc, tau_fail=tau, eps_zero=cfg.eps_zero)
+        failed += not v.passed
+        h_sum += v.hellinger
+    return failed, h_sum
+
+
+def test_fitness_matches_per_case_judge_loop():
+    rng = np.random.default_rng(77)
+    configs = [OracleConfig(), OracleConfig(mode="sampled", seed=5), OracleConfig(mode="sampled", shots=9)]
+    partial_fail = 0
+    for trial in range(40):
+        q = int(rng.integers(1, 4))
+        ref = random_circuit(rng, q, int(rng.integers(1, 10)))
+        full = generate_suite(ref)
+        z_only = suite_from_expected(
+            {tc.id: tc.expected.as_dict() for tc in full.cases if tc.basis is MeasBasis.Z}
+        )
+        candidates = [ref, random_circuit(rng, q, int(rng.integers(0, 10)))]
+        candidates += [remove_gate(ref, k) for k in range(len(ref.gates))]
+        for ts in (full, z_only):
+            for c in candidates:
+                for cfg in configs:
+                    score = fitness(c, ts, cfg)
+                    failed, h_sum = _judge_loop(c, ts, cfg)
+                    assert score.failed_count == failed
+                    assert abs(score.hellinger_sum - h_sum) <= 1e-12
+                    partial_fail += 0 < failed < len(ts)
+    assert partial_fail > 50  # the comparison covers mixed pass/fail suites
