@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -56,8 +57,8 @@ def _nonneg_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     v = float(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {v}")
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return v
 
 
@@ -84,15 +85,30 @@ def _write_json(payload: dict, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _write_repaired(out: str | None, repaired_qasm: str | None) -> None:
+    if out and repaired_qasm is not None:
+        Path(out).with_suffix(".repaired.qasm").write_text(repaired_qasm)
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise QRepError(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
 def _load_circuit(path: str):
-    return parse_qasm(Path(path).read_text())
+    return parse_qasm(_read_text(path))
 
 
 def _load_suite(args):
-    if getattr(args, "reference", None):
+    if args.reference:
         return generate_suite(_load_circuit(args.reference))
-    with open(args.expected) as fh:
-        return suite_from_expected(json.load(fh))
+    return suite_from_expected(json.loads(_read_text(args.expected)))
+
+
+def _inputs(args) -> dict:
+    return {"circuit": args.circuit, "reference": args.reference, "expected": args.expected}
 
 
 def _parse_fault_gate(text: str) -> GateId:
@@ -176,17 +192,10 @@ def _repair_like(args, engine_fn, subcommand: str) -> int:
     ts = _load_suite(args)
     cfg = _config_from_args(args)
     report = engine_fn(c, ts, cfg, fault_gate=args.fault_gate)
-    inputs = {
-        "circuit": args.circuit,
-        "reference": getattr(args, "reference", None),
-        "expected": getattr(args, "expected", None),
-    }
-    payload = {"manifest": _manifest(subcommand, inputs, cfg.to_dict(), args.seed)}
+    payload = {"manifest": _manifest(subcommand, _inputs(args), cfg.to_dict(), args.seed)}
     payload.update(report.to_dict())
     _write_json(payload, args.out)
-    if report.status == STATUS_REPAIRED and args.out and report.repaired_qasm:
-        fixed = Path(args.out).with_suffix(".repaired.qasm")
-        fixed.write_text(report.repaired_qasm)
+    _write_repaired(args.out, report.repaired_qasm)
     return EXIT_OK if report.status == STATUS_REPAIRED else EXIT_NOT_FIXED
 
 
@@ -204,33 +213,19 @@ def _cmd_localize(args) -> int:
     oracle = _oracle_from_args(args)
     baseline = fitness(c, ts, oracle)
     result = localize(c, ts, baseline, evaluate=lambda cand: fitness(cand, ts, oracle))
-    table = result.table
-    ranking = [
-        {
-            "gate_id": str(g),
-            "score": float(table.scores[g]),
-            "percentile": table.rank_percentile(g),
-        }
-        for g in table.ranking()
-    ]
-    inputs = {
-        "circuit": args.circuit,
-        "reference": getattr(args, "reference", None),
-        "expected": getattr(args, "expected", None),
-    }
+    repaired_qasm = emit_qasm(result.repaired) if result.repaired is not None else None
+    removed = result.repaired_by_removing
     payload = {
-        "manifest": _manifest("localize", inputs, None, args.seed),
+        "manifest": _manifest("localize", _inputs(args), None, args.seed),
         "baseline_fitness": baseline.value,
-        "ranking": ranking,
-        "repaired_qasm": emit_qasm(result.repaired) if result.repaired else None,
-        "repaired_by_removing": str(result.repaired_by_removing) if result.repaired_by_removing else None,
+        "ranking": result.table.records(),
+        "repaired_qasm": repaired_qasm,
+        "repaired_by_removing": str(removed) if removed is not None else None,
         "evals_used": result.evals_used + 1,  # sweep plus the baseline evaluation
         "wall_seconds": result.wall_seconds,
     }
     _write_json(payload, args.out)
-    if result.repaired is not None and args.out:
-        fixed = Path(args.out).with_suffix(".repaired.qasm")
-        fixed.write_text(emit_qasm(result.repaired))
+    _write_repaired(args.out, repaired_qasm)
     return EXIT_OK
 
 

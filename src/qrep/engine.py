@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -150,18 +151,7 @@ class RepairReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "repaired_qasm": self.repaired_qasm,
-            "best_patches": self.best_patches,
-            "ranking": self.ranking,
-            "improvement_pct": self.improvement_pct,
-            "fault_percentile": self.fault_percentile,
-            "evals_used": self.evals_used,
-            "wall_seconds": self.wall_seconds,
-            "partial_localisation": self.partial_localisation,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def pruning_keep_fraction(i: int, total: int) -> float:
@@ -174,9 +164,8 @@ def pruning_keep_fraction(i: int, total: int) -> float:
 class _FullPass(Exception):
     """Internal: a candidate passed the whole suite; unwind and report."""
 
-    def __init__(self, circuit: Circuit, score: FitnessScore):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.score = score
 
 
 class _Run:
@@ -216,58 +205,43 @@ class _Run:
     # -- patch trials ------------------------------------------------------
 
     def try_patch(self, patch: Patch, rng: np.random.Generator | None = None) -> float:
-        """Best fitness achieved by the patch; raises _FullPass on a repair
-        and BudgetExhaustedError (after recording partial progress) when the
-        allowance runs out mid-trial. Parametric patches get their angles
-        from COBYLA, or, given ``rng`` (random search), from ``max_evals``
-        uniform draws."""
-        if not patch.is_parametric:
-            cand = apply_patch(self.c_init, patch)
-            score = self.evaluate(cand)
-            self.record_patch(patch, patch.params or (), score.value)
-            if score.all_passed():
-                raise _FullPass(cand, score)
-            return score.value
+        """Best fitness achieved by the patch, credited to its anchor gate.
 
+        Raises _FullPass on a repair, and BudgetExhaustedError (after
+        recording the trial's best angles) when the allowance runs out
+        mid-trial; both propagate through the solver. Parametric patches
+        get their angles from COBYLA, or, given ``rng`` (random search),
+        from ``max_evals`` uniform draws."""
         best_value = math.inf
         best_params: tuple[float, ...] = ()
-        # terminal outcomes are stashed instead of raised so no exception
-        # crosses the solver's compiled frames
-        full_pass: list[_FullPass] = []
-        exhausted: list[BudgetExhaustedError] = []
 
         def objective(params: tuple[float, ...]) -> float:
             nonlocal best_value, best_params
-            if full_pass or exhausted:
-                return 1e18
-            try:
-                cand = apply_patch(self.c_init, patch, params)
-                score = self.evaluate(cand)
-            except BudgetExhaustedError as e:
-                exhausted.append(e)
-                return 1e18
+            cand = apply_patch(self.c_init, patch, params)
+            score = self.evaluate(cand)
             if score.value < best_value:
                 best_value = score.value
                 best_params = params
             if score.all_passed():
                 self.record_patch(patch, params, score.value)
-                full_pass.append(_FullPass(cand, score))
+                raise _FullPass(cand)
             return score.value
 
-        if rng is None:
-            minimize_params(objective, patch.gate.param_count, self.cfg.opt)
-        else:
-            for _ in range(self.cfg.opt.max_evals):
-                objective(tuple(rng.uniform(0.0, 2.0 * math.pi, patch.gate.param_count).tolist()))
-                if full_pass or exhausted:
-                    break
-        if full_pass:
-            raise full_pass[0]
-        if exhausted:
+        try:
+            if not patch.is_parametric:
+                objective(patch.params or ())
+            elif rng is None:
+                minimize_params(objective, patch.gate.param_count, self.cfg.opt)
+            else:
+                for _ in range(self.cfg.opt.max_evals):
+                    objective(tuple(rng.uniform(0.0, 2.0 * math.pi, patch.gate.param_count).tolist()))
+        except BudgetExhaustedError:
             if best_value < math.inf:
                 self.record_patch(patch, best_params, best_value)
-            raise exhausted[0]
+            raise
         self.record_patch(patch, best_params, best_value)
+        if patch.anchor in self.table.scores:
+            self.table.add(patch.anchor, self.baseline.value - best_value)
         return best_value
 
     # -- report ------------------------------------------------------------
@@ -285,14 +259,6 @@ class _Run:
             improvement = min(100.0, max(0.0, improvement))
         else:
             improvement = 0.0
-        ranking = [
-            {
-                "gate_id": str(g),
-                "score": float(self.table.scores[g]),
-                "percentile": self.table.rank_percentile(g),
-            }
-            for g in self.table.ranking()
-        ]
         fault_pct = None
         if self.fault_gate is not None and self.fault_gate in self.table.scores:
             fault_pct = self.table.rank_percentile(self.fault_gate)
@@ -300,7 +266,7 @@ class _Run:
             status=status,
             repaired_qasm=emit_qasm(repaired) if repaired is not None else None,
             best_patches=[c.to_record() for c in best],
-            ranking=ranking,
+            ranking=self.table.records(),
             improvement_pct=improvement,
             fault_percentile=fault_pct,
             evals_used=self.budget.evals_used,
@@ -309,21 +275,31 @@ class _Run:
             config=self.cfg.to_dict(),
         )
 
-    # -- drivers -----------------------------------------------------------
+    # -- searches ----------------------------------------------------------
 
-    def run_repair(self) -> RepairReport:
+    def drive(self, search: Callable[[], None]) -> RepairReport:
+        """Baseline, then ``search``; it ends the run by returning (not
+        fixed), by raising _FullPass, or by running out of budget."""
         self.baseline = self.evaluate(self.c_init)
         require_failing(self.baseline)
+        try:
+            search()
+        except _FullPass as fp:
+            return self.finalize(STATUS_REPAIRED, fp.circuit)
+        except BudgetExhaustedError:
+            pass
+        return self.finalize(STATUS_NOT_FIXED, None)
 
+    def guided_search(self) -> None:
         loc = localize(self.c_init, self.ts, self.baseline, evaluate=self.evaluate)
         self.table = loc.table
         for gid, value in loc.removal_fitness.items():
             self.record_delete(gid, value)
         if loc.repaired is not None:
-            return self.finalize(STATUS_REPAIRED, loc.repaired)
+            raise _FullPass(loc.repaired)
         if loc.partial:
             self.partial_localisation = True
-            return self.finalize(STATUS_NOT_FIXED, None)
+            return
 
         queue = order_uniform(generate_patches(self.c_init, self.cfg.patch_catalog), self.c_init)
         spent0 = self.budget.spent
@@ -331,43 +307,20 @@ class _Run:
         total = self.cfg.iterations
         for i in range(1, total + 1):
             end_mark = spent0 + b_r * (i / total)
-            while len(queue) > 0 and self.budget.spent < end_mark:
-                patch = queue.popleft()
-                try:
-                    value = self.try_patch(patch)
-                except _FullPass as fp:
-                    return self.finalize(STATUS_REPAIRED, fp.circuit)
-                except BudgetExhaustedError:
-                    return self.finalize(STATUS_NOT_FIXED, None)
-                if patch.anchor is not None and patch.anchor in self.table.scores:
-                    self.table.add(patch.anchor, self.baseline.value - value)
-            if len(queue) == 0:
-                break
+            while queue and self.budget.spent < end_mark:
+                self.try_patch(queue.popleft())
+            if not queue:
+                return
             if i < total and self.table.scores:
                 frac = pruning_keep_fraction(i, total)
                 keep_n = max(1, math.ceil(frac * len(self.table.scores)))
-                keep = set(self.table.ranking()[:keep_n])
-                queue = prune_to_gates(queue, keep)
-        return self.finalize(STATUS_NOT_FIXED, None)
+                queue = prune_to_gates(queue, set(self.table.ranking()[:keep_n]))
 
-    def run_random_search(self) -> RepairReport:
-        self.baseline = self.evaluate(self.c_init)
-        require_failing(self.baseline)
-
-        pool = generate_patches(self.c_init, self.cfg.patch_catalog).remaining()
+    def random_search(self) -> None:
+        pool = generate_patches(self.c_init, self.cfg.patch_catalog)
         rng = np.random.default_rng([self.cfg.seed & (2**63 - 1), 17])
-        order = rng.permutation(len(pool))
-        for idx in order:
-            patch = pool[int(idx)]
-            try:
-                value = self.try_patch(patch, rng)
-            except _FullPass as fp:
-                return self.finalize(STATUS_REPAIRED, fp.circuit)
-            except BudgetExhaustedError:
-                return self.finalize(STATUS_NOT_FIXED, None)
-            if patch.anchor is not None and patch.anchor in self.table.scores:
-                self.table.add(patch.anchor, self.baseline.value - value)
-        return self.finalize(STATUS_NOT_FIXED, None)
+        for idx in rng.permutation(len(pool)):
+            self.try_patch(pool[int(idx)], rng)
 
 
 def repair(
@@ -377,7 +330,8 @@ def repair(
     fault_gate: GateId | None = None,
 ) -> RepairReport:
     """Full pipeline: baseline, removal sweep, iterated patch search."""
-    return _Run(c_init, ts, cfg, fault_gate).run_repair()
+    run = _Run(c_init, ts, cfg, fault_gate)
+    return run.drive(run.guided_search)
 
 
 def random_search(
@@ -388,4 +342,5 @@ def random_search(
 ) -> RepairReport:
     """Evaluation-matched baseline: unordered seeded patch draws, random
     angles for parametric patches, no localisation or pruning."""
-    return _Run(c_init, ts, cfg, fault_gate).run_random_search()
+    run = _Run(c_init, ts, cfg, fault_gate)
+    return run.drive(run.random_search)

@@ -65,6 +65,13 @@ class SuspiciousnessTable:
             return 0.0
         return ranking.index(gate) / (len(ranking) - 1) * 100.0
 
+    def records(self) -> list[dict]:
+        """Report rows, most suspicious first."""
+        return [
+            {"gate_id": str(g), "score": float(self.scores[g]), "percentile": self.rank_percentile(g)}
+            for g in self.ranking()
+        ]
+
 
 @dataclass
 class LocalizeResult:

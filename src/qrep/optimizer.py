@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import optimize as _sopt
@@ -43,14 +43,13 @@ def minimize_params(
     objective: Callable[[tuple[float, ...]], float],
     n_params: int,
     budget: OptBudget = OptBudget(),
-    init: Sequence[float] | None = None,
 ) -> OptResult:
-    """Minimize ``objective`` over ``n_params`` angles.
+    """Minimize ``objective`` over ``n_params`` angles from the zero vector.
 
     Calls the objective at most ``budget.max_evals`` times, exactly; the
-    returned value is the best one actually observed. Once the cap is hit
-    the solver sees a huge sentinel instead of fresh evaluations, so no
-    exception has to unwind through its compiled frames.
+    returned value is the best one actually observed. PRIMA's COBYLA needs
+    at least ``n_params + 2`` evaluations, so below that the solver sees a
+    huge sentinel instead of fresh evaluations once the cap is hit.
     """
     if n_params < 0:
         raise ValueError("n_params must be >= 0")
@@ -58,11 +57,7 @@ def minimize_params(
         v = float(objective(()))
         return OptResult((), v, 1, True)
 
-    x0 = np.zeros(n_params) if init is None else np.asarray(init, dtype=float)
-    if x0.shape != (n_params,):
-        raise ValueError(f"init must have {n_params} entries")
-
-    best_x: tuple[float, ...] = tuple(float(a) for a in x0)
+    best_x: tuple[float, ...] = (0.0,) * n_params
     best_v = math.inf
     count = 0
 
@@ -79,12 +74,12 @@ def minimize_params(
 
     res = _sopt.minimize(
         wrapped,
-        x0,
+        np.zeros(n_params),
         method="COBYLA",
         tol=budget.tolerance,
-        options={"maxiter": budget.max_evals, "rhobeg": math.pi / 2},
+        options={"maxiter": max(budget.max_evals, n_params + 2), "rhobeg": math.pi / 2},
     )
-    converged = bool(res.success) and count <= budget.max_evals
+    converged = bool(res.success)
     if count == 0:
         # solver bailed before evaluating; charge the start point
         v = float(objective(best_x))

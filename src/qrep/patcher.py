@@ -13,6 +13,7 @@ mutants the reference suite cannot distinguish, and samples per group.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate, replace_gate
 from .errors import NoNonEquivalentMutantError
 from .localizer import GateId, gate_id
-from .testkit import OracleConfig, TestSuite, fitness, generate_suite
+from .testkit import TestSuite, fitness, generate_suite
 
 DEFAULT_PATCH_CATALOG = ("x", "y", "z", "h", "s", "t", "rx", "ry", "rz", "cx", "cz", "swap")
 DEFAULT_MUTATION_CATALOG = ("x", "y", "z", "h", "s", "t", "cx", "cz", "swap")
@@ -45,10 +46,6 @@ class Patch:
     def is_parametric(self) -> bool:
         return self.gate.param_count > 0 and self.params is None
 
-    def describe(self) -> str:
-        qs = ",".join(f"q{q}" for q in self.qubits)
-        return f"{self.kind} {self.gate.gate_name} {qs} @{self.position}"
-
 
 def apply_patch(c: Circuit, p: Patch, params: tuple[float, ...] | None = None) -> Circuit:
     """Edited copy of ``c``; ``params`` must be given for parametric patches."""
@@ -71,30 +68,6 @@ def revert_patch(edited: Circuit, p: Patch, original: Circuit) -> Circuit:
     raise ValueError(f"unknown patch kind {p.kind!r}")
 
 
-@dataclass
-class PatchQueue:
-    """Ordered patch list consumed front-to-back, without replacement."""
-
-    patches: list[Patch]
-    cursor: int = 0
-
-    def __len__(self) -> int:
-        return len(self.patches) - self.cursor
-
-    def __iter__(self):
-        return iter(self.patches[self.cursor :])
-
-    def popleft(self) -> Patch:
-        if self.cursor >= len(self.patches):
-            raise IndexError("queue is empty")
-        p = self.patches[self.cursor]
-        self.cursor += 1
-        return p
-
-    def remaining(self) -> list[Patch]:
-        return list(self.patches[self.cursor :])
-
-
 def _qubit_choices(kind: GateKind, num_qubits: int) -> list[tuple[int, ...]]:
     if kind.num_qubits == 1:
         return [(q,) for q in range(num_qubits)]
@@ -115,7 +88,7 @@ def _anchor_for_add(c: Circuit, pos: int) -> GateId | None:
     return gate_id(c.gates[pos]) if pos < len(c.gates) else gate_id(c.gates[-1])
 
 
-def generate_patches(c: Circuit, catalog: tuple[str, ...] = DEFAULT_PATCH_CATALOG) -> PatchQueue:
+def generate_patches(c: Circuit, catalog: tuple[str, ...] = DEFAULT_PATCH_CATALOG) -> list[Patch]:
     """Unordered pool: every add at every insertion point and every replace
     at every gate position, over the catalog, excluding no-op replaces."""
     kinds = [GATE_BY_NAME[name] for name in catalog]
@@ -136,15 +109,15 @@ def generate_patches(c: Circuit, catalog: tuple[str, ...] = DEFAULT_PATCH_CATALO
                 if kind is g.kind and qs == g.qubits and kind.param_count == 0:
                     continue  # identical fixed gate: no-op replace
                 pool.append(Patch("replace", pos, kind, qs, None, anchor))
-    return PatchQueue(pool)
+    return pool
 
 
-def order_uniform(pool: PatchQueue, c: Circuit) -> PatchQueue:
-    """Deterministic uniform ordering: round-robin over circuit positions,
-    alternating add/replace, rotating gate kinds at each position."""
-    patches = pool.remaining()
+def order_uniform(patches: list[Patch], c: Circuit) -> deque[Patch]:
+    """Deterministic uniform ordering, as a queue consumed front to back:
+    round-robin over circuit positions, alternating add/replace, rotating
+    gate kinds at each position."""
     if not patches:
-        return PatchQueue([])
+        return deque()
     kind_names = sorted({p.gate.gate_name for p in patches}, key=_CATALOG_ORDER.__getitem__)
     n_kinds = len(kind_names)
 
@@ -186,12 +159,12 @@ def order_uniform(pool: PatchQueue, c: Circuit) -> PatchQueue:
                     break
         if not progressed:
             break
-    return PatchQueue(ordered)
+    return deque(ordered)
 
 
-def prune_to_gates(q: PatchQueue, keep: set[GateId]) -> PatchQueue:
+def prune_to_gates(q: deque[Patch], keep: set[GateId]) -> deque[Patch]:
     """Retain only patches whose anchor is in ``keep``, preserving order."""
-    return PatchQueue([p for p in q.remaining() if p.anchor in keep])
+    return deque(p for p in q if p.anchor in keep)
 
 
 @dataclass(frozen=True)
@@ -262,7 +235,6 @@ def inject_faults(
     catalog: tuple[str, ...] = DEFAULT_MUTATION_CATALOG,
     groups: tuple[str, ...] = ("add", "remove", "replace"),
     suite: TestSuite | None = None,
-    oracle: OracleConfig = OracleConfig(),
 ) -> list[MutantRecord]:
     """Seeded mutant corpus: up to ``per_group`` non-equivalent mutants per
     operator group, judged against the reference's own suite.
@@ -294,7 +266,7 @@ def inject_faults(
             if found >= per_group:
                 break
             m, desc, fault_pos = candidates[idx]
-            score = fitness(m, suite, oracle)
+            score = fitness(m, suite)
             if score.failed_count == 0:
                 continue  # equivalent under the suite
             fault = gate_id(m.gates[fault_pos]) if m.gates else None

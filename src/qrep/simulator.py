@@ -44,6 +44,8 @@ class Distribution:
             raise WidthMismatchError(
                 f"expected {2**self.num_qubits} probabilities, got {p.shape}"
             )
+        if not np.all(np.isfinite(p)):
+            raise ValueError("non-finite probability")
         if np.any(p < -1e-12):
             raise ValueError("negative probability")
         if abs(float(p.sum()) - 1.0) > _NORM_ATOL:

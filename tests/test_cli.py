@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qrep.circuit import GateApp, GateKind, insert_gate, replace_gate
+from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, replace_gate
 from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, main
 from qrep.qasm import emit_qasm
 
@@ -196,6 +196,20 @@ def test_localize_short_circuit_emits_fix(circuits, tmp_path):
     assert (tmp_path / "loc.repaired.qasm").exists()
 
 
+def test_localize_zero_gate_repair_emits_fix(tmp_path):
+    ref = tmp_path / "empty.qasm"
+    ref.write_text(emit_qasm(build_circuit(1, [])))
+    broken = tmp_path / "x.qasm"
+    broken.write_text(emit_qasm(build_circuit(1, [("x", (0,))])))
+    out = tmp_path / "loc.json"
+    code = run(["localize", "--circuit", str(broken), "--reference", str(ref), "--out", str(out)])
+    assert code == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["repaired_by_removing"] == "0:x:0"
+    assert payload["repaired_qasm"] == ref.read_text()
+    assert (tmp_path / "loc.repaired.qasm").read_text() == ref.read_text()
+
+
 # ------------------------------------------------------------------ mutate
 
 def test_mutate_corpus_and_manifest(circuits, tmp_path):
@@ -299,3 +313,35 @@ def test_bad_expected_table_is_one_line_error(circuits, tmp_path, capsys, table,
     if names is not None:
         assert repr(names) in err
 
+
+
+@pytest.mark.parametrize("flag", ["--tau-fail", "--eps-zero", "--budget-seconds", "--opt-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_float_flag_rejected(circuits, capsys, flag, value):
+    budget = [] if flag == "--budget-seconds" else ["--budget-evals", "10"]
+    code = run([
+        "repair", "--circuit", circuits["easy"], "--reference", circuits["ref"],
+        *budget, flag, value,
+    ])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert flag in err and "finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--circuit", "--reference", "--expected"])
+def test_non_utf8_input_file_is_one_line_error(circuits, tmp_path, capsys, flag):
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"OPENQASM 2.0;\n\xff\xfe\x00\x81")
+    files = {"--circuit": circuits["easy"], "--reference": circuits["ref"], flag: str(binary)}
+    if flag == "--expected":
+        del files["--reference"]
+    argv = ["repair", "--budget-evals", "10"]
+    for name, path in files.items():
+        argv += [name, path]
+    code = run(argv)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.startswith("qrep: error:")
+    assert str(binary) in err and "UTF-8" in err

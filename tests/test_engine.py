@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import qrep.engine
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, replace_gate
 from qrep.engine import (
@@ -135,6 +136,48 @@ def test_not_fixed_report_shape(bell, bell_suite):
     fits = [p["fitness"] for p in rep.best_patches]
     assert fits == sorted(fits)
     assert all(f <= base for f in fits)
+
+
+def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, monkeypatch):
+    # baseline + 2-gate sweep = 3 evaluations; the first rx trial gets the
+    # remaining 5 of its 20 and is cut by the budget on its 6th probe
+    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
+    probes, values = [], []
+    real_apply, real_fitness = qrep.engine.apply_patch, qrep.engine.fitness
+
+    def apply_spy(c, p, params=None):
+        probes.append(tuple(params))
+        return real_apply(c, p, params)
+
+    def fitness_spy(*args):
+        score = real_fitness(*args)
+        values.append(score.value)
+        return score
+
+    monkeypatch.setattr(qrep.engine, "apply_patch", apply_spy)
+    monkeypatch.setattr(qrep.engine, "fitness", fitness_spy)
+    rep = repair(broken, bell_suite, cfg_evals(8, iterations=1, patch_catalog=("rx",)))
+    assert rep.status == STATUS_NOT_FIXED
+    assert rep.evals_used == 8
+    assert len(probes) == 6  # the 6th probe was refused before evaluation
+    trial = list(zip(probes, values[3:]))
+    assert len(trial) == 5
+    best_params, best_value = min(trial, key=lambda pv: pv[1])
+    patches = [p for p in rep.best_patches if p["kind"] != "delete"]
+    assert len(patches) == 1
+    assert patches[0]["gate"] == "rx"
+    assert patches[0]["fitness"] == best_value
+    assert tuple(patches[0]["params"]) == best_params
+
+
+def test_one_gate_mutant_of_empty_reference_repaired_to_zero_gates():
+    ref = build_circuit(1, [])
+    broken = build_circuit(1, [("x", (0,))])
+    rep = repair(broken, generate_suite(ref), cfg_evals(10))
+    assert rep.status == STATUS_REPAIRED
+    assert rep.evals_used == 2  # baseline + the removal
+    fixed = parse_qasm(rep.repaired_qasm)
+    assert len(fixed.gates) == 0
 
 
 def test_requires_failing_input(bell, bell_suite):

@@ -1,5 +1,6 @@
 """Derivative-free tuner: eval caps, best-so-far semantics, convergence."""
 import math
+import warnings
 
 import pytest
 
@@ -106,22 +107,6 @@ def test_negative_params_rejected():
         minimize_params(lambda x: 0.0, -1)
 
 
-def test_custom_init_used():
-    seen = []
-
-    def f(x):
-        seen.append(tuple(x))
-        return x[0] ** 2
-
-    minimize_params(f, 1, OptBudget(max_evals=5), init=[2.5])
-    assert seen[0] == (2.5,)
-
-
-def test_init_shape_validated():
-    with pytest.raises(ValueError):
-        minimize_params(lambda x: 0.0, 2, init=[1.0])
-
-
 def test_objective_exception_propagates():
     class Boom(RuntimeError):
         pass
@@ -131,6 +116,38 @@ def test_objective_exception_propagates():
 
     with pytest.raises(Boom):
         minimize_params(f, 1, OptBudget(max_evals=5))
+
+
+def test_objective_exception_ends_search_at_that_call():
+    class Boom(RuntimeError):
+        pass
+
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise Boom("stop")
+        return sum(a * a for a in x)
+
+    with pytest.raises(Boom):
+        minimize_params(f, 2, OptBudget(max_evals=20))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n_params,cap", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 4), (3, 5)])
+def test_cap_below_solver_minimum_is_exact_and_silent(n_params, cap):
+    values = []
+
+    def f(x):
+        values.append(sum((a - 0.5) ** 2 for a in x))
+        return values[-1]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_params(f, n_params, OptBudget(max_evals=cap))
+    assert len(values) == res.evals == cap
+    assert res.value == min(values)
 
 
 def test_deterministic():

@@ -11,7 +11,6 @@ from qrep.patcher import (
     DEFAULT_MUTATION_CATALOG,
     DEFAULT_PATCH_CATALOG,
     Patch,
-    PatchQueue,
     apply_patch,
     generate_patches,
     inject_faults,
@@ -97,50 +96,37 @@ def test_order_uniform_is_a_permutation(bell):
 
 
 def test_order_uniform_spreads_positions_early(bell):
-    ordered = order_uniform(generate_patches(bell), bell).remaining()
+    ordered = list(order_uniform(generate_patches(bell), bell))
     early = ordered[: len(bell.gates) + 1]
     # the first few draws cover distinct circuit positions, not one hot spot
     assert len({p.position for p in early}) == len(early)
 
 
 def test_order_uniform_alternates_add_replace(bell):
-    ordered = order_uniform(generate_patches(bell), bell).remaining()
+    ordered = list(order_uniform(generate_patches(bell), bell))
     kinds = [p.kind for p in ordered[:8]]
     assert "add" in kinds and "replace" in kinds
 
 
 def test_order_uniform_spreads_gate_kinds():
     c = build_circuit(1, [("h", 0)])
-    ordered = order_uniform(generate_patches(c, catalog=("x", "y", "z")), c).remaining()
+    ordered = list(order_uniform(generate_patches(c, catalog=("x", "y", "z")), c))
     first_three_adds = [p.gate.gate_name for p in ordered if p.kind == "add"][:3]
     assert len(set(first_three_adds)) == 3
 
 
 def test_order_uniform_deterministic(bell):
-    a = order_uniform(generate_patches(bell), bell).remaining()
-    b = order_uniform(generate_patches(bell), bell).remaining()
+    a = list(order_uniform(generate_patches(bell), bell))
+    b = list(order_uniform(generate_patches(bell), bell))
     assert a == b
 
 
 def test_order_uniform_empty():
     c = build_circuit(1, [])
-    assert len(order_uniform(PatchQueue([]), c)) == 0
+    assert len(order_uniform([], c)) == 0
 
 
 # ------------------------------------------------------------------- queue
-
-def test_queue_consumption():
-    c = build_circuit(1, [("h", 0)])
-    q = generate_patches(c, catalog=("x", "h"))
-    n = len(q)
-    first = q.popleft()
-    assert len(q) == n - 1
-    assert first not in q.remaining() or q.remaining().count(first) < n
-    for _ in range(n - 1):
-        q.popleft()
-    with pytest.raises(IndexError):
-        q.popleft()
-
 
 def test_prune_keeps_only_anchored(bell):
     pool = order_uniform(generate_patches(bell), bell)
@@ -148,8 +134,8 @@ def test_prune_keeps_only_anchored(bell):
     pruned = prune_to_gates(pool, keep)
     assert len(pruned) > 0
     assert all(p.anchor in keep for p in pruned)
-    order = [p for p in pool.remaining() if p.anchor in keep]
-    assert pruned.remaining() == order  # relative order preserved
+    order = [p for p in pool if p.anchor in keep]
+    assert list(pruned) == order  # relative order preserved
 
 
 # ------------------------------------------------------------ apply/revert
@@ -172,11 +158,6 @@ def test_apply_parametric_requires_params():
         apply_patch(c, p)  # no angles anywhere
     out = apply_patch(c, p, (math.pi,))
     assert out.gates[0].params == (math.pi,)
-
-
-def test_patch_describe():
-    p = Patch("replace", 2, GateKind.CX, (0, 1))
-    assert p.describe() == "replace cx q0,q1 @2"
 
 
 def test_apply_rejects_unknown_kind(bell):

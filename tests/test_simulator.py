@@ -111,6 +111,11 @@ def test_distribution_validation():
         Distribution(1, np.array([-0.1, 1.1]))
     with pytest.raises(ValueError):
         Distribution(2, np.array([1.0, 0.0]))
+    for probs in ([math.nan, math.nan], [math.inf, 0.0], [math.nan, 1.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            Distribution(1, np.array(probs))
+        with pytest.raises(ValueError, match="non-finite"):
+            Distribution.from_dict(1, {"0": probs[0], "1": probs[1]})
 
 
 def test_distribution_dict_roundtrip():
