@@ -22,7 +22,7 @@ from .engine import (
     random_search,
     repair,
 )
-from .errors import QRepError
+from .errors import ExpectedTableError, QRepError
 from .localizer import GateId, localize
 from .optimizer import OptBudget
 from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, inject_faults
@@ -104,7 +104,11 @@ def _load_circuit(path: str):
 def _load_suite(args):
     if args.reference:
         return generate_suite(_load_circuit(args.reference))
-    return suite_from_expected(json.loads(_read_text(args.expected)))
+    try:
+        table = json.loads(_read_text(args.expected))
+    except RecursionError:
+        raise ExpectedTableError(f"{args.expected}: JSON nested too deeply") from None
+    return suite_from_expected(table)
 
 
 def _inputs(args) -> dict:

@@ -58,19 +58,22 @@ class SuspiciousnessTable:
 
     def rank_percentile(self, gate: GateId) -> float:
         """0 = top of the ranking, 100 = bottom; single-gate tables rank 0."""
-        ranking = self.ranking()
         if gate not in self.scores:
             raise UnknownGateError(str(gate))
-        if len(ranking) == 1:
-            return 0.0
-        return ranking.index(gate) / (len(ranking) - 1) * 100.0
+        ranking = self.ranking()
+        return _percentile(ranking.index(gate), len(ranking))
 
     def records(self) -> list[dict]:
         """Report rows, most suspicious first."""
+        ranking = self.ranking()
         return [
-            {"gate_id": str(g), "score": float(self.scores[g]), "percentile": self.rank_percentile(g)}
-            for g in self.ranking()
+            {"gate_id": str(g), "score": float(self.scores[g]), "percentile": _percentile(i, len(ranking))}
+            for i, g in enumerate(ranking)
         ]
+
+
+def _percentile(index: int, n: int) -> float:
+    return index / (n - 1) * 100.0 if n > 1 else 0.0
 
 
 @dataclass

@@ -6,15 +6,17 @@ replace anchors to the gate it replaces, an add to the gate it is inserted
 before (the last gate when appending). Parametric patches carry no angles;
 the optimizer fills them in at evaluation time.
 
-The mutant injector reuses the same edit space (plus removals) to make
-benchmark faults: it enumerates one group per mutation operator, drops
-mutants the reference suite cannot distinguish, and samples per group.
+The mutant injector draws benchmark faults from the same edit space (plus
+removals), one group per mutation operator: it samples each group in a
+seeded order, builds a mutant only when drawn, and skips mutants the
+reference suite cannot distinguish.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -31,6 +33,7 @@ DEFAULT_MUTATION_CATALOG = ("x", "y", "z", "h", "s", "t", "cx", "cz", "swap")
 _MUTANT_ANGLES = (math.pi / 4, math.pi / 2, math.pi)
 
 _CATALOG_ORDER = {k.gate_name: i for i, k in enumerate(GateKind)}
+_OTHER_KIND = {"add": "replace", "replace": "add"}
 
 
 @dataclass(frozen=True)
@@ -116,50 +119,30 @@ def order_uniform(patches: list[Patch], c: Circuit) -> deque[Patch]:
     """Deterministic uniform ordering, as a queue consumed front to back:
     round-robin over circuit positions, alternating add/replace, rotating
     gate kinds at each position."""
-    if not patches:
-        return deque()
     kind_names = sorted({p.gate.gate_name for p in patches}, key=_CATALOG_ORDER.__getitem__)
-    n_kinds = len(kind_names)
-
     # (position, patch kind) -> gate kind -> fifo of patches in pool order
-    buckets: dict[tuple[int, str], dict[str, list[Patch]]] = {}
+    fifos: dict[tuple[int, str], dict[str, list[Patch]]] = {}
     for p in patches:
-        slot = buckets.setdefault((p.position, p.kind), {k: [] for k in kind_names})
-        slot[p.gate.gate_name].append(p)
-    for slot in buckets.values():
-        for fifo in slot.values():
-            fifo.reverse()  # pop() from the tail = original order
+        fifos.setdefault((p.position, p.kind), {}).setdefault(p.gate.gate_name, []).append(p)
+    # each slot round-robins its gate kinds, starting at kind (position mod #kinds)
+    slots: dict[tuple[int, str], deque[Patch]] = {}
+    for (pos, typ), by_kind in fifos.items():
+        start = pos % len(kind_names)
+        rotated = [by_kind.get(name, ()) for name in kind_names[start:] + kind_names[:start]]
+        slots[(pos, typ)] = deque(p for row in zip_longest(*rotated) for p in row if p is not None)
 
-    max_pos = len(c.gates)
-    cursors = {key: key[0] % n_kinds for key in buckets}
-
-    def take(pos: int, typ: str) -> Patch | None:
-        slot = buckets.get((pos, typ))
-        if not slot:
-            return None
-        cur = cursors[(pos, typ)]
-        for step in range(n_kinds):
-            name = kind_names[(cur + step) % n_kinds]
-            if slot[name]:
-                cursors[(pos, typ)] = (cur + step + 1) % n_kinds
-                return slot[name].pop()
-        return None
-
-    ordered: list[Patch] = []
+    ordered: deque[Patch] = deque()
     want = "add"
-    while len(ordered) < len(patches):
+    progressed = True
+    while progressed:
         progressed = False
-        for pos in range(max_pos + 1):
-            for typ in (want, "replace" if want == "add" else "add"):
-                p = take(pos, typ)
-                if p is not None:
-                    ordered.append(p)
-                    want = "replace" if typ == "add" else "add"
-                    progressed = True
+        for pos in range(len(c.gates) + 1):
+            for typ in (want, _OTHER_KIND[want]):
+                if slot := slots.get((pos, typ)):
+                    ordered.append(slot.popleft())
+                    want, progressed = _OTHER_KIND[typ], True
                     break
-        if not progressed:
-            break
-    return deque(ordered)
+    return ordered
 
 
 def prune_to_gates(q: deque[Patch], keep: set[GateId]) -> deque[Patch]:
@@ -177,55 +160,48 @@ class MutantRecord:
     failed_count: int
 
 
-def _structural_key(c: Circuit) -> tuple:
-    return tuple(
-        (g.kind.gate_name, g.qubits, tuple(round(p / 1e-9) for p in g.params)) for g in c.gates
-    )
+def _gate_key(kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...]) -> tuple:
+    return (kind.gate_name, qubits, tuple(round(p / 1e-9) for p in params))
 
 
-def _mutant_gate_apps(kind: GateKind) -> list[tuple[tuple[float, ...], str]]:
-    if kind.param_count == 0:
-        return [((), "")]
-    out = []
-    for angle in _MUTANT_ANGLES:
-        params = (angle,) * kind.param_count
-        out.append((params, f"({','.join(f'{a:.6g}' for a in params)})"))
-    return out
+def _mutant_angles(kind: GateKind) -> list[tuple[float, ...]]:
+    return [(a,) * kind.param_count for a in _MUTANT_ANGLES] if kind.param_count else [()]
 
 
-def _enumerate_group(
-    c: Circuit, group: str, kinds: list[GateKind]
-) -> list[tuple[Circuit, str, int]]:
-    """(mutant, description, fault position in mutant coordinates) tuples."""
-    out = []
+# one mutation: (position, patch or None for a removal, the patch's angles)
+_Edit = tuple[int, Patch | None, tuple[float, ...]]
+
+
+def _group_edits(c: Circuit, group: str, pool: list[Patch]) -> list[_Edit]:
     if group == "remove":
-        for pos, g in enumerate(c.gates):
-            m = remove_gate(c, pos)
-            out.append((m, f"remove {g.kind.gate_name} @{pos}", min(pos, len(m.gates) - 1)))
-        return out
-    if group == "add":
-        for pos in range(len(c.gates) + 1):
-            for kind in kinds:
-                for qs in _qubit_choices(kind, c.num_qubits):
-                    for params, ptxt in _mutant_gate_apps(kind):
-                        g = GateApp(kind, qs, params, position=pos)
-                        m = insert_gate(c, pos, g)
-                        desc = f"add {kind.gate_name}{ptxt} {qs} @{pos}"
-                        out.append((m, desc, pos))
-        return out
-    if group == "replace":
-        for pos, old in enumerate(c.gates):
-            for kind in kinds:
-                for qs in _qubit_choices(kind, c.num_qubits):
-                    for params, ptxt in _mutant_gate_apps(kind):
-                        if kind is old.kind and qs == old.qubits and params == old.params:
-                            continue
-                        g = GateApp(kind, qs, params, position=pos)
-                        m = replace_gate(c, pos, g)
-                        desc = f"replace {old.kind.gate_name} @{pos} -> {kind.gate_name}{ptxt} {qs}"
-                        out.append((m, desc, pos))
-        return out
-    raise ValueError(f"unknown mutation group {group!r}")
+        return [(pos, None, ()) for pos in range(len(c.gates))]
+    if group not in ("add", "replace"):
+        raise ValueError(f"unknown mutation group {group!r}")
+    return [(p.position, p, angles) for p in pool if p.kind == group for angles in _mutant_angles(p.gate)]
+
+
+def _edit_key(ref_key: tuple, edit: _Edit) -> tuple:
+    """Gate-sequence key of the mutant ``edit`` makes, without building it."""
+    pos, patch, angles = edit
+    if patch is None:
+        return ref_key[:pos] + ref_key[pos + 1 :]
+    tail = pos + 1 if patch.kind == "replace" else pos
+    return ref_key[:pos] + (_gate_key(patch.gate, patch.qubits, angles),) + ref_key[tail:]
+
+
+def _build_mutant(c: Circuit, edit: _Edit) -> tuple[Circuit, str, int]:
+    """(mutant, description, fault position in mutant coordinates)."""
+    pos, patch, angles = edit
+    if patch is None:
+        m = remove_gate(c, pos)
+        return m, f"remove {c.gates[pos].kind.gate_name} @{pos}", min(pos, len(m.gates) - 1)
+    ptxt = f"({','.join(f'{a:.6g}' for a in angles)})" if angles else ""
+    gate = f"{patch.gate.gate_name}{ptxt} {patch.qubits}"
+    if patch.kind == "add":
+        desc = f"add {gate} @{pos}"
+    else:
+        desc = f"replace {c.gates[pos].kind.gate_name} @{pos} -> {gate}"
+    return apply_patch(c, patch, angles), desc, pos
 
 
 def inject_faults(
@@ -239,33 +215,37 @@ def inject_faults(
     """Seeded mutant corpus: up to ``per_group`` non-equivalent mutants per
     operator group, judged against the reference's own suite.
 
-    Candidates are shuffled per group and evaluated lazily, which draws a
-    uniform without-replacement sample from the non-equivalent subset
-    without paying for fitness on the whole enumeration.
+    The add and replace groups are the repair edit space of
+    :func:`generate_patches` over ``catalog``, parametric kinds expanded over
+    a fixed angle grid; the remove group drops each gate once. Edits that
+    give the reference or an earlier candidate's gate sequence are dropped,
+    judged on a key computed from the edit alone. Each group is shuffled by
+    the seed, and a mutant is built and evaluated only when the shuffle
+    reaches it, which draws a uniform without-replacement sample from the
+    non-equivalent subset without paying for the whole enumeration.
     """
     if suite is None:
         suite = generate_suite(c)
-    kinds = [GATE_BY_NAME[name] for name in catalog if GATE_BY_NAME[name].num_qubits <= c.num_qubits]
+    pool = generate_patches(c, catalog)
+    ref_key = tuple(_gate_key(g.kind, g.qubits, g.params) for g in c.gates)
 
     records: list[MutantRecord] = []
-    seen: set[tuple] = {_structural_key(c)}
+    seen: set[tuple] = {ref_key}  # a replace by an identical gate gives the reference back
     any_candidates = False
     for gi, group in enumerate(groups):
         candidates = []
-        for m, desc, fault_pos in _enumerate_group(c, group, kinds):
-            key = _structural_key(m)
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append((m, desc, fault_pos))
+        for edit in _group_edits(c, group, pool):
+            key = _edit_key(ref_key, edit)
+            if key not in seen:
+                seen.add(key)
+                candidates.append(edit)
         any_candidates = any_candidates or bool(candidates)
         rng = np.random.default_rng([seed & (2**63 - 1), gi])
-        order = rng.permutation(len(candidates))
         found = 0
-        for idx in order:
+        for idx in rng.permutation(len(candidates)):
             if found >= per_group:
                 break
-            m, desc, fault_pos = candidates[idx]
+            m, desc, fault_pos = _build_mutant(c, candidates[idx])
             score = fitness(m, suite)
             if score.failed_count == 0:
                 continue  # equivalent under the suite

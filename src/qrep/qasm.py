@@ -28,6 +28,10 @@ _TOKEN_RE = re.compile(
 
 _RESERVED_FEATURES = {"gate", "opaque", "if", "reset"}
 
+# parentheses and unary signs an angle expression may nest; the parser
+# recurses once per level, so deeper input would exhaust the Python stack
+_MAX_EXPR_DEPTH = 64
+
 
 class _Token:
     __slots__ = ("typ", "val", "line", "col")
@@ -69,6 +73,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses and unary signs around the current factor
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -123,14 +128,19 @@ class _Parser:
 
     def parse_factor(self) -> float:
         tok = self.next()
-        if tok.val == "-":
-            return -self.parse_factor()
-        if tok.val == "+":
-            return self.parse_factor()
-        if tok.val == "(":
-            val = self.parse_expr()
-            self.expect(")")
-            return val
+        if tok.val in ("-", "+", "("):
+            self.depth += 1
+            if self.depth > _MAX_EXPR_DEPTH:
+                raise QasmSyntaxError(
+                    f"angle expression nested deeper than {_MAX_EXPR_DEPTH} levels", tok.line, tok.col
+                )
+            if tok.val == "(":
+                val = self.parse_expr()
+                self.expect(")")
+            else:
+                val = self.parse_factor()
+            self.depth -= 1
+            return -val if tok.val == "-" else val
         if tok.typ == "NUMBER":
             return float(tok.val)
         if tok.typ == "ID" and tok.val == "pi":

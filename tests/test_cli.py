@@ -345,3 +345,29 @@ def test_non_utf8_input_file_is_one_line_error(circuits, tmp_path, capsys, flag)
     assert _one_error_line(err)
     assert err.startswith("qrep: error:")
     assert str(binary) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "flag,text",
+    [
+        ("--circuit", 'OPENQASM 2.0;\nqreg q[2];\nrx(' + "(" * 3000 + "1" + ")" * 3000 + ") q[0];\n"),
+        ("--circuit", 'OPENQASM 2.0;\nqreg q[2];\nrx(' + "-" * 3000 + "1) q[0];\n"),
+        ("--reference", 'OPENQASM 2.0;\nqreg q[2];\nrz(' + "+-(" * 1000 + "1" + ")" * 1000 + ") q[1];\n"),
+        ("--expected", "[" * 100000),
+    ],
+)
+def test_deeply_nested_input_is_one_line_error(circuits, tmp_path, capsys, flag, text):
+    deep = tmp_path / "deep.txt"
+    deep.write_text(text)
+    files = {"--circuit": circuits["easy"], "--reference": circuits["ref"], flag: str(deep)}
+    if flag == "--expected":
+        del files["--reference"]
+    argv = ["repair", "--budget-evals", "10"]
+    for name, path in files.items():
+        argv += [name, path]
+    code = run(argv)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.startswith("qrep: error:")
+    assert "nested" in err

@@ -92,6 +92,18 @@ def test_rank_percentile_single_gate_is_top():
     assert t.rank_percentile(GateId(0, "h", (0,))) == 0.0
 
 
+@pytest.mark.parametrize("scores", [[0.0], [0.5, 2.0, 0.5, -1.0], [float(s % 7) for s in range(40)]])
+def test_records_sort_once_and_match_rank_percentile(monkeypatch, scores):
+    t = SuspiciousnessTable(scores={GateId(i, "h", (0,)): s for i, s in enumerate(scores)})
+    expected = [(str(g), t.scores[g], t.rank_percentile(g)) for g in t.ranking()]
+    sorts = []
+    ranking = SuspiciousnessTable.ranking
+    monkeypatch.setattr(SuspiciousnessTable, "ranking", lambda self: sorts.append(1) or ranking(self))
+    rows = t.records()
+    assert len(sorts) == 1
+    assert [(r["gate_id"], r["score"], r["percentile"]) for r in rows] == expected
+
+
 def test_table_rejects_unknown_gate(bell):
     t = SuspiciousnessTable.for_circuit(bell)
     with pytest.raises(UnknownGateError):

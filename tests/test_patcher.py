@@ -2,8 +2,12 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from conftest import random_circuit
+from oracles import cursor_order_uniform, eager_inject_faults
 
+from qrep.benchmarks import build_benchmark, standard_catalog
 from qrep.circuit import GateApp, GateKind, build_circuit
 from qrep.errors import NoNonEquivalentMutantError
 from qrep.localizer import GateId, gate_id
@@ -126,6 +130,22 @@ def test_order_uniform_empty():
     assert len(order_uniform([], c)) == 0
 
 
+_PARAMETRIC_CATALOG = ("x", "h", "rx", "cp", "ccx", "u")
+
+
+def test_order_uniform_matches_cursor_reference():
+    rng = np.random.default_rng(4)
+    randoms = [random_circuit(rng, int(rng.integers(1, 5)), int(rng.integers(0, 8))) for _ in range(120)]
+    for c in [*standard_catalog().values(), *randoms]:
+        for catalog in (DEFAULT_PATCH_CATALOG, _PARAMETRIC_CATALOG, ("cx",), ("rz", "x", "swap")):
+            pool = generate_patches(c, catalog)
+            keep = {gate_id(g) for g in c.gates if rng.random() < 0.5}
+            # the full pool, random subsets of it, and the pool pruned to random gates
+            for sub in (pool, [p for p in pool if rng.random() < 0.3],
+                        [p for p in pool if rng.random() < 0.05], list(prune_to_gates(pool, keep))):
+                assert list(order_uniform(sub, c)) == cursor_order_uniform(sub, c)
+
+
 # ------------------------------------------------------------------- queue
 
 def test_prune_keeps_only_anchored(bell):
@@ -245,3 +265,65 @@ def test_inject_faults_equivalent_only_pool_raises():
     ref = build_circuit(1, [("t", 0)])
     with pytest.raises(NoNonEquivalentMutantError):
         inject_faults(ref, seed=0, per_group=1, catalog=("s", "t"), groups=("remove",))
+
+
+# ------------------------------------- injector against the eager reference
+
+# the corpus of scripts/run_benchmark.py and its injection seeds
+_CORPUS = [("ghz", 3, 2), ("dj", 4, 1), ("graphstate", 4, 4), ("wstate", 4, 0), ("qft", 4, 5), ("grover", 3, 3)]
+
+
+def _outcome(fn, *args, **kwargs):
+    """Comparable result: every field of every record, or the error raised."""
+    try:
+        records = fn(*args, **kwargs)
+    except NoNonEquivalentMutantError as e:
+        return ("raises", str(e))
+    return [
+        (r.mutant, r.group, r.description, r.fault_gate, r.fitness_value, r.failed_count)
+        for r in records
+    ]
+
+
+def _assert_injectors_agree(ref, seed, catalog, per_groups=(1, 3), **kwargs) -> list:
+    suite = generate_suite(ref)
+    outcomes = []
+    for per_group in per_groups:
+        want = _outcome(eager_inject_faults, ref, seed, per_group, catalog, suite=suite, **kwargs)
+        got = _outcome(inject_faults, ref, seed, per_group, catalog, suite=suite, **kwargs)
+        assert got == want, (seed, per_group, catalog, kwargs)
+        outcomes.append(got)
+    return outcomes
+
+
+@pytest.mark.parametrize("catalog", [DEFAULT_MUTATION_CATALOG, _PARAMETRIC_CATALOG])
+@pytest.mark.parametrize("family,n,seed", _CORPUS)
+def test_inject_faults_matches_eager_reference_on_corpus(family, n, seed, catalog):
+    _assert_injectors_agree(build_benchmark(family, n), seed, catalog)
+
+
+@pytest.mark.parametrize("catalog", [DEFAULT_MUTATION_CATALOG, _PARAMETRIC_CATALOG])
+@pytest.mark.parametrize("name", sorted(standard_catalog()))
+def test_inject_faults_matches_eager_reference_on_standard_catalog(name, catalog):
+    ref = standard_catalog()[name]
+    _assert_injectors_agree(ref, 0, catalog, per_groups=(3,))
+    _assert_injectors_agree(ref, 7, catalog, per_groups=(1, 2), groups=("remove",))
+
+
+@pytest.mark.parametrize(
+    "ops,catalog,groups,raises",
+    [
+        ([("t", 0)], ("s", "t"), ("remove",), True),  # removing t is invisible
+        ([("id", 0)], ("id",), ("add", "remove"), True),  # every edit is an identity
+        ([("h", 0), ("id", 0)], ("id",), ("add",), True),
+        ([("h", 0), ("id", 0)], ("id",), ("add", "replace"), False),  # no-op replaces excluded
+        ([("rx", 0, (math.pi / 2,))], ("rx",), ("replace",), False),  # rx(pi/2) -> itself excluded
+        ([], ("x",), ("remove", "replace"), False),  # no candidates at all
+        ([("h", 0), ("h", 0)], ("x", "z"), ("add", "add"), False),  # repeated group: all seen
+    ],
+)
+def test_inject_faults_matches_eager_reference_on_edge_cases(ops, catalog, groups, raises):
+    ref = build_circuit(1, ops)
+    for seed in range(3):
+        outcomes = _assert_injectors_agree(ref, seed, catalog, groups=groups)
+        assert all(isinstance(o, tuple) == raises for o in outcomes)

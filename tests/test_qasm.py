@@ -9,7 +9,7 @@ from qrep.errors import (
     UnsupportedFeatureError,
     UnsupportedGateError,
 )
-from qrep.qasm import emit_qasm, parse_qasm
+from qrep.qasm import _MAX_EXPR_DEPTH, emit_qasm, parse_qasm
 
 BELL = """\
 OPENQASM 2.0;
@@ -94,6 +94,24 @@ def test_non_finite_angle_rejected_with_location(angle):
         parse_qasm(src)
     assert (exc.value.line, exc.value.col) == (5, 4)
     assert "non-finite angle" in str(exc.value)
+
+
+@pytest.mark.parametrize("opener,closer", [("(", ")"), ("-", ""), ("+", ""), ("-(", ")")])
+def test_angle_nesting_depth_is_bounded_with_location(opener, closer):
+    def src(depth):
+        expr = opener * depth + "pi" + closer * depth
+        return f'OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrx({expr}) q[0];\n'
+
+    levels = len(opener)  # "-(" opens two levels per repetition
+    at_limit = parse_qasm(src(_MAX_EXPR_DEPTH // levels))
+    sign = -1 if "-" in opener and (_MAX_EXPR_DEPTH // levels) % 2 else 1
+    assert at_limit.gates[1].params == (sign * math.pi,)
+    for depth in (_MAX_EXPR_DEPTH // levels + 1, 3000):
+        with pytest.raises(QasmSyntaxError) as exc:
+            parse_qasm(src(depth))
+        # the token that opens level _MAX_EXPR_DEPTH + 1, after "rx("
+        assert (exc.value.line, exc.value.col) == (4, 4 + _MAX_EXPR_DEPTH)
+        assert "nested" in str(exc.value)
 
 
 def test_version_and_header_enforced():
