@@ -1,0 +1,134 @@
+"""Time qrep's layers and merge the numbers into a BENCH_*.json file.
+
+    python scripts/bench.py --label change --out BENCH_5.json
+    PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_5.json
+
+Layers: one one-qubit gate on the full input batch at 4 and 6 qubits, one
+``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
+wstate4, dj6), and one localisation sweep of a dj6 replace mutant. Each
+sample is the mean of enough back-to-back calls to last about 20 ms; after
+one warm-up sample, ``--repeats`` samples give the median and the
+interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
+checkout, else from this one, so the same script times two commits on one
+machine. Each run is appended to the list under its label with the machine
+and a digest of the qrep sources it timed; on a shared host, alternate the
+labels over several runs, because the host's speed drifts between runs.
+"""
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+import scipy
+
+import qrep
+from qrep import simulator
+from qrep.benchmarks import build_benchmark
+from qrep.circuit import GATE_BY_NAME
+from qrep.localizer import localize
+from qrep.patcher import inject_faults
+from qrep.testkit import fitness, generate_suite
+
+FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj", 6))
+SAMPLE_S = 0.02
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--out", required=True, help="JSON file to merge the run into")
+    ap.add_argument("--repeats", type=int, default=21)
+    return ap.parse_args(argv)
+
+
+def _sample(fn, inner: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(inner):
+        fn()
+    return (time.perf_counter() - t0) / inner
+
+
+def measure(fn, repeats: int) -> dict:
+    """Median and quartiles of per-call time in microseconds."""
+    once = _sample(fn, 1)
+    inner = max(1, round(SAMPLE_S / max(once, 1e-9)))
+    _sample(fn, inner)
+    samples = sorted(_sample(fn, inner) * 1e6 for _ in range(repeats))
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "median_us": statistics.median(samples),
+        "q1_us": q1,
+        "q3_us": q3,
+        "iqr_us": q3 - q1,
+        "repeats": repeats,
+        "calls_per_sample": inner,
+    }
+
+
+def layers() -> dict:
+    """name -> zero-argument call to time, plus the facts that pin its work."""
+    out = {}
+    h = simulator._matrix_1q(GATE_BY_NAME["h"], ())
+    for q in (4, 6):
+        state = np.zeros((2**q, 2**q), dtype=complex)
+        state[np.arange(2**q), np.arange(2**q)] = 1.0
+        t = state.reshape((2**q, 1) + (2,) * q)
+        out[f"gate_1q_q{q}"] = (lambda t=t, q=q: simulator._apply_1q(t, h, q // 2, q), {})
+    for fam, n in FITNESS_CIRCUITS:
+        ref = build_benchmark(fam, n)
+        ts = generate_suite(ref)
+        value = fitness(ref, ts).value
+        out[f"fitness_{fam}{n}"] = (lambda ref=ref, ts=ts: fitness(ref, ts), {"gates": len(ref.gates), "value": value})
+    ref = build_benchmark("dj", 6)
+    ts = generate_suite(ref)
+    mutant = inject_faults(ref, seed=1, per_group=1, groups=("replace",), suite=ts)[0].mutant
+    baseline = fitness(mutant, ts)
+    sweep = localize(mutant, ts, baseline)
+    out["localize_dj6"] = (
+        lambda: localize(mutant, ts, baseline),
+        {"gates": len(mutant.gates), "evals": sweep.evals_used, "ranking": [str(g) for g in sweep.table.ranking()]},
+    )
+    return out
+
+
+def machine() -> dict:
+    src = Path(qrep.__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(src.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return {
+        "nproc": os.cpu_count(),
+        "cpus_available": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "qrep_source_sha256": digest.hexdigest(),
+    }
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    run = {"machine": machine(), "layers": {}}
+    for name, (fn, facts) in layers().items():
+        row = measure(fn, args.repeats)
+        row.update(facts)
+        run["layers"][name] = row
+        print(f"{name:<16} median {row['median_us']:>10.1f} us  IQR {row['iqr_us']:>8.1f} us", flush=True)
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc.setdefault("runs", {}).setdefault(args.label, []).append(run)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"run {args.label!r} written to {out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -108,6 +108,10 @@ def _load_suite(args):
         table = json.loads(_read_text(args.expected))
     except RecursionError:
         raise ExpectedTableError(f"{args.expected}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer with more digits than Python converts
+        raise ExpectedTableError(f"{args.expected}: a number has too many digits") from None
     return suite_from_expected(table)
 
 
@@ -215,8 +219,10 @@ def _cmd_localize(args) -> int:
     c = _load_circuit(args.circuit)
     ts = _load_suite(args)
     oracle = _oracle_from_args(args)
-    baseline = fitness(c, ts, oracle)
-    result = localize(c, ts, baseline, evaluate=lambda cand: fitness(cand, ts, oracle))
+    prefixes = ts.prefixes(c)
+    evaluate = lambda cand: fitness(cand, ts, oracle, prefixes)
+    baseline = evaluate(c)
+    result = localize(c, ts, baseline, evaluate=evaluate)
     repaired_qasm = emit_qasm(result.repaired) if result.repaired is not None else None
     removed = result.repaired_by_removing
     payload = {

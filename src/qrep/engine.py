@@ -182,6 +182,8 @@ class _Run:
         self.fault_gate = fault_gate
         self.budget = Budget(cfg.budget_evals, cfg.budget_seconds)
         self.table = SuspiciousnessTable.for_circuit(c_init)
+        # every candidate is c_init or a single-gate edit of it
+        self.prefixes = ts.prefixes(c_init)
         self.candidates: list[_Candidate] = []
         self.baseline: FitnessScore | None = None
         self.partial_localisation = False
@@ -190,7 +192,7 @@ class _Run:
     def evaluate(self, c: Circuit) -> FitnessScore:
         self.budget.precheck()
         self.budget.charge()
-        return fitness(c, self.ts, self.cfg.oracle)
+        return fitness(c, self.ts, self.cfg.oracle, self.prefixes)
 
     def record_patch(self, patch: Patch, params: tuple[float, ...], value: float) -> None:
         self.candidates.append(

@@ -95,13 +95,15 @@ def localize(
 ) -> LocalizeResult:
     """Gate-removal sweep over ``c_init`` (ascending position order).
 
-    ``evaluate`` defaults to plain exact-mode fitness; the repair engine
-    passes its budget-counting evaluator instead. A sweep cut short by
-    budget exhaustion returns the partial table, flagged.
+    ``evaluate`` defaults to exact-mode fitness resuming from the prefixes
+    of ``c_init``; the repair engine passes its budget-counting evaluator
+    instead. A sweep cut short by budget exhaustion returns the partial
+    table, flagged.
     """
     require_failing(baseline)
     if evaluate is None:
-        evaluate = lambda c: fitness(c, ts)
+        prefixes = ts.prefixes(c_init)
+        evaluate = lambda c: fitness(c, ts, prefixes=prefixes)
 
     start = time.monotonic()
     result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init))

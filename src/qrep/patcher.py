@@ -227,6 +227,7 @@ def inject_faults(
     if suite is None:
         suite = generate_suite(c)
     pool = generate_patches(c, catalog)
+    prefixes = suite.prefixes(c)
     ref_key = tuple(_gate_key(g.kind, g.qubits, g.params) for g in c.gates)
 
     records: list[MutantRecord] = []
@@ -246,7 +247,7 @@ def inject_faults(
             if found >= per_group:
                 break
             m, desc, fault_pos = _build_mutant(c, candidates[idx])
-            score = fitness(m, suite)
+            score = fitness(m, suite, prefixes=prefixes)
             if score.failed_count == 0:
                 continue  # equivalent under the suite
             fault = gate_id(m.gates[fault_pos]) if m.gates else None

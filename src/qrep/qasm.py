@@ -148,6 +148,15 @@ class _Parser:
         raise QasmSyntaxError(f"bad angle expression near {tok.val!r}", tok.line, tok.col)
 
 
+def _integer(tok: _Token, what: str) -> int:
+    if tok.typ != "NUMBER" or not tok.val.isdigit():
+        raise QasmSyntaxError(f"expected {what}", tok.line, tok.col)
+    try:
+        return int(tok.val)
+    except ValueError:  # more digits than Python converts to an int
+        raise QasmSyntaxError(f"{what} has {len(tok.val)} digits", tok.line, tok.col) from None
+
+
 def parse_qasm(text: str) -> Circuit:
     """Parse OpenQASM 2.0 source into a :class:`Circuit`."""
     p = _Parser(_tokenize(text))
@@ -170,12 +179,10 @@ def parse_qasm(text: str) -> Circuit:
         if name.typ != "ID":
             raise QasmSyntaxError(f"expected {keyword} name", name.line, name.col)
         p.expect("[")
-        size = p.next()
-        if size.typ != "NUMBER" or not size.val.isdigit():
-            raise QasmSyntaxError(f"expected {keyword} size", size.line, size.col)
+        size = _integer(p.next(), f"{keyword} size")
         p.expect("]")
         p.expect(";")
-        return name.val, int(size.val)
+        return name.val, size
 
     def parse_operand(reg: tuple[str, int] | None, what: str) -> tuple[int | None, _Token]:
         """Returns (index, token); index None means whole register."""
@@ -187,10 +194,8 @@ def parse_qasm(text: str) -> Circuit:
         if p.peek() and p.peek().val == "[":
             p.expect("[")
             idx = p.next()
-            if idx.typ != "NUMBER" or not idx.val.isdigit():
-                raise QasmSyntaxError("expected integer index", idx.line, idx.col)
+            i = _integer(idx, "integer index")
             p.expect("]")
-            i = int(idx.val)
             if i >= reg[1]:
                 raise QasmSyntaxError(f"index {i} out of range for {reg[0]}[{reg[1]}]", idx.line, idx.col)
             return i, name

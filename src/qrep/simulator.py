@@ -4,13 +4,15 @@ Conventions: little-endian amplitude ordering (qubit 0 is the least
 significant bit of the state index) and outcome bitstrings with qubit 0
 rightmost, so index i maps to ``format(i, f"0{q}b")``. Gates are applied as
 amplitude kernels on one [B, 1, 2, ..., 2] tensor that holds a batch of B
-inputs; qubit k lives on axis q+1-k. No full 2^q x 2^q matrix is ever built
-here; the dense-matrix product lives in the test suite as an independent
-oracle.
+inputs; qubit k lives on axis q+1-k. A :class:`PrefixCache` keeps the tensor
+after the leading gates of one circuit, so its single-gate edits are
+simulated from the edit on. No full 2^q x 2^q matrix is ever built here; the
+dense-matrix product lives in the test suite as an independent oracle.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -132,8 +134,18 @@ def _matrix_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
 
 
 def _apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """One matmul over every amplitude pair of ``qubit``: the target axis is
+    moved last and the batch flattened to (B * 2^(n-1)) x 2 rows.
+
+    On one qubit the batch stays stacked as (B, 1, 2) cores of one row: a
+    one-input call would otherwise be a single-row product, which rounds
+    differently from a many-row one, and a row must not depend on its batch.
+    """
+    if n == 1:
+        return t @ m.T
     axis = n + 1 - qubit
-    return np.moveaxis(np.moveaxis(t, axis, -1) @ m.T, -1, axis)
+    moved = np.ascontiguousarray(np.moveaxis(t, axis, -1))
+    return np.moveaxis((moved.reshape(-1, 2) @ m.T).reshape(moved.shape), -1, axis)
 
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:
@@ -189,53 +201,113 @@ def _apply_gate(t: np.ndarray, g: GateApp, n: int) -> np.ndarray:
 
 BASIS_ORDER = (MeasBasis.X, MeasBasis.Y, MeasBasis.Z)
 
-_BASIS_ROTATIONS: dict[MeasBasis, tuple[GateKind, ...]] = {
-    MeasBasis.X: (GateKind.H,),
-    MeasBasis.Y: (GateKind.SDG, GateKind.H),
-    MeasBasis.Z: (),
-}
+_H = _matrix_1q(GateKind.H, ())
+
+# bytes of prefix states one PrefixCache keeps; above it, only checkpoints
+PREFIX_CACHE_BYTES = 64 * 2**20
 
 
-def run_all_bases(c: Circuit, inputs) -> np.ndarray:
-    """Born-rule probabilities of every input in every basis, as an array
-    indexed ``[basis, k, outcome]``: bases in :data:`BASIS_ORDER`, ``k`` the
-    position of the input in ``inputs``.
+@functools.cache
+def _y_phases(n: int) -> np.ndarray:
+    """(-i)^popcount(index) over the 2^n amplitudes: ``sdg`` on every qubit.
+
+    Every factor is 0 or +-1 in each part, so multiplying by it is exact.
+    """
+    popcount = np.array([bin(i).count("1") for i in range(2**n)])
+    table = np.array([1, -1j, -1, 1j])[popcount % 4].reshape((2,) * n)
+    table.setflags(write=False)
+    return table
+
+
+class PrefixCache:
+    """States of a fixed batch of inputs after the leading gates of one
+    circuit, so that a circuit sharing those gates (a single-gate edit, say)
+    is simulated only from where it departs from them.
+
+    The states after every prefix are kept when they fit in
+    :data:`PREFIX_CACHE_BYTES`; otherwise only every ``stride``-th. Each is
+    a layout-preserving copy of the running tensor, so resuming from one
+    rounds exactly as simulating from the inputs does.
+    """
+
+    def __init__(self, c: Circuit, inputs):
+        n = c.num_qubits
+        idx = np.asarray(inputs, dtype=np.intp).reshape(-1)
+        bad = idx[(idx < 0) | (idx >= 2**n)]
+        if bad.size:
+            raise WidthMismatchError(f"input {bad[0]} out of range for {n} qubits")
+        t = np.zeros((len(idx), 2**n), dtype=complex)
+        t[np.arange(len(idx)), idx] = 1.0
+        t = t.reshape((len(idx), 1) + (2,) * n)
+        self.num_qubits = n
+        self.inputs = idx
+        self.gates = c.gates
+        self.stride = -(-(len(c.gates) + 1) // max(1, PREFIX_CACHE_BYTES // t.nbytes))
+        self.states = {0: t}
+        t = np.copy(t)
+        for k, g in enumerate(c.gates, 1):
+            t = _apply_gate(t, g, n)
+            if k % self.stride == 0:
+                self.states[k] = np.copy(t)
+
+    def resume(self, c: Circuit) -> tuple[int, np.ndarray]:
+        """(k, a fresh copy of the state after ``c.gates[:k]``) for the
+        longest cached prefix that ``c`` shares with the cached circuit."""
+        if c.num_qubits != self.num_qubits:
+            raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {self.num_qubits}")
+        shared = 0
+        for a, b in zip(c.gates, self.gates):
+            if a != b:
+                break
+            shared += 1
+        k = shared - shared % self.stride
+        return k, np.copy(self.states[k])
+
+
+def run_all_bases(
+    c: Circuit,
+    inputs,
+    bases: tuple[MeasBasis, ...] = BASIS_ORDER,
+    prefixes: PrefixCache | None = None,
+) -> np.ndarray:
+    """Born-rule probabilities of every input in each of ``bases``, as an
+    array indexed ``[basis, k, outcome]``: ``k`` the position of the input
+    in ``inputs``.
 
     All inputs pass through the gate list together as one [B, 1, 2, ..., 2]
-    tensor. The unit axis keeps the core of every single-qubit matmul a
-    2x2 block, whatever B and q are, so a row does not depend on the batch it
-    is computed in and :func:`run_exact` agrees bit for bit with a suite.
+    tensor, from the longest prefix of ``c`` that ``prefixes`` holds (given
+    one built for the same inputs), else from the inputs themselves. A row
+    does not depend on the batch it is computed in, so :func:`run_exact`
+    agrees bit for bit with a suite. The X basis is ``h`` on every qubit,
+    the Y basis a phase table (``sdg`` on every qubit) and then ``h``.
     """
+    if prefixes is None:
+        prefixes = PrefixCache(Circuit(c.num_qubits), inputs)
+    elif not np.array_equal(prefixes.inputs, np.asarray(inputs).reshape(-1)):
+        raise ValueError("prefix cache was built for other inputs")
     n = c.num_qubits
-    idx = np.asarray(inputs, dtype=np.intp).reshape(-1)
-    bad = idx[(idx < 0) | (idx >= 2**n)]
-    if bad.size:
-        raise WidthMismatchError(f"input {bad[0]} out of range for {n} qubits")
-    batch = len(idx)
-    state = np.zeros((batch, 2**n), dtype=complex)
-    state[np.arange(batch), idx] = 1.0
-    t = state.reshape((batch, 1) + (2,) * n)
-    for g in c.gates:
+    k, t = prefixes.resume(c)
+    for g in c.gates[k:]:
         t = _apply_gate(t, g, n)
-    out = np.empty((len(BASIS_ORDER), batch, 2**n))
-    for k, basis in enumerate(BASIS_ORDER):
-        s = t
-        for rot in _BASIS_ROTATIONS[basis]:
-            m = _matrix_1q(rot, ())
+    batch = len(prefixes.inputs)
+    out = np.empty((len(bases), batch, 2**n))
+    for b, basis in enumerate(bases):
+        s = t * _y_phases(n) if basis is MeasBasis.Y else t
+        if basis is not MeasBasis.Z:
             for q in range(n):
-                s = _apply_1q(s, m, q, n)
+                s = _apply_1q(s, _H, q, n)
         probs = np.abs(s.reshape(batch, -1)) ** 2
         norms = probs.sum(axis=1)
         drift = np.abs(norms - 1.0)
         if np.any(drift > _NORM_ATOL):
             raise AssertionError(f"final norm {norms[drift.argmax()]} drifted beyond tolerance")
-        out[k] = probs / norms[:, None]
+        out[b] = probs / norms[:, None]
     return out
 
 
 def run_exact(c: Circuit, input_state: int, basis: MeasBasis = MeasBasis.Z) -> Distribution:
     """Born-rule outcome probabilities for |input_state> under ``c`` in ``basis``."""
-    return Distribution(c.num_qubits, run_all_bases(c, [input_state])[BASIS_ORDER.index(basis), 0])
+    return Distribution(c.num_qubits, run_all_bases(c, [input_state], bases=(basis,))[0, 0])
 
 
 def sample_frequencies(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from .simulator import (
     BASIS_ORDER,
     Distribution,
     MeasBasis,
+    PrefixCache,
     default_shots,
     run_all_bases,
     sample_frequencies,
@@ -43,10 +44,12 @@ class TestSuite:
     cases: tuple[TestCase, ...]
     reference: Circuit | None = None
     # derived from ``cases`` once, so an evaluation is one kernel call plus
-    # array operations: the sorted simulated inputs, each case's
-    # (basis, input) index into the kernel's output, and the expected
-    # probabilities stacked in case order, with their square roots
+    # array operations: the sorted simulated inputs, the measured bases in
+    # BASIS_ORDER, each case's (basis, input) index into the kernel's
+    # output, and the expected probabilities stacked in case order, with
+    # their square roots
     inputs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bases: tuple[MeasBasis, ...] = field(init=False, repr=False, compare=False)
     case_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     expected: np.ndarray = field(init=False, repr=False, compare=False)
     sqrt_expected: np.ndarray = field(init=False, repr=False, compare=False)
@@ -54,18 +57,31 @@ class TestSuite:
     def __post_init__(self):
         inputs = sorted({tc.input_state for tc in self.cases})
         column = {s: k for k, s in enumerate(inputs)}
+        bases = tuple(b for b in BASIS_ORDER if any(tc.basis is b for tc in self.cases))
         rows = (
-            np.array([BASIS_ORDER.index(tc.basis) for tc in self.cases], dtype=np.intp),
+            np.array([bases.index(tc.basis) for tc in self.cases], dtype=np.intp),
             np.array([column[tc.input_state] for tc in self.cases], dtype=np.intp),
         )
         expected = np.stack([tc.expected.probs for tc in self.cases])
         object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "case_rows", rows)
         object.__setattr__(self, "expected", expected)
         object.__setattr__(self, "sqrt_expected", np.sqrt(expected))
 
     def __len__(self) -> int:
         return len(self.cases)
+
+    def prefixes(self, c: Circuit) -> PrefixCache:
+        """Prefix states of ``c`` over the suite's inputs, for evaluating
+        ``c`` and its single-gate edits with :func:`fitness`."""
+        _require_width(c, self)
+        return PrefixCache(c, self.inputs)
+
+
+def _require_width(c: Circuit, ts: TestSuite) -> None:
+    if c.num_qubits != ts.num_qubits:
+        raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, suite has {ts.num_qubits}")
 
 
 @dataclass(frozen=True)
@@ -218,16 +234,21 @@ def _case_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master & (2**63 - 1), index]).generate_state(1)[0])
 
 
-def fitness(c: Circuit, ts: TestSuite, cfg: OracleConfig = OracleConfig()) -> FitnessScore:
+def fitness(
+    c: Circuit,
+    ts: TestSuite,
+    cfg: OracleConfig = OracleConfig(),
+    prefixes: PrefixCache | None = None,
+) -> FitnessScore:
     """Evaluate every test case; value = failed count + summed Hellinger.
 
-    One kernel call simulates every suite input in all bases; :func:`judge`'s
-    two rules then run as array operations over the observed rows. The
-    Hellinger sum accumulates sequentially in suite order.
+    One kernel call simulates every suite input in the suite's bases,
+    resuming from ``prefixes`` (from :meth:`TestSuite.prefixes`) when given;
+    :func:`judge`'s two rules then run as array operations over the observed
+    rows. The Hellinger sum accumulates sequentially in suite order.
     """
-    if c.num_qubits != ts.num_qubits:
-        raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, suite has {ts.num_qubits}")
-    observed = run_all_bases(c, ts.inputs)[ts.case_rows]
+    _require_width(c, ts)
+    observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes)[ts.case_rows]
     if cfg.mode == "sampled":
         shots = cfg.resolve_shots(ts.num_qubits)
         observed = np.stack(

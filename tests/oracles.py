@@ -290,3 +290,48 @@ def cursor_order_uniform(patches, c) -> list:
         if not progressed:
             break
     return ordered
+
+
+# ------------------------------------------- simulator reference kernel
+#
+# The one-qubit kernel and the basis rotations as they stood before the
+# kernel became one flattened product per gate, the Y basis a phase table,
+# and the measured bases a per-suite subset: a stacked matmul of 2 x 2 (or,
+# on one qubit, 1 x 2) cores, and the rotation gates applied qubit by qubit.
+# test_simulator.py holds the package to these bit for bit.
+
+_BASIS_ROTATIONS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
+
+
+def stacked_apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    axis = n + 1 - qubit
+    return np.moveaxis(np.moveaxis(t, axis, -1) @ m.T, -1, axis)
+
+
+def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
+    """[3, len(inputs), 2^q] probabilities in X, Y, Z order; the package's
+    multi-qubit kernels and gate matrices, the stacked one-qubit kernel."""
+    from qrep.circuit import GATE_BY_NAME
+    from qrep.simulator import _apply_gate, _matrix_1q
+
+    n = circuit.num_qubits
+    idx = np.asarray(inputs, dtype=np.intp)
+    batch = len(idx)
+    state = np.zeros((batch, 2**n), dtype=complex)
+    state[np.arange(batch), idx] = 1.0
+    t = state.reshape((batch, 1) + (2,) * n)
+    for g in circuit.gates:
+        if g.kind.num_qubits == 1:
+            t = stacked_apply_1q(t, _matrix_1q(g.kind, g.params), g.qubits[0], n)
+        else:
+            t = _apply_gate(t, g, n)
+    out = np.empty((3, batch, 2**n))
+    for k, basis in enumerate("XYZ"):
+        s = t
+        for rot in _BASIS_ROTATIONS[basis]:
+            m = _matrix_1q(GATE_BY_NAME[rot], ())
+            for q in range(n):
+                s = stacked_apply_1q(s, m, q, n)
+        probs = np.abs(s.reshape(batch, -1)) ** 2
+        out[k] = probs / probs.sum(axis=1)[:, None]
+    return out

@@ -243,10 +243,10 @@ def test_criterion_9_budget_exactness(monkeypatch):
     real = testkit_mod.run_all_bases
     calls = {"n": 0}
 
-    def probe(c, inputs):
+    def probe(c, inputs, **kw):
         calls["n"] += 1
         assert sorted(inputs) == list(range(2**bell.num_qubits))
-        return real(c, inputs)
+        return real(c, inputs, **kw)
 
     monkeypatch.setattr(testkit_mod, "run_all_bases", probe)
     for n in (1, 2, 3, 7, 25, 60):

@@ -371,3 +371,30 @@ def test_deeply_nested_input_is_one_line_error(circuits, tmp_path, capsys, flag,
     assert _one_error_line(err)
     assert err.startswith("qrep: error:")
     assert "nested" in err
+
+
+@pytest.mark.parametrize(
+    "flag,text",
+    [
+        ("--circuit", "OPENQASM 2.0;\nqreg q[" + "1" * 5000 + "];\n"),
+        ("--circuit", "OPENQASM 2.0;\nqreg q[2];\nh q[" + "1" * 5000 + "];\n"),
+        ("--reference", "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[" + "0" * 5000 + "];\n"),
+        ("--expected", '{"Z:00": {"00": 1' + "0" * 5000 + "}}"),
+    ],
+    ids=["qreg-size", "qubit-index", "reference-index", "expected-number"],
+)
+def test_overlong_integer_is_one_line_error(circuits, tmp_path, capsys, flag, text):
+    long = tmp_path / "long.txt"
+    long.write_text(text)
+    files = {"--circuit": circuits["easy"], "--reference": circuits["ref"], flag: str(long)}
+    if flag == "--expected":
+        del files["--reference"]
+    argv = ["localize"]
+    for name, path in files.items():
+        argv += [name, path]
+    code = run(argv)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.startswith("qrep: error:")
+    assert "digits" in err

@@ -158,3 +158,23 @@ def test_emit_then_parse_roundtrip():
 def test_emit_is_deterministic(bell):
     assert emit_qasm(bell) == emit_qasm(bell)
     assert emit_qasm(bell).startswith("OPENQASM 2.0;")
+
+
+LONG_INT = "1" * 5000  # past Python's 4300-digit int() conversion limit
+
+
+@pytest.mark.parametrize(
+    "src,where",
+    [
+        (f"OPENQASM 2.0;\nqreg q[{LONG_INT}];\n", (2, 8)),
+        (f"OPENQASM 2.0;\nqreg q[2];\ncreg c[{LONG_INT}];\n", (3, 8)),
+        (f"OPENQASM 2.0;\nqreg q[2];\nh q[{LONG_INT}];\n", (3, 5)),
+        (f"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c[{LONG_INT}];\n", (4, 19)),
+    ],
+    ids=["qreg-size", "creg-size", "qubit-index", "clbit-index"],
+)
+def test_overlong_integer_is_syntax_error_with_location(src, where):
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm(src)
+    assert (exc.value.line, exc.value.col) == where
+    assert "5000 digits" in str(exc.value)

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_probs, gate_matrix
+from itertools import combinations
+
+from oracles import dense_probs, gate_matrix, stacked_run_all_bases
 from conftest import RANDOM_KINDS, random_circuit
-from qrep.circuit import GateApp, GateKind, build_circuit
+from qrep import simulator
+from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
 from qrep.simulator import (
     BASIS_ORDER,
     Distribution,
     MeasBasis,
+    PrefixCache,
     default_shots,
     run_all_bases,
     run_exact,
@@ -181,3 +185,68 @@ def test_run_all_bases_input_order_and_bounds(bell):
     for bad in ([4], [0, -1]):
         with pytest.raises(ValueError):
             run_all_bases(bell, bad)
+
+
+BASIS_SUBSETS = [sub for r in (1, 2, 3) for sub in combinations(BASIS_ORDER, r)]
+
+
+def test_kernel_matches_stacked_reference_bit_for_bit():
+    # 1-8 qubits, every gate kind, every subset of bases, random input batches
+    rng = np.random.default_rng(5150)
+    seen = set()
+    for trial in range(160):
+        q = 1 + trial % 8
+        c = random_circuit(rng, q, int(rng.integers(0, 14)))
+        seen.update(g.kind.gate_name for g in c.gates)
+        size = int(rng.integers(1, min(2**q, 24) + 1))
+        inputs = rng.choice(2**q, size=size, replace=False)
+        want = stacked_run_all_bases(c, inputs)
+        for bases in BASIS_SUBSETS:
+            got = run_all_bases(c, inputs, bases=bases)
+            rows = [BASIS_ORDER.index(b) for b in bases]
+            assert np.array_equal(got, want[rows]), (q, bases)
+    assert seen == set(RANDOM_KINDS)
+
+
+def _random_edit(rng, c):
+    """``c`` with one gate added, replaced or removed at a random position."""
+    g = random_circuit(rng, c.num_qubits, 1).gates[0]
+    op = rng.choice(["add", "replace", "remove"] if c.gates else ["add"])
+    if op == "add":
+        return insert_gate(c, int(rng.integers(len(c.gates) + 1)), g)
+    pos = int(rng.integers(len(c.gates)))
+    if op == "replace":
+        return replace_gate(c, pos, g)
+    return remove_gate(c, pos)
+
+
+@pytest.mark.parametrize("small_cap", [False, True], ids=["every-prefix", "checkpoints"])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_prefix_cache_matches_full_simulation(small_cap, seed):
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, 6))
+    c = random_circuit(rng, q, int(rng.integers(0, 16)))
+    inputs = range(2**q)
+    cap = 3 * 2**q * 2**q * 16 if small_cap else simulator.PREFIX_CACHE_BYTES
+    with pytest.MonkeyPatch.context() as mp:
+        # with room for three states, a circuit of 3+ gates keeps checkpoints only
+        mp.setattr(simulator, "PREFIX_CACHE_BYTES", cap)
+        cache = PrefixCache(c, inputs)
+    assert len(cache.states) * cache.states[0].nbytes <= max(cap, cache.states[0].nbytes)
+    if small_cap and len(c.gates) >= 3:
+        assert cache.stride > 1
+    # the cached circuit, its edits and a stranger, several from one cache
+    candidates = [c] + [_random_edit(rng, c) for _ in range(5)] + [random_circuit(rng, q, 4)]
+    for cand in candidates:
+        assert np.array_equal(run_all_bases(cand, inputs, prefixes=cache), run_all_bases(cand, inputs))
+
+
+def test_prefix_cache_rejects_other_inputs_and_widths(bell):
+    cache = PrefixCache(bell, [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="other inputs"):
+        run_all_bases(bell, [0, 1], prefixes=cache)
+    with pytest.raises(ValueError, match="qubits"):
+        run_all_bases(build_circuit(3, [("h", 0)]), [0, 1, 2, 3], prefixes=cache)
+    with pytest.raises(ValueError):
+        PrefixCache(bell, [4])

@@ -244,3 +244,46 @@ def test_fitness_matches_per_case_judge_loop():
                     assert abs(score.hellinger_sum - h_sum) <= 1e-12
                     partial_fail += 0 < failed < len(ts)
     assert partial_fail > 50  # the comparison covers mixed pass/fail suites
+
+
+# ------------------------------------------- measured bases and prefixes
+
+
+def _all_bases(ts):
+    """``ts`` measured in every basis, as a suite did before it kept only
+    the bases its cases use."""
+    full = suite_from_expected({tc.id: tc.expected.as_dict() for tc in ts.cases})
+    object.__setattr__(full, "bases", BASIS_ORDER)
+    rows = np.array([BASIS_ORDER.index(tc.basis) for tc in full.cases], dtype=np.intp)
+    object.__setattr__(full, "case_rows", (rows, full.case_rows[1]))
+    return full
+
+
+def test_suite_measures_only_its_bases():
+    rng = np.random.default_rng(91)
+    checked = 0
+    for trial in range(30):
+        q = int(rng.integers(1, 5))
+        ref = random_circuit(rng, q, int(rng.integers(1, 10)))
+        full = generate_suite(ref)
+        assert full.bases == BASIS_ORDER
+        for keep in ({MeasBasis.Z}, {MeasBasis.X, MeasBasis.Z}, {MeasBasis.Y}):
+            sub = suite_from_expected(
+                {tc.id: tc.expected.as_dict() for tc in full.cases if tc.basis in keep}
+            )
+            assert sub.bases == tuple(b for b in BASIS_ORDER if b in keep)
+            wide = _all_bases(sub)
+            for c in (ref, random_circuit(rng, q, 6), *(remove_gate(ref, k) for k in range(len(ref.gates)))):
+                for cfg in (OracleConfig(), OracleConfig(mode="sampled", seed=3)):
+                    assert fitness(c, sub, cfg) == fitness(c, wide, cfg)
+                    checked += 1
+    assert checked > 500
+
+
+def test_fitness_with_prefixes_equals_fitness_without(bell):
+    ts = generate_suite(bell)
+    cache = ts.prefixes(bell)
+    for c in (bell, remove_gate(bell, 0), remove_gate(bell, 1)):
+        assert fitness(c, ts, prefixes=cache) == fitness(c, ts)
+    with pytest.raises(WidthMismatchError):
+        ts.prefixes(build_circuit(3, [("h", 0)]))
