@@ -182,12 +182,12 @@ class _Run:
         self.fault_gate = fault_gate
         self.budget = Budget(cfg.budget_evals, cfg.budget_seconds)
         self.table = SuspiciousnessTable.for_circuit(c_init)
+        self.start = time.monotonic()
         # every candidate is c_init or a single-gate edit of it
         self.prefixes = ts.prefixes(c_init)
         self.candidates: list[_Candidate] = []
         self.baseline: FitnessScore | None = None
         self.partial_localisation = False
-        self.start = time.monotonic()
 
     def evaluate(self, c: Circuit) -> FitnessScore:
         self.budget.precheck()

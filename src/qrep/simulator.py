@@ -203,8 +203,10 @@ BASIS_ORDER = (MeasBasis.X, MeasBasis.Y, MeasBasis.Z)
 
 _H = _matrix_1q(GateKind.H, ())
 
-# bytes of prefix states one PrefixCache keeps; above it, only checkpoints
-PREFIX_CACHE_BYTES = 64 * 2**20
+# bytes of prefix states one PrefixCache keeps; above it, only checkpoints.
+# A 6-qubit suite keeps every prefix of up to 128 gates; from 8 qubits on a
+# repair's peak memory is 90 MB or more, so the cache adds under a tenth
+PREFIX_CACHE_BYTES = 8 * 2**20
 
 
 @functools.cache
@@ -225,9 +227,11 @@ class PrefixCache:
     is simulated only from where it departs from them.
 
     The states after every prefix are kept when they fit in
-    :data:`PREFIX_CACHE_BYTES`; otherwise only every ``stride``-th. Each is
-    a layout-preserving copy of the running tensor, so resuming from one
-    rounds exactly as simulating from the inputs does.
+    :data:`PREFIX_CACHE_BYTES`; otherwise only every ``stride``-th, and none
+    when a single state does not fit. Each is a layout-preserving copy of
+    the running tensor, so resuming from one rounds exactly as simulating
+    from the inputs does. The empty prefix is the inputs themselves, built
+    afresh on each resume rather than stored.
     """
 
     def __init__(self, c: Circuit, inputs):
@@ -236,19 +240,25 @@ class PrefixCache:
         bad = idx[(idx < 0) | (idx >= 2**n)]
         if bad.size:
             raise WidthMismatchError(f"input {bad[0]} out of range for {n} qubits")
-        t = np.zeros((len(idx), 2**n), dtype=complex)
-        t[np.arange(len(idx)), idx] = 1.0
-        t = t.reshape((len(idx), 1) + (2,) * n)
         self.num_qubits = n
         self.inputs = idx
         self.gates = c.gates
-        self.stride = -(-(len(c.gates) + 1) // max(1, PREFIX_CACHE_BYTES // t.nbytes))
-        self.states = {0: t}
-        t = np.copy(t)
-        for k, g in enumerate(c.gates, 1):
+        slots = PREFIX_CACHE_BYTES // (len(idx) * 2**n * np.dtype(complex).itemsize)
+        self.stride = max(1, -(-len(c.gates) // slots)) if slots else len(c.gates) + 1
+        self.states: dict[int, np.ndarray] = {}
+        last = len(c.gates) - len(c.gates) % self.stride
+        t = self._start() if last else None
+        for k, g in enumerate(c.gates[:last], 1):
             t = _apply_gate(t, g, n)
             if k % self.stride == 0:
                 self.states[k] = np.copy(t)
+
+    def _start(self) -> np.ndarray:
+        # the one-hot [B, 1, 2, ..., 2] tensor of the inputs
+        n, batch = self.num_qubits, len(self.inputs)
+        t = np.zeros((batch, 2**n), dtype=complex)
+        t[np.arange(batch), self.inputs] = 1.0
+        return t.reshape((batch, 1) + (2,) * n)
 
     def resume(self, c: Circuit) -> tuple[int, np.ndarray]:
         """(k, a fresh copy of the state after ``c.gates[:k]``) for the
@@ -261,7 +271,7 @@ class PrefixCache:
                 break
             shared += 1
         k = shared - shared % self.stride
-        return k, np.copy(self.states[k])
+        return k, np.copy(self.states[k]) if k else self._start()
 
 
 def run_all_bases(

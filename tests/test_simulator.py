@@ -230,11 +230,11 @@ def test_prefix_cache_matches_full_simulation(small_cap, seed):
     inputs = range(2**q)
     cap = 3 * 2**q * 2**q * 16 if small_cap else simulator.PREFIX_CACHE_BYTES
     with pytest.MonkeyPatch.context() as mp:
-        # with room for three states, a circuit of 3+ gates keeps checkpoints only
+        # with room for three states, a circuit of 4+ gates keeps checkpoints only
         mp.setattr(simulator, "PREFIX_CACHE_BYTES", cap)
         cache = PrefixCache(c, inputs)
-    assert len(cache.states) * cache.states[0].nbytes <= max(cap, cache.states[0].nbytes)
-    if small_cap and len(c.gates) >= 3:
+    assert sum(t.nbytes for t in cache.states.values()) <= cap
+    if small_cap and len(c.gates) >= 4:
         assert cache.stride > 1
     # the cached circuit, its edits and a stranger, several from one cache
     candidates = [c] + [_random_edit(rng, c) for _ in range(5)] + [random_circuit(rng, q, 4)]
@@ -250,3 +250,18 @@ def test_prefix_cache_rejects_other_inputs_and_widths(bell):
         run_all_bases(build_circuit(3, [("h", 0)]), [0, 1, 2, 3], prefixes=cache)
     with pytest.raises(ValueError):
         PrefixCache(bell, [4])
+
+
+def test_prefix_cache_stores_and_simulates_nothing_when_one_state_is_over_the_cap(monkeypatch):
+    c = build_circuit(3, [("h", 0), ("cx", (0, 1)), ("t", 2), ("cx", (1, 2))])
+    applied = []
+    real = simulator._apply_gate
+    monkeypatch.setattr(simulator, "_apply_gate", lambda t, g, n: applied.append(g) or real(t, g, n))
+    monkeypatch.setattr(simulator, "PREFIX_CACHE_BYTES", 8 * 8 * 16 - 1)
+    cache = PrefixCache(c, range(8))
+    assert cache.states == {} and applied == []
+    # every candidate then runs in full from the inputs
+    k, t = cache.resume(c)
+    assert k == 0 and np.array_equal(t.reshape(8, 8), np.eye(8))
+    assert np.array_equal(run_all_bases(c, range(8), prefixes=cache), run_all_bases(c, range(8)))
+    assert len(applied) == 2 * len(c.gates)
