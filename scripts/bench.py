@@ -1,11 +1,14 @@
 """Time qrep's layers and merge the numbers into a BENCH_*.json file.
 
-    python scripts/bench.py --label change --out BENCH_5.json
-    PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_5.json
+    python scripts/bench.py --label change --out BENCH_6.json
+    PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_6.json
 
 Layers: one one-qubit gate on the full input batch at 4 and 6 qubits, one
 ``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
-wstate4, dj6), and one localisation sweep of a dj6 replace mutant. Each
+wstate4, dj6), one localisation sweep of a dj6 replace mutant, and the
+guided search's patch queue of dj6 and grover3 (build it, pop 20 patches,
+prune once to three quarters of the gates, as the first of four
+iterations does). Each
 sample is the mean of enough back-to-back calls to last about 20 ms; after
 one warm-up sample, ``--repeats`` samples give the median and the
 interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
@@ -16,6 +19,7 @@ labels over several runs, because the host's speed drifts between runs.
 """
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -33,11 +37,13 @@ import qrep
 from qrep import simulator
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GATE_BY_NAME
-from qrep.localizer import localize
-from qrep.patcher import inject_faults
+from qrep.localizer import gate_id, localize
+from qrep.patcher import generate_patches, inject_faults, order_uniform, prune_to_gates
 from qrep.testkit import fitness, generate_suite
 
 FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj", 6))
+QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
+QUEUE_POPS = 20
 SAMPLE_S = 0.02
 
 
@@ -96,7 +102,22 @@ def layers() -> dict:
         lambda: localize(mutant, ts, baseline),
         {"gates": len(mutant.gates), "evals": sweep.evals_used, "ranking": [str(g) for g in sweep.table.ranking()]},
     )
+    for fam, n in QUEUE_CIRCUITS:
+        ref = build_benchmark(fam, n)
+        facts = {"gates": len(ref.gates), "left": len(patch_queue(ref))}
+        out[f"patch_queue_{fam}{n}"] = (lambda ref=ref: patch_queue(ref), facts)
     return out
+
+
+def patch_queue(ref):
+    """The guided search's queue after its first iteration's pops and prune."""
+    if "patches" in inspect.signature(order_uniform).parameters:  # the eager queue of earlier sources
+        queue = order_uniform(generate_patches(ref), ref)
+    else:
+        queue = order_uniform(ref)
+    for _ in range(QUEUE_POPS):
+        queue.popleft()
+    return prune_to_gates(queue, {gate_id(g) for i, g in enumerate(ref.gates) if i % 4})
 
 
 def machine() -> dict:
@@ -122,7 +143,7 @@ def main(argv=None):
         row = measure(fn, args.repeats)
         row.update(facts)
         run["layers"][name] = row
-        print(f"{name:<16} median {row['median_us']:>10.1f} us  IQR {row['iqr_us']:>8.1f} us", flush=True)
+        print(f"{name:<20} median {row['median_us']:>10.1f} us  IQR {row['iqr_us']:>8.1f} us", flush=True)
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("runs", {}).setdefault(args.label, []).append(run)

@@ -100,7 +100,7 @@ class GateApp:
 class Circuit:
     """Gate list over ``num_qubits`` qubits plus a measurement map.
 
-    ``gates[i].position == i`` always holds; edits renumber.
+    ``gates[i].position == i`` always holds; edits renumber the gates they shift.
     """
 
     num_qubits: int
@@ -134,40 +134,30 @@ class Circuit:
         return [g.kind.gate_name for g in self.gates]
 
 
-def _renumber(gates: list[GateApp]) -> tuple[GateApp, ...]:
-    return tuple(replace(g, position=i) for i, g in enumerate(gates))
+def _shifted(gates: tuple[GateApp, ...], start: int) -> tuple[GateApp, ...]:
+    """``gates`` renumbered from ``start``: the tail an edit moves."""
+    return tuple(replace(g, position=i) for i, g in enumerate(gates, start))
 
 
 def remove_gate(c: Circuit, pos: int) -> Circuit:
     """Copy of ``c`` without the gate at ``pos``; later positions shift down."""
     if not 0 <= pos < len(c.gates):
         raise GateIndexError(f"position {pos} out of range for {len(c.gates)} gates")
-    kept = [g for i, g in enumerate(c.gates) if i != pos]
-    return replace(c, gates=_renumber(kept))
+    return replace(c, gates=c.gates[:pos] + _shifted(c.gates[pos + 1 :], pos))
 
 
 def insert_gate(c: Circuit, pos: int, g: GateApp) -> Circuit:
     """Copy of ``c`` with ``g`` inserted before position ``pos`` (append at len)."""
     if not 0 <= pos <= len(c.gates):
         raise GateIndexError(f"insert position {pos} out of range for {len(c.gates)} gates")
-    for q in g.qubits:
-        if not 0 <= q < c.num_qubits:
-            raise QubitIndexError(f"qubit {q} out of range for {c.num_qubits}-qubit circuit")
-    new = list(c.gates)
-    new.insert(pos, g)
-    return replace(c, gates=_renumber(new))
+    return replace(c, gates=c.gates[:pos] + _shifted((g,) + c.gates[pos:], pos))
 
 
 def replace_gate(c: Circuit, pos: int, g: GateApp) -> Circuit:
     """Copy of ``c`` with the gate at ``pos`` swapped for ``g``."""
     if not 0 <= pos < len(c.gates):
         raise GateIndexError(f"position {pos} out of range for {len(c.gates)} gates")
-    for q in g.qubits:
-        if not 0 <= q < c.num_qubits:
-            raise QubitIndexError(f"qubit {q} out of range for {c.num_qubits}-qubit circuit")
-    new = list(c.gates)
-    new[pos] = g
-    return replace(c, gates=_renumber(new))
+    return replace(c, gates=c.gates[:pos] + _shifted((g,), pos) + c.gates[pos + 1 :])
 
 
 def build_circuit(

@@ -303,7 +303,7 @@ class _Run:
             self.partial_localisation = True
             return
 
-        queue = order_uniform(generate_patches(self.c_init, self.cfg.patch_catalog), self.c_init)
+        queue = order_uniform(self.c_init, self.cfg.patch_catalog)
         spent0 = self.budget.spent
         b_r = self.budget.limit - spent0
         total = self.cfg.iterations

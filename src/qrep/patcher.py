@@ -1,10 +1,18 @@
-"""Candidate-patch enumeration, uniform ordering, and mutant injection.
+"""Candidate-patch enumeration, the uniform patch queue, and mutant injection.
 
 A patch is a single add-or-replace gate edit, linked to an anchor gate of
 the original circuit so the repair loop can prune by suspiciousness: a
 replace anchors to the gate it replaces, an add to the gate it is inserted
 before (the last gate when appending). Parametric patches carry no angles;
 the optimizer fills them in at evaluation time.
+
+The repair loop pops the edit space from a lazy queue in uniform order,
+building each patch only when popped: a round-robin over positions takes
+the next patch of the wanted slot (add or replace), else of the other, and
+then wants the other kind; each slot rotates its gate kinds, starting at
+kind (position mod #kinds). A slot's patches share one anchor, so pruning
+drops whole slots, which keep taking their turns: a pruned queue is the
+original order filtered.
 
 The mutant injector draws benchmark faults from the same edit space (plus
 removals), one group per mutation operator: it samples each group in a
@@ -13,10 +21,12 @@ reference suite cannot distinguish.
 """
 from __future__ import annotations
 
+import copy
 import math
-from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import zip_longest
+from functools import cache
+from itertools import islice, permutations, repeat, zip_longest
 
 import numpy as np
 
@@ -32,7 +42,6 @@ DEFAULT_MUTATION_CATALOG = ("x", "y", "z", "h", "s", "t", "cx", "cz", "swap")
 # patches never fix angles up front
 _MUTANT_ANGLES = (math.pi / 4, math.pi / 2, math.pi)
 
-_CATALOG_ORDER = {k.gate_name: i for i, k in enumerate(GateKind)}
 _OTHER_KIND = {"add": "replace", "replace": "add"}
 
 
@@ -71,83 +80,110 @@ def revert_patch(edited: Circuit, p: Patch, original: Circuit) -> Circuit:
     raise ValueError(f"unknown patch kind {p.kind!r}")
 
 
-def _qubit_choices(kind: GateKind, num_qubits: int) -> list[tuple[int, ...]]:
-    if kind.num_qubits == 1:
-        return [(q,) for q in range(num_qubits)]
-    if kind.num_qubits == 2:
-        return [(a, b) for a in range(num_qubits) for b in range(num_qubits) if a != b]
-    return [
-        (a, b, c)
-        for a in range(num_qubits)
-        for b in range(num_qubits)
-        for c in range(num_qubits)
-        if len({a, b, c}) == 3
-    ]
+@cache
+def _qubit_choices(kind: GateKind, num_qubits: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(permutations(range(num_qubits), kind.num_qubits))
 
 
-def _anchor_for_add(c: Circuit, pos: int) -> GateId | None:
-    if not c.gates:
-        return None
-    return gate_id(c.gates[pos]) if pos < len(c.gates) else gate_id(c.gates[-1])
+def _anchor(c: Circuit, pos: int) -> GateId | None:
+    if pos == len(c.gates):  # an append anchors to the last gate
+        pos -= 1
+    return gate_id(c.gates[pos]) if c.gates else None
+
+
+def _patch_kinds(c: Circuit, catalog: tuple[str, ...]) -> list[GateKind]:
+    """The catalog's gate kinds that fit ``c``, each once, in catalog order."""
+    kinds = [GATE_BY_NAME[name] for name in dict.fromkeys(catalog)]
+    if bad := [k.gate_name for k in kinds if not k.is_unitary]:
+        raise ValueError(f"{bad[0]} cannot be a patch gate")
+    return [k for k in kinds if k.num_qubits <= c.num_qubits]
+
+
+def _slot_qubits(c: Circuit, pos: int, typ: str, kind: GateKind) -> Sequence[tuple[int, ...]]:
+    """Qubit choices of ``kind`` in a slot, less the no-op replace of a fixed gate."""
+    choices = _qubit_choices(kind, c.num_qubits)
+    if typ == "replace" and kind is c.gates[pos].kind and kind.param_count == 0:
+        return [qs for qs in choices if qs != c.gates[pos].qubits]
+    return choices
+
+
+def _slots(c: Circuit) -> list[tuple[int, str]]:
+    return [(pos, "add") for pos in range(len(c.gates) + 1)] + [(pos, "replace") for pos in range(len(c.gates))]
 
 
 def generate_patches(c: Circuit, catalog: tuple[str, ...] = DEFAULT_PATCH_CATALOG) -> list[Patch]:
     """Unordered pool: every add at every insertion point and every replace
     at every gate position, over the catalog, excluding no-op replaces."""
-    kinds = [GATE_BY_NAME[name] for name in catalog]
-    for k in kinds:
-        if not k.is_unitary:
-            raise ValueError(f"{k.gate_name} cannot be a patch gate")
-    kinds = [k for k in kinds if k.num_qubits <= c.num_qubits]
+    kinds = _patch_kinds(c, catalog)
     pool: list[Patch] = []
-    for pos in range(len(c.gates) + 1):
-        anchor = _anchor_for_add(c, pos)
-        for kind in kinds:
-            for qs in _qubit_choices(kind, c.num_qubits):
-                pool.append(Patch("add", pos, kind, qs, None, anchor))
-    for pos, g in enumerate(c.gates):
-        anchor = gate_id(g)
-        for kind in kinds:
-            for qs in _qubit_choices(kind, c.num_qubits):
-                if kind is g.kind and qs == g.qubits and kind.param_count == 0:
-                    continue  # identical fixed gate: no-op replace
-                pool.append(Patch("replace", pos, kind, qs, None, anchor))
+    for pos, typ in _slots(c):
+        anchor = _anchor(c, pos)
+        pool += [Patch(typ, pos, k, qs, None, anchor) for k in kinds for qs in _slot_qubits(c, pos, typ, k)]
     return pool
 
 
-def order_uniform(patches: list[Patch], c: Circuit) -> deque[Patch]:
-    """Deterministic uniform ordering, as a queue consumed front to back:
-    round-robin over circuit positions, alternating add/replace, rotating
-    gate kinds at each position."""
-    kind_names = sorted({p.gate.gate_name for p in patches}, key=_CATALOG_ORDER.__getitem__)
-    # (position, patch kind) -> gate kind -> fifo of patches in pool order
-    fifos: dict[tuple[int, str], dict[str, list[Patch]]] = {}
-    for p in patches:
-        fifos.setdefault((p.position, p.kind), {}).setdefault(p.gate.gate_name, []).append(p)
-    # each slot round-robins its gate kinds, starting at kind (position mod #kinds)
-    slots: dict[tuple[int, str], deque[Patch]] = {}
-    for (pos, typ), by_kind in fifos.items():
-        start = pos % len(kind_names)
-        rotated = [by_kind.get(name, ()) for name in kind_names[start:] + kind_names[:start]]
-        slots[(pos, typ)] = deque(p for row in zip_longest(*rotated) for p in row if p is not None)
+class PatchQueue:
+    """:func:`generate_patches`' pool in uniform order (module docstring), popped front first."""
 
-    ordered: deque[Patch] = deque()
-    want = "add"
-    progressed = True
-    while progressed:
-        progressed = False
-        for pos in range(len(c.gates) + 1):
-            for typ in (want, _OTHER_KIND[want]):
-                if slot := slots.get((pos, typ)):
-                    ordered.append(slot.popleft())
-                    want, progressed = _OTHER_KIND[typ], True
+    def __init__(self, c: Circuit, catalog: tuple[str, ...]):
+        self.c = c
+        self.kinds = sorted(_patch_kinds(c, catalog), key=list(GateKind).index)
+        self.counts = {s: sum(len(_slot_qubits(c, *s, k)) for k in self.kinds) for s in _slots(c)}
+        self.left = dict(self.counts)  # patches each slot has not yet given
+        self.dropped: frozenset[tuple[int, str]] = frozenset()
+        self.size = sum(self.counts.values())
+        self.pos, self.want = 0, "add"
+        self.draws: dict[tuple[int, str], Iterator] = {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[Patch]:  # the remaining order, not consumed
+        rest = self.without(frozenset())
+        return (rest.popleft() for _ in range(len(rest)))
+
+    def without(self, dropped: frozenset[tuple[int, str]]) -> PatchQueue:
+        """Copy of the queue that also drops the slots in ``dropped``."""
+        out = copy.copy(self)
+        out.left, out.draws, out.dropped = dict(self.left), {}, self.dropped | dropped
+        out.size = sum(n for s, n in out.left.items() if s not in out.dropped)
+        return out
+
+    def _draw(self, slot: tuple[int, str]) -> tuple[GateKind, tuple[int, ...]]:
+        if slot not in self.draws:
+            start = slot[0] % len(self.kinds)
+            rotated = self.kinds[start:] + self.kinds[:start]
+            rows = zip_longest(*(zip(repeat(k), _slot_qubits(self.c, *slot, k)) for k in rotated))
+            order = (kq for row in rows for kq in row if kq is not None)
+            self.draws[slot] = islice(order, self.counts[slot] - self.left[slot], None)
+        return next(self.draws[slot])
+
+    def popleft(self) -> Patch:
+        if not self.size:
+            raise IndexError("pop from an empty patch queue")
+        while True:
+            pos, self.pos = self.pos, (self.pos + 1) % (len(self.c.gates) + 1)
+            for typ in (self.want, _OTHER_KIND[self.want]):
+                slot = (pos, typ)
+                if self.left.get(slot):
+                    self.want = _OTHER_KIND[typ]
+                    kq = None if slot in self.dropped else self._draw(slot)
+                    self.left[slot] -= 1
+                    if kq is not None:
+                        self.size -= 1
+                        return Patch(typ, pos, *kq, None, _anchor(self.c, pos))
                     break
-    return ordered
 
 
-def prune_to_gates(q: deque[Patch], keep: set[GateId]) -> deque[Patch]:
-    """Retain only patches whose anchor is in ``keep``, preserving order."""
-    return deque(p for p in q if p.anchor in keep)
+def order_uniform(c: Circuit, catalog: tuple[str, ...] = DEFAULT_PATCH_CATALOG) -> PatchQueue:
+    """Queue of every candidate patch of ``c`` over ``catalog``, in uniform order."""
+    return PatchQueue(c, catalog)
+
+
+def prune_to_gates(q: PatchQueue, keep: set[GateId]) -> PatchQueue:
+    """New queue holding only the patches whose anchor is in ``keep``, in
+    their order in ``q``; ``q`` itself is unchanged."""
+    return q.without(frozenset(s for s in q.left if _anchor(q.c, s[0]) not in keep))
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,13 @@ def _matrix_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
     raise ValueError(f"{kind.gate_name} is not a single-qubit gate")
 
 
+@functools.cache
+def _axis_last(ndim: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Permutation moving ``axis`` of an ``ndim``-d array last, and its inverse."""
+    fwd = tuple(i for i in range(ndim) if i != axis) + (axis,)
+    return fwd, tuple(np.argsort(fwd).tolist())
+
+
 def _apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """One matmul over every amplitude pair of ``qubit``: the target axis is
     moved last and the batch flattened to (B * 2^(n-1)) x 2 rows.
@@ -143,9 +150,9 @@ def _apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """
     if n == 1:
         return t @ m.T
-    axis = n + 1 - qubit
-    moved = np.ascontiguousarray(np.moveaxis(t, axis, -1))
-    return np.moveaxis((moved.reshape(-1, 2) @ m.T).reshape(moved.shape), -1, axis)
+    fwd, inv = _axis_last(t.ndim, n + 1 - qubit)
+    moved = np.ascontiguousarray(t.transpose(fwd))
+    return (moved.reshape(-1, 2) @ m.T).reshape(moved.shape).transpose(inv)
 
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:

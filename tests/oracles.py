@@ -244,6 +244,40 @@ def eager_inject_faults(c, seed, per_group, catalog, groups=("add", "remove", "r
     return records
 
 
+def eager_order_uniform(patches, c) -> list:
+    """The package's ordering before the lazy queue: every slot's patches
+    built up front, then the round-robin over positions run to the end."""
+    from collections import deque
+    from itertools import zip_longest
+
+    from qrep.circuit import GateKind
+
+    other = {"add": "replace", "replace": "add"}
+    catalog_order = {k.gate_name: i for i, k in enumerate(GateKind)}
+    kind_names = sorted({p.gate.gate_name for p in patches}, key=catalog_order.__getitem__)
+    fifos: dict = {}
+    for p in patches:
+        fifos.setdefault((p.position, p.kind), {}).setdefault(p.gate.gate_name, []).append(p)
+    slots = {}
+    for (pos, typ), by_kind in fifos.items():
+        start = pos % len(kind_names)
+        rotated = [by_kind.get(name, ()) for name in kind_names[start:] + kind_names[:start]]
+        slots[(pos, typ)] = deque(p for row in zip_longest(*rotated) for p in row if p is not None)
+
+    ordered = []
+    want = "add"
+    progressed = True
+    while progressed:
+        progressed = False
+        for pos in range(len(c.gates) + 1):
+            for typ in (want, other[want]):
+                if slot := slots.get((pos, typ)):
+                    ordered.append(slot.popleft())
+                    want, progressed = other[typ], True
+                    break
+    return ordered
+
+
 def cursor_order_uniform(patches, c) -> list:
     """Round-robin over positions, alternating add/replace, with a rotating
     per-(position, kind) cursor over gate kinds in catalog order."""

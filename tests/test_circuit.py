@@ -87,8 +87,9 @@ def test_insert_gate_at_every_slot(bell):
 
 
 def test_insert_gate_checks_width(bell):
-    with pytest.raises(QubitIndexError):
-        insert_gate(bell, 0, GateApp(GateKind.X, (2,)))
+    for edit in (insert_gate, replace_gate):
+        with pytest.raises(QubitIndexError, match="qubit 2 out of range for 2-qubit circuit"):
+            edit(bell, 0, GateApp(GateKind.X, (2,)))
 
 
 def test_replace_gate(bell):

@@ -255,6 +255,20 @@ def test_baseline_rs_mirrors_repair(circuits, tmp_path):
     assert report["evals_used"] <= 2000
 
 
+@pytest.mark.parametrize("sub", ["repair", "baseline-rs"])
+def test_duplicated_catalog_gate_is_tried_once(circuits, tmp_path, sub):
+    reports = []
+    for catalog in ("x,x,h", "x,h"):
+        out = tmp_path / f"{catalog}.json"
+        run([
+            sub, "--circuit", circuits["hard"], "--reference", circuits["ref"],
+            "--budget-evals", "200", "--catalog", catalog, "--out", str(out),
+        ])
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["status"] == reports[1]["status"] == "Repaired"
+    assert reports[0]["evals_used"] == reports[1]["evals_used"]
+
+
 def test_no_subcommand_exit_one():
     assert run([]) == EXIT_ERROR
 

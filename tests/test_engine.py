@@ -1,7 +1,9 @@
 """Repair-engine orchestration: budgets, pruning, reports, RS baseline."""
 import math
+from collections import deque
 
 import pytest
+from oracles import eager_order_uniform
 
 import qrep.engine
 from qrep.benchmarks import build_benchmark
@@ -17,6 +19,7 @@ from qrep.engine import (
 )
 from qrep.errors import NoFailingTestError
 from qrep.localizer import BudgetExhaustedError, gate_id
+from qrep.patcher import generate_patches, inject_faults
 from qrep.qasm import parse_qasm
 from qrep.testkit import OracleConfig, fitness, generate_suite
 
@@ -314,3 +317,28 @@ def test_sampled_oracle_end_to_end(bell, bell_suite):
     rep = repair(broken, ts, cfg)
     assert rep.status in (STATUS_REPAIRED, STATUS_NOT_FIXED)
     assert rep.evals_used <= 300
+
+
+# ------------------------------------------- lazy queue against the eager one
+
+# the corpus of scripts/run_benchmark.py and its injection seeds
+_CORPUS = [("ghz", 3, 2), ("dj", 4, 1), ("graphstate", 4, 4), ("wstate", 4, 0), ("qft", 4, 5), ("grover", 3, 3)]
+
+
+@pytest.mark.parametrize("family,n,seed", _CORPUS)
+def test_guided_search_matches_eager_queue_on_corpus(family, n, seed, monkeypatch):
+    """Every report field but the wall time equals a run whose queue is the
+    eager pool ordered up front and pruned by filtering it."""
+    ref = build_benchmark(family, n)
+    ts = generate_suite(ref)
+    for rec in inject_faults(ref, seed=seed, per_group=1):
+        for budget in (60, 250):
+            cfg = cfg_evals(budget, seed=seed)
+            got = repair(rec.mutant, ts, cfg, fault_gate=rec.fault_gate).to_dict()
+            with monkeypatch.context() as m:
+                m.setattr(qrep.engine, "order_uniform",
+                          lambda c, catalog: deque(eager_order_uniform(generate_patches(c, catalog), c)))
+                m.setattr(qrep.engine, "prune_to_gates", lambda q, keep: deque(p for p in q if p.anchor in keep))
+                want = repair(rec.mutant, ts, cfg, fault_gate=rec.fault_gate).to_dict()
+            got.pop("wall_seconds"), want.pop("wall_seconds")
+            assert got == want, (rec.description, budget)

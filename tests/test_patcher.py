@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import random_circuit
-from oracles import cursor_order_uniform, eager_inject_faults
+from oracles import cursor_order_uniform, eager_inject_faults, eager_order_uniform
 
 from qrep.benchmarks import build_benchmark, standard_catalog
 from qrep.circuit import GateApp, GateKind, build_circuit
@@ -94,40 +94,46 @@ def test_replace_anchor_is_the_replaced_gate():
 def test_order_uniform_is_a_permutation(bell):
     pool = generate_patches(bell)
     before = Counter((p.kind, p.position, p.gate.gate_name, p.qubits) for p in pool)
-    ordered = order_uniform(pool, bell)
+    ordered = order_uniform(bell)
     after = Counter((p.kind, p.position, p.gate.gate_name, p.qubits) for p in ordered)
     assert before == after
+    assert len(ordered) == len(pool)
 
 
 def test_order_uniform_spreads_positions_early(bell):
-    ordered = list(order_uniform(generate_patches(bell), bell))
+    ordered = list(order_uniform(bell))
     early = ordered[: len(bell.gates) + 1]
     # the first few draws cover distinct circuit positions, not one hot spot
     assert len({p.position for p in early}) == len(early)
 
 
 def test_order_uniform_alternates_add_replace(bell):
-    ordered = list(order_uniform(generate_patches(bell), bell))
+    ordered = list(order_uniform(bell))
     kinds = [p.kind for p in ordered[:8]]
     assert "add" in kinds and "replace" in kinds
 
 
 def test_order_uniform_spreads_gate_kinds():
     c = build_circuit(1, [("h", 0)])
-    ordered = list(order_uniform(generate_patches(c, catalog=("x", "y", "z")), c))
+    ordered = list(order_uniform(c, ("x", "y", "z")))
     first_three_adds = [p.gate.gate_name for p in ordered if p.kind == "add"][:3]
     assert len(set(first_three_adds)) == 3
 
 
 def test_order_uniform_deterministic(bell):
-    a = list(order_uniform(generate_patches(bell), bell))
-    b = list(order_uniform(generate_patches(bell), bell))
-    assert a == b
+    assert list(order_uniform(bell)) == list(order_uniform(bell))
 
 
 def test_order_uniform_empty():
-    c = build_circuit(1, [])
-    assert len(order_uniform([], c)) == 0
+    q = order_uniform(build_circuit(1, []), ("cx",))  # no catalog gate fits one qubit
+    assert len(q) == 0 and not q and list(q) == []
+    with pytest.raises(IndexError):
+        q.popleft()
+
+
+def test_duplicated_catalog_names_count_once(bell):
+    assert generate_patches(bell, ("x", "x", "h")) == generate_patches(bell, ("x", "h"))
+    assert list(order_uniform(bell, ("h", "x", "h"))) == list(order_uniform(bell, ("x", "h")))
 
 
 _PARAMETRIC_CATALOG = ("x", "h", "rx", "cp", "ccx", "u")
@@ -139,23 +145,45 @@ def test_order_uniform_matches_cursor_reference():
     for c in [*standard_catalog().values(), *randoms]:
         for catalog in (DEFAULT_PATCH_CATALOG, _PARAMETRIC_CATALOG, ("cx",), ("rz", "x", "swap")):
             pool = generate_patches(c, catalog)
-            keep = {gate_id(g) for g in c.gates if rng.random() < 0.5}
-            # the full pool, random subsets of it, and the pool pruned to random gates
-            for sub in (pool, [p for p in pool if rng.random() < 0.3],
-                        [p for p in pool if rng.random() < 0.05], list(prune_to_gates(pool, keep))):
-                assert list(order_uniform(sub, c)) == cursor_order_uniform(sub, c)
+            want = cursor_order_uniform(pool, c)
+            assert eager_order_uniform(pool, c) == want
+            q = order_uniform(c, catalog)
+            assert len(q) == len(want)
+            assert list(q) == want
+            # a random number of pops, then two prunes to different random
+            # gate sets with pops in between: the reference order filtered
+            for _ in range(3):
+                n = int(rng.integers(0, len(want) + 1))
+                assert [q.popleft() for _ in range(n)] == want[:n]
+                want = want[n:]
+                keep = {gate_id(g) for g in c.gates if rng.random() < 0.6}
+                before = len(q)
+                pruned = prune_to_gates(q, keep)
+                assert len(q) == before and list(q) == want  # the pruned queue is left as it was
+                q, want = pruned, [p for p in want if p.anchor in keep]
+                assert len(q) == len(want)
+                assert list(q) == want
 
 
 # ------------------------------------------------------------------- queue
 
 def test_prune_keeps_only_anchored(bell):
-    pool = order_uniform(generate_patches(bell), bell)
+    queue = order_uniform(bell)
     keep = {gate_id(bell.gates[0])}
-    pruned = prune_to_gates(pool, keep)
+    pruned = prune_to_gates(queue, keep)
     assert len(pruned) > 0
     assert all(p.anchor in keep for p in pruned)
-    order = [p for p in pool if p.anchor in keep]
+    order = [p for p in queue if p.anchor in keep]
     assert list(pruned) == order  # relative order preserved
+
+
+def test_pruned_queues_pop_independently(bell):
+    queue = order_uniform(bell)
+    queue.popleft()
+    rest = list(queue)
+    pruned = prune_to_gates(queue, {gate_id(g) for g in bell.gates})  # every anchor kept
+    assert pruned.popleft() == rest[0]
+    assert list(queue) == rest and len(queue) == len(rest)
 
 
 # ------------------------------------------------------------ apply/revert
