@@ -1,10 +1,11 @@
 """Time qrep's layers and merge the numbers into a BENCH_*.json file.
 
-    python scripts/bench.py --label change --out BENCH_6.json
-    PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_6.json
+    python scripts/bench.py --label change --out BENCH_7.json
+    PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_7.json
 
-Layers: one one-qubit gate on the full input batch at 4 and 6 qubits, one
-``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
+Layers: one ``h`` gate on the simulator's state of the full input batch at
+4 and 6 qubits, ``run_all_bases`` of qft8 (all 256 inputs, three bases),
+one ``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
 wstate4, dj6), one localisation sweep of a dj6 replace mutant, and the
 guided search's patch queue of dj6 and grover3 (build it, pop 20 patches,
 prune once to three quarters of the gates, as the first of four
@@ -36,7 +37,7 @@ import scipy
 import qrep
 from qrep import simulator
 from qrep.benchmarks import build_benchmark
-from qrep.circuit import GATE_BY_NAME
+from qrep.circuit import Circuit
 from qrep.localizer import gate_id, localize
 from qrep.patcher import generate_patches, inject_faults, order_uniform, prune_to_gates
 from qrep.testkit import fitness, generate_suite
@@ -82,12 +83,15 @@ def measure(fn, repeats: int) -> dict:
 def layers() -> dict:
     """name -> zero-argument call to time, plus the facts that pin its work."""
     out = {}
-    h = simulator._matrix_1q(GATE_BY_NAME["h"], ())
     for q in (4, 6):
-        state = np.zeros((2**q, 2**q), dtype=complex)
-        state[np.arange(2**q), np.arange(2**q)] = 1.0
-        t = state.reshape((2**q, 1) + (2,) * q)
-        out[f"gate_1q_q{q}"] = (lambda t=t, q=q: simulator._apply_1q(t, h, q // 2, q), {})
+        # the simulator's own state tensor and h matrix, whatever their layout
+        t = simulator.PrefixCache(Circuit(q), range(2**q))._start()
+        out[f"gate_1q_q{q}"] = (lambda t=t, q=q: simulator._apply_1q(t, simulator._H, q // 2, q), {})
+    qft8 = build_benchmark("qft", 8)
+    out["run_all_bases_qft8"] = (
+        lambda: simulator.run_all_bases(qft8, range(2**8)),
+        {"gates": len(qft8.gates), "inputs": 2**8},
+    )
     for fam, n in FITNESS_CIRCUITS:
         ref = build_benchmark(fam, n)
         ts = generate_suite(ref)

@@ -27,6 +27,7 @@ from .localizer import GateId, localize
 from .optimizer import OptBudget
 from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, inject_faults
 from .qasm import emit_qasm, parse_qasm
+from .simulator import MAX_SHOTS
 from .testkit import OracleConfig, fitness, generate_suite, suite_from_expected
 
 EXIT_OK = 0
@@ -45,6 +46,13 @@ def _positive_int(text: str) -> int:
     v = int(text)
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
+def _shot_count(text: str) -> int:
+    v = _positive_int(text)
+    if v > MAX_SHOTS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_SHOTS}, got {v}")
     return v
 
 
@@ -147,7 +155,7 @@ def _parse_catalog(text: str) -> tuple[str, ...]:
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots-mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--shots", type=_positive_int, default=None, help="override sampled-mode shot count")
+    p.add_argument("--shots", type=_shot_count, default=None, help="override sampled-mode shot count")
     p.add_argument("--tau-fail", type=_positive_float, default=None, help="override the failure threshold")
     p.add_argument("--eps-zero", type=_positive_float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)

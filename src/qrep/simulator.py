@@ -3,8 +3,10 @@
 Conventions: little-endian amplitude ordering (qubit 0 is the least
 significant bit of the state index) and outcome bitstrings with qubit 0
 rightmost, so index i maps to ``format(i, f"0{q}b")``. Gates are applied as
-amplitude kernels on one [B, 1, 2, ..., 2] tensor that holds a batch of B
-inputs; qubit k lives on axis q+1-k. A :class:`PrefixCache` keeps the tensor
+amplitude kernels on one (2,) * q + (B,) tensor that holds a batch of B
+inputs, one per column, batch last; qubit k lives on axis q-1-k. A real
+one-qubit matrix then multiplies the tensor as it is laid out, with no
+transpose or copy. A :class:`PrefixCache` keeps the tensor
 after the leading gates of one circuit, so its single-gate edits are
 simulated from the edit on. No full 2^q x 2^q matrix is ever built here; the
 dense-matrix product lives in the test suite as an independent oracle.
@@ -133,39 +135,65 @@ def _matrix_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
     raise ValueError(f"{kind.gate_name} is not a single-qubit gate")
 
 
-@functools.cache
-def _axis_last(ndim: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Permutation moving ``axis`` of an ``ndim``-d array last, and its inverse."""
-    fwd = tuple(i for i in range(ndim) if i != axis) + (axis,)
-    return fwd, tuple(np.argsort(fwd).tolist())
+def _narrowed(m: np.ndarray) -> np.ndarray:
+    """``m`` read-only, and real (float64) when every imaginary part is zero:
+    the dtype is the flag :func:`_apply_1q` picks its product by."""
+    if not m.imag.any():
+        m = m.real.copy()
+    m.setflags(write=False)
+    return m
+
+
+# the matrices of the gate kinds without parameters, built once
+_FIXED_1Q = {
+    kind: _narrowed(_matrix_1q(kind, ()))
+    for kind in GateKind
+    if kind.is_unitary and kind.num_qubits == 1 and not kind.param_count
+}
+
+
+def _gate_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
+    m = _FIXED_1Q.get(kind)
+    return _narrowed(_matrix_1q(kind, params)) if m is None else m
 
 
 def _apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """One matmul over every amplitude pair of ``qubit``: the target axis is
-    moved last and the batch flattened to (B * 2^(n-1)) x 2 rows.
+    """``m`` on every amplitude pair of ``qubit`` of the C-contiguous state
+    tensor ``t``, as a new C-contiguous tensor.
 
-    On one qubit the batch stays stacked as (B, 1, 2) cores of one row: a
-    one-input call would otherwise be a single-row product, which rounds
-    differently from a many-row one, and a row must not depend on its batch.
+    ``t`` is viewed as (2^(n-1-qubit), 2, 2^qubit * B). A real ``m``
+    multiplies the view from the left, read as float64: no transpose, no
+    copy. A complex ``m`` multiplies the transposed view from the right,
+    as amplitude rows, and the result is copied back; from the left it
+    would round ``rx``, ``t`` and ``u`` differently. A batch of one input
+    is padded to two columns (see :class:`PrefixCache`), because a
+    one-column product rounds differently from a wider one, and a row must
+    not depend on its batch. On one qubit the batch is multiplied as
+    stacked (B, 1, 2) cores of one amplitude row each.
     """
     if n == 1:
-        return t @ m.T
-    fwd, inv = _axis_last(t.ndim, n + 1 - qubit)
-    moved = np.ascontiguousarray(t.transpose(fwd))
-    return (moved.reshape(-1, 2) @ m.T).reshape(moved.shape).transpose(inv)
+        cores = np.ascontiguousarray(t.T).reshape(-1, 1, 2)
+        return np.ascontiguousarray((cores @ m.T).reshape(-1, 2).T)
+    view = t.reshape(2 ** (n - 1 - qubit), 2, -1)
+    if m.dtype == np.float64:
+        return np.matmul(m, view.view(np.float64)).view(complex).reshape(t.shape)
+    rows = view.transpose(0, 2, 1) @ m.T
+    return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(t.shape)
 
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:
-    # index of the amplitudes whose qubits hold the assigned bits, in every row
-    idx: list = [slice(None)] * (n + 2)
+    # index of the amplitudes whose qubits hold the assigned bits, in every column
+    idx: list = [slice(None)] * n
     for qubit, bit in assignments.items():
-        idx[n + 1 - qubit] = bit
+        idx[n - 1 - qubit] = bit
     return tuple(idx)
 
 
 def _apply_gate(t: np.ndarray, g: GateApp, n: int) -> np.ndarray:
     """Apply ``g`` to the batched tensor ``t``, which belongs to the running
-    simulation and may be updated in place.
+    simulation and may be updated in place. A one-qubit gate returns a new
+    tensor; the others update the amplitudes whose qubits hold given bits,
+    in every column at once.
 
     Phases are multiplied out of place with the array first
     (``t[s] = t[s] * z``): numpy picks its complex-multiply loop by length
@@ -174,7 +202,7 @@ def _apply_gate(t: np.ndarray, g: GateApp, n: int) -> np.ndarray:
     """
     kind = g.kind
     if kind.num_qubits == 1:
-        return _apply_1q(t, _matrix_1q(kind, g.params), g.qubits[0], n)
+        return _apply_1q(t, _gate_1q(kind, g.params), g.qubits[0], n)
 
     if kind is GateKind.CX:
         c, x = g.qubits
@@ -208,7 +236,7 @@ def _apply_gate(t: np.ndarray, g: GateApp, n: int) -> np.ndarray:
 
 BASIS_ORDER = (MeasBasis.X, MeasBasis.Y, MeasBasis.Z)
 
-_H = _matrix_1q(GateKind.H, ())
+_H = _FIXED_1Q[GateKind.H]
 
 # bytes of prefix states one PrefixCache keeps; above it, only checkpoints.
 # A 6-qubit suite keeps every prefix of up to 128 gates; from 8 qubits on a
@@ -218,12 +246,13 @@ PREFIX_CACHE_BYTES = 8 * 2**20
 
 @functools.cache
 def _y_phases(n: int) -> np.ndarray:
-    """(-i)^popcount(index) over the 2^n amplitudes: ``sdg`` on every qubit.
+    """(-i)^popcount(index) over the 2^n amplitudes: ``sdg`` on every qubit,
+    shaped to broadcast over the columns of a state tensor.
 
     Every factor is 0 or +-1 in each part, so multiplying by it is exact.
     """
     popcount = np.array([bin(i).count("1") for i in range(2**n)])
-    table = np.array([1, -1j, -1, 1j])[popcount % 4].reshape((2,) * n)
+    table = np.array([1, -1j, -1, 1j])[popcount % 4].reshape((2,) * n + (1,))
     table.setflags(write=False)
     return table
 
@@ -239,6 +268,11 @@ class PrefixCache:
     the running tensor, so resuming from one rounds exactly as simulating
     from the inputs does. The empty prefix is the inputs themselves, built
     afresh on each resume rather than stored.
+
+    A state is a (2,) * n + (B,) tensor: column b holds the amplitudes of
+    ``columns[b]``, qubit k on axis n-1-k, so its 2^n x B reshape has one
+    row per basis state. ``columns`` is ``inputs``, except that a single
+    input fills two identical columns: no product then has a dimension of 1.
     """
 
     def __init__(self, c: Circuit, inputs):
@@ -249,8 +283,9 @@ class PrefixCache:
             raise WidthMismatchError(f"input {bad[0]} out of range for {n} qubits")
         self.num_qubits = n
         self.inputs = idx
+        self.columns = np.repeat(idx, 2) if len(idx) == 1 else idx
         self.gates = c.gates
-        slots = PREFIX_CACHE_BYTES // (len(idx) * 2**n * np.dtype(complex).itemsize)
+        slots = PREFIX_CACHE_BYTES // (len(self.columns) * 2**n * np.dtype(complex).itemsize)
         self.stride = max(1, -(-len(c.gates) // slots)) if slots else len(c.gates) + 1
         self.states: dict[int, np.ndarray] = {}
         last = len(c.gates) - len(c.gates) % self.stride
@@ -261,11 +296,11 @@ class PrefixCache:
                 self.states[k] = np.copy(t)
 
     def _start(self) -> np.ndarray:
-        # the one-hot [B, 1, 2, ..., 2] tensor of the inputs
-        n, batch = self.num_qubits, len(self.inputs)
-        t = np.zeros((batch, 2**n), dtype=complex)
-        t[np.arange(batch), self.inputs] = 1.0
-        return t.reshape((batch, 1) + (2,) * n)
+        # the one-hot (2,) * n + (B,) tensor of the input columns
+        n, cols = self.num_qubits, len(self.columns)
+        t = np.zeros((2**n, cols), dtype=complex)
+        t[self.columns, np.arange(cols)] = 1.0
+        return t.reshape((2,) * n + (cols,))
 
     def resume(self, c: Circuit) -> tuple[int, np.ndarray]:
         """(k, a fresh copy of the state after ``c.gates[:k]``) for the
@@ -291,12 +326,15 @@ def run_all_bases(
     array indexed ``[basis, k, outcome]``: ``k`` the position of the input
     in ``inputs``.
 
-    All inputs pass through the gate list together as one [B, 1, 2, ..., 2]
-    tensor, from the longest prefix of ``c`` that ``prefixes`` holds (given
-    one built for the same inputs), else from the inputs themselves. A row
-    does not depend on the batch it is computed in, so :func:`run_exact`
-    agrees bit for bit with a suite. The X basis is ``h`` on every qubit,
-    the Y basis a phase table (``sdg`` on every qubit) and then ``h``.
+    All inputs pass through the gate list together as one (2,) * n + (B,)
+    tensor (see :class:`PrefixCache`), from the longest prefix of ``c``
+    that ``prefixes`` holds (given one built for the same inputs), else
+    from the inputs themselves. A row does not depend on the batch it is
+    computed in, so :func:`run_exact` agrees bit for bit with a suite. The
+    X basis is ``h`` on every qubit, the Y basis a phase table (``sdg`` on
+    every qubit) and then ``h``, each basis in turn from the final state.
+    Squared amplitudes are turned back to one contiguous row per input
+    before the row sums, so a row sums in the same order in any batch.
     """
     if prefixes is None:
         prefixes = PrefixCache(Circuit(c.num_qubits), inputs)
@@ -313,7 +351,7 @@ def run_all_bases(
         if basis is not MeasBasis.Z:
             for q in range(n):
                 s = _apply_1q(s, _H, q, n)
-        probs = np.abs(s.reshape(batch, -1)) ** 2
+        probs = np.ascontiguousarray((np.abs(s.reshape(2**n, -1)) ** 2).T[:batch])
         norms = probs.sum(axis=1)
         drift = np.abs(norms - 1.0)
         if np.any(drift > _NORM_ATOL):
@@ -327,10 +365,16 @@ def run_exact(c: Circuit, input_state: int, basis: MeasBasis = MeasBasis.Z) -> D
     return Distribution(c.num_qubits, run_all_bases(c, [input_state], bases=(basis,))[0, 0])
 
 
+# the largest draw count numpy's multinomial takes (a C long)
+MAX_SHOTS = 2**63 - 1
+
+
 def sample_frequencies(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Empirical frequencies from ``shots`` independent draws; seed-deterministic."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS}")
     return np.random.default_rng(seed).multinomial(shots, probs) / shots
 
 

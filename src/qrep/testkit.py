@@ -9,6 +9,7 @@ failed-case count plus the Hellinger distances summed over every case.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,7 +172,8 @@ def generate_suite(
 
 
 def _is_probability(p) -> bool:
-    return isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p)
+    # a comparison, unlike math.isfinite, takes an int of any size; NaN fails it
+    return isinstance(p, (int, float)) and not isinstance(p, bool) and abs(p) <= sys.float_info.max
 
 
 def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:

@@ -136,6 +136,20 @@ def dense_probs(circuit, input_state: int, basis: str = "Z") -> np.ndarray:
     return np.abs(psi) ** 2
 
 
+def dense_probs_all(circuit) -> np.ndarray:
+    """[3, 2^n, 2^n] probabilities of every input in X, Y, Z order, indexed
+    ``[basis, input, outcome]``: one dense unitary, rotated per basis."""
+    n = circuit.num_qubits
+    u = dense_unitary(circuit)
+    out = np.empty((3, 2**n, 2**n))
+    for k, rot in enumerate((gate_matrix("h"), gate_matrix("h") @ gate_matrix("sdg"), np.eye(2))):
+        r = np.eye(2**n, dtype=complex)
+        for q in range(n):
+            r = embed(rot, (q,), n) @ r
+        out[k] = (np.abs(r @ u) ** 2).T
+    return out
+
+
 def hellinger_ref(p: np.ndarray, q: np.ndarray) -> float:
     """Closed-form Hellinger: sqrt(1 - sum(sqrt(p_i q_i)))."""
     bc = float(np.sum(np.sqrt(np.asarray(p) * np.asarray(q))))
@@ -328,10 +342,12 @@ def cursor_order_uniform(patches, c) -> list:
 
 # ------------------------------------------- simulator reference kernel
 #
-# The one-qubit kernel and the basis rotations as they stood before the
+# The kernels and the basis rotations as they stood before the one-qubit
 # kernel became one flattened product per gate, the Y basis a phase table,
-# and the measured bases a per-suite subset: a stacked matmul of 2 x 2 (or,
-# on one qubit, 1 x 2) cores, and the rotation gates applied qubit by qubit.
+# the measured bases a per-suite subset, and the state tensor batch-last: a
+# [B, 1, 2, ..., 2] tensor with qubit k on axis n+1-k, a stacked matmul of
+# 2 x 2 (or, on one qubit, 1 x 2) cores, the multi-qubit gates as indexed
+# updates of that tensor, and the rotation gates applied qubit by qubit.
 # test_simulator.py holds the package to these bit for bit.
 
 _BASIS_ROTATIONS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
@@ -342,11 +358,53 @@ def stacked_apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.nda
     return np.moveaxis(np.moveaxis(t, axis, -1) @ m.T, -1, axis)
 
 
+def _stacked_slices(n: int, assignments: dict) -> tuple:
+    idx: list = [slice(None)] * (n + 2)
+    for qubit, bit in assignments.items():
+        idx[n + 1 - qubit] = bit
+    return tuple(idx)
+
+
+def stacked_apply_multi(t: np.ndarray, g, n: int) -> np.ndarray:
+    """A gate on two or three qubits, updating ``t`` in place."""
+    from qrep.circuit import GateKind
+
+    kind = g.kind
+    if kind is GateKind.CX:
+        c, x = g.qubits
+        a, b = _stacked_slices(n, {c: 1, x: 0}), _stacked_slices(n, {c: 1, x: 1})
+        t[a], t[b] = t[b].copy(), t[a].copy()
+    elif kind is GateKind.CZ:
+        s = _stacked_slices(n, {g.qubits[0]: 1, g.qubits[1]: 1})
+        t[s] = -t[s]
+    elif kind is GateKind.CP:
+        s = _stacked_slices(n, {g.qubits[0]: 1, g.qubits[1]: 1})
+        t[s] = t[s] * cmath.exp(1j * g.params[0])
+    elif kind is GateKind.CRZ:
+        c, x = g.qubits
+        half = g.params[0] / 2.0
+        a, b = _stacked_slices(n, {c: 1, x: 0}), _stacked_slices(n, {c: 1, x: 1})
+        t[a] = t[a] * cmath.exp(-1j * half)
+        t[b] = t[b] * cmath.exp(1j * half)
+    elif kind is GateKind.SWAP:
+        a, b = g.qubits
+        lo, hi = _stacked_slices(n, {a: 0, b: 1}), _stacked_slices(n, {a: 1, b: 0})
+        t[lo], t[hi] = t[hi].copy(), t[lo].copy()
+    elif kind is GateKind.CCX:
+        c1, c2, x = g.qubits
+        a = _stacked_slices(n, {c1: 1, c2: 1, x: 0})
+        b = _stacked_slices(n, {c1: 1, c2: 1, x: 1})
+        t[a], t[b] = t[b].copy(), t[a].copy()
+    else:
+        raise KeyError(kind.gate_name)
+    return t
+
+
 def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
     """[3, len(inputs), 2^q] probabilities in X, Y, Z order; the package's
-    multi-qubit kernels and gate matrices, the stacked one-qubit kernel."""
+    gate matrices, every kernel the stacked one above."""
     from qrep.circuit import GATE_BY_NAME
-    from qrep.simulator import _apply_gate, _matrix_1q
+    from qrep.simulator import _matrix_1q
 
     n = circuit.num_qubits
     idx = np.asarray(inputs, dtype=np.intp)
@@ -358,7 +416,7 @@ def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
         if g.kind.num_qubits == 1:
             t = stacked_apply_1q(t, _matrix_1q(g.kind, g.params), g.qubits[0], n)
         else:
-            t = _apply_gate(t, g, n)
+            t = stacked_apply_multi(t, g, n)
     out = np.empty((3, batch, 2**n))
     for k, basis in enumerate("XYZ"):
         s = t

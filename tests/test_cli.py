@@ -412,3 +412,30 @@ def test_overlong_integer_is_one_line_error(circuits, tmp_path, capsys, flag, te
     assert _one_error_line(err)
     assert err.startswith("qrep: error:")
     assert "digits" in err
+
+
+@pytest.mark.parametrize("sub", ["repair", "localize"])
+@pytest.mark.parametrize("value", ["1" + "0" * 400, "-1" + "0" * 400], ids=["huge", "huge-negative"])
+def test_probability_beyond_float_range_is_one_line_error(circuits, tmp_path, capsys, sub, value):
+    exp_path = tmp_path / "expected.json"
+    exp_path.write_text('{"Z:00": {"00": ' + value + "}}")
+    budget = ["--budget-evals", "10"] if sub == "repair" else []
+    code = run([sub, "--circuit", circuits["easy"], "--expected", str(exp_path), *budget])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.startswith("qrep: error:")
+    assert repr("Z:00") in err
+
+
+@pytest.mark.parametrize("sub", ["repair", "baseline-rs", "localize"])
+def test_shots_beyond_sampler_range_rejected_at_flag(circuits, capsys, sub):
+    budget = [] if sub == "localize" else ["--budget-evals", "10"]
+    code = run([
+        sub, "--circuit", circuits["easy"], "--reference", circuits["ref"], *budget,
+        "--shots-mode", "sampled", "--shots", str(2**63),
+    ])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert "--shots" in err and str(2**63 - 1) in err

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from itertools import combinations
 
-from oracles import dense_probs, gate_matrix, stacked_run_all_bases
+from oracles import dense_probs, dense_probs_all, gate_matrix, stacked_run_all_bases
 from conftest import RANDOM_KINDS, random_circuit
 from qrep import simulator
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
 from qrep.simulator import (
     BASIS_ORDER,
+    MAX_SHOTS,
     Distribution,
     MeasBasis,
     PrefixCache,
@@ -20,6 +21,7 @@ from qrep.simulator import (
     run_all_bases,
     run_exact,
     sample,
+    sample_frequencies,
 )
 
 
@@ -140,6 +142,14 @@ def test_sampling_is_seeded_and_normalized():
     assert abs(s1.probs[1] - 0.7) < 0.1
 
 
+def test_sample_frequencies_shot_range():
+    probs = np.array([0.25, 0.75])
+    assert sample_frequencies(probs, MAX_SHOTS, seed=1).sum() == pytest.approx(1.0)
+    for bad in (0, MAX_SHOTS + 1, 10**400):
+        with pytest.raises(ValueError, match="shots must be"):
+            sample_frequencies(probs, bad, seed=1)
+
+
 def test_default_shots_formula():
     assert default_shots(3) == 16  # 2^q * 2
     assert default_shots(5) == 64
@@ -159,22 +169,27 @@ def test_norm_preserved_deep_circuit(rng):
 
 
 def test_batched_kernel_matches_dense_oracle_and_per_input_rows():
-    # every gate kind, up to 4 qubits, every input and basis of each circuit
+    # every gate kind, 1-7 qubits, every input and basis of each circuit
     rng = np.random.default_rng(2603)
     seen = set()
-    for _ in range(220):
-        q = int(rng.integers(1, 5))
+    for trial in range(140):
+        q = 1 + trial % 7
         c = random_circuit(rng, q, int(rng.integers(0, 16)))
         seen.update(g.kind.gate_name for g in c.gates)
         probs = run_all_bases(c, range(2**q))
         assert probs.shape == (3, 2**q, 2**q)
+        assert np.max(np.abs(probs - dense_probs_all(c))) < 1e-10
         for s in range(2**q):
+            # a row does not depend on the batch it is computed in: a single
+            # input, alone, measured in one basis, or resumed from a prefix
+            # cache, gives the suite's row byte for byte
             single = run_all_bases(c, [s])
-            # a row does not depend on the batch it is computed in
-            assert np.array_equal(single[:, 0], probs[:, s])
+            cached = run_all_bases(c, [s], prefixes=PrefixCache(c, [s]))
             for k, basis in enumerate(BASIS_ORDER):
-                want = dense_probs(c, s, basis.value)
-                assert np.max(np.abs(probs[k, s] - want)) < 1e-10
+                row = probs[k, s].tobytes()
+                assert single[k, 0].tobytes() == row
+                assert cached[k, 0].tobytes() == row
+                assert run_exact(c, s, basis).probs.tobytes() == row, (q, s, basis)
     assert seen == set(RANDOM_KINDS)
 
 

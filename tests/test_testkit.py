@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import random_circuit
 from oracles import hellinger_ref
 from qrep.circuit import build_circuit, remove_gate
-from qrep.errors import NoFailingTestError, SuiteTooWideError, WidthMismatchError
+from qrep.errors import ExpectedTableError, NoFailingTestError, SuiteTooWideError, WidthMismatchError
 from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, run_exact, sample
 from qrep.testkit import (
     OracleConfig,
@@ -115,6 +115,12 @@ def test_suite_from_expected_rejects_mixed_width():
         suite_from_expected({"Z:0": {"0": 1.0}, "Z:01": {"01": 1.0}})
     with pytest.raises(ValueError):
         suite_from_expected({})
+
+
+@pytest.mark.parametrize("p", [10**400, -(10**400), 2**1024], ids=["huge", "huge-negative", "2**1024"])
+def test_suite_from_expected_rejects_integer_beyond_float_range(p):
+    with pytest.raises(ExpectedTableError, match="'Z:0'"):
+        suite_from_expected({"Z:0": {"0": p}})
 
 
 # ------------------------------------------------------------------- oracle
