@@ -1,7 +1,7 @@
 """Time qrep's layers and merge the numbers into a BENCH_*.json file.
 
-    python scripts/bench.py --label change --out BENCH_7.json
-    PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_7.json
+    python scripts/bench.py --label change --out BENCH_8.json
+    PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_8.json
 
 Layers: one ``h`` gate on the simulator's state of the full input batch at
 4 and 6 qubits, ``run_all_bases`` of qft8 (all 256 inputs, three bases),
@@ -9,8 +9,9 @@ one ``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
 wstate4, dj6), one localisation sweep of a dj6 replace mutant, and the
 guided search's patch queue of dj6 and grover3 (build it, pop 20 patches,
 prune once to three quarters of the gates, as the first of four
-iterations does). Each
-sample is the mean of enough back-to-back calls to last about 20 ms; after
+iterations does), and the single-gate edits of grover3 and dj6 (a removal
+and an insertion at position 0, and the same at the middle). Each sample
+is the mean of enough back-to-back calls to last about 20 ms; after
 one warm-up sample, ``--repeats`` samples give the median and the
 interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
 checkout, else from this one, so the same script times two commits on one
@@ -37,14 +38,15 @@ import scipy
 import qrep
 from qrep import simulator
 from qrep.benchmarks import build_benchmark
-from qrep.circuit import Circuit
-from qrep.localizer import gate_id, localize
+from qrep.circuit import Circuit, GateApp, GateKind, insert_gate, remove_gate
+from qrep.localizer import SuspiciousnessTable, localize
 from qrep.patcher import generate_patches, inject_faults, order_uniform, prune_to_gates
 from qrep.testkit import fitness, generate_suite
 
 FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj", 6))
 QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
 QUEUE_POPS = 20
+EDIT_CIRCUITS = (("grover", 3), ("dj", 6))
 SAMPLE_S = 0.02
 
 
@@ -110,7 +112,18 @@ def layers() -> dict:
         ref = build_benchmark(fam, n)
         facts = {"gates": len(ref.gates), "left": len(patch_queue(ref))}
         out[f"patch_queue_{fam}{n}"] = (lambda ref=ref: patch_queue(ref), facts)
+    for fam, n in EDIT_CIRCUITS:
+        ref = build_benchmark(fam, n)
+        out[f"edit_{fam}{n}"] = (lambda ref=ref: edits(ref), {"gates": len(ref.gates), "edits": 4})
     return out
+
+
+def edits(ref):
+    """A removal and an insertion at position 0 and at the middle of ``ref``."""
+    g = GateApp(GateKind.H, (0,))
+    for pos in (0, len(ref.gates) // 2):
+        remove_gate(ref, pos)
+        insert_gate(ref, pos, g)
 
 
 def patch_queue(ref):
@@ -121,7 +134,8 @@ def patch_queue(ref):
         queue = order_uniform(ref)
     for _ in range(QUEUE_POPS):
         queue.popleft()
-    return prune_to_gates(queue, {gate_id(g) for i, g in enumerate(ref.gates) if i % 4})
+    keep = {gid for gid in SuspiciousnessTable.for_circuit(ref).scores if gid.position % 4}
+    return prune_to_gates(queue, keep)
 
 
 def machine() -> dict:

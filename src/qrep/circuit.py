@@ -1,9 +1,10 @@
 """Circuit intermediate representation and pure gate-level edits.
 
-A circuit is an ordered list of unitary gate applications over one quantum
+A circuit is an ordered tuple of unitary gate applications over one quantum
 register, plus a qubit -> classical-bit measurement map. Measurements and
-barriers never appear in the gate list, so gate positions index exactly the
-repairable gates. All values are immutable; edits return fresh circuits.
+barriers never appear in the gate tuple, so a gate's position, its index
+there, counts exactly the repairable gates. All values are immutable; an
+edit slices the gate tuple around the one gate it adds or replaces.
 """
 from __future__ import annotations
 
@@ -62,12 +63,11 @@ GATE_BY_NAME: dict[str, GateKind] = {k.gate_name: k for k in GateKind}
 
 @dataclass(frozen=True)
 class GateApp:
-    """One gate applied at a fixed position in circuit order."""
+    """One gate application; its position is its index in ``Circuit.gates``."""
 
     kind: GateKind
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
-    position: int = 0
 
     def __post_init__(self):
         if not self.kind.is_unitary:
@@ -87,7 +87,7 @@ class GateApp:
                 raise ValueError(f"non-finite angle {p} on {self.kind.gate_name}")
 
     def same_gate(self, other: "GateApp", atol: float = 1e-9) -> bool:
-        """Structural equality ignoring position."""
+        """Structural equality, angles compared within ``atol``."""
         return (
             self.kind is other.kind
             and self.qubits == other.qubits
@@ -100,7 +100,7 @@ class GateApp:
 class Circuit:
     """Gate list over ``num_qubits`` qubits plus a measurement map.
 
-    ``gates[i].position == i`` always holds; edits renumber the gates they shift.
+    ``gates[i]`` is the gate at position ``i``; edits slice the tuple.
     """
 
     num_qubits: int
@@ -113,9 +113,7 @@ class Circuit:
             raise ValueError("circuit needs at least one qubit")
         if self.num_clbits < 0:
             raise ValueError("negative classical register size")
-        for i, g in enumerate(self.gates):
-            if g.position != i:
-                raise ValueError(f"gate positions must be contiguous; expected {i}, got {g.position}")
+        for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.num_qubits:
                     raise QubitIndexError(
@@ -134,30 +132,25 @@ class Circuit:
         return [g.kind.gate_name for g in self.gates]
 
 
-def _shifted(gates: tuple[GateApp, ...], start: int) -> tuple[GateApp, ...]:
-    """``gates`` renumbered from ``start``: the tail an edit moves."""
-    return tuple(replace(g, position=i) for i, g in enumerate(gates, start))
-
-
 def remove_gate(c: Circuit, pos: int) -> Circuit:
     """Copy of ``c`` without the gate at ``pos``; later positions shift down."""
     if not 0 <= pos < len(c.gates):
         raise GateIndexError(f"position {pos} out of range for {len(c.gates)} gates")
-    return replace(c, gates=c.gates[:pos] + _shifted(c.gates[pos + 1 :], pos))
+    return replace(c, gates=c.gates[:pos] + c.gates[pos + 1 :])
 
 
 def insert_gate(c: Circuit, pos: int, g: GateApp) -> Circuit:
     """Copy of ``c`` with ``g`` inserted before position ``pos`` (append at len)."""
     if not 0 <= pos <= len(c.gates):
         raise GateIndexError(f"insert position {pos} out of range for {len(c.gates)} gates")
-    return replace(c, gates=c.gates[:pos] + _shifted((g,) + c.gates[pos:], pos))
+    return replace(c, gates=c.gates[:pos] + (g,) + c.gates[pos:])
 
 
 def replace_gate(c: Circuit, pos: int, g: GateApp) -> Circuit:
     """Copy of ``c`` with the gate at ``pos`` swapped for ``g``."""
     if not 0 <= pos < len(c.gates):
         raise GateIndexError(f"position {pos} out of range for {len(c.gates)} gates")
-    return replace(c, gates=c.gates[:pos] + _shifted((g,), pos) + c.gates[pos + 1 :])
+    return replace(c, gates=c.gates[:pos] + (g,) + c.gates[pos + 1 :])
 
 
 def build_circuit(
@@ -167,12 +160,12 @@ def build_circuit(
 ) -> Circuit:
     """Convenience constructor: ops as (name, qubits, [params]) tuples."""
     gates = []
-    for i, op in enumerate(ops or []):
+    for op in ops or []:
         name, qubits = op[0], op[1]
         params = tuple(op[2]) if len(op) > 2 else ()
         if isinstance(qubits, int):
             qubits = (qubits,)
-        gates.append(GateApp(GATE_BY_NAME[name], tuple(qubits), params, position=i))
+        gates.append(GateApp(GATE_BY_NAME[name], tuple(qubits), params))
     meas = {q: q for q in range(num_qubits)} if measure_all else {}
     return Circuit(
         num_qubits=num_qubits,

@@ -41,6 +41,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
+    def _get_values(self, action, arg_strings):
+        # argparse before 3.12 drops the value of "--seed=--" and returns []
+        if action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _positive_int(text: str) -> int:
     v = int(text)

@@ -5,9 +5,11 @@ patch trials, optimizer probes) to one budget, expressed either as a
 maximum evaluation count or as wall-clock seconds. After localisation the
 remainder is split evenly across the configured iterations; each iteration
 consumes ordered patches until its cumulative mark, then prunes the queue
-to patches anchored on the currently most suspicious gates. A random-search
-baseline shares the evaluator, stopping rules, and report format, but draws
-patches in seeded random order with no localisation or pruning.
+to patches anchored on the currently most suspicious gates. Iterations
+whose mark the spend has already passed are skipped, so the search ends
+with the budget whatever the iteration count. A random-search baseline
+shares the evaluator, stopping rules, and report format, but draws patches
+in seeded random order with no localisation or pruning.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .circuit import Circuit
+from .errors import UnknownGateError
 from .localizer import (
     BudgetExhaustedError,
     GateId,
@@ -182,6 +185,8 @@ class _Run:
         self.fault_gate = fault_gate
         self.budget = Budget(cfg.budget_evals, cfg.budget_seconds)
         self.table = SuspiciousnessTable.for_circuit(c_init)
+        if fault_gate is not None and fault_gate not in self.table.scores:
+            raise UnknownGateError(f"fault gate {fault_gate} names no gate of the circuit")
         self.start = time.monotonic()
         # every candidate is c_init or a single-gate edit of it
         self.prefixes = ts.prefixes(c_init)
@@ -262,7 +267,7 @@ class _Run:
         else:
             improvement = 0.0
         fault_pct = None
-        if self.fault_gate is not None and self.fault_gate in self.table.scores:
+        if self.fault_gate is not None:
             fault_pct = self.table.rank_percentile(self.fault_gate)
         return RepairReport(
             status=status,
@@ -307,16 +312,28 @@ class _Run:
         spent0 = self.budget.spent
         b_r = self.budget.limit - spent0
         total = self.cfg.iterations
-        for i in range(1, total + 1):
-            end_mark = spent0 + b_r * (i / total)
-            while queue and self.budget.spent < end_mark:
+
+        def end_mark(i: int) -> float:
+            return spent0 + b_r * (i / total)
+
+        i = 1
+        while i <= total:
+            while queue and self.budget.spent < end_mark(i):
                 self.try_patch(queue.popleft())
             if not queue:
                 return
-            if i < total and self.table.scores:
-                frac = pruning_keep_fraction(i, total)
+            # skip to the next iteration whose end mark is above the spend:
+            # the ones between would try nothing, and with the table
+            # unchanged their nested prunes equal one at the last fraction
+            spent, nxt, hi = self.budget.spent, i + 1, total + 1
+            while nxt < hi:
+                mid = (nxt + hi) // 2
+                nxt, hi = (nxt, mid) if end_mark(mid) > spent else (mid + 1, hi)
+            if nxt <= total and self.table.scores:
+                frac = pruning_keep_fraction(nxt - 1, total)
                 keep_n = max(1, math.ceil(frac * len(self.table.scores)))
                 queue = prune_to_gates(queue, set(self.table.ranking()[:keep_n]))
+            i = nxt
 
     def random_search(self) -> None:
         pool = generate_patches(self.c_init, self.cfg.patch_catalog)

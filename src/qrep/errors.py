@@ -49,6 +49,8 @@ class SuiteTooWideError(QRepError, ValueError):
 class UnknownGateError(QRepError, KeyError):
     """Gate identity not present in the suspiciousness table."""
 
+    __str__ = Exception.__str__  # the message as given, not quoted as a key
+
 
 class NoFailingTestError(QRepError, ValueError):
     """Repair/localisation requires at least one failing test case."""

@@ -33,8 +33,9 @@ class GateId:
         return f"{self.position}:{self.gate}:{'-'.join(map(str, self.qubits))}"
 
 
-def gate_id(g: GateApp) -> GateId:
-    return GateId(position=g.position, gate=g.kind.gate_name, qubits=g.qubits)
+def gate_id(position: int, g: GateApp) -> GateId:
+    """Identity of ``g`` at index ``position`` of a circuit's gates."""
+    return GateId(position=position, gate=g.kind.gate_name, qubits=g.qubits)
 
 
 @dataclass
@@ -45,7 +46,7 @@ class SuspiciousnessTable:
 
     @classmethod
     def for_circuit(cls, c: Circuit) -> "SuspiciousnessTable":
-        return cls(scores={gate_id(g): 0.0 for g in c.gates})
+        return cls(scores={gate_id(i, g): 0.0 for i, g in enumerate(c.gates)})
 
     def add(self, gate: GateId, delta: float) -> None:
         if gate not in self.scores:
@@ -107,9 +108,9 @@ def localize(
 
     start = time.monotonic()
     result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init))
-    for g in c_init.gates:
-        gid = gate_id(g)
-        candidate = remove_gate(c_init, g.position)
+    for pos, g in enumerate(c_init.gates):
+        gid = gate_id(pos, g)
+        candidate = remove_gate(c_init, pos)
         try:
             score = evaluate(candidate)
         except BudgetExhaustedError:

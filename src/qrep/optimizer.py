@@ -37,6 +37,8 @@ class OptResult:
 
 
 _CAP_SENTINEL = 1e18
+# the largest iteration count scipy passes to PRIMA (a C long)
+_MAX_ITER = 2**63 - 1
 
 
 def minimize_params(
@@ -77,7 +79,7 @@ def minimize_params(
         np.zeros(n_params),
         method="COBYLA",
         tol=budget.tolerance,
-        options={"maxiter": max(budget.max_evals, n_params + 2), "rhobeg": math.pi / 2},
+        options={"maxiter": min(max(budget.max_evals, n_params + 2), _MAX_ITER), "rhobeg": math.pi / 2},
     )
     converged = bool(res.success)
     if count == 0:

@@ -62,7 +62,7 @@ class Patch:
 def apply_patch(c: Circuit, p: Patch, params: tuple[float, ...] | None = None) -> Circuit:
     """Edited copy of ``c``; ``params`` must be given for parametric patches."""
     angles = params if params is not None else (p.params or ())
-    g = GateApp(p.gate, p.qubits, tuple(angles), position=p.position)
+    g = GateApp(p.gate, p.qubits, tuple(angles))
     if p.kind == "add":
         return insert_gate(c, p.position, g)
     if p.kind == "replace":
@@ -88,7 +88,7 @@ def _qubit_choices(kind: GateKind, num_qubits: int) -> tuple[tuple[int, ...], ..
 def _anchor(c: Circuit, pos: int) -> GateId | None:
     if pos == len(c.gates):  # an append anchors to the last gate
         pos -= 1
-    return gate_id(c.gates[pos]) if c.gates else None
+    return gate_id(pos, c.gates[pos]) if c.gates else None
 
 
 def _patch_kinds(c: Circuit, catalog: tuple[str, ...]) -> list[GateKind]:
@@ -286,7 +286,7 @@ def inject_faults(
             score = fitness(m, suite, prefixes=prefixes)
             if score.failed_count == 0:
                 continue  # equivalent under the suite
-            fault = gate_id(m.gates[fault_pos]) if m.gates else None
+            fault = gate_id(fault_pos, m.gates[fault_pos]) if m.gates else None
             records.append(
                 MutantRecord(
                     mutant=m,

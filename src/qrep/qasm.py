@@ -294,7 +294,7 @@ def parse_qasm(text: str) -> Circuit:
                         "whole-register operands only supported for single-qubit gates", tok.line, tok.col
                     )
                 for q in range(qreg[1]):
-                    gates.append(GateApp(kind, (q,), params, position=len(gates)))
+                    gates.append(GateApp(kind, (q,), params))
             else:
                 if len(qubits) != kind.num_qubits:
                     raise QasmSyntaxError(
@@ -304,7 +304,7 @@ def parse_qasm(text: str) -> Circuit:
                     )
                 if len(set(qubits)) != len(qubits):
                     raise QasmSyntaxError(f"{kind.gate_name} qubits must be distinct", tok.line, tok.col)
-                gates.append(GateApp(kind, tuple(qubits), params, position=len(gates)))
+                gates.append(GateApp(kind, tuple(qubits), params))
 
     if qreg is None:
         raise QasmSyntaxError("missing qreg declaration", 1, 1)

@@ -278,6 +278,8 @@ class PrefixCache:
     def __init__(self, c: Circuit, inputs):
         n = c.num_qubits
         idx = np.asarray(inputs, dtype=np.intp).reshape(-1)
+        if not idx.size:
+            raise ValueError("no inputs to simulate")
         bad = idx[(idx < 0) | (idx >= 2**n)]
         if bad.size:
             raise WidthMismatchError(f"input {bad[0]} out of range for {n} qubits")
@@ -304,7 +306,7 @@ class PrefixCache:
 
     def resume(self, c: Circuit) -> tuple[int, np.ndarray]:
         """(k, a fresh copy of the state after ``c.gates[:k]``) for the
-        longest cached prefix that ``c`` shares with the cached circuit."""
+        longest cached prefix whose gates equal those of ``c``."""
         if c.num_qubits != self.num_qubits:
             raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {self.num_qubits}")
         shared = 0

@@ -20,11 +20,11 @@ def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) ->
     """Random circuit over the full catalog, angles in [-2pi, 2pi)."""
     gates = []
     kinds = [GATE_BY_NAME[k] for k in RANDOM_KINDS if GATE_BY_NAME[k].num_qubits <= num_qubits]
-    for pos in range(num_gates):
+    for _ in range(num_gates):
         kind = kinds[int(rng.integers(len(kinds)))]
         qubits = tuple(int(q) for q in rng.choice(num_qubits, size=kind.num_qubits, replace=False))
         params = tuple(float(a) for a in rng.uniform(-2 * math.pi, 2 * math.pi, kind.param_count))
-        gates.append(GateApp(kind, qubits, params, position=pos))
+        gates.append(GateApp(kind, qubits, params))
     return Circuit(num_qubits=num_qubits, gates=tuple(gates))
 
 

@@ -198,7 +198,7 @@ def _enumerate_group(c, group: str, kinds: list) -> list[tuple]:
             for kind in kinds:
                 for qs in _qubit_choices(kind, c.num_qubits):
                     for params, ptxt in _mutant_gate_apps(kind):
-                        g = GateApp(kind, qs, params, position=pos)
+                        g = GateApp(kind, qs, params)
                         m = insert_gate(c, pos, g)
                         out.append((m, f"add {kind.gate_name}{ptxt} {qs} @{pos}", pos))
         return out
@@ -209,7 +209,7 @@ def _enumerate_group(c, group: str, kinds: list) -> list[tuple]:
                     for params, ptxt in _mutant_gate_apps(kind):
                         if kind is old.kind and qs == old.qubits and params == old.params:
                             continue
-                        g = GateApp(kind, qs, params, position=pos)
+                        g = GateApp(kind, qs, params)
                         m = replace_gate(c, pos, g)
                         desc = f"replace {old.kind.gate_name} @{pos} -> {kind.gate_name}{ptxt} {qs}"
                         out.append((m, desc, pos))
@@ -250,7 +250,7 @@ def eager_inject_faults(c, seed, per_group, catalog, groups=("add", "remove", "r
             score = fitness(m, suite)
             if score.failed_count == 0:
                 continue
-            fault = gate_id(m.gates[fault_pos]) if m.gates else None
+            fault = gate_id(fault_pos, m.gates[fault_pos]) if m.gates else None
             records.append(MutantRecord(m, group, desc, fault, score.value, score.failed_count))
             found += 1
     if per_group > 0 and any_candidates and not records:
@@ -427,3 +427,37 @@ def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
         probs = np.abs(s.reshape(batch, -1)) ** 2
         out[k] = probs / probs.sum(axis=1)[:, None]
     return out
+
+
+# ------------------------------------------- guided search, every iteration
+
+def looped_guided_search(run) -> None:
+    """``_Run.guided_search`` as it stood before it skipped iterations:
+    every iteration runs, and each one whose end mark the spend has passed
+    prunes the queue and tries nothing."""
+    import qrep.engine as engine
+
+    loc = engine.localize(run.c_init, run.ts, run.baseline, evaluate=run.evaluate)
+    run.table = loc.table
+    for gid, value in loc.removal_fitness.items():
+        run.record_delete(gid, value)
+    if loc.repaired is not None:
+        raise engine._FullPass(loc.repaired)
+    if loc.partial:
+        run.partial_localisation = True
+        return
+
+    queue = engine.order_uniform(run.c_init, run.cfg.patch_catalog)
+    spent0 = run.budget.spent
+    b_r = run.budget.limit - spent0
+    total = run.cfg.iterations
+    for i in range(1, total + 1):
+        end_mark = spent0 + b_r * (i / total)
+        while queue and run.budget.spent < end_mark:
+            run.try_patch(queue.popleft())
+        if not queue:
+            return
+        if i < total and run.table.scores:
+            frac = engine.pruning_keep_fraction(i, total)
+            keep_n = max(1, math.ceil(frac * len(run.table.scores)))
+            queue = engine.prune_to_gates(queue, set(run.table.ranking()[:keep_n]))

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from conftest import random_circuit
+from hypothesis import given, settings, strategies as st
 
 from qrep.circuit import (
     GATE_BY_NAME,
@@ -41,22 +43,18 @@ def test_gateapp_validation():
 
 
 def test_same_gate_ignores_position():
-    a = GateApp(GateKind.RX, (0,), (1.0,), position=0)
-    b = GateApp(GateKind.RX, (0,), (1.0 + 1e-12,), position=5)
-    c = GateApp(GateKind.RX, (0,), (1.1,), position=0)
+    a = GateApp(GateKind.RX, (0,), (1.0,))
+    b = GateApp(GateKind.RX, (0,), (1.0 + 1e-12,))
+    c = GateApp(GateKind.RX, (0,), (1.1,))
     assert a.same_gate(b)
     assert not a.same_gate(c)
-
-
-def test_circuit_position_invariant():
-    g0 = GateApp(GateKind.H, (0,), position=0)
-    g_bad = GateApp(GateKind.X, (0,), position=5)
-    with pytest.raises(ValueError):
-        Circuit(num_qubits=1, gates=(g0, g_bad))
+    # a gate is the same value at any index of any circuit
+    shifted = remove_gate(Circuit(num_qubits=1, gates=(c, a)), 0)
+    assert shifted.gates[0] == a and shifted.gates[0].same_gate(b)
 
 
 def test_circuit_rejects_out_of_range_qubits():
-    g = GateApp(GateKind.CX, (0, 3), position=0)
+    g = GateApp(GateKind.CX, (0, 3))
     with pytest.raises(QubitIndexError):
         Circuit(num_qubits=2, gates=(g,))
 
@@ -64,7 +62,7 @@ def test_circuit_rejects_out_of_range_qubits():
 def test_remove_gate_shifts_positions(bell):
     out = remove_gate(bell, 0)
     assert out.gate_names() == ["cx"]
-    assert out.gates[0].position == 0
+    assert out.gates[0] is bell.gates[1]
     assert bell.gate_names() == ["h", "cx"]  # original untouched
 
 
@@ -80,8 +78,8 @@ def test_insert_gate_at_every_slot(bell):
     for pos in range(len(bell.gates) + 1):
         out = insert_gate(bell, pos, g)
         assert len(out.gates) == 3
-        assert out.gates[pos].kind is GateKind.Z
-        assert [x.position for x in out.gates] == [0, 1, 2]
+        assert out.gates[pos] is g
+        assert out.gates[:pos] + out.gates[pos + 1 :] == bell.gates
     with pytest.raises(GateIndexError):
         insert_gate(bell, 3, g)
 
@@ -116,3 +114,31 @@ def test_insert_then_remove_roundtrip(ins_pos, width_extra):
     back = remove_gate(edited, pos)
     assert back.gate_names() == base.gate_names()
     assert all(a.same_gate(b) for a, b in zip(back.gates, base.gates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**63 - 1))
+def test_edits_match_list_operations(seed):
+    """remove, insert and replace agree with list pop, insert and item
+    assignment, keep every other gate object, and keep the measurement map."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    c = Circuit(n, n, random_circuit(rng, n, int(rng.integers(0, 9))).gates, {q: q for q in range(n)})
+    g = random_circuit(rng, n, 1).gates[0]
+
+    def check(out, want):
+        assert list(out.gates) == want and all(a is b for a, b in zip(out.gates, want))
+        assert (out.num_qubits, out.num_clbits, out.measurements) == (n, n, c.measurements)
+
+    pos = int(rng.integers(0, len(c.gates) + 1))
+    want = list(c.gates)
+    want.insert(pos, g)
+    check(insert_gate(c, pos, g), want)
+    if c.gates:
+        pos = int(rng.integers(0, len(c.gates)))
+        want = list(c.gates)
+        want.pop(pos)
+        check(remove_gate(c, pos), want)
+        want = list(c.gates)
+        want[pos] = g
+        check(replace_gate(c, pos, g), want)

@@ -170,6 +170,21 @@ def test_bad_fault_gate_flag(circuits):
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("sub", ["repair", "baseline-rs"])
+@pytest.mark.parametrize("fault", ["0:h:0", "99:h:0"])
+def test_fault_gate_naming_no_gate_is_one_line_error(circuits, tmp_path, capsys, sub, fault):
+    out = tmp_path / "report.json"
+    code = run([
+        sub, "--circuit", circuits["hard"], "--reference", circuits["ref"],  # gates x, cx
+        "--budget-evals", "4", "--fault-gate", fault, "--out", str(out),
+    ])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err == f"qrep: error: fault gate {fault} names no gate of the circuit\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- localize
 
 def test_localize_ranking(circuits, capsys):
@@ -341,6 +356,21 @@ def test_non_finite_float_flag_rejected(circuits, capsys, flag, value):
     err = capsys.readouterr().err
     assert _one_error_line(err)
     assert flag in err and "finite" in err
+
+
+@pytest.mark.parametrize("sub", ["repair", "localize", "mutate"])
+def test_dashdash_as_flag_value_is_one_line_error(circuits, tmp_path, capsys, sub):
+    # argparse before 3.12 drops the value of "--seed=--" and hands on []
+    if sub == "mutate":
+        argv = ["mutate", "--circuit", circuits["ref"], "--per-group", "1", "--out-dir", str(tmp_path / "m")]
+    else:
+        argv = [sub, "--circuit", circuits["hard"], "--reference", circuits["ref"]]
+        argv += ["--budget-evals", "4"] if sub == "repair" else []
+    code = run([*argv, "--seed=--"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert "--seed" in err
 
 
 @pytest.mark.parametrize("flag", ["--circuit", "--reference", "--expected"])

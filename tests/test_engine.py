@@ -1,9 +1,10 @@
 """Repair-engine orchestration: budgets, pruning, reports, RS baseline."""
 import math
+import time
 from collections import deque
 
 import pytest
-from oracles import eager_order_uniform
+from oracles import eager_order_uniform, looped_guided_search
 
 import qrep.engine
 from qrep.benchmarks import build_benchmark
@@ -17,8 +18,8 @@ from qrep.engine import (
     random_search,
     repair,
 )
-from qrep.errors import NoFailingTestError
-from qrep.localizer import BudgetExhaustedError, gate_id
+from qrep.errors import NoFailingTestError, UnknownGateError
+from qrep.localizer import BudgetExhaustedError, GateId, gate_id
 from qrep.patcher import generate_patches, inject_faults
 from qrep.qasm import parse_qasm
 from qrep.testkit import OracleConfig, fitness, generate_suite
@@ -118,7 +119,7 @@ def test_ghz_cx_swap_small_budget_invariants():
     ref = build_benchmark("ghz", 3)
     ts = generate_suite(ref)
     broken = replace_gate(ref, 1, GateApp(GateKind.CX, (1, 0)))
-    fault = gate_id(broken.gates[1])
+    fault = gate_id(1, broken.gates[1])
     rep = repair(broken, ts, cfg_evals(50), fault_gate=fault)
     assert rep.status in (STATUS_REPAIRED, STATUS_NOT_FIXED)
     assert 0.0 <= rep.improvement_pct <= 100.0
@@ -236,6 +237,14 @@ def test_report_key_order(bell, bell_suite):
     assert set(entry) == {"gate_id", "score", "percentile"}
 
 
+@pytest.mark.parametrize("search", [repair, random_search])
+@pytest.mark.parametrize("fault", [GateId(0, "h", (0,)), GateId(99, "h", (0,)), GateId(1, "cx", (1, 0))])
+def test_fault_gate_naming_no_gate_is_rejected(bell, bell_suite, search, fault):
+    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))  # gate 0 is x, gate 1 cx(0, 1)
+    with pytest.raises(UnknownGateError, match=f"fault gate {fault} names no gate of the circuit"):
+        search(broken, bell_suite, cfg_evals(10), fault_gate=fault)
+
+
 def test_fault_percentile_absent_without_ground_truth(bell, bell_suite):
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
     rep = repair(broken, bell_suite, cfg_evals(10))
@@ -342,3 +351,31 @@ def test_guided_search_matches_eager_queue_on_corpus(family, n, seed, monkeypatc
                 want = repair(rec.mutant, ts, cfg, fault_gate=rec.fault_gate).to_dict()
             got.pop("wall_seconds"), want.pop("wall_seconds")
             assert got == want, (rec.description, budget)
+
+
+def test_guided_search_stops_when_budget_spent(bell, bell_suite):
+    """No single edit repairs this circuit, so the search runs to the end
+    of its budget; iterations left after it cost nothing."""
+    broken = build_circuit(2, [("x", 0), ("y", 1), ("cx", (0, 1))])
+    for iterations in (10**18, 2**70):
+        start = time.monotonic()
+        rep = repair(broken, bell_suite, cfg_evals(30, iterations=iterations))
+        assert time.monotonic() - start < 1.0
+        assert rep.status == STATUS_NOT_FIXED and rep.evals_used == 30
+
+
+@pytest.mark.parametrize("family,n,seed", _CORPUS)
+def test_skipped_iterations_match_every_iteration_loop_on_corpus(family, n, seed, monkeypatch):
+    """Skipping the iterations whose end mark is passed, with one prune for
+    them, gives the report of the loop that runs every iteration."""
+    ref = build_benchmark(family, n)
+    ts = generate_suite(ref)
+    for rec in inject_faults(ref, seed=seed, per_group=1):
+        for iterations in range(1, 13):
+            cfg = cfg_evals(40, seed=seed, iterations=iterations)
+            got = repair(rec.mutant, ts, cfg, fault_gate=rec.fault_gate).to_dict()
+            with monkeypatch.context() as m:
+                m.setattr(qrep.engine._Run, "guided_search", looped_guided_search)
+                want = repair(rec.mutant, ts, cfg, fault_gate=rec.fault_gate).to_dict()
+            got.pop("wall_seconds"), want.pop("wall_seconds")
+            assert got == want, (rec.description, iterations)

@@ -14,7 +14,7 @@ from qrep.testkit import fitness, generate_suite
 
 
 def test_gate_id_format(bell):
-    gid = gate_id(bell.gates[1])
+    gid = gate_id(1, bell.gates[1])
     assert gid == GateId(position=1, gate="cx", qubits=(0, 1))
     assert str(gid) == "1:cx:0-1"
 
@@ -45,7 +45,7 @@ def test_scores_accumulate_baseline_minus_removal(bell):
     baseline = fitness(broken, ts)
     res = localize(broken, ts, baseline)
     assert res.repaired is None
-    gid = gate_id(broken.gates[0])
+    gid = gate_id(0, broken.gates[0])
     assert res.table.scores[gid] == pytest.approx(baseline.value - res.removal_fitness[gid])
     assert res.evals_used == 1
 
@@ -59,10 +59,10 @@ def test_negative_score_for_helpful_gate():
     baseline = fitness(broken, ts)
     res = localize(broken, ts, baseline)
     if res.repaired is None:
-        h_id = gate_id(broken.gates[0])
+        h_id = gate_id(0, broken.gates[0])
         assert res.table.scores[h_id] < 0  # removing the needed H makes it worse
     else:
-        assert res.repaired_by_removing == gate_id(broken.gates[1])
+        assert res.repaired_by_removing == gate_id(1, broken.gates[1])
 
 
 def test_ranking_order_and_tiebreak():

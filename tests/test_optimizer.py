@@ -155,3 +155,10 @@ def test_deterministic():
     a = minimize_params(f, 1, OptBudget(max_evals=40))
     b = minimize_params(f, 1, OptBudget(max_evals=40))
     assert a == b
+
+
+@pytest.mark.parametrize("cap", [2**63 - 1, 2**63, 2**70])
+def test_cap_beyond_solver_iteration_range(cap):
+    # scipy hands the iteration limit to PRIMA as a C long
+    res = minimize_params(lambda x: (x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2, 2, OptBudget(max_evals=cap))
+    assert res.evals < 500 and res.value < 1e-3

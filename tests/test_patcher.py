@@ -71,9 +71,9 @@ def test_add_anchors_point_at_displaced_gate():
     c = build_circuit(1, [("h", 0), ("t", 0)])
     pool = generate_patches(c, catalog=("x",))
     by_pos = {p.position: p.anchor for p in pool if p.kind == "add"}
-    assert by_pos[0] == gate_id(c.gates[0])
-    assert by_pos[1] == gate_id(c.gates[1])
-    assert by_pos[2] == gate_id(c.gates[1])  # append anchors to the last gate
+    assert by_pos[0] == gate_id(0, c.gates[0])
+    assert by_pos[1] == gate_id(1, c.gates[1])
+    assert by_pos[2] == gate_id(1, c.gates[1])  # append anchors to the last gate
 
 
 def test_add_anchor_none_on_empty_circuit():
@@ -86,7 +86,7 @@ def test_replace_anchor_is_the_replaced_gate():
     c = build_circuit(1, [("h", 0)])
     pool = generate_patches(c, catalog=("x",))
     rep = [p for p in pool if p.kind == "replace"]
-    assert rep and all(p.anchor == gate_id(c.gates[0]) for p in rep)
+    assert rep and all(p.anchor == gate_id(0, c.gates[0]) for p in rep)
 
 
 # ---------------------------------------------------------------- ordering
@@ -156,7 +156,7 @@ def test_order_uniform_matches_cursor_reference():
                 n = int(rng.integers(0, len(want) + 1))
                 assert [q.popleft() for _ in range(n)] == want[:n]
                 want = want[n:]
-                keep = {gate_id(g) for g in c.gates if rng.random() < 0.6}
+                keep = {gate_id(i, g) for i, g in enumerate(c.gates) if rng.random() < 0.6}
                 before = len(q)
                 pruned = prune_to_gates(q, keep)
                 assert len(q) == before and list(q) == want  # the pruned queue is left as it was
@@ -169,7 +169,7 @@ def test_order_uniform_matches_cursor_reference():
 
 def test_prune_keeps_only_anchored(bell):
     queue = order_uniform(bell)
-    keep = {gate_id(bell.gates[0])}
+    keep = {gate_id(0, bell.gates[0])}
     pruned = prune_to_gates(queue, keep)
     assert len(pruned) > 0
     assert all(p.anchor in keep for p in pruned)
@@ -181,7 +181,7 @@ def test_pruned_queues_pop_independently(bell):
     queue = order_uniform(bell)
     queue.popleft()
     rest = list(queue)
-    pruned = prune_to_gates(queue, {gate_id(g) for g in bell.gates})  # every anchor kept
+    pruned = prune_to_gates(queue, {gate_id(i, g) for i, g in enumerate(bell.gates)})  # every anchor kept
     assert pruned.popleft() == rest[0]
     assert list(queue) == rest and len(queue) == len(rest)
 
@@ -242,7 +242,7 @@ def test_inject_faults_groups_and_nonequivalence(bell):
         assert score.value == pytest.approx(r.fitness_value)
         assert r.fault_gate is not None
         # the recorded fault identity exists in the mutant
-        assert any(gate_id(g) == r.fault_gate for g in r.mutant.gates)
+        assert any(gate_id(i, g) == r.fault_gate for i, g in enumerate(r.mutant.gates))
 
 
 def test_inject_faults_mutation_catalog_is_fixed_gates_only():

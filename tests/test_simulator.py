@@ -267,6 +267,12 @@ def test_prefix_cache_rejects_other_inputs_and_widths(bell):
         PrefixCache(bell, [4])
 
 
+def test_empty_input_batch_is_a_value_error(bell):
+    for call in (lambda: run_all_bases(bell, []), lambda: PrefixCache(bell, [])):
+        with pytest.raises(ValueError, match="no inputs"):
+            call()
+
+
 def test_prefix_cache_stores_and_simulates_nothing_when_one_state_is_over_the_cap(monkeypatch):
     c = build_circuit(3, [("h", 0), ("cx", (0, 1)), ("t", 2), ("cx", (1, 2))])
     applied = []
