@@ -9,8 +9,10 @@ one ``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
 wstate4, dj6), one localisation sweep of a dj6 replace mutant, and the
 guided search's patch queue of dj6 and grover3 (build it, pop 20 patches,
 prune once to three quarters of the gates, as the first of four
-iterations does), and the single-gate edits of grover3 and dj6 (a removal
-and an insertion at position 0, and the same at the middle). Each sample
+iterations does), the single-gate edits of grover3 and dj6 (a removal
+and an insertion at position 0, and the same at the middle), and one
+``inject_faults`` call with one mutant per group on grover3 and dj6 (their
+benchmark injection seeds, suite built beforehand). Each sample
 is the mean of enough back-to-back calls to last about 20 ms; after
 one warm-up sample, ``--repeats`` samples give the median and the
 interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
@@ -47,6 +49,7 @@ FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj",
 QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
 QUEUE_POPS = 20
 EDIT_CIRCUITS = (("grover", 3), ("dj", 6))
+INJECT_CIRCUITS = (("grover", 3, 3), ("dj", 6, 1))  # (family, size, injection seed)
 SAMPLE_S = 0.02
 
 
@@ -115,6 +118,11 @@ def layers() -> dict:
     for fam, n in EDIT_CIRCUITS:
         ref = build_benchmark(fam, n)
         out[f"edit_{fam}{n}"] = (lambda ref=ref: edits(ref), {"gates": len(ref.gates), "edits": 4})
+    for fam, n, seed in INJECT_CIRCUITS:
+        ref = build_benchmark(fam, n)
+        ts = generate_suite(ref)
+        inject = lambda ref=ref, seed=seed, ts=ts: inject_faults(ref, seed, per_group=1, suite=ts)
+        out[f"inject_{fam}{n}"] = (inject, {"gates": len(ref.gates), "mutants": [r.description for r in inject()]})
     return out
 
 

@@ -9,7 +9,7 @@ edit slices the gate tuple around the one gate it adds or replaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import GateIndexError, QubitIndexError
@@ -114,11 +114,7 @@ class Circuit:
         if self.num_clbits < 0:
             raise ValueError("negative classical register size")
         for g in self.gates:
-            for q in g.qubits:
-                if not 0 <= q < self.num_qubits:
-                    raise QubitIndexError(
-                        f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
-                    )
+            _check_qubits(g, self.num_qubits)
         for q, c in self.measurements.items():
             if not 0 <= q < self.num_qubits:
                 raise QubitIndexError(f"measured qubit {q} does not exist")
@@ -132,25 +128,40 @@ class Circuit:
         return [g.kind.gate_name for g in self.gates]
 
 
+def _check_qubits(g: GateApp, num_qubits: int) -> None:
+    for q in g.qubits:
+        if not 0 <= q < num_qubits:
+            raise QubitIndexError(f"qubit {q} out of range for {num_qubits}-qubit circuit")
+
+
+def _with_gates(c: Circuit, gates: tuple[GateApp, ...]) -> Circuit:
+    """``c`` with ``gates``; only an edit calls it, after checking the gate it adds."""
+    out = object.__new__(Circuit)
+    out.__dict__.update(c.__dict__, gates=gates)
+    return out
+
+
 def remove_gate(c: Circuit, pos: int) -> Circuit:
     """Copy of ``c`` without the gate at ``pos``; later positions shift down."""
     if not 0 <= pos < len(c.gates):
         raise GateIndexError(f"position {pos} out of range for {len(c.gates)} gates")
-    return replace(c, gates=c.gates[:pos] + c.gates[pos + 1 :])
+    return _with_gates(c, c.gates[:pos] + c.gates[pos + 1 :])
 
 
 def insert_gate(c: Circuit, pos: int, g: GateApp) -> Circuit:
     """Copy of ``c`` with ``g`` inserted before position ``pos`` (append at len)."""
     if not 0 <= pos <= len(c.gates):
         raise GateIndexError(f"insert position {pos} out of range for {len(c.gates)} gates")
-    return replace(c, gates=c.gates[:pos] + (g,) + c.gates[pos:])
+    _check_qubits(g, c.num_qubits)
+    return _with_gates(c, c.gates[:pos] + (g,) + c.gates[pos:])
 
 
 def replace_gate(c: Circuit, pos: int, g: GateApp) -> Circuit:
     """Copy of ``c`` with the gate at ``pos`` swapped for ``g``."""
     if not 0 <= pos < len(c.gates):
         raise GateIndexError(f"position {pos} out of range for {len(c.gates)} gates")
-    return replace(c, gates=c.gates[:pos] + (g,) + c.gates[pos + 1 :])
+    _check_qubits(g, c.num_qubits)
+    return _with_gates(c, c.gates[:pos] + (g,) + c.gates[pos + 1 :])
 
 
 def build_circuit(

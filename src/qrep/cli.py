@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -36,10 +37,10 @@ EXIT_NOT_FIXED = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    # the exit-code contract reserves 2 for NotFixed, so usage errors exit 1
+    # the exit-code contract reserves 2 for NotFixed, so usage errors exit 1,
+    # as the same one line as every other error
     def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_ERROR, f"qrep: error: {message}\n")
 
     def _get_values(self, action, arg_strings):
         # argparse before 3.12 drops the value of "--seed=--" and returns []
@@ -287,6 +288,7 @@ def _cmd_mutate(args) -> int:
     return EXIT_OK
 
 
+@cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qrep", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qrep {__version__}")

@@ -15,18 +15,23 @@ drops whole slots, which keep taking their turns: a pruned queue is the
 original order filtered.
 
 The mutant injector draws benchmark faults from the same edit space (plus
-removals), one group per mutation operator: it samples each group in a
-seeded order, builds a mutant only when drawn, and skips mutants the
-reference suite cannot distinguish.
+removals), one group per mutation operator. It enumerates nothing: an edit
+that gives the same gate sequence as an earlier one is recognised from its
+neighbouring gates (an add or removal next to an equal gate, a replace by
+the gate already there), so each slot loses at most one edit and a group is
+a list of per-slot counts. The injector maps the indices of a seeded
+permutation of each group to (slot, edit), builds a mutant only when drawn,
+and skips mutants the reference suite cannot distinguish.
 """
 from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice, permutations, repeat, zip_longest
+from itertools import accumulate, islice, permutations, repeat, zip_longest
 
 import numpy as np
 
@@ -204,40 +209,62 @@ def _mutant_angles(kind: GateKind) -> list[tuple[float, ...]]:
     return [(a,) * kind.param_count for a in _MUTANT_ANGLES] if kind.param_count else [()]
 
 
-# one mutation: (position, patch or None for a removal, the patch's angles)
-_Edit = tuple[int, Patch | None, tuple[float, ...]]
+# one add or replace edit of a slot: (gate kind, qubits, angles)
+_Edit = tuple[GateKind, tuple[int, ...], tuple[float, ...]]
 
 
-def _group_edits(c: Circuit, group: str, pool: list[Patch]) -> list[_Edit]:
+def _grid_twin(kinds: list[GateKind], g: GateApp) -> _Edit | None:
+    """The catalog edit whose gate has ``g``'s key, if ``kinds`` offer one."""
+    if g.kind not in kinds:
+        return None
+    key = _gate_key(g.kind, g.qubits, g.params)
+    twins = (a for a in _mutant_angles(g.kind) if _gate_key(g.kind, g.qubits, a) == key)
+    return next(((g.kind, g.qubits, a) for a in twins), None)
+
+
+def _mutation_slots(c: Circuit, group: str, kinds: list[GateKind]) -> list[tuple[int, int, _Edit | None]]:
+    """(position, count of distinct edits, the one edit left out) per slot of ``group``.
+
+    An add that copies the gate before it repeats the add before that gate, a
+    removal of a gate equal to the one before it repeats that removal, and a
+    replace by the gate already there gives the reference back; each slot
+    loses at most that one edit.
+    """
+    gates = c.gates
     if group == "remove":
-        return [(pos, None, ()) for pos in range(len(c.gates))]
-    if group not in ("add", "replace"):
+        keys = [_gate_key(g.kind, g.qubits, g.params) for g in gates]
+        return [(pos, int(pos == 0 or keys[pos - 1] != keys[pos]), None) for pos in range(len(gates))]
+    if group == "add":
+        twins = [None] + [_grid_twin(kinds, g) for g in gates]
+    elif group == "replace":  # a fixed gate's own replace is not in the slot at all
+        twins = [_grid_twin(kinds, g) if g.kind.param_count else None for g in gates]
+    else:
         raise ValueError(f"unknown mutation group {group!r}")
-    return [(p.position, p, angles) for p in pool if p.kind == group for angles in _mutant_angles(p.gate)]
+    slots = []
+    for pos, twin in enumerate(twins):
+        size = sum(len(_slot_qubits(c, pos, group, k)) * len(_mutant_angles(k)) for k in kinds)
+        slots.append((pos, size - (twin is not None), twin))
+    return slots
 
 
-def _edit_key(ref_key: tuple, edit: _Edit) -> tuple:
-    """Gate-sequence key of the mutant ``edit`` makes, without building it."""
-    pos, patch, angles = edit
-    if patch is None:
-        return ref_key[:pos] + ref_key[pos + 1 :]
-    tail = pos + 1 if patch.kind == "replace" else pos
-    return ref_key[:pos] + (_gate_key(patch.gate, patch.qubits, angles),) + ref_key[tail:]
+def _slot_edit(c: Circuit, pos: int, group: str, kinds: list[GateKind], twin: _Edit | None, offset: int) -> _Edit:
+    """The ``offset``-th distinct edit of a slot, in pool order."""
+    edits = ((k, qs, a) for k in kinds for qs in _slot_qubits(c, pos, group, k) for a in _mutant_angles(k))
+    return next(islice((e for e in edits if e != twin), offset, None))
 
 
-def _build_mutant(c: Circuit, edit: _Edit) -> tuple[Circuit, str, int]:
+def _build_mutant(c: Circuit, group: str, pos: int, edit: _Edit | None) -> tuple[Circuit, str, int]:
     """(mutant, description, fault position in mutant coordinates)."""
-    pos, patch, angles = edit
-    if patch is None:
+    if edit is None:
         m = remove_gate(c, pos)
         return m, f"remove {c.gates[pos].kind.gate_name} @{pos}", min(pos, len(m.gates) - 1)
+    kind, qubits, angles = edit
+    g = GateApp(kind, qubits, angles)
     ptxt = f"({','.join(f'{a:.6g}' for a in angles)})" if angles else ""
-    gate = f"{patch.gate.gate_name}{ptxt} {patch.qubits}"
-    if patch.kind == "add":
-        desc = f"add {gate} @{pos}"
-    else:
-        desc = f"replace {c.gates[pos].kind.gate_name} @{pos} -> {gate}"
-    return apply_patch(c, patch, angles), desc, pos
+    gate = f"{kind.gate_name}{ptxt} {qubits}"
+    if group == "add":
+        return insert_gate(c, pos, g), f"add {gate} @{pos}", pos
+    return replace_gate(c, pos, g), f"replace {c.gates[pos].kind.gate_name} @{pos} -> {gate}", pos
 
 
 def inject_faults(
@@ -254,35 +281,35 @@ def inject_faults(
     The add and replace groups are the repair edit space of
     :func:`generate_patches` over ``catalog``, parametric kinds expanded over
     a fixed angle grid; the remove group drops each gate once. Edits that
-    give the reference or an earlier candidate's gate sequence are dropped,
-    judged on a key computed from the edit alone. Each group is shuffled by
-    the seed, and a mutant is built and evaluated only when the shuffle
-    reaches it, which draws a uniform without-replacement sample from the
-    non-equivalent subset without paying for the whole enumeration.
+    give the reference or an earlier candidate's gate sequence are dropped
+    by a per-slot rule on neighbouring gates (see :func:`_mutation_slots`),
+    so nothing is enumerated: a group is a list of per-slot counts. Each
+    group is shuffled by the seed, a drawn index is mapped to its slot and
+    edit, and the mutant is built and evaluated only then, which draws a
+    uniform without-replacement sample from the non-equivalent subset.
     """
     if suite is None:
         suite = generate_suite(c)
-    pool = generate_patches(c, catalog)
+    kinds = _patch_kinds(c, catalog)
     prefixes = suite.prefixes(c)
-    ref_key = tuple(_gate_key(g.kind, g.qubits, g.params) for g in c.gates)
 
     records: list[MutantRecord] = []
-    seen: set[tuple] = {ref_key}  # a replace by an identical gate gives the reference back
     any_candidates = False
     for gi, group in enumerate(groups):
-        candidates = []
-        for edit in _group_edits(c, group, pool):
-            key = _edit_key(ref_key, edit)
-            if key not in seen:
-                seen.add(key)
-                candidates.append(edit)
-        any_candidates = any_candidates or bool(candidates)
+        # a group listed again repeats only sequences already seen
+        slots = [] if group in groups[:gi] else _mutation_slots(c, group, kinds)
+        ends = list(accumulate(n for _, n, _ in slots))
+        size = ends[-1] if ends else 0
+        any_candidates = any_candidates or size > 0
         rng = np.random.default_rng([seed & (2**63 - 1), gi])
         found = 0
-        for idx in rng.permutation(len(candidates)):
+        for idx in rng.permutation(size):
             if found >= per_group:
                 break
-            m, desc, fault_pos = _build_mutant(c, candidates[idx])
+            si = bisect_right(ends, idx)
+            pos, n, twin = slots[si]
+            edit = None if group == "remove" else _slot_edit(c, pos, group, kinds, twin, idx - ends[si] + n)
+            m, desc, fault_pos = _build_mutant(c, group, pos, edit)
             score = fitness(m, suite, prefixes=prefixes)
             if score.failed_count == 0:
                 continue  # equivalent under the suite

@@ -12,7 +12,10 @@ def test_every_bench_layer_runs_once():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     layers = bench.layers()
-    assert {"gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "localize_dj6", "edit_grover3", "edit_dj6"} <= set(layers)
+    assert {
+        "gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "localize_dj6",
+        "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6",
+    } <= set(layers)
     for name, (fn, facts) in layers.items():
         fn()
         assert isinstance(facts, dict), name

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, replace_gate
-from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, main
+from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, build_parser, main
 from qrep.qasm import emit_qasm
 
 
@@ -286,6 +286,31 @@ def test_duplicated_catalog_gate_is_tried_once(circuits, tmp_path, sub):
 
 def test_no_subcommand_exit_one():
     assert run([]) == EXIT_ERROR
+
+
+def test_usage_error_is_exactly_one_line(circuits, capsys):
+    code = run([
+        "repair", "--circuit", circuits["easy"], "--reference", circuits["ref"],
+        "--budget-evals", "0",
+    ])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "qrep: error: argument --budget-evals: must be >= 1, got 0\n"
+
+
+def test_missing_subcommand_is_exactly_one_line(capsys):
+    assert run([]) == EXIT_ERROR
+    assert capsys.readouterr().err == "qrep: error: the following arguments are required: command\n"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("flag,printed", [("--version", "qrep "), ("--help", "usage: qrep")])
+def test_help_and_version_still_print(capsys, flag, printed):
+    assert run([flag]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out.startswith(printed) and out.err == ""
 
 
 # -------------------------------------------------------------- bad inputs

@@ -106,7 +106,7 @@ def test_localize_on_mutated_qasm_exits_zero_or_one(sources):
 # It must end with exit 0, 1 or 2; an exit 1 prints exactly one error line
 # and no traceback. Budgets stay small so valid draws finish fast.
 
-_ERROR_LINE = re.compile(r"qrep( [\w-]+)?: error: ")
+_ERROR_LINE = re.compile(r"^qrep: error: ")
 
 
 def _run_cli(argv: list[str]) -> int:
@@ -117,7 +117,7 @@ def _run_cli(argv: list[str]) -> int:
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_NOT_FIXED), (code, text)
     assert "Traceback" not in text
     if code == EXIT_ERROR:
-        lines = [ln for ln in text.splitlines() if "error" in ln]
+        lines = text.splitlines()
         assert len(lines) == 1 and _ERROR_LINE.match(lines[0]), text
     return code
 

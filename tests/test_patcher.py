@@ -1,11 +1,13 @@
 """Patch enumeration, ordering, apply/revert, and the fault injector."""
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import random_circuit
-from oracles import cursor_order_uniform, eager_inject_faults, eager_order_uniform
+from hypothesis import given, settings, strategies as st
+from oracles import _MUTANT_ANGLES, cursor_order_uniform, eager_inject_faults, eager_order_uniform
 
 from qrep.benchmarks import build_benchmark, standard_catalog
 from qrep.circuit import GateApp, GateKind, build_circuit
@@ -348,10 +350,44 @@ def test_inject_faults_matches_eager_reference_on_standard_catalog(name, catalog
         ([("rx", 0, (math.pi / 2,))], ("rx",), ("replace",), False),  # rx(pi/2) -> itself excluded
         ([], ("x",), ("remove", "replace"), False),  # no candidates at all
         ([("h", 0), ("h", 0)], ("x", "z"), ("add", "add"), False),  # repeated group: all seen
+        # equal neighbours: an add of their copy or a removal repeats the one before it
+        ([("h", 0), ("rz", 0, (math.pi / 4,)), ("rz", 0, (math.pi / 4,)), ("h", 0)], ("rz",), ("add", "replace"),
+         False),
+        ([("h", 0), ("cx", (0, 1)), ("cx", (0, 1))], ("x",), ("remove",), False),
+        ([("h", 0), ("t", 0)], ("x",), ("remove", "remove"), False),
+        ([("h", 0), ("h", 0)], ("x", "h", "x", "cx"), ("add", "replace"), False),  # duplicate and too wide
     ],
 )
 def test_inject_faults_matches_eager_reference_on_edge_cases(ops, catalog, groups, raises):
-    ref = build_circuit(1, ops)
+    width = max((max(op[1]) if isinstance(op[1], tuple) else op[1] for op in ops), default=0) + 1
+    ref = build_circuit(width, ops)
     for seed in range(3):
         outcomes = _assert_injectors_agree(ref, seed, catalog, groups=groups)
         assert all(isinstance(o, tuple) == raises for o in outcomes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([DEFAULT_MUTATION_CATALOG, ("rz", "cx"), ("x", "rx", "u", "cp")]))
+def test_inject_faults_matches_eager_reference_on_repeated_gates(seed, catalog):
+    """A random circuit with one gate doubled in place, its angles on the
+    injector's grid or not, exercises every per-slot repeat rule."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+    gates = list(c.gates)
+    i = int(rng.integers(len(gates)))
+    g = gates[i]
+    if g.params and rng.integers(2):
+        g = GateApp(g.kind, g.qubits, (float(rng.choice(_MUTANT_ANGLES)),) * len(g.params))
+    gates[i : i + 1] = [g, g]
+    ref = replace(c, gates=tuple(gates))
+    _assert_injectors_agree(ref, int(rng.integers(8)), catalog, per_groups=(2,))
+
+
+def test_inject_faults_rejects_unknown_group_and_non_unitary_catalog(bell, monkeypatch):
+    with pytest.raises(ValueError, match="unknown mutation group 'swap'"):
+        inject_faults(bell, seed=0, per_group=1, groups=("add", "swap"))
+    judged = []
+    monkeypatch.setattr("qrep.patcher.fitness", lambda *a, **k: judged.append(a))
+    with pytest.raises(ValueError, match="measure cannot be a patch gate"):
+        inject_faults(bell, seed=0, per_group=1, catalog=("x", "measure"), groups=("remove",))
+    assert judged == []
