@@ -12,7 +12,10 @@ prune once to three quarters of the gates, as the first of four
 iterations does), the single-gate edits of grover3 and dj6 (a removal
 and an insertion at position 0, and the same at the middle), and one
 ``inject_faults`` call with one mutant per group on grover3 and dj6 (their
-benchmark injection seeds, suite built beforehand). Each sample
+benchmark injection seeds, suite built beforehand), and, for the first of
+those grover3 mutants, ``parse_qasm`` of its emitted source and the JSON
+text (``to_dict`` plus ``json.dumps`` with indent 2) of one 50-evaluation
+repair report. Each sample
 is the mean of enough back-to-back calls to last about 20 ms; after
 one warm-up sample, ``--repeats`` samples give the median and the
 interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
@@ -41,8 +44,10 @@ import qrep
 from qrep import simulator
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import Circuit, GateApp, GateKind, insert_gate, remove_gate
+from qrep.engine import RepairConfig, repair
 from qrep.localizer import SuspiciousnessTable, localize
 from qrep.patcher import generate_patches, inject_faults, order_uniform, prune_to_gates
+from qrep.qasm import emit_qasm, parse_qasm
 from qrep.testkit import fitness, generate_suite
 
 FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj", 6))
@@ -50,6 +55,7 @@ QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
 QUEUE_POPS = 20
 EDIT_CIRCUITS = (("grover", 3), ("dj", 6))
 INJECT_CIRCUITS = (("grover", 3, 3), ("dj", 6, 1))  # (family, size, injection seed)
+REPORT_BUDGET = 50
 SAMPLE_S = 0.02
 
 
@@ -123,6 +129,15 @@ def layers() -> dict:
         ts = generate_suite(ref)
         inject = lambda ref=ref, seed=seed, ts=ts: inject_faults(ref, seed, per_group=1, suite=ts)
         out[f"inject_{fam}{n}"] = (inject, {"gates": len(ref.gates), "mutants": [r.description for r in inject()]})
+    fam, n, seed = INJECT_CIRCUITS[0]
+    ref = build_benchmark(fam, n)
+    ts = generate_suite(ref)
+    mutant = inject_faults(ref, seed, per_group=1, suite=ts)[0].mutant
+    text = emit_qasm(mutant)
+    out[f"parse_{fam}{n}"] = (lambda: parse_qasm(text), {"gates": len(mutant.gates), "chars": len(text)})
+    rep = repair(mutant, ts, RepairConfig(budget_evals=REPORT_BUDGET, seed=seed))
+    facts = {"status": rep.status, "evals": rep.evals_used, "ranking_rows": len(rep.ranking)}
+    out[f"report_{fam}{n}"] = (lambda: json.dumps(rep.to_dict(), indent=2), facts)
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -154,7 +154,8 @@ class RepairReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; nested rows are shared, not copied."""
+        return dict(vars(self))
 
 
 def pruning_keep_fraction(i: int, total: int) -> float:
@@ -236,7 +237,7 @@ class _Run:
 
         try:
             if not patch.is_parametric:
-                objective(patch.params or ())
+                objective(())
             elif rng is None:
                 minimize_params(objective, patch.gate.param_count, self.cfg.opt)
             else:

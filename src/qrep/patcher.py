@@ -56,18 +56,16 @@ class Patch:
     position: int
     gate: GateKind
     qubits: tuple[int, ...]
-    params: tuple[float, ...] | None = None  # None = to be optimized
     anchor: GateId | None = None
 
     @property
     def is_parametric(self) -> bool:
-        return self.gate.param_count > 0 and self.params is None
+        return self.gate.param_count > 0
 
 
 def apply_patch(c: Circuit, p: Patch, params: tuple[float, ...] | None = None) -> Circuit:
     """Edited copy of ``c``; ``params`` must be given for parametric patches."""
-    angles = params if params is not None else (p.params or ())
-    g = GateApp(p.gate, p.qubits, tuple(angles))
+    g = GateApp(p.gate, p.qubits, tuple(params) if params is not None else ())
     if p.kind == "add":
         return insert_gate(c, p.position, g)
     if p.kind == "replace":
@@ -123,7 +121,7 @@ def generate_patches(c: Circuit, catalog: tuple[str, ...] = DEFAULT_PATCH_CATALO
     pool: list[Patch] = []
     for pos, typ in _slots(c):
         anchor = _anchor(c, pos)
-        pool += [Patch(typ, pos, k, qs, None, anchor) for k in kinds for qs in _slot_qubits(c, pos, typ, k)]
+        pool += [Patch(typ, pos, k, qs, anchor) for k in kinds for qs in _slot_qubits(c, pos, typ, k)]
     return pool
 
 
@@ -176,7 +174,7 @@ class PatchQueue:
                     self.left[slot] -= 1
                     if kq is not None:
                         self.size -= 1
-                        return Patch(typ, pos, *kq, None, _anchor(self.c, pos))
+                        return Patch(typ, pos, *kq, _anchor(self.c, pos))
                     break
 
 

@@ -6,314 +6,266 @@ operands, and constant angle expressions (numbers, pi, + - * /, parentheses,
 unary minus). Gate definitions, opaque declarations, conditionals and resets
 are rejected rather than skipped. Barriers parse but are dropped: they have
 no effect on simulation and patch positions index only quantum gates.
+
+One regex pass splits the comment-free source into ``(type, text, offset)``
+tokens; a line and column are worked out from an offset only for an error.
 """
 from __future__ import annotations
 
 import math
 import re
+from typing import Callable, TypeVar
 
-from .circuit import GATE_BY_NAME, Circuit, GateApp, GateKind
-from .errors import QasmSyntaxError, UnsupportedFeatureError, UnsupportedGateError
+from .circuit import GATE_BY_NAME, Circuit, GateApp
+from .errors import QasmError, QasmSyntaxError, UnsupportedFeatureError, UnsupportedGateError
 
+# numbers use ASCII digits only, as in the OpenQASM 2.0 grammar; any other
+# character no group takes, a non-ASCII digit included, is BAD
 _TOKEN_RE = re.compile(
     r"""
       (?P<ID>     [A-Za-z_][A-Za-z0-9_]*)
-    | (?P<NUMBER> (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+    | (?P<NUMBER> (?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
     | (?P<STRING> "[^"]*")
     | (?P<ARROW>  ->)
     | (?P<SYM>    [{}\[\](),;+\-*/^=<>])
+    | (?P<SKIP>   \s+)
+    | (?P<BAD>    .)
     """,
     re.VERBOSE,
 )
 
 _RESERVED_FEATURES = {"gate", "opaque", "if", "reset"}
+_REGISTER_KINDS = {"qreg": "quantum", "creg": "classical"}
 
 # parentheses and unary signs an angle expression may nest; the parser
 # recurses once per level, so deeper input would exhaust the Python stack
 _MAX_EXPR_DEPTH = 64
 
-
-class _Token:
-    __slots__ = ("typ", "val", "line", "col")
-
-    def __init__(self, typ: str, val: str, line: int, col: int):
-        self.typ = typ
-        self.val = val
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list[_Token]:
-    src = re.sub(r"//[^\n]*", "", text)
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        m = _TOKEN_RE.match(src, i)
-        if not m:
-            raise QasmSyntaxError(f"unexpected character {ch!r}", line, col)
-        tok = _Token(m.lastgroup, m.group(), line, col)
-        tokens.append(tok)
-        col += m.end() - i
-        i = m.end()
-    return tokens
+_T = TypeVar("_T")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the tokens of one source."""
+
+    def __init__(self, text: str):
+        # comments go before tokenising, so a "//" inside a string starts one too
+        self.src = re.sub(r"//[^\n]*", "", text)
+        self.tokens: list[tuple[str, str, int]] = []
         self.pos = 0
         self.depth = 0  # open parentheses and unary signs around the current factor
+        for m in _TOKEN_RE.finditer(self.src):
+            typ = m.lastgroup
+            if typ == "BAD":  # before parsing, so it wins over an earlier syntax error
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            if typ != "SKIP":
+                self.tokens.append((typ, m.group(), m.start()))
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def error(self, message: str, off: int | None = None, cls: type[QasmError] = QasmSyntaxError) -> QasmError:
+        """``cls`` at source offset ``off``, by default that of the last token taken."""
+        if off is None:
+            off = self.tokens[self.pos - 1][2] if self.pos else 0
+        line = self.src.count("\n", 0, off) + 1
+        return cls(message, line, off - self.src.rfind("\n", 0, off))
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise QasmSyntaxError(
-                "unexpected end of input",
-                last.line if last else 1,
-                last.col if last else 1,
-            )
+    def next(self) -> tuple[str, str, int]:
+        if self.pos == len(self.tokens):
+            raise self.error("unexpected end of input")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, val: str) -> _Token:
-        tok = self.next()
-        if tok.val != val:
-            raise QasmSyntaxError(f"expected {val!r}, got {tok.val!r}", tok.line, tok.col)
-        return tok
+    def take(self, *texts: str) -> str | None:
+        """The next token's text, taken if it is one of ``texts``; else None."""
+        if self.pos < len(self.tokens) and self.tokens[self.pos][1] in texts:
+            self.pos += 1
+            return self.tokens[self.pos - 1][1]
+        return None
+
+    def expect(self, text: str) -> None:
+        got = self.next()[1]
+        if got != text:
+            raise self.error(f"expected {text!r}, got {got!r}")
+
+    def comma_list(self, item: Callable[[], _T]) -> list[_T]:
+        """One or more ``item()`` results separated by commas."""
+        items = [item()]
+        while self.take(","):
+            items.append(item())
+        return items
 
     # --- angle expressions: term-level precedence with unary minus ---
 
     def parse_expr(self) -> float:
         val = self.parse_term()
-        while self.peek() and self.peek().val in "+-":
-            op = self.next().val
+        while op := self.take("+", "-"):
             rhs = self.parse_term()
             val = val + rhs if op == "+" else val - rhs
         return val
 
     def parse_term(self) -> float:
         val = self.parse_factor()
-        while self.peek() and self.peek().val in "*/":
-            op = self.next().val
+        while op := self.take("*", "/"):
             rhs = self.parse_factor()
-            if op == "/":
-                if rhs == 0:
-                    raise QasmSyntaxError("division by zero in angle", self.tokens[self.pos - 1].line, self.tokens[self.pos - 1].col)
-                val = val / rhs
-            else:
-                val = val * rhs
+            if op == "/" and rhs == 0:
+                raise self.error("division by zero in angle")
+            val = val * rhs if op == "*" else val / rhs
         return val
 
     def parse_angle(self) -> float:
-        tok = self.peek()
+        start = self.pos
         val = self.parse_expr()
         if not math.isfinite(val):
-            raise QasmSyntaxError(f"non-finite angle {val}", tok.line, tok.col)
+            raise self.error(f"non-finite angle {val}", self.tokens[start][2])
         return val
 
     def parse_factor(self) -> float:
-        tok = self.next()
-        if tok.val in ("-", "+", "("):
+        typ, text, _ = self.next()
+        if text in ("-", "+", "("):
             self.depth += 1
             if self.depth > _MAX_EXPR_DEPTH:
-                raise QasmSyntaxError(
-                    f"angle expression nested deeper than {_MAX_EXPR_DEPTH} levels", tok.line, tok.col
-                )
-            if tok.val == "(":
+                raise self.error(f"angle expression nested deeper than {_MAX_EXPR_DEPTH} levels")
+            if text == "(":
                 val = self.parse_expr()
                 self.expect(")")
             else:
                 val = self.parse_factor()
             self.depth -= 1
-            return -val if tok.val == "-" else val
-        if tok.typ == "NUMBER":
-            return float(tok.val)
-        if tok.typ == "ID" and tok.val == "pi":
+            return -val if text == "-" else val
+        if typ == "NUMBER":
+            return float(text)
+        if text == "pi":
             return math.pi
-        raise QasmSyntaxError(f"bad angle expression near {tok.val!r}", tok.line, tok.col)
+        raise self.error(f"bad angle expression near {text!r}")
 
+    def integer(self, what: str) -> int:
+        typ, text, _ = self.next()
+        if typ != "NUMBER" or not text.isdigit():
+            raise self.error(f"expected {what}")
+        try:
+            return int(text)
+        except ValueError:  # more digits than Python converts to an int
+            raise self.error(f"{what} has {len(text)} digits") from None
 
-def _integer(tok: _Token, what: str) -> int:
-    if tok.typ != "NUMBER" or not tok.val.isdigit():
-        raise QasmSyntaxError(f"expected {what}", tok.line, tok.col)
-    try:
-        return int(tok.val)
-    except ValueError:  # more digits than Python converts to an int
-        raise QasmSyntaxError(f"{what} has {len(tok.val)} digits", tok.line, tok.col) from None
+    def parse_operand(self, reg: tuple[str, int] | None, what: str) -> tuple[int | None, int]:
+        """(index, offset of the register name); index None means the whole register."""
+        typ, name, at = self.next()
+        if typ != "ID":
+            raise self.error(f"expected {what} operand")
+        if reg is None or name != reg[0]:
+            raise self.error(f"unknown register {name!r}")
+        if not self.take("["):
+            return None, at
+        i = self.integer("integer index")
+        i_at = self.tokens[self.pos - 1][2]
+        self.expect("]")
+        if i >= reg[1]:
+            raise self.error(f"index {i} out of range for {reg[0]}[{reg[1]}]", i_at)
+        return i, at
+
+    def parse_gate(self, name: str, at: int, qreg: tuple[str, int] | None) -> list[GateApp]:
+        """The applications of one gate statement whose name is at offset ``at``."""
+        kind = GATE_BY_NAME.get(name)
+        if kind is None or not kind.is_unitary:
+            raise self.error(f"unsupported gate {name!r}", cls=UnsupportedGateError)
+        if qreg is None:
+            raise self.error("gate before qreg declaration")
+        params: tuple[float, ...] = ()
+        if self.take("("):
+            params = tuple(self.comma_list(self.parse_angle))
+            self.expect(")")
+        if len(params) != kind.param_count:
+            raise self.error(f"{kind.gate_name} expects {kind.param_count} parameter(s), got {len(params)}", at)
+        qubits = [q for q, _ in self.comma_list(lambda: self.parse_operand(qreg, "gate"))]
+        self.expect(";")
+        if None in qubits:
+            if kind.num_qubits != 1 or len(qubits) != 1:
+                raise self.error(
+                    "whole-register operands only supported for single-qubit gates", at, UnsupportedFeatureError
+                )
+            return [GateApp(kind, (q,), params) for q in range(qreg[1])]
+        if len(qubits) != kind.num_qubits:
+            raise self.error(f"{kind.gate_name} expects {kind.num_qubits} qubit(s), got {len(qubits)}", at)
+        if len(set(qubits)) != len(qubits):
+            raise self.error(f"{kind.gate_name} qubits must be distinct", at)
+        return [GateApp(kind, tuple(qubits), params)]
+
+    def parse(self) -> Circuit:
+        if self.next()[1] != "OPENQASM":
+            raise self.error("file must start with OPENQASM 2.0")
+        version = self.next()[1]
+        if version != "2.0":
+            raise self.error(f"unsupported OPENQASM version {version}", cls=UnsupportedFeatureError)
+        self.expect(";")
+
+        regs: dict[str, tuple[str, int] | None] = dict.fromkeys(_REGISTER_KINDS)
+        gates: list[GateApp] = []
+        measurements: dict[int, int] = {}
+        while self.pos < len(self.tokens):
+            typ, word, at = self.next()
+            qreg, creg = regs["qreg"], regs["creg"]
+            if typ != "ID":
+                raise self.error(f"expected statement, got {word!r}")
+
+            if word == "include":
+                typ, path, _ = self.next()
+                if typ != "STRING":
+                    raise self.error("expected include path string")
+                if path.strip('"') not in ("qelib1.inc",):
+                    raise self.error(f"unsupported include {path}", cls=UnsupportedFeatureError)
+                self.expect(";")
+
+            elif word in regs:
+                if regs[word] is not None:
+                    raise self.error(f"multiple {_REGISTER_KINDS[word]} registers", cls=UnsupportedFeatureError)
+                typ, name, _ = self.next()
+                if typ != "ID":
+                    raise self.error(f"expected {word} name")
+                self.expect("[")
+                regs[word] = name, self.integer(f"{word} size")
+                self.expect("]")
+                self.expect(";")
+                if word == "qreg" and regs[word][1] < 1:
+                    raise self.error("quantum register must have at least one qubit", at)
+
+            elif word in _RESERVED_FEATURES:
+                raise self.error(f"{word!r} statements are not supported", cls=UnsupportedFeatureError)
+
+            elif word == "barrier":
+                # transparent: consume operands, keep nothing
+                if qreg is None:
+                    raise self.error("barrier before qreg declaration")
+                self.comma_list(lambda: self.parse_operand(qreg, "barrier"))
+                self.expect(";")
+
+            elif word == "measure":
+                if qreg is None:
+                    raise self.error("measure before qreg declaration")
+                qi, _ = self.parse_operand(qreg, "measure")
+                self.expect("->")
+                if creg is None:
+                    raise self.error("measure without classical register", at)
+                ci, c_at = self.parse_operand(creg, "measure")
+                self.expect(";")
+                if qi is None and ci is None:
+                    if qreg[1] != creg[1]:
+                        raise self.error(f"register sizes differ: {qreg[1]} qubits vs {creg[1]} bits", c_at)
+                    measurements.update((k, k) for k in range(qreg[1]))
+                elif qi is not None and ci is not None:
+                    measurements[qi] = ci
+                else:
+                    raise self.error("measure operands must both be indexed or both whole registers", c_at)
+
+            else:
+                gates += self.parse_gate(word, at, qreg)
+
+        qreg, creg = regs["qreg"], regs["creg"]
+        if qreg is None:
+            raise self.error("missing qreg declaration", 0)
+        return Circuit(qreg[1], creg[1] if creg else 0, tuple(gates), measurements)
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse OpenQASM 2.0 source into a :class:`Circuit`."""
-    p = _Parser(_tokenize(text))
-
-    tok = p.next()
-    if tok.val != "OPENQASM":
-        raise QasmSyntaxError("file must start with OPENQASM 2.0", tok.line, tok.col)
-    ver = p.next()
-    if ver.val != "2.0":
-        raise UnsupportedFeatureError(f"unsupported OPENQASM version {ver.val}", ver.line, ver.col)
-    p.expect(";")
-
-    qreg: tuple[str, int] | None = None
-    creg: tuple[str, int] | None = None
-    gates: list[GateApp] = []
-    measurements: dict[int, int] = {}
-
-    def parse_decl(keyword: str) -> tuple[str, int]:
-        name = p.next()
-        if name.typ != "ID":
-            raise QasmSyntaxError(f"expected {keyword} name", name.line, name.col)
-        p.expect("[")
-        size = _integer(p.next(), f"{keyword} size")
-        p.expect("]")
-        p.expect(";")
-        return name.val, size
-
-    def parse_operand(reg: tuple[str, int] | None, what: str) -> tuple[int | None, _Token]:
-        """Returns (index, token); index None means whole register."""
-        name = p.next()
-        if name.typ != "ID":
-            raise QasmSyntaxError(f"expected {what} operand", name.line, name.col)
-        if reg is None or name.val != reg[0]:
-            raise QasmSyntaxError(f"unknown register {name.val!r}", name.line, name.col)
-        if p.peek() and p.peek().val == "[":
-            p.expect("[")
-            idx = p.next()
-            i = _integer(idx, "integer index")
-            p.expect("]")
-            if i >= reg[1]:
-                raise QasmSyntaxError(f"index {i} out of range for {reg[0]}[{reg[1]}]", idx.line, idx.col)
-            return i, name
-        return None, name
-
-    while p.peek() is not None:
-        tok = p.next()
-        if tok.typ != "ID":
-            raise QasmSyntaxError(f"expected statement, got {tok.val!r}", tok.line, tok.col)
-
-        if tok.val == "include":
-            path = p.next()
-            if path.typ != "STRING":
-                raise QasmSyntaxError("expected include path string", path.line, path.col)
-            if path.val.strip('"') not in ("qelib1.inc",):
-                raise UnsupportedFeatureError(f"unsupported include {path.val}", path.line, path.col)
-            p.expect(";")
-
-        elif tok.val == "qreg":
-            if qreg is not None:
-                raise UnsupportedFeatureError("multiple quantum registers", tok.line, tok.col)
-            qreg = parse_decl("qreg")
-            if qreg[1] < 1:
-                raise QasmSyntaxError("quantum register must have at least one qubit", tok.line, tok.col)
-
-        elif tok.val == "creg":
-            if creg is not None:
-                raise UnsupportedFeatureError("multiple classical registers", tok.line, tok.col)
-            creg = parse_decl("creg")
-
-        elif tok.val in _RESERVED_FEATURES:
-            raise UnsupportedFeatureError(f"{tok.val!r} statements are not supported", tok.line, tok.col)
-
-        elif tok.val == "barrier":
-            # transparent: consume operands, keep nothing
-            if qreg is None:
-                raise QasmSyntaxError("barrier before qreg declaration", tok.line, tok.col)
-            parse_operand(qreg, "barrier")
-            while p.peek() and p.peek().val == ",":
-                p.expect(",")
-                parse_operand(qreg, "barrier")
-            p.expect(";")
-
-        elif tok.val == "measure":
-            if qreg is None:
-                raise QasmSyntaxError("measure before qreg declaration", tok.line, tok.col)
-            qi, _ = parse_operand(qreg, "measure")
-            p.expect("->")
-            if creg is None:
-                raise QasmSyntaxError("measure without classical register", tok.line, tok.col)
-            ci, ctok = parse_operand(creg, "measure")
-            p.expect(";")
-            if qi is None and ci is None:
-                if qreg[1] != creg[1]:
-                    raise QasmSyntaxError(
-                        f"register sizes differ: {qreg[1]} qubits vs {creg[1]} bits", ctok.line, ctok.col
-                    )
-                for k in range(qreg[1]):
-                    measurements[k] = k
-            elif qi is not None and ci is not None:
-                measurements[qi] = ci
-            else:
-                raise QasmSyntaxError("measure operands must both be indexed or both whole registers", ctok.line, ctok.col)
-
-        else:
-            # gate application
-            if tok.val not in GATE_BY_NAME or not GATE_BY_NAME[tok.val].is_unitary:
-                raise UnsupportedGateError(f"unsupported gate {tok.val!r}", tok.line, tok.col)
-            kind = GATE_BY_NAME[tok.val]
-            if qreg is None:
-                raise QasmSyntaxError("gate before qreg declaration", tok.line, tok.col)
-            params: tuple[float, ...] = ()
-            if p.peek() and p.peek().val == "(":
-                p.expect("(")
-                vals = [p.parse_angle()]
-                while p.peek() and p.peek().val == ",":
-                    p.expect(",")
-                    vals.append(p.parse_angle())
-                p.expect(")")
-                params = tuple(vals)
-            if len(params) != kind.param_count:
-                raise QasmSyntaxError(
-                    f"{kind.gate_name} expects {kind.param_count} parameter(s), got {len(params)}",
-                    tok.line,
-                    tok.col,
-                )
-            operands = [parse_operand(qreg, "gate")]
-            while p.peek() and p.peek().val == ",":
-                p.expect(",")
-                operands.append(parse_operand(qreg, "gate"))
-            p.expect(";")
-            qubits = [q for q, _ in operands]
-            if any(q is None for q in qubits):
-                if kind.num_qubits != 1 or len(qubits) != 1:
-                    raise UnsupportedFeatureError(
-                        "whole-register operands only supported for single-qubit gates", tok.line, tok.col
-                    )
-                for q in range(qreg[1]):
-                    gates.append(GateApp(kind, (q,), params))
-            else:
-                if len(qubits) != kind.num_qubits:
-                    raise QasmSyntaxError(
-                        f"{kind.gate_name} expects {kind.num_qubits} qubit(s), got {len(qubits)}",
-                        tok.line,
-                        tok.col,
-                    )
-                if len(set(qubits)) != len(qubits):
-                    raise QasmSyntaxError(f"{kind.gate_name} qubits must be distinct", tok.line, tok.col)
-                gates.append(GateApp(kind, tuple(qubits), params))
-
-    if qreg is None:
-        raise QasmSyntaxError("missing qreg declaration", 1, 1)
-    return Circuit(
-        num_qubits=qreg[1],
-        num_clbits=creg[1] if creg else 0,
-        gates=tuple(gates),
-        measurements=measurements,
-    )
+    return _Parser(text).parse()
 
 
 def _fmt_angle(v: float) -> str:

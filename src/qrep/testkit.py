@@ -43,7 +43,6 @@ class TestCase:
 class TestSuite:
     num_qubits: int
     cases: tuple[TestCase, ...]
-    reference: Circuit | None = None
     # derived from ``cases`` once, so an evaluation is one kernel call plus
     # array operations: the sorted simulated inputs, the measured bases in
     # BASIS_ORDER, each case's (basis, input) index into the kernel's
@@ -168,7 +167,7 @@ def generate_suite(
         for input_state in range(2**q)
         for b, basis in enumerate(BASIS_ORDER)
     )
-    return TestSuite(num_qubits=q, cases=cases, reference=reference)
+    return TestSuite(num_qubits=q, cases=cases)
 
 
 def _is_probability(p) -> bool:
@@ -205,7 +204,7 @@ def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
         except ValueError as e:
             raise ExpectedTableError(f"case {cid!r}: {e}") from None
         cases.append(TestCase(id=cid, input_state=input_state, basis=basis, expected=dist))
-    return TestSuite(num_qubits=width, cases=tuple(cases), reference=None)
+    return TestSuite(num_qubits=width, cases=tuple(cases))
 
 
 def hellinger(p: Distribution, q: Distribution) -> float:

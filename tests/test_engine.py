@@ -1,4 +1,6 @@
 """Repair-engine orchestration: budgets, pruning, reports, RS baseline."""
+import dataclasses
+import json
 import math
 import time
 from collections import deque
@@ -235,6 +237,14 @@ def test_report_key_order(bell, bell_suite):
     ]
     entry = rep.to_dict()["ranking"][0]
     assert set(entry) == {"gate_id", "score", "percentile"}
+
+
+@pytest.mark.parametrize("budget,status", [(2000, STATUS_REPAIRED), (4, STATUS_NOT_FIXED)])
+def test_report_dict_writes_the_json_of_a_deep_copy(bell, bell_suite, budget, status):
+    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
+    rep = repair(broken, bell_suite, cfg_evals(budget))
+    assert rep.status == status and rep.best_patches and rep.ranking
+    assert json.dumps(rep.to_dict(), indent=2) == json.dumps(dataclasses.asdict(rep), indent=2)
 
 
 @pytest.mark.parametrize("search", [repair, random_search])

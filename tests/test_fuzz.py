@@ -3,8 +3,9 @@
 Each example emits a random circuit, then makes one to three token edits:
 delete, duplicate, replace, insert or swap a token, or put a new number in
 place of a number or an angle. Whatever the result, the parser must either
-return a circuit that round-trips or raise a QRepError, and the CLI must
-end with exit code 0 or 1 instead of a traceback.
+return a circuit that round-trips or raise a QRepError, it must agree with
+the token-loop parser it replaced, and the CLI must end with exit code 0 or
+1 instead of a traceback.
 """
 import contextlib
 import io
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from conftest import random_circuit
 from hypothesis import given, settings, strategies as st
+from oracles import token_loop_parse_qasm
 
 from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, main
 from qrep.errors import QRepError
@@ -85,6 +87,21 @@ def test_mutated_qasm_round_trips_or_raises_qrep_error(sources):
     except QRepError:
         return
     assert parse_qasm(emit_qasm(c)) == c
+
+
+def _parse_outcome(parse, text: str):
+    """The circuit, or the error's class, message, line and column."""
+    try:
+        return parse(text)
+    except QRepError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_qasm())
+def test_mutated_qasm_parses_as_the_token_loop_parser(sources):
+    _, text = sources
+    assert _parse_outcome(parse_qasm, text) == _parse_outcome(token_loop_parse_qasm, text)
 
 
 @settings(max_examples=40, deadline=None)

@@ -178,3 +178,40 @@ def test_overlong_integer_is_syntax_error_with_location(src, where):
         parse_qasm(src)
     assert (exc.value.line, exc.value.col) == where
     assert "5000 digits" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "src,message,where",
+    [
+        ("OPENQASM 2.0; // note\nqreg q[1]; @\n", "unexpected character '@'", (2, 12)),
+        ("OPENQASM 2.0;\nqreg q[2];\nh q[0]", "unexpected end of input", (3, 6)),
+        ("OPENQASM 2.0;\nqreg q[1];\n  ;\n", "expected statement, got ';'", (3, 3)),
+        ("OPENQASM 2.0;\nqreg q[2];\ncreg c[3];\nmeasure q -> c;\n", "register sizes differ", (4, 14)),
+        ("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c;\n", "both be indexed", (4, 17)),
+        ("OPENQASM 2.0;\nqreg q[1];\nrx(pi/0) q[0];\n", "division by zero", (3, 7)),
+        ("OPENQASM 2.0;\nqreg q[1];\nrx(pi/(1-1)) q[0];\n", "division by zero", (3, 11)),
+        ("OPENQASM 2.0;\nqreg q[1];\nh r[0];\n", "unknown register 'r'", (3, 3)),
+        ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[1];\n', "index 1 out of range", (4, 5)),
+        # a string that spans lines moves later positions down by its newlines
+        ('OPENQASM 2.0;\ninclude "a\nb";\n @\n', "unexpected character '@'", (4, 2)),
+    ],
+    ids=["char-after-comment", "end-of-input", "stray-semicolon", "register-sizes", "mixed-measure",
+         "divide-by-zero", "divide-by-zero-group", "unknown-register", "index-out-of-range", "multiline-string"],
+)
+def test_syntax_error_position_is_pinned(src, message, where):
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm(src)
+    assert message in str(exc.value)
+    assert (exc.value.line, exc.value.col) == where
+
+
+def test_non_ascii_digits_are_unexpected_characters():
+    # Arabic-Indic digits are Unicode decimal digits, but not OpenQASM ones
+    src = "OPENQASM 2.0;\nqreg q[٣];\nrx(١.٥) q[٢];\n"
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm(src)
+    assert "unexpected character '٣'" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (2, 8)
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm("OPENQASM 2.0;\nqreg q[3];\nrx(١.5) q[2];\n")
+    assert (exc.value.line, exc.value.col) == (3, 4)

@@ -107,7 +107,6 @@ def test_suite_from_expected_map():
     ts = suite_from_expected({"Z:0": {"0": 1.0}, "X:0": {"0": 0.5, "1": 0.5}})
     assert ts.num_qubits == 1
     assert len(ts) == 2
-    assert ts.reference is None
 
 
 def test_suite_from_expected_rejects_mixed_width():
