@@ -15,7 +15,9 @@ and an insertion at position 0, and the same at the middle), and one
 benchmark injection seeds, suite built beforehand), and, for the first of
 those grover3 mutants, ``parse_qasm`` of its emitted source and the JSON
 text (``to_dict`` plus ``json.dumps`` with indent 2) of one 50-evaluation
-repair report. Each sample
+repair report, and suite building: ``generate_suite`` of dj6, and
+``suite_from_expected`` of qft4's Z-basis table as a JSON round trip gives
+it (the table perfbench's ``cli-expected`` workload writes). Each sample
 is the mean of enough back-to-back calls to last about 20 ms; after
 one warm-up sample, ``--repeats`` samples give the median and the
 interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
@@ -48,7 +50,8 @@ from qrep.engine import RepairConfig, repair
 from qrep.localizer import SuspiciousnessTable, localize
 from qrep.patcher import generate_patches, inject_faults, order_uniform, prune_to_gates
 from qrep.qasm import emit_qasm, parse_qasm
-from qrep.testkit import fitness, generate_suite
+from qrep.simulator import MeasBasis
+from qrep.testkit import fitness, generate_suite, suite_from_expected
 
 FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj", 6))
 QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
@@ -138,6 +141,12 @@ def layers() -> dict:
     rep = repair(mutant, ts, RepairConfig(budget_evals=REPORT_BUDGET, seed=seed))
     facts = {"status": rep.status, "evals": rep.evals_used, "ranking_rows": len(rep.ranking)}
     out[f"report_{fam}{n}"] = (lambda: json.dumps(rep.to_dict(), indent=2), facts)
+    dj6 = build_benchmark("dj", 6)
+    out["suite_dj6"] = (lambda: generate_suite(dj6), {"cases": len(generate_suite(dj6))})
+    full = generate_suite(build_benchmark("qft", 4))
+    z_rows = {tc.id: tc.expected.as_dict() for tc in full.cases if tc.basis is MeasBasis.Z}
+    table = json.loads(json.dumps(z_rows, sort_keys=True))
+    out["suite_table_qft4"] = (lambda: suite_from_expected(table), {"cases": len(table)})
     return out
 
 

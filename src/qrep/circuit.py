@@ -86,15 +86,6 @@ class GateApp:
             if not math.isfinite(p):
                 raise ValueError(f"non-finite angle {p} on {self.kind.gate_name}")
 
-    def same_gate(self, other: "GateApp", atol: float = 1e-9) -> bool:
-        """Structural equality, angles compared within ``atol``."""
-        return (
-            self.kind is other.kind
-            and self.qubits == other.qubits
-            and len(self.params) == len(other.params)
-            and all(abs(a - b) <= atol for a, b in zip(self.params, other.params))
-        )
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -123,9 +114,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def gate_names(self) -> list[str]:
-        return [g.kind.gate_name for g in self.gates]
 
 
 def _check_qubits(g: GateApp, num_qubits: int) -> None:

@@ -339,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as e:
         print(f"qrep: error: bad JSON input: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as e:
+        print(f"qrep: error: out of memory: {e}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

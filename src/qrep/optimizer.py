@@ -39,6 +39,8 @@ class OptResult:
 _CAP_SENTINEL = 1e18
 # the largest iteration count scipy passes to PRIMA (a C long)
 _MAX_ITER = 2**63 - 1
+# COBYLA's initial trust-region radius; the final radius (``tol``) may not exceed it
+_RHOBEG = math.pi / 2
 
 
 def minimize_params(
@@ -78,8 +80,8 @@ def minimize_params(
         wrapped,
         np.zeros(n_params),
         method="COBYLA",
-        tol=budget.tolerance,
-        options={"maxiter": min(max(budget.max_evals, n_params + 2), _MAX_ITER), "rhobeg": math.pi / 2},
+        tol=min(budget.tolerance, _RHOBEG),
+        options={"maxiter": min(max(budget.max_evals, n_params + 2), _MAX_ITER), "rhobeg": _RHOBEG},
     )
     converged = bool(res.success)
     if count == 0:

@@ -77,11 +77,6 @@ class Distribution:
             arr[int(bits, 2)] = p
         return cls(num_qubits, arr)
 
-    def allclose(self, other: "Distribution", atol: float = 1e-10) -> bool:
-        return self.num_qubits == other.num_qubits and bool(
-            np.allclose(self.probs, other.probs, atol=atol, rtol=0.0)
-        )
-
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -378,11 +373,6 @@ def sample_frequencies(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be <= {MAX_SHOTS}")
     return np.random.default_rng(seed).multinomial(shots, probs) / shots
-
-
-def sample(d: Distribution, shots: int, seed: int) -> Distribution:
-    """:func:`sample_frequencies` of a :class:`Distribution`."""
-    return Distribution(d.num_qubits, sample_frequencies(d.probs, shots, seed))
 
 
 def default_shots(q: int) -> int:

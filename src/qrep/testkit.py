@@ -1,16 +1,19 @@
 """Test-suite generation, the pass/fail oracle, and the fitness function.
 
 A suite holds one test case per (classical input, measurement basis) pair,
-3 * 2^q cases total. A case fails when the observed output contains an
-outcome the expected distribution rules out, or when its Hellinger distance
-from the expected distribution exceeds the failure threshold. Fitness is the
-failed-case count plus the Hellinger distances summed over every case.
+3 * 2^q cases total. It stores one expected row per case in one matrix, and
+``TestSuite.cases`` is a per-case view built on demand. A case fails when
+the observed output contains an outcome the expected distribution rules
+out, or when its Hellinger distance from the expected distribution exceeds
+the failure threshold. Fitness is the failed-case count plus the Hellinger
+distances summed over every case.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,38 +42,40 @@ class TestCase:
     expected: Distribution
 
 
-@dataclass(frozen=True)
 class TestSuite:
-    num_qubits: int
-    cases: tuple[TestCase, ...]
-    # derived from ``cases`` once, so an evaluation is one kernel call plus
-    # array operations: the sorted simulated inputs, the measured bases in
-    # BASIS_ORDER, each case's (basis, input) index into the kernel's
-    # output, and the expected probabilities stacked in case order, with
-    # their square roots
-    inputs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    bases: tuple[MeasBasis, ...] = field(init=False, repr=False, compare=False)
-    case_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    expected: np.ndarray = field(init=False, repr=False, compare=False)
-    sqrt_expected: np.ndarray = field(init=False, repr=False, compare=False)
+    """Case ``i`` measures input ``input_states[i]`` in basis
+    ``BASIS_ORDER[basis_index[i]]`` and expects row ``i`` of ``expected``.
+    An evaluation is one kernel call plus array operations on what is
+    derived here once: the sorted simulated inputs, the measured bases in
+    BASIS_ORDER, each case's (basis, input) index into the kernel's output,
+    and the expected rows with their square roots.
+    """
 
-    def __post_init__(self):
-        inputs = sorted({tc.input_state for tc in self.cases})
-        column = {s: k for k, s in enumerate(inputs)}
-        bases = tuple(b for b in BASIS_ORDER if any(tc.basis is b for tc in self.cases))
-        rows = (
-            np.array([bases.index(tc.basis) for tc in self.cases], dtype=np.intp),
-            np.array([column[tc.input_state] for tc in self.cases], dtype=np.intp),
+    def __init__(self, num_qubits: int, basis_index: np.ndarray, input_states: np.ndarray, expected):
+        self.num_qubits = num_qubits
+        self._basis_index = basis_index
+        self._input_states = input_states
+        expected.setflags(write=False)
+        self.expected = expected
+        self.sqrt_expected = np.sqrt(expected)
+        used = np.flatnonzero(np.bincount(basis_index, minlength=len(BASIS_ORDER)))
+        self.bases = tuple(BASIS_ORDER[b] for b in used)
+        inputs = np.flatnonzero(np.bincount(input_states))
+        self.inputs = tuple(inputs.tolist())
+        self.case_rows = (np.searchsorted(used, basis_index), np.searchsorted(inputs, input_states))
+
+    @cached_property
+    def cases(self) -> tuple[TestCase, ...]:
+        """One :class:`TestCase` per row, in suite order, for tests and
+        tools; no evaluation reads it."""
+        q = self.num_qubits
+        return tuple(
+            TestCase(case_id(BASIS_ORDER[b], s, q), s, BASIS_ORDER[b], Distribution(q, row))
+            for b, s, row in zip(self._basis_index.tolist(), self._input_states.tolist(), self.expected)
         )
-        expected = np.stack([tc.expected.probs for tc in self.cases])
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "case_rows", rows)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "sqrt_expected", np.sqrt(expected))
 
     def __len__(self) -> int:
-        return len(self.cases)
+        return len(self.expected)
 
     def prefixes(self, c: Circuit) -> PrefixCache:
         """Prefix states of ``c`` over the suite's inputs, for evaluating
@@ -156,18 +161,10 @@ def generate_suite(
     q = reference.num_qubits
     if q > max_qubits:
         raise SuiteTooWideError(f"{q} qubits would need {3 * 2**q} test cases (max {max_qubits} qubits)")
-    probs = run_all_bases(reference, range(2**q))
-    cases = tuple(
-        TestCase(
-            id=case_id(basis, input_state, q),
-            input_state=input_state,
-            basis=basis,
-            expected=Distribution(q, probs[b, input_state]),
-        )
-        for input_state in range(2**q)
-        for b, basis in enumerate(BASIS_ORDER)
-    )
-    return TestSuite(num_qubits=q, cases=cases)
+    # input-major with the bases in BASIS_ORDER, the order fitness sums in
+    n = len(BASIS_ORDER)
+    probs = run_all_bases(reference, range(2**q)).transpose(1, 0, 2).reshape(-1, 2**q)
+    return TestSuite(q, np.tile(np.arange(n), 2**q), np.repeat(np.arange(2**q), n), probs)
 
 
 def _is_probability(p) -> bool:
@@ -186,7 +183,7 @@ def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
         raise ExpectedTableError("expected-distribution table must map case ids to distributions")
     if not expected:
         raise ExpectedTableError("expected-distribution map is empty")
-    cases = []
+    bases, inputs, rows = [], [], []
     width = None
     for cid in sorted(expected):
         basis, input_state, q = parse_case_id(cid)
@@ -203,8 +200,10 @@ def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
             dist = Distribution.from_dict(q, probs)
         except ValueError as e:
             raise ExpectedTableError(f"case {cid!r}: {e}") from None
-        cases.append(TestCase(id=cid, input_state=input_state, basis=basis, expected=dist))
-    return TestSuite(num_qubits=width, cases=tuple(cases))
+        bases.append(BASIS_ORDER.index(basis))
+        inputs.append(input_state)
+        rows.append(dist.probs)
+    return TestSuite(width, np.array(bases), np.array(inputs), np.stack(rows))
 
 
 def hellinger(p: Distribution, q: Distribution) -> float:

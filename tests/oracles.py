@@ -10,12 +10,15 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp
 from qrep.errors import QasmSyntaxError, UnsupportedFeatureError, UnsupportedGateError
 from qrep.qasm import _MAX_EXPR_DEPTH, _RESERVED_FEATURES
+from qrep.simulator import BASIS_ORDER, Distribution, run_all_bases, sample_frequencies
+from qrep.testkit import TestCase, case_id, parse_case_id
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -768,4 +771,95 @@ def token_loop_parse_qasm(text: str) -> Circuit:
         num_clbits=creg[1] if creg else 0,
         gates=tuple(gates),
         measurements=measurements,
+    )
+
+
+# ------------------------------------------------ suites, one object per case
+#
+# Suite construction as it stood before a suite became one expected matrix:
+# a TestCase, with its own Distribution, per (input, basis) pair, and the
+# arrays fitness reads stacked from those objects. test_testkit.py holds
+# generate_suite and suite_from_expected to these byte for byte.
+
+
+@dataclass(frozen=True)
+class PerCaseSuite:
+    num_qubits: int
+    cases: tuple
+    inputs: tuple = field(init=False)
+    bases: tuple = field(init=False)
+    case_rows: tuple = field(init=False)
+    expected: np.ndarray = field(init=False)
+    sqrt_expected: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        inputs = sorted({tc.input_state for tc in self.cases})
+        column = {s: k for k, s in enumerate(inputs)}
+        bases = tuple(b for b in BASIS_ORDER if any(tc.basis is b for tc in self.cases))
+        rows = (
+            np.array([bases.index(tc.basis) for tc in self.cases], dtype=np.intp),
+            np.array([column[tc.input_state] for tc in self.cases], dtype=np.intp),
+        )
+        expected = np.stack([tc.expected.probs for tc in self.cases])
+        object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "case_rows", rows)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "sqrt_expected", np.sqrt(expected))
+
+    def __len__(self) -> int:
+        return len(self.cases)
+
+
+def per_case_generate_suite(reference) -> PerCaseSuite:
+    q = reference.num_qubits
+    probs = run_all_bases(reference, range(2**q))
+    cases = tuple(
+        TestCase(
+            id=case_id(basis, input_state, q),
+            input_state=input_state,
+            basis=basis,
+            expected=Distribution(q, probs[b, input_state]),
+        )
+        for input_state in range(2**q)
+        for b, basis in enumerate(BASIS_ORDER)
+    )
+    return PerCaseSuite(num_qubits=q, cases=cases)
+
+
+def per_case_suite_from_expected(expected: dict) -> PerCaseSuite:
+    """For well-formed tables only: the package's checks are not repeated."""
+    cases = []
+    for cid in sorted(expected):
+        basis, input_state, q = parse_case_id(cid)
+        dist = Distribution.from_dict(q, expected[cid])
+        cases.append(TestCase(id=cid, input_state=input_state, basis=basis, expected=dist))
+    return PerCaseSuite(num_qubits=q, cases=tuple(cases))
+
+
+# ------------------------------------------------------ test-only helpers
+#
+# Used only by tests, so they live here rather than in the package.
+
+
+def sample(d, shots: int, seed: int):
+    """``simulator.sample_frequencies`` of a ``Distribution``, as a ``Distribution``."""
+    return Distribution(d.num_qubits, sample_frequencies(d.probs, shots, seed))
+
+
+def distributions_allclose(a, b, atol: float = 1e-10) -> bool:
+    return a.num_qubits == b.num_qubits and bool(np.allclose(a.probs, b.probs, atol=atol, rtol=0.0))
+
+
+def gate_names(c: Circuit) -> list[str]:
+    return [g.kind.gate_name for g in c.gates]
+
+
+def same_gate(a: GateApp, b: GateApp, atol: float = 1e-9) -> bool:
+    """Structural equality, angles compared within ``atol``."""
+    return (
+        a.kind is b.kind
+        and a.qubits == b.qubits
+        and len(a.params) == len(b.params)
+        and all(abs(x - y) <= atol for x, y in zip(a.params, b.params))
     )

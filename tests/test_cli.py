@@ -320,6 +320,25 @@ def _one_error_line(err: str) -> bool:
     return len(lines) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("sub", ["repair", "localize", "mutate"])
+def test_out_of_memory_is_one_line_error(circuits, tmp_path, capsys, monkeypatch, sub):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    # repair and localize build the suite in the CLI, mutate in inject_faults
+    monkeypatch.setattr("qrep.cli.generate_suite", no_memory)
+    monkeypatch.setattr("qrep.patcher.generate_suite", no_memory)
+    if sub == "mutate":
+        argv = ["mutate", "--circuit", circuits["ref"], "--per-group", "1", "--out-dir", str(tmp_path / "m")]
+    else:
+        argv = [sub, "--circuit", circuits["easy"], "--reference", circuits["ref"]]
+        argv += ["--budget-evals", "10"] if sub == "repair" else []
+    assert run(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err == "qrep: error: out of memory: Unable to allocate 64.0 GiB for an array\n"
+
+
 @pytest.mark.parametrize("sub", ["repair", "baseline-rs", "mutate"])
 @pytest.mark.parametrize("catalog", ["foo", "measure", "h,barrier", ","])
 def test_bad_catalog_rejected_at_parse_time(circuits, tmp_path, capsys, sub, catalog):

@@ -1,6 +1,7 @@
 """Gate-removal localisation: scores, short-circuit, percentiles, budget cuts."""
 import pytest
 
+from oracles import gate_names
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate
 from qrep.errors import NoFailingTestError, UnknownGateError
 from qrep.localizer import (
@@ -33,7 +34,7 @@ def test_short_circuit_on_spurious_gate(bell):
     res = localize(broken, ts, baseline)
     assert res.repaired is not None
     assert res.repaired_by_removing == GateId(2, "z", (1,))
-    assert res.repaired.gate_names() == ["h", "cx"]
+    assert gate_names(res.repaired) == ["h", "cx"]
     assert fitness(res.repaired, ts).all_passed()
     assert res.evals_used == 3  # swept h, cx, z then stopped
     assert not res.partial

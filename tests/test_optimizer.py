@@ -162,3 +162,11 @@ def test_cap_beyond_solver_iteration_range(cap):
     # scipy hands the iteration limit to PRIMA as a C long
     res = minimize_params(lambda x: (x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2, 2, OptBudget(max_evals=cap))
     assert res.evals < 500 and res.value < 1e-3
+
+
+def test_tolerance_above_initial_radius_runs_without_solver_warning():
+    # a tolerance coarser than COBYLA's starting radius is clamped to it, not warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_params(lambda x: (x[0] - 1.0) ** 2, 1, OptBudget(max_evals=10, tolerance=2.0))
+    assert 1 <= res.evals <= 10

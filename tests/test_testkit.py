@@ -1,4 +1,5 @@
 """Suite generation, Hellinger distance, the two-rule oracle, and fitness."""
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_circuit
-from oracles import hellinger_ref
+from oracles import hellinger_ref, per_case_generate_suite, per_case_suite_from_expected, sample
+from qrep import cli, testkit
+from qrep.benchmarks import build_benchmark
 from qrep.circuit import build_circuit, remove_gate
+from qrep.engine import RepairConfig, random_search, repair
 from qrep.errors import ExpectedTableError, NoFailingTestError, SuiteTooWideError, WidthMismatchError
-from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, run_exact, sample
+from qrep.localizer import localize
+from qrep.patcher import inject_faults
+from qrep.qasm import emit_qasm
+from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, run_exact
 from qrep.testkit import (
     OracleConfig,
     _case_seed,
@@ -292,3 +299,74 @@ def test_fitness_with_prefixes_equals_fitness_without(bell):
         assert fitness(c, ts, prefixes=cache) == fitness(c, ts)
     with pytest.raises(WidthMismatchError):
         ts.prefixes(build_circuit(3, [("h", 0)]))
+
+
+# ------------------------------------ one matrix vs one object per case
+
+
+def _assert_same_suite(ts, old):
+    assert ts.num_qubits == old.num_qubits and len(ts) == len(old)
+    assert ts.expected.tobytes() == old.expected.tobytes()
+    assert ts.sqrt_expected.tobytes() == old.sqrt_expected.tobytes()
+    assert ts.inputs == old.inputs and all(type(s) is int for s in ts.inputs)
+    assert ts.bases == old.bases
+    for mine, theirs in zip(ts.case_rows, old.case_rows, strict=True):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert len(ts.cases) == len(old.cases)
+    for a, b in zip(ts.cases, old.cases):
+        assert (a.id, a.input_state, a.basis) == (b.id, b.input_state, b.basis)
+        assert type(a.input_state) is int
+        assert a.expected.probs.tobytes() == b.expected.probs.tobytes()
+
+
+def test_suite_matrix_matches_per_case_construction():
+    rng = np.random.default_rng(113)
+    configs = (OracleConfig(), OracleConfig(mode="sampled", seed=7))
+    checked = 0
+    for q in (1, 2, 3, 4, 5, 6) * 4:
+        ref = random_circuit(rng, q, int(rng.integers(1, 12)))
+        ts, old = generate_suite(ref), per_case_generate_suite(ref)
+        _assert_same_suite(ts, old)
+        full = {tc.id: tc.expected.as_dict() for tc in old.cases}
+        ids = list(full)
+        basis = str(rng.choice(["X", "Y", "Z"]))
+        picks = (
+            [cid for cid in ids if cid.startswith(basis)],  # a single basis
+            [cid for cid in ids if rng.random() < 0.2] or ids[-1:],  # sparse
+            [ids[int(rng.integers(len(ids)))]],  # a single case
+        )
+        pairs = [(ts, old)]
+        for pick in picks:
+            table = {cid: full[cid] for cid in rng.permutation(pick)}
+            pairs.append((suite_from_expected(table), per_case_suite_from_expected(table)))
+            _assert_same_suite(*pairs[-1])
+        for c in (ref, random_circuit(rng, q, 6)):
+            for new, frozen in pairs:
+                for cfg in configs:
+                    assert fitness(c, new, cfg) == fitness(c, frozen, cfg)
+                    checked += 1
+    assert checked == 24 * 4 * 2 * 2
+
+
+def test_evaluation_path_never_builds_the_case_view(monkeypatch, tmp_path):
+    ref = build_benchmark("grover", 3)
+    ts = generate_suite(ref)
+    mutant = inject_faults(ref, seed=3, per_group=1, suite=ts)[0].mutant
+    table = tmp_path / "expected.json"
+    table.write_text(json.dumps({tc.id: tc.expected.as_dict() for tc in ts.cases if tc.basis is MeasBasis.Z}))
+    circuit = tmp_path / "mutant.qasm"
+    circuit.write_text(emit_qasm(mutant))
+
+    def refuse(self):
+        raise AssertionError("TestSuite.cases was built")
+
+    monkeypatch.setattr(testkit.TestSuite, "cases", property(refuse))
+    with pytest.raises(AssertionError, match="was built"):
+        ts.cases
+    cfg = RepairConfig(budget_evals=200, seed=3)
+    repair(mutant, ts, cfg)
+    random_search(mutant, ts, cfg)
+    localize(mutant, ts, fitness(mutant, ts))
+    inject_faults(ref, seed=3, per_group=1, suite=ts)
+    argv = ["repair", "--circuit", str(circuit), "--expected", str(table), "--budget-evals", "200"]
+    assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) in (cli.EXIT_OK, cli.EXIT_NOT_FIXED)
