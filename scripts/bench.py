@@ -28,7 +28,6 @@ labels over several runs, because the host's speed drifts between runs.
 """
 import argparse
 import hashlib
-import inspect
 import json
 import os
 import platform
@@ -48,7 +47,7 @@ from qrep.benchmarks import build_benchmark
 from qrep.circuit import Circuit, GateApp, GateKind, insert_gate, remove_gate
 from qrep.engine import RepairConfig, repair
 from qrep.localizer import SuspiciousnessTable, localize
-from qrep.patcher import generate_patches, inject_faults, order_uniform, prune_to_gates
+from qrep.patcher import inject_faults, order_uniform, prune_to_gates
 from qrep.qasm import emit_qasm, parse_qasm
 from qrep.simulator import MeasBasis
 from qrep.testkit import fitness, generate_suite, suite_from_expected
@@ -160,10 +159,7 @@ def edits(ref):
 
 def patch_queue(ref):
     """The guided search's queue after its first iteration's pops and prune."""
-    if "patches" in inspect.signature(order_uniform).parameters:  # the eager queue of earlier sources
-        queue = order_uniform(generate_patches(ref), ref)
-    else:
-        queue = order_uniform(ref)
+    queue = order_uniform(ref)
     for _ in range(QUEUE_POPS):
         queue.popleft()
     keep = {gid for gid in SuspiciousnessTable.for_circuit(ref).scores if gid.position % 4}

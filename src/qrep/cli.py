@@ -123,8 +123,8 @@ def _load_suite(args):
         table = json.loads(_read_text(args.expected))
     except RecursionError:
         raise ExpectedTableError(f"{args.expected}: JSON nested too deeply") from None
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as e:
+        raise ExpectedTableError(f"bad JSON input: {e}") from None
     except ValueError:  # an integer with more digits than Python converts
         raise ExpectedTableError(f"{args.expected}: a number has too many digits") from None
     return suite_from_expected(table)
@@ -168,11 +168,15 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_repair_flags(p: argparse.ArgumentParser) -> None:
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--circuit", required=True, help="faulty circuit (OpenQASM 2)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--reference", help="reference circuit giving expected behavior")
     group.add_argument("--expected", help="expected-distribution JSON {case_id: {bits: prob}}")
+
+
+def _add_repair_flags(p: argparse.ArgumentParser) -> None:
+    _add_input_flags(p)
     budget = p.add_mutually_exclusive_group(required=True)
     budget.add_argument("--budget-evals", type=_positive_int, default=None)
     budget.add_argument("--budget-seconds", type=_positive_float, default=None)
@@ -303,10 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rs.set_defaults(fn=_cmd_baseline_rs)
 
     p_loc = sub.add_parser("localize", help="suspiciousness ranking only")
-    p_loc.add_argument("--circuit", required=True)
-    group = p_loc.add_mutually_exclusive_group(required=True)
-    group.add_argument("--reference")
-    group.add_argument("--expected")
+    _add_input_flags(p_loc)
     p_loc.add_argument("--out", default=None)
     _add_oracle_flags(p_loc)
     p_loc.set_defaults(fn=_cmd_localize)
@@ -335,9 +336,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except OSError as e:
         print(f"qrep: error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except json.JSONDecodeError as e:
-        print(f"qrep: error: bad JSON input: {e}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as e:
         print(f"qrep: error: out of memory: {e}", file=sys.stderr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -121,26 +122,6 @@ class Budget:
 
 
 @dataclass
-class _Candidate:
-    kind: str  # "add" | "replace" | "delete"
-    position: int
-    gate: str
-    qubits: tuple[int, ...]
-    params: tuple[float, ...]
-    fitness: float
-
-    def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "position": self.position,
-            "gate": self.gate,
-            "qubits": list(self.qubits),
-            "params": [float(p) for p in self.params],
-            "fitness": self.fitness,
-        }
-
-
-@dataclass
 class RepairReport:
     status: str
     repaired_qasm: str | None
@@ -188,10 +169,9 @@ class _Run:
         self.table = SuspiciousnessTable.for_circuit(c_init)
         if fault_gate is not None and fault_gate not in self.table.scores:
             raise UnknownGateError(f"fault gate {fault_gate} names no gate of the circuit")
-        self.start = time.monotonic()
         # every candidate is c_init or a single-gate edit of it
         self.prefixes = ts.prefixes(c_init)
-        self.candidates: list[_Candidate] = []
+        self.candidates: list[dict] = []  # one report row per trial or removal
         self.baseline: FitnessScore | None = None
         self.partial_localisation = False
 
@@ -200,26 +180,27 @@ class _Run:
         self.budget.charge()
         return fitness(c, self.ts, self.cfg.oracle, self.prefixes)
 
-    def record_patch(self, patch: Patch, params: tuple[float, ...], value: float) -> None:
-        self.candidates.append(
-            _Candidate(patch.kind, patch.position, patch.gate.gate_name, patch.qubits, params, value)
-        )
-
-    def record_delete(self, gid: GateId, value: float) -> None:
-        self.candidates.append(
-            _Candidate("delete", gid.position, gid.gate, gid.qubits, (), value)
-        )
+    def record(self, kind: str, position: int, gate: str, qubits, params, value: float) -> None:
+        self.candidates.append({
+            "kind": kind,  # "add" | "replace" | "delete"
+            "position": position,
+            "gate": gate,
+            "qubits": list(qubits),
+            "params": [float(p) for p in params],
+            "fitness": value,
+        })
 
     # -- patch trials ------------------------------------------------------
 
     def try_patch(self, patch: Patch, rng: np.random.Generator | None = None) -> float:
         """Best fitness achieved by the patch, credited to its anchor gate.
 
-        Raises _FullPass on a repair, and BudgetExhaustedError (after
-        recording the trial's best angles) when the allowance runs out
-        mid-trial; both propagate through the solver. Parametric patches
-        get their angles from COBYLA, or, given ``rng`` (random search),
-        from ``max_evals`` uniform draws."""
+        Raises _FullPass on a repair, and BudgetExhaustedError when the
+        allowance runs out mid-trial; both propagate through the solver.
+        However the trial ends, its best probe (the passing one, on a
+        repair) is recorded once. Parametric patches get their angles from
+        COBYLA, or, given ``rng`` (random search), from ``max_evals``
+        uniform draws."""
         best_value = math.inf
         best_params: tuple[float, ...] = ()
 
@@ -227,11 +208,10 @@ class _Run:
             nonlocal best_value, best_params
             cand = apply_patch(self.c_init, patch, params)
             score = self.evaluate(cand)
-            if score.value < best_value:
-                best_value = score.value
-                best_params = params
-            if score.all_passed():
-                self.record_patch(patch, params, score.value)
+            passed = score.all_passed()
+            if passed or score.value < best_value:
+                best_value, best_params = score.value, params
+            if passed:
                 raise _FullPass(cand)
             return score.value
 
@@ -243,11 +223,9 @@ class _Run:
             else:
                 for _ in range(self.cfg.opt.max_evals):
                     objective(tuple(rng.uniform(0.0, 2.0 * math.pi, patch.gate.param_count).tolist()))
-        except BudgetExhaustedError:
+        finally:
             if best_value < math.inf:
-                self.record_patch(patch, best_params, best_value)
-            raise
-        self.record_patch(patch, best_params, best_value)
+                self.record(patch.kind, patch.position, patch.gate.gate_name, patch.qubits, best_params, best_value)
         if patch.anchor in self.table.scores:
             self.table.add(patch.anchor, self.baseline.value - best_value)
         return best_value
@@ -257,13 +235,11 @@ class _Run:
     def finalize(self, status: str, repaired: Circuit | None) -> RepairReport:
         assert self.baseline is not None
         base = self.baseline.value
-        eligible = [c for c in self.candidates if c.fitness <= base]
-        eligible.sort(key=lambda c: c.fitness)
-        best = eligible[: self.cfg.top_k]
+        eligible = sorted((r for r in self.candidates if r["fitness"] <= base), key=itemgetter("fitness"))
         if status == STATUS_REPAIRED:
             improvement = 100.0
         elif eligible:
-            improvement = (base - eligible[0].fitness) / base * 100.0
+            improvement = (base - eligible[0]["fitness"]) / base * 100.0
             improvement = min(100.0, max(0.0, improvement))
         else:
             improvement = 0.0
@@ -273,12 +249,12 @@ class _Run:
         return RepairReport(
             status=status,
             repaired_qasm=emit_qasm(repaired) if repaired is not None else None,
-            best_patches=[c.to_record() for c in best],
+            best_patches=eligible[: self.cfg.top_k],
             ranking=self.table.records(),
             improvement_pct=improvement,
             fault_percentile=fault_pct,
             evals_used=self.budget.evals_used,
-            wall_seconds=time.monotonic() - self.start,
+            wall_seconds=time.monotonic() - self.budget.started,
             partial_localisation=self.partial_localisation,
             config=self.cfg.to_dict(),
         )
@@ -302,7 +278,7 @@ class _Run:
         loc = localize(self.c_init, self.ts, self.baseline, evaluate=self.evaluate)
         self.table = loc.table
         for gid, value in loc.removal_fitness.items():
-            self.record_delete(gid, value)
+            self.record("delete", gid.position, gid.gate, gid.qubits, (), value)
         if loc.repaired is not None:
             raise _FullPass(loc.repaired)
         if loc.partial:

@@ -175,9 +175,10 @@ def _is_probability(p) -> bool:
 def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
     """Suite from an expected-distribution map {case_id: {bitstring: prob}}.
 
-    A malformed map raises :class:`ExpectedTableError` naming the case. A
-    distribution must sum to 1 within 1e-9; rounded tables are rejected,
-    not renormalised.
+    Cases are ordered as :func:`generate_suite` orders them: input-major,
+    bases in BASIS_ORDER. A malformed map raises :class:`ExpectedTableError`
+    naming the case. A distribution must sum to 1 within 1e-9; rounded
+    tables are rejected, not renormalised.
     """
     if not isinstance(expected, dict):
         raise ExpectedTableError("expected-distribution table must map case ids to distributions")
@@ -203,7 +204,10 @@ def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
         bases.append(BASIS_ORDER.index(basis))
         inputs.append(input_state)
         rows.append(dist.probs)
-    return TestSuite(width, np.array(bases), np.array(inputs), np.stack(rows))
+    # checked in id order, so an error names the first bad id; stacked in
+    # generate_suite's order, so a full table sums fitness like its reference
+    order = np.lexsort((bases, inputs))
+    return TestSuite(width, np.array(bases)[order], np.array(inputs)[order], np.stack(rows)[order])
 
 
 def hellinger(p: Distribution, q: Distribution) -> float:

@@ -448,7 +448,7 @@ def looped_guided_search(run) -> None:
     loc = engine.localize(run.c_init, run.ts, run.baseline, evaluate=run.evaluate)
     run.table = loc.table
     for gid, value in loc.removal_fitness.items():
-        run.record_delete(gid, value)
+        run.record("delete", gid.position, gid.gate, gid.qubits, (), value)
     if loc.repaired is not None:
         raise engine._FullPass(loc.repaired)
     if loc.partial:
@@ -828,12 +828,15 @@ def per_case_generate_suite(reference) -> PerCaseSuite:
 
 
 def per_case_suite_from_expected(expected: dict) -> PerCaseSuite:
-    """For well-formed tables only: the package's checks are not repeated."""
+    """For well-formed tables only: the package's checks are not repeated.
+    Cases run input-major with the bases in BASIS_ORDER, as in
+    :func:`per_case_generate_suite`."""
     cases = []
     for cid in sorted(expected):
         basis, input_state, q = parse_case_id(cid)
         dist = Distribution.from_dict(q, expected[cid])
         cases.append(TestCase(id=cid, input_state=input_state, basis=basis, expected=dist))
+    cases.sort(key=lambda tc: (tc.input_state, BASIS_ORDER.index(tc.basis)))
     return PerCaseSuite(num_qubits=q, cases=tuple(cases))
 
 

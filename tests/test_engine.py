@@ -23,8 +23,8 @@ from qrep.engine import (
 from qrep.errors import NoFailingTestError, UnknownGateError
 from qrep.localizer import BudgetExhaustedError, GateId, gate_id
 from qrep.patcher import generate_patches, inject_faults
-from qrep.qasm import parse_qasm
-from qrep.testkit import OracleConfig, fitness, generate_suite
+from qrep.qasm import emit_qasm, parse_qasm
+from qrep.testkit import FitnessScore, OracleConfig, fitness, generate_suite
 
 
 @pytest.fixture()
@@ -174,6 +174,58 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
     assert patches[0]["gate"] == "rx"
     assert patches[0]["fitness"] == best_value
     assert tuple(patches[0]["params"]) == best_params
+
+
+def _script_trials(monkeypatch, scores):
+    """Make the engine's evaluations return ``scores`` in order, and log
+    each applied patch's angles and circuit."""
+    applied = []
+    real_apply = qrep.engine.apply_patch
+    scripted = iter(scores)
+
+    def apply_spy(c, p, params=None):
+        cand = real_apply(c, p, params)
+        applied.append((tuple(params), cand))
+        return cand
+
+    monkeypatch.setattr(qrep.engine, "apply_patch", apply_spy)
+    monkeypatch.setattr(qrep.engine, "fitness", lambda *args: next(scripted))
+    return applied
+
+
+def test_passing_probe_is_recorded_even_when_an_earlier_probe_scored_lower(bell, bell_suite, monkeypatch):
+    # baseline, then the 2-gate removal sweep, all failing; the first rx
+    # trial's first probe fails at 1.0, and its second passes at 1.5
+    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
+    failing = [FitnessScore(3, 0.0), FitnessScore(2, 0.5), FitnessScore(2, 0.5)]
+    applied = _script_trials(monkeypatch, failing + [FitnessScore(1, 0.0), FitnessScore(0, 1.5)])
+    rep = repair(broken, bell_suite, cfg_evals(50, iterations=1, patch_catalog=("rx",)))
+    assert rep.status == STATUS_REPAIRED
+    assert len(applied) == 2
+    params, repaired = applied[1]
+    assert rep.repaired_qasm == emit_qasm(repaired)
+    trials = [p for p in rep.best_patches if p["kind"] != "delete"]
+    assert len(trials) == 1
+    assert trials[0]["gate"] == "rx"
+    assert trials[0]["fitness"] == 1.5
+    assert tuple(trials[0]["params"]) == params
+
+
+def test_random_search_trial_cut_by_budget_records_its_best_draw_once(bell, bell_suite, monkeypatch):
+    # the baseline, then 5 failing draws of the first rx trial before the
+    # budget refuses its 6th
+    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
+    draws = [FitnessScore(1, h) for h in (1.0, 0.25, 0.75, 1.5, 0.5)]
+    applied = _script_trials(monkeypatch, [FitnessScore(3, 0.0)] + draws)
+    rep = random_search(broken, bell_suite, cfg_evals(6, patch_catalog=("rx",)))
+    assert rep.status == STATUS_NOT_FIXED
+    assert rep.evals_used == 6
+    assert len(applied) == 6  # the 6th draw was refused before evaluation
+    assert len(rep.best_patches) == 1
+    row = rep.best_patches[0]
+    assert row["gate"] == "rx"
+    assert row["fitness"] == 1.25
+    assert tuple(row["params"]) == applied[1][0]
 
 
 def test_one_gate_mutant_of_empty_reference_repaired_to_zero_gates():

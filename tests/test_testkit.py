@@ -348,6 +348,47 @@ def test_suite_matrix_matches_per_case_construction():
     assert checked == 24 * 4 * 2 * 2
 
 
+# the corpus of scripts/run_benchmark.py and its injection seeds
+_CORPUS = [("ghz", 3, 2), ("dj", 4, 1), ("graphstate", 4, 4), ("wstate", 4, 0), ("qft", 4, 5), ("grover", 3, 3)]
+
+
+def test_full_table_repairs_like_its_reference():
+    """A table of every case of a reference is the reference's own suite,
+    in the same case order, so it sums fitness and repairs the same."""
+    for family, n, seed in _CORPUS:
+        ref = build_benchmark(family, n)
+        ts = generate_suite(ref)
+        table = suite_from_expected(json.loads(json.dumps({tc.id: tc.expected.as_dict() for tc in ts.cases})))
+        assert table.expected.tobytes() == ts.expected.tobytes()
+        assert table.sqrt_expected.tobytes() == ts.sqrt_expected.tobytes()
+        for got, want in zip(table.case_rows, ts.case_rows):
+            assert got.tobytes() == want.tobytes()
+        cfg = RepairConfig(budget_evals=300, seed=seed)
+        for rec in inject_faults(ref, seed=seed, per_group=1, suite=ts):
+            got = repair(rec.mutant, table, cfg, fault_gate=rec.fault_gate).to_dict()
+            want = repair(rec.mutant, ts, cfg, fault_gate=rec.fault_gate).to_dict()
+            got.pop("wall_seconds"), want.pop("wall_seconds")
+            assert got == want, rec.description
+
+
+def test_cli_full_table_reports_like_its_reference(tmp_path):
+    ref = build_benchmark("dj", 4)
+    ts = generate_suite(ref)
+    mutant = next(r.mutant for r in inject_faults(ref, seed=1, per_group=1, suite=ts) if r.group == "remove")
+    (tmp_path / "mutant.qasm").write_text(emit_qasm(mutant))
+    (tmp_path / "ref.qasm").write_text(emit_qasm(ref))
+    (tmp_path / "table.json").write_text(json.dumps({tc.id: tc.expected.as_dict() for tc in ts.cases}))
+    reports = []
+    for flag, path in (("--reference", "ref.qasm"), ("--expected", "table.json")):
+        out = tmp_path / f"{path}.report.json"
+        argv = ["repair", "--circuit", str(tmp_path / "mutant.qasm"), flag, str(tmp_path / path)]
+        cli.main([*argv, "--budget-evals", "300", "--out", str(out)])
+        report = json.loads(out.read_text())
+        del report["manifest"], report["wall_seconds"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_evaluation_path_never_builds_the_case_view(monkeypatch, tmp_path):
     ref = build_benchmark("grover", 3)
     ts = generate_suite(ref)
