@@ -14,10 +14,11 @@ and an insertion at position 0, and the same at the middle), and one
 ``inject_faults`` call with one mutant per group on grover3 and dj6 (their
 benchmark injection seeds, suite built beforehand), and, for the first of
 those grover3 mutants, ``parse_qasm`` of its emitted source and the JSON
-text (``to_dict`` plus ``json.dumps`` with indent 2) of one 50-evaluation
-repair report, and suite building: ``generate_suite`` of dj6, and
-``suite_from_expected`` of qft4's Z-basis table as a JSON round trip gives
-it (the table perfbench's ``cli-expected`` workload writes). Each sample
+text (``to_dict`` plus the encoder ``cli._write_json`` uses) of one
+50-evaluation repair report, and suite building: ``generate_suite`` of dj6,
+and ``suite_from_expected`` of expected tables as a JSON round trip gives
+them: the Z-basis tables of qft4 (the table perfbench's ``cli-expected``
+workload writes) and dj6, and qft6's table of all three bases. Each sample
 is the mean of enough back-to-back calls to last about 20 ms; after
 one warm-up sample, ``--repeats`` samples give the median and the
 interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
@@ -34,6 +35,7 @@ import platform
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
@@ -42,7 +44,7 @@ import numpy as np
 import scipy
 
 import qrep
-from qrep import simulator
+from qrep import cli, simulator
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import Circuit, GateApp, GateKind, insert_gate, remove_gate
 from qrep.engine import RepairConfig, repair
@@ -57,6 +59,7 @@ QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
 QUEUE_POPS = 20
 EDIT_CIRCUITS = (("grover", 3), ("dj", 6))
 INJECT_CIRCUITS = (("grover", 3, 3), ("dj", 6, 1))  # (family, size, injection seed)
+TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (family, size, Z basis only)
 REPORT_BUDGET = 50
 SAMPLE_S = 0.02
 
@@ -139,14 +142,26 @@ def layers() -> dict:
     out[f"parse_{fam}{n}"] = (lambda: parse_qasm(text), {"gates": len(mutant.gates), "chars": len(text)})
     rep = repair(mutant, ts, RepairConfig(budget_evals=REPORT_BUDGET, seed=seed))
     facts = {"status": rep.status, "evals": rep.evals_used, "ranking_rows": len(rep.ranking)}
-    out[f"report_{fam}{n}"] = (lambda: json.dumps(rep.to_dict(), indent=2), facts)
+    encode = report_encoder()
+    out[f"report_{fam}{n}"] = (lambda: encode(rep.to_dict()), facts)
     dj6 = build_benchmark("dj", 6)
     out["suite_dj6"] = (lambda: generate_suite(dj6), {"cases": len(generate_suite(dj6))})
-    full = generate_suite(build_benchmark("qft", 4))
-    z_rows = {tc.id: tc.expected.as_dict() for tc in full.cases if tc.basis is MeasBasis.Z}
-    table = json.loads(json.dumps(z_rows, sort_keys=True))
-    out["suite_table_qft4"] = (lambda: suite_from_expected(table), {"cases": len(table)})
+    for fam, n, z_only in TABLE_CIRCUITS:
+        table = expected_table(build_benchmark(fam, n), z_only)
+        out[f"suite_table_{fam}{n}"] = (lambda table=table: suite_from_expected(table), {"cases": len(table)})
     return out
+
+
+def report_encoder():
+    """The encoder ``cli._write_json`` uses: ``encode_json``, or
+    ``json.dumps`` with indent 2 in checkouts that predate it."""
+    return getattr(cli, "encode_json", None) or partial(json.dumps, indent=2)
+
+
+def expected_table(ref, z_only: bool) -> dict:
+    """``ref``'s expected-distribution map as a JSON round trip gives it."""
+    rows = {tc.id: tc.expected.as_dict() for tc in generate_suite(ref).cases if tc.basis is MeasBasis.Z or not z_only}
+    return json.loads(json.dumps(rows, sort_keys=True))
 
 
 def edits(ref):

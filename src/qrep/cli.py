@@ -13,6 +13,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -92,8 +93,46 @@ def _manifest(subcommand: str, inputs: dict, config: dict | None, seed: int) -> 
     }
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
+
+
+def encode_json(o, newline: str = "\n") -> str:
+    """``json.dumps(o, indent=2)``, byte for byte, in one recursive pass.
+
+    json drops its C encoder when given an indent and runs a chain of
+    Python generators; this keeps its C string escaper and its number
+    spellings. Keys must be strings, as every report's are. ``newline`` is
+    the line break plus the indent of ``o``.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = newline + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {encode_json(v, inner)}" for k, v in o.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [encode_json(v, inner) for v in o]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = encode_json(payload) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

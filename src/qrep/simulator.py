@@ -25,6 +25,7 @@ from .circuit import Circuit, GateApp, GateKind
 from .errors import WidthMismatchError
 
 _NORM_ATOL = 1e-9
+_NEG_ATOL = 1e-12  # a probability at most this far below zero is rounding, and clips to 0
 
 
 class MeasBasis(Enum):
@@ -50,7 +51,7 @@ class Distribution:
             )
         if not np.all(np.isfinite(p)):
             raise ValueError("non-finite probability")
-        if np.any(p < -1e-12):
+        if np.any(p < -_NEG_ATOL):
             raise ValueError("negative probability")
         if abs(float(p.sum()) - 1.0) > _NORM_ATOL:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
@@ -67,15 +68,6 @@ class Distribution:
             for i, p in enumerate(self.probs)
             if p > min_prob
         }
-
-    @classmethod
-    def from_dict(cls, num_qubits: int, probs: dict[str, float]) -> "Distribution":
-        arr = np.zeros(2**num_qubits)
-        for bits, p in probs.items():
-            if len(bits) != num_qubits or set(bits) - {"0", "1"}:
-                raise WidthMismatchError(f"bad outcome bitstring {bits!r} for {num_qubits} qubits")
-            arr[int(bits, 2)] = p
-        return cls(num_qubits, arr)
 
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)

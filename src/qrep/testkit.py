@@ -14,12 +14,15 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .circuit import Circuit
-from .errors import ExpectedTableError, NoFailingTestError, SuiteTooWideError, WidthMismatchError
+from .errors import ExpectedTableError, NoFailingTestError, QRepError, SuiteTooWideError, WidthMismatchError
 from .simulator import (
+    _NEG_ATOL,
+    _NORM_ATOL,
     BASIS_ORDER,
     Distribution,
     MeasBasis,
@@ -142,15 +145,19 @@ def case_id(basis: MeasBasis, input_state: int, num_qubits: int) -> str:
     return f"{basis.value}:{format(input_state, f'0{num_qubits}b')}"
 
 
+_BASES = {b.value: b for b in MeasBasis}
+
+
+def _only_bits(s: str) -> bool:
+    return s.count("0") + s.count("1") == len(s)
+
+
 def parse_case_id(cid: str) -> tuple[MeasBasis, int, int]:
     """Inverse of :func:`case_id`: returns (basis, input_state, num_qubits)."""
-    try:
-        basis_s, bits = cid.split(":")
-        basis = MeasBasis(basis_s)
-        if set(bits) - {"0", "1"} or not bits:
-            raise ValueError
-    except ValueError:
-        raise ExpectedTableError(f"bad test-case id {cid!r}; expected like 'Z:0010'") from None
+    basis_s, _, bits = cid.partition(":")
+    basis = _BASES.get(basis_s)
+    if basis is None or not bits or not _only_bits(bits):
+        raise ExpectedTableError(f"bad test-case id {cid!r}; expected like 'Z:0010'")
     return basis, int(bits, 2), len(bits)
 
 
@@ -167,9 +174,35 @@ def generate_suite(
     return TestSuite(q, np.tile(np.arange(n), 2**q), np.repeat(np.arange(2**q), n), probs)
 
 
-def _is_probability(p) -> bool:
-    # a comparison, unlike math.isfinite, takes an int of any size; NaN fails it
-    return isinstance(p, (int, float)) and not isinstance(p, bool) and abs(p) <= sys.float_info.max
+_FLOAT_MAX = sys.float_info.max
+
+
+def _are_probabilities(values) -> bool:
+    types = set(map(type, values))
+    if types <= {float}:  # a table's usual case; a finite float is within range
+        return all(map(math.isfinite, values))
+    # types first, so abs() sees numbers only; a comparison, unlike
+    # math.isfinite, takes an int of any size, and NaN fails it
+    return all(issubclass(t, (int, float)) and t is not bool for t in types) and all(
+        map(_FLOAT_MAX.__ge__, map(abs, values))
+    )
+
+
+def _are_bitstrings(keys, q: int) -> bool:
+    return set(map(len, keys)) <= {q} and _only_bits("".join(keys))
+
+
+def _stack(tables: list[dict], q: int) -> np.ndarray:
+    """One row of 2^q probabilities per checked ``{bitstring: prob}`` map:
+    every bitstring decoded from its ASCII codes and every value converted
+    to a float in one pass over all the maps."""
+    counts = list(map(len, tables))
+    values = np.fromiter(chain.from_iterable(map(dict.values, tables)), float, sum(counts))
+    codes = np.frombuffer("".join(chain.from_iterable(tables)).encode("ascii"), np.uint8)
+    outcomes = (codes.reshape(-1, q) - ord("0")) @ (1 << np.arange(q - 1, -1, -1))  # first bit is the highest
+    rows = np.zeros((len(tables), 2**q))
+    rows[np.repeat(np.arange(len(tables)), counts), outcomes] = values
+    return rows
 
 
 def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
@@ -178,36 +211,55 @@ def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
     Cases are ordered as :func:`generate_suite` orders them: input-major,
     bases in BASIS_ORDER. A malformed map raises :class:`ExpectedTableError`
     naming the case. A distribution must sum to 1 within 1e-9; rounded
-    tables are rejected, not renormalised.
+    tables are rejected, not renormalised. The ids, value types and
+    bitstrings are checked case by case; then every entry is placed in one
+    matrix at once and the row rules (no negative entry, sum 1) run on it.
+    An error names the first bad case in sorted-id order.
     """
     if not isinstance(expected, dict):
         raise ExpectedTableError("expected-distribution table must map case ids to distributions")
     if not expected:
         raise ExpectedTableError("expected-distribution map is empty")
-    bases, inputs, rows = [], [], []
-    width = None
-    for cid in sorted(expected):
-        basis, input_state, q = parse_case_id(cid)
-        if q > DEFAULT_MAX_SUITE_QUBITS:
-            raise SuiteTooWideError(f"case {cid!r} has {q} qubits (max {DEFAULT_MAX_SUITE_QUBITS})")
-        if width is None:
-            width = q
-        elif q != width:
-            raise WidthMismatchError(f"case {cid!r} width {q} != {width}")
-        probs = expected[cid]
-        if not isinstance(probs, dict) or not all(map(_is_probability, probs.values())):
-            raise ExpectedTableError(f"case {cid!r}: expected a map from bit strings to finite numbers")
-        try:
-            dist = Distribution.from_dict(q, probs)
-        except ValueError as e:
-            raise ExpectedTableError(f"case {cid!r}: {e}") from None
-        bases.append(BASIS_ORDER.index(basis))
-        inputs.append(input_state)
-        rows.append(dist.probs)
-    # checked in id order, so an error names the first bad id; stacked in
-    # generate_suite's order, so a full table sums fitness like its reference
+    ids = sorted(expected)
+    bases, inputs, tables = [], [], []
+    width = error = None
+    try:
+        for cid in ids:
+            basis, input_state, q = parse_case_id(cid)
+            if q > DEFAULT_MAX_SUITE_QUBITS:
+                raise SuiteTooWideError(f"case {cid!r} has {q} qubits (max {DEFAULT_MAX_SUITE_QUBITS})")
+            if width is None:
+                width = q
+            elif q != width:
+                raise WidthMismatchError(f"case {cid!r} width {q} != {width}")
+            probs = expected[cid]
+            if not isinstance(probs, dict) or not _are_probabilities(probs.values()):
+                raise ExpectedTableError(f"case {cid!r}: expected a map from bit strings to finite numbers")
+            if not _are_bitstrings(probs, q):
+                bits = next(bits for bits in probs if not _are_bitstrings((bits,), q))
+                raise ExpectedTableError(f"case {cid!r}: bad outcome bitstring {bits!r} for {q} qubits")
+            bases.append(BASIS_ORDER.index(basis))
+            inputs.append(input_state)
+            tables.append(probs)
+    except QRepError as e:  # the cases before it may break a row rule
+        error = e
+    if tables:
+        rows = _stack(tables, width)
+        negative = (rows < -_NEG_ATOL).any(axis=1)
+        with np.errstate(over="ignore"):  # the error names a sum past the float range as inf
+            sums = rows.sum(axis=1)
+        bad = np.flatnonzero(negative | (np.abs(sums - 1.0) > _NORM_ATOL))
+        if bad.size:
+            i = bad[0]
+            why = "negative probability" if negative[i] else f"probabilities sum to {sums[i]}, not 1"
+            raise ExpectedTableError(f"case {ids[i]!r}: {why}")
+    if error is not None:
+        raise error
+    # stacked in generate_suite's order, so a full table sums fitness like
+    # its reference
     order = np.lexsort((bases, inputs))
-    return TestSuite(width, np.array(bases)[order], np.array(inputs)[order], np.stack(rows)[order])
+    np.clip(rows, 0.0, None, out=rows)
+    return TestSuite(width, np.array(bases)[order], np.array(inputs)[order], rows[order])
 
 
 def hellinger(p: Distribution, q: Distribution) -> float:

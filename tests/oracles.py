@@ -10,15 +10,23 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp
-from qrep.errors import QasmSyntaxError, UnsupportedFeatureError, UnsupportedGateError
+from qrep.errors import (
+    ExpectedTableError,
+    QasmSyntaxError,
+    SuiteTooWideError,
+    UnsupportedFeatureError,
+    UnsupportedGateError,
+    WidthMismatchError,
+)
 from qrep.qasm import _MAX_EXPR_DEPTH, _RESERVED_FEATURES
-from qrep.simulator import BASIS_ORDER, Distribution, run_all_bases, sample_frequencies
-from qrep.testkit import TestCase, case_id, parse_case_id
+from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, sample_frequencies
+from qrep.testkit import DEFAULT_MAX_SUITE_QUBITS, TestCase, TestSuite, case_id, parse_case_id
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -834,15 +842,95 @@ def per_case_suite_from_expected(expected: dict) -> PerCaseSuite:
     cases = []
     for cid in sorted(expected):
         basis, input_state, q = parse_case_id(cid)
-        dist = Distribution.from_dict(q, expected[cid])
+        dist = distribution_from_dict(q, expected[cid])
         cases.append(TestCase(id=cid, input_state=input_state, basis=basis, expected=dist))
     cases.sort(key=lambda tc: (tc.input_state, BASIS_ORDER.index(tc.basis)))
     return PerCaseSuite(num_qubits=q, cases=tuple(cases))
 
 
+# ------------------------------------------- an expected table, case by case
+#
+# testkit.suite_from_expected as it stood before it checked and stacked a
+# table in bulk: each value screened in Python, one Distribution built and
+# validated per case. test_testkit.py holds the package to it byte for
+# byte on well-formed tables, and to its exception class and message on
+# malformed ones.
+
+
+def _is_probability(p) -> bool:
+    # a comparison, unlike math.isfinite, takes an int of any size; NaN fails it
+    return isinstance(p, (int, float)) and not isinstance(p, bool) and abs(p) <= sys.float_info.max
+
+
+def split_case_id(cid: str) -> tuple[MeasBasis, int, int]:
+    """``testkit.parse_case_id`` as it stood beside the loop below."""
+    try:
+        basis_s, bits = cid.split(":")
+        basis = MeasBasis(basis_s)
+        if set(bits) - {"0", "1"} or not bits:
+            raise ValueError
+    except ValueError:
+        raise ExpectedTableError(f"bad test-case id {cid!r}; expected like 'Z:0010'") from None
+    return basis, int(bits, 2), len(bits)
+
+
+def looped_suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
+    if not isinstance(expected, dict):
+        raise ExpectedTableError("expected-distribution table must map case ids to distributions")
+    if not expected:
+        raise ExpectedTableError("expected-distribution map is empty")
+    bases, inputs, rows = [], [], []
+    width = None
+    for cid in sorted(expected):
+        basis, input_state, q = split_case_id(cid)
+        if q > DEFAULT_MAX_SUITE_QUBITS:
+            raise SuiteTooWideError(f"case {cid!r} has {q} qubits (max {DEFAULT_MAX_SUITE_QUBITS})")
+        if width is None:
+            width = q
+        elif q != width:
+            raise WidthMismatchError(f"case {cid!r} width {q} != {width}")
+        probs = expected[cid]
+        if not isinstance(probs, dict) or not all(map(_is_probability, probs.values())):
+            raise ExpectedTableError(f"case {cid!r}: expected a map from bit strings to finite numbers")
+        try:
+            dist = distribution_from_dict(q, probs)
+        except ValueError as e:
+            raise ExpectedTableError(f"case {cid!r}: {e}") from None
+        bases.append(BASIS_ORDER.index(basis))
+        inputs.append(input_state)
+        rows.append(dist.probs)
+    # checked in id order, so an error names the first bad id; stacked in
+    # generate_suite's order, so a full table sums fitness like its reference
+    order = np.lexsort((bases, inputs))
+    return TestSuite(width, np.array(bases)[order], np.array(inputs)[order], np.stack(rows)[order])
+
+
+def load_outcome(loader, table):
+    """What ``loader(table)`` gives, in comparable form: the exception's
+    class and message, or the suite's width and the bytes of every array
+    an evaluation reads."""
+    try:
+        ts = loader(table)
+    except Exception as e:
+        return type(e), str(e)
+    rows = tuple((r.dtype.str, r.tobytes()) for r in ts.case_rows)
+    return ts.num_qubits, ts.expected.dtype.str, ts.expected.tobytes(), ts.bases, ts.inputs, rows
+
+
 # ------------------------------------------------------ test-only helpers
 #
 # Used only by tests, so they live here rather than in the package.
+
+
+def distribution_from_dict(num_qubits: int, probs: dict[str, float]) -> Distribution:
+    """A ``Distribution`` from a ``{bitstring: probability}`` map; absent
+    outcomes have probability 0."""
+    arr = np.zeros(2**num_qubits)
+    for bits, p in probs.items():
+        if len(bits) != num_qubits or set(bits) - {"0", "1"}:
+            raise WidthMismatchError(f"bad outcome bitstring {bits!r} for {num_qubits} qubits")
+        arr[int(bits, 2)] = p
+    return Distribution(num_qubits, arr)
 
 
 def sample(d, shots: int, seed: int):

@@ -15,7 +15,7 @@ def test_every_bench_layer_runs_once():
     assert {
         "gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "localize_dj6",
         "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "parse_grover3", "report_grover3",
-        "suite_dj6", "suite_table_qft4",
+        "suite_dj6", "suite_table_qft4", "suite_table_dj6", "suite_table_qft6",
     } <= set(layers)
     for name, (fn, facts) in layers.items():
         fn()

@@ -5,7 +5,8 @@ delete, duplicate, replace, insert or swap a token, or put a new number in
 place of a number or an angle. Whatever the result, the parser must either
 return a circuit that round-trips or raise a QRepError, it must agree with
 the token-loop parser it replaced, and the CLI must end with exit code 0 or
-1 instead of a traceback.
+1 instead of a traceback. A drawn expected-distribution map must load, or
+fail, exactly as the case-by-case table loader it replaced.
 """
 import contextlib
 import io
@@ -17,11 +18,12 @@ from pathlib import Path
 import numpy as np
 from conftest import random_circuit
 from hypothesis import given, settings, strategies as st
-from oracles import token_loop_parse_qasm
+from oracles import load_outcome, looped_suite_from_expected, token_loop_parse_qasm
 
 from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, main
 from qrep.errors import QRepError
 from qrep.qasm import emit_qasm, parse_qasm
+from qrep.testkit import suite_from_expected
 
 _PIECE_RE = re.compile(r'\s+|[A-Za-z_]\w*|\d+\.?\d*(?:[eE][+-]?\d+)?|->|"[^"]*"|.')
 
@@ -195,6 +197,13 @@ def test_malformed_expected_map_exits_cleanly(text, sub):
         if sub != "localize":
             argv += ["--budget-evals", "30"]
         _run_cli(argv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(expected_json())
+def test_expected_map_loads_like_the_case_by_case_loop(text):
+    table = json.loads(text)
+    assert load_outcome(suite_from_expected, table) == load_outcome(looped_suite_from_expected, table)
 
 
 _HUGE = st.sampled_from([2**31, 2**63 - 1, 2**63, 2**64, 2**70])

@@ -7,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from itertools import combinations
 
-from oracles import dense_probs, dense_probs_all, distributions_allclose, gate_matrix, sample, stacked_run_all_bases
+from oracles import (
+    dense_probs,
+    dense_probs_all,
+    distribution_from_dict,
+    distributions_allclose,
+    gate_matrix,
+    sample,
+    stacked_run_all_bases,
+)
 from conftest import RANDOM_KINDS, random_circuit
 from qrep import simulator
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
@@ -120,13 +128,13 @@ def test_distribution_validation():
         with pytest.raises(ValueError, match="non-finite"):
             Distribution(1, np.array(probs))
         with pytest.raises(ValueError, match="non-finite"):
-            Distribution.from_dict(1, {"0": probs[0], "1": probs[1]})
+            distribution_from_dict(1, {"0": probs[0], "1": probs[1]})
 
 
 def test_distribution_dict_roundtrip():
     d = Distribution(2, np.array([0.25, 0.0, 0.5, 0.25]))
     assert d.as_dict() == {"00": 0.25, "10": 0.5, "11": 0.25}
-    back = Distribution.from_dict(2, d.as_dict())
+    back = distribution_from_dict(2, d.as_dict())
     assert distributions_allclose(back, d)
 
 

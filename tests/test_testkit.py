@@ -1,13 +1,22 @@
 """Suite generation, Hellinger distance, the two-rule oracle, and fitness."""
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_circuit
-from oracles import hellinger_ref, per_case_generate_suite, per_case_suite_from_expected, sample
+from oracles import (
+    hellinger_ref,
+    load_outcome,
+    looped_suite_from_expected,
+    per_case_generate_suite,
+    per_case_suite_from_expected,
+    sample,
+)
 from qrep import cli, testkit
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import build_circuit, remove_gate
@@ -127,6 +136,14 @@ def test_suite_from_expected_rejects_mixed_width():
 def test_suite_from_expected_rejects_integer_beyond_float_range(p):
     with pytest.raises(ExpectedTableError, match="'Z:0'"):
         suite_from_expected({"Z:0": {"0": p}})
+
+
+def test_sum_beyond_float_range_is_an_error_without_a_warning():
+    # a numpy overflow warning would print a second line beside the CLI's error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExpectedTableError, match="'Z:0': probabilities sum to inf, not 1"):
+            suite_from_expected({"Z:0": {"0": 1e308, "1": 1e308}})
 
 
 # ------------------------------------------------------------------- oracle
@@ -411,3 +428,91 @@ def test_evaluation_path_never_builds_the_case_view(monkeypatch, tmp_path):
     inject_faults(ref, seed=3, per_group=1, suite=ts)
     argv = ["repair", "--circuit", str(circuit), "--expected", str(table), "--budget-evals", "200"]
     assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) in (cli.EXIT_OK, cli.EXIT_NOT_FIXED)
+
+
+# ------------------------------------ an expected table in bulk vs per case
+
+
+def _well_formed_tables(rng, ts):
+    """Full, Z-only and sparse tables of ``ts``, zero entries omitted and
+    written out, exact 0 and 1 as integers, keys and cases shuffled."""
+    q = ts.num_qubits
+    full = {}
+    for tc in ts.cases:
+        probs = {tc.expected.bitstring(i): float(p) for i, p in enumerate(tc.expected.probs)}
+        full[tc.id] = {b: int(p) if p in (0.0, 1.0) else p for b, p in probs.items()}
+    ids = list(full)
+    picks = (ids, [cid for cid in ids if cid.startswith("Z")], [cid for cid in ids if rng.random() < 0.3] or ids[:1])
+    for pick in picks:
+        for omit_zeros in (True, False):
+            table = {}
+            for cid in rng.permutation(pick):
+                row = {b: p for b, p in full[cid].items() if p or not omit_zeros}
+                table[str(cid)] = {b: row[b] for b in rng.permutation(list(row))}
+            yield table
+    # one-hot integer rows, some with an integer zero beside the 1
+    table = {}
+    for cid in rng.permutation(ids)[: max(1, len(ids) // 4)]:
+        hot, zero = (format(k, f"0{q}b") for k in rng.permutation(2**q)[:2].tolist())
+        table[str(cid)] = {zero: 0, hot: 1} if rng.random() < 0.5 else {hot: 1}
+    yield table
+
+
+def test_bulk_table_loads_like_the_case_by_case_loop():
+    rng = np.random.default_rng(131)
+    loaded = 0
+    for q in (1, 2, 3, 4, 5, 6) * 2:
+        ts = generate_suite(random_circuit(rng, q, int(rng.integers(1, 12))))
+        for table in _well_formed_tables(rng, ts):
+            want = load_outcome(looped_suite_from_expected, table)
+            assert load_outcome(suite_from_expected, table) == want
+            assert want[0] == q, want  # a suite, not an error
+            json_table = json.loads(json.dumps(table))
+            assert load_outcome(suite_from_expected, json_table) == want
+            loaded += 1
+    assert loaded == 12 * 7
+
+
+_ID17 = "Z:" + "0" * 17
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"Z:00": {"00": 0.9}, "Z:01": {"0x": 1.0}},  # a row rule before a bad bitstring
+        {"Z:00": {"00": 1.0}, "Z:01": {"0x": 1.0}, "Z:10": {"10": 0.9}},
+        {"Z:00": {"00": 1.0}, "Z:01": {"01": 1.0, "1": 0.0}},
+        {"Z:0": {"٠": 1}},  # a digit int() reads, but not a 0 or a 1
+        {"Z:0": {"0": 10**400}},
+        {"Z:0": {"0": 1.0}, "Z:1": {"1": int("1" * 401)}},
+        {"Z:0": {"0": 0.5}, "Z:1": {"1": -int("9" * 401)}},
+        {"Z:0": {"0": 10**300}},
+        {"Z:0": {"0": 1e308, "1": 1e308}},
+        {"Z:0": {"0": math.nan}},
+        {"Z:0": {"0": 1.0, "1": math.nan}},
+        {"Z:0": {"0": 0.9}, "Z:1": {"1": math.nan}},
+        {"Z:0": {"0": True}},
+        {"Z:0": {"0": np.float64(0.5), "1": 0.5}},  # a float subclass
+        {"Z:0": {"0": int(sys.float_info.max) + 1}},  # rounds to a finite float, but is out of range
+        {"Z:0": {"0": 2**70}},
+        {"Z:0": {"0": 0.5, "1": 0.5}, "Z:1": {"1": None}},
+        {"Z:0": {"0": 1.5, "1": -0.5}},
+        {"Z:0": {"0": 1.5, "1": -0.5, "x": 1}},
+        {"Z:0": {"0": 1.0, "1": -1e-13}},  # rounding: clipped to 0
+        {"Z:0": {"0": 1.0 + 2e-9}},
+        {"Z:0": {}},
+        {"Z:0": [1.0]},
+        {"Z:0": {"0": 1}, "Z:00": {"00": 1}},
+        {"X:0": {"0": 1}, "Z:00": {"00": 0.5}},
+        {_ID17: {"0" * 17: 1}},
+        {"X:0": {"0": 0.5}, _ID17: {"0" * 17: 1}},
+        {"Q:1": {"1": 1}, "Z:0": {"0": 0.9}},
+        {"Z:0": {"0": 0.9}, "Z:0a": {"0": 1}},
+        {},
+        [],
+        "Z:0",
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the frozen loop's 1e308 + 1e308
+def test_malformed_table_fails_like_the_case_by_case_loop(table):
+    assert load_outcome(suite_from_expected, table) == load_outcome(looped_suite_from_expected, table)
