@@ -96,14 +96,19 @@ def _manifest(subcommand: str, inputs: dict, config: dict | None, seed: int) -> 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
 
 
-def encode_json(o, newline: str = "\n") -> str:
+def encode_json(o) -> str:
     """``json.dumps(o, indent=2)``, byte for byte, in one recursive pass.
 
     json drops its C encoder when given an indent and runs a chain of
     Python generators; this keeps its C string escaper and its number
-    spellings. Keys must be strings, as every report's are. ``newline`` is
-    the line break plus the indent of ``o``.
+    spellings. Keys must be strings, as every report's are.
     """
+    return _encode(o, "\n")
+
+
+def _encode(o, newline: str) -> str:
+    """``o`` encoded at the indent that ``newline`` (a line break and
+    spaces) ends in."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if isinstance(o, float):
@@ -121,12 +126,12 @@ def encode_json(o, newline: str = "\n") -> str:
     if isinstance(o, dict):
         if not o:
             return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {encode_json(v, inner)}" for k, v in o.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in o.items()]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        items = [encode_json(v, inner) for v in o]
+        items = [_encode(v, inner) for v in o]
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 

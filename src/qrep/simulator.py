@@ -36,6 +36,27 @@ class MeasBasis(Enum):
     Z = "Z"
 
 
+def check_probability_rows(rows: np.ndarray) -> tuple[int, str] | None:
+    """The rules every row of a ``[n, 2^q]`` probability matrix keeps:
+    finite entries, none below ``-1e-12``, and a sum within ``1e-9`` of 1.
+    Returns the first row that breaks one, with the reason; otherwise clips
+    the rounding negatives to 0 in place and returns None."""
+    negative = (rows < -_NEG_ATOL).any(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range reads inf
+        sums = rows.sum(axis=1)
+    # a NaN or infinite entry makes its row's sum NaN or infinite, which fails too
+    bad = negative | ~(np.abs(sums - 1.0) <= _NORM_ATOL)
+    if bad.any():
+        i = int(bad.argmax())
+        if not np.isfinite(rows[i]).all():
+            return i, "non-finite probability"
+        if negative[i]:
+            return i, "negative probability"
+        return i, f"probabilities sum to {sums[i]}, not 1"
+    np.maximum(rows, 0.0, out=rows)
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Probabilities over all 2^q outcomes, indexed little-endian."""
@@ -44,18 +65,14 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = np.array(self.probs, dtype=np.float64)
         if p.shape != (2**self.num_qubits,):
             raise WidthMismatchError(
                 f"expected {2**self.num_qubits} probabilities, got {p.shape}"
             )
-        if not np.all(np.isfinite(p)):
-            raise ValueError("non-finite probability")
-        if np.any(p < -_NEG_ATOL):
-            raise ValueError("negative probability")
-        if abs(float(p.sum()) - 1.0) > _NORM_ATOL:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-        p = np.clip(p, 0.0, None)
+        bad = check_probability_rows(p[None])
+        if bad is not None:
+            raise ValueError(bad[1])
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

@@ -21,12 +21,11 @@ import numpy as np
 from .circuit import Circuit
 from .errors import ExpectedTableError, NoFailingTestError, QRepError, SuiteTooWideError, WidthMismatchError
 from .simulator import (
-    _NEG_ATOL,
-    _NORM_ATOL,
     BASIS_ORDER,
     Distribution,
     MeasBasis,
     PrefixCache,
+    check_probability_rows,
     default_shots,
     run_all_bases,
     sample_frequencies,
@@ -154,11 +153,12 @@ def _only_bits(s: str) -> bool:
 
 def parse_case_id(cid: str) -> tuple[MeasBasis, int, int]:
     """Inverse of :func:`case_id`: returns (basis, input_state, num_qubits)."""
-    basis_s, _, bits = cid.partition(":")
-    basis = _BASES.get(basis_s)
-    if basis is None or not bits or not _only_bits(bits):
-        raise ExpectedTableError(f"bad test-case id {cid!r}; expected like 'Z:0010'")
-    return basis, int(bits, 2), len(bits)
+    if isinstance(cid, str):
+        basis_s, _, bits = cid.partition(":")
+        basis = _BASES.get(basis_s)
+        if basis is not None and bits and _only_bits(bits):
+            return basis, int(bits, 2), len(bits)
+    raise ExpectedTableError(f"bad test-case id {cid!r}; expected like 'Z:0010'")
 
 
 def generate_suite(
@@ -178,18 +178,19 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _are_probabilities(values) -> bool:
-    types = set(map(type, values))
-    if types <= {float}:  # a table's usual case; a finite float is within range
-        return all(map(math.isfinite, values))
     # types first, so abs() sees numbers only; a comparison, unlike
     # math.isfinite, takes an int of any size, and NaN fails it
-    return all(issubclass(t, (int, float)) and t is not bool for t in types) and all(
+    return all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))) and all(
         map(_FLOAT_MAX.__ge__, map(abs, values))
     )
 
 
 def _are_bitstrings(keys, q: int) -> bool:
-    return set(map(len, keys)) <= {q} and _only_bits("".join(keys))
+    try:
+        bits = "".join(keys)
+    except TypeError:  # a key that is not a string
+        return False
+    return set(map(len, keys)) <= {q} and _only_bits(bits)
 
 
 def _stack(tables: list[dict], q: int) -> np.ndarray:
@@ -213,14 +214,15 @@ def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
     naming the case. A distribution must sum to 1 within 1e-9; rounded
     tables are rejected, not renormalised. The ids, value types and
     bitstrings are checked case by case; then every entry is placed in one
-    matrix at once and the row rules (no negative entry, sum 1) run on it.
-    An error names the first bad case in sorted-id order.
+    matrix at once and :func:`check_probability_rows`, the rules every
+    :class:`Distribution` keeps, runs on it. An error names the first bad
+    case in sorted-id order.
     """
     if not isinstance(expected, dict):
         raise ExpectedTableError("expected-distribution table must map case ids to distributions")
     if not expected:
         raise ExpectedTableError("expected-distribution map is empty")
-    ids = sorted(expected)
+    ids = sorted(expected, key=str)  # an id that is not a string sorts by its text, then fails its parse
     bases, inputs, tables = [], [], []
     width = error = None
     try:
@@ -245,20 +247,14 @@ def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
         error = e
     if tables:
         rows = _stack(tables, width)
-        negative = (rows < -_NEG_ATOL).any(axis=1)
-        with np.errstate(over="ignore"):  # the error names a sum past the float range as inf
-            sums = rows.sum(axis=1)
-        bad = np.flatnonzero(negative | (np.abs(sums - 1.0) > _NORM_ATOL))
-        if bad.size:
-            i = bad[0]
-            why = "negative probability" if negative[i] else f"probabilities sum to {sums[i]}, not 1"
-            raise ExpectedTableError(f"case {ids[i]!r}: {why}")
+        bad = check_probability_rows(rows)
+        if bad is not None:
+            raise ExpectedTableError(f"case {ids[bad[0]]!r}: {bad[1]}")
     if error is not None:
         raise error
     # stacked in generate_suite's order, so a full table sums fitness like
     # its reference
     order = np.lexsort((bases, inputs))
-    np.clip(rows, 0.0, None, out=rows)
     return TestSuite(width, np.array(bases)[order], np.array(inputs)[order], rows[order])
 
 

@@ -851,10 +851,10 @@ def per_case_suite_from_expected(expected: dict) -> PerCaseSuite:
 # ------------------------------------------- an expected table, case by case
 #
 # testkit.suite_from_expected as it stood before it checked and stacked a
-# table in bulk: each value screened in Python, one Distribution built and
-# validated per case. test_testkit.py holds the package to it byte for
-# byte on well-formed tables, and to its exception class and message on
-# malformed ones.
+# table in bulk: each value screened in Python, one row built and validated
+# per case by the Distribution checks of that time. test_testkit.py holds
+# the package to it byte for byte on well-formed tables, and to its
+# exception class and message on malformed ones.
 
 
 def _is_probability(p) -> bool:
@@ -872,6 +872,23 @@ def split_case_id(cid: str) -> tuple[MeasBasis, int, int]:
     except ValueError:
         raise ExpectedTableError(f"bad test-case id {cid!r}; expected like 'Z:0010'") from None
     return basis, int(bits, 2), len(bits)
+
+
+def _checked_row(num_qubits: int, probs: dict) -> np.ndarray:
+    """``Distribution.from_dict(num_qubits, probs).probs`` with the
+    ``Distribution`` checks as they stood beside the loop below."""
+    arr = np.zeros(2**num_qubits)
+    for bits, p in probs.items():
+        if len(bits) != num_qubits or set(bits) - {"0", "1"}:
+            raise WidthMismatchError(f"bad outcome bitstring {bits!r} for {num_qubits} qubits")
+        arr[int(bits, 2)] = p
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite probability")
+    if np.any(arr < -1e-12):
+        raise ValueError("negative probability")
+    if abs(float(arr.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {arr.sum()}, not 1")
+    return np.clip(arr, 0.0, None)
 
 
 def looped_suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
@@ -893,12 +910,12 @@ def looped_suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSui
         if not isinstance(probs, dict) or not all(map(_is_probability, probs.values())):
             raise ExpectedTableError(f"case {cid!r}: expected a map from bit strings to finite numbers")
         try:
-            dist = distribution_from_dict(q, probs)
+            row = _checked_row(q, probs)
         except ValueError as e:
             raise ExpectedTableError(f"case {cid!r}: {e}") from None
         bases.append(BASIS_ORDER.index(basis))
         inputs.append(input_state)
-        rows.append(dist.probs)
+        rows.append(row)
     # checked in id order, so an error names the first bad id; stacked in
     # generate_suite's order, so a full table sums fitness like its reference
     order = np.lexsort((bases, inputs))

@@ -131,6 +131,18 @@ def test_distribution_validation():
             distribution_from_dict(1, {"0": probs[0], "1": probs[1]})
 
 
+def test_probability_rows_name_the_first_bad_row_or_clip():
+    rows = np.array([[1.0, 0.0], [0.6, 0.6], [math.nan, 1.0], [1.5, -0.5]])
+    before = rows.copy()
+    assert simulator.check_probability_rows(rows) == (1, "probabilities sum to 1.2, not 1")
+    assert simulator.check_probability_rows(rows[2:]) == (0, "non-finite probability")
+    assert simulator.check_probability_rows(rows[3:]) == (0, "negative probability")
+    assert np.array_equal(rows, before, equal_nan=True)  # nothing clipped while a row is bad
+    good = np.array([[1.0, -1e-13], [0.5, 0.5]])
+    assert simulator.check_probability_rows(good) is None
+    assert good.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+
+
 def test_distribution_dict_roundtrip():
     d = Distribution(2, np.array([0.25, 0.0, 0.5, 0.25]))
     assert d.as_dict() == {"00": 0.25, "10": 0.5, "11": 0.25}

@@ -496,6 +496,7 @@ _ID17 = "Z:" + "0" * 17
         {"Z:0": {"0": int(sys.float_info.max) + 1}},  # rounds to a finite float, but is out of range
         {"Z:0": {"0": 2**70}},
         {"Z:0": {"0": 0.5, "1": 0.5}, "Z:1": {"1": None}},
+        {"Z:0": {"0": 0.9}, "Z:1": {1: 1.0}},  # a row rule before a key that is not a string
         {"Z:0": {"0": 1.5, "1": -0.5}},
         {"Z:0": {"0": 1.5, "1": -0.5, "x": 1}},
         {"Z:0": {"0": 1.0, "1": -1e-13}},  # rounding: clipped to 0
@@ -516,3 +517,20 @@ _ID17 = "Z:" + "0" * 17
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the frozen loop's 1e308 + 1e308
 def test_malformed_table_fails_like_the_case_by_case_loop(table):
     assert load_outcome(suite_from_expected, table) == load_outcome(looped_suite_from_expected, table)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"Z:0": {0: 1.0}}, "case 'Z:0': bad outcome bitstring 0 for 1 qubits"),
+        ({"Z:0": {"0": 0.5, ("1",): 0.5}}, "case 'Z:0': bad outcome bitstring ('1',) for 1 qubits"),
+        ({"Z:1": {"1": 1.0}, "Z:0": {"1": 0.5, None: 0.5}}, "case 'Z:0': bad outcome bitstring None for 1 qubits"),
+        ({0: {"0": 1.0}}, "bad test-case id 0; expected like 'Z:0010'"),
+        ({"Z:0": {"0": 1.0}, 5: {"1": 1.0}}, "bad test-case id 5; expected like 'Z:0010'"),
+        ({"Z:0": {"0": 0.9}, ("Z:1",): {"1": 1.0}}, "bad test-case id ('Z:1',); expected like 'Z:0010'"),
+    ],
+)
+def test_non_string_keys_are_table_errors_naming_the_case(table, message):
+    with pytest.raises(ExpectedTableError) as e:
+        suite_from_expected(table)
+    assert str(e.value) == message
