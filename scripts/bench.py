@@ -6,7 +6,9 @@
 Layers: one ``h`` gate on the simulator's state of the full input batch at
 4 and 6 qubits, ``run_all_bases`` of qft8 (all 256 inputs, three bases),
 one ``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
-wstate4, dj6), one localisation sweep of a dj6 replace mutant, and the
+wstate4, dj6), one localisation sweep of a grover3 add mutant (40 gates,
+8 inputs; it stops at the added gate), a qft4 replace mutant and a dj6
+replace mutant (full sweeps of 16 and 64 inputs), and the
 guided search's patch queue of dj6 and grover3 (build it, pop 20 patches,
 prune once to three quarters of the gates, as the first of four
 iterations does), the single-gate edits of grover3 and dj6 (a removal
@@ -60,6 +62,8 @@ QUEUE_POPS = 20
 EDIT_CIRCUITS = (("grover", 3), ("dj", 6))
 INJECT_CIRCUITS = (("grover", 3, 3), ("dj", 6, 1))  # (family, size, injection seed)
 TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (family, size, Z basis only)
+# (family, size, injection seed, group): states of 1, 4 and 64 KiB
+SWEEP_MUTANTS = (("grover", 3, 3, "add"), ("qft", 4, 5, "replace"), ("dj", 6, 1, "replace"))
 REPORT_BUDGET = 50
 SAMPLE_S = 0.02
 
@@ -113,15 +117,19 @@ def layers() -> dict:
         ts = generate_suite(ref)
         value = fitness(ref, ts).value
         out[f"fitness_{fam}{n}"] = (lambda ref=ref, ts=ts: fitness(ref, ts), {"gates": len(ref.gates), "value": value})
-    ref = build_benchmark("dj", 6)
-    ts = generate_suite(ref)
-    mutant = inject_faults(ref, seed=1, per_group=1, groups=("replace",), suite=ts)[0].mutant
-    baseline = fitness(mutant, ts)
-    sweep = localize(mutant, ts, baseline)
-    out["localize_dj6"] = (
-        lambda: localize(mutant, ts, baseline),
-        {"gates": len(mutant.gates), "evals": sweep.evals_used, "ranking": [str(g) for g in sweep.table.ranking()]},
-    )
+    for fam, n, seed, group in SWEEP_MUTANTS:
+        ref = build_benchmark(fam, n)
+        ts = generate_suite(ref)
+        mutant = inject_faults(ref, seed=seed, per_group=1, groups=(group,), suite=ts)[0].mutant
+        baseline = fitness(mutant, ts)
+        sweep = localize(mutant, ts, baseline)
+        facts = {
+            "gates": len(mutant.gates),
+            "inputs": len(ts.inputs),
+            "evals": sweep.evals_used,
+            "ranking": [str(g) for g in sweep.table.ranking()],
+        }
+        out[f"localize_{fam}{n}"] = (lambda m=mutant, ts=ts, b=baseline: localize(m, ts, b), facts)
     for fam, n in QUEUE_CIRCUITS:
         ref = build_benchmark(fam, n)
         facts = {"gates": len(ref.gates), "left": len(patch_queue(ref))}

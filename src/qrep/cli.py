@@ -25,7 +25,7 @@ from .engine import (
     repair,
 )
 from .errors import ExpectedTableError, QRepError
-from .localizer import GateId, localize
+from .localizer import GateId, localize, removal_scores
 from .optimizer import OptBudget
 from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, inject_faults
 from .qasm import emit_qasm, parse_qasm
@@ -283,9 +283,8 @@ def _cmd_localize(args) -> int:
     ts = _load_suite(args)
     oracle = _oracle_from_args(args)
     prefixes = ts.prefixes(c)
-    evaluate = lambda cand: fitness(cand, ts, oracle, prefixes)
-    baseline = evaluate(c)
-    result = localize(c, ts, baseline, evaluate=evaluate)
+    baseline = fitness(c, ts, oracle, prefixes)
+    result = localize(c, ts, baseline, removal_scores(c, ts, oracle, prefixes))
     repaired_qasm = emit_qasm(result.repaired) if result.repaired is not None else None
     removed = result.repaired_by_removing
     payload = {

@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .localizer import (
     GateId,
     SuspiciousnessTable,
     localize,
+    removal_scores,
 )
 from .optimizer import OptBudget, minimize_params
 from .patcher import (
@@ -120,6 +121,12 @@ class Budget:
     def charge(self) -> None:
         self.evals_used += 1
 
+    def allowance(self) -> int | None:
+        """Evaluations left under a count budget, None under a seconds
+        budget; raises BudgetExhaustedError when the budget is spent."""
+        self.precheck()
+        return None if self.max_evals is None else self.max_evals - self.evals_used
+
 
 @dataclass
 class RepairReport:
@@ -179,6 +186,18 @@ class _Run:
         self.budget.precheck()
         self.budget.charge()
         return fitness(c, self.ts, self.cfg.oracle, self.prefixes)
+
+    def removal_scores(self) -> Iterator[FitnessScore]:
+        """``c_init``'s removal sweep for :func:`localize`, each score
+        charged as one evaluation when it is yielded. A chunk never goes
+        past the evaluations a count budget has left, so no removal beyond
+        it is simulated; under a seconds budget a sweep may compute up to
+        one chunk past the deadline, whose scores are then dropped."""
+        sweep = removal_scores(self.c_init, self.ts, self.cfg.oracle, self.prefixes, self.budget.allowance)
+        for score in sweep:
+            self.budget.precheck()
+            self.budget.charge()
+            yield score
 
     def record(self, kind: str, position: int, gate: str, qubits, params, value: float) -> None:
         self.candidates.append({
@@ -275,7 +294,7 @@ class _Run:
         return self.finalize(STATUS_NOT_FIXED, None)
 
     def guided_search(self) -> None:
-        loc = localize(self.c_init, self.ts, self.baseline, evaluate=self.evaluate)
+        loc = localize(self.c_init, self.ts, self.baseline, self.removal_scores())
         self.table = loc.table
         for gid, value in loc.removal_fitness.items():
             self.record("delete", gid.position, gid.gate, gid.qubits, (), value)

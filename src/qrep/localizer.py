@@ -4,17 +4,20 @@ Each repairable gate is removed in turn; if the pruned circuit passes the
 whole suite the sweep short-circuits and returns it as a complete repair.
 Otherwise the gate's score grows by (baseline fitness - pruned fitness), so
 gates whose removal helps accumulate positive scores and gates whose removal
-hurts go negative.
+hurts go negative. The pruned circuits are simulated a chunk at a time,
+stacked on one state tensor (:func:`removal_scores`), and scored one by one.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
+from . import simulator
 from .circuit import Circuit, GateApp, remove_gate
 from .errors import QRepError, UnknownGateError
-from .testkit import FitnessScore, TestSuite, fitness, require_failing
+from .simulator import PrefixCache
+from .testkit import FitnessScore, OracleConfig, TestSuite, removal_fitness, require_failing
 
 
 class BudgetExhaustedError(QRepError):
@@ -88,40 +91,65 @@ class LocalizeResult:
     partial: bool = False  # budget ran out before the sweep finished
 
 
+def removal_scores(
+    c: Circuit,
+    ts: TestSuite,
+    cfg: OracleConfig = OracleConfig(),
+    prefixes: PrefixCache | None = None,
+    allowance: Callable[[], int | None] = lambda: None,
+) -> Iterator[FitnessScore]:
+    """The fitness of ``c`` without each of its gates, in position order.
+
+    The removals are simulated in chunks of as many as fit
+    :data:`~qrep.simulator.SWEEP_CHUNK_BYTES` of stacked states, at least
+    one (see :func:`~qrep.testkit.removal_fitness`). ``allowance`` is called
+    before each chunk; it returns how many more removals may be simulated
+    (at least one), or None for no count limit, and may raise
+    :class:`BudgetExhaustedError`. ``prefixes`` must be built for ``c``.
+    """
+    if prefixes is None:
+        prefixes = ts.prefixes(c)
+    size = max(1, simulator.SWEEP_CHUNK_BYTES // prefixes.state_bytes)
+    m, a = len(c.gates), 0
+    while a < m:
+        left = allowance()
+        b = min(m, a + (size if left is None else max(1, min(size, left))))
+        yield from removal_fitness(c, ts, range(a, b), cfg, prefixes)
+        a = b
+
+
 def localize(
     c_init: Circuit,
     ts: TestSuite,
     baseline: FitnessScore,
-    evaluate: Callable[[Circuit], FitnessScore] | None = None,
+    scores: Iterable[FitnessScore] | None = None,
 ) -> LocalizeResult:
     """Gate-removal sweep over ``c_init`` (ascending position order).
 
-    ``evaluate`` defaults to exact-mode fitness resuming from the prefixes
-    of ``c_init``; the repair engine passes its budget-counting evaluator
-    instead. A sweep cut short by budget exhaustion returns the partial
-    table, flagged.
+    ``scores`` yields the fitness of ``c_init`` without each gate, in
+    position order; it defaults to :func:`removal_scores` in exact mode.
+    The repair engine passes its budget-charging iterator instead. The
+    sweep draws one score per gate and stops drawing at a passing removal;
+    an iterator that raises :class:`BudgetExhaustedError` cuts it short,
+    and the partial table is returned, flagged.
     """
     require_failing(baseline)
-    if evaluate is None:
-        prefixes = ts.prefixes(c_init)
-        evaluate = lambda c: fitness(c, ts, prefixes=prefixes)
+    if scores is None:
+        scores = removal_scores(c_init, ts)
 
     start = time.monotonic()
     result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init))
-    for pos, g in enumerate(c_init.gates):
-        gid = gate_id(pos, g)
-        candidate = remove_gate(c_init, pos)
-        try:
-            score = evaluate(candidate)
-        except BudgetExhaustedError:
-            result.partial = True
-            break
-        result.evals_used += 1
-        result.removal_fitness[gid] = score.value
-        if score.all_passed():
-            result.repaired = candidate
-            result.repaired_by_removing = gid
-            break
-        result.table.add(gid, baseline.value - score.value)
+    try:
+        for pos, (g, score) in enumerate(zip(c_init.gates, scores)):
+            gid = gate_id(pos, g)
+            result.evals_used += 1
+            result.removal_fitness[gid] = score.value
+            if score.all_passed():
+                result.repaired = remove_gate(c_init, pos)
+                result.repaired_by_removing = gid
+                break
+            result.table.add(gid, baseline.value - score.value)
+    except BudgetExhaustedError:
+        result.partial = True
     result.wall_seconds = time.monotonic() - start
     return result

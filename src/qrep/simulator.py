@@ -6,10 +6,14 @@ rightmost, so index i maps to ``format(i, f"0{q}b")``. Gates are applied as
 amplitude kernels on one (2,) * q + (B,) tensor that holds a batch of B
 inputs, one per column, batch last; qubit k lives on axis q-1-k. A real
 one-qubit matrix then multiplies the tensor as it is laid out, with no
-transpose or copy. A :class:`PrefixCache` keeps the tensor
-after the leading gates of one circuit, so its single-gate edits are
-simulated from the edit on. No full 2^q x 2^q matrix is ever built here; the
-dense-matrix product lives in the test suite as an independent oracle.
+transpose or copy. The tensor may carry a leading block axis, one block per
+circuit: the kernels index qubits from the right, so every block is updated
+by the same call and rounds as it would alone. A removal sweep stacks the
+circuits that each lack one gate this way (see :func:`run_all_bases`). A
+:class:`PrefixCache` keeps the tensor after the leading gates of one
+circuit, so its single-gate edits are simulated from the edit on. No full
+2^q x 2^q matrix is ever built here; the dense-matrix product lives in the
+test suite as an independent oracle.
 """
 from __future__ import annotations
 
@@ -165,32 +169,38 @@ def _apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """``m`` on every amplitude pair of ``qubit`` of the C-contiguous state
     tensor ``t``, as a new C-contiguous tensor.
 
-    ``t`` is viewed as (2^(n-1-qubit), 2, 2^qubit * B). A real ``m``
+    ``t`` is viewed as (-1, 2, 2^qubit * B): the qubits above ``qubit`` and
+    any block axis merge into the leading dimension. A real ``m``
     multiplies the view from the left, read as float64: no transpose, no
     copy. A complex ``m`` multiplies the transposed view from the right,
     as amplitude rows, and the result is copied back; from the left it
     would round ``rx``, ``t`` and ``u`` differently. A batch of one input
     is padded to two columns (see :class:`PrefixCache`), because a
     one-column product rounds differently from a wider one, and a row must
-    not depend on its batch. On one qubit the batch is multiplied as
-    stacked (B, 1, 2) cores of one amplitude row each.
+    not depend on its batch. On one qubit each block's batch is multiplied
+    as stacked (B, 1, 2) cores of one amplitude row each.
     """
     if n == 1:
-        cores = np.ascontiguousarray(t.T).reshape(-1, 1, 2)
-        return np.ascontiguousarray((cores @ m.T).reshape(-1, 2).T)
-    view = t.reshape(2 ** (n - 1 - qubit), 2, -1)
+        blocks = t.reshape(-1, 2, t.shape[-1])
+        cores = np.ascontiguousarray(blocks.transpose(0, 2, 1)).reshape(-1, 1, 2)
+        rows = (cores @ m.T).reshape(len(blocks), -1, 2)
+        return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(t.shape)
+    view = t.reshape(-1, 2, 2**qubit * t.shape[-1])
     if m.dtype == np.float64:
         return np.matmul(m, view.view(np.float64)).view(complex).reshape(t.shape)
     rows = view.transpose(0, 2, 1) @ m.T
     return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(t.shape)
 
 
-def _slices(n: int, assignments: dict[int, int]) -> tuple:
-    # index of the amplitudes whose qubits hold the assigned bits, in every column
+@functools.cache
+def _slices(n: int, *assignments: int) -> tuple:
+    # index of the amplitudes whose qubits hold the assigned bits, given as
+    # qubit, bit, qubit, bit, ..., in every column of every block: the
+    # qubit axes are counted from the batch axis
     idx: list = [slice(None)] * n
-    for qubit, bit in assignments.items():
+    for qubit, bit in zip(assignments[::2], assignments[1::2]):
         idx[n - 1 - qubit] = bit
-    return tuple(idx)
+    return (Ellipsis, *idx, slice(None))
 
 
 def _apply_gate(t: np.ndarray, g: GateApp, n: int) -> np.ndarray:
@@ -210,28 +220,28 @@ def _apply_gate(t: np.ndarray, g: GateApp, n: int) -> np.ndarray:
 
     if kind is GateKind.CX:
         c, x = g.qubits
-        a, b = _slices(n, {c: 1, x: 0}), _slices(n, {c: 1, x: 1})
+        a, b = _slices(n, c, 1, x, 0), _slices(n, c, 1, x, 1)
         t[a], t[b] = t[b].copy(), t[a].copy()
     elif kind is GateKind.CZ:
-        s = _slices(n, {g.qubits[0]: 1, g.qubits[1]: 1})
+        s = _slices(n, g.qubits[0], 1, g.qubits[1], 1)
         t[s] = -t[s]
     elif kind is GateKind.CP:
-        s = _slices(n, {g.qubits[0]: 1, g.qubits[1]: 1})
+        s = _slices(n, g.qubits[0], 1, g.qubits[1], 1)
         t[s] = t[s] * cmath.exp(1j * g.params[0])
     elif kind is GateKind.CRZ:
         c, x = g.qubits
         half = g.params[0] / 2.0
-        a, b = _slices(n, {c: 1, x: 0}), _slices(n, {c: 1, x: 1})
+        a, b = _slices(n, c, 1, x, 0), _slices(n, c, 1, x, 1)
         t[a] = t[a] * cmath.exp(-1j * half)
         t[b] = t[b] * cmath.exp(1j * half)
     elif kind is GateKind.SWAP:
         a, b = g.qubits
-        lo, hi = _slices(n, {a: 0, b: 1}), _slices(n, {a: 1, b: 0})
+        lo, hi = _slices(n, a, 0, b, 1), _slices(n, a, 1, b, 0)
         t[lo], t[hi] = t[hi].copy(), t[lo].copy()
     elif kind is GateKind.CCX:
         c1, c2, x = g.qubits
-        a = _slices(n, {c1: 1, c2: 1, x: 0})
-        b = _slices(n, {c1: 1, c2: 1, x: 1})
+        a = _slices(n, c1, 1, c2, 1, x, 0)
+        b = _slices(n, c1, 1, c2, 1, x, 1)
         t[a], t[b] = t[b].copy(), t[a].copy()
     else:
         raise ValueError(f"no kernel for {kind.gate_name}")
@@ -246,6 +256,12 @@ _H = _FIXED_1Q[GateKind.H]
 # A 6-qubit suite keeps every prefix of up to 128 gates; from 8 qubits on a
 # repair's peak memory is 90 MB or more, so the cache adds under a tenth
 PREFIX_CACHE_BYTES = 8 * 2**20
+
+# bytes of stacked states one chunk of a removal sweep holds: a full
+# suite's removals go 64 to a chunk at 3 qubits and 16 at 4, and a 6-qubit
+# state fills a chunk alone. Stacking two 6-qubit states made a dj6 sweep
+# slower, not faster (scripts/bench.py's localize_* layers measure this)
+SWEEP_CHUNK_BYTES = 64 * 2**10
 
 
 @functools.cache
@@ -289,9 +305,11 @@ class PrefixCache:
             raise WidthMismatchError(f"input {bad[0]} out of range for {n} qubits")
         self.num_qubits = n
         self.inputs = idx
+        self.given = inputs if isinstance(inputs, (tuple, range)) else None  # immutable, so checked once
         self.columns = np.repeat(idx, 2) if len(idx) == 1 else idx
         self.gates = c.gates
-        slots = PREFIX_CACHE_BYTES // (len(self.columns) * 2**n * np.dtype(complex).itemsize)
+        self.state_bytes = len(self.columns) * 2**n * np.dtype(complex).itemsize
+        slots = PREFIX_CACHE_BYTES // self.state_bytes
         self.stride = max(1, -(-len(c.gates) // slots)) if slots else len(c.gates) + 1
         self.states: dict[int, np.ndarray] = {}
         last = len(c.gates) - len(c.gates) % self.stride
@@ -315,11 +333,43 @@ class PrefixCache:
             raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {self.num_qubits}")
         shared = 0
         for a, b in zip(c.gates, self.gates):
-            if a != b:
+            if a is not b and a != b:  # an edit shares its other gates' objects
                 break
             shared += 1
         k = shared - shared % self.stride
-        return k, np.copy(self.states[k]) if k else self._start()
+        return k, self.after(k)
+
+    def after(self, k: int) -> np.ndarray:
+        """A fresh copy of the state after the cached circuit's first ``k``
+        gates, simulated on from the last stored state at or before it."""
+        start = k - k % self.stride
+        t = np.copy(self.states[start]) if start else self._start()
+        for g in self.gates[start:k]:
+            t = _apply_gate(t, g, self.num_qubits)
+        return t
+
+
+def _removal_states(c: Circuit, prefixes: PrefixCache, removals: range) -> np.ndarray:
+    """The final states of ``c`` without gate p, for each p in ``removals``
+    (ascending, step 1), stacked one block per removal.
+
+    A staircase: the circuit without gate p joins at step p from the
+    cached state after p gates, so it skips gate p, and every later gate
+    is applied once to all the blocks that have joined. One removal is
+    simulated as a single edit is, with no block axis: its prefix state,
+    then its suffix."""
+    if removals.step != 1 or not 0 <= removals.start < removals.stop <= len(c.gates):
+        raise ValueError(f"no run of gate positions {removals} in a circuit of {len(c.gates)} gates")
+    if prefixes.gates != c.gates:
+        raise ValueError("prefix cache was built for another circuit")
+    n, a, b = c.num_qubits, removals.start, removals.stop
+    t = prefixes.after(a)
+    for j in range(a + 1, len(c.gates)):
+        t = _apply_gate(t, c.gates[j], n)
+        if j < b:
+            s = prefixes.after(j)
+            t = np.concatenate((t.reshape((-1,) + s.shape), s[None]))
+    return t
 
 
 def run_all_bases(
@@ -327,43 +377,51 @@ def run_all_bases(
     inputs,
     bases: tuple[MeasBasis, ...] = BASIS_ORDER,
     prefixes: PrefixCache | None = None,
+    removals: range | None = None,
 ) -> np.ndarray:
     """Born-rule probabilities of every input in each of ``bases``, as an
     array indexed ``[basis, k, outcome]``: ``k`` the position of the input
-    in ``inputs``.
+    in ``inputs``. Given ``removals``, a run of gate positions, the array
+    is indexed ``[i, basis, k, outcome]`` instead, for ``c`` without gate
+    ``removals[i]``, and ``prefixes`` must be built for ``c``.
 
     All inputs pass through the gate list together as one (2,) * n + (B,)
     tensor (see :class:`PrefixCache`), from the longest prefix of ``c``
     that ``prefixes`` holds (given one built for the same inputs), else
-    from the inputs themselves. A row does not depend on the batch it is
-    computed in, so :func:`run_exact` agrees bit for bit with a suite. The
-    X basis is ``h`` on every qubit, the Y basis a phase table (``sdg`` on
-    every qubit) and then ``h``, each basis in turn from the final state.
-    Squared amplitudes are turned back to one contiguous row per input
-    before the row sums, so a row sums in the same order in any batch.
+    from the inputs themselves. A row does not depend on the batch or the
+    block it is computed in, so :func:`run_exact` agrees bit for bit with a
+    suite, and a circuit's removals stacked on a block axis with each
+    removal alone. The X basis is ``h`` on every qubit, the Y basis a phase
+    table (``sdg`` on every qubit) and then ``h``, each basis in turn from
+    the final states. Squared amplitudes are turned back to one contiguous
+    row per input before the row sums, so a row sums in the same order in
+    any batch.
     """
     if prefixes is None:
-        prefixes = PrefixCache(Circuit(c.num_qubits), inputs)
-    elif not np.array_equal(prefixes.inputs, np.asarray(inputs).reshape(-1)):
+        prefixes = PrefixCache(Circuit(c.num_qubits) if removals is None else c, inputs)
+    elif inputs is not prefixes.given and not np.array_equal(prefixes.inputs, np.asarray(inputs).reshape(-1)):
         raise ValueError("prefix cache was built for other inputs")
     n = c.num_qubits
-    k, t = prefixes.resume(c)
-    for g in c.gates[k:]:
-        t = _apply_gate(t, g, n)
-    batch = len(prefixes.inputs)
-    out = np.empty((len(bases), batch, 2**n))
+    if removals is None:
+        k, t = prefixes.resume(c)
+        for g in c.gates[k:]:
+            t = _apply_gate(t, g, n)
+    else:
+        t = _removal_states(c, prefixes, removals)
+    blocks, batch = t.size // (2**n * t.shape[-1]), len(prefixes.inputs)
+    out = np.empty((blocks, len(bases), batch, 2**n))
     for b, basis in enumerate(bases):
         s = t * _y_phases(n) if basis is MeasBasis.Y else t
         if basis is not MeasBasis.Z:
             for q in range(n):
                 s = _apply_1q(s, _H, q, n)
-        probs = np.ascontiguousarray((np.abs(s.reshape(2**n, -1)) ** 2).T[:batch])
-        norms = probs.sum(axis=1)
+        probs = np.ascontiguousarray((np.abs(s.reshape(blocks, 2**n, -1)) ** 2).transpose(0, 2, 1)[:, :batch])
+        norms = probs.sum(axis=2)
         drift = np.abs(norms - 1.0)
         if np.any(drift > _NORM_ATOL):
-            raise AssertionError(f"final norm {norms[drift.argmax()]} drifted beyond tolerance")
-        out[b] = probs / norms[:, None]
-    return out
+            raise AssertionError(f"final norm {norms.flat[drift.argmax()]} drifted beyond tolerance")
+        out[:, b] = probs / norms[:, :, None]
+    return out[0] if removals is None else out
 
 
 def run_exact(c: Circuit, input_state: int, basis: MeasBasis = MeasBasis.Z) -> Distribution:

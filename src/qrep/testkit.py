@@ -301,19 +301,47 @@ def fitness(
     """
     _require_width(c, ts)
     observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes)[ts.case_rows]
+    return _scores(observed, ts, cfg)[0]
+
+
+def removal_fitness(
+    c: Circuit,
+    ts: TestSuite,
+    removals: range,
+    cfg: OracleConfig = OracleConfig(),
+    prefixes: PrefixCache | None = None,
+) -> list[FitnessScore]:
+    """:func:`fitness` of ``c`` without gate p, for each p in ``removals``
+    (a run of positions), from one stacked simulation (see
+    :func:`run_all_bases`); ``prefixes`` must be built for ``c``. Each
+    score equals the one its circuit gets alone."""
+    _require_width(c, ts)
+    observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, removals=removals)
+    observed = observed[(slice(None), *ts.case_rows)]
+    return _scores(observed.reshape(-1, observed.shape[2]), ts, cfg)
+
+
+def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[FitnessScore]:
+    """One score per block of ``len(ts)`` rows of ``observed``, each row
+    judged as :func:`fitness` judges it; in sampled mode each block's rows
+    are drawn with the per-case seeds."""
+    blocks = len(observed) // len(ts)
+    expected, sqrt_expected = ts.expected, ts.sqrt_expected
+    if blocks > 1:
+        expected, sqrt_expected = np.tile(expected, (blocks, 1)), np.tile(sqrt_expected, (blocks, 1))
     if cfg.mode == "sampled":
         shots = cfg.resolve_shots(ts.num_qubits)
-        observed = np.stack(
-            [sample_frequencies(row, shots, _case_seed(cfg.seed, i)) for i, row in enumerate(observed)]
-        )
-    wrong = np.any((observed > cfg.eps_zero) & (ts.expected <= cfg.eps_zero), axis=1)
-    diff = np.sqrt(observed) - ts.sqrt_expected
+        seeds = [_case_seed(cfg.seed, i) for i in range(len(ts))] * blocks
+        observed = np.stack([sample_frequencies(row, shots, seed) for row, seed in zip(observed, seeds)])
+    wrong = np.any((observed > cfg.eps_zero) & (expected <= cfg.eps_zero), axis=1)
+    diff = np.sqrt(observed) - sqrt_expected
     # a stack of (1 x n) @ (n x 1) products runs numpy's dot loop, so each
     # distance is rounded exactly as hellinger()'s np.dot rounds it
     sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-    h = np.minimum(np.sqrt(sq) / math.sqrt(2.0), 1.0)
-    failed = int(np.count_nonzero(wrong | (h > cfg.resolve_tau(ts.num_qubits))))
-    return FitnessScore(failed_count=failed, hellinger_sum=float(np.cumsum(h)[-1]))
+    h = np.minimum(np.sqrt(sq) / math.sqrt(2.0), 1.0).reshape(blocks, -1)
+    failed = wrong.reshape(blocks, -1) | (h > cfg.resolve_tau(ts.num_qubits))
+    sums = np.cumsum(h, axis=1)[:, -1].tolist()  # in suite order
+    return [FitnessScore(failed_count=int(np.count_nonzero(f)), hellinger_sum=v) for f, v in zip(failed, sums)]
 
 
 def require_failing(score: FitnessScore, what: str = "circuit") -> None:

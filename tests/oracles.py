@@ -453,7 +453,7 @@ def looped_guided_search(run) -> None:
     prunes the queue and tries nothing."""
     import qrep.engine as engine
 
-    loc = engine.localize(run.c_init, run.ts, run.baseline, evaluate=run.evaluate)
+    loc = engine.localize(run.c_init, run.ts, run.baseline, run.removal_scores())
     run.table = loc.table
     for gid, value in loc.removal_fitness.items():
         run.record("delete", gid.position, gid.gate, gid.qubits, (), value)
@@ -477,6 +477,47 @@ def looped_guided_search(run) -> None:
             frac = engine.pruning_keep_fraction(i, total)
             keep_n = max(1, math.ceil(frac * len(run.table.scores)))
             queue = engine.prune_to_gates(queue, set(run.table.ranking()[:keep_n]))
+
+
+# ------------------------------------------ removal sweep, one by one
+#
+# ``localizer.localize`` as it stood before the sweep stacked its removals:
+# each removal is built with ``remove_gate`` and scored alone by
+# ``evaluate``, by default exact-mode fitness resuming from the prefixes of
+# ``c_init``. test_localizer.py holds the stacked sweep to it field by field.
+
+
+def looped_localize(c_init, ts, baseline, evaluate=None):
+    import time
+
+    from qrep.circuit import remove_gate
+    from qrep.localizer import BudgetExhaustedError, LocalizeResult, SuspiciousnessTable, gate_id
+    from qrep.testkit import fitness, require_failing
+
+    require_failing(baseline)
+    if evaluate is None:
+        prefixes = ts.prefixes(c_init)
+        evaluate = lambda c: fitness(c, ts, prefixes=prefixes)  # noqa: E731
+
+    start = time.monotonic()
+    result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init))
+    for pos, g in enumerate(c_init.gates):
+        gid = gate_id(pos, g)
+        candidate = remove_gate(c_init, pos)
+        try:
+            score = evaluate(candidate)
+        except BudgetExhaustedError:
+            result.partial = True
+            break
+        result.evals_used += 1
+        result.removal_fitness[gid] = score.value
+        if score.all_passed():
+            result.repaired = candidate
+            result.repaired_by_removing = gid
+            break
+        result.table.add(gid, baseline.value - score.value)
+    result.wall_seconds = time.monotonic() - start
+    return result
 
 
 # ------------------------------------------------ QASM parser, token loop

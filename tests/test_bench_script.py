@@ -13,7 +13,7 @@ def test_every_bench_layer_runs_once():
     spec.loader.exec_module(bench)
     layers = bench.layers()
     assert {
-        "gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "localize_dj6",
+        "gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "localize_grover3", "localize_qft4", "localize_dj6",
         "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "parse_grover3", "report_grover3",
         "suite_dj6", "suite_table_qft4", "suite_table_dj6", "suite_table_qft6",
     } <= set(layers)

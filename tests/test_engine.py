@@ -160,8 +160,16 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
         values.append(score.value)
         return score
 
+    real_sweep = qrep.engine.removal_scores
+
+    def sweep_spy(*args):
+        for score in real_sweep(*args):
+            values.append(score.value)
+            yield score
+
     monkeypatch.setattr(qrep.engine, "apply_patch", apply_spy)
     monkeypatch.setattr(qrep.engine, "fitness", fitness_spy)
+    monkeypatch.setattr(qrep.engine, "removal_scores", sweep_spy)
     rep = repair(broken, bell_suite, cfg_evals(8, iterations=1, patch_catalog=("rx",)))
     assert rep.status == STATUS_NOT_FIXED
     assert rep.evals_used == 8
@@ -177,8 +185,8 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
 
 
 def _script_trials(monkeypatch, scores):
-    """Make the engine's evaluations return ``scores`` in order, and log
-    each applied patch's angles and circuit."""
+    """Make the engine's evaluations, the removal sweep's included, return
+    ``scores`` in order, and log each applied patch's angles and circuit."""
     applied = []
     real_apply = qrep.engine.apply_patch
     scripted = iter(scores)
@@ -190,6 +198,7 @@ def _script_trials(monkeypatch, scores):
 
     monkeypatch.setattr(qrep.engine, "apply_patch", apply_spy)
     monkeypatch.setattr(qrep.engine, "fitness", lambda *args: next(scripted))
+    monkeypatch.setattr(qrep.engine, "removal_scores", lambda c, *args: (next(scripted) for _ in c.gates))
     return applied
 
 

@@ -1,8 +1,15 @@
-"""Gate-removal localisation: scores, short-circuit, percentiles, budget cuts."""
+"""Gate-removal localisation: scores, short-circuit, percentiles, budget
+cuts, and the stacked sweep against the one-by-one sweep."""
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from oracles import gate_names
+from conftest import random_circuit
+from oracles import gate_names, looped_localize
+from qrep import simulator, testkit
+from qrep.benchmarks import build_benchmark
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate
+from qrep.engine import RepairConfig, _Run
 from qrep.errors import NoFailingTestError, UnknownGateError
 from qrep.localizer import (
     BudgetExhaustedError,
@@ -10,8 +17,10 @@ from qrep.localizer import (
     SuspiciousnessTable,
     gate_id,
     localize,
+    removal_scores,
 )
-from qrep.testkit import fitness, generate_suite
+from qrep.simulator import MeasBasis
+from qrep.testkit import OracleConfig, fitness, generate_suite, suite_from_expected
 
 
 def test_gate_id_format(bell):
@@ -120,32 +129,158 @@ def test_partial_sweep_on_budget(bell):
 
     allowance = [2]
 
-    def evaluate(c):
-        if allowance[0] <= 0:
-            raise BudgetExhaustedError("out of evals")
-        allowance[0] -= 1
-        return fitness(c, ts)
+    def scores():
+        for pos in range(len(broken.gates)):
+            if allowance[0] <= 0:
+                raise BudgetExhaustedError("out of evals")
+            allowance[0] -= 1
+            yield fitness(remove_gate(broken, pos), ts)
 
-    res = localize(broken, ts, baseline, evaluate=evaluate)
+    res = localize(broken, ts, baseline, scores())
     assert res.partial
     assert res.repaired is None
     assert res.evals_used == 2
     assert len(res.removal_fitness) == 2  # only the gates actually swept
 
 
-def test_sweep_visits_gates_in_position_order(bell):
-    ts = generate_suite(bell)
-    broken = remove_gate(bell, 1)
+def test_sweep_visits_gates_in_position_order():
     broken = build_circuit(1, [("h", 0), ("s", 0), ("t", 0)])
     ref = build_circuit(1, [("h", 0)])
     ts = generate_suite(ref)
     baseline = fitness(broken, ts)
     seen = []
 
-    def evaluate(c):
-        seen.append(len(c.gates))
-        return fitness(c, ts)
+    def scores():
+        for pos in range(len(broken.gates)):
+            c = remove_gate(broken, pos)
+            seen.append(len(c.gates))
+            yield fitness(c, ts)
 
-    res = localize(broken, ts, baseline, evaluate=evaluate)
+    res = localize(broken, ts, baseline, scores())
     assert all(n == 2 for n in seen)  # each candidate removes exactly one gate
     assert res.evals_used == len(seen)
+    # the default sweep scores the same removals, in position order
+    default = localize(broken, ts, baseline)
+    assert [g.position for g in default.removal_fitness] == list(range(default.evals_used))
+    assert default.removal_fitness == res.removal_fitness
+
+
+# ------------------------------------------- the stacked sweep vs one by one
+
+
+def _fields(res) -> dict:
+    """Every field of a LocalizeResult but its wall time, dicts in order."""
+    out = {k: v for k, v in vars(res).items() if k != "wall_seconds"}
+    out["scores"] = list(res.table.scores.items())
+    out["removal_fitness"] = list(res.removal_fitness.items())
+    return out
+
+
+def _suite(ref, kind: str, rng):
+    ts = generate_suite(ref)
+    if kind == "full":
+        return ts
+    cases = [tc for tc in ts.cases if tc.basis is MeasBasis.Z or kind == "sparse"]
+    if kind == "sparse":
+        cases = [tc for tc in cases if rng.random() < 0.3] or cases[-1:]
+    return suite_from_expected({tc.id: tc.expected.as_dict() for tc in cases})
+
+
+def _count_blocks(mp) -> list[int]:
+    """The number of blocks of each stacked removal simulation run from
+    now on, through ``testkit``'s kernel call."""
+    blocks = []
+    run_all_bases = testkit.run_all_bases
+
+    def counted(*args, **kwargs):
+        out = run_all_bases(*args, **kwargs)
+        if out.ndim == 4:  # [removal, basis, input, outcome]
+            blocks.append(len(out))
+        return out
+
+    mp.setattr(testkit, "run_all_bases", counted)
+    return blocks
+
+
+def _stacked_sweep(c, ts, baseline, cfg, budget):
+    """The stacked sweep, with the blocks of every simulation it ran, and
+    the evaluations its budget charged (None without a budget)."""
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _count_blocks(mp)
+        if budget is None:
+            scores = None if cfg == OracleConfig() else removal_scores(c, ts, cfg)
+            return localize(c, ts, baseline, scores), blocks, None
+        run = _Run(c, ts, RepairConfig(budget_evals=budget, oracle=cfg), None)
+        return localize(c, ts, baseline, run.removal_scores()), blocks, run.budget.evals_used
+
+
+def _looped_sweep(c, ts, baseline, cfg, budget):
+    if budget is None:
+        if cfg == OracleConfig():
+            return looped_localize(c, ts, baseline), None
+        prefixes = ts.prefixes(c)
+        return looped_localize(c, ts, baseline, lambda cand: fitness(cand, ts, cfg, prefixes)), None
+    run = _Run(c, ts, RepairConfig(budget_evals=budget, oracle=cfg), None)
+    return looped_localize(c, ts, baseline, run.evaluate), run.budget.evals_used
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 7),
+    suite_kind=st.sampled_from(["full", "z", "sparse"]),
+    sampled=st.booleans(),
+    chunk=st.integers(1, 9),
+    cache_slots=st.sampled_from([None, 0, 1, 2, 3]),
+    budget=st.none() | st.integers(1, 12),
+)
+def test_stacked_sweep_matches_per_candidate_sweep(seed, q, suite_kind, sampled, chunk, cache_slots, budget):
+    """The chunked, stacked sweep gives every field of the one-by-one sweep:
+    random circuits over every gate kind, a stray gate inserted into the
+    reference (its removal passes, often mid-chunk), full, Z-only and
+    sparse suites, both oracles, chunks of 1-9 removals, prefix caches
+    that keep every state, every few, or none, and count budgets that cut
+    a chunk. No chunk holds more than the bound or runs past the budget."""
+    rng = np.random.default_rng(seed)
+    ref = random_circuit(rng, q, int(rng.integers(0, 8 if q < 6 else 5)))
+    stray = random_circuit(rng, q, 1).gates[0]
+    c = insert_gate(ref, int(rng.integers(0, len(ref.gates) + 1)), stray)
+    if rng.random() < 0.3:  # a second stray: usually no removal passes
+        c = insert_gate(c, int(rng.integers(0, len(c.gates) + 1)), random_circuit(rng, q, 1).gates[0])
+    ts = _suite(ref, suite_kind, rng)
+    cfg = OracleConfig(mode="sampled", seed=seed) if sampled else OracleConfig()
+    baseline = fitness(c, ts, cfg)
+    assume(not baseline.all_passed())
+    state_bytes = ts.prefixes(c).state_bytes
+    with pytest.MonkeyPatch.context() as mp:
+        bound = chunk * state_bytes + int(rng.integers(0, state_bytes))
+        mp.setattr(simulator, "SWEEP_CHUNK_BYTES", bound)
+        if cache_slots is not None:
+            mp.setattr(simulator, "PREFIX_CACHE_BYTES", cache_slots * state_bytes)
+        want, want_charged = _looped_sweep(c, ts, baseline, cfg, budget)
+        got, blocks, got_charged = _stacked_sweep(c, ts, baseline, cfg, budget)
+    assert _fields(got) == _fields(want)
+    assert got_charged == want_charged
+    assert all(1 <= n <= chunk for n in blocks)
+    assert sum(blocks) <= (len(c.gates) if budget is None else min(budget, len(c.gates)))
+
+
+def test_sweep_chunks_stop_at_budget_and_score_a_mid_chunk_repair(monkeypatch):
+    """ghz3 with a stray z at position 2, four removals to a chunk: the
+    repair is the third score of the first chunk, and a budget of two
+    simulates two removals only."""
+    ref = build_benchmark("ghz", 3)
+    ts = generate_suite(ref)
+    broken = insert_gate(ref, 2, GateApp(GateKind.Z, (1,)))
+    baseline = fitness(broken, ts)
+    monkeypatch.setattr(simulator, "SWEEP_CHUNK_BYTES", 4 * ts.prefixes(broken).state_bytes)
+    blocks = _count_blocks(monkeypatch)
+    res = localize(broken, ts, baseline)
+    assert blocks == [4]
+    assert res.repaired_by_removing == GateId(2, "z", (1,)) and res.evals_used == 3
+    assert _fields(res) == _fields(looped_localize(broken, ts, baseline))
+    blocks.clear()
+    run = _Run(broken, ts, RepairConfig(budget_evals=2), None)
+    res = localize(broken, ts, baseline, run.removal_scores())
+    assert blocks == [2]
+    assert res.partial and res.evals_used == 2 and run.budget.evals_used == 2
