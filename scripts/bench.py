@@ -20,10 +20,12 @@ text (``to_dict`` plus the encoder ``cli._write_json`` uses) of one
 50-evaluation repair report, and suite building: ``generate_suite`` of dj6,
 and ``suite_from_expected`` of expected tables as a JSON round trip gives
 them: the Z-basis tables of qft4 (the table perfbench's ``cli-expected``
-workload writes) and dj6, and qft6's table of all three bases. Each sample
-is the mean of enough back-to-back calls to last about 20 ms; after
-one warm-up sample, ``--repeats`` samples give the median and the
-interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
+workload writes) and dj6, and qft6's table of all three bases, and one
+parametric patch trial: ``minimize_params`` tuning, in 20 probes scored by
+``fitness``, the angle of an ry add patch that puts back the ry removed
+from position 3 of wstate4. Each sample is the mean of enough
+back-to-back calls to last about 20 ms; after one warm-up sample,
+``--repeats`` samples give the median and the interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
 checkout, else from this one, so the same script times two commits on one
 machine. Each run is appended to the list under its label with the machine
 and a digest of the qrep sources it timed; on a shared host, alternate the
@@ -51,7 +53,8 @@ from qrep.benchmarks import build_benchmark
 from qrep.circuit import Circuit, GateApp, GateKind, insert_gate, remove_gate
 from qrep.engine import RepairConfig, repair
 from qrep.localizer import SuspiciousnessTable, localize
-from qrep.patcher import inject_faults, order_uniform, prune_to_gates
+from qrep.optimizer import OptBudget, minimize_params
+from qrep.patcher import Patch, apply_patch, inject_faults, order_uniform, prune_to_gates
 from qrep.qasm import emit_qasm, parse_qasm
 from qrep.simulator import MeasBasis
 from qrep.testkit import fitness, generate_suite, suite_from_expected
@@ -65,6 +68,8 @@ TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (fami
 # (family, size, injection seed, group): states of 1, 4 and 64 KiB
 SWEEP_MUTANTS = (("grover", 3, 3, "add"), ("qft", 4, 5, "replace"), ("dj", 6, 1, "replace"))
 REPORT_BUDGET = 50
+TRIAL = ("wstate", 4, 3)  # (family, size, position of the gate the trial's add patch restores)
+TRIAL_PROBES = 20
 SAMPLE_S = 0.02
 
 
@@ -157,6 +162,16 @@ def layers() -> dict:
     for fam, n, z_only in TABLE_CIRCUITS:
         table = expected_table(build_benchmark(fam, n), z_only)
         out[f"suite_table_{fam}{n}"] = (lambda table=table: suite_from_expected(table), {"cases": len(table)})
+    fam, n, pos = TRIAL
+    ref = build_benchmark(fam, n)
+    ts = generate_suite(ref)
+    gate = ref.gates[pos]
+    broken, patch = remove_gate(ref, pos), Patch("add", pos, gate.kind, gate.qubits)
+    budget = OptBudget(max_evals=TRIAL_PROBES)
+    trial = lambda: minimize_params(lambda a: fitness(apply_patch(broken, patch, a), ts).value, 1, budget)
+    res = trial()
+    facts = {"probes": res.evals, "best": res.value, "converged": res.converged}
+    out[f"trial_{gate.kind.gate_name}_{fam}{n}"] = (trial, facts)
     return out
 
 

@@ -42,6 +42,7 @@ def run_one(engine_fn, rec, ts, cfg):
 def main(argv=None):
     args = parse_args(argv)
     rows = []
+    qrep_s = 0.0
     print(f"{'mutant':<28} {'qrep':>9} {'evals':>6} {'impr%':>6} {'fault%':>6}"
           + ("   rs" if args.rs else ""))
     for name, n in CORPUS:
@@ -51,6 +52,7 @@ def main(argv=None):
         for rec in inject_faults(ref, seed=seed, per_group=1):
             cfg = RepairConfig(budget_evals=args.budget_evals, iterations=args.iterations, seed=seed)
             qr, secs = run_one(repair, rec, ts, cfg)
+            qrep_s += secs
             row = {
                 "mutant": f"{name}{n}/{rec.group}",
                 "description": rec.description,
@@ -73,6 +75,7 @@ def main(argv=None):
 
     fixed = sum(r["status"] == STATUS_REPAIRED for r in rows)
     print(f"\nrepaired {fixed}/{len(rows)} ({100 * fixed / len(rows):.0f}%)")
+    print(f"qrep total: {qrep_s:.1f} s wall, {sum(r['evals'] for r in rows)} evaluations")
     if args.rs:
         rs_fixed = sum(r.get("rs_status") == STATUS_REPAIRED for r in rows)
         print(f"random search {rs_fixed}/{len(rows)} ({100 * rs_fixed / len(rows):.0f}%)")

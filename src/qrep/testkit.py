@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -286,6 +286,13 @@ def _case_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master & (2**63 - 1), index]).generate_state(1)[0])
 
 
+@lru_cache(maxsize=16)
+def _case_seeds(master: int, n: int) -> tuple[int, ...]:
+    """:func:`_case_seed` of cases 0..n-1, built once per oracle seed and
+    suite size rather than on every sampled evaluation."""
+    return tuple(_case_seed(master, i) for i in range(n))
+
+
 def fitness(
     c: Circuit,
     ts: TestSuite,
@@ -331,7 +338,7 @@ def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[Fitn
         expected, sqrt_expected = np.tile(expected, (blocks, 1)), np.tile(sqrt_expected, (blocks, 1))
     if cfg.mode == "sampled":
         shots = cfg.resolve_shots(ts.num_qubits)
-        seeds = [_case_seed(cfg.seed, i) for i in range(len(ts))] * blocks
+        seeds = _case_seeds(cfg.seed, len(ts)) * blocks
         observed = np.stack([sample_frequencies(row, shots, seed) for row, seed in zip(observed, seeds)])
     wrong = np.any((observed > cfg.eps_zero) & (expected <= cfg.eps_zero), axis=1)
     diff = np.sqrt(observed) - sqrt_expected

@@ -1012,3 +1012,40 @@ def same_gate(a: GateApp, b: GateApp, atol: float = 1e-9) -> bool:
         and len(a.params) == len(b.params)
         and all(abs(x - y) <= atol for x, y in zip(a.params, b.params))
     )
+
+
+# ------------------------------------------ COBYLA through scipy, any width
+#
+# ``optimizer.minimize_params`` as it stood before one-angle trials ran its
+# plain-float port of PRIMA's COBYLA: every width calls
+# ``scipy.optimize.minimize``. test_optimizer.py holds the port to it call
+# by call, and test_engine.py monkeypatches it into the engine.
+
+
+def scipy_minimize_params(objective, n_params: int, budget):
+    from scipy import optimize
+
+    from qrep.optimizer import _CAP_SENTINEL, _MAX_ITER, _RHOBEG, OptResult
+
+    if n_params == 0:
+        return OptResult((), float(objective(())), 1, True)
+    best_x, best_v, count = (0.0,) * n_params, math.inf, 0
+
+    def wrapped(x: np.ndarray) -> float:
+        nonlocal best_x, best_v, count
+        if count >= budget.max_evals:
+            return _CAP_SENTINEL
+        count += 1
+        v = float(objective(tuple(float(a) for a in x)))
+        if v < best_v:
+            best_v, best_x = v, tuple(float(a) for a in x)
+        return v
+
+    res = optimize.minimize(
+        wrapped,
+        np.zeros(n_params),
+        method="COBYLA",
+        tol=min(budget.tolerance, _RHOBEG),
+        options={"maxiter": min(max(budget.max_evals, n_params + 2), _MAX_ITER), "rhobeg": _RHOBEG},
+    )
+    return OptResult(best_x, best_v, count, bool(res.success))

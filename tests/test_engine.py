@@ -6,7 +6,7 @@ import time
 from collections import deque
 
 import pytest
-from oracles import eager_order_uniform, looped_guided_search
+from oracles import eager_order_uniform, looped_guided_search, scipy_minimize_params
 
 import qrep.engine
 from qrep.benchmarks import build_benchmark
@@ -345,6 +345,23 @@ def test_optimizer_evals_are_charged(bell, bell_suite):
     assert rep.evals_used <= n
     if rep.status == STATUS_NOT_FIXED:
         assert rep.evals_used == n
+
+
+@pytest.mark.parametrize("family,n,seed", [("wstate", 4, 0), ("qft", 4, 5)])
+def test_one_angle_port_repairs_as_scipy_does(monkeypatch, family, n, seed):
+    # the replace mutants run rx/ry/rz trials (converged and not) within 300 evaluations
+    ref = build_benchmark(family, n)
+    ts = generate_suite(ref)
+    rec = next(r for r in inject_faults(ref, seed=seed, per_group=1) if r.group == "replace")
+    cfg = RepairConfig(budget_evals=300, iterations=4, seed=seed)
+    reports = []
+    for minimize in (qrep.engine.minimize_params, scipy_minimize_params):
+        monkeypatch.setattr(qrep.engine, "minimize_params", minimize)
+        d = repair(rec.mutant, ts, cfg, fault_gate=rec.fault_gate).to_dict()
+        d.pop("wall_seconds")
+        reports.append(d)
+    assert any(p["params"] for p in reports[0]["best_patches"])
+    assert reports[0] == reports[1]
 
 
 # ------------------------------------------------------------ random search

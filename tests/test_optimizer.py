@@ -1,10 +1,15 @@
-"""Derivative-free tuner: eval caps, best-so-far semantics, convergence."""
+"""Derivative-free tuner: eval caps, best-so-far semantics, convergence,
+and the one-angle COBYLA port held call by call to scipy's."""
 import math
+import sys
 import warnings
 
+import numpy as np
 import pytest
+from oracles import scipy_minimize_params
 
-from qrep.optimizer import OptBudget, OptResult, minimize_params
+from qrep import optimizer
+from qrep.optimizer import _RHOBEG, OptBudget, OptResult, minimize_params
 
 
 def test_budget_validation():
@@ -170,3 +175,130 @@ def test_tolerance_above_initial_radius_runs_without_solver_warning():
         warnings.simplefilter("error")
         res = minimize_params(lambda x: (x[0] - 1.0) ** 2, 1, OptBudget(max_evals=10, tolerance=2.0))
     assert 1 <= res.evals <= 10
+
+
+# ------------------------------------- the one-angle port vs scipy's COBYLA
+
+MAX_EVALS = (1, 2, 3, 5, 20, 200)
+# the last one is close enough to the start radius for PRIMA to snap to it
+TOLERANCES = (1e-6, 1e-3, 0.1, 1.0, 10.0, _RHOBEG - 64 * sys.float_info.epsilon)
+
+
+def _objective_factory(rng: np.random.Generator):
+    """A seeded random one-angle objective, as a factory of fresh copies
+    (pure noise draws a new value per call)."""
+    kind = int(rng.integers(5))
+    if kind == 0:  # trig polynomial of degree 1-3
+        c0, ab = float(rng.uniform(-1, 1)), rng.uniform(-1, 1, (int(rng.integers(1, 4)), 2)).tolist()
+        f = lambda t: c0 + sum(a * math.cos(k * t) + b * math.sin(k * t) for k, (a, b) in enumerate(ab, 1))
+    elif kind == 1:  # a constant, or a plateau on it
+        lo, hi = sorted(rng.uniform(-3, 3, 2).tolist())
+        c, inner = float(rng.choice([0.0, 1.0, rng.uniform(-2, 2)])), float(rng.uniform(-1, 1))
+        f = (lambda t: c) if rng.random() < 0.5 else (lambda t: inner if lo < t < hi else c)
+    elif kind == 2:  # quantised steps
+        q, a = float(rng.choice([0.01, 0.1, 0.5, 1.0])), float(rng.uniform(-3, 3))
+        f = lambda t: round((t - a) ** 2 / q) * q
+    elif kind == 3:  # a kink of slope 1e-12 to 1e14
+        s, a = 10.0 ** float(rng.uniform(-12, 14)), float(rng.uniform(-4, 4))
+        f = lambda t: s * abs(t - a)
+    else:  # pure noise
+        seed = int(rng.integers(2**32))
+        return lambda: (lambda t, noise=np.random.default_rng(seed): float(noise.random()))
+    return lambda: f
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_angle_port_matches_scipy_call_by_call(seed):
+    rng = np.random.default_rng(seed)
+    converged = set()
+    for _ in range(75):
+        make = _objective_factory(rng)
+        budget = OptBudget(max_evals=int(rng.choice(MAX_EVALS)), tolerance=float(rng.choice(TOLERANCES)))
+        runs = []
+        for minimize in (minimize_params, scipy_minimize_params):
+            f, seen = make(), []
+
+            def objective(x, f=f, seen=seen):
+                seen.append(x[0].hex())
+                return f(x[0])
+
+            runs.append((seen, minimize(objective, 1, budget)))
+        assert runs[0] == runs[1], budget
+        converged.add(runs[0][1].converged)
+    assert converged == {False, True}
+
+
+def test_wide_trials_still_run_scipy():
+    # u's three angles are not ported: same calls as the scipy shim, by construction
+    f = lambda x: math.cos(x[0]) + math.sin(x[1] - 0.3) ** 2 + 0.1 * x[2] ** 2
+    assert minimize_params(f, 3, OptBudget(max_evals=40)) == scipy_minimize_params(f, 3, OptBudget(max_evals=40))
+
+
+# The ported routines one by one against PRIMA's own, on inputs far wider
+# than a repair produces: tiny and huge radii, slopes and simplices.
+
+def _prima(name):
+    return pytest.importorskip(f"scipy._lib.pyprima.cobyla.{name}")
+
+
+def _wide(rng: np.random.Generator) -> float:
+    if rng.random() < 0.05:
+        return float(rng.choice([0.0, 5e-324, -1e-310, 1e-160, 1e160]))
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 300))
+
+
+def _hex(values) -> tuple:
+    return tuple(float(v).hex() for v in values)
+
+
+def test_trstlp_step_matches_prima():
+    trustregion = _prima("trustregion")
+    rng = np.random.default_rng(5)
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            g, delta = _wide(rng), 10.0 ** float(rng.uniform(-200, 280))
+            want = trustregion.trstlp(np.zeros((1, 0)), np.zeros(0), delta, np.array([g]))[0]
+            assert optimizer._trstlp(g, delta).hex() == float(want).hex(), (g, delta)
+
+
+def test_setdrop_tr_matches_prima():
+    geometry = _prima("geometry")
+    rng = np.random.default_rng(6)
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            rho = 10.0 ** float(rng.uniform(-200, 1))
+            delta = rho * float(rng.choice([1.0, 10.0 ** rng.uniform(0, 4)]))
+            s, d = _wide(rng), _wide(rng)
+            si = 1.0 / s if s and rng.random() < 0.8 else _wide(rng)
+            improved = bool(rng.random() < 0.5)
+            want = geometry.setdrop_tr(improved, np.array([d]), delta, rho, np.array([[s, 0.0]]), np.array([[si]]))
+            got = optimizer._setdrop_tr(improved, d, delta, rho, s, si)
+            assert got == (None if want is None else int(want)), (improved, d, delta, rho, s, si)
+
+
+def test_updatexfc_matches_prima():
+    update = _prima("update")
+    rng = np.random.default_rng(7)
+    eps = sys.float_info.epsilon
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            s, xb, d = _wide(rng), float(rng.uniform(-10, 10)), _wide(rng)
+            si = 1.0 / s if s and rng.random() < 0.7 else _wide(rng)
+            fv, fb, f = (float(v) for v in rng.choice([0.0, 1.0, -1e30, 1e30], 3) * rng.uniform(0, 2, 3))
+            jdrop = int(rng.integers(2))
+            outcome = []
+            for run in ("prima", "port"):
+                try:
+                    if run == "prima":
+                        sim, simi, fval, _, _, info = update.updatexfc(
+                            jdrop, np.zeros(0), eps, 0.0, np.array([d]), f, np.zeros((0, 2)), np.zeros(2),
+                            np.array([fv, fb]), np.array([[s, xb]]), np.array([[si]]),
+                        )
+                        damaged = info == update.DAMAGING_ROUNDING
+                        outcome.append(None if damaged else _hex((sim[0, 0], sim[0, 1], simi[0, 0], *fval)))
+                    else:
+                        state = optimizer._updatexfc(jdrop, d, f, s, xb, si, fv, fb)
+                        outcome.append(None if state is None else _hex(state))
+                except np.linalg.LinAlgError:
+                    outcome.append("singular")
+            assert outcome[0] == outcome[1], (jdrop, d, f, s, xb, si, fv, fb)

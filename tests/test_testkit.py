@@ -29,6 +29,7 @@ from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, 
 from qrep.testkit import (
     OracleConfig,
     _case_seed,
+    _case_seeds,
     case_id,
     fitness,
     generate_suite,
@@ -218,6 +219,13 @@ def test_sampled_fitness_deterministic(bell):
     assert a == b
     other = fitness(bell, ts, OracleConfig(mode="sampled", shots=64, seed=12))
     assert isinstance(other.value, float)  # different seed still runs to completion
+
+
+@pytest.mark.parametrize("master,n", [(0, 1), (11, 12), (2**64 + 5, 48), (-3, 192)])
+def test_cached_case_seeds_match_per_case_seeds(master, n):
+    seeds = _case_seeds(master, n)
+    assert seeds == tuple(_case_seed(master, i) for i in range(n))
+    assert _case_seeds(master, n) is seeds  # built once per (seed, size)
 
 
 def test_sampled_reference_still_passes(bell):
