@@ -4,7 +4,11 @@
     PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_8.json
 
 Layers: one ``h`` gate on the simulator's state of the full input batch at
-4 and 6 qubits, ``run_all_bases`` of qft8 (all 256 inputs, three bases),
+4 and 6 qubits, ``run_all_bases`` of qft8 (all 256 inputs, three bases;
+its facts hold the ``tracemalloc`` peak of one qft10 ``run_all_bases`` over
+all 1,024 inputs), the measurement alone: ``run_all_bases`` of qft4 and
+qft6 over all inputs, resumed from a prefix cache that holds the whole
+circuit, in the three bases and (qft4) in Z only,
 one ``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
 wstate4, dj6), one localisation sweep of a grover3 add mutant (40 gates,
 8 inputs; it stops at the added gate), a qft4 replace mutant and a dj6
@@ -39,6 +43,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -56,7 +61,7 @@ from qrep.localizer import SuspiciousnessTable, localize
 from qrep.optimizer import OptBudget, minimize_params
 from qrep.patcher import Patch, apply_patch, inject_faults, order_uniform, prune_to_gates
 from qrep.qasm import emit_qasm, parse_qasm
-from qrep.simulator import MeasBasis
+from qrep.simulator import BASIS_ORDER, MeasBasis
 from qrep.testkit import fitness, generate_suite, suite_from_expected
 
 FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj", 6))
@@ -64,6 +69,8 @@ QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
 QUEUE_POPS = 20
 EDIT_CIRCUITS = (("grover", 3), ("dj", 6))
 INJECT_CIRCUITS = (("grover", 3, 3), ("dj", 6, 1))  # (family, size, injection seed)
+# (family, size, bases, layer name suffix)
+MEASURE_CIRCUITS = (("qft", 4, BASIS_ORDER, ""), ("qft", 4, (MeasBasis.Z,), "_z"), ("qft", 6, BASIS_ORDER, ""))
 TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (family, size, Z basis only)
 # (family, size, injection seed, group): states of 1, 4 and 64 KiB
 SWEEP_MUTANTS = (("grover", 3, 3, "add"), ("qft", 4, 5, "replace"), ("dj", 6, 1, "replace"))
@@ -112,11 +119,23 @@ def layers() -> dict:
         # the simulator's own state tensor and h matrix, whatever their layout
         t = simulator.PrefixCache(Circuit(q), range(2**q))._start()
         out[f"gate_1q_q{q}"] = (lambda t=t, q=q: simulator._apply_1q(t, simulator._H, q // 2, q), {})
-    qft8 = build_benchmark("qft", 8)
+    qft8, qft10 = build_benchmark("qft", 8), build_benchmark("qft", 10)
     out["run_all_bases_qft8"] = (
         lambda: simulator.run_all_bases(qft8, range(2**8)),
-        {"gates": len(qft8.gates), "inputs": 2**8},
+        {
+            "gates": len(qft8.gates),
+            "inputs": 2**8,
+            "qft10_peak_mib": peak_bytes(lambda: simulator.run_all_bases(qft10, range(2**10))) / 2**20,
+        },
     )
+    for fam, n, bases, suffix in MEASURE_CIRCUITS:
+        ref, inputs = build_benchmark(fam, n), range(2**n)
+        cache = simulator.PrefixCache(ref, inputs)
+        facts = {"gates": len(ref.gates), "resumed_at": cache.resume(ref)[0], "bases": [b.value for b in bases]}
+        measure_only = lambda ref=ref, inputs=inputs, bases=bases, cache=cache: simulator.run_all_bases(
+            ref, inputs, bases=bases, prefixes=cache
+        )
+        out[f"measure_{fam}{n}{suffix}"] = (measure_only, facts)
     for fam, n in FITNESS_CIRCUITS:
         ref = build_benchmark(fam, n)
         ts = generate_suite(ref)
@@ -173,6 +192,17 @@ def layers() -> dict:
     facts = {"probes": res.evals, "best": res.value, "converged": res.converged}
     out[f"trial_{gate.kind.gate_name}_{fam}{n}"] = (trial, facts)
     return out
+
+
+def peak_bytes(fn) -> int:
+    """The ``tracemalloc`` peak of one call of ``fn``, over what was
+    allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def report_encoder():

@@ -26,7 +26,7 @@ from .engine import (
 )
 from .errors import ExpectedTableError, QRepError
 from .localizer import GateId, localize, removal_scores
-from .optimizer import OptBudget
+from .optimizer import TOL_FLOOR, OptBudget
 from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, inject_faults
 from .qasm import emit_qasm, parse_qasm
 from .simulator import MAX_SHOTS
@@ -226,7 +226,9 @@ def _add_repair_flags(p: argparse.ArgumentParser) -> None:
     budget.add_argument("--budget-seconds", type=_positive_float, default=None)
     p.add_argument("--iterations", type=_positive_int, default=4)
     p.add_argument("--opt-max-evals", type=_positive_int, default=20)
-    p.add_argument("--opt-tol", type=_positive_float, default=1e-3)
+    p.add_argument("--opt-tol", type=_positive_float, default=1e-3,
+                   help=f"the angle search's final trust-region radius; a value below {TOL_FLOOR:g} acts "
+                   f"as {TOL_FLOOR:g}, one above pi/2 as pi/2")
     p.add_argument("--top-k", type=_positive_int, default=10)
     p.add_argument("--catalog", type=_parse_catalog, default=DEFAULT_PATCH_CATALOG)
     p.add_argument("--fault-gate", type=_parse_fault_gate, default=None,

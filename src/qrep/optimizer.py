@@ -46,6 +46,10 @@ _CAP_SENTINEL = 1e18
 _MAX_ITER = 2**63 - 1
 # COBYLA's initial trust-region radius; the final radius (``tol``) may not exceed it
 _RHOBEG = math.pi / 2
+# the smallest final radius a trial runs to; a smaller tolerance acts as
+# this one. Far below it a one-angle simplex can shrink until its inverse
+# overflows (at 1e-200 some trials ended in a singular matrix)
+TOL_FLOOR = 1e-12
 
 
 def minimize_params(
@@ -58,7 +62,8 @@ def minimize_params(
     Calls the objective at most ``budget.max_evals`` times, exactly; the
     returned value is the best one actually observed. PRIMA's COBYLA needs
     at least ``n_params + 2`` evaluations, so below that the solver sees a
-    huge sentinel instead of fresh evaluations once the cap is hit.
+    huge sentinel instead of fresh evaluations once the cap is hit. The
+    tolerance is clamped to ``[TOL_FLOOR, _RHOBEG]``.
     """
     if n_params < 0:
         raise ValueError("n_params must be >= 0")
@@ -81,7 +86,7 @@ def minimize_params(
             best_x = x
         return v
 
-    tol = min(budget.tolerance, _RHOBEG)
+    tol = min(max(budget.tolerance, TOL_FLOOR), _RHOBEG)
     maxfun = min(max(budget.max_evals, n_params + 2), _MAX_ITER)
     if n_params == 1:
         converged = _cobyla_1d(lambda t: wrapped((t,)), maxfun, tol)

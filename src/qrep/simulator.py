@@ -6,14 +6,15 @@ rightmost, so index i maps to ``format(i, f"0{q}b")``. Gates are applied as
 amplitude kernels on one (2,) * q + (B,) tensor that holds a batch of B
 inputs, one per column, batch last; qubit k lives on axis q-1-k. A real
 one-qubit matrix then multiplies the tensor as it is laid out, with no
-transpose or copy. The tensor may carry a leading block axis, one block per
-circuit: the kernels index qubits from the right, so every block is updated
-by the same call and rounds as it would alone. A removal sweep stacks the
-circuits that each lack one gate this way (see :func:`run_all_bases`). A
-:class:`PrefixCache` keeps the tensor after the leading gates of one
-circuit, so its single-gate edits are simulated from the edit on. No full
-2^q x 2^q matrix is ever built here; the dense-matrix product lives in the
-test suite as an independent oracle.
+transpose or copy. The tensor may carry leading block axes, one block per
+circuit or per basis: the kernels index qubits from the right, so every
+block is updated by the same call and rounds as it would alone. A removal
+sweep stacks the circuits that each lack one gate this way, and the
+measurement stacks the X and Y bases of the final states (see
+:func:`run_all_bases`). A :class:`PrefixCache` keeps the tensor after the
+leading gates of one circuit, so its single-gate edits are simulated from
+the edit on. No full 2^q x 2^q matrix is ever built here; the dense-matrix
+product lives in the test suite as an independent oracle.
 """
 from __future__ import annotations
 
@@ -263,6 +264,16 @@ PREFIX_CACHE_BYTES = 8 * 2**20
 # slower, not faster (scripts/bench.py's localize_* layers measure this)
 SWEEP_CHUNK_BYTES = 64 * 2**10
 
+# bytes of basis-rotated states one measurement pass stacks: a full suite's
+# X and Y states go through one h layer together up to 6 qubits (64 KiB a
+# state), and so do a removal chunk's. From 7 qubits on each basis is
+# rotated alone, so a wide measurement holds one stack of one state: with
+# no cap, generate_suite plus one fitness of qft11 peaked at 655 MB RSS
+# against 495 MB. SWEEP_CHUNK_BYTES, a quarter of this, would rotate a
+# 6-qubit suite one basis at a time (scripts/bench.py's measure_* layers
+# time the measurement alone)
+BASIS_STACK_BYTES = 256 * 2**10
+
 
 @functools.cache
 def _y_phases(n: int) -> np.ndarray:
@@ -372,6 +383,44 @@ def _removal_states(c: Circuit, prefixes: PrefixCache, removals: range) -> np.nd
     return t
 
 
+def _measure(t: np.ndarray, bases: tuple[MeasBasis, ...], n: int, out: np.ndarray) -> None:
+    """The probabilities of the final ``n``-qubit states ``t`` in each of
+    ``bases``, written into ``out``, indexed ``[basis, block, input,
+    outcome]``. The X and Y states are stacked on a leading axis and
+    rotated by one ``h`` layer; Z reads ``t`` as it is. The moduli are
+    taken in the states' own layout, where numpy's complex ``abs`` runs
+    its contiguous loop, and squared into ``out`` through a transpose, so
+    each row is contiguous when it is summed and sums in the same order in
+    any batch. One row sum, one drift check and one in-place divide follow
+    while the rows are in cache. The stack is freed on return, before the
+    next chunk's is built."""
+    rotated = [b for b in bases if b is not MeasBasis.Z]
+    stack = iter(())
+    if rotated:
+        if len(rotated) == 1:  # no stack to build
+            s = (t * _y_phases(n) if rotated[0] is MeasBasis.Y else t)[None]
+        else:
+            s = np.empty((len(rotated),) + t.shape, dtype=complex)
+            for j, basis in enumerate(rotated):
+                if basis is MeasBasis.Y:
+                    np.multiply(t, _y_phases(n), out=s[j])
+                else:
+                    s[j] = t
+        for q in range(n):
+            s = _apply_1q(s, _H, q, n)
+        stack = iter(s)
+    moduli = np.empty((len(bases),) + t.shape)
+    for i, basis in enumerate(bases):
+        np.abs(t if basis is MeasBasis.Z else next(stack), out=moduli[i])
+    blocks, batch = out.shape[1], out.shape[2]
+    np.square(moduli.reshape(len(bases), blocks, 2**n, -1).transpose(0, 1, 3, 2)[:, :, :batch], out=out)
+    norms = out.sum(axis=3)
+    drift = np.abs(norms - 1.0)
+    if (drift > _NORM_ATOL).any():
+        raise AssertionError(f"final norm {norms.flat[drift.argmax()]} drifted beyond tolerance")
+    out /= norms[..., None]
+
+
 def run_all_bases(
     c: Circuit,
     inputs,
@@ -391,11 +440,15 @@ def run_all_bases(
     from the inputs themselves. A row does not depend on the batch or the
     block it is computed in, so :func:`run_exact` agrees bit for bit with a
     suite, and a circuit's removals stacked on a block axis with each
-    removal alone. The X basis is ``h`` on every qubit, the Y basis a phase
-    table (``sdg`` on every qubit) and then ``h``, each basis in turn from
-    the final states. Squared amplitudes are turned back to one contiguous
-    row per input before the row sums, so a row sums in the same order in
-    any batch.
+    removal alone.
+
+    The bases are measured as blocks of one tensor (see :func:`_measure`):
+    consecutive bases, as many as fit :data:`BASIS_STACK_BYTES`, go
+    through one ``h`` layer together, X as the final states and Y as the
+    states times a phase table (``sdg`` on every qubit), and Z is the final
+    states unrotated; each such chunk is squared, summed, checked for norm
+    drift and normalised in one pass over its rows. A removal run's output
+    is the ``[basis, i, k, outcome]`` array seen through a transpose.
     """
     if prefixes is None:
         prefixes = PrefixCache(Circuit(c.num_qubits) if removals is None else c, inputs)
@@ -409,19 +462,11 @@ def run_all_bases(
     else:
         t = _removal_states(c, prefixes, removals)
     blocks, batch = t.size // (2**n * t.shape[-1]), len(prefixes.inputs)
-    out = np.empty((blocks, len(bases), batch, 2**n))
-    for b, basis in enumerate(bases):
-        s = t * _y_phases(n) if basis is MeasBasis.Y else t
-        if basis is not MeasBasis.Z:
-            for q in range(n):
-                s = _apply_1q(s, _H, q, n)
-        probs = np.ascontiguousarray((np.abs(s.reshape(blocks, 2**n, -1)) ** 2).transpose(0, 2, 1)[:, :batch])
-        norms = probs.sum(axis=2)
-        drift = np.abs(norms - 1.0)
-        if np.any(drift > _NORM_ATOL):
-            raise AssertionError(f"final norm {norms.flat[drift.argmax()]} drifted beyond tolerance")
-        out[:, b] = probs / norms[:, :, None]
-    return out[0] if removals is None else out
+    out = np.empty((len(bases), blocks, batch, 2**n))
+    step = max(1, BASIS_STACK_BYTES // t.nbytes)
+    for lo in range(0, len(bases), step):
+        _measure(t, bases[lo : lo + step], n, out[lo : lo + step])
+    return out[:, 0] if removals is None else out.transpose(1, 0, 2, 3)
 
 
 def run_exact(c: Circuit, input_state: int, basis: MeasBasis = MeasBasis.Z) -> Distribution:

@@ -50,7 +50,8 @@ class TestSuite:
     An evaluation is one kernel call plus array operations on what is
     derived here once: the sorted simulated inputs, the measured bases in
     BASIS_ORDER, each case's (basis, input) index into the kernel's output,
-    and the expected rows with their square roots.
+    the expected rows with their square roots, and the outcomes the rows
+    rule out (see :meth:`ruled_out`).
     """
 
     def __init__(self, num_qubits: int, basis_index: np.ndarray, input_states: np.ndarray, expected):
@@ -65,6 +66,18 @@ class TestSuite:
         inputs = np.flatnonzero(np.bincount(input_states))
         self.inputs = tuple(inputs.tolist())
         self.case_rows = (np.searchsorted(used, basis_index), np.searchsorted(inputs, input_states))
+        self._ruled_out: tuple[float, np.ndarray] | None = None
+
+    def ruled_out(self, eps_zero: float) -> np.ndarray:
+        """The read-only mask ``expected <= eps_zero``: the outcomes each
+        case rules out. The last ``eps_zero``'s mask is kept, so a run
+        builds it once."""
+        cached = self._ruled_out
+        if cached is None or cached[0] != eps_zero:
+            mask = self.expected <= eps_zero
+            mask.setflags(write=False)
+            cached = self._ruled_out = (eps_zero, mask)
+        return cached[1]
 
     @cached_property
     def cases(self) -> tuple[TestCase, ...]:
@@ -333,14 +346,14 @@ def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[Fitn
     judged as :func:`fitness` judges it; in sampled mode each block's rows
     are drawn with the per-case seeds."""
     blocks = len(observed) // len(ts)
-    expected, sqrt_expected = ts.expected, ts.sqrt_expected
+    ruled_out, sqrt_expected = ts.ruled_out(cfg.eps_zero), ts.sqrt_expected
     if blocks > 1:
-        expected, sqrt_expected = np.tile(expected, (blocks, 1)), np.tile(sqrt_expected, (blocks, 1))
+        ruled_out, sqrt_expected = np.tile(ruled_out, (blocks, 1)), np.tile(sqrt_expected, (blocks, 1))
     if cfg.mode == "sampled":
         shots = cfg.resolve_shots(ts.num_qubits)
         seeds = _case_seeds(cfg.seed, len(ts)) * blocks
         observed = np.stack([sample_frequencies(row, shots, seed) for row, seed in zip(observed, seeds)])
-    wrong = np.any((observed > cfg.eps_zero) & (expected <= cfg.eps_zero), axis=1)
+    wrong = ((observed > cfg.eps_zero) & ruled_out).any(axis=1)
     diff = np.sqrt(observed) - sqrt_expected
     # a stack of (1 x n) @ (n x 1) products runs numpy's dot loop, so each
     # distance is rounded exactly as hellinger()'s np.dot rounds it

@@ -856,6 +856,9 @@ class PerCaseSuite:
         object.__setattr__(self, "expected", expected)
         object.__setattr__(self, "sqrt_expected", np.sqrt(expected))
 
+    def ruled_out(self, eps_zero: float) -> np.ndarray:
+        return self.expected <= eps_zero
+
     def __len__(self) -> int:
         return len(self.cases)
 
@@ -1025,7 +1028,7 @@ def same_gate(a: GateApp, b: GateApp, atol: float = 1e-9) -> bool:
 def scipy_minimize_params(objective, n_params: int, budget):
     from scipy import optimize
 
-    from qrep.optimizer import _CAP_SENTINEL, _MAX_ITER, _RHOBEG, OptResult
+    from qrep.optimizer import _CAP_SENTINEL, _MAX_ITER, _RHOBEG, TOL_FLOOR, OptResult
 
     if n_params == 0:
         return OptResult((), float(objective(())), 1, True)
@@ -1045,7 +1048,7 @@ def scipy_minimize_params(objective, n_params: int, budget):
         wrapped,
         np.zeros(n_params),
         method="COBYLA",
-        tol=min(budget.tolerance, _RHOBEG),
+        tol=min(max(budget.tolerance, TOL_FLOOR), _RHOBEG),
         options={"maxiter": min(max(budget.max_evals, n_params + 2), _MAX_ITER), "rhobeg": _RHOBEG},
     )
     return OptResult(best_x, best_v, count, bool(res.success))

@@ -586,3 +586,25 @@ def test_shots_beyond_sampler_range_rejected_at_flag(circuits, capsys, sub):
     err = capsys.readouterr().err
     assert _one_error_line(err)
     assert "--shots" in err and str(2**63 - 1) in err
+
+
+def test_tolerance_below_the_floor_ends_as_a_report_not_a_traceback(tmp_path, capsys):
+    # this mutant's one-angle trials once shrank a simplex at --opt-tol 1e-200
+    # until its inverse was singular, and the repair ended in a traceback
+    ref = build_benchmark("wstate", 4)
+    mutant = inject_faults(ref, seed=0, per_group=1, groups=("replace",), suite=generate_suite(ref))[0]
+    paths = {name: tmp_path / f"{name}.qasm" for name in ("ref", "bad")}
+    paths["ref"].write_text(emit_qasm(ref))
+    paths["bad"].write_text(emit_qasm(mutant.mutant))
+    out = tmp_path / "report.json"
+    code = run([
+        "repair", "--circuit", str(paths["bad"]), "--reference", str(paths["ref"]), "--budget-evals", "3000",
+        "--opt-tol", "1e-200", "--opt-max-evals", "1000", "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    if code == EXIT_ERROR:
+        assert _one_error_line(err) and err.startswith("qrep: error: ")
+    else:
+        report = json.loads(out.read_text())
+        assert code in (EXIT_OK, EXIT_NOT_FIXED) and err == ""
+        assert report["config"]["opt_tolerance"] == 1e-200  # echoed as given

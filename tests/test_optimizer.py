@@ -9,7 +9,7 @@ import pytest
 from oracles import scipy_minimize_params
 
 from qrep import optimizer
-from qrep.optimizer import _RHOBEG, OptBudget, OptResult, minimize_params
+from qrep.optimizer import _RHOBEG, TOL_FLOOR, OptBudget, OptResult, minimize_params
 
 
 def test_budget_validation():
@@ -226,6 +226,26 @@ def test_one_angle_port_matches_scipy_call_by_call(seed):
         assert runs[0] == runs[1], budget
         converged.add(runs[0][1].converged)
     assert converged == {False, True}
+
+
+@pytest.mark.parametrize("tolerance", [1e-200, TOL_FLOOR])
+def test_tolerance_at_or_below_the_floor_never_raises_and_matches_scipy(tolerance):
+    # far below the floor a simplex could shrink until its inverse was
+    # singular; the floor holds every trial to scipy's calls at the floor
+    rng = np.random.default_rng(1729)
+    for _ in range(100):
+        make = _objective_factory(rng)
+        budget = OptBudget(max_evals=int(rng.choice((20, 200, 1000))), tolerance=tolerance)
+        runs = []
+        for minimize in (minimize_params, scipy_minimize_params):
+            f, seen = make(), []
+
+            def objective(x, f=f, seen=seen):
+                seen.append(x[0].hex())
+                return f(x[0])
+
+            runs.append((seen, minimize(objective, 1, budget)))
+        assert runs[0] == runs[1], budget
 
 
 def test_wide_trials_still_run_scipy():

@@ -1,11 +1,12 @@
 """Statevector simulator tests, anchored to the dense-matrix oracle."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from itertools import combinations
+from itertools import combinations, product
 
 from oracles import (
     dense_probs,
@@ -240,6 +241,49 @@ def test_kernel_matches_stacked_reference_bit_for_bit():
             rows = [BASIS_ORDER.index(b) for b in bases]
             assert np.array_equal(got, want[rows]), (q, bases)
     assert seen == set(RANDOM_KINDS)
+
+
+def test_stacked_bases_match_each_basis_and_removal_alone(monkeypatch):
+    # the bases stacked one per chunk (a 1-byte cap) and all in one (1 GiB),
+    # with and without a removal run, byte for byte against the stacked
+    # oracle measuring each circuit alone in every basis
+    rng = np.random.default_rng(4242)
+    seen = set()
+    for trial in range(24):
+        q = 1 + trial % 8
+        c = random_circuit(rng, q, int(rng.integers(1, 10)))
+        seen.update(g.kind.gate_name for g in c.gates)
+        g = len(c.gates)
+        a = int(rng.integers(g))
+        runs = (range(a, a + 1), range(a, int(rng.integers(a + 1, g + 1))), range(g))
+        for size in sorted({1, 2, 3, 2**q} & set(range(1, 2**q + 1))):
+            inputs = rng.choice(2**q, size=size, replace=False)
+            cache = PrefixCache(c, inputs)
+            plain = stacked_run_all_bases(c, inputs)
+            alone = [stacked_run_all_bases(remove_gate(c, p), inputs) for p in range(g)]
+            for cap, bases in product((1, 2**30), BASIS_SUBSETS):
+                monkeypatch.setattr(simulator, "BASIS_STACK_BYTES", cap)
+                rows = [BASIS_ORDER.index(b) for b in bases]
+                got = run_all_bases(c, inputs, bases=bases, prefixes=cache)
+                assert got.shape == plain[rows].shape and got.tobytes() == plain[rows].tobytes(), (q, size, bases)
+                for r in runs:
+                    got = run_all_bases(c, inputs, bases=bases, prefixes=cache, removals=r)
+                    want = np.stack([alone[p][rows] for p in r])
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (q, size, bases, r)
+    assert seen == set(RANDOM_KINDS)
+
+
+def test_norm_drift_is_an_assertion_naming_the_drifting_row(monkeypatch):
+    # h scaled by 2 makes every X row sum to about 4; the Z rows still sum to 1
+    scaled = 2 * simulator._H
+    monkeypatch.setattr(simulator, "_H", scaled)
+    c = build_circuit(1, [("x", 0)])
+    norm = float((np.abs(scaled @ [0.0, 1.0]) ** 2).sum())
+    assert abs(norm - 4.0) < 1e-9
+    with pytest.raises(AssertionError, match=f"^final norm {re.escape(repr(norm))} drifted beyond tolerance$"):
+        run_all_bases(c, [0], bases=(MeasBasis.Z, MeasBasis.X))
+    with pytest.raises(AssertionError, match=re.escape(repr(norm))):
+        run_all_bases(c, [0], prefixes=PrefixCache(c, [0]), removals=range(1))
 
 
 def _random_edit(rng, c):

@@ -36,6 +36,7 @@ from qrep.testkit import (
     hellinger,
     judge,
     parse_case_id,
+    removal_fitness,
     require_failing,
     suite_from_expected,
 )
@@ -542,3 +543,72 @@ def test_non_string_keys_are_table_errors_naming_the_case(table, message):
     with pytest.raises(ExpectedTableError) as e:
         suite_from_expected(table)
     assert str(e.value) == message
+
+
+# ------------------------------------------- the ruled-out mask
+
+
+def test_ruled_out_mask_is_expected_at_or_below_eps():
+    rng = np.random.default_rng(31)
+    for q in (1, 2, 3, 4):
+        ts = generate_suite(random_circuit(rng, q, 8))
+        z_only = suite_from_expected({tc.id: tc.expected.as_dict() for tc in ts.cases if tc.basis is MeasBasis.Z})
+        for suite in (ts, z_only):
+            for eps in (0.0, 1e-9, 0.1, 0.5, 1e-9):
+                mask = suite.ruled_out(eps)
+                assert mask.dtype == bool and np.array_equal(mask, suite.expected <= eps)
+                assert not mask.flags.writeable
+                assert suite.ruled_out(eps) is mask  # kept for the next evaluation
+
+
+def test_one_suite_scored_under_two_eps_gives_each_its_own_verdicts():
+    # with tau_fail at 1 only the ruled-out rule fails a case, so eps decides
+    rng = np.random.default_rng(37)
+    differ = 0
+    for trial in range(12):
+        q = 1 + trial % 3
+        ref = random_circuit(rng, q, int(rng.integers(2, 9)))
+        ts = generate_suite(ref)
+        cand = random_circuit(rng, q, int(rng.integers(1, 9)))
+        counts = {}
+        for eps in (1e-9, 0.2, 1e-9, 0.2):  # alternated on one suite
+            cfg = OracleConfig(eps_zero=eps, tau_fail=1.0)
+            score = fitness(cand, ts, cfg)
+            assert score == fitness(cand, generate_suite(ref), cfg)  # a suite scored for the first time
+            assert score.failed_count == _judge_loop(cand, ts, cfg)[0]
+            removals = range(len(ref.gates))
+            assert removal_fitness(ref, ts, removals, cfg, ts.prefixes(ref)) == [
+                fitness(remove_gate(ref, p), ts, cfg) for p in removals
+            ]
+            assert counts.setdefault(eps, score.failed_count) == score.failed_count
+        differ += counts[1e-9] != counts[0.2]
+    assert differ > 0
+
+
+# (mutant, eps_zero, shots, failed count, Hellinger sum) of qft3's mutants
+# (injection seed 1) in sampled mode with oracle seed 5, as scored before
+# the suite kept its ruled-out mask; eps 0.2 rules out shot-noise outcomes
+_SAMPLED_QFT3 = [
+    ("add cx (1, 0) @5", 1e-09, None, 9, "0x1.3e061d1cbe705p+3"),
+    ("add cx (1, 0) @5", 1e-09, 9, 8, "0x1.7acce56473ab6p+3"),
+    ("add cx (1, 0) @5", 0.2, None, 16, "0x1.3e061d1cbe705p+3"),
+    ("add cx (1, 0) @5", 0.2, 9, 21, "0x1.7acce56473ab6p+3"),
+    ("remove swap @6", 1e-09, None, 9, "0x1.6eaf26026fbccp+3"),
+    ("remove swap @6", 1e-09, 9, 8, "0x1.a7caada977fefp+3"),
+    ("remove swap @6", 0.2, None, 18, "0x1.6eaf26026fbccp+3"),
+    ("remove swap @6", 0.2, 9, 21, "0x1.a7caada977fefp+3"),
+    ("replace cp @1 -> s (0,)", 1e-09, None, 3, "0x1.b5b2b4fb566e7p+2"),
+    ("replace cp @1 -> s (0,)", 1e-09, 9, 2, "0x1.16e105db2aa8bp+3"),
+    ("replace cp @1 -> s (0,)", 0.2, None, 11, "0x1.b5b2b4fb566e7p+2"),
+    ("replace cp @1 -> s (0,)", 0.2, 9, 15, "0x1.16e105db2aa8bp+3"),
+]
+
+
+def test_sampled_scores_are_unchanged():
+    ref = build_benchmark("qft", 3)
+    ts = generate_suite(ref)
+    mutants = {m.description: m.mutant for m in inject_faults(ref, seed=1, per_group=1, suite=ts)}
+    for description, eps, shots, failed, h_sum in _SAMPLED_QFT3:
+        cfg = OracleConfig(mode="sampled", seed=5, shots=shots, eps_zero=eps)
+        score = fitness(mutants[description], ts, cfg)
+        assert (score.failed_count, score.hellinger_sum.hex()) == (failed, h_sum), description
