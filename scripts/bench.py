@@ -27,7 +27,10 @@ them: the Z-basis tables of qft4 (the table perfbench's ``cli-expected``
 workload writes) and dj6, and qft6's table of all three bases, and one
 parametric patch trial: ``minimize_params`` tuning, in 20 probes scored by
 ``fitness``, the angle of an ry add patch that puts back the ry removed
-from position 3 of wstate4. Each sample is the mean of enough
+from position 3 of wstate4, and one guided search over fixed patches:
+``repair`` of the qft4 replace mutant (injection seed 5) at 55
+evaluations with the fixed kinds of ``DEFAULT_PATCH_CATALOG`` (its facts
+are the status, the evaluations and a digest of the report rows). Each sample is the mean of enough
 back-to-back calls to last about 20 ms; after one warm-up sample,
 ``--repeats`` samples give the median and the interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
 checkout, else from this one, so the same script times two commits on one
@@ -55,11 +58,11 @@ import scipy
 import qrep
 from qrep import cli, simulator
 from qrep.benchmarks import build_benchmark
-from qrep.circuit import Circuit, GateApp, GateKind, insert_gate, remove_gate
+from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate
 from qrep.engine import RepairConfig, repair
 from qrep.localizer import SuspiciousnessTable, localize
 from qrep.optimizer import OptBudget, minimize_params
-from qrep.patcher import Patch, apply_patch, inject_faults, order_uniform, prune_to_gates
+from qrep.patcher import DEFAULT_PATCH_CATALOG, Patch, apply_patch, inject_faults, order_uniform, prune_to_gates
 from qrep.qasm import emit_qasm, parse_qasm
 from qrep.simulator import BASIS_ORDER, MeasBasis
 from qrep.testkit import fitness, generate_suite, suite_from_expected
@@ -75,6 +78,10 @@ TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (fami
 # (family, size, injection seed, group): states of 1, 4 and 64 KiB
 SWEEP_MUTANTS = (("grover", 3, 3, "add"), ("qft", 4, 5, "replace"), ("dj", 6, 1, "replace"))
 REPORT_BUDGET = 50
+# (family, size, injection seed, group): the guided search over fixed patches only
+FIXED_RUN = ("qft", 4, 5, "replace")
+FIXED_RUN_BUDGET = 55
+FIXED_KINDS = tuple(name for name in DEFAULT_PATCH_CATALOG if not GATE_BY_NAME[name].param_count)
 TRIAL = ("wstate", 4, 3)  # (family, size, position of the gate the trial's add patch restores)
 TRIAL_PROBES = 20
 SAMPLE_S = 0.02
@@ -116,9 +123,9 @@ def layers() -> dict:
     """name -> zero-argument call to time, plus the facts that pin its work."""
     out = {}
     for q in (4, 6):
-        # the simulator's own state tensor and h matrix, whatever their layout
+        # the simulator's own state tensor and h kernel, whatever their layout
         t = simulator.PrefixCache(Circuit(q), range(2**q))._start()
-        out[f"gate_1q_q{q}"] = (lambda t=t, q=q: simulator._apply_1q(t, simulator._H, q // 2, q), {})
+        out[f"gate_1q_q{q}"] = (partial(h_kernel(q), t), {})
     qft8, qft10 = build_benchmark("qft", 8), build_benchmark("qft", 10)
     out["run_all_bases_qft8"] = (
         lambda: simulator.run_all_bases(qft8, range(2**8)),
@@ -181,6 +188,15 @@ def layers() -> dict:
     for fam, n, z_only in TABLE_CIRCUITS:
         table = expected_table(build_benchmark(fam, n), z_only)
         out[f"suite_table_{fam}{n}"] = (lambda table=table: suite_from_expected(table), {"cases": len(table)})
+    fam, n, seed, group = FIXED_RUN
+    ref = build_benchmark(fam, n)
+    ts = generate_suite(ref)
+    mutant = inject_faults(ref, seed, per_group=1, groups=(group,), suite=ts)[0].mutant
+    cfg = RepairConfig(budget_evals=FIXED_RUN_BUDGET, patch_catalog=FIXED_KINDS)
+    rep = repair(mutant, ts, cfg)
+    rows = json.dumps([rep.best_patches, rep.ranking], sort_keys=True).encode()
+    facts = {"status": rep.status, "evals": rep.evals_used, "rows_sha256": hashlib.sha256(rows).hexdigest()}
+    out[f"repair_fixed_{fam}{n}"] = (lambda: repair(mutant, ts, cfg), facts)
     fam, n, pos = TRIAL
     ref = build_benchmark(fam, n)
     ts = generate_suite(ref)
@@ -192,6 +208,16 @@ def layers() -> dict:
     facts = {"probes": res.evals, "best": res.value, "converged": res.converged}
     out[f"trial_{gate.kind.gate_name}_{fam}{n}"] = (trial, facts)
     return out
+
+
+def h_kernel(q: int):
+    """An ``h`` on the middle qubit of a ``q``-qubit state, as the
+    simulator applies it: its gate kernel, or ``_apply_1q`` in checkouts
+    that predate kernels."""
+    h = GateApp(GateKind.H, (q // 2,))
+    if hasattr(simulator, "_kernel"):
+        return simulator._kernel(h, q)
+    return partial(simulator._apply_1q, m=simulator._H, qubit=q // 2, n=q)
 
 
 def peak_bytes(fn) -> int:

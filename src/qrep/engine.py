@@ -10,6 +10,12 @@ whose mark the spend has already passed are skipped, so the search ends
 with the budget whatever the iteration count. A random-search baseline
 shares the evaluator, stopping rules, and report format, but draws patches
 in seeded random order with no localisation or pruning.
+
+Both searches score the fixed patches they take between two parametric
+ones as one run of single-gate edits, stacked in chunks
+(:meth:`_Run.try_run`), and charge, record and credit each score as a
+trial of that patch alone would, so their reports are those of trying
+every patch alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -21,7 +27,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuit import Circuit
+from . import simulator
+from .circuit import Circuit, GateApp
 from .errors import UnknownGateError
 from .localizer import (
     BudgetExhaustedError,
@@ -40,7 +47,7 @@ from .patcher import (
     prune_to_gates,
 )
 from .qasm import emit_qasm
-from .testkit import FitnessScore, OracleConfig, TestSuite, fitness, require_failing
+from .testkit import FitnessScore, OracleConfig, TestSuite, edit_fitness, fitness, require_failing
 
 STATUS_REPAIRED = "Repaired"
 STATUS_NOT_FIXED = "NotFixed"
@@ -211,17 +218,29 @@ class _Run:
 
     # -- patch trials ------------------------------------------------------
 
+    def settle(self, patch: Patch, params: tuple[float, ...], value: float, repaired: Circuit | None) -> float:
+        """End the trial of ``patch``, whose best probe (the passing one,
+        on a repair) took ``params`` and scored ``value``: record it once,
+        then raise _FullPass with ``repaired`` when a probe passed, else
+        credit the fitness gained over the baseline to the anchor gate."""
+        self.record(patch.kind, patch.position, patch.gate.gate_name, patch.qubits, params, value)
+        if repaired is not None:
+            raise _FullPass(repaired)
+        if patch.anchor in self.table.scores:
+            self.table.add(patch.anchor, self.baseline.value - value)
+        return value
+
     def try_patch(self, patch: Patch, rng: np.random.Generator | None = None) -> float:
-        """Best fitness achieved by the patch, credited to its anchor gate.
+        """Best fitness achieved by the patch, settled as :meth:`settle` says.
 
         Raises _FullPass on a repair, and BudgetExhaustedError when the
-        allowance runs out mid-trial; both propagate through the solver.
-        However the trial ends, its best probe (the passing one, on a
-        repair) is recorded once. Parametric patches get their angles from
-        COBYLA, or, given ``rng`` (random search), from ``max_evals``
-        uniform draws."""
+        allowance runs out mid-trial; both propagate through the solver. A
+        trial cut short records its best probe, if any. Parametric patches
+        get their angles from COBYLA, or, given ``rng`` (random search),
+        from ``max_evals`` uniform draws."""
         best_value = math.inf
         best_params: tuple[float, ...] = ()
+        repaired = None
 
         def objective(params: tuple[float, ...]) -> float:
             nonlocal best_value, best_params
@@ -242,12 +261,43 @@ class _Run:
             else:
                 for _ in range(self.cfg.opt.max_evals):
                     objective(tuple(rng.uniform(0.0, 2.0 * math.pi, patch.gate.param_count).tolist()))
-        finally:
+        except _FullPass as fp:
+            repaired = fp.circuit
+        except BudgetExhaustedError:
             if best_value < math.inf:
                 self.record(patch.kind, patch.position, patch.gate.gate_name, patch.qubits, best_params, best_value)
-        if patch.anchor in self.table.scores:
-            self.table.add(patch.anchor, self.baseline.value - best_value)
-        return best_value
+            raise
+        return self.settle(patch, best_params, best_value, repaired)
+
+    def try_run(self, first: Patch, draw: Callable[[int], Patch | None]) -> Patch | None:
+        """Score the fixed patch ``first`` and the fixed patches ``draw``
+        gives after it, each as :meth:`try_patch` would alone, from stacked
+        simulations of their edits (:func:`edit_fitness`).
+
+        ``draw(k)`` gives the next patch after ``k`` in the run, or None
+        when the run must end there. A run holds as many patches as the
+        evaluations a count budget has left, and one under a seconds
+        budget; it ends before the first parametric patch drawn, which is
+        returned untried. It is simulated in chunks of at most
+        :data:`~qrep.simulator.SWEEP_CHUNK_BYTES` of states, and each score
+        is charged and settled in run order. A pass raises _FullPass with
+        the repaired circuit, built only then; the later scores of its
+        chunk are dropped, neither charged, recorded nor credited."""
+        run, cap, nxt = [first], self.budget.allowance() or 1, None
+        while nxt is None and len(run) < cap and (p := draw(len(run))) is not None:
+            if p.is_parametric:
+                nxt = p
+            else:
+                run.append(p)
+        size = max(1, simulator.SWEEP_CHUNK_BYTES // self.prefixes.state_bytes)
+        for lo in range(0, len(run), size):
+            chunk = run[lo : lo + size]
+            edits = [(p.position, GateApp(p.gate, p.qubits), p.kind == "replace") for p in chunk]
+            for patch, score in zip(chunk, edit_fitness(self.c_init, self.ts, edits, self.cfg.oracle, self.prefixes)):
+                self.budget.charge()
+                repaired = apply_patch(self.c_init, patch) if score.all_passed() else None
+                self.settle(patch, (), score.value, repaired)
+        return nxt
 
     # -- report ------------------------------------------------------------
 
@@ -312,10 +362,19 @@ class _Run:
         def end_mark(i: int) -> float:
             return spent0 + b_r * (i / total)
 
+        def draw(k: int) -> Patch | None:
+            # the patch the loop below pops next once k more evaluations are spent
+            return queue.popleft() if queue and float(self.budget.evals_used + k) < mark else None
+
         i = 1
         while i <= total:
-            while queue and self.budget.spent < end_mark(i):
-                self.try_patch(queue.popleft())
+            mark = end_mark(i)
+            while queue and self.budget.spent < mark:
+                patch = queue.popleft()
+                if not patch.is_parametric:
+                    patch = self.try_run(patch, draw)
+                if patch is not None:
+                    self.try_patch(patch)
             if not queue:
                 return
             # skip to the next iteration whose end mark is above the spend:
@@ -334,8 +393,17 @@ class _Run:
     def random_search(self) -> None:
         pool = generate_patches(self.c_init, self.cfg.patch_catalog)
         rng = np.random.default_rng([self.cfg.seed & (2**63 - 1), 17])
-        for idx in rng.permutation(len(pool)):
-            self.try_patch(pool[int(idx)], rng)
+        order = iter(rng.permutation(len(pool)).tolist())
+
+        def draw(k: int) -> Patch | None:
+            return pool[idx] if (idx := next(order, None)) is not None else None
+
+        for idx in order:
+            patch = pool[idx]
+            if not patch.is_parametric:
+                patch = self.try_run(patch, draw)
+            if patch is not None:
+                self.try_patch(patch, rng)
 
 
 def repair(

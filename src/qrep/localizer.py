@@ -5,7 +5,8 @@ whole suite the sweep short-circuits and returns it as a complete repair.
 Otherwise the gate's score grows by (baseline fitness - pruned fitness), so
 gates whose removal helps accumulate positive scores and gates whose removal
 hurts go negative. The pruned circuits are simulated a chunk at a time,
-stacked on one state tensor (:func:`removal_scores`), and scored one by one.
+as removal edits of one staircase on one state tensor
+(:func:`removal_scores`), and scored one by one.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from . import simulator
 from .circuit import Circuit, GateApp, remove_gate
 from .errors import QRepError, UnknownGateError
 from .simulator import PrefixCache
-from .testkit import FitnessScore, OracleConfig, TestSuite, removal_fitness, require_failing
+from .testkit import FitnessScore, OracleConfig, TestSuite, edit_fitness, require_failing
 
 
 class BudgetExhaustedError(QRepError):
@@ -102,7 +103,7 @@ def removal_scores(
 
     The removals are simulated in chunks of as many as fit
     :data:`~qrep.simulator.SWEEP_CHUNK_BYTES` of stacked states, at least
-    one (see :func:`~qrep.testkit.removal_fitness`). ``allowance`` is called
+    one (see :func:`~qrep.testkit.edit_fitness`). ``allowance`` is called
     before each chunk; it returns how many more removals may be simulated
     (at least one), or None for no count limit, and may raise
     :class:`BudgetExhaustedError`. ``prefixes`` must be built for ``c``.
@@ -114,7 +115,7 @@ def removal_scores(
     while a < m:
         left = allowance()
         b = min(m, a + (size if left is None else max(1, min(size, left))))
-        yield from removal_fitness(c, ts, range(a, b), cfg, prefixes)
+        yield from edit_fitness(c, ts, [(p, None, True) for p in range(a, b)], cfg, prefixes)
         a = b
 
 

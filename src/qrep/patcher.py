@@ -131,12 +131,23 @@ class PatchQueue:
     def __init__(self, c: Circuit, catalog: tuple[str, ...]):
         self.c = c
         self.kinds = sorted(_patch_kinds(c, catalog), key=list(GateKind).index)
-        self.counts = {s: sum(len(_slot_qubits(c, *s, k)) for k in self.kinds) for s in _slots(c)}
+        # a slot holds every qubit choice of every kind, less the replace of
+        # a fixed gate by itself (see _slot_qubits)
+        per_slot = sum(len(_qubit_choices(k, c.num_qubits)) for k in self.kinds)
+        kinds = set(self.kinds)
+        self.counts = {(pos, "add"): per_slot for pos in range(len(c.gates) + 1)}
+        for pos, g in enumerate(c.gates):
+            self.counts[pos, "replace"] = per_slot - (g.kind in kinds and not g.kind.param_count)
+        # the anchor of every position's slots, shared by pruned copies
+        self.anchors = [_anchor(c, pos) for pos in range(len(c.gates) + 1)]
         self.left = dict(self.counts)  # patches each slot has not yet given
         self.dropped: frozenset[tuple[int, str]] = frozenset()
         self.size = sum(self.counts.values())
         self.pos, self.want = 0, "add"
-        self.draws: dict[tuple[int, str], Iterator] = {}
+        # a slot's order depends only on its rotation and on the fixed gate a
+        # replace leaves out, so slots that share both share one list; built
+        # on a slot's first pop and shared by pruned copies
+        self.orders: dict[tuple, list[tuple[GateKind, tuple[int, ...]]]] = {}
 
     def __len__(self) -> int:
         return self.size
@@ -148,18 +159,20 @@ class PatchQueue:
     def without(self, dropped: frozenset[tuple[int, str]]) -> PatchQueue:
         """Copy of the queue that also drops the slots in ``dropped``."""
         out = copy.copy(self)
-        out.left, out.draws, out.dropped = dict(self.left), {}, self.dropped | dropped
+        out.left, out.dropped = dict(self.left), self.dropped | dropped
         out.size = sum(n for s, n in out.left.items() if s not in out.dropped)
         return out
 
     def _draw(self, slot: tuple[int, str]) -> tuple[GateKind, tuple[int, ...]]:
-        if slot not in self.draws:
-            start = slot[0] % len(self.kinds)
+        pos, typ = slot
+        start, g = pos % len(self.kinds), self.c.gates[pos] if typ == "replace" else None
+        key = (start,) if g is None or g.kind.param_count else (start, g.kind, g.qubits)
+        order = self.orders.get(key)
+        if order is None:
             rotated = self.kinds[start:] + self.kinds[:start]
-            rows = zip_longest(*(zip(repeat(k), _slot_qubits(self.c, *slot, k)) for k in rotated))
-            order = (kq for row in rows for kq in row if kq is not None)
-            self.draws[slot] = islice(order, self.counts[slot] - self.left[slot], None)
-        return next(self.draws[slot])
+            rows = zip_longest(*(zip(repeat(k), _slot_qubits(self.c, pos, typ, k)) for k in rotated))
+            order = self.orders[key] = [kq for row in rows for kq in row if kq is not None]
+        return order[self.counts[slot] - self.left[slot]]
 
     def popleft(self) -> Patch:
         if not self.size:
@@ -174,7 +187,7 @@ class PatchQueue:
                     self.left[slot] -= 1
                     if kq is not None:
                         self.size -= 1
-                        return Patch(typ, pos, *kq, _anchor(self.c, pos))
+                        return Patch(typ, pos, *kq, self.anchors[pos])
                     break
 
 
@@ -186,7 +199,7 @@ def order_uniform(c: Circuit, catalog: tuple[str, ...] = DEFAULT_PATCH_CATALOG) 
 def prune_to_gates(q: PatchQueue, keep: set[GateId]) -> PatchQueue:
     """New queue holding only the patches whose anchor is in ``keep``, in
     their order in ``q``; ``q`` itself is unchanged."""
-    return q.without(frozenset(s for s in q.left if _anchor(q.c, s[0]) not in keep))
+    return q.without(frozenset(s for s in q.left if q.anchors[s[0]] not in keep))
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,19 @@ rightmost, so index i maps to ``format(i, f"0{q}b")``. Gates are applied as
 amplitude kernels on one (2,) * q + (B,) tensor that holds a batch of B
 inputs, one per column, batch last; qubit k lives on axis q-1-k. A real
 one-qubit matrix then multiplies the tensor as it is laid out, with no
-transpose or copy. The tensor may carry leading block axes, one block per
-circuit or per basis: the kernels index qubits from the right, so every
-block is updated by the same call and rounds as it would alone. A removal
-sweep stacks the circuits that each lack one gate this way, and the
-measurement stacks the X and Y bases of the final states (see
-:func:`run_all_bases`). A :class:`PrefixCache` keeps the tensor after the
-leading gates of one circuit, so its single-gate edits are simulated from
-the edit on. No full 2^q x 2^q matrix is ever built here; the dense-matrix
-product lives in the test suite as an independent oracle.
+transpose or copy. A gate's kernel (:func:`_kernel`) is built once, with
+its matrix or its amplitude slices and phases worked out, and applied as
+often as the gate is. The tensor may carry leading block axes, one block
+per circuit or per basis: the kernels index qubits from the right, so
+every block is updated by the same call and rounds as it would alone. A
+run of single-gate edits of one circuit (a removal sweep's, or a patch
+search's run of fixed patches) is stacked this way, as a staircase of
+edited circuits, and the measurement stacks the X and Y bases of the
+final states (see :func:`run_all_bases`). A :class:`PrefixCache` keeps the
+tensor after the leading gates of one circuit, and a kernel per gate, so
+its single-gate edits are simulated from the edit on. No full 2^q x 2^q
+matrix is ever built here; the dense-matrix product lives in the test
+suite as an independent oracle.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,11 +171,11 @@ def _gate_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
     return _narrowed(_matrix_1q(kind, params)) if m is None else m
 
 
-def _apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """``m`` on every amplitude pair of ``qubit`` of the C-contiguous state
-    tensor ``t``, as a new C-contiguous tensor.
+def _apply_1q(t: np.ndarray, m: np.ndarray, width: int, n: int) -> np.ndarray:
+    """``m`` on every amplitude pair of the qubit ``log2(width)`` of the
+    C-contiguous state tensor ``t``, as a new C-contiguous tensor.
 
-    ``t`` is viewed as (-1, 2, 2^qubit * B): the qubits above ``qubit`` and
+    ``t`` is viewed as (-1, 2, width * B): the qubits above the gate's and
     any block axis merge into the leading dimension. A real ``m``
     multiplies the view from the left, read as float64: no transpose, no
     copy. A complex ``m`` multiplies the transposed view from the right,
@@ -186,7 +191,7 @@ def _apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
         cores = np.ascontiguousarray(blocks.transpose(0, 2, 1)).reshape(-1, 1, 2)
         rows = (cores @ m.T).reshape(len(blocks), -1, 2)
         return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(t.shape)
-    view = t.reshape(-1, 2, 2**qubit * t.shape[-1])
+    view = t.reshape(-1, 2, width * t.shape[-1])
     if m.dtype == np.float64:
         return np.matmul(m, view.view(np.float64)).view(complex).reshape(t.shape)
     rows = view.transpose(0, 2, 1) @ m.T
@@ -204,49 +209,62 @@ def _slices(n: int, *assignments: int) -> tuple:
     return (Ellipsis, *idx, slice(None))
 
 
-def _apply_gate(t: np.ndarray, g: GateApp, n: int) -> np.ndarray:
-    """Apply ``g`` to the batched tensor ``t``, which belongs to the running
-    simulation and may be updated in place. A one-qubit gate returns a new
-    tensor; the others update the amplitudes whose qubits hold given bits,
-    in every column at once.
+def _kernel(g: GateApp, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``g`` as a kernel on the batched ``n``-qubit tensor: a call takes a
+    tensor that belongs to the running simulation, which it may update in
+    place, and returns the result. Everything a call needs is worked out
+    here, once. A one-qubit kernel holds its narrowed matrix and view width
+    and returns a new tensor; the others hold the amplitudes whose qubits
+    hold given bits, in every column at once, and their phases, and update
+    them in place.
 
     Phases are multiplied out of place with the array first
     (``t[s] = t[s] * z``): numpy picks its complex-multiply loop by length
     and operand order, and the in-place and scalar-first forms made a row's
     rounding depend on how many inputs shared the batch.
     """
-    kind = g.kind
+    kind, qs = g.kind, g.qubits
     if kind.num_qubits == 1:
-        return _apply_1q(t, _gate_1q(kind, g.params), g.qubits[0], n)
+        m, width = _gate_1q(kind, g.params), 2 ** qs[0]
+        return lambda t: _apply_1q(t, m, width, n)
+    if kind is GateKind.CZ:
+        s = _slices(n, qs[0], 1, qs[1], 1)
 
-    if kind is GateKind.CX:
-        c, x = g.qubits
-        a, b = _slices(n, c, 1, x, 0), _slices(n, c, 1, x, 1)
-        t[a], t[b] = t[b].copy(), t[a].copy()
-    elif kind is GateKind.CZ:
-        s = _slices(n, g.qubits[0], 1, g.qubits[1], 1)
-        t[s] = -t[s]
-    elif kind is GateKind.CP:
-        s = _slices(n, g.qubits[0], 1, g.qubits[1], 1)
-        t[s] = t[s] * cmath.exp(1j * g.params[0])
+        def negate(t: np.ndarray) -> np.ndarray:
+            t[s] = -t[s]
+            return t
+
+        return negate
+    if kind is GateKind.CP:
+        phases = ((_slices(n, qs[0], 1, qs[1], 1), cmath.exp(1j * g.params[0])),)
     elif kind is GateKind.CRZ:
-        c, x = g.qubits
         half = g.params[0] / 2.0
-        a, b = _slices(n, c, 1, x, 0), _slices(n, c, 1, x, 1)
-        t[a] = t[a] * cmath.exp(-1j * half)
-        t[b] = t[b] * cmath.exp(1j * half)
-    elif kind is GateKind.SWAP:
-        a, b = g.qubits
-        lo, hi = _slices(n, a, 0, b, 1), _slices(n, a, 1, b, 0)
-        t[lo], t[hi] = t[hi].copy(), t[lo].copy()
-    elif kind is GateKind.CCX:
-        c1, c2, x = g.qubits
-        a = _slices(n, c1, 1, c2, 1, x, 0)
-        b = _slices(n, c1, 1, c2, 1, x, 1)
-        t[a], t[b] = t[b].copy(), t[a].copy()
+        phases = (
+            (_slices(n, qs[0], 1, qs[1], 0), cmath.exp(-1j * half)),
+            (_slices(n, qs[0], 1, qs[1], 1), cmath.exp(1j * half)),
+        )
     else:
-        raise ValueError(f"no kernel for {kind.gate_name}")
-    return t
+        if kind is GateKind.CX:
+            a, b = _slices(n, qs[0], 1, qs[1], 0), _slices(n, qs[0], 1, qs[1], 1)
+        elif kind is GateKind.SWAP:
+            a, b = _slices(n, qs[0], 0, qs[1], 1), _slices(n, qs[0], 1, qs[1], 0)
+        elif kind is GateKind.CCX:
+            a, b = _slices(n, qs[0], 1, qs[1], 1, qs[2], 0), _slices(n, qs[0], 1, qs[1], 1, qs[2], 1)
+        else:
+            raise ValueError(f"no kernel for {kind.gate_name}")
+
+        def exchange(t: np.ndarray) -> np.ndarray:
+            t[a], t[b] = t[b].copy(), t[a].copy()
+            return t
+
+        return exchange
+
+    def phase(t: np.ndarray) -> np.ndarray:
+        for s, z in phases:
+            t[s] = t[s] * z
+        return t
+
+    return phase
 
 
 BASIS_ORDER = (MeasBasis.X, MeasBasis.Y, MeasBasis.Z)
@@ -258,15 +276,16 @@ _H = _FIXED_1Q[GateKind.H]
 # repair's peak memory is 90 MB or more, so the cache adds under a tenth
 PREFIX_CACHE_BYTES = 8 * 2**20
 
-# bytes of stacked states one chunk of a removal sweep holds: a full
-# suite's removals go 64 to a chunk at 3 qubits and 16 at 4, and a 6-qubit
-# state fills a chunk alone. Stacking two 6-qubit states made a dj6 sweep
-# slower, not faster (scripts/bench.py's localize_* layers measure this)
+# bytes of stacked states one chunk of edits holds, a removal sweep's or a
+# run of fixed patches': a full suite's edits go 64 to a chunk at 3 qubits
+# and 16 at 4, and a 6-qubit state fills a chunk alone. Stacking two
+# 6-qubit states made a dj6 sweep slower, not faster (scripts/bench.py's
+# localize_* layers measure this)
 SWEEP_CHUNK_BYTES = 64 * 2**10
 
 # bytes of basis-rotated states one measurement pass stacks: a full suite's
 # X and Y states go through one h layer together up to 6 qubits (64 KiB a
-# state), and so do a removal chunk's. From 7 qubits on each basis is
+# state), and so do a chunk of edits'. From 7 qubits on each basis is
 # rotated alone, so a wide measurement holds one stack of one state: with
 # no cap, generate_suite plus one fitness of qft11 peaked at 655 MB RSS
 # against 495 MB. SWEEP_CHUNK_BYTES, a quarter of this, would rotate a
@@ -319,14 +338,15 @@ class PrefixCache:
         self.given = inputs if isinstance(inputs, (tuple, range)) else None  # immutable, so checked once
         self.columns = np.repeat(idx, 2) if len(idx) == 1 else idx
         self.gates = c.gates
+        self.kernels = [_kernel(g, n) for g in c.gates]
         self.state_bytes = len(self.columns) * 2**n * np.dtype(complex).itemsize
         slots = PREFIX_CACHE_BYTES // self.state_bytes
         self.stride = max(1, -(-len(c.gates) // slots)) if slots else len(c.gates) + 1
         self.states: dict[int, np.ndarray] = {}
         last = len(c.gates) - len(c.gates) % self.stride
         t = self._start() if last else None
-        for k, g in enumerate(c.gates[:last], 1):
-            t = _apply_gate(t, g, n)
+        for k, kernel in enumerate(self.kernels[:last], 1):
+            t = kernel(t)
             if k % self.stride == 0:
                 self.states[k] = np.copy(t)
 
@@ -355,32 +375,70 @@ class PrefixCache:
         gates, simulated on from the last stored state at or before it."""
         start = k - k % self.stride
         t = np.copy(self.states[start]) if start else self._start()
-        for g in self.gates[start:k]:
-            t = _apply_gate(t, g, self.num_qubits)
+        for kernel in self.kernels[start:k]:
+            t = kernel(t)
         return t
 
+    def kernels_from(self, c: Circuit, k: int) -> list:
+        """The kernels of ``c.gates[k:]``: the cache's own for the trailing
+        gates ``c`` shares with the cached circuit (an edit shares its later
+        gates' objects), fresh ones for the gates before them."""
+        gates, own = c.gates, self.gates
+        shared, most = 0, min(len(gates) - k, len(own))
+        while shared < most and gates[-1 - shared] is own[-1 - shared]:
+            shared += 1
+        fresh = [_kernel(g, self.num_qubits) for g in gates[k : len(gates) - shared]]
+        return fresh + self.kernels[len(own) - shared :]
 
-def _removal_states(c: Circuit, prefixes: PrefixCache, removals: range) -> np.ndarray:
-    """The final states of ``c`` without gate p, for each p in ``removals``
-    (ascending, step 1), stacked one block per removal.
 
-    A staircase: the circuit without gate p joins at step p from the
-    cached state after p gates, so it skips gate p, and every later gate
-    is applied once to all the blocks that have joined. One removal is
-    simulated as a single edit is, with no block axis: its prefix state,
-    then its suffix."""
-    if removals.step != 1 or not 0 <= removals.start < removals.stop <= len(c.gates):
-        raise ValueError(f"no run of gate positions {removals} in a circuit of {len(c.gates)} gates")
-    if prefixes.gates != c.gates:
+def _edit_states(c: Circuit, prefixes: PrefixCache, edits: Sequence[tuple[int, GateApp | None, bool]]) -> np.ndarray:
+    """The final states of ``c`` with each of ``edits`` made alone, stacked
+    one block per edit in the order given. An edit is (position, gate,
+    replaces): ``gate`` put before gate ``position`` of ``c``, or in its
+    place when ``replaces``; a gate of None with ``replaces`` removes gate
+    ``position``.
+
+    A staircase over the gates of ``c``: an add joins at step ``position``
+    and a replace or removal one step later, from the cached state after
+    ``position`` gates with its own gate (if any) applied, and every later
+    gate is applied once to all the blocks that have joined, by the kernel
+    the cache built for it. Edits that join at one step are stacked in the
+    order given. One edit is simulated as a single edit is, with no block
+    axis: its prefix state, its gate, then the suffix."""
+    if prefixes.gates is not c.gates and prefixes.gates != c.gates:
         raise ValueError("prefix cache was built for another circuit")
-    n, a, b = c.num_qubits, removals.start, removals.stop
-    t = prefixes.after(a)
-    for j in range(a + 1, len(c.gates)):
-        t = _apply_gate(t, c.gates[j], n)
-        if j < b:
-            s = prefixes.after(j)
-            t = np.concatenate((t.reshape((-1,) + s.shape), s[None]))
+    n, m = c.num_qubits, len(c.gates)
+    steps = []
+    for position, gate, replaces in edits:
+        if not 0 <= position < m + (not replaces) or (gate is None and not replaces):
+            raise ValueError(f"no edit ({position}, {gate}, {replaces}) of a circuit of {m} gates")
+        steps.append(position + bool(replaces))
+    if not steps:
+        raise ValueError("no edit to simulate")
+    order = sorted(range(len(steps)), key=steps.__getitem__)
+    t, joined = None, 0
+    for j in range(steps[order[0]], m + 1):
+        first = joined
+        while joined < len(order) and steps[order[joined]] == j:
+            joined += 1
+        if joined > first and len(order) == 1:
+            t = _edited_prefix(prefixes, edits[0], n)
+        elif joined > first:
+            blocks = [_edited_prefix(prefixes, edits[i], n)[None] for i in order[first:joined]]
+            t = np.concatenate(blocks if t is None else [t, *blocks])
+        if j < m:
+            t = prefixes.kernels[j](t)
+    if order != sorted(order):
+        t = t[np.argsort(order)]
     return t
+
+
+def _edited_prefix(prefixes: PrefixCache, edit: tuple[int, GateApp | None, bool], n: int) -> np.ndarray:
+    """The state an edit joins the staircase with: the cached state after
+    its position, with its own gate (if any) applied."""
+    position, gate, _ = edit
+    s = prefixes.after(position)
+    return s if gate is None else _kernel(gate, n)(s)
 
 
 def _measure(t: np.ndarray, bases: tuple[MeasBasis, ...], n: int, out: np.ndarray) -> None:
@@ -407,7 +465,7 @@ def _measure(t: np.ndarray, bases: tuple[MeasBasis, ...], n: int, out: np.ndarra
                 else:
                     s[j] = t
         for q in range(n):
-            s = _apply_1q(s, _H, q, n)
+            s = _apply_1q(s, _H, 2**q, n)
         stack = iter(s)
     moduli = np.empty((len(bases),) + t.shape)
     for i, basis in enumerate(bases):
@@ -426,47 +484,49 @@ def run_all_bases(
     inputs,
     bases: tuple[MeasBasis, ...] = BASIS_ORDER,
     prefixes: PrefixCache | None = None,
-    removals: range | None = None,
+    edits: Sequence[tuple[int, GateApp | None, bool]] | None = None,
 ) -> np.ndarray:
     """Born-rule probabilities of every input in each of ``bases``, as an
     array indexed ``[basis, k, outcome]``: ``k`` the position of the input
-    in ``inputs``. Given ``removals``, a run of gate positions, the array
-    is indexed ``[i, basis, k, outcome]`` instead, for ``c`` without gate
-    ``removals[i]``, and ``prefixes`` must be built for ``c``.
+    in ``inputs``. Given ``edits``, a sequence of single-gate edits of
+    ``c`` (see :func:`_edit_states`), the array is indexed ``[i, basis, k,
+    outcome]`` instead, for ``c`` with ``edits[i]`` made, and ``prefixes``
+    must be built for ``c``.
 
     All inputs pass through the gate list together as one (2,) * n + (B,)
     tensor (see :class:`PrefixCache`), from the longest prefix of ``c``
     that ``prefixes`` holds (given one built for the same inputs), else
-    from the inputs themselves. A row does not depend on the batch or the
+    from the inputs themselves, by the kernels the cache built for the
+    gates it shares with ``c``. A row does not depend on the batch or the
     block it is computed in, so :func:`run_exact` agrees bit for bit with a
-    suite, and a circuit's removals stacked on a block axis with each
-    removal alone.
+    suite, and a circuit's edits stacked on a block axis with each edited
+    circuit alone.
 
     The bases are measured as blocks of one tensor (see :func:`_measure`):
     consecutive bases, as many as fit :data:`BASIS_STACK_BYTES`, go
     through one ``h`` layer together, X as the final states and Y as the
     states times a phase table (``sdg`` on every qubit), and Z is the final
     states unrotated; each such chunk is squared, summed, checked for norm
-    drift and normalised in one pass over its rows. A removal run's output
+    drift and normalised in one pass over its rows. An edit run's output
     is the ``[basis, i, k, outcome]`` array seen through a transpose.
     """
     if prefixes is None:
-        prefixes = PrefixCache(Circuit(c.num_qubits) if removals is None else c, inputs)
+        prefixes = PrefixCache(Circuit(c.num_qubits) if edits is None else c, inputs)
     elif inputs is not prefixes.given and not np.array_equal(prefixes.inputs, np.asarray(inputs).reshape(-1)):
         raise ValueError("prefix cache was built for other inputs")
     n = c.num_qubits
-    if removals is None:
+    if edits is None:
         k, t = prefixes.resume(c)
-        for g in c.gates[k:]:
-            t = _apply_gate(t, g, n)
+        for kernel in prefixes.kernels_from(c, k):
+            t = kernel(t)
     else:
-        t = _removal_states(c, prefixes, removals)
+        t = _edit_states(c, prefixes, edits)
     blocks, batch = t.size // (2**n * t.shape[-1]), len(prefixes.inputs)
     out = np.empty((len(bases), blocks, batch, 2**n))
     step = max(1, BASIS_STACK_BYTES // t.nbytes)
     for lo in range(0, len(bases), step):
         _measure(t, bases[lo : lo + step], n, out[lo : lo + step])
-    return out[:, 0] if removals is None else out.transpose(1, 0, 2, 3)
+    return out[:, 0] if edits is None else out.transpose(1, 0, 2, 3)
 
 
 def run_exact(c: Circuit, input_state: int, basis: MeasBasis = MeasBasis.Z) -> Distribution:

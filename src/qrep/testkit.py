@@ -15,10 +15,11 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, GateApp
 from .errors import ExpectedTableError, NoFailingTestError, QRepError, SuiteTooWideError, WidthMismatchError
 from .simulator import (
     BASIS_ORDER,
@@ -324,19 +325,19 @@ def fitness(
     return _scores(observed, ts, cfg)[0]
 
 
-def removal_fitness(
+def edit_fitness(
     c: Circuit,
     ts: TestSuite,
-    removals: range,
+    edits: Sequence[tuple[int, GateApp | None, bool]],
     cfg: OracleConfig = OracleConfig(),
     prefixes: PrefixCache | None = None,
 ) -> list[FitnessScore]:
-    """:func:`fitness` of ``c`` without gate p, for each p in ``removals``
-    (a run of positions), from one stacked simulation (see
-    :func:`run_all_bases`); ``prefixes`` must be built for ``c``. Each
-    score equals the one its circuit gets alone."""
+    """:func:`fitness` of ``c`` with each of ``edits`` made alone (single-gate
+    edits; see :func:`run_all_bases`), from one stacked simulation;
+    ``prefixes`` must be built for ``c``. Each score equals the one its
+    circuit gets alone."""
     _require_width(c, ts)
-    observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, removals=removals)
+    observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=edits)
     observed = observed[(slice(None), *ts.case_rows)]
     return _scores(observed.reshape(-1, observed.shape[2]), ts, cfg)
 

@@ -8,6 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, build_circuit
+from qrep.simulator import MeasBasis
+from qrep.testkit import generate_suite, suite_from_expected
 
 # kinds eligible for random circuits in property tests
 RANDOM_KINDS = [
@@ -26,6 +28,18 @@ def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) ->
         params = tuple(float(a) for a in rng.uniform(-2 * math.pi, 2 * math.pi, kind.param_count))
         gates.append(GateApp(kind, qubits, params))
     return Circuit(num_qubits=num_qubits, gates=tuple(gates))
+
+
+def random_suite(ref: Circuit, kind: str, rng: np.random.Generator):
+    """``ref``'s full suite, its Z-basis cases, or a random ~30% of its
+    cases ("full", "z", "sparse"), the last two as expected tables."""
+    ts = generate_suite(ref)
+    if kind == "full":
+        return ts
+    cases = [tc for tc in ts.cases if tc.basis is MeasBasis.Z or kind == "sparse"]
+    if kind == "sparse":
+        cases = [tc for tc in cases if rng.random() < 0.3] or cases[-1:]
+    return suite_from_expected({tc.id: tc.expected.as_dict() for tc in cases})
 
 
 @pytest.fixture

@@ -445,12 +445,13 @@ def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
     return out
 
 
-# ------------------------------------------- guided search, every iteration
+# ------------------------------------ the searches, one patch at a time
 
 def looped_guided_search(run) -> None:
-    """``_Run.guided_search`` as it stood before it skipped iterations:
-    every iteration runs, and each one whose end mark the spend has passed
-    prunes the queue and tries nothing."""
+    """``_Run.guided_search`` as it stood before it skipped iterations and
+    stacked its runs of fixed patches: every iteration runs, each one whose
+    end mark the spend has passed prunes the queue and tries nothing, and
+    every patch is tried alone through ``try_patch``."""
     import qrep.engine as engine
 
     loc = engine.localize(run.c_init, run.ts, run.baseline, run.removal_scores())
@@ -477,6 +478,17 @@ def looped_guided_search(run) -> None:
             frac = engine.pruning_keep_fraction(i, total)
             keep_n = max(1, math.ceil(frac * len(run.table.scores)))
             queue = engine.prune_to_gates(queue, set(run.table.ranking()[:keep_n]))
+
+
+def looped_random_search(run) -> None:
+    """``_Run.random_search`` as it stood before it stacked its runs of
+    fixed patches: every draw is tried alone through ``try_patch``."""
+    import qrep.engine as engine
+
+    pool = engine.generate_patches(run.c_init, run.cfg.patch_catalog)
+    rng = np.random.default_rng([run.cfg.seed & (2**63 - 1), 17])
+    for idx in rng.permutation(len(pool)):
+        run.try_patch(pool[int(idx)], rng)
 
 
 # ------------------------------------------ removal sweep, one by one

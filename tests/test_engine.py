@@ -4,27 +4,34 @@ import json
 import math
 import time
 from collections import deque
+from functools import partial
 
+import numpy as np
 import pytest
-from oracles import eager_order_uniform, looped_guided_search, scipy_minimize_params
+from conftest import random_circuit, random_suite
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from oracles import eager_order_uniform, looped_guided_search, looped_random_search, scipy_minimize_params
 
 import qrep.engine
+from qrep import simulator, testkit
 from qrep.benchmarks import build_benchmark
-from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, replace_gate
+from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
 from qrep.engine import (
     STATUS_NOT_FIXED,
     STATUS_REPAIRED,
     Budget,
     RepairConfig,
+    _Run,
     pruning_keep_fraction,
     random_search,
     repair,
 )
 from qrep.errors import NoFailingTestError, UnknownGateError
 from qrep.localizer import BudgetExhaustedError, GateId, gate_id
-from qrep.patcher import generate_patches, inject_faults
+from qrep.optimizer import OptBudget
+from qrep.patcher import Patch, apply_patch, generate_patches, inject_faults
 from qrep.qasm import emit_qasm, parse_qasm
-from qrep.testkit import FitnessScore, OracleConfig, fitness, generate_suite
+from qrep.testkit import FitnessScore, OracleConfig, edit_fitness, fitness, generate_suite
 
 
 @pytest.fixture()
@@ -467,3 +474,163 @@ def test_skipped_iterations_match_every_iteration_loop_on_corpus(family, n, seed
                 want = repair(rec.mutant, ts, cfg, fault_gate=rec.fault_gate).to_dict()
             got.pop("wall_seconds"), want.pop("wall_seconds")
             assert got == want, (rec.description, iterations)
+
+
+# ------------------------------- stacked edits and runs against one by one
+
+
+def _random_edits(rng, c, count):
+    """``count`` random single-gate edits of ``c``, adds, replaces and
+    removals of gates of every kind, several at each of a few positions,
+    and the circuit each one makes."""
+    m = len(c.gates)
+    positions = rng.integers(0, m + 1, size=max(1, count // 2))
+    edits, circuits = [], []
+    for _ in range(count):
+        pos = int(rng.choice(positions))
+        op = "add" if pos == m else rng.choice(["add", "replace", "remove"])
+        g = random_circuit(rng, c.num_qubits, 1).gates[0]
+        if op == "add":
+            edits.append((pos, g, False)), circuits.append(insert_gate(c, pos, g))
+        elif op == "replace":
+            edits.append((pos, g, True)), circuits.append(replace_gate(c, pos, g))
+        else:
+            edits.append((pos, None, True)), circuits.append(remove_gate(c, pos))
+    return edits, circuits
+
+
+def _hex(scores):
+    return [(s.failed_count, s.hellinger_sum.hex()) for s in scores]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 7),
+    suite_kind=st.sampled_from(["full", "z", "sparse"]),
+    sampled=st.booleans(),
+    chunk=st.integers(1, 9),
+)
+def test_stacked_edits_match_each_edited_circuit_alone(seed, q, suite_kind, sampled, chunk):
+    """Every ``edit_fitness`` score equals, to the bit, ``fitness`` of its
+    edited circuit alone: random references of 1-7 qubits (edited as they
+    are or with a stray gate, whose removal may pass), add, replace and
+    remove edits of every gate kind, several at one position, in any
+    order, full, Z-only and sparse suites, both oracles, and the edits
+    stacked in chunks as the chunk bound, patched to 1-9 states, cuts
+    them."""
+    rng = np.random.default_rng(seed)
+    ref = random_circuit(rng, q, int(rng.integers(0, 8 if q < 6 else 5)))
+    c = ref
+    if rng.random() < 0.5:
+        c = insert_gate(ref, int(rng.integers(len(ref.gates) + 1)), random_circuit(rng, q, 1).gates[0])
+    ts = random_suite(ref, suite_kind, rng)
+    cfg = OracleConfig(mode="sampled", seed=seed) if sampled else OracleConfig()
+    prefixes = ts.prefixes(c)
+    edits, circuits = _random_edits(rng, c, int(rng.integers(1, 3 * chunk + 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        bound = chunk * prefixes.state_bytes + int(rng.integers(prefixes.state_bytes))
+        mp.setattr(simulator, "SWEEP_CHUNK_BYTES", bound)
+        size = max(1, simulator.SWEEP_CHUNK_BYTES // prefixes.state_bytes)
+    assert size == chunk
+    got = [s for lo in range(0, len(edits), size) for s in edit_fitness(c, ts, edits[lo : lo + size], cfg, prefixes)]
+    assert _hex(got) == _hex(fitness(cand, ts, cfg) for cand in circuits)
+
+
+def _simulated_blocks(mp) -> list[int]:
+    """The number of circuits each simulation from now on stacks."""
+    blocks = []
+    real = testkit.run_all_bases
+
+    def counted(*args, **kwargs):
+        blocks.append(1 if kwargs.get("edits") is None else len(kwargs["edits"]))
+        return real(*args, **kwargs)
+
+    mp.setattr(testkit, "run_all_bases", counted)
+    return blocks
+
+
+def _searched(c, ts, cfg, search):
+    """The report (less its wall time) and every trial row of one search
+    (a _Run method, or a function of the run), with the circuits each
+    simulation stacked."""
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _simulated_blocks(mp)
+        run = _Run(c, ts, cfg, None)
+        rep = run.drive(getattr(run, search) if isinstance(search, str) else partial(search, run)).to_dict()
+    rep.pop("wall_seconds")
+    return rep, run.candidates, blocks
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 4),
+    chunk=st.integers(1, 9),
+    budget=st.integers(1, 80),
+    iterations=st.integers(1, 5),
+)
+def test_stacked_runs_match_one_patch_at_a_time(seed, q, chunk, budget, iterations):
+    """The guided and random searches, which stack their runs of fixed
+    patches, give the report and trial rows of the searches that try each
+    patch alone: random circuits with one or two stray gates, catalogs
+    mixing fixed and parametric kinds, chunks of 1-9 patches and count
+    budgets that cut runs. No simulation stacks more than a chunk, none
+    goes past the budget, and only a repair leaves blocks uncharged: the
+    ones after it in its chunk."""
+    rng = np.random.default_rng(seed)
+    ref = random_circuit(rng, q, int(rng.integers(1, 6)))
+    c = ref
+    for _ in range(int(rng.integers(1, 3))):
+        c = insert_gate(c, int(rng.integers(len(c.gates) + 1)), random_circuit(rng, q, 1).gates[0])
+    ts = generate_suite(ref)
+    assume(not fitness(c, ts).all_passed())
+    names = [k.gate_name for k in GateKind if k.is_unitary and k.num_qubits <= q]
+    catalog = tuple(rng.choice(names, size=int(rng.integers(1, 6)), replace=False).tolist())
+    cfg = cfg_evals(budget, iterations=iterations, seed=seed, patch_catalog=catalog, opt=OptBudget(max_evals=3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "SWEEP_CHUNK_BYTES", chunk * ts.prefixes(c).state_bytes)
+        for search, looped in (("guided_search", looped_guided_search), ("random_search", looped_random_search)):
+            got, got_rows, blocks = _searched(c, ts, cfg, search)
+            want, want_rows, _ = _searched(c, ts, cfg, looped)
+            assert (got, got_rows) == (want, want_rows), search
+            assert all(1 <= n <= chunk for n in blocks) and sum(blocks) <= budget
+            if got["status"] == STATUS_NOT_FIXED:
+                assert sum(blocks) == got["evals_used"]
+            else:
+                assert got["evals_used"] <= sum(blocks) <= got["evals_used"] + blocks[-1] - 1
+
+
+def test_a_fixed_patch_repairing_mid_chunk_drops_the_rest_of_its_chunk(bell, bell_suite, monkeypatch):
+    """Five fixed patches stacked in one chunk, the third of which puts
+    back the h: the run charges, records and credits the first two, records
+    the third and raises with its circuit, and leaves the last two
+    simulated but neither charged, recorded nor credited."""
+    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
+    patches = [
+        Patch("add", 0, GateKind.Z, (0,), gate_id(0, broken.gates[0])),
+        Patch("add", 1, GateKind.Y, (1,), gate_id(1, broken.gates[1])),
+        Patch("replace", 0, GateKind.H, (0,), gate_id(0, broken.gates[0])),
+        Patch("add", 2, GateKind.X, (1,), gate_id(1, broken.gates[1])),
+        Patch("replace", 1, GateKind.CZ, (0, 1), gate_id(1, broken.gates[1])),
+    ]
+    monkeypatch.setattr(simulator, "SWEEP_CHUNK_BYTES", 8 * bell_suite.prefixes(broken).state_bytes)
+    blocks = _simulated_blocks(monkeypatch)
+    run = _Run(broken, bell_suite, cfg_evals(50), None)
+    run.baseline = run.evaluate(broken)
+    rest = iter(patches[1:])
+    with pytest.raises(qrep.engine._FullPass) as raised:
+        run.try_run(patches[0], lambda k: next(rest, None))
+    assert blocks == [1, 5]  # the baseline, then the whole run in one chunk
+    assert raised.value.circuit == apply_patch(broken, patches[2])
+    assert run.budget.evals_used == 1 + 3
+    assert [(r["kind"], r["position"], r["gate"]) for r in run.candidates] == [
+        ("add", 0, "z"), ("add", 1, "y"), ("replace", 0, "h")
+    ]
+    # the same first two patches tried alone credit the table as the run did
+    alone = _Run(broken, bell_suite, cfg_evals(50), None)
+    alone.baseline = alone.evaluate(broken)
+    for p in patches[:2]:
+        alone.try_patch(p)
+    assert run.table.scores == alone.table.scores
+    assert run.candidates[:2] == alone.candidates

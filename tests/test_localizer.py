@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from conftest import random_circuit
+from conftest import random_circuit, random_suite
 from oracles import gate_names, looped_localize
 from qrep import simulator, testkit
 from qrep.benchmarks import build_benchmark
@@ -19,8 +19,7 @@ from qrep.localizer import (
     localize,
     removal_scores,
 )
-from qrep.simulator import MeasBasis
-from qrep.testkit import OracleConfig, fitness, generate_suite, suite_from_expected
+from qrep.testkit import OracleConfig, fitness, generate_suite
 
 
 def test_gate_id_format(bell):
@@ -176,16 +175,6 @@ def _fields(res) -> dict:
     return out
 
 
-def _suite(ref, kind: str, rng):
-    ts = generate_suite(ref)
-    if kind == "full":
-        return ts
-    cases = [tc for tc in ts.cases if tc.basis is MeasBasis.Z or kind == "sparse"]
-    if kind == "sparse":
-        cases = [tc for tc in cases if rng.random() < 0.3] or cases[-1:]
-    return suite_from_expected({tc.id: tc.expected.as_dict() for tc in cases})
-
-
 def _count_blocks(mp) -> list[int]:
     """The number of blocks of each stacked removal simulation run from
     now on, through ``testkit``'s kernel call."""
@@ -247,7 +236,7 @@ def test_stacked_sweep_matches_per_candidate_sweep(seed, q, suite_kind, sampled,
     c = insert_gate(ref, int(rng.integers(0, len(ref.gates) + 1)), stray)
     if rng.random() < 0.3:  # a second stray: usually no removal passes
         c = insert_gate(c, int(rng.integers(0, len(c.gates) + 1)), random_circuit(rng, q, 1).gates[0])
-    ts = _suite(ref, suite_kind, rng)
+    ts = random_suite(ref, suite_kind, rng)
     cfg = OracleConfig(mode="sampled", seed=seed) if sampled else OracleConfig()
     baseline = fitness(c, ts, cfg)
     assume(not baseline.all_passed())

@@ -167,6 +167,31 @@ def test_order_uniform_matches_cursor_reference():
                 assert list(q) == want
 
 
+_UNITARY_NAMES = [k.gate_name for k in GateKind if k.is_unitary]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4))
+def test_counted_queue_matches_eager_pool(seed, q):
+    """The queue counts its slots rather than enumerating their qubit
+    choices, and builds each position's anchor once: over random circuits
+    and catalogs of every unitary kind (``id``, ``u``, ``cp``, ``crz`` and
+    ``ccx`` among them), each slot's count is its patches in the pool, and
+    the queue pops the eager pool order, pruned copies included."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, q, int(rng.integers(0, 9)))
+    catalog = tuple(rng.choice(_UNITARY_NAMES, size=int(rng.integers(1, len(_UNITARY_NAMES) + 1))).tolist())
+    pool = generate_patches(c, catalog)
+    queue = order_uniform(c, catalog)
+    assert {s: n for s, n in queue.counts.items() if n} == Counter((p.position, p.kind) for p in pool)
+    want = eager_order_uniform(pool, c)
+    assert len(queue) == len(want) and list(queue) == want
+    keep = {gate_id(i, g) for i, g in enumerate(c.gates) if rng.random() < 0.5}
+    pruned = prune_to_gates(queue, keep)
+    assert pruned.anchors is queue.anchors
+    assert [pruned.popleft() for _ in range(len(pruned))] == [p for p in want if p.anchor in keep]
+
+
 # ------------------------------------------------------------------- queue
 
 def test_prune_keeps_only_anchored(bell):

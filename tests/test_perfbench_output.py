@@ -1,5 +1,6 @@
-"""A traced perfbench run ends in one strict-JSON result line that carries
-every per-layer metric BENCHMARK.json declares, each a finite number.
+"""A traced perfbench run of each workload ends in one strict-JSON result
+line that carries every per-layer metric BENCHMARK.json declares, each a
+finite number.
 
 The test only runs perfbench/run.py and reads BENCHMARK.json and the run's
 result file; it changes neither.
@@ -11,6 +12,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -18,10 +21,11 @@ def _no_constant(name):
     raise ValueError(f"non-finite number {name} in the result line")
 
 
-def test_traced_corpus_run_ends_in_a_complete_result_line():
+@pytest.mark.parametrize("workload", ["corpus", "wide", "cli-expected"])
+def test_traced_run_ends_in_a_complete_result_line(workload):
     started = time.time()
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "corpus", "--seconds", "1", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -35,8 +39,8 @@ def test_traced_corpus_run_ends_in_a_complete_result_line():
         value = metric["value"]
         assert type(value) in (int, float) and math.isfinite(value), name
 
-    # the default seed is 0, so this run wrote corpus-seed0-trace1.json
-    record_path = ROOT / ".perfbench-out" / "corpus-seed0-trace1.json"
+    # the default seed is 0, so this run wrote <workload>-seed0-trace1.json
+    record_path = ROOT / ".perfbench-out" / f"{workload}-seed0-trace1.json"
     assert record_path.stat().st_mtime >= started - 1
     record = json.loads(record_path.read_text())
     assert record["missing_bindings"] == []

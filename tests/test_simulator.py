@@ -267,7 +267,7 @@ def test_stacked_bases_match_each_basis_and_removal_alone(monkeypatch):
                 got = run_all_bases(c, inputs, bases=bases, prefixes=cache)
                 assert got.shape == plain[rows].shape and got.tobytes() == plain[rows].tobytes(), (q, size, bases)
                 for r in runs:
-                    got = run_all_bases(c, inputs, bases=bases, prefixes=cache, removals=r)
+                    got = run_all_bases(c, inputs, bases=bases, prefixes=cache, edits=[(p, None, True) for p in r])
                     want = np.stack([alone[p][rows] for p in r])
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (q, size, bases, r)
     assert seen == set(RANDOM_KINDS)
@@ -283,7 +283,7 @@ def test_norm_drift_is_an_assertion_naming_the_drifting_row(monkeypatch):
     with pytest.raises(AssertionError, match=f"^final norm {re.escape(repr(norm))} drifted beyond tolerance$"):
         run_all_bases(c, [0], bases=(MeasBasis.Z, MeasBasis.X))
     with pytest.raises(AssertionError, match=re.escape(repr(norm))):
-        run_all_bases(c, [0], prefixes=PrefixCache(c, [0]), removals=range(1))
+        run_all_bases(c, [0], prefixes=PrefixCache(c, [0]), edits=[(0, None, True)])
 
 
 def _random_edit(rng, c):
@@ -339,8 +339,13 @@ def test_empty_input_batch_is_a_value_error(bell):
 def test_prefix_cache_stores_and_simulates_nothing_when_one_state_is_over_the_cap(monkeypatch):
     c = build_circuit(3, [("h", 0), ("cx", (0, 1)), ("t", 2), ("cx", (1, 2))])
     applied = []
-    real = simulator._apply_gate
-    monkeypatch.setattr(simulator, "_apply_gate", lambda t, g, n: applied.append(g) or real(t, g, n))
+    real = simulator._kernel
+
+    def counted(g, n):
+        kernel = real(g, n)
+        return lambda t: applied.append(g) or kernel(t)
+
+    monkeypatch.setattr(simulator, "_kernel", counted)
     monkeypatch.setattr(simulator, "PREFIX_CACHE_BYTES", 8 * 8 * 16 - 1)
     cache = PrefixCache(c, range(8))
     assert cache.states == {} and applied == []
@@ -349,3 +354,16 @@ def test_prefix_cache_stores_and_simulates_nothing_when_one_state_is_over_the_ca
     assert k == 0 and np.array_equal(t.reshape(8, 8), np.eye(8))
     assert np.array_equal(run_all_bases(c, range(8), prefixes=cache), run_all_bases(c, range(8)))
     assert len(applied) == 2 * len(c.gates)
+
+
+def test_edit_runs_reject_edits_the_circuit_cannot_take(bell):
+    cache, h = PrefixCache(bell, range(4)), GateApp(GateKind.H, (1,))
+    for edits in ([(3, h, False)], [(2, h, True)], [(-1, None, True)], [(0, None, False)], []):
+        with pytest.raises(ValueError, match="no edit"):
+            run_all_bases(bell, range(4), prefixes=cache, edits=edits)
+    with pytest.raises(ValueError, match="another circuit"):
+        run_all_bases(build_circuit(2, [("h", 0)]), range(4), prefixes=cache, edits=[(0, None, True)])
+    # an append and a replace of the last gate are the edits at the ends
+    got = run_all_bases(bell, range(4), prefixes=cache, edits=[(2, h, False), (1, h, True)])
+    assert np.array_equal(got[0], run_all_bases(insert_gate(bell, 2, h), range(4)))
+    assert np.array_equal(got[1], run_all_bases(replace_gate(bell, 1, h), range(4)))

@@ -31,12 +31,12 @@ from qrep.testkit import (
     _case_seed,
     _case_seeds,
     case_id,
+    edit_fitness,
     fitness,
     generate_suite,
     hellinger,
     judge,
     parse_case_id,
-    removal_fitness,
     require_failing,
     suite_from_expected,
 )
@@ -577,7 +577,7 @@ def test_one_suite_scored_under_two_eps_gives_each_its_own_verdicts():
             assert score == fitness(cand, generate_suite(ref), cfg)  # a suite scored for the first time
             assert score.failed_count == _judge_loop(cand, ts, cfg)[0]
             removals = range(len(ref.gates))
-            assert removal_fitness(ref, ts, removals, cfg, ts.prefixes(ref)) == [
+            assert edit_fitness(ref, ts, [(p, None, True) for p in removals], cfg, ts.prefixes(ref)) == [
                 fitness(remove_gate(ref, p), ts, cfg) for p in removals
             ]
             assert counts.setdefault(eps, score.failed_count) == score.failed_count
