@@ -138,7 +138,7 @@ def layers() -> dict:
     for fam, n, bases, suffix in MEASURE_CIRCUITS:
         ref, inputs = build_benchmark(fam, n), range(2**n)
         cache = simulator.PrefixCache(ref, inputs)
-        facts = {"gates": len(ref.gates), "resumed_at": cache.resume(ref)[0], "bases": [b.value for b in bases]}
+        facts = {"gates": len(ref.gates), "resumed_at": cache.join(ref)[0], "bases": [b.value for b in bases]}
         measure_only = lambda ref=ref, inputs=inputs, bases=bases, cache=cache: simulator.run_all_bases(
             ref, inputs, bases=bases, prefixes=cache
         )

@@ -25,12 +25,12 @@ from .engine import (
     repair,
 )
 from .errors import ExpectedTableError, QRepError
-from .localizer import GateId, localize, removal_scores
+from .localizer import GateId, localize, removals
 from .optimizer import TOL_FLOOR, OptBudget
 from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, inject_faults
 from .qasm import emit_qasm, parse_qasm
 from .simulator import MAX_SHOTS
-from .testkit import OracleConfig, fitness, generate_suite, suite_from_expected
+from .testkit import OracleConfig, edit_fitness, fitness, generate_suite, suite_from_expected
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -286,7 +286,7 @@ def _cmd_localize(args) -> int:
     oracle = _oracle_from_args(args)
     prefixes = ts.prefixes(c)
     baseline = fitness(c, ts, oracle, prefixes)
-    result = localize(c, ts, baseline, removal_scores(c, ts, oracle, prefixes))
+    result = localize(c, ts, baseline, edit_fitness(c, ts, removals(c), oracle, prefixes))
     repaired_qasm = emit_qasm(result.repaired) if result.repaired is not None else None
     removed = result.repaired_by_removing
     payload = {

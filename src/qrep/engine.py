@@ -11,23 +11,25 @@ with the budget whatever the iteration count. A random-search baseline
 shares the evaluator, stopping rules, and report format, but draws patches
 in seeded random order with no localisation or pruning.
 
-Both searches score the fixed patches they take between two parametric
-ones as one run of single-gate edits, stacked in chunks
-(:meth:`_Run.try_run`), and charge, record and credit each score as a
-trial of that patch alone would, so their reports are those of trying
-every patch alone, bit for bit.
+The removal sweep and both searches' runs of fixed patches (the ones taken
+between two parametric patches) are streams of single-gate edits of the
+faulty circuit, scored by :func:`~qrep.testkit.edit_fitness` in stacked
+chunks and charged through one generator (:meth:`_Run.scored`): the budget
+is checked as each edit is drawn and each score is charged as it is drawn.
+Each score is recorded and credited as a trial of that edit alone would
+be, so the reports are those of trying every edit alone, bit for bit.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import simulator
 from .circuit import Circuit, GateApp
 from .errors import UnknownGateError
 from .localizer import (
@@ -35,7 +37,7 @@ from .localizer import (
     GateId,
     SuspiciousnessTable,
     localize,
-    removal_scores,
+    removals,
 )
 from .optimizer import OptBudget, minimize_params
 from .patcher import (
@@ -194,17 +196,25 @@ class _Run:
         self.budget.charge()
         return fitness(c, self.ts, self.cfg.oracle, self.prefixes)
 
-    def removal_scores(self) -> Iterator[FitnessScore]:
-        """``c_init``'s removal sweep for :func:`localize`, each score
-        charged as one evaluation when it is yielded. A chunk never goes
-        past the evaluations a count budget has left, so no removal beyond
-        it is simulated; under a seconds budget a sweep may compute up to
-        one chunk past the deadline, whose scores are then dropped."""
-        sweep = removal_scores(self.c_init, self.ts, self.cfg.oracle, self.prefixes, self.budget.allowance)
-        for score in sweep:
-            self.budget.precheck()
+    def scored(self, edits: Iterable[tuple[int, GateApp | None, bool]]) -> Iterator[FitnessScore]:
+        """The scores of ``c_init`` with each of ``edits`` made alone
+        (:func:`edit_fitness`), each charged as one evaluation when it is
+        drawn. The edits are capped once at :meth:`Budget.allowance`, and
+        the budget is checked as each one is drawn, before its chunk is
+        simulated, as :meth:`evaluate` checks before a probe: no edit past
+        a count budget is drawn, and no chunk starts after the deadline of
+        a seconds budget (one that started before it is charged). Drawing
+        past the cap raises BudgetExhaustedError."""
+
+        def checked() -> Iterator[tuple[int, GateApp | None, bool]]:
+            for e in islice(edits, self.budget.allowance()):
+                self.budget.precheck()
+                yield e
+
+        for score in edit_fitness(self.c_init, self.ts, checked(), self.cfg.oracle, self.prefixes):
             self.budget.charge()
             yield score
+        self.budget.precheck()
 
     def record(self, kind: str, position: int, gate: str, qubits, params, value: float) -> None:
         self.candidates.append({
@@ -272,31 +282,26 @@ class _Run:
     def try_run(self, first: Patch, draw: Callable[[int], Patch | None]) -> Patch | None:
         """Score the fixed patch ``first`` and the fixed patches ``draw``
         gives after it, each as :meth:`try_patch` would alone, from stacked
-        simulations of their edits (:func:`edit_fitness`).
+        simulations of their edits (:meth:`scored`).
 
         ``draw(k)`` gives the next patch after ``k`` in the run, or None
         when the run must end there. A run holds as many patches as the
         evaluations a count budget has left, and one under a seconds
         budget; it ends before the first parametric patch drawn, which is
-        returned untried. It is simulated in chunks of at most
-        :data:`~qrep.simulator.SWEEP_CHUNK_BYTES` of states, and each score
-        is charged and settled in run order. A pass raises _FullPass with
-        the repaired circuit, built only then; the later scores of its
-        chunk are dropped, neither charged, recorded nor credited."""
+        returned untried. Each score is charged and settled in run order. A
+        pass raises _FullPass with the repaired circuit, built only then;
+        the later scores of its chunk are dropped, neither charged,
+        recorded nor credited."""
         run, cap, nxt = [first], self.budget.allowance() or 1, None
         while nxt is None and len(run) < cap and (p := draw(len(run))) is not None:
             if p.is_parametric:
                 nxt = p
             else:
                 run.append(p)
-        size = max(1, simulator.SWEEP_CHUNK_BYTES // self.prefixes.state_bytes)
-        for lo in range(0, len(run), size):
-            chunk = run[lo : lo + size]
-            edits = [(p.position, GateApp(p.gate, p.qubits), p.kind == "replace") for p in chunk]
-            for patch, score in zip(chunk, edit_fitness(self.c_init, self.ts, edits, self.cfg.oracle, self.prefixes)):
-                self.budget.charge()
-                repaired = apply_patch(self.c_init, patch) if score.all_passed() else None
-                self.settle(patch, (), score.value, repaired)
+        edits = ((p.position, GateApp(p.gate, p.qubits), p.kind == "replace") for p in run)
+        for patch, score in zip(run, self.scored(edits)):
+            repaired = apply_patch(self.c_init, patch) if score.all_passed() else None
+            self.settle(patch, (), score.value, repaired)
         return nxt
 
     # -- report ------------------------------------------------------------
@@ -344,7 +349,7 @@ class _Run:
         return self.finalize(STATUS_NOT_FIXED, None)
 
     def guided_search(self) -> None:
-        loc = localize(self.c_init, self.ts, self.baseline, self.removal_scores())
+        loc = localize(self.c_init, self.ts, self.baseline, self.scored(removals(self.c_init)))
         self.table = loc.table
         for gid, value in loc.removal_fitness.items():
             self.record("delete", gid.position, gid.gate, gid.qubits, (), value)

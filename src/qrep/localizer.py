@@ -4,21 +4,20 @@ Each repairable gate is removed in turn; if the pruned circuit passes the
 whole suite the sweep short-circuits and returns it as a complete repair.
 Otherwise the gate's score grows by (baseline fitness - pruned fitness), so
 gates whose removal helps accumulate positive scores and gates whose removal
-hurts go negative. The pruned circuits are simulated a chunk at a time,
-as removal edits of one staircase on one state tensor
-(:func:`removal_scores`), and scored one by one.
+hurts go negative. The pruned circuits are the removal edits
+(:func:`removals`) that :func:`~qrep.testkit.edit_fitness` simulates a
+chunk at a time, as one staircase on one state tensor, and scores one by
+one.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from . import simulator
 from .circuit import Circuit, GateApp, remove_gate
 from .errors import QRepError, UnknownGateError
-from .simulator import PrefixCache
-from .testkit import FitnessScore, OracleConfig, TestSuite, edit_fitness, require_failing
+from .testkit import FitnessScore, TestSuite, edit_fitness, require_failing
 
 
 class BudgetExhaustedError(QRepError):
@@ -92,31 +91,10 @@ class LocalizeResult:
     partial: bool = False  # budget ran out before the sweep finished
 
 
-def removal_scores(
-    c: Circuit,
-    ts: TestSuite,
-    cfg: OracleConfig = OracleConfig(),
-    prefixes: PrefixCache | None = None,
-    allowance: Callable[[], int | None] = lambda: None,
-) -> Iterator[FitnessScore]:
-    """The fitness of ``c`` without each of its gates, in position order.
-
-    The removals are simulated in chunks of as many as fit
-    :data:`~qrep.simulator.SWEEP_CHUNK_BYTES` of stacked states, at least
-    one (see :func:`~qrep.testkit.edit_fitness`). ``allowance`` is called
-    before each chunk; it returns how many more removals may be simulated
-    (at least one), or None for no count limit, and may raise
-    :class:`BudgetExhaustedError`. ``prefixes`` must be built for ``c``.
-    """
-    if prefixes is None:
-        prefixes = ts.prefixes(c)
-    size = max(1, simulator.SWEEP_CHUNK_BYTES // prefixes.state_bytes)
-    m, a = len(c.gates), 0
-    while a < m:
-        left = allowance()
-        b = min(m, a + (size if left is None else max(1, min(size, left))))
-        yield from edit_fitness(c, ts, [(p, None, True) for p in range(a, b)], cfg, prefixes)
-        a = b
+def removals(c: Circuit) -> Iterator[tuple[int, None, bool]]:
+    """The edits that remove each gate of ``c`` alone, in position order,
+    for :func:`~qrep.testkit.edit_fitness`."""
+    return ((p, None, True) for p in range(len(c.gates)))
 
 
 def localize(
@@ -128,15 +106,16 @@ def localize(
     """Gate-removal sweep over ``c_init`` (ascending position order).
 
     ``scores`` yields the fitness of ``c_init`` without each gate, in
-    position order; it defaults to :func:`removal_scores` in exact mode.
-    The repair engine passes its budget-charging iterator instead. The
+    position order; it defaults to :func:`~qrep.testkit.edit_fitness` of
+    :func:`removals` in exact mode. The repair engine passes its
+    budget-charging stream of those scores instead. The
     sweep draws one score per gate and stops drawing at a passing removal;
     an iterator that raises :class:`BudgetExhaustedError` cuts it short,
     and the partial table is returned, flagged.
     """
     require_failing(baseline)
     if scores is None:
-        scores = removal_scores(c_init, ts)
+        scores = edit_fitness(c_init, ts, removals(c_init))
 
     start = time.monotonic()
     result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init))

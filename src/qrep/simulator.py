@@ -15,10 +15,12 @@ run of single-gate edits of one circuit (a removal sweep's, or a patch
 search's run of fixed patches) is stacked this way, as a staircase of
 edited circuits, and the measurement stacks the X and Y bases of the
 final states (see :func:`run_all_bases`). A :class:`PrefixCache` keeps the
-tensor after the leading gates of one circuit, and a kernel per gate, so
-its single-gate edits are simulated from the edit on. No full 2^q x 2^q
-matrix is ever built here; the dense-matrix product lives in the test
-suite as an independent oracle.
+tensor after the leading gates of one circuit, and a kernel per gate. Every
+simulation is one staircase over those kernels (:func:`_staircase`): a
+whole circuit joins it once, where it departs from the cached one, and a
+run of edits joins it edit by edit, so each edit is simulated from the
+edit on. No full 2^q x 2^q matrix is ever built here; the dense-matrix
+product lives in the test suite as an independent oracle.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -315,9 +318,9 @@ class PrefixCache:
     The states after every prefix are kept when they fit in
     :data:`PREFIX_CACHE_BYTES`; otherwise only every ``stride``-th, and none
     when a single state does not fit. Each is a layout-preserving copy of
-    the running tensor, so resuming from one rounds exactly as simulating
+    the running tensor, so going on from one rounds exactly as simulating
     from the inputs does. The empty prefix is the inputs themselves, built
-    afresh on each resume rather than stored.
+    afresh on each use rather than stored.
 
     A state is a (2,) * n + (B,) tensor: column b holds the amplitudes of
     ``columns[b]``, qubit k on axis n-1-k, so its 2^n x B reshape has one
@@ -357,19 +360,6 @@ class PrefixCache:
         t[self.columns, np.arange(cols)] = 1.0
         return t.reshape((2,) * n + (cols,))
 
-    def resume(self, c: Circuit) -> tuple[int, np.ndarray]:
-        """(k, a fresh copy of the state after ``c.gates[:k]``) for the
-        longest cached prefix whose gates equal those of ``c``."""
-        if c.num_qubits != self.num_qubits:
-            raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {self.num_qubits}")
-        shared = 0
-        for a, b in zip(c.gates, self.gates):
-            if a is not b and a != b:  # an edit shares its other gates' objects
-                break
-            shared += 1
-        k = shared - shared % self.stride
-        return k, self.after(k)
-
     def after(self, k: int) -> np.ndarray:
         """A fresh copy of the state after the cached circuit's first ``k``
         gates, simulated on from the last stored state at or before it."""
@@ -379,66 +369,68 @@ class PrefixCache:
             t = kernel(t)
         return t
 
-    def kernels_from(self, c: Circuit, k: int) -> list:
-        """The kernels of ``c.gates[k:]``: the cache's own for the trailing
-        gates ``c`` shares with the cached circuit (an edit shares its later
-        gates' objects), fresh ones for the gates before them."""
+    def join(self, c: Circuit) -> tuple[int, np.ndarray]:
+        """(step, state): where ``c`` joins the cached circuit's gates for
+        good, and a fresh state of ``c`` simulated up to there. ``c`` keeps
+        the longest cached prefix whose gates equal the cached circuit's,
+        and rejoins it for the trailing gates it shares by object (an edit
+        shares its later gates' objects); fresh kernels run the gates
+        between. The cache's kernels from ``step`` on finish ``c``."""
+        if c.num_qubits != self.num_qubits:
+            raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {self.num_qubits}")
         gates, own = c.gates, self.gates
-        shared, most = 0, min(len(gates) - k, len(own))
-        while shared < most and gates[-1 - shared] is own[-1 - shared]:
+        shared = 0
+        for a, b in zip(gates, own):
+            if a is not b and a != b:
+                break
             shared += 1
-        fresh = [_kernel(g, self.num_qubits) for g in gates[k : len(gates) - shared]]
-        return fresh + self.kernels[len(own) - shared :]
+        k = shared - shared % self.stride
+        tail, most = 0, min(len(gates) - k, len(own))
+        while tail < most and gates[-1 - tail] is own[-1 - tail]:
+            tail += 1
+        t = self.after(k)
+        for g in gates[k : len(gates) - tail]:
+            t = _kernel(g, self.num_qubits)(t)
+        return len(own) - tail, t
 
-
-def _edit_states(c: Circuit, prefixes: PrefixCache, edits: Sequence[tuple[int, GateApp | None, bool]]) -> np.ndarray:
-    """The final states of ``c`` with each of ``edits`` made alone, stacked
-    one block per edit in the order given. An edit is (position, gate,
-    replaces): ``gate`` put before gate ``position`` of ``c``, or in its
-    place when ``replaces``; a gate of None with ``replaces`` removes gate
-    ``position``.
-
-    A staircase over the gates of ``c``: an add joins at step ``position``
-    and a replace or removal one step later, from the cached state after
-    ``position`` gates with its own gate (if any) applied, and every later
-    gate is applied once to all the blocks that have joined, by the kernel
-    the cache built for it. Edits that join at one step are stacked in the
-    order given. One edit is simulated as a single edit is, with no block
-    axis: its prefix state, its gate, then the suffix."""
-    if prefixes.gates is not c.gates and prefixes.gates != c.gates:
-        raise ValueError("prefix cache was built for another circuit")
-    n, m = c.num_qubits, len(c.gates)
-    steps = []
-    for position, gate, replaces in edits:
+    def edit(self, e: tuple[int, GateApp | None, bool]) -> tuple[int, np.ndarray]:
+        """(step, state) as :meth:`join` gives them for the cached circuit
+        with the single-gate edit ``e`` = (position, gate, replaces) made:
+        ``gate`` put before gate ``position``, or in its place when
+        ``replaces``; a gate of None with ``replaces`` removes gate
+        ``position``. An add joins at step ``position`` and a replace or
+        removal one step later, with the cached state after ``position``
+        gates and its own gate (if any) applied."""
+        position, gate, replaces = e
+        m = len(self.gates)
         if not 0 <= position < m + (not replaces) or (gate is None and not replaces):
             raise ValueError(f"no edit ({position}, {gate}, {replaces}) of a circuit of {m} gates")
-        steps.append(position + bool(replaces))
-    if not steps:
+        t = self.after(position)
+        return position + bool(replaces), t if gate is None else _kernel(gate, self.num_qubits)(t)
+
+
+def _staircase(prefixes: PrefixCache, joins: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The final states of the circuits that ``joins`` (from
+    :meth:`PrefixCache.join` or :meth:`PrefixCache.edit`) start, stacked one
+    block per join in the order given. Each state joins the stack at its
+    step, and every later gate is applied once to all the blocks that have
+    joined, by the kernel the cache built for it. States that join at one
+    step are stacked in the order given. One join is simulated with no
+    block axis: its state, then the cache's kernels from its step."""
+    if not joins:
         raise ValueError("no edit to simulate")
-    order = sorted(range(len(steps)), key=steps.__getitem__)
-    t, joined = None, 0
-    for j in range(steps[order[0]], m + 1):
-        first = joined
-        while joined < len(order) and steps[order[joined]] == j:
-            joined += 1
-        if joined > first and len(order) == 1:
-            t = _edited_prefix(prefixes, edits[0], n)
-        elif joined > first:
-            blocks = [_edited_prefix(prefixes, edits[i], n)[None] for i in order[first:joined]]
-            t = np.concatenate(blocks if t is None else [t, *blocks])
-        if j < m:
-            t = prefixes.kernels[j](t)
-    if order != sorted(order):
-        t = t[np.argsort(order)]
-    return t
-
-
-def _edited_prefix(prefixes: PrefixCache, edit: tuple[int, GateApp | None, bool], n: int) -> np.ndarray:
-    """The state an edit joins the staircase with: the cached state after
-    its position, with its own gate (if any) applied."""
-    position, gate, _ = edit
-    s = prefixes.after(position)
-    return s if gate is None else _kernel(gate, n)(s)
+    order = sorted(range(len(joins)), key=lambda i: joins[i][0])
+    step, t = joins[order[0]]
+    if len(joins) > 1:
+        t = None
+        for at, group in groupby(order, key=lambda i: joins[i][0]):
+            for kernel in prefixes.kernels[step:at]:
+                t = kernel(t)
+            blocks = [joins[i][1][None] for i in group]
+            t, step = np.concatenate(blocks if t is None else [t, *blocks]), at
+    for kernel in prefixes.kernels[step:]:
+        t = kernel(t)
+    return t if order == sorted(order) else t[np.argsort(order)]
 
 
 def _measure(t: np.ndarray, bases: tuple[MeasBasis, ...], n: int, out: np.ndarray) -> None:
@@ -489,16 +481,17 @@ def run_all_bases(
     """Born-rule probabilities of every input in each of ``bases``, as an
     array indexed ``[basis, k, outcome]``: ``k`` the position of the input
     in ``inputs``. Given ``edits``, a sequence of single-gate edits of
-    ``c`` (see :func:`_edit_states`), the array is indexed ``[i, basis, k,
-    outcome]`` instead, for ``c`` with ``edits[i]`` made, and ``prefixes``
-    must be built for ``c``.
+    ``c`` (see :meth:`PrefixCache.edit`), the array is indexed ``[i, basis,
+    k, outcome]`` instead, for ``c`` with ``edits[i]`` made, and
+    ``prefixes`` must be built for ``c``.
 
     All inputs pass through the gate list together as one (2,) * n + (B,)
-    tensor (see :class:`PrefixCache`), from the longest prefix of ``c``
-    that ``prefixes`` holds (given one built for the same inputs), else
-    from the inputs themselves, by the kernels the cache built for the
-    gates it shares with ``c``. A row does not depend on the batch or the
-    block it is computed in, so :func:`run_exact` agrees bit for bit with a
+    tensor (see :class:`PrefixCache`). The state comes from one path,
+    :func:`_staircase` over the cache's kernels: ``c`` alone joins it where
+    it departs from the cache (:meth:`PrefixCache.join`; with no cache
+    given, one of the empty circuit, so every gate runs fresh), and each
+    edit at its own step. A row does not depend on the batch or the block
+    it is computed in, so :func:`run_exact` agrees bit for bit with a
     suite, and a circuit's edits stacked on a block axis with each edited
     circuit alone.
 
@@ -514,13 +507,13 @@ def run_all_bases(
         prefixes = PrefixCache(Circuit(c.num_qubits) if edits is None else c, inputs)
     elif inputs is not prefixes.given and not np.array_equal(prefixes.inputs, np.asarray(inputs).reshape(-1)):
         raise ValueError("prefix cache was built for other inputs")
-    n = c.num_qubits
     if edits is None:
-        k, t = prefixes.resume(c)
-        for kernel in prefixes.kernels_from(c, k):
-            t = kernel(t)
+        joins = [prefixes.join(c)]
+    elif prefixes.gates is not c.gates and prefixes.gates != c.gates:
+        raise ValueError("prefix cache was built for another circuit")
     else:
-        t = _edit_states(c, prefixes, edits)
+        joins = [prefixes.edit(e) for e in edits]
+    n, t = c.num_qubits, _staircase(prefixes, joins)
     blocks, batch = t.size // (2**n * t.shape[-1]), len(prefixes.inputs)
     out = np.empty((len(bases), blocks, batch, 2**n))
     step = max(1, BASIS_STACK_BYTES // t.nbytes)

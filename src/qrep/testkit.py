@@ -14,11 +14,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import simulator
 from .circuit import Circuit, GateApp
 from .errors import ExpectedTableError, NoFailingTestError, QRepError, SuiteTooWideError, WidthMismatchError
 from .simulator import (
@@ -328,18 +329,29 @@ def fitness(
 def edit_fitness(
     c: Circuit,
     ts: TestSuite,
-    edits: Sequence[tuple[int, GateApp | None, bool]],
+    edits: Iterable[tuple[int, GateApp | None, bool]],
     cfg: OracleConfig = OracleConfig(),
     prefixes: PrefixCache | None = None,
-) -> list[FitnessScore]:
+) -> Iterator[FitnessScore]:
     """:func:`fitness` of ``c`` with each of ``edits`` made alone (single-gate
-    edits; see :func:`run_all_bases`), from one stacked simulation;
-    ``prefixes`` must be built for ``c``. Each score equals the one its
-    circuit gets alone."""
+    edits; see :func:`run_all_bases`), in order. Each score equals the one
+    its circuit gets alone.
+
+    The edits are drawn a chunk at a time, as many as fit
+    :data:`~qrep.simulator.SWEEP_CHUNK_BYTES` of stacked states (at least
+    one), and each chunk is one stacked simulation: a caller that stops
+    drawing scores leaves the later edits undrawn and unsimulated.
+    ``prefixes`` must be built for ``c``; it is built once when not given.
+    """
     _require_width(c, ts)
-    observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=edits)
-    observed = observed[(slice(None), *ts.case_rows)]
-    return _scores(observed.reshape(-1, observed.shape[2]), ts, cfg)
+    if prefixes is None:
+        prefixes = ts.prefixes(c)
+    size = max(1, simulator.SWEEP_CHUNK_BYTES // prefixes.state_bytes)
+    edits = iter(edits)
+    while chunk := list(islice(edits, size)):
+        observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=chunk)
+        observed = observed[(slice(None), *ts.case_rows)]
+        yield from _scores(observed.reshape(-1, observed.shape[2]), ts, cfg)
 
 
 def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[FitnessScore]:

@@ -454,7 +454,7 @@ def looped_guided_search(run) -> None:
     every patch is tried alone through ``try_patch``."""
     import qrep.engine as engine
 
-    loc = engine.localize(run.c_init, run.ts, run.baseline, run.removal_scores())
+    loc = engine.localize(run.c_init, run.ts, run.baseline, run.scored(engine.removals(run.c_init)))
     run.table = loc.table
     for gid, value in loc.removal_fitness.items():
         run.record("delete", gid.position, gid.gate, gid.qubits, (), value)

@@ -5,6 +5,7 @@ import math
 import time
 from collections import deque
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
         values.append(score.value)
         return score
 
-    real_sweep = qrep.engine.removal_scores
+    real_sweep = qrep.engine.edit_fitness
 
     def sweep_spy(*args):
         for score in real_sweep(*args):
@@ -176,7 +177,7 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
 
     monkeypatch.setattr(qrep.engine, "apply_patch", apply_spy)
     monkeypatch.setattr(qrep.engine, "fitness", fitness_spy)
-    monkeypatch.setattr(qrep.engine, "removal_scores", sweep_spy)
+    monkeypatch.setattr(qrep.engine, "edit_fitness", sweep_spy)
     rep = repair(broken, bell_suite, cfg_evals(8, iterations=1, patch_catalog=("rx",)))
     assert rep.status == STATUS_NOT_FIXED
     assert rep.evals_used == 8
@@ -205,7 +206,7 @@ def _script_trials(monkeypatch, scores):
 
     monkeypatch.setattr(qrep.engine, "apply_patch", apply_spy)
     monkeypatch.setattr(qrep.engine, "fitness", lambda *args: next(scripted))
-    monkeypatch.setattr(qrep.engine, "removal_scores", lambda c, *args: (next(scripted) for _ in c.gates))
+    monkeypatch.setattr(qrep.engine, "edit_fitness", lambda c, ts, edits, *args: (next(scripted) for _ in edits))
     return applied
 
 
@@ -342,6 +343,51 @@ def test_seconds_budget_mode_smoke(bell, bell_suite):
     rep = repair(broken, bell_suite, RepairConfig(budget_seconds=30.0))
     assert rep.status == STATUS_REPAIRED  # removal sweep finds it immediately
     assert rep.wall_seconds < 30.0
+
+
+def _ticking_simulations(mp) -> list[int]:
+    """A clock that stands still but for one second per simulation, read
+    as ``time.monotonic``, and the circuits each simulation stacks."""
+    clock = [0.0]
+    blocks = _simulated_blocks(mp)
+    counted = testkit.run_all_bases
+
+    def ticking(*args, **kwargs):
+        clock[0] += 1.0
+        return counted(*args, **kwargs)
+
+    mp.setattr(testkit, "run_all_bases", ticking)
+    mp.setattr(time, "monotonic", lambda: clock[0])
+    return blocks
+
+
+def test_seconds_budget_checks_each_edit_before_its_chunk_and_charges_every_chunk_it_starts(monkeypatch):
+    """Under a seconds budget the budget is checked as each edit is drawn:
+    a chunk whose simulation ends past the deadline is charged in full,
+    and no chunk starts once a check has failed, in a sweep (two removals
+    to a chunk) and in the runs of fixed patches (one patch to a run)."""
+    ghz = build_benchmark("ghz", 3)
+    ts = generate_suite(ghz)
+    broken = insert_gate(insert_gate(ghz, 1, GateApp(GateKind.X, (2,))), 3, GateApp(GateKind.Y, (0,)))
+    baseline = fitness(broken, ts)
+    monkeypatch.setattr(simulator, "SWEEP_CHUNK_BYTES", 2 * ts.prefixes(broken).state_bytes)
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _ticking_simulations(mp)
+        run = _Run(broken, ts, RepairConfig(budget_seconds=1.5), None)
+        run.budget.started = 0.0
+        loc = qrep.engine.localize(broken, ts, baseline, run.scored(qrep.engine.removals(broken)))
+    # the second chunk starts at 1 s and ends at 2 s, past the deadline
+    assert blocks == [2, 2]
+    assert loc.partial and loc.evals_used == run.budget.evals_used == 4
+    # the baseline ends at 1 s and each run of one fixed patch a second later
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _ticking_simulations(mp)
+        run = _Run(broken, ts, RepairConfig(budget_seconds=2.5, patch_catalog=("z",)), None)
+        run.budget.started = 0.0
+        rep = run.drive(run.random_search)
+    assert rep.status == STATUS_NOT_FIXED
+    assert blocks == [1, 1, 1] and rep.evals_used == 3
+    assert len(run.candidates) == 2
 
 
 def test_optimizer_evals_are_charged(bell, bell_suite):
@@ -517,8 +563,10 @@ def test_stacked_edits_match_each_edited_circuit_alone(seed, q, suite_kind, samp
     are or with a stray gate, whose removal may pass), add, replace and
     remove edits of every gate kind, several at one position, in any
     order, full, Z-only and sparse suites, both oracles, and the edits
-    stacked in chunks as the chunk bound, patched to 1-9 states, cuts
-    them."""
+    drawn from a generator in chunks as the chunk bound, patched to 1-9
+    states, cuts them. A caller that stops after k scores has drawn no edit past the
+    chunk holding score k, and each chunk is one simulation; the cache is
+    built once when none is given."""
     rng = np.random.default_rng(seed)
     ref = random_circuit(rng, q, int(rng.integers(0, 8 if q < 6 else 5)))
     c = ref
@@ -528,12 +576,28 @@ def test_stacked_edits_match_each_edited_circuit_alone(seed, q, suite_kind, samp
     cfg = OracleConfig(mode="sampled", seed=seed) if sampled else OracleConfig()
     prefixes = ts.prefixes(c)
     edits, circuits = _random_edits(rng, c, int(rng.integers(1, 3 * chunk + 1)))
+    take = int(rng.integers(1, len(edits) + 1))
+    drawn, built = [], []
+
+    def stream():
+        for e in edits:
+            drawn.append(e)
+            yield e
+
     with pytest.MonkeyPatch.context() as mp:
         bound = chunk * prefixes.state_bytes + int(rng.integers(prefixes.state_bytes))
         mp.setattr(simulator, "SWEEP_CHUNK_BYTES", bound)
-        size = max(1, simulator.SWEEP_CHUNK_BYTES // prefixes.state_bytes)
-    assert size == chunk
-    got = [s for lo in range(0, len(edits), size) for s in edit_fitness(c, ts, edits[lo : lo + size], cfg, prefixes)]
+        blocks = _simulated_blocks(mp)
+        given_cache = rng.random() < 0.5
+        if not given_cache:
+            mp.setattr(ts, "prefixes", lambda c: built.append(c) or prefixes)
+        scores = edit_fitness(c, ts, stream(), cfg, prefixes if given_cache else None)
+        got = list(islice(scores, take))
+        assert len(drawn) == min(len(edits), -(-take // chunk) * chunk)
+        assert blocks == [min(chunk, len(edits) - lo) for lo in range(0, take, chunk)]
+        got += scores
+    assert blocks == [min(chunk, len(edits) - lo) for lo in range(0, len(edits), chunk)]
+    assert len(built) == (0 if given_cache else 1)
     assert _hex(got) == _hex(fitness(cand, ts, cfg) for cand in circuits)
 
 

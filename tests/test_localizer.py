@@ -17,9 +17,9 @@ from qrep.localizer import (
     SuspiciousnessTable,
     gate_id,
     localize,
-    removal_scores,
+    removals,
 )
-from qrep.testkit import OracleConfig, fitness, generate_suite
+from qrep.testkit import OracleConfig, edit_fitness, fitness, generate_suite
 
 
 def test_gate_id_format(bell):
@@ -197,10 +197,10 @@ def _stacked_sweep(c, ts, baseline, cfg, budget):
     with pytest.MonkeyPatch.context() as mp:
         blocks = _count_blocks(mp)
         if budget is None:
-            scores = None if cfg == OracleConfig() else removal_scores(c, ts, cfg)
+            scores = None if cfg == OracleConfig() else edit_fitness(c, ts, removals(c), cfg)
             return localize(c, ts, baseline, scores), blocks, None
         run = _Run(c, ts, RepairConfig(budget_evals=budget, oracle=cfg), None)
-        return localize(c, ts, baseline, run.removal_scores()), blocks, run.budget.evals_used
+        return localize(c, ts, baseline, run.scored(removals(c))), blocks, run.budget.evals_used
 
 
 def _looped_sweep(c, ts, baseline, cfg, budget):
@@ -270,6 +270,6 @@ def test_sweep_chunks_stop_at_budget_and_score_a_mid_chunk_repair(monkeypatch):
     assert _fields(res) == _fields(looped_localize(broken, ts, baseline))
     blocks.clear()
     run = _Run(broken, ts, RepairConfig(budget_evals=2), None)
-    res = localize(broken, ts, baseline, run.removal_scores())
+    res = localize(broken, ts, baseline, run.scored(removals(broken)))
     assert blocks == [2]
     assert res.partial and res.evals_used == 2 and run.budget.evals_used == 2

@@ -350,7 +350,7 @@ def test_prefix_cache_stores_and_simulates_nothing_when_one_state_is_over_the_ca
     cache = PrefixCache(c, range(8))
     assert cache.states == {} and applied == []
     # every candidate then runs in full from the inputs
-    k, t = cache.resume(c)
+    k, t = cache.join(c)
     assert k == 0 and np.array_equal(t.reshape(8, 8), np.eye(8))
     assert np.array_equal(run_all_bases(c, range(8), prefixes=cache), run_all_bases(c, range(8)))
     assert len(applied) == 2 * len(c.gates)
@@ -361,6 +361,9 @@ def test_edit_runs_reject_edits_the_circuit_cannot_take(bell):
     for edits in ([(3, h, False)], [(2, h, True)], [(-1, None, True)], [(0, None, False)], []):
         with pytest.raises(ValueError, match="no edit"):
             run_all_bases(bell, range(4), prefixes=cache, edits=edits)
+        for e in edits:  # the cache names the edit it cannot make
+            with pytest.raises(ValueError, match=rf"no edit \({e[0]}, .* of a circuit of 2 gates"):
+                cache.edit(e)
     with pytest.raises(ValueError, match="another circuit"):
         run_all_bases(build_circuit(2, [("h", 0)]), range(4), prefixes=cache, edits=[(0, None, True)])
     # an append and a replace of the last gate are the edits at the ends

@@ -577,7 +577,7 @@ def test_one_suite_scored_under_two_eps_gives_each_its_own_verdicts():
             assert score == fitness(cand, generate_suite(ref), cfg)  # a suite scored for the first time
             assert score.failed_count == _judge_loop(cand, ts, cfg)[0]
             removals = range(len(ref.gates))
-            assert edit_fitness(ref, ts, [(p, None, True) for p in removals], cfg, ts.prefixes(ref)) == [
+            assert list(edit_fitness(ref, ts, [(p, None, True) for p in removals], cfg, ts.prefixes(ref))) == [
                 fitness(remove_gate(ref, p), ts, cfg) for p in removals
             ]
             assert counts.setdefault(eps, score.failed_count) == score.failed_count
