@@ -27,10 +27,11 @@ them: the Z-basis tables of qft4 (the table perfbench's ``cli-expected``
 workload writes) and dj6, and qft6's table of all three bases, and one
 parametric patch trial: ``minimize_params`` tuning, in 20 probes scored by
 ``fitness``, the angle of an ry add patch that puts back the ry removed
-from position 3 of wstate4, and one guided search over fixed patches:
-``repair`` of the qft4 replace mutant (injection seed 5) at 55
-evaluations with the fixed kinds of ``DEFAULT_PATCH_CATALOG`` (its facts
-are the status, the evaluations and a digest of the report rows). Each sample is the mean of enough
+from position 3 of wstate4, and both searches over fixed patches:
+``repair`` and ``random_search`` of the qft4 replace mutant (injection
+seed 5) at 55 evaluations with the fixed kinds of ``DEFAULT_PATCH_CATALOG``
+(their facts are the status, the evaluations and a digest of the report
+rows). Each sample is the mean of enough
 back-to-back calls to last about 20 ms; after one warm-up sample,
 ``--repeats`` samples give the median and the interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
 checkout, else from this one, so the same script times two commits on one
@@ -59,7 +60,7 @@ import qrep
 from qrep import cli, simulator
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate
-from qrep.engine import RepairConfig, repair
+from qrep.engine import RepairConfig, random_search, repair
 from qrep.localizer import SuspiciousnessTable, localize
 from qrep.optimizer import OptBudget, minimize_params
 from qrep.patcher import DEFAULT_PATCH_CATALOG, Patch, apply_patch, inject_faults, order_uniform, prune_to_gates
@@ -78,7 +79,7 @@ TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (fami
 # (family, size, injection seed, group): states of 1, 4 and 64 KiB
 SWEEP_MUTANTS = (("grover", 3, 3, "add"), ("qft", 4, 5, "replace"), ("dj", 6, 1, "replace"))
 REPORT_BUDGET = 50
-# (family, size, injection seed, group): the guided search over fixed patches only
+# (family, size, injection seed, group): both searches over fixed patches only
 FIXED_RUN = ("qft", 4, 5, "replace")
 FIXED_RUN_BUDGET = 55
 FIXED_KINDS = tuple(name for name in DEFAULT_PATCH_CATALOG if not GATE_BY_NAME[name].param_count)
@@ -193,10 +194,11 @@ def layers() -> dict:
     ts = generate_suite(ref)
     mutant = inject_faults(ref, seed, per_group=1, groups=(group,), suite=ts)[0].mutant
     cfg = RepairConfig(budget_evals=FIXED_RUN_BUDGET, patch_catalog=FIXED_KINDS)
-    rep = repair(mutant, ts, cfg)
-    rows = json.dumps([rep.best_patches, rep.ranking], sort_keys=True).encode()
-    facts = {"status": rep.status, "evals": rep.evals_used, "rows_sha256": hashlib.sha256(rows).hexdigest()}
-    out[f"repair_fixed_{fam}{n}"] = (lambda: repair(mutant, ts, cfg), facts)
+    for search in (repair, random_search):
+        rep = search(mutant, ts, cfg)
+        rows = json.dumps([rep.best_patches, rep.ranking], sort_keys=True).encode()
+        facts = {"status": rep.status, "evals": rep.evals_used, "rows_sha256": hashlib.sha256(rows).hexdigest()}
+        out[f"{search.__name__}_fixed_{fam}{n}"] = (lambda search=search: search(mutant, ts, cfg), facts)
     fam, n, pos = TRIAL
     ref = build_benchmark(fam, n)
     ts = generate_suite(ref)

@@ -8,23 +8,27 @@ consumes ordered patches until its cumulative mark, then prunes the queue
 to patches anchored on the currently most suspicious gates. Iterations
 whose mark the spend has already passed are skipped, so the search ends
 with the budget whatever the iteration count. A random-search baseline
-shares the evaluator, stopping rules, and report format, but draws patches
-in seeded random order with no localisation or pruning.
+shares the evaluator, stopping rules, and report format: it runs the same
+patch-trial loop (:meth:`_Run.consume`) as one iteration up to the
+budget's limit, over the patches in seeded random order, with no
+localisation or pruning.
 
 The removal sweep and both searches' runs of fixed patches (the ones taken
 between two parametric patches) are streams of single-gate edits of the
 faulty circuit, scored by :func:`~qrep.testkit.edit_fitness` in stacked
-chunks and charged through one generator (:meth:`_Run.scored`): the budget
-is checked as each edit is drawn and each score is charged as it is drawn.
-Each score is recorded and credited as a trial of that edit alone would
-be, so the reports are those of trying every edit alone, bit for bit.
+chunks and charged through one generator (:meth:`_Run.scored`), the one
+place that caps them at a count budget: the budget is checked as each edit
+is drawn and each score is charged as it is drawn. Each score is recorded
+and credited as a trial of that edit alone would be, so the reports are
+those of trying every edit alone, bit for bit.
 """
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -43,6 +47,7 @@ from .optimizer import OptBudget, minimize_params
 from .patcher import (
     DEFAULT_PATCH_CATALOG,
     Patch,
+    PatchQueue,
     apply_patch,
     generate_patches,
     order_uniform,
@@ -130,12 +135,6 @@ class Budget:
     def charge(self) -> None:
         self.evals_used += 1
 
-    def allowance(self) -> int | None:
-        """Evaluations left under a count budget, None under a seconds
-        budget; raises BudgetExhaustedError when the budget is spent."""
-        self.precheck()
-        return None if self.max_evals is None else self.max_evals - self.evals_used
-
 
 @dataclass
 class RepairReport:
@@ -199,16 +198,18 @@ class _Run:
     def scored(self, edits: Iterable[tuple[int, GateApp | None, bool]]) -> Iterator[FitnessScore]:
         """The scores of ``c_init`` with each of ``edits`` made alone
         (:func:`edit_fitness`), each charged as one evaluation when it is
-        drawn. The edits are capped once at :meth:`Budget.allowance`, and
-        the budget is checked as each one is drawn, before its chunk is
-        simulated, as :meth:`evaluate` checks before a probe: no edit past
-        a count budget is drawn, and no chunk starts after the deadline of
-        a seconds budget (one that started before it is charged). Drawing
-        past the cap raises BudgetExhaustedError."""
+        drawn. This is the one place that caps stacked edits at a count
+        budget: no more edits are drawn than it has evaluations left. The
+        budget is also checked as each edit is drawn, before its chunk is
+        simulated, as :meth:`evaluate` checks before a probe, so no chunk
+        starts after the deadline of a seconds budget (one that started
+        before it is charged). Drawing past the cap raises
+        BudgetExhaustedError."""
 
         def checked() -> Iterator[tuple[int, GateApp | None, bool]]:
-            for e in islice(edits, self.budget.allowance()):
-                self.budget.precheck()
+            b = self.budget
+            for _, e in zip(count() if b.max_evals is None else range(b.max_evals - b.evals_used), edits):
+                b.precheck()
                 yield e
 
         for score in edit_fitness(self.c_init, self.ts, checked(), self.cfg.oracle, self.prefixes):
@@ -244,7 +245,7 @@ class _Run:
         """Best fitness achieved by the patch, settled as :meth:`settle` says.
 
         Raises _FullPass on a repair, and BudgetExhaustedError when the
-        allowance runs out mid-trial; both propagate through the solver. A
+        budget runs out mid-trial; both propagate through the solver. A
         trial cut short records its best probe, if any. Parametric patches
         get their angles from COBYLA, or, given ``rng`` (random search),
         from ``max_evals`` uniform draws."""
@@ -279,21 +280,22 @@ class _Run:
             raise
         return self.settle(patch, best_params, best_value, repaired)
 
-    def try_run(self, first: Patch, draw: Callable[[int], Patch | None]) -> Patch | None:
-        """Score the fixed patch ``first`` and the fixed patches ``draw``
-        gives after it, each as :meth:`try_patch` would alone, from stacked
-        simulations of their edits (:meth:`scored`).
+    def try_run(self, first: Patch, queue: PatchQueue | deque[Patch], mark: float) -> Patch | None:
+        """Score the fixed patch ``first`` and the fixed patches popped
+        from ``queue`` after it, each as :meth:`try_patch` would alone,
+        from stacked simulations of their edits (:meth:`scored`).
 
-        ``draw(k)`` gives the next patch after ``k`` in the run, or None
-        when the run must end there. A run holds as many patches as the
-        evaluations a count budget has left, and one under a seconds
-        budget; it ends before the first parametric patch drawn, which is
-        returned untried. Each score is charged and settled in run order. A
-        pass raises _FullPass with the repaired circuit, built only then;
-        the later scores of its chunk are dropped, neither charged,
-        recorded nor credited."""
-        run, cap, nxt = [first], self.budget.allowance() or 1, None
-        while nxt is None and len(run) < cap and (p := draw(len(run))) is not None:
+        Under a count budget a run holds as many patches as it takes to
+        spend up to ``mark`` (``ceil(mark) - evals_used``), and one under a
+        seconds budget; it ends before the first parametric patch popped,
+        which is returned untried. Each score is charged and settled in run
+        order. A pass raises _FullPass with the repaired circuit, built
+        only then; the later scores of its chunk are dropped, neither
+        charged, recorded nor credited."""
+        b = self.budget
+        run, cap, nxt = [first], 1 if b.max_evals is None else math.ceil(mark) - b.evals_used, None
+        while nxt is None and len(run) < cap and queue:
+            p = queue.popleft()
             if p.is_parametric:
                 nxt = p
             else:
@@ -303,6 +305,19 @@ class _Run:
             repaired = apply_patch(self.c_init, patch) if score.all_passed() else None
             self.settle(patch, (), score.value, repaired)
         return nxt
+
+    def consume(self, queue: PatchQueue | deque[Patch], mark: float, rng: np.random.Generator | None = None) -> None:
+        """Pop patches from ``queue`` and try them until it is empty or the
+        spend reaches ``mark``: the one patch-trial loop of both searches.
+        A fixed patch starts a run (:meth:`try_run`); a parametric one, or
+        the one a run hands back, is tried alone (:meth:`try_patch`, with
+        ``rng``)."""
+        while queue and self.budget.spent < mark:
+            patch = queue.popleft()
+            if not patch.is_parametric:
+                patch = self.try_run(patch, queue, mark)
+            if patch is not None:
+                self.try_patch(patch, rng)
 
     # -- report ------------------------------------------------------------
 
@@ -367,19 +382,9 @@ class _Run:
         def end_mark(i: int) -> float:
             return spent0 + b_r * (i / total)
 
-        def draw(k: int) -> Patch | None:
-            # the patch the loop below pops next once k more evaluations are spent
-            return queue.popleft() if queue and float(self.budget.evals_used + k) < mark else None
-
         i = 1
         while i <= total:
-            mark = end_mark(i)
-            while queue and self.budget.spent < mark:
-                patch = queue.popleft()
-                if not patch.is_parametric:
-                    patch = self.try_run(patch, draw)
-                if patch is not None:
-                    self.try_patch(patch)
+            self.consume(queue, end_mark(i))
             if not queue:
                 return
             # skip to the next iteration whose end mark is above the spend:
@@ -398,17 +403,7 @@ class _Run:
     def random_search(self) -> None:
         pool = generate_patches(self.c_init, self.cfg.patch_catalog)
         rng = np.random.default_rng([self.cfg.seed & (2**63 - 1), 17])
-        order = iter(rng.permutation(len(pool)).tolist())
-
-        def draw(k: int) -> Patch | None:
-            return pool[idx] if (idx := next(order, None)) is not None else None
-
-        for idx in order:
-            patch = pool[idx]
-            if not patch.is_parametric:
-                patch = self.try_run(patch, draw)
-            if patch is not None:
-                self.try_patch(patch, rng)
+        self.consume(deque(pool[i] for i in rng.permutation(len(pool)).tolist()), self.budget.limit, rng)
 
 
 def repair(

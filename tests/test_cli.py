@@ -344,6 +344,19 @@ def test_baseline_rs_mirrors_repair(circuits, tmp_path):
 
 
 @pytest.mark.parametrize("sub", ["repair", "baseline-rs"])
+def test_count_budget_beyond_sys_maxsize_ends_in_a_report(circuits, tmp_path, sub):
+    # 10**30 is above sys.maxsize, which no islice or slice can take as a bound
+    out = tmp_path / "report.json"
+    code = run([
+        sub, "--circuit", circuits["hard"], "--reference", circuits["ref"],
+        "--budget-evals", "1" + "0" * 30, "--out", str(out),
+    ])
+    report = json.loads(out.read_text())
+    assert report["manifest"]["config"]["budget_evals"] == 10**30
+    assert code == (EXIT_OK if report["status"] == "Repaired" else EXIT_NOT_FIXED)
+
+
+@pytest.mark.parametrize("sub", ["repair", "baseline-rs"])
 def test_duplicated_catalog_gate_is_tried_once(circuits, tmp_path, sub):
     reports = []
     for catalog in ("x,x,h", "x,h"):

@@ -277,6 +277,20 @@ def test_budget_exactness_sweep(bell, bell_suite):
         assert rep.evals_used <= n
 
 
+@pytest.mark.parametrize("search", [repair, random_search])
+@pytest.mark.parametrize("budget", [2**63 + 1, 10**30], ids=["2**63+1", "10**30"])
+def test_count_budget_beyond_sys_maxsize_runs_as_the_largest_index_does(bell, bell_suite, search, budget):
+    # both budgets are above sys.maxsize, which no islice or slice can take as a bound
+    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
+    want = search(broken, bell_suite, cfg_evals(2**63 - 1)).to_dict()
+    got = search(broken, bell_suite, cfg_evals(budget)).to_dict()
+    for rep in (want, got):
+        rep.pop("wall_seconds")
+        rep["config"].pop("budget_evals")
+    assert got == want
+    assert got["status"] == STATUS_REPAIRED
+
+
 def test_each_patch_tried_at_most_once(bell, bell_suite):
     # fixed-gate catalog: every candidate row is one queue entry; no repeats
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
@@ -682,9 +696,8 @@ def test_a_fixed_patch_repairing_mid_chunk_drops_the_rest_of_its_chunk(bell, bel
     blocks = _simulated_blocks(monkeypatch)
     run = _Run(broken, bell_suite, cfg_evals(50), None)
     run.baseline = run.evaluate(broken)
-    rest = iter(patches[1:])
     with pytest.raises(qrep.engine._FullPass) as raised:
-        run.try_run(patches[0], lambda k: next(rest, None))
+        run.try_run(patches[0], deque(patches[1:]), run.budget.limit)
     assert blocks == [1, 5]  # the baseline, then the whole run in one chunk
     assert raised.value.circuit == apply_patch(broken, patches[2])
     assert run.budget.evals_used == 1 + 3
@@ -698,3 +711,22 @@ def test_a_fixed_patch_repairing_mid_chunk_drops_the_rest_of_its_chunk(bell, bel
         alone.try_patch(p)
     assert run.table.scores == alone.table.scores
     assert run.candidates[:2] == alone.candidates
+
+
+def test_a_run_ends_at_the_first_whole_evaluation_past_a_fractional_mark(bell, bell_suite, monkeypatch):
+    """13 evaluations over four iterations, after the baseline and a sweep
+    of two removals, put the end marks at 5.5, 8, 10.5 and 13: each run of
+    fixed patches holds ``ceil(mark) - evals_used`` of them (3, 2, 3, 2),
+    and the queue is pruned before the patch after the run is tried."""
+    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
+    events = _simulated_blocks(monkeypatch)
+    prune = qrep.engine.prune_to_gates
+
+    def logged_prune(queue, keep):
+        events.append("prune")
+        return prune(queue, keep)
+
+    monkeypatch.setattr(qrep.engine, "prune_to_gates", logged_prune)
+    rep = repair(broken, bell_suite, cfg_evals(13, patch_catalog=("x", "y", "z", "s", "t")))
+    assert rep.status == STATUS_NOT_FIXED and rep.evals_used == 13
+    assert events == [1, 2, 3, "prune", 2, "prune", 3, "prune", 2]
