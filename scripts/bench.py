@@ -27,7 +27,8 @@ them: the Z-basis tables of qft4 (the table perfbench's ``cli-expected``
 workload writes) and dj6, and qft6's table of all three bases, and one
 parametric patch trial: ``minimize_params`` tuning, in 20 probes scored by
 ``fitness``, the angle of an ry add patch that puts back the ry removed
-from position 3 of wstate4, and both searches over fixed patches:
+from position 3 of wstate4, and, capped at 20 probes too, the three angles
+of a u replace patch on dj4 whose first h became an x, and both searches over fixed patches:
 ``repair`` and ``random_search`` of the qft4 replace mutant (injection
 seed 5) at 55 evaluations with the fixed kinds of ``DEFAULT_PATCH_CATALOG``
 (their facts are the status, the evaluations and a digest of the report
@@ -59,7 +60,7 @@ import scipy
 import qrep
 from qrep import cli, simulator
 from qrep.benchmarks import build_benchmark
-from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate
+from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate, replace_gate
 from qrep.engine import RepairConfig, random_search, repair
 from qrep.localizer import SuspiciousnessTable, localize
 from qrep.optimizer import OptBudget, minimize_params
@@ -84,6 +85,7 @@ FIXED_RUN = ("qft", 4, 5, "replace")
 FIXED_RUN_BUDGET = 55
 FIXED_KINDS = tuple(name for name in DEFAULT_PATCH_CATALOG if not GATE_BY_NAME[name].param_count)
 TRIAL = ("wstate", 4, 3)  # (family, size, position of the gate the trial's add patch restores)
+U_TRIAL = ("dj", 4)  # its first h becomes an x, which a u replace patch tunes back
 TRIAL_PROBES = 20
 SAMPLE_S = 0.02
 
@@ -209,6 +211,15 @@ def layers() -> dict:
     res = trial()
     facts = {"probes": res.evals, "best": res.value, "converged": res.converged}
     out[f"trial_{gate.kind.gate_name}_{fam}{n}"] = (trial, facts)
+    # the trial above reads ``broken``, ``patch`` and ``ts`` when it runs: new names here
+    fam, n = U_TRIAL
+    u_ref = build_benchmark(fam, n)
+    u_ts = generate_suite(u_ref)
+    pos, h = next((p, g) for p, g in enumerate(u_ref.gates) if g.kind is GateKind.H)
+    x_for_h, u_patch = replace_gate(u_ref, pos, GateApp(GateKind.X, h.qubits)), Patch("replace", pos, GateKind.U, h.qubits)
+    u_trial = lambda: minimize_params(lambda a: fitness(apply_patch(x_for_h, u_patch, a), u_ts).value, 3, budget)
+    res = u_trial()
+    out[f"trial_u_{fam}{n}"] = (u_trial, {"probes": res.evals, "best": res.value, "converged": res.converged})
     return out
 
 

@@ -353,7 +353,9 @@ class _Run:
     def drive(self, search: Callable[[], None]) -> RepairReport:
         """Baseline, then ``search``; it ends the run by returning (not
         fixed), by raising _FullPass, or by running out of budget."""
-        self.baseline = self.evaluate(self.c_init)
+        # unchecked: a seconds budget spent by now ends the search, not the run
+        self.budget.charge()
+        self.baseline = fitness(self.c_init, self.ts, self.cfg.oracle, self.prefixes)
         require_failing(self.baseline)
         try:
             search()

@@ -1,13 +1,11 @@
 """Derivative-free parameter tuning for parametric patches.
 
-COBYLA as scipy (>= 1.16) runs it: PRIMA's port of Powell's method (Zhang,
-2023, libprima.net), with an exact evaluation cap, best-so-far result even
-when the solver wanders, and a zero-vector start. One-angle trials run
-``_cobyla_1d``, a plain-float copy of that port for one variable and no
-constraints, which calls the objective at the points scipy would call it
-at, in the same order; wider trials call scipy. Objectives are plain
-callables on angle tuples, so the repair engine can charge every call to
-its own budget; exceptions raised by the objective (for example budget
+PRIMA's COBYLA (Zhang, 2023, libprima.net) in plain floats, for one variable
+and no constraints (``_cobyla_1d``), with an exact evaluation cap, the best
+point seen as the result even when the solver wanders, and a zero-vector
+start; a trial of several angles tunes them one at a time. Objectives are
+plain callables on angle tuples, so the repair engine can charge every call
+to its own budget; exceptions raised by the objective (for example budget
 exhaustion) propagate to the caller untouched.
 """
 from __future__ import annotations
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize as _sopt
 
 
 @dataclass(frozen=True)
@@ -57,14 +54,14 @@ def minimize_params(
     n_params: int,
     budget: OptBudget = OptBudget(),
 ) -> OptResult:
-    """Minimize ``objective`` over ``n_params`` angles from the zero vector.
-
-    Calls the objective at most ``budget.max_evals`` times, exactly; the
-    returned value is the best one actually observed. PRIMA's COBYLA needs
-    at least ``n_params + 2`` evaluations, so below that the solver sees a
-    huge sentinel instead of fresh evaluations once the cap is hit. The
-    tolerance is clamped to ``[TOL_FLOOR, _RHOBEG]``.
-    """
+    """Minimize ``objective`` over ``n_params`` angles from the zero vector,
+    one angle at a time: each runs :func:`_cobyla_1d` from the best point
+    so far on an even share of the evaluations left, its start's value not
+    asked again. Calls the objective at most ``budget.max_evals`` times,
+    exactly, and returns the best value seen; below 3 evaluations per angle
+    the solver sees a huge sentinel once the cap is hit. The tolerance, each
+    angle's final radius, is clamped to ``[TOL_FLOOR, _RHOBEG]``; converged
+    means every angle's search ended at it."""
     if n_params < 0:
         raise ValueError("n_params must be >= 0")
     if n_params == 0:
@@ -87,18 +84,13 @@ def minimize_params(
         return v
 
     tol = min(max(budget.tolerance, TOL_FLOOR), _RHOBEG)
-    maxfun = min(max(budget.max_evals, n_params + 2), _MAX_ITER)
-    if n_params == 1:
-        converged = _cobyla_1d(lambda t: wrapped((t,)), maxfun, tol)
-    else:
-        res = _sopt.minimize(
-            lambda x: wrapped(tuple(float(a) for a in x)),
-            np.zeros(n_params),
-            method="COBYLA",
-            tol=tol,
-            options={"maxiter": maxfun, "rhobeg": _RHOBEG},
-        )
-        converged = bool(res.success)
+    converged = True
+    for i in range(n_params):
+        if count >= budget.max_evals:  # the later angles keep their start
+            return OptResult(best_x, best_v, count, False)
+        head, tail = best_x[:i], best_x[i + 1:]
+        maxfun = min(max((budget.max_evals - count) // (n_params - i), 3), _MAX_ITER)
+        converged &= _cobyla_1d(lambda t: wrapped(head + (t,) + tail), maxfun, tol, best_v if i else None)
     return OptResult(best_x, best_v, count, converged)
 
 
@@ -213,17 +205,18 @@ def _setdrop_tr(improved: bool, d: float, delta: float, rho: float, s: float, si
     return None
 
 
-def _cobyla_1d(fun: Callable[[float], float], maxfun: int, rhoend: float) -> bool:
+def _cobyla_1d(fun: Callable[[float], float], maxfun: int, rhoend: float, f0: float | None = None) -> bool:
     """Minimize ``fun`` of one float from 0.0 as ``scipy.optimize.minimize``
     does with ``method="COBYLA"``, ``rhobeg=_RHOBEG``, ``tol=rhoend`` and
     ``maxiter=maxfun``: the same calls, at bit-identical points in the same
-    order. Returns scipy's ``success``."""
+    order, but for the start's when its value ``f0`` is given. Returns
+    scipy's ``success``."""
     rhobeg = _RHOBEG
     if abs(rhobeg - rhoend) < 1e2 * _EPS * max(rhobeg, 1):  # preproc
         rhoend = rhobeg
     # scipy's ScalarFunction evaluates the start on construction and answers
     # a repeat of its last point from a cache: no call, but PRIMA counts it
-    last = [0.0, fun(0.0)]
+    last = [0.0, fun(0.0) if f0 is None else f0]
 
     def calcfc(x: float) -> float:
         x = min(max(x, -_REALMAX), _REALMAX)  # moderatex

@@ -296,6 +296,11 @@ SWEEP_CHUNK_BYTES = 64 * 2**10
 # time the measurement alone)
 BASIS_STACK_BYTES = 256 * 2**10
 
+# freeing one mapped 1 MiB block raises glibc's mmap and trim thresholds
+# (mallopt(3)), so a measurement's temporaries stay in the heap instead of
+# faulting their pages in afresh on every call; other allocators ignore it
+np.empty(2**17)
+
 
 @functools.cache
 def _y_phases(n: int) -> np.ndarray:

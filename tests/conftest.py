@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, build_circuit
 from qrep.simulator import MeasBasis
-from qrep.testkit import generate_suite, suite_from_expected
+from qrep.testkit import TestSuite, generate_suite, suite_from_expected
 
 # kinds eligible for random circuits in property tests
 RANDOM_KINDS = [
@@ -50,3 +51,18 @@ def bell() -> Circuit:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def slow_prefix_build(monkeypatch) -> None:
+    """A clock, read as ``time.monotonic``, that stands still but for ten
+    seconds each time a suite builds a prefix cache, as a run does before
+    its baseline."""
+    clock, build = [time.monotonic()], TestSuite.prefixes
+
+    def slow_build(self, c):
+        clock[0] += 10.0
+        return build(self, c)
+
+    monkeypatch.setattr(TestSuite, "prefixes", slow_build)
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])

@@ -1029,12 +1029,14 @@ def same_gate(a: GateApp, b: GateApp, atol: float = 1e-9) -> bool:
     )
 
 
-# ------------------------------------------ COBYLA through scipy, any width
+# ------------------------------------------ COBYLA through scipy, angle by angle
 #
-# ``optimizer.minimize_params`` as it stood before one-angle trials ran its
-# plain-float port of PRIMA's COBYLA: every width calls
-# ``scipy.optimize.minimize``. test_optimizer.py holds the port to it call
-# by call, and test_engine.py monkeypatches it into the engine.
+# ``optimizer.minimize_params`` with scipy's own COBYLA in place of the
+# plain-float port: each angle in turn is one ``scipy.optimize.minimize``
+# of one variable from the best point so far, on an even share of the
+# evaluations left, its first call (the start) answered with the value
+# already known there. test_optimizer.py holds the port to it call by call,
+# and test_engine.py monkeypatches it into the engine.
 
 
 def scipy_minimize_params(objective, n_params: int, budget):
@@ -1046,21 +1048,31 @@ def scipy_minimize_params(objective, n_params: int, budget):
         return OptResult((), float(objective(())), 1, True)
     best_x, best_v, count = (0.0,) * n_params, math.inf, 0
 
-    def wrapped(x: np.ndarray) -> float:
+    def wrapped(x: tuple[float, ...]) -> float:
         nonlocal best_x, best_v, count
         if count >= budget.max_evals:
             return _CAP_SENTINEL
         count += 1
-        v = float(objective(tuple(float(a) for a in x)))
+        v = float(objective(x))
         if v < best_v:
-            best_v, best_x = v, tuple(float(a) for a in x)
+            best_v, best_x = v, x
         return v
 
-    res = optimize.minimize(
-        wrapped,
-        np.zeros(n_params),
-        method="COBYLA",
-        tol=min(max(budget.tolerance, TOL_FLOOR), _RHOBEG),
-        options={"maxiter": min(max(budget.max_evals, n_params + 2), _MAX_ITER), "rhobeg": _RHOBEG},
-    )
-    return OptResult(best_x, best_v, count, bool(res.success))
+    converged = True
+    for i in range(n_params):
+        if count >= budget.max_evals:
+            return OptResult(best_x, best_v, count, False)
+        start, known = best_x, [best_v] if i else []
+
+        def along(t: np.ndarray, i=i, start=start, known=known) -> float:
+            return known.pop() if known else wrapped(start[:i] + (float(t[0]),) + start[i + 1:])
+
+        res = optimize.minimize(
+            along,
+            np.zeros(1),
+            method="COBYLA",
+            tol=min(max(budget.tolerance, TOL_FLOOR), _RHOBEG),
+            options={"maxiter": min(max((budget.max_evals - count) // (n_params - i), 3), _MAX_ITER), "rhobeg": _RHOBEG},
+        )
+        converged = converged and bool(res.success)
+    return OptResult(best_x, best_v, count, converged)

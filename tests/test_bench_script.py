@@ -17,7 +17,7 @@ def test_every_bench_layer_runs_once():
         "localize_grover3", "localize_qft4", "localize_dj6",
         "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "parse_grover3", "report_grover3",
         "suite_dj6", "suite_table_qft4", "suite_table_dj6", "suite_table_qft6", "trial_ry_wstate4",
-        "repair_fixed_qft4",
+        "trial_u_dj4", "repair_fixed_qft4",
     } <= set(layers)
     for name, (fn, facts) in layers.items():
         fn()

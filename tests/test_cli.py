@@ -357,6 +357,18 @@ def test_count_budget_beyond_sys_maxsize_ends_in_a_report(circuits, tmp_path, su
 
 
 @pytest.mark.parametrize("sub", ["repair", "baseline-rs"])
+def test_seconds_budget_spent_before_the_baseline_ends_in_a_report(circuits, tmp_path, slow_prefix_build, sub):
+    # building the prefix cache spends the one-second budget before the baseline
+    out = tmp_path / "report.json"
+    code = run([
+        sub, "--circuit", circuits["hard"], "--reference", circuits["ref"],
+        "--budget-seconds", "1", "--out", str(out),
+    ])
+    report = json.loads(out.read_text())
+    assert (code, report["status"], report["evals_used"]) == (EXIT_NOT_FIXED, "NotFixed", 1)
+
+
+@pytest.mark.parametrize("sub", ["repair", "baseline-rs"])
 def test_duplicated_catalog_gate_is_tried_once(circuits, tmp_path, sub):
     reports = []
     for catalog in ("x,x,h", "x,h"):

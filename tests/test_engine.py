@@ -10,7 +10,7 @@ from itertools import islice
 import numpy as np
 import pytest
 from conftest import random_circuit, random_suite
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from oracles import eager_order_uniform, looped_guided_search, looped_random_search, scipy_minimize_params
 
 import qrep.engine
@@ -404,6 +404,22 @@ def test_seconds_budget_checks_each_edit_before_its_chunk_and_charges_every_chun
     assert len(run.candidates) == 2
 
 
+@pytest.mark.parametrize("search", [repair, random_search])
+def test_seconds_budget_spent_before_the_baseline_ends_in_a_report(monkeypatch, slow_prefix_build, search):
+    """A one-second budget that building the prefix cache spends (ten
+    seconds on the clock): the baseline is still evaluated and charged,
+    the search stops at its first check, and the run ends NotFixed with a
+    report, the guided search's sweep partial."""
+    ghz = build_benchmark("ghz", 3)
+    ts = generate_suite(ghz)
+    broken = insert_gate(ghz, 1, GateApp(GateKind.X, (2,)))
+    blocks = _simulated_blocks(monkeypatch)
+    rep = search(broken, ts, RepairConfig(budget_seconds=1.0))
+    assert (rep.status, rep.evals_used, blocks) == (STATUS_NOT_FIXED, 1, [1])
+    assert rep.partial_localisation is (search is repair)
+    assert rep.best_patches == [] and rep.wall_seconds >= 1.0
+
+
 def test_optimizer_evals_are_charged(bell, bell_suite):
     # parametric-only catalog: every trial spends optimizer evaluations
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
@@ -628,19 +644,39 @@ def _simulated_blocks(mp) -> list[int]:
     return blocks
 
 
-def _searched(c, ts, cfg, search):
+def _searched(c, ts, cfg, search, chunk):
     """The report (less its wall time) and every trial row of one search
     (a _Run method, or a function of the run), with the circuits each
-    simulation stacked."""
+    simulation stacked; the spends below the budget at which the queue was
+    pruned, each once (the one-at-a-time search also prunes before the
+    iterations it skips and once the budget is spent); and how often a run
+    of fixed patches was split: simulated short of ``chunk`` edits, then
+    followed by more fixed patches with no prune between."""
     with pytest.MonkeyPatch.context() as mp:
         blocks = _simulated_blocks(mp)
-        run = _Run(c, ts, cfg, None)
+        run, trail = _Run(c, ts, cfg, None), []
+        prune, simulate = qrep.engine.prune_to_gates, testkit.run_all_bases
+
+        def pruned(*args):
+            trail.append(("prune", run.budget.evals_used))
+            return prune(*args)
+
+        def simulated(*args, **kwargs):
+            edits = kwargs.get("edits")
+            trail.append(("sim", 0 if edits is None or edits[0][1] is None else len(edits)))
+            return simulate(*args, **kwargs)
+
+        mp.setattr(qrep.engine, "prune_to_gates", pruned)
+        mp.setattr(testkit, "run_all_bases", simulated)
         rep = run.drive(getattr(run, search) if isinstance(search, str) else partial(search, run)).to_dict()
     rep.pop("wall_seconds")
-    return rep, run.candidates, blocks
+    prunes = [v for v in dict.fromkeys(v for k, v in trail if k == "prune") if v < cfg.budget_evals]
+    split = sum(a[0] == b[0] == "sim" and 0 < a[1] < chunk and b[1] > 0 for a, b in zip(trail, trail[1:]))
+    return rep, run.candidates, blocks, prunes, split
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@example(seed=6, q=1, chunk=2, budget=34, iterations=3)  # runs that cross fractional marks
 @given(
     seed=st.integers(0, 2**32 - 1),
     q=st.integers(1, 4),
@@ -653,9 +689,10 @@ def test_stacked_runs_match_one_patch_at_a_time(seed, q, chunk, budget, iteratio
     patches, give the report and trial rows of the searches that try each
     patch alone: random circuits with one or two stray gates, catalogs
     mixing fixed and parametric kinds, chunks of 1-9 patches and count
-    budgets that cut runs. No simulation stacks more than a chunk, none
-    goes past the budget, and only a repair leaves blocks uncharged: the
-    ones after it in its chunk."""
+    budgets that cut runs, and they prune their queues at the same spends.
+    A run of fixed patches is simulated in whole chunks but for its last,
+    no simulation stacks more than a chunk, none goes past the budget, and
+    only a repair leaves blocks uncharged: the ones after it in its chunk."""
     rng = np.random.default_rng(seed)
     ref = random_circuit(rng, q, int(rng.integers(1, 6)))
     c = ref
@@ -669,9 +706,9 @@ def test_stacked_runs_match_one_patch_at_a_time(seed, q, chunk, budget, iteratio
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "SWEEP_CHUNK_BYTES", chunk * ts.prefixes(c).state_bytes)
         for search, looped in (("guided_search", looped_guided_search), ("random_search", looped_random_search)):
-            got, got_rows, blocks = _searched(c, ts, cfg, search)
-            want, want_rows, _ = _searched(c, ts, cfg, looped)
-            assert (got, got_rows) == (want, want_rows), search
+            got, got_rows, blocks, got_prunes, split = _searched(c, ts, cfg, search, chunk)
+            want, want_rows, _, want_prunes, _ = _searched(c, ts, cfg, looped, chunk)
+            assert (got, got_rows, got_prunes, split) == (want, want_rows, want_prunes, 0), search
             assert all(1 <= n <= chunk for n in blocks) and sum(blocks) <= budget
             if got["status"] == STATUS_NOT_FIXED:
                 assert sum(blocks) == got["evals_used"]

@@ -1,13 +1,17 @@
 """Derivative-free tuner: eval caps, best-so-far semantics, convergence,
-and the one-angle COBYLA port held call by call to scipy's."""
+and the COBYLA port held call by call to scipy's, one angle at a time."""
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import scipy_minimize_params
 
+import qrep
 from qrep import optimizer
 from qrep.optimizer import _RHOBEG, TOL_FLOOR, OptBudget, OptResult, minimize_params
 
@@ -248,10 +252,38 @@ def test_tolerance_at_or_below_the_floor_never_raises_and_matches_scipy(toleranc
         assert runs[0] == runs[1], budget
 
 
-def test_wide_trials_still_run_scipy():
-    # u's three angles are not ported: same calls as the scipy shim, by construction
-    f = lambda x: math.cos(x[0]) + math.sin(x[1] - 0.3) ** 2 + 0.1 * x[2] ** 2
-    assert minimize_params(f, 3, OptBudget(max_evals=40)) == scipy_minimize_params(f, 3, OptBudget(max_evals=40))
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_trials_match_scipy_angle_by_angle_call_by_call(seed):
+    """2- and 3-angle trials, each angle run by the port from the best point
+    so far on its share of the cap, call the objective where scipy's COBYLA
+    run angle by angle with the same shares and cached starts calls it."""
+    rng = np.random.default_rng(100 + seed)
+    converged = set()
+    for _ in range(40):
+        n = int(rng.integers(2, 4))
+        makes = [_objective_factory(rng) for _ in range(n)]
+        coupling = float(rng.choice([0.0, rng.uniform(-1, 1)]))
+        budget = OptBudget(max_evals=int(rng.choice((1, 2, 3, 5, 20, 40))), tolerance=float(rng.choice(TOLERANCES)))
+        runs = []
+        for minimize in (minimize_params, scipy_minimize_params):
+            fs, seen = [make() for make in makes], []
+
+            def objective(x, fs=fs, seen=seen):
+                seen.append(tuple(a.hex() for a in x))
+                return sum(f(a) for f, a in zip(fs, x)) + coupling * math.sin(x[0] - x[-1])
+
+            runs.append((seen, minimize(objective, n, budget)))
+        assert runs[0] == runs[1], budget
+        assert runs[0][1].evals == len(runs[0][0]) <= budget.max_evals
+        converged.add(runs[0][1].converged)
+    assert converged == {False, True}
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, qrep, qrep.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(qrep.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # The ported routines one by one against PRIMA's own, on inputs far wider
