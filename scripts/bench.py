@@ -25,20 +25,24 @@ text (``to_dict`` plus the encoder ``cli._write_json`` uses) of one
 and ``suite_from_expected`` of expected tables as a JSON round trip gives
 them: the Z-basis tables of qft4 (the table perfbench's ``cli-expected``
 workload writes) and dj6, and qft6's table of all three bases, and one
-parametric patch trial: ``minimize_params`` tuning, in 20 probes scored by
-``fitness``, the angle of an ry add patch that puts back the ry removed
-from position 3 of wstate4, and, capped at 20 probes too, the three angles
-of a u replace patch on dj4 whose first h became an x, and both searches over fixed patches:
+parametric patch trial: ``minimize_params`` tuning, in 20 probes, the
+angle of an ry add patch that puts back the ry removed from position 3 of
+wstate4, and, capped at 20 probes too, the three angles of a u replace
+patch on dj4 whose first h became an x, each probe scored as the engine
+scores it (the one edit the patch makes, through ``edit_fitness`` from the
+broken circuit's prefix cache), and both searches over fixed patches:
 ``repair`` and ``random_search`` of the qft4 replace mutant (injection
 seed 5) at 55 evaluations with the fixed kinds of ``DEFAULT_PATCH_CATALOG``
 (their facts are the status, the evaluations and a digest of the report
-rows). Each sample is the mean of enough
-back-to-back calls to last about 20 ms; after one warm-up sample,
-``--repeats`` samples give the median and the interquartile range. qrep is imported from ``PYTHONPATH`` when it names a
-checkout, else from this one, so the same script times two commits on one
-machine. Each run is appended to the list under its label with the machine
-and a digest of the qrep sources it timed; on a shared host, alternate the
-labels over several runs, because the host's speed drifts between runs.
+rows). Every layer's inputs are bound when the layer is built, so a later
+layer cannot change what an earlier one times. Each sample is the mean of
+enough back-to-back calls to last about 20 ms; after one warm-up sample,
+``--repeats`` samples give the median and the interquartile range. qrep is
+imported from ``PYTHONPATH`` when it names a checkout, else from this one,
+so the same script times two commits on one machine. Each run is appended
+to the list under its label with the machine and a digest of the qrep
+sources it timed; on a shared host, alternate the labels over several runs,
+because the host's speed drifts between runs.
 """
 import argparse
 import hashlib
@@ -64,10 +68,10 @@ from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, 
 from qrep.engine import RepairConfig, random_search, repair
 from qrep.localizer import SuspiciousnessTable, localize
 from qrep.optimizer import OptBudget, minimize_params
-from qrep.patcher import DEFAULT_PATCH_CATALOG, Patch, apply_patch, inject_faults, order_uniform, prune_to_gates
+from qrep.patcher import DEFAULT_PATCH_CATALOG, Patch, inject_faults, order_uniform, prune_to_gates
 from qrep.qasm import emit_qasm, parse_qasm
 from qrep.simulator import BASIS_ORDER, MeasBasis
-from qrep.testkit import fitness, generate_suite, suite_from_expected
+from qrep.testkit import edit_fitness, fitness, generate_suite, suite_from_expected
 
 FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj", 6))
 QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
@@ -131,26 +135,24 @@ def layers() -> dict:
         out[f"gate_1q_q{q}"] = (partial(h_kernel(q), t), {})
     qft8, qft10 = build_benchmark("qft", 8), build_benchmark("qft", 10)
     out["run_all_bases_qft8"] = (
-        lambda: simulator.run_all_bases(qft8, range(2**8)),
+        partial(simulator.run_all_bases, qft8, range(2**8)),
         {
             "gates": len(qft8.gates),
             "inputs": 2**8,
-            "qft10_peak_mib": peak_bytes(lambda: simulator.run_all_bases(qft10, range(2**10))) / 2**20,
+            "qft10_peak_mib": peak_bytes(partial(simulator.run_all_bases, qft10, range(2**10))) / 2**20,
         },
     )
     for fam, n, bases, suffix in MEASURE_CIRCUITS:
         ref, inputs = build_benchmark(fam, n), range(2**n)
         cache = simulator.PrefixCache(ref, inputs)
-        facts = {"gates": len(ref.gates), "resumed_at": cache.join(ref)[0], "bases": [b.value for b in bases]}
-        measure_only = lambda ref=ref, inputs=inputs, bases=bases, cache=cache: simulator.run_all_bases(
-            ref, inputs, bases=bases, prefixes=cache
-        )
+        facts = {"gates": len(ref.gates), "stride": cache.stride, "bases": [b.value for b in bases]}
+        measure_only = partial(simulator.run_all_bases, ref, inputs, bases=bases, prefixes=cache)
         out[f"measure_{fam}{n}{suffix}"] = (measure_only, facts)
     for fam, n in FITNESS_CIRCUITS:
         ref = build_benchmark(fam, n)
         ts = generate_suite(ref)
         value = fitness(ref, ts).value
-        out[f"fitness_{fam}{n}"] = (lambda ref=ref, ts=ts: fitness(ref, ts), {"gates": len(ref.gates), "value": value})
+        out[f"fitness_{fam}{n}"] = (partial(fitness, ref, ts), {"gates": len(ref.gates), "value": value})
     for fam, n, seed, group in SWEEP_MUTANTS:
         ref = build_benchmark(fam, n)
         ts = generate_suite(ref)
@@ -163,34 +165,34 @@ def layers() -> dict:
             "evals": sweep.evals_used,
             "ranking": [str(g) for g in sweep.table.ranking()],
         }
-        out[f"localize_{fam}{n}"] = (lambda m=mutant, ts=ts, b=baseline: localize(m, ts, b), facts)
+        out[f"localize_{fam}{n}"] = (partial(localize, mutant, ts, baseline), facts)
     for fam, n in QUEUE_CIRCUITS:
         ref = build_benchmark(fam, n)
         facts = {"gates": len(ref.gates), "left": len(patch_queue(ref))}
-        out[f"patch_queue_{fam}{n}"] = (lambda ref=ref: patch_queue(ref), facts)
+        out[f"patch_queue_{fam}{n}"] = (partial(patch_queue, ref), facts)
     for fam, n in EDIT_CIRCUITS:
         ref = build_benchmark(fam, n)
-        out[f"edit_{fam}{n}"] = (lambda ref=ref: edits(ref), {"gates": len(ref.gates), "edits": 4})
+        out[f"edit_{fam}{n}"] = (partial(edits, ref), {"gates": len(ref.gates), "edits": 4})
     for fam, n, seed in INJECT_CIRCUITS:
         ref = build_benchmark(fam, n)
         ts = generate_suite(ref)
-        inject = lambda ref=ref, seed=seed, ts=ts: inject_faults(ref, seed, per_group=1, suite=ts)
+        inject = partial(inject_faults, ref, seed, per_group=1, suite=ts)
         out[f"inject_{fam}{n}"] = (inject, {"gates": len(ref.gates), "mutants": [r.description for r in inject()]})
     fam, n, seed = INJECT_CIRCUITS[0]
     ref = build_benchmark(fam, n)
     ts = generate_suite(ref)
     mutant = inject_faults(ref, seed, per_group=1, suite=ts)[0].mutant
     text = emit_qasm(mutant)
-    out[f"parse_{fam}{n}"] = (lambda: parse_qasm(text), {"gates": len(mutant.gates), "chars": len(text)})
+    out[f"parse_{fam}{n}"] = (partial(parse_qasm, text), {"gates": len(mutant.gates), "chars": len(text)})
     rep = repair(mutant, ts, RepairConfig(budget_evals=REPORT_BUDGET, seed=seed))
     facts = {"status": rep.status, "evals": rep.evals_used, "ranking_rows": len(rep.ranking)}
     encode = report_encoder()
-    out[f"report_{fam}{n}"] = (lambda: encode(rep.to_dict()), facts)
+    out[f"report_{fam}{n}"] = (lambda rep=rep, encode=encode: encode(rep.to_dict()), facts)
     dj6 = build_benchmark("dj", 6)
-    out["suite_dj6"] = (lambda: generate_suite(dj6), {"cases": len(generate_suite(dj6))})
+    out["suite_dj6"] = (partial(generate_suite, dj6), {"cases": len(generate_suite(dj6))})
     for fam, n, z_only in TABLE_CIRCUITS:
         table = expected_table(build_benchmark(fam, n), z_only)
-        out[f"suite_table_{fam}{n}"] = (lambda table=table: suite_from_expected(table), {"cases": len(table)})
+        out[f"suite_table_{fam}{n}"] = (partial(suite_from_expected, table), {"cases": len(table)})
     fam, n, seed, group = FIXED_RUN
     ref = build_benchmark(fam, n)
     ts = generate_suite(ref)
@@ -200,27 +202,37 @@ def layers() -> dict:
         rep = search(mutant, ts, cfg)
         rows = json.dumps([rep.best_patches, rep.ranking], sort_keys=True).encode()
         facts = {"status": rep.status, "evals": rep.evals_used, "rows_sha256": hashlib.sha256(rows).hexdigest()}
-        out[f"{search.__name__}_fixed_{fam}{n}"] = (lambda search=search: search(mutant, ts, cfg), facts)
+        out[f"{search.__name__}_fixed_{fam}{n}"] = (partial(search, mutant, ts, cfg), facts)
     fam, n, pos = TRIAL
     ref = build_benchmark(fam, n)
-    ts = generate_suite(ref)
     gate = ref.gates[pos]
-    broken, patch = remove_gate(ref, pos), Patch("add", pos, gate.kind, gate.qubits)
-    budget = OptBudget(max_evals=TRIAL_PROBES)
-    trial = lambda: minimize_params(lambda a: fitness(apply_patch(broken, patch, a), ts).value, 1, budget)
-    res = trial()
-    facts = {"probes": res.evals, "best": res.value, "converged": res.converged}
-    out[f"trial_{gate.kind.gate_name}_{fam}{n}"] = (trial, facts)
-    # the trial above reads ``broken``, ``patch`` and ``ts`` when it runs: new names here
+    ry_patch = Patch("add", pos, gate.kind, gate.qubits)
+    trials = {f"trial_{gate.kind.gate_name}_{fam}{n}": (ref, remove_gate(ref, pos), ry_patch)}
     fam, n = U_TRIAL
-    u_ref = build_benchmark(fam, n)
-    u_ts = generate_suite(u_ref)
-    pos, h = next((p, g) for p, g in enumerate(u_ref.gates) if g.kind is GateKind.H)
-    x_for_h, u_patch = replace_gate(u_ref, pos, GateApp(GateKind.X, h.qubits)), Patch("replace", pos, GateKind.U, h.qubits)
-    u_trial = lambda: minimize_params(lambda a: fitness(apply_patch(x_for_h, u_patch, a), u_ts).value, 3, budget)
-    res = u_trial()
-    out[f"trial_u_{fam}{n}"] = (u_trial, {"probes": res.evals, "best": res.value, "converged": res.converged})
+    ref = build_benchmark(fam, n)
+    pos, h = next((p, g) for p, g in enumerate(ref.gates) if g.kind is GateKind.H)
+    x_for_h = replace_gate(ref, pos, GateApp(GateKind.X, h.qubits))
+    trials[f"trial_u_{fam}{n}"] = (ref, x_for_h, Patch("replace", pos, GateKind.U, h.qubits))
+    for name, (ref, broken, patch) in trials.items():
+        trial = angle_trial(broken, generate_suite(ref), patch)
+        res = trial()
+        out[name] = (trial, {"probes": res.evals, "best": res.value, "converged": res.converged})
     return out
+
+
+def angle_trial(broken: Circuit, ts, patch: Patch):
+    """The engine's angle search for the parametric ``patch`` of ``broken``:
+    ``minimize_params`` in at most ``TRIAL_PROBES`` probes, each the one
+    edit the patch makes with the probe's angles, scored by ``edit_fitness``
+    from ``broken``'s prefix cache, which is built here, once, as a repair
+    run builds it."""
+    cache, budget = ts.prefixes(broken), OptBudget(max_evals=TRIAL_PROBES)
+
+    def probe(angles) -> float:
+        edit = (patch.position, GateApp(patch.gate, patch.qubits, tuple(angles)), patch.kind == "replace")
+        return next(edit_fitness(broken, ts, [edit], prefixes=cache)).value
+
+    return partial(minimize_params, probe, patch.gate.param_count, budget)
 
 
 def h_kernel(q: int):

@@ -5,6 +5,10 @@ six benchmark families, repairs each with the guided engine, and optionally
 runs the evaluation-matched random-search baseline on the same corpus.
 
     python scripts/run_benchmark.py --budget-evals 5000 --iterations 4 --rs
+    PYTHONPATH=<other checkout>/src python scripts/run_benchmark.py --rs
+
+qrep is imported from ``PYTHONPATH`` when it names a checkout, else from
+this one, so the same script runs two commits' corpora.
 """
 import argparse
 import json
@@ -12,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from qrep.benchmarks import build_benchmark
 from qrep.engine import STATUS_REPAIRED, RepairConfig, random_search, repair

@@ -1,7 +1,7 @@
 """Repair orchestration: budgeted search over single-gate edits.
 
 The run charges every fitness evaluation (baseline, localisation sweep,
-patch trials, optimizer probes) to one budget, expressed either as a
+patch trials, angle probes) to one budget, expressed either as a
 maximum evaluation count or as wall-clock seconds. After localisation the
 remainder is split evenly across the configured iterations; each iteration
 consumes ordered patches until its cumulative mark, then prunes the queue
@@ -13,14 +13,15 @@ patch-trial loop (:meth:`_Run.consume`) as one iteration up to the
 budget's limit, over the patches in seeded random order, with no
 localisation or pruning.
 
-The removal sweep and both searches' runs of fixed patches (the ones taken
-between two parametric patches) are streams of single-gate edits of the
-faulty circuit, scored by :func:`~qrep.testkit.edit_fitness` in stacked
-chunks and charged through one generator (:meth:`_Run.scored`), the one
-place that caps them at a count budget: the budget is checked as each edit
-is drawn and each score is charged as it is drawn. Each score is recorded
-and credited as a trial of that edit alone would be, so the reports are
-those of trying every edit alone, bit for bit.
+Every candidate is a single-gate edit of the faulty circuit: a removal of
+the sweep, a fixed patch of a run (those taken between two parametric
+patches) or an angle probe. All are scored by
+:func:`~qrep.testkit.edit_fitness`, sweeps and runs in stacked chunks and a
+probe as a chunk of one, and charged through one generator
+(:meth:`_Run.scored`), the one place that caps them at a count budget: the
+budget is checked as each edit is drawn and each score is charged as it is
+drawn. Each score is recorded and credited as a trial of that edit alone
+would be, so the reports are those of trying every edit alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -190,20 +191,14 @@ class _Run:
         self.baseline: FitnessScore | None = None
         self.partial_localisation = False
 
-    def evaluate(self, c: Circuit) -> FitnessScore:
-        self.budget.precheck()
-        self.budget.charge()
-        return fitness(c, self.ts, self.cfg.oracle, self.prefixes)
-
     def scored(self, edits: Iterable[tuple[int, GateApp | None, bool]]) -> Iterator[FitnessScore]:
         """The scores of ``c_init`` with each of ``edits`` made alone
         (:func:`edit_fitness`), each charged as one evaluation when it is
         drawn. This is the one place that caps stacked edits at a count
         budget: no more edits are drawn than it has evaluations left. The
         budget is also checked as each edit is drawn, before its chunk is
-        simulated, as :meth:`evaluate` checks before a probe, so no chunk
-        starts after the deadline of a seconds budget (one that started
-        before it is charged). Drawing past the cap raises
+        simulated, so no chunk starts after the deadline of a seconds budget
+        (one that started before it is charged). Drawing past the cap raises
         BudgetExhaustedError."""
 
         def checked() -> Iterator[tuple[int, GateApp | None, bool]]:
@@ -242,32 +237,32 @@ class _Run:
         return value
 
     def try_patch(self, patch: Patch, rng: np.random.Generator | None = None) -> float:
-        """Best fitness achieved by the patch, settled as :meth:`settle` says.
+        """Best fitness achieved by the parametric ``patch``, settled as
+        :meth:`settle` says; each probe is the patch's edit of ``c_init``
+        with the probe's angles, drawn through :meth:`scored`.
 
         Raises _FullPass on a repair, and BudgetExhaustedError when the
         budget runs out mid-trial; both propagate through the solver. A
-        trial cut short records its best probe, if any. Parametric patches
-        get their angles from COBYLA, or, given ``rng`` (random search),
-        from ``max_evals`` uniform draws."""
+        trial cut short records its best probe, if any. The angles come
+        from COBYLA, or, given ``rng`` (random search), from ``max_evals``
+        uniform draws."""
         best_value = math.inf
         best_params: tuple[float, ...] = ()
         repaired = None
 
         def objective(params: tuple[float, ...]) -> float:
             nonlocal best_value, best_params
-            cand = apply_patch(self.c_init, patch, params)
-            score = self.evaluate(cand)
+            edit = (patch.position, GateApp(patch.gate, patch.qubits, params), patch.kind == "replace")
+            score = next(self.scored([edit]))
             passed = score.all_passed()
             if passed or score.value < best_value:
                 best_value, best_params = score.value, params
             if passed:
-                raise _FullPass(cand)
+                raise _FullPass(apply_patch(self.c_init, patch, params))
             return score.value
 
         try:
-            if not patch.is_parametric:
-                objective(())
-            elif rng is None:
+            if rng is None:
                 minimize_params(objective, patch.gate.param_count, self.cfg.opt)
             else:
                 for _ in range(self.cfg.opt.max_evals):

@@ -20,8 +20,8 @@ that gives the same gate sequence as an earlier one is recognised from its
 neighbouring gates (an add or removal next to an equal gate, a replace by
 the gate already there), so each slot loses at most one edit and a group is
 a list of per-slot counts. The injector maps the indices of a seeded
-permutation of each group to (slot, edit), builds a mutant only when drawn,
-and skips mutants the reference suite cannot distinguish.
+permutation of each group to (slot, edit), scores each edit as it is drawn,
+and skips the edits the reference suite cannot distinguish.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ import numpy as np
 from .circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate, replace_gate
 from .errors import NoNonEquivalentMutantError
 from .localizer import GateId, gate_id
-from .testkit import TestSuite, fitness, generate_suite
+from .testkit import TestSuite, edit_fitness, generate_suite
 
 DEFAULT_PATCH_CATALOG = ("x", "y", "z", "h", "s", "t", "rx", "ry", "rz", "cx", "cz", "swap")
 DEFAULT_MUTATION_CATALOG = ("x", "y", "z", "h", "s", "t", "cx", "cz", "swap")
@@ -296,8 +296,9 @@ def inject_faults(
     by a per-slot rule on neighbouring gates (see :func:`_mutation_slots`),
     so nothing is enumerated: a group is a list of per-slot counts. Each
     group is shuffled by the seed, a drawn index is mapped to its slot and
-    edit, and the mutant is built and evaluated only then, which draws a
-    uniform without-replacement sample from the non-equivalent subset.
+    edit, scored as that edit (:func:`edit_fitness`) and built as a mutant
+    only then, which draws a uniform without-replacement sample from the
+    non-equivalent subset.
     """
     if suite is None:
         suite = generate_suite(c)
@@ -320,10 +321,10 @@ def inject_faults(
             si = bisect_right(ends, idx)
             pos, n, twin = slots[si]
             edit = None if group == "remove" else _slot_edit(c, pos, group, kinds, twin, idx - ends[si] + n)
-            m, desc, fault_pos = _build_mutant(c, group, pos, edit)
-            score = fitness(m, suite, prefixes=prefixes)
+            score = next(edit_fitness(c, suite, [(pos, edit and GateApp(*edit), group != "add")], prefixes=prefixes))
             if score.failed_count == 0:
                 continue  # equivalent under the suite
+            m, desc, fault_pos = _build_mutant(c, group, pos, edit)
             fault = gate_id(fault_pos, m.gates[fault_pos]) if m.gates else None
             records.append(
                 MutantRecord(

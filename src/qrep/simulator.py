@@ -16,9 +16,9 @@ search's run of fixed patches) is stacked this way, as a staircase of
 edited circuits, and the measurement stacks the X and Y bases of the
 final states (see :func:`run_all_bases`). A :class:`PrefixCache` keeps the
 tensor after the leading gates of one circuit, and a kernel per gate. Every
-simulation is one staircase over those kernels (:func:`_staircase`): a
-whole circuit joins it once, where it departs from the cached one, and a
-run of edits joins it edit by edit, so each edit is simulated from the
+simulation is one staircase over those kernels (:func:`_staircase`), and
+every candidate is an edit: the cached circuit joins it after its last
+gate, and each single-gate edit at the edit, so it is simulated from the
 edit on. No full 2^q x 2^q matrix is ever built here; the dense-matrix
 product lives in the test suite as an independent oracle.
 """
@@ -317,15 +317,15 @@ def _y_phases(n: int) -> np.ndarray:
 
 class PrefixCache:
     """States of a fixed batch of inputs after the leading gates of one
-    circuit, so that a circuit sharing those gates (a single-gate edit, say)
-    is simulated only from where it departs from them.
+    circuit, so that each single-gate edit of it is simulated only from the
+    edit on.
 
     The states after every prefix are kept when they fit in
     :data:`PREFIX_CACHE_BYTES`; otherwise only every ``stride``-th, and none
-    when a single state does not fit. Each is a layout-preserving copy of
-    the running tensor, so going on from one rounds exactly as simulating
-    from the inputs does. The empty prefix is the inputs themselves, built
-    afresh on each use rather than stored.
+    when a single state does not fit or ``keep`` is false. Each is a
+    layout-preserving copy of the running tensor, so going on from one
+    rounds exactly as simulating from the inputs does. The empty prefix is
+    the inputs themselves, built afresh on each use rather than stored.
 
     A state is a (2,) * n + (B,) tensor: column b holds the amplitudes of
     ``columns[b]``, qubit k on axis n-1-k, so its 2^n x B reshape has one
@@ -333,7 +333,7 @@ class PrefixCache:
     input fills two identical columns: no product then has a dimension of 1.
     """
 
-    def __init__(self, c: Circuit, inputs):
+    def __init__(self, c: Circuit, inputs, keep: bool = True):
         n = c.num_qubits
         idx = np.asarray(inputs, dtype=np.intp).reshape(-1)
         if not idx.size:
@@ -348,7 +348,7 @@ class PrefixCache:
         self.gates = c.gates
         self.kernels = [_kernel(g, n) for g in c.gates]
         self.state_bytes = len(self.columns) * 2**n * np.dtype(complex).itemsize
-        slots = PREFIX_CACHE_BYTES // self.state_bytes
+        slots = PREFIX_CACHE_BYTES // self.state_bytes if keep else 0
         self.stride = max(1, -(-len(c.gates) // slots)) if slots else len(c.gates) + 1
         self.states: dict[int, np.ndarray] = {}
         last = len(c.gates) - len(c.gates) % self.stride
@@ -374,38 +374,14 @@ class PrefixCache:
             t = kernel(t)
         return t
 
-    def join(self, c: Circuit) -> tuple[int, np.ndarray]:
-        """(step, state): where ``c`` joins the cached circuit's gates for
-        good, and a fresh state of ``c`` simulated up to there. ``c`` keeps
-        the longest cached prefix whose gates equal the cached circuit's,
-        and rejoins it for the trailing gates it shares by object (an edit
-        shares its later gates' objects); fresh kernels run the gates
-        between. The cache's kernels from ``step`` on finish ``c``."""
-        if c.num_qubits != self.num_qubits:
-            raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {self.num_qubits}")
-        gates, own = c.gates, self.gates
-        shared = 0
-        for a, b in zip(gates, own):
-            if a is not b and a != b:
-                break
-            shared += 1
-        k = shared - shared % self.stride
-        tail, most = 0, min(len(gates) - k, len(own))
-        while tail < most and gates[-1 - tail] is own[-1 - tail]:
-            tail += 1
-        t = self.after(k)
-        for g in gates[k : len(gates) - tail]:
-            t = _kernel(g, self.num_qubits)(t)
-        return len(own) - tail, t
-
     def edit(self, e: tuple[int, GateApp | None, bool]) -> tuple[int, np.ndarray]:
-        """(step, state) as :meth:`join` gives them for the cached circuit
-        with the single-gate edit ``e`` = (position, gate, replaces) made:
-        ``gate`` put before gate ``position``, or in its place when
-        ``replaces``; a gate of None with ``replaces`` removes gate
-        ``position``. An add joins at step ``position`` and a replace or
-        removal one step later, with the cached state after ``position``
-        gates and its own gate (if any) applied."""
+        """(step, state): where the cached circuit with the single-gate edit
+        ``e`` = (position, gate, replaces) made joins the cached gates for
+        good, and a fresh state of it up to there: ``gate`` put before gate
+        ``position``, or in its place when ``replaces``; a gate of None with
+        ``replaces`` removes gate ``position``. An add joins at step
+        ``position``, a replace or removal one step later, with the cached
+        state after ``position`` gates and its own gate (if any) applied."""
         position, gate, replaces = e
         m = len(self.gates)
         if not 0 <= position < m + (not replaces) or (gate is None and not replaces):
@@ -415,8 +391,8 @@ class PrefixCache:
 
 
 def _staircase(prefixes: PrefixCache, joins: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-    """The final states of the circuits that ``joins`` (from
-    :meth:`PrefixCache.join` or :meth:`PrefixCache.edit`) start, stacked one
+    """The final states of the circuits that ``joins`` (the cached circuit
+    after its last gate, or :meth:`PrefixCache.edit`) start, stacked one
     block per join in the order given. Each state joins the stack at its
     step, and every later gate is applied once to all the blocks that have
     joined, by the kernel the cache built for it. States that join at one
@@ -491,10 +467,10 @@ def run_all_bases(
     ``prefixes`` must be built for ``c``.
 
     All inputs pass through the gate list together as one (2,) * n + (B,)
-    tensor (see :class:`PrefixCache`). The state comes from one path,
-    :func:`_staircase` over the cache's kernels: ``c`` alone joins it where
-    it departs from the cache (:meth:`PrefixCache.join`; with no cache
-    given, one of the empty circuit, so every gate runs fresh), and each
+    tensor (see :class:`PrefixCache`). A given cache must be built for
+    ``c``; with none, ``c`` runs through its own kernels and no prefix state
+    is kept. The state comes from one path, :func:`_staircase` over the
+    cache's kernels: ``c`` alone joins it after its last gate, and each
     edit at its own step. A row does not depend on the batch or the block
     it is computed in, so :func:`run_exact` agrees bit for bit with a
     suite, and a circuit's edits stacked on a block axis with each edited
@@ -509,15 +485,14 @@ def run_all_bases(
     is the ``[basis, i, k, outcome]`` array seen through a transpose.
     """
     if prefixes is None:
-        prefixes = PrefixCache(Circuit(c.num_qubits) if edits is None else c, inputs)
+        prefixes = PrefixCache(c, inputs, keep=False)
     elif inputs is not prefixes.given and not np.array_equal(prefixes.inputs, np.asarray(inputs).reshape(-1)):
         raise ValueError("prefix cache was built for other inputs")
-    if edits is None:
-        joins = [prefixes.join(c)]
-    elif prefixes.gates is not c.gates and prefixes.gates != c.gates:
+    if c.num_qubits != prefixes.num_qubits:
+        raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {prefixes.num_qubits}")
+    if prefixes.gates is not c.gates and prefixes.gates != c.gates:
         raise ValueError("prefix cache was built for another circuit")
-    else:
-        joins = [prefixes.edit(e) for e in edits]
+    joins = [(len(c.gates), prefixes.after(len(c.gates)))] if edits is None else [prefixes.edit(e) for e in edits]
     n, t = c.num_qubits, _staircase(prefixes, joins)
     blocks, batch = t.size // (2**n * t.shape[-1]), len(prefixes.inputs)
     out = np.empty((len(bases), blocks, batch, 2**n))

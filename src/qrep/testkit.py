@@ -96,7 +96,7 @@ class TestSuite:
 
     def prefixes(self, c: Circuit) -> PrefixCache:
         """Prefix states of ``c`` over the suite's inputs, for evaluating
-        ``c`` and its single-gate edits with :func:`fitness`."""
+        ``c`` and its single-gate edits (:func:`edit_fitness`)."""
         _require_width(c, self)
         return PrefixCache(c, self.inputs)
 
@@ -316,10 +316,11 @@ def fitness(
 ) -> FitnessScore:
     """Evaluate every test case; value = failed count + summed Hellinger.
 
-    One kernel call simulates every suite input in the suite's bases,
-    resuming from ``prefixes`` (from :meth:`TestSuite.prefixes`) when given;
-    :func:`judge`'s two rules then run as array operations over the observed
-    rows. The Hellinger sum accumulates sequentially in suite order.
+    One kernel call simulates every suite input in the suite's bases, from
+    ``prefixes`` when given, which must be built for ``c`` (an edit of ``c``
+    goes to :func:`edit_fitness`); :func:`judge`'s two rules then run as
+    array operations over the observed rows. The Hellinger sum accumulates
+    sequentially in suite order.
     """
     _require_width(c, ts)
     observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes)[ts.case_rows]

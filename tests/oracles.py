@@ -447,11 +447,37 @@ def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
 
 # ------------------------------------ the searches, one patch at a time
 
+def looped_evaluate(run, c):
+    """One evaluation of the circuit ``c`` charged to ``run``'s budget, as
+    ``_Run.evaluate`` charged it before every candidate was scored as an
+    edit: the budget is checked, one evaluation charged, and ``c`` scored
+    by a fresh ``fitness``, with no prefix cache."""
+    from qrep.testkit import fitness
+
+    run.budget.precheck()
+    run.budget.charge()
+    return fitness(c, run.ts, run.cfg.oracle)
+
+
+def looped_try(run, patch, rng=None) -> float:
+    """``patch`` tried alone, as ``_Run.try_patch`` tried every patch before
+    runs of fixed patches were stacked: a parametric patch goes to
+    ``try_patch``, and a fixed one is one ``looped_evaluate`` of its circuit,
+    settled by ``_Run.settle``."""
+    import qrep.engine as engine
+
+    if patch.is_parametric:
+        return run.try_patch(patch, rng)
+    cand = engine.apply_patch(run.c_init, patch)
+    score = looped_evaluate(run, cand)
+    return run.settle(patch, (), score.value, cand if score.all_passed() else None)
+
+
 def looped_guided_search(run) -> None:
     """``_Run.guided_search`` as it stood before it skipped iterations and
     stacked its runs of fixed patches: every iteration runs, each one whose
     end mark the spend has passed prunes the queue and tries nothing, and
-    every patch is tried alone through ``try_patch``."""
+    every patch is tried alone (:func:`looped_try`)."""
     import qrep.engine as engine
 
     loc = engine.localize(run.c_init, run.ts, run.baseline, run.scored(engine.removals(run.c_init)))
@@ -471,7 +497,7 @@ def looped_guided_search(run) -> None:
     for i in range(1, total + 1):
         end_mark = spent0 + b_r * (i / total)
         while queue and run.budget.spent < end_mark:
-            run.try_patch(queue.popleft())
+            looped_try(run, queue.popleft())
         if not queue:
             return
         if i < total and run.table.scores:
@@ -482,21 +508,21 @@ def looped_guided_search(run) -> None:
 
 def looped_random_search(run) -> None:
     """``_Run.random_search`` as it stood before it stacked its runs of
-    fixed patches: every draw is tried alone through ``try_patch``."""
+    fixed patches: every draw is tried alone (:func:`looped_try`)."""
     import qrep.engine as engine
 
     pool = engine.generate_patches(run.c_init, run.cfg.patch_catalog)
     rng = np.random.default_rng([run.cfg.seed & (2**63 - 1), 17])
     for idx in rng.permutation(len(pool)):
-        run.try_patch(pool[int(idx)], rng)
+        looped_try(run, pool[int(idx)], rng)
 
 
 # ------------------------------------------ removal sweep, one by one
 #
 # ``localizer.localize`` as it stood before the sweep stacked its removals:
 # each removal is built with ``remove_gate`` and scored alone by
-# ``evaluate``, by default exact-mode fitness resuming from the prefixes of
-# ``c_init``. test_localizer.py holds the stacked sweep to it field by field.
+# ``evaluate``, by default a fresh exact-mode fitness. test_localizer.py
+# holds the stacked sweep to it field by field.
 
 
 def looped_localize(c_init, ts, baseline, evaluate=None):
@@ -508,8 +534,7 @@ def looped_localize(c_init, ts, baseline, evaluate=None):
 
     require_failing(baseline)
     if evaluate is None:
-        prefixes = ts.prefixes(c_init)
-        evaluate = lambda c: fitness(c, ts, prefixes=prefixes)  # noqa: E731
+        evaluate = lambda c: fitness(c, ts)  # noqa: E731
 
     start = time.monotonic()
     result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init))

@@ -1,17 +1,31 @@
-"""Smoke test for scripts/bench.py: every timed layer still runs."""
+"""Tests for the scripts under scripts/: every timed layer of bench.py runs
+and times the work its facts name, and run_benchmark.py imports qrep from
+``PYTHONPATH``."""
+import hashlib
 import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench.py"
 
 
-def test_every_bench_layer_runs_once():
+@pytest.fixture(scope="module")
+def layers():
     spec = importlib.util.spec_from_file_location("qrep_bench_script", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    layers = bench.layers()
+    return bench.layers()
+
+
+def test_every_bench_layer_runs_once(layers):
     assert {
         "gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "measure_qft4", "measure_qft4_z", "measure_qft6",
         "localize_grover3", "localize_qft4", "localize_dj6",
@@ -22,12 +36,41 @@ def test_every_bench_layer_runs_once():
     for name, (fn, facts) in layers.items():
         fn()
         assert isinstance(facts, dict), name
-    # the measure_* layers resume from the whole circuit, so they time the
-    # measurement alone
-    for name in ("measure_qft4", "measure_qft4_z", "measure_qft6"):
-        _, facts = layers[name]
-        assert facts["resumed_at"] == facts["gates"] > 0, name
     assert layers["run_all_bases_qft8"][1]["qft10_peak_mib"] > 0
     # the timed gate acts on the simulator's own 6-qubit state of 64 inputs
     fn, _ = layers["gate_1q_q6"]
     assert np.isclose(np.linalg.norm(fn()), 8.0)
+
+
+def test_bench_layers_time_the_work_their_facts_name(layers):
+    """Each layer, run again after every layer was built, does the work its
+    own facts were taken from: no later layer rebinds what it reads."""
+    # a cache that keeps the state after every gate resumes from the whole
+    # circuit, so the measure_* layers time the measurement alone
+    for name in ("measure_qft4", "measure_qft4_z", "measure_qft6"):
+        _, facts = layers[name]
+        assert facts["stride"] == 1 and facts["gates"] > 0, name
+    for name in ("trial_ry_wstate4", "trial_u_dj4"):
+        fn, facts = layers[name]
+        res = fn()
+        assert (res.evals, res.value) == (facts["probes"], facts["best"]), name
+    for name in ("repair_fixed_qft4", "random_search_fixed_qft4"):
+        fn, facts = layers[name]
+        rep = fn()
+        rows = hashlib.sha256(json.dumps([rep.best_patches, rep.ranking], sort_keys=True).encode()).hexdigest()
+        assert (rep.status, rep.evals_used, rows) == (facts["status"], facts["evals"], facts["rows_sha256"]), name
+    fn, facts = layers["report_grover3"]
+    report = json.loads(fn())
+    assert (report["status"], report["evals_used"], len(report["ranking"])) == (
+        facts["status"], facts["evals"], facts["ranking_rows"]
+    )
+
+
+def test_run_benchmark_imports_qrep_from_pythonpath(tmp_path):
+    """PYTHONPATH naming another checkout's src wins over this checkout's."""
+    shutil.copytree(ROOT / "src" / "qrep", tmp_path / "qrep", ignore=shutil.ignore_patterns("__pycache__"))
+    script = ROOT / "scripts" / "run_benchmark.py"
+    code = f"import runpy, sys; runpy.run_path({str(script)!r}, run_name='x'); print(sys.modules['qrep'].__file__)"
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    assert Path(out.stdout.strip()).resolve().is_relative_to(tmp_path.resolve())

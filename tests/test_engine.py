@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 from conftest import random_circuit, random_suite
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
-from oracles import eager_order_uniform, looped_guided_search, looped_random_search, scipy_minimize_params
+from oracles import (
+    eager_order_uniform,
+    looped_evaluate,
+    looped_guided_search,
+    looped_random_search,
+    looped_try,
+    scipy_minimize_params,
+)
 
 import qrep.engine
 from qrep import simulator, testkit
@@ -152,16 +159,35 @@ def test_not_fixed_report_shape(bell, bell_suite):
     assert all(f <= base for f in fits)
 
 
+def _spy_scored(monkeypatch):
+    """Count the calls of ``_Run.scored`` (a removal sweep is one call, and
+    so is each angle probe) and log every edit it draws."""
+    calls, drawn = [], []
+    real = _Run.scored
+
+    def scored(self, edits):
+        calls.append(None)
+        return real(self, (drawn.append(e) or e for e in edits))
+
+    monkeypatch.setattr(_Run, "scored", scored)
+    return calls, drawn
+
+
+def _probes(c, drawn):
+    """(angles, edited circuit) of each angle probe among the ``drawn`` edits of ``c``."""
+    return [
+        (g.params, (replace_gate if replaces else insert_gate)(c, pos, g))
+        for pos, g, replaces in drawn
+        if g is not None and g.params
+    ]
+
+
 def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, monkeypatch):
     # baseline + 2-gate sweep = 3 evaluations; the first rx trial gets the
     # remaining 5 of its 20 and is cut by the budget on its 6th probe
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
-    probes, values = [], []
-    real_apply, real_fitness = qrep.engine.apply_patch, qrep.engine.fitness
-
-    def apply_spy(c, p, params=None):
-        probes.append(tuple(params))
-        return real_apply(c, p, params)
+    values = []
+    real_fitness = qrep.engine.fitness
 
     def fitness_spy(*args):
         score = real_fitness(*args)
@@ -175,13 +201,14 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
             values.append(score.value)
             yield score
 
-    monkeypatch.setattr(qrep.engine, "apply_patch", apply_spy)
     monkeypatch.setattr(qrep.engine, "fitness", fitness_spy)
     monkeypatch.setattr(qrep.engine, "edit_fitness", sweep_spy)
+    calls, drawn = _spy_scored(monkeypatch)
     rep = repair(broken, bell_suite, cfg_evals(8, iterations=1, patch_catalog=("rx",)))
     assert rep.status == STATUS_NOT_FIXED
     assert rep.evals_used == 8
-    assert len(probes) == 6  # the 6th probe was refused before evaluation
+    probes = [params for params, _ in _probes(broken, drawn)]
+    assert len(calls) == 1 + 6 and len(probes) == 5  # the 6th probe was refused before its edit was drawn
     trial = list(zip(probes, values[3:]))
     assert len(trial) == 5
     best_params, best_value = min(trial, key=lambda pv: pv[1])
@@ -194,20 +221,12 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
 
 def _script_trials(monkeypatch, scores):
     """Make the engine's evaluations, the removal sweep's included, return
-    ``scores`` in order, and log each applied patch's angles and circuit."""
-    applied = []
-    real_apply = qrep.engine.apply_patch
+    ``scores`` in order; count the calls of ``_Run.scored`` and log the
+    edits it draws (see :func:`_spy_scored`)."""
     scripted = iter(scores)
-
-    def apply_spy(c, p, params=None):
-        cand = real_apply(c, p, params)
-        applied.append((tuple(params), cand))
-        return cand
-
-    monkeypatch.setattr(qrep.engine, "apply_patch", apply_spy)
     monkeypatch.setattr(qrep.engine, "fitness", lambda *args: next(scripted))
     monkeypatch.setattr(qrep.engine, "edit_fitness", lambda c, ts, edits, *args: (next(scripted) for _ in edits))
-    return applied
+    return _spy_scored(monkeypatch)
 
 
 def test_passing_probe_is_recorded_even_when_an_earlier_probe_scored_lower(bell, bell_suite, monkeypatch):
@@ -215,11 +234,12 @@ def test_passing_probe_is_recorded_even_when_an_earlier_probe_scored_lower(bell,
     # trial's first probe fails at 1.0, and its second passes at 1.5
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
     failing = [FitnessScore(3, 0.0), FitnessScore(2, 0.5), FitnessScore(2, 0.5)]
-    applied = _script_trials(monkeypatch, failing + [FitnessScore(1, 0.0), FitnessScore(0, 1.5)])
+    _, drawn = _script_trials(monkeypatch, failing + [FitnessScore(1, 0.0), FitnessScore(0, 1.5)])
     rep = repair(broken, bell_suite, cfg_evals(50, iterations=1, patch_catalog=("rx",)))
     assert rep.status == STATUS_REPAIRED
-    assert len(applied) == 2
-    params, repaired = applied[1]
+    probes = _probes(broken, drawn)
+    assert len(probes) == 2
+    params, repaired = probes[1]
     assert rep.repaired_qasm == emit_qasm(repaired)
     trials = [p for p in rep.best_patches if p["kind"] != "delete"]
     assert len(trials) == 1
@@ -233,16 +253,17 @@ def test_random_search_trial_cut_by_budget_records_its_best_draw_once(bell, bell
     # budget refuses its 6th
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
     draws = [FitnessScore(1, h) for h in (1.0, 0.25, 0.75, 1.5, 0.5)]
-    applied = _script_trials(monkeypatch, [FitnessScore(3, 0.0)] + draws)
+    calls, drawn = _script_trials(monkeypatch, [FitnessScore(3, 0.0)] + draws)
     rep = random_search(broken, bell_suite, cfg_evals(6, patch_catalog=("rx",)))
     assert rep.status == STATUS_NOT_FIXED
     assert rep.evals_used == 6
-    assert len(applied) == 6  # the 6th draw was refused before evaluation
+    probes = _probes(broken, drawn)
+    assert len(calls) == 6 and len(probes) == 5  # the 6th draw was refused before its edit was drawn
     assert len(rep.best_patches) == 1
     row = rep.best_patches[0]
     assert row["gate"] == "rx"
     assert row["fitness"] == 1.25
-    assert tuple(row["params"]) == applied[1][0]
+    assert tuple(row["params"]) == probes[1][0]
 
 
 def test_one_gate_mutant_of_empty_reference_repaired_to_zero_gates():
@@ -631,6 +652,63 @@ def test_stacked_edits_match_each_edited_circuit_alone(seed, q, suite_kind, samp
     assert _hex(got) == _hex(fitness(cand, ts, cfg) for cand in circuits)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 6),
+    suite_kind=st.sampled_from(["full", "z", "sparse"]),
+    sampled=st.booleans(),
+    checkpoints=st.booleans(),
+)
+def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind, sampled, checkpoints):
+    """Every angle probe ``try_patch`` draws through ``_Run.scored`` scores,
+    to the bit, as a fresh ``fitness`` of ``apply_patch``'s circuit with no
+    prefix cache: random circuits of 1-6 qubits, every parametric kind, an
+    add at every position (the append included) and a replace of every
+    gate, angles from COBYLA and from random draws, prefix caches that keep
+    every state or only checkpoints, full, Z-only and sparse suites, and
+    both oracles."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, q, int(rng.integers(0, 9 if q < 5 else 6)))
+    ts = random_suite(c, suite_kind, rng)
+    oracle = OracleConfig(mode="sampled", seed=seed) if sampled else OracleConfig()
+    kinds = [k for k in GateKind if k.is_unitary and k.param_count and k.num_qubits <= q]
+    slots = [("add", pos) for pos in range(len(c.gates) + 1)] + [("replace", pos) for pos in range(len(c.gates))]
+    patches = [
+        Patch(kind, pos, k, tuple(int(b) for b in rng.permutation(q)[: k.num_qubits]))
+        for kind, pos in slots
+        for k in kinds
+    ]
+    cfg = cfg_evals(10**6, oracle=oracle, opt=OptBudget(max_evals=3))
+    log = []
+    with pytest.MonkeyPatch.context() as mp:
+        if checkpoints:
+            mp.setattr(simulator, "PREFIX_CACHE_BYTES", 2 * ts.prefixes(c).state_bytes)
+        real = qrep.engine.edit_fitness
+
+        def logged(c, ts, edits, *args):
+            drawn = []
+            for i, score in enumerate(real(c, ts, (drawn.append(e) or e for e in edits), *args)):
+                log.append((drawn[i], score))
+                yield score
+
+        mp.setattr(qrep.engine, "edit_fitness", logged)
+        run = _Run(c, ts, cfg, None)
+        for i, patch in enumerate(patches):
+            start = len(log)
+            try:
+                run.try_patch(patch, np.random.default_rng(i) if i % 2 else None)
+            except qrep.engine._FullPass:
+                pass
+            assert len(log) > start
+            for (pos, g, replaces), score in log[start:]:
+                assert (pos, replaces) == (patch.position, patch.kind == "replace")
+                assert (g.kind, g.qubits) == (patch.gate, patch.qubits)
+                assert _hex([score]) == _hex([fitness(apply_patch(c, patch, g.params), ts, oracle)]), (patch, g.params)
+    if checkpoints and len(c.gates) > 2:
+        assert run.prefixes.stride > 1
+
+
 def _simulated_blocks(mp) -> list[int]:
     """The number of circuits each simulation from now on stacks."""
     blocks = []
@@ -651,7 +729,8 @@ def _searched(c, ts, cfg, search, chunk):
     pruned, each once (the one-at-a-time search also prunes before the
     iterations it skips and once the budget is spent); and how often a run
     of fixed patches was split: simulated short of ``chunk`` edits, then
-    followed by more fixed patches with no prune between."""
+    followed by more fixed patches with no prune between (an angle probe,
+    one edit that has angles, is not a run)."""
     with pytest.MonkeyPatch.context() as mp:
         blocks = _simulated_blocks(mp)
         run, trail = _Run(c, ts, cfg, None), []
@@ -662,8 +741,9 @@ def _searched(c, ts, cfg, search, chunk):
             return prune(*args)
 
         def simulated(*args, **kwargs):
+            # a run of fixed patches is the only simulation of gates without angles
             edits = kwargs.get("edits")
-            trail.append(("sim", 0 if edits is None or edits[0][1] is None else len(edits)))
+            trail.append(("sim", 0 if edits is None or edits[0][1] is None or edits[0][1].params else len(edits)))
             return simulate(*args, **kwargs)
 
         mp.setattr(qrep.engine, "prune_to_gates", pruned)
@@ -732,7 +812,7 @@ def test_a_fixed_patch_repairing_mid_chunk_drops_the_rest_of_its_chunk(bell, bel
     monkeypatch.setattr(simulator, "SWEEP_CHUNK_BYTES", 8 * bell_suite.prefixes(broken).state_bytes)
     blocks = _simulated_blocks(monkeypatch)
     run = _Run(broken, bell_suite, cfg_evals(50), None)
-    run.baseline = run.evaluate(broken)
+    run.baseline = looped_evaluate(run, broken)
     with pytest.raises(qrep.engine._FullPass) as raised:
         run.try_run(patches[0], deque(patches[1:]), run.budget.limit)
     assert blocks == [1, 5]  # the baseline, then the whole run in one chunk
@@ -743,9 +823,9 @@ def test_a_fixed_patch_repairing_mid_chunk_drops_the_rest_of_its_chunk(bell, bel
     ]
     # the same first two patches tried alone credit the table as the run did
     alone = _Run(broken, bell_suite, cfg_evals(50), None)
-    alone.baseline = alone.evaluate(broken)
+    alone.baseline = looped_evaluate(alone, broken)
     for p in patches[:2]:
-        alone.try_patch(p)
+        looped_try(alone, p)
     assert run.table.scores == alone.table.scores
     assert run.candidates[:2] == alone.candidates
 

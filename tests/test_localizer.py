@@ -1,11 +1,13 @@
 """Gate-removal localisation: scores, short-circuit, percentiles, budget
 cuts, and the stacked sweep against the one-by-one sweep."""
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import random_circuit, random_suite
-from oracles import gate_names, looped_localize
+from oracles import gate_names, looped_evaluate, looped_localize
 from qrep import simulator, testkit
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate
@@ -207,10 +209,9 @@ def _looped_sweep(c, ts, baseline, cfg, budget):
     if budget is None:
         if cfg == OracleConfig():
             return looped_localize(c, ts, baseline), None
-        prefixes = ts.prefixes(c)
-        return looped_localize(c, ts, baseline, lambda cand: fitness(cand, ts, cfg, prefixes)), None
+        return looped_localize(c, ts, baseline, lambda cand: fitness(cand, ts, cfg)), None
     run = _Run(c, ts, RepairConfig(budget_evals=budget, oracle=cfg), None)
-    return looped_localize(c, ts, baseline, run.evaluate), run.budget.evals_used
+    return looped_localize(c, ts, baseline, partial(looped_evaluate, run)), run.budget.evals_used
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

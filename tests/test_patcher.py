@@ -412,7 +412,7 @@ def test_inject_faults_rejects_unknown_group_and_non_unitary_catalog(bell, monke
     with pytest.raises(ValueError, match="unknown mutation group 'swap'"):
         inject_faults(bell, seed=0, per_group=1, groups=("add", "swap"))
     judged = []
-    monkeypatch.setattr("qrep.patcher.fitness", lambda *a, **k: judged.append(a))
+    monkeypatch.setattr("qrep.patcher.edit_fitness", lambda *a, **k: judged.append(a))
     with pytest.raises(ValueError, match="measure cannot be a patch gate"):
         inject_faults(bell, seed=0, per_group=1, catalog=("x", "measure"), groups=("remove",))
     assert judged == []

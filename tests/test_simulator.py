@@ -287,15 +287,17 @@ def test_norm_drift_is_an_assertion_naming_the_drifting_row(monkeypatch):
 
 
 def _random_edit(rng, c):
-    """``c`` with one gate added, replaced or removed at a random position."""
+    """One gate added, replaced or removed at a random position of ``c``:
+    the edit, and the circuit it makes."""
     g = random_circuit(rng, c.num_qubits, 1).gates[0]
     op = rng.choice(["add", "replace", "remove"] if c.gates else ["add"])
     if op == "add":
-        return insert_gate(c, int(rng.integers(len(c.gates) + 1)), g)
+        pos = int(rng.integers(len(c.gates) + 1))
+        return (pos, g, False), insert_gate(c, pos, g)
     pos = int(rng.integers(len(c.gates)))
     if op == "replace":
-        return replace_gate(c, pos, g)
-    return remove_gate(c, pos)
+        return (pos, g, True), replace_gate(c, pos, g)
+    return (pos, None, True), remove_gate(c, pos)
 
 
 @pytest.mark.parametrize("small_cap", [False, True], ids=["every-prefix", "checkpoints"])
@@ -314,10 +316,19 @@ def test_prefix_cache_matches_full_simulation(small_cap, seed):
     assert sum(t.nbytes for t in cache.states.values()) <= cap
     if small_cap and len(c.gates) >= 4:
         assert cache.stride > 1
-    # the cached circuit, its edits and a stranger, several from one cache
-    candidates = [c] + [_random_edit(rng, c) for _ in range(5)] + [random_circuit(rng, q, 4)]
-    for cand in candidates:
-        assert np.array_equal(run_all_bases(cand, inputs, prefixes=cache), run_all_bases(cand, inputs))
+    # the cached circuit, then its edits, each alone and all stacked, from one cache
+    assert np.array_equal(run_all_bases(c, inputs, prefixes=cache), run_all_bases(c, inputs))
+    edits, circuits = zip(*(_random_edit(rng, c) for _ in range(5)))
+    stacked = run_all_bases(c, inputs, prefixes=cache, edits=edits)
+    for e, cand, got in zip(edits, circuits, stacked):
+        want = run_all_bases(cand, inputs)
+        assert np.array_equal(run_all_bases(c, inputs, prefixes=cache, edits=[e])[0], want)
+        assert np.array_equal(got, want)
+    # any other circuit, an edited one or a stranger, is not the cache's to simulate
+    for cand in (*circuits, random_circuit(rng, q, 4)):
+        if cand.gates != c.gates:
+            with pytest.raises(ValueError, match="another circuit"):
+                run_all_bases(cand, inputs, prefixes=cache)
 
 
 def test_prefix_cache_rejects_other_inputs_and_widths(bell):
@@ -350,8 +361,7 @@ def test_prefix_cache_stores_and_simulates_nothing_when_one_state_is_over_the_ca
     cache = PrefixCache(c, range(8))
     assert cache.states == {} and applied == []
     # every candidate then runs in full from the inputs
-    k, t = cache.join(c)
-    assert k == 0 and np.array_equal(t.reshape(8, 8), np.eye(8))
+    assert np.array_equal(cache.after(0).reshape(8, 8), np.eye(8)) and applied == []
     assert np.array_equal(run_all_bases(c, range(8), prefixes=cache), run_all_bases(c, range(8)))
     assert len(applied) == 2 * len(c.gates)
 

@@ -321,8 +321,12 @@ def test_suite_measures_only_its_bases():
 def test_fitness_with_prefixes_equals_fitness_without(bell):
     ts = generate_suite(bell)
     cache = ts.prefixes(bell)
-    for c in (bell, remove_gate(bell, 0), remove_gate(bell, 1)):
-        assert fitness(c, ts, prefixes=cache) == fitness(c, ts)
+    assert fitness(bell, ts, prefixes=cache) == fitness(bell, ts)
+    # the removals of bell are its edits: scored from the cache, given or built
+    alone = [fitness(remove_gate(bell, p), ts) for p in range(len(bell.gates))]
+    removals = [(p, None, True) for p in range(len(bell.gates))]
+    assert list(edit_fitness(bell, ts, removals, prefixes=cache)) == alone
+    assert list(edit_fitness(bell, ts, removals)) == alone
     with pytest.raises(WidthMismatchError):
         ts.prefixes(build_circuit(3, [("h", 0)]))
 
