@@ -257,8 +257,8 @@ def peak_bytes(fn) -> int:
 
 
 def report_encoder():
-    """The encoder ``cli._write_json`` uses: ``encode_json``, or
-    ``json.dumps`` with indent 2 in checkouts that predate it."""
+    """The encoder ``cli._write_json`` uses: ``json.dumps`` with indent 2,
+    or ``cli.encode_json`` in the older checkouts that wrote reports with it."""
     return getattr(cli, "encode_json", None) or partial(json.dumps, indent=2)
 
 

@@ -5,12 +5,15 @@ Handy for driving the CLI by hand:
     python scripts/export_references.py --out-dir refs/
     qrep mutate --circuit refs/ghz5.qasm --per-group 1 --seed 0 --out-dir mutants/
     qrep repair --circuit mutants/mutant_add_0.qasm --reference refs/ghz5.qasm --budget-evals 5000
+
+qrep is imported from ``PYTHONPATH`` when it names a checkout, else from
+this one.
 """
 import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from qrep.benchmarks import standard_catalog
 from qrep.qasm import emit_qasm

@@ -1,8 +1,9 @@
 """Run the desk-scale repair benchmark and print a per-mutant results table.
 
 Generates 3 mutants per algorithm (one per mutation-operator group) for the
-six benchmark families, repairs each with the guided engine, and optionally
-runs the evaluation-matched random-search baseline on the same corpus.
+six benchmark families of perfbench's ``corpus`` workload, at its injection
+seeds, repairs each with the guided engine, and optionally runs the
+evaluation-matched random-search baseline on the same corpus.
 
     python scripts/run_benchmark.py --budget-evals 5000 --iterations 4 --rs
     PYTHONPATH=<other checkout>/src python scripts/run_benchmark.py --rs
@@ -16,15 +17,16 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))
+
+from workloads import CORPUS, INJECTION_SEEDS
 
 from qrep.benchmarks import build_benchmark
 from qrep.engine import STATUS_REPAIRED, RepairConfig, random_search, repair
 from qrep.patcher import inject_faults
 from qrep.testkit import generate_suite
-
-CORPUS = [("ghz", 3), ("dj", 4), ("graphstate", 4), ("wstate", 4), ("qft", 4), ("grover", 3)]
-DEFAULT_SEEDS = {"ghz": 2, "dj": 1, "graphstate": 4, "wstate": 0, "qft": 5, "grover": 3}
 
 
 def parse_args(argv=None):
@@ -50,7 +52,7 @@ def main(argv=None):
     print(f"{'mutant':<28} {'qrep':>9} {'evals':>6} {'impr%':>6} {'fault%':>6}"
           + ("   rs" if args.rs else ""))
     for name, n in CORPUS:
-        seed = args.seed if args.seed is not None else DEFAULT_SEEDS[name]
+        seed = args.seed if args.seed is not None else INJECTION_SEEDS[name]
         ref = build_benchmark(name, n)
         ts = generate_suite(ref)
         for rec in inject_faults(ref, seed=seed, per_group=1):

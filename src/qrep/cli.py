@@ -13,7 +13,6 @@ import math
 import sys
 from datetime import datetime, timezone
 from functools import cache
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -93,51 +92,8 @@ def _manifest(subcommand: str, inputs: dict, config: dict | None, seed: int) -> 
     }
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
-
-
-def encode_json(o) -> str:
-    """``json.dumps(o, indent=2)``, byte for byte, in one recursive pass.
-
-    json drops its C encoder when given an indent and runs a chain of
-    Python generators; this keeps its C string escaper and its number
-    spellings. Keys must be strings, as every report's are.
-    """
-    return _encode(o, "\n")
-
-
-def _encode(o, newline: str) -> str:
-    """``o`` encoded at the indent that ``newline`` (a line break and
-    spaces) ends in."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return _NONFINITE.get(text, text)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    inner = newline + "  "
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in o.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = [_encode(v, inner) for v in o]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
 def _write_json(payload: dict, out: str | None) -> None:
-    text = encode_json(payload) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

@@ -54,7 +54,7 @@ def minimize_params(
     n_params: int,
     budget: OptBudget = OptBudget(),
 ) -> OptResult:
-    """Minimize ``objective`` over ``n_params`` angles from the zero vector,
+    """Minimize ``objective`` over ``n_params >= 1`` angles from the zero vector,
     one angle at a time: each runs :func:`_cobyla_1d` from the best point
     so far on an even share of the evaluations left, its start's value not
     asked again. Calls the objective at most ``budget.max_evals`` times,
@@ -62,11 +62,8 @@ def minimize_params(
     the solver sees a huge sentinel once the cap is hit. The tolerance, each
     angle's final radius, is clamped to ``[TOL_FLOOR, _RHOBEG]``; converged
     means every angle's search ended at it."""
-    if n_params < 0:
-        raise ValueError("n_params must be >= 0")
-    if n_params == 0:
-        v = float(objective(()))
-        return OptResult((), v, 1, True)
+    if n_params < 1:
+        raise ValueError("n_params must be >= 1")
 
     best_x: tuple[float, ...] = (0.0,) * n_params
     best_v = math.inf

@@ -6,7 +6,7 @@ A suite holds one test case per (classical input, measurement basis) pair,
 the observed output contains an outcome the expected distribution rules
 out, or when its Hellinger distance from the expected distribution exceeds
 the failure threshold. Fitness is the failed-case count plus the Hellinger
-distances summed over every case.
+distances summed over every case; ``_scores`` is the one implementation.
 """
 from __future__ import annotations
 
@@ -104,13 +104,6 @@ class TestSuite:
 def _require_width(c: Circuit, ts: TestSuite) -> None:
     if c.num_qubits != ts.num_qubits:
         raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, suite has {ts.num_qubits}")
-
-
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    hellinger: float
-    wrong_output: bool
 
 
 @dataclass(frozen=True)
@@ -282,20 +275,6 @@ def hellinger(p: Distribution, q: Distribution) -> float:
     return min(max(h, 0.0), 1.0)
 
 
-def judge(
-    observed: Distribution,
-    tc: TestCase,
-    tau_fail: float = DEFAULT_TAU_FAIL,
-    eps_zero: float = DEFAULT_EPS_ZERO,
-) -> Verdict:
-    """Two-rule oracle: no unexpected outcomes, and distance within tau_fail."""
-    if observed.num_qubits != tc.expected.num_qubits:
-        raise WidthMismatchError(f"{observed.num_qubits} vs {tc.expected.num_qubits} qubits")
-    wrong = bool(np.any((observed.probs > eps_zero) & (tc.expected.probs <= eps_zero)))
-    h = hellinger(observed, tc.expected)
-    return Verdict(passed=not wrong and h <= tau_fail, hellinger=h, wrong_output=wrong)
-
-
 def _case_seed(master: int, index: int) -> int:
     # stable per-case stream so results do not depend on evaluation order
     return int(np.random.SeedSequence([master & (2**63 - 1), index]).generate_state(1)[0])
@@ -318,9 +297,10 @@ def fitness(
 
     One kernel call simulates every suite input in the suite's bases, from
     ``prefixes`` when given, which must be built for ``c`` (an edit of ``c``
-    goes to :func:`edit_fitness`); :func:`judge`'s two rules then run as
-    array operations over the observed rows. The Hellinger sum accumulates
-    sequentially in suite order.
+    goes to :func:`edit_fitness`). A case fails when its row puts more than
+    ``eps_zero`` on an outcome its expected row rules out, or lies farther
+    than the failure threshold from that row in Hellinger distance; the
+    distances are summed sequentially in suite order.
     """
     _require_width(c, ts)
     observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes)[ts.case_rows]
@@ -356,24 +336,24 @@ def edit_fitness(
 
 
 def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[FitnessScore]:
-    """One score per block of ``len(ts)`` rows of ``observed``, each row
-    judged as :func:`fitness` judges it; in sampled mode each block's rows
-    are drawn with the per-case seeds."""
+    """One :func:`fitness` score per block of ``len(ts)`` rows of ``observed``,
+    all blocks judged at once against the suite's rows by the two rules; in
+    sampled mode each block's rows are first drawn with the per-case seeds."""
     blocks = len(observed) // len(ts)
-    ruled_out, sqrt_expected = ts.ruled_out(cfg.eps_zero), ts.sqrt_expected
-    if blocks > 1:
-        ruled_out, sqrt_expected = np.tile(ruled_out, (blocks, 1)), np.tile(sqrt_expected, (blocks, 1))
     if cfg.mode == "sampled":
         shots = cfg.resolve_shots(ts.num_qubits)
         seeds = _case_seeds(cfg.seed, len(ts)) * blocks
         observed = np.stack([sample_frequencies(row, shots, seed) for row, seed in zip(observed, seeds)])
-    wrong = ((observed > cfg.eps_zero) & ruled_out).any(axis=1)
-    diff = np.sqrt(observed) - sqrt_expected
+    observed = observed.reshape(blocks, *ts.expected.shape)
+    # the suite's rows on a leading axis of one, so that one block runs
+    # numpy's same-shape loops and more blocks broadcast
+    wrong = ((observed > cfg.eps_zero) & ts.ruled_out(cfg.eps_zero)[None]).any(axis=2)
+    diff = np.sqrt(observed) - ts.sqrt_expected[None]
     # a stack of (1 x n) @ (n x 1) products runs numpy's dot loop, so each
     # distance is rounded exactly as hellinger()'s np.dot rounds it
-    sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-    h = np.minimum(np.sqrt(sq) / math.sqrt(2.0), 1.0).reshape(blocks, -1)
-    failed = wrong.reshape(blocks, -1) | (h > cfg.resolve_tau(ts.num_qubits))
+    sq = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    h = np.minimum(np.sqrt(sq) / math.sqrt(2.0), 1.0)
+    failed = wrong | (h > cfg.resolve_tau(ts.num_qubits))
     sums = np.cumsum(h, axis=1)[:, -1].tolist()  # in suite order
     return [FitnessScore(failed_count=int(np.count_nonzero(f)), hellinger_sum=v) for f, v in zip(failed, sums)]
 

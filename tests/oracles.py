@@ -26,7 +26,16 @@ from qrep.errors import (
 )
 from qrep.qasm import _MAX_EXPR_DEPTH, _RESERVED_FEATURES
 from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, sample_frequencies
-from qrep.testkit import DEFAULT_MAX_SUITE_QUBITS, TestCase, TestSuite, case_id, parse_case_id
+from qrep.testkit import (
+    DEFAULT_EPS_ZERO,
+    DEFAULT_MAX_SUITE_QUBITS,
+    DEFAULT_TAU_FAIL,
+    TestCase,
+    TestSuite,
+    case_id,
+    hellinger,
+    parse_case_id,
+)
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -170,6 +179,32 @@ def hellinger_ref(p: np.ndarray, q: np.ndarray) -> float:
     """Closed-form Hellinger: sqrt(1 - sum(sqrt(p_i q_i)))."""
     bc = float(np.sum(np.sqrt(np.asarray(p) * np.asarray(q))))
     return math.sqrt(max(0.0, 1.0 - bc))
+
+
+# ------------------------------------------------------ the per-case oracle
+#
+# The two rules judged one case at a time, on Distributions: the reference
+# that testkit's array scoring of every case at once is tested against.
+
+@dataclass(frozen=True)
+class Verdict:
+    passed: bool
+    hellinger: float
+    wrong_output: bool
+
+
+def judge(
+    observed: Distribution,
+    tc: TestCase,
+    tau_fail: float = DEFAULT_TAU_FAIL,
+    eps_zero: float = DEFAULT_EPS_ZERO,
+) -> Verdict:
+    """Two-rule oracle: no unexpected outcomes, and distance within tau_fail."""
+    if observed.num_qubits != tc.expected.num_qubits:
+        raise WidthMismatchError(f"{observed.num_qubits} vs {tc.expected.num_qubits} qubits")
+    wrong = bool(np.any((observed.probs > eps_zero) & (tc.expected.probs <= eps_zero)))
+    h = hellinger(observed, tc.expected)
+    return Verdict(passed=not wrong and h <= tau_fail, hellinger=h, wrong_output=wrong)
 
 
 # ------------------------------------------- patcher reference implementations

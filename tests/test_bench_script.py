@@ -66,10 +66,11 @@ def test_bench_layers_time_the_work_their_facts_name(layers):
     )
 
 
-def test_run_benchmark_imports_qrep_from_pythonpath(tmp_path):
+@pytest.mark.parametrize("name", ["run_benchmark.py", "export_references.py"])
+def test_script_imports_qrep_from_pythonpath(tmp_path, name):
     """PYTHONPATH naming another checkout's src wins over this checkout's."""
     shutil.copytree(ROOT / "src" / "qrep", tmp_path / "qrep", ignore=shutil.ignore_patterns("__pycache__"))
-    script = ROOT / "scripts" / "run_benchmark.py"
+    script = ROOT / "scripts" / name
     code = f"import runpy, sys; runpy.run_path({str(script)!r}, run_name='x'); print(sys.modules['qrep'].__file__)"
     env = {**os.environ, "PYTHONPATH": str(tmp_path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True)

@@ -1,13 +1,11 @@
 """CLI behavior: exit codes, report JSON shape, side files, determinism."""
 import json
-import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, replace_gate
-from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, build_parser, encode_json, main
+from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, build_parser, main
 from qrep.patcher import inject_faults
 from qrep.qasm import emit_qasm
 from qrep.testkit import generate_suite
@@ -231,39 +229,6 @@ def test_localize_zero_gate_repair_emits_fix(tmp_path):
 
 
 # --------------------------------------------------------- report encoding
-
-_ODD_CHARS = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f600"]
-_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(_ODD_CHARS)), max_size=6)
-_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers(-(2**70), 2**70)
-    | st.sampled_from([2**64, -(2**64) - 1, 10**30])
-    | st.floats()
-    | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
-    | _TEXT
-)
-_JSON_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_TEXT, inner, max_size=4),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_JSON_VALUES)
-def test_encoder_writes_json_indent_2_bytes(value):
-    assert encode_json(value) == json.dumps(value, indent=2)
-
-
-def test_encoder_raises_type_error_on_non_string_keys_and_unknown_types():
-    # keys that are not strings raise rather than risk bytes json would not write
-    for value in ({1: 2}, {(1,): 2}, {"a": object()}, b"x"):
-        with pytest.raises(TypeError):
-            encode_json(value)
-
 
 def test_every_report_keeps_json_indent_2_bytes(circuits, tmp_path, capsys):
     ref = build_benchmark("grover", 3)

@@ -13,7 +13,7 @@ from oracles import scipy_minimize_params
 
 import qrep
 from qrep import optimizer
-from qrep.optimizer import _RHOBEG, TOL_FLOOR, OptBudget, OptResult, minimize_params
+from qrep.optimizer import _RHOBEG, TOL_FLOOR, OptBudget, minimize_params
 
 
 def test_budget_validation():
@@ -99,16 +99,16 @@ def test_periodic_objective_like_rotation_fitness():
     assert res.value < 1e-3  # reaches a minimum near pi
 
 
-def test_zero_params_single_call():
+def test_zero_params_rejected():
     calls = []
 
     def f(x):
         calls.append(x)
         return 42.0
 
-    res = minimize_params(f, 0)
-    assert res == OptResult((), 42.0, 1, True)
-    assert calls == [()]
+    with pytest.raises(ValueError, match="n_params must be >= 1"):
+        minimize_params(f, 0)
+    assert calls == []
 
 
 def test_negative_params_rejected():

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import random_circuit
 from oracles import (
     hellinger_ref,
+    judge,
     load_outcome,
     looped_suite_from_expected,
     per_case_generate_suite,
@@ -35,7 +36,6 @@ from qrep.testkit import (
     fitness,
     generate_suite,
     hellinger,
-    judge,
     parse_case_id,
     require_failing,
     suite_from_expected,
