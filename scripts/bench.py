@@ -18,11 +18,16 @@ prune once to three quarters of the gates, as the first of four
 iterations does), the single-gate edits of grover3 and dj6 (a removal
 and an insertion at position 0, and the same at the middle), and one
 ``inject_faults`` call with one mutant per group on grover3 and dj6 (their
-benchmark injection seeds, suite built beforehand), and, for the first of
-those grover3 mutants, ``parse_qasm`` of its emitted source and the JSON
-text (``to_dict`` plus the encoder ``cli._write_json`` uses) of one
-50-evaluation repair report, and suite building: ``generate_suite`` of dj6,
-and ``suite_from_expected`` of expected tables as a JSON round trip gives
+benchmark injection seeds, suite built beforehand; grover3's draws share
+stacked simulations, a dj6 state fills a chunk alone) and on qft4 at seed 5
+against its Z-basis table (``inject_qft4_z``, the suite perfbench's
+``cli-expected`` setup judges mutants by, where most candidates pass and
+the draws repeat), each with the number of candidates it scores among its
+facts, and, for the first of the grover3 mutants, ``parse_qasm`` of its
+emitted source and the JSON text (``to_dict`` plus the encoder
+``cli._write_json`` uses) of one 50-evaluation repair report, and suite
+building: ``generate_suite`` of dj6, and ``suite_from_expected`` of
+expected tables as a JSON round trip gives
 them: the Z-basis tables of qft4 (the table perfbench's ``cli-expected``
 workload writes) and dj6, and qft6's table of all three bases, and one
 parametric patch trial: ``minimize_params`` tuning, in 20 probes, the
@@ -62,7 +67,7 @@ import numpy as np
 import scipy
 
 import qrep
-from qrep import cli, simulator
+from qrep import cli, patcher, simulator
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate, replace_gate
 from qrep.engine import RepairConfig, random_search, repair
@@ -77,7 +82,8 @@ FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj",
 QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
 QUEUE_POPS = 20
 EDIT_CIRCUITS = (("grover", 3), ("dj", 6))
-INJECT_CIRCUITS = (("grover", 3, 3), ("dj", 6, 1))  # (family, size, injection seed)
+# (family, size, injection seed, Z-basis table only)
+INJECT_CIRCUITS = (("grover", 3, 3, False), ("dj", 6, 1, False), ("qft", 4, 5, True))
 # (family, size, bases, layer name suffix)
 MEASURE_CIRCUITS = (("qft", 4, BASIS_ORDER, ""), ("qft", 4, (MeasBasis.Z,), "_z"), ("qft", 6, BASIS_ORDER, ""))
 TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (family, size, Z basis only)
@@ -173,12 +179,13 @@ def layers() -> dict:
     for fam, n in EDIT_CIRCUITS:
         ref = build_benchmark(fam, n)
         out[f"edit_{fam}{n}"] = (partial(edits, ref), {"gates": len(ref.gates), "edits": 4})
-    for fam, n, seed in INJECT_CIRCUITS:
+    for fam, n, seed, z_only in INJECT_CIRCUITS:
         ref = build_benchmark(fam, n)
-        ts = generate_suite(ref)
+        ts = suite_from_expected(expected_table(ref, True)) if z_only else generate_suite(ref)
         inject = partial(inject_faults, ref, seed, per_group=1, suite=ts)
-        out[f"inject_{fam}{n}"] = (inject, {"gates": len(ref.gates), "mutants": [r.description for r in inject()]})
-    fam, n, seed = INJECT_CIRCUITS[0]
+        facts = {"gates": len(ref.gates), "mutants": [r.description for r in inject()], "scored": scored(inject)}
+        out[f"inject_{fam}{n}{'_z' if z_only else ''}"] = (inject, facts)
+    fam, n, seed, _ = INJECT_CIRCUITS[0]
     ref = build_benchmark(fam, n)
     ts = generate_suite(ref)
     mutant = inject_faults(ref, seed, per_group=1, suite=ts)[0].mutant
@@ -233,6 +240,24 @@ def angle_trial(broken: Circuit, ts, patch: Patch):
         return next(edit_fitness(broken, ts, [edit], prefixes=cache)).value
 
     return partial(minimize_params, probe, patch.gate.param_count, budget)
+
+
+def scored(inject) -> int:
+    """The candidates one call of ``inject`` scores: the edits it hands to
+    ``edit_fitness``."""
+    real, edits_scored = patcher.edit_fitness, []
+
+    def counted(c, ts, edits, *args, **kwargs):
+        edits = list(edits)
+        edits_scored.extend(edits)
+        return real(c, ts, edits, *args, **kwargs)
+
+    patcher.edit_fitness = counted
+    try:
+        inject()
+    finally:
+        patcher.edit_fitness = real
+    return len(edits_scored)
 
 
 def h_kernel(q: int):

@@ -55,7 +55,7 @@ def main(argv=None):
         seed = args.seed if args.seed is not None else INJECTION_SEEDS[name]
         ref = build_benchmark(name, n)
         ts = generate_suite(ref)
-        for rec in inject_faults(ref, seed=seed, per_group=1):
+        for rec in inject_faults(ref, seed=seed, per_group=1, suite=ts):
             cfg = RepairConfig(budget_evals=args.budget_evals, iterations=args.iterations, seed=seed)
             qr, secs = run_one(repair, rec, ts, cfg)
             qrep_s += secs

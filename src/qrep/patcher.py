@@ -19,9 +19,12 @@ removals), one group per mutation operator. It enumerates nothing: an edit
 that gives the same gate sequence as an earlier one is recognised from its
 neighbouring gates (an add or removal next to an equal gate, a replace by
 the gate already there), so each slot loses at most one edit and a group is
-a list of per-slot counts. The injector maps the indices of a seeded
-permutation of each group to (slot, edit), scores each edit as it is drawn,
-and skips the edits the reference suite cannot distinguish.
+a list of per-slot counts: one closed-form total per group (every kind's
+qubit choices times its angles) less that edit. The injector maps the
+indices of a seeded permutation of each group to (slot, edit) and skips the
+edits the reference suite cannot distinguish. It draws in rounds, each group
+as many edits as it still lacks mutants, and scores a round's draws of all
+groups as one stream of edits, so they share stacked simulations.
 """
 from __future__ import annotations
 
@@ -236,31 +239,29 @@ def _grid_twin(kinds: list[GateKind], g: GateApp) -> _Edit | None:
 def _mutation_slots(c: Circuit, group: str, kinds: list[GateKind]) -> list[tuple[int, int, _Edit | None]]:
     """(position, count of distinct edits, the one edit left out) per slot of ``group``.
 
-    An add that copies the gate before it repeats the add before that gate, a
-    removal of a gate equal to the one before it repeats that removal, and a
-    replace by the gate already there gives the reference back; each slot
-    loses at most that one edit.
+    Every add or replace slot offers the same edits, each kind's qubit
+    choices over its angle grid, so a slot's count is that total, computed
+    once, less the edit that repeats a gate sequence: an add that copies the
+    gate before it repeats the add before that gate, and a replace by the
+    gate already there gives the reference back. A removal of a gate equal
+    to the one before it repeats that removal.
     """
     gates = c.gates
     if group == "remove":
         keys = [_gate_key(g.kind, g.qubits, g.params) for g in gates]
         return [(pos, int(pos == 0 or keys[pos - 1] != keys[pos]), None) for pos in range(len(gates))]
-    if group == "add":
-        twins = [None] + [_grid_twin(kinds, g) for g in gates]
-    elif group == "replace":  # a fixed gate's own replace is not in the slot at all
-        twins = [_grid_twin(kinds, g) if g.kind.param_count else None for g in gates]
-    else:
+    if group not in ("add", "replace"):
         raise ValueError(f"unknown mutation group {group!r}")
-    slots = []
-    for pos, twin in enumerate(twins):
-        size = sum(len(_slot_qubits(c, pos, group, k)) * len(_mutant_angles(k)) for k in kinds)
-        slots.append((pos, size - (twin is not None), twin))
-    return slots
+    twins = [_grid_twin(kinds, g) for g in gates]
+    if group == "add":
+        twins.insert(0, None)
+    total = sum(len(_qubit_choices(k, c.num_qubits)) * len(_mutant_angles(k)) for k in kinds)
+    return [(pos, total - (twin is not None), twin) for pos, twin in enumerate(twins)]
 
 
-def _slot_edit(c: Circuit, pos: int, group: str, kinds: list[GateKind], twin: _Edit | None, offset: int) -> _Edit:
+def _slot_edit(c: Circuit, kinds: list[GateKind], twin: _Edit | None, offset: int) -> _Edit:
     """The ``offset``-th distinct edit of a slot, in pool order."""
-    edits = ((k, qs, a) for k in kinds for qs in _slot_qubits(c, pos, group, k) for a in _mutant_angles(k))
+    edits = ((k, qs, a) for k in kinds for qs in _qubit_choices(k, c.num_qubits) for a in _mutant_angles(k))
     return next(islice((e for e in edits if e != twin), offset, None))
 
 
@@ -294,49 +295,42 @@ def inject_faults(
     a fixed angle grid; the remove group drops each gate once. Edits that
     give the reference or an earlier candidate's gate sequence are dropped
     by a per-slot rule on neighbouring gates (see :func:`_mutation_slots`),
-    so nothing is enumerated: a group is a list of per-slot counts. Each
-    group is shuffled by the seed, a drawn index is mapped to its slot and
-    edit, scored as that edit (:func:`edit_fitness`) and built as a mutant
-    only then, which draws a uniform without-replacement sample from the
-    non-equivalent subset.
+    so nothing is enumerated: a group is a list of per-slot counts, all
+    built before anything is scored. Each group is shuffled by the seed,
+    and a drawn index is mapped to its slot and edit, scored as that edit
+    (:func:`edit_fitness`) and built as a mutant only if the suite tells it
+    from the reference, which draws a uniform without-replacement sample
+    from the non-equivalent subset. The draws go in rounds: in each, every
+    group draws as many candidates as it still lacks mutants, which drawing
+    one at a time would score too, and the round's draws of all groups are
+    scored as one stream of edits, so they share stacked simulations.
     """
     if suite is None:
         suite = generate_suite(c)
     kinds = _patch_kinds(c, catalog)
+    # a group listed again repeats only sequences already seen
+    slots = [[] if group in groups[:gi] else _mutation_slots(c, group, kinds) for gi, group in enumerate(groups)]
+    ends = [list(accumulate(n for _, n, _ in s)) for s in slots]
+    sizes = [e[-1] if e else 0 for e in ends]
+    draws = [iter(np.random.default_rng([seed & (2**63 - 1), gi]).permutation(n)) for gi, n in enumerate(sizes)]
+    found: list[list[MutantRecord]] = [[] for _ in groups]
     prefixes = suite.prefixes(c)
-
-    records: list[MutantRecord] = []
-    any_candidates = False
-    for gi, group in enumerate(groups):
-        # a group listed again repeats only sequences already seen
-        slots = [] if group in groups[:gi] else _mutation_slots(c, group, kinds)
-        ends = list(accumulate(n for _, n, _ in slots))
-        size = ends[-1] if ends else 0
-        any_candidates = any_candidates or size > 0
-        rng = np.random.default_rng([seed & (2**63 - 1), gi])
-        found = 0
-        for idx in rng.permutation(size):
-            if found >= per_group:
-                break
-            si = bisect_right(ends, idx)
-            pos, n, twin = slots[si]
-            edit = None if group == "remove" else _slot_edit(c, pos, group, kinds, twin, idx - ends[si] + n)
-            score = next(edit_fitness(c, suite, [(pos, edit and GateApp(*edit), group != "add")], prefixes=prefixes))
+    # each round draws what each group lacks; zip ends at the range's end before drawing from d
+    while drawn := [(gi, i) for gi, d in enumerate(draws) for _, i in zip(range(per_group - len(found[gi])), d)]:
+        edits = []
+        for gi, idx in drawn:
+            si = bisect_right(ends[gi], idx)
+            pos, n, twin = slots[gi][si]
+            edit = None if groups[gi] == "remove" else _slot_edit(c, kinds, twin, idx - ends[gi][si] + n)
+            edits.append((gi, pos, edit))
+        stream = [(pos, edit and GateApp(*edit), groups[gi] != "add") for gi, pos, edit in edits]
+        for (gi, pos, edit), score in zip(edits, edit_fitness(c, suite, stream, prefixes=prefixes)):
             if score.failed_count == 0:
                 continue  # equivalent under the suite
-            m, desc, fault_pos = _build_mutant(c, group, pos, edit)
+            m, desc, fault_pos = _build_mutant(c, groups[gi], pos, edit)
             fault = gate_id(fault_pos, m.gates[fault_pos]) if m.gates else None
-            records.append(
-                MutantRecord(
-                    mutant=m,
-                    group=group,
-                    description=desc,
-                    fault_gate=fault,
-                    fitness_value=score.value,
-                    failed_count=score.failed_count,
-                )
-            )
-            found += 1
-    if per_group > 0 and any_candidates and not records:
+            found[gi].append(MutantRecord(m, groups[gi], desc, fault, score.value, score.failed_count))
+    records = [r for group_records in found for r in group_records]
+    if per_group > 0 and any(sizes) and not records:
         raise NoNonEquivalentMutantError("every candidate mutant passes the reference suite")
     return records

@@ -29,7 +29,8 @@ def test_every_bench_layer_runs_once(layers):
     assert {
         "gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "measure_qft4", "measure_qft4_z", "measure_qft6",
         "localize_grover3", "localize_qft4", "localize_dj6",
-        "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "parse_grover3", "report_grover3",
+        "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "inject_qft4_z",
+        "parse_grover3", "report_grover3",
         "suite_dj6", "suite_table_qft4", "suite_table_dj6", "suite_table_qft6", "trial_ry_wstate4",
         "trial_u_dj4", "repair_fixed_qft4",
     } <= set(layers)

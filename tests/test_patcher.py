@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_circuit
+from conftest import random_circuit, random_suite
 from hypothesis import given, settings, strategies as st
 from oracles import _MUTANT_ANGLES, cursor_order_uniform, eager_inject_faults, eager_order_uniform
 
+from qrep import patcher, testkit
 from qrep.benchmarks import build_benchmark, standard_catalog
 from qrep.circuit import GateApp, GateKind, build_circuit
 from qrep.errors import NoNonEquivalentMutantError
@@ -324,7 +325,7 @@ def test_inject_faults_equivalent_only_pool_raises():
 
 # ------------------------------------- injector against the eager reference
 
-# the corpus of scripts/run_benchmark.py and its injection seeds
+# the corpus of perfbench/workloads.py (CORPUS) and its injection seeds
 _CORPUS = [("ghz", 3, 2), ("dj", 4, 1), ("graphstate", 4, 4), ("wstate", 4, 0), ("qft", 4, 5), ("grover", 3, 3)]
 
 
@@ -340,14 +341,42 @@ def _outcome(fn, *args, **kwargs):
     ]
 
 
-def _assert_injectors_agree(ref, seed, catalog, per_groups=(1, 3), **kwargs) -> list:
-    suite = generate_suite(ref)
+def _scored_outcome(fn, *args, **kwargs):
+    """``fn``'s outcome, how many candidates it scored (the eager reference's
+    ``fitness`` calls, or the edits the injector hands to ``edit_fitness``),
+    and the number of edits in each of the injector's calls."""
+    scored, calls = [], []
+    real_fitness, real_edit_fitness = testkit.fitness, patcher.edit_fitness
+
+    def fitness(*a, **k):
+        scored.append(a[0])
+        return real_fitness(*a, **k)
+
+    def edit_fitness(c, ts, edits, *a, **k):
+        edits = list(edits)
+        scored.extend(edits)
+        calls.append(len(edits))
+        return real_edit_fitness(c, ts, edits, *a, **k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(testkit, "fitness", fitness)
+        mp.setattr(patcher, "edit_fitness", edit_fitness)
+        return _outcome(fn, *args, **kwargs), len(scored), calls
+
+
+def _assert_injectors_agree(ref, seed, catalog, per_groups=(1, 3), suite=None, **kwargs) -> list:
+    """Equal outcomes, and as many candidates scored by the injector as by
+    the eager reference; per ``per_group``, the outcome and the edits in
+    each of the injector's scoring calls."""
+    suite = generate_suite(ref) if suite is None else suite
     outcomes = []
     for per_group in per_groups:
-        want = _outcome(eager_inject_faults, ref, seed, per_group, catalog, suite=suite, **kwargs)
-        got = _outcome(inject_faults, ref, seed, per_group, catalog, suite=suite, **kwargs)
+        args = (ref, seed, per_group, catalog)
+        want, want_scored, _ = _scored_outcome(eager_inject_faults, *args, suite=suite, **kwargs)
+        got, got_scored, calls = _scored_outcome(inject_faults, *args, suite=suite, **kwargs)
         assert got == want, (seed, per_group, catalog, kwargs)
-        outcomes.append(got)
+        assert got_scored == want_scored, (seed, per_group, catalog, kwargs)
+        outcomes.append((got, calls))
     return outcomes
 
 
@@ -355,6 +384,29 @@ def _assert_injectors_agree(ref, seed, catalog, per_groups=(1, 3), **kwargs) -> 
 @pytest.mark.parametrize("family,n,seed", _CORPUS)
 def test_inject_faults_matches_eager_reference_on_corpus(family, n, seed, catalog):
     _assert_injectors_agree(build_benchmark(family, n), seed, catalog)
+
+
+@pytest.mark.parametrize("catalog", [DEFAULT_MUTATION_CATALOG, _PARAMETRIC_CATALOG])
+@pytest.mark.parametrize("kind", ["z", "sparse"])
+@pytest.mark.parametrize("family,n,seed", _CORPUS)
+def test_inject_faults_matches_eager_reference_on_partial_suites(family, n, seed, kind, catalog):
+    """Against the Z-basis table perfbench's cli-expected workload writes, or
+    a seeded sparse subset of the cases, many candidates pass the suite, so
+    a group that drew an equivalent one draws again in a later round."""
+    ref = build_benchmark(family, n)
+    suite = random_suite(ref, kind, np.random.default_rng(seed))
+    _assert_injectors_agree(ref, seed, catalog, per_groups=(1, 2, 3), suite=suite)
+
+
+def test_inject_faults_scores_a_round_in_one_call():
+    """Under qft4's Z-basis table the first round's draw of each of the
+    three groups is scored in one call, and the groups that drew an
+    equivalent candidate draw again in later rounds."""
+    ref = build_benchmark("qft", 4)
+    suite = random_suite(ref, "z", np.random.default_rng(0))
+    [(records, calls)] = _assert_injectors_agree(ref, 5, DEFAULT_MUTATION_CATALOG, per_groups=(1,), suite=suite)
+    assert len(records) == 3
+    assert calls[0] == 3 and len(calls) > 1
 
 
 @pytest.mark.parametrize("catalog", [DEFAULT_MUTATION_CATALOG, _PARAMETRIC_CATALOG])
@@ -388,7 +440,7 @@ def test_inject_faults_matches_eager_reference_on_edge_cases(ops, catalog, group
     ref = build_circuit(width, ops)
     for seed in range(3):
         outcomes = _assert_injectors_agree(ref, seed, catalog, groups=groups)
-        assert all(isinstance(o, tuple) == raises for o in outcomes)
+        assert all(isinstance(o, tuple) == raises for o, _ in outcomes)
 
 
 @settings(max_examples=25, deadline=None)
@@ -408,11 +460,18 @@ def test_inject_faults_matches_eager_reference_on_repeated_gates(seed, catalog):
     _assert_injectors_agree(ref, int(rng.integers(8)), catalog, per_groups=(2,))
 
 
+def test_inject_faults_takes_any_per_group(bell):
+    """A negative ``per_group`` draws nothing, and one past ``sys.maxsize``
+    draws every candidate, as the one-at-a-time draw does."""
+    _assert_injectors_agree(bell, 0, DEFAULT_MUTATION_CATALOG, per_groups=(-1, 2**63))
+
+
 def test_inject_faults_rejects_unknown_group_and_non_unitary_catalog(bell, monkeypatch):
-    with pytest.raises(ValueError, match="unknown mutation group 'swap'"):
-        inject_faults(bell, seed=0, per_group=1, groups=("add", "swap"))
     judged = []
     monkeypatch.setattr("qrep.patcher.edit_fitness", lambda *a, **k: judged.append(a))
+    with pytest.raises(ValueError, match="unknown mutation group 'swap'"):
+        inject_faults(bell, seed=0, per_group=1, groups=("add", "swap"))
+    assert judged == []
     with pytest.raises(ValueError, match="measure cannot be a patch gate"):
         inject_faults(bell, seed=0, per_group=1, catalog=("x", "measure"), groups=("remove",))
     assert judged == []
