@@ -3,8 +3,8 @@
     python scripts/bench.py --label change --out BENCH_8.json
     PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_8.json
 
-Layers: one ``h`` gate on the simulator's state of the full input batch at
-4 and 6 qubits, ``run_all_bases`` of qft8 (all 256 inputs, three bases;
+Layers: one ``h`` gate kernel on the middle qubit of the simulator's state
+of the full input batch at 4 and 6 qubits, ``run_all_bases`` of qft8 (all 256 inputs, three bases;
 its facts hold the ``tracemalloc`` peak of one qft10 ``run_all_bases`` over
 all 1,024 inputs), the measurement alone: ``run_all_bases`` of qft4 and
 qft6 over all inputs, resumed from a prefix cache that holds the whole
@@ -24,10 +24,10 @@ against its Z-basis table (``inject_qft4_z``, the suite perfbench's
 ``cli-expected`` setup judges mutants by, where most candidates pass and
 the draws repeat), each with the number of candidates it scores among its
 facts, and, for the first of the grover3 mutants, ``parse_qasm`` of its
-emitted source and the JSON text (``to_dict`` plus the encoder
-``cli._write_json`` uses) of one 50-evaluation repair report, and suite
-building: ``generate_suite`` of dj6, and ``suite_from_expected`` of
-expected tables as a JSON round trip gives
+emitted source and the JSON text (``to_dict`` through ``json.dumps`` with
+indent 2, as ``cli._write_json`` writes it) of one 50-evaluation repair
+report, and suite building: ``generate_suite`` of dj6, and
+``suite_from_expected`` of expected tables as a JSON round trip gives
 them: the Z-basis tables of qft4 (the table perfbench's ``cli-expected``
 workload writes) and dj6, and qft6's table of all three bases, and one
 parametric patch trial: ``minimize_params`` tuning, in 20 probes, the
@@ -67,7 +67,7 @@ import numpy as np
 import scipy
 
 import qrep
-from qrep import cli, patcher, simulator
+from qrep import patcher, simulator
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate, replace_gate
 from qrep.engine import RepairConfig, random_search, repair
@@ -136,9 +136,9 @@ def layers() -> dict:
     """name -> zero-argument call to time, plus the facts that pin its work."""
     out = {}
     for q in (4, 6):
-        # the simulator's own state tensor and h kernel, whatever their layout
+        # the simulator's own state tensor and kernel of an h on the middle qubit
         t = simulator.PrefixCache(Circuit(q), range(2**q))._start()
-        out[f"gate_1q_q{q}"] = (partial(h_kernel(q), t), {})
+        out[f"gate_1q_q{q}"] = (partial(simulator._kernel(GateApp(GateKind.H, (q // 2,)), q), t), {})
     qft8, qft10 = build_benchmark("qft", 8), build_benchmark("qft", 10)
     out["run_all_bases_qft8"] = (
         partial(simulator.run_all_bases, qft8, range(2**8)),
@@ -193,8 +193,7 @@ def layers() -> dict:
     out[f"parse_{fam}{n}"] = (partial(parse_qasm, text), {"gates": len(mutant.gates), "chars": len(text)})
     rep = repair(mutant, ts, RepairConfig(budget_evals=REPORT_BUDGET, seed=seed))
     facts = {"status": rep.status, "evals": rep.evals_used, "ranking_rows": len(rep.ranking)}
-    encode = report_encoder()
-    out[f"report_{fam}{n}"] = (lambda rep=rep, encode=encode: encode(rep.to_dict()), facts)
+    out[f"report_{fam}{n}"] = (lambda rep=rep: json.dumps(rep.to_dict(), indent=2), facts)
     dj6 = build_benchmark("dj", 6)
     out["suite_dj6"] = (partial(generate_suite, dj6), {"cases": len(generate_suite(dj6))})
     for fam, n, z_only in TABLE_CIRCUITS:
@@ -260,16 +259,6 @@ def scored(inject) -> int:
     return len(edits_scored)
 
 
-def h_kernel(q: int):
-    """An ``h`` on the middle qubit of a ``q``-qubit state, as the
-    simulator applies it: its gate kernel, or ``_apply_1q`` in checkouts
-    that predate kernels."""
-    h = GateApp(GateKind.H, (q // 2,))
-    if hasattr(simulator, "_kernel"):
-        return simulator._kernel(h, q)
-    return partial(simulator._apply_1q, m=simulator._H, qubit=q // 2, n=q)
-
-
 def peak_bytes(fn) -> int:
     """The ``tracemalloc`` peak of one call of ``fn``, over what was
     allocated before it."""
@@ -279,12 +268,6 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def report_encoder():
-    """The encoder ``cli._write_json`` uses: ``json.dumps`` with indent 2,
-    or ``cli.encode_json`` in the older checkouts that wrote reports with it."""
-    return getattr(cli, "encode_json", None) or partial(json.dumps, indent=2)
 
 
 def expected_table(ref, z_only: bool) -> dict:

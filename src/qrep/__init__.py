@@ -7,8 +7,8 @@ from .localizer import GateId, SuspiciousnessTable, localize
 from .optimizer import OptBudget
 from .patcher import Patch, generate_patches, inject_faults, order_uniform
 from .qasm import emit_qasm, parse_qasm
-from .simulator import Distribution, MeasBasis, run_all_bases, run_exact
-from .testkit import OracleConfig, TestSuite, fitness, generate_suite, hellinger
+from .simulator import Distribution, MeasBasis, run_all_bases
+from .testkit import OracleConfig, TestSuite, fitness, generate_suite
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "fitness",
     "generate_patches",
     "generate_suite",
-    "hellinger",
     "inject_faults",
     "localize",
     "order_uniform",
@@ -40,6 +39,5 @@ __all__ = [
     "random_search",
     "repair",
     "run_all_bases",
-    "run_exact",
     "__version__",
 ]

@@ -16,7 +16,7 @@ from .errors import GateIndexError, QubitIndexError
 
 
 class GateKind(Enum):
-    """Supported gate catalog. Value = (qasm name, qubit count, param count)."""
+    """The unitary gates. Value = (qasm name, qubit count, param count)."""
 
     ID = ("id", 1, 0)
     X = ("x", 1, 0)
@@ -38,8 +38,6 @@ class GateKind(Enum):
     CRZ = ("crz", 2, 1)
     SWAP = ("swap", 2, 0)
     CCX = ("ccx", 3, 0)
-    MEASURE = ("measure", 1, 0)
-    BARRIER = ("barrier", 0, 0)
 
     @property
     def gate_name(self) -> str:
@@ -52,10 +50,6 @@ class GateKind(Enum):
     @property
     def param_count(self) -> int:
         return self.value[2]
-
-    @property
-    def is_unitary(self) -> bool:
-        return self not in (GateKind.MEASURE, GateKind.BARRIER)
 
 
 GATE_BY_NAME: dict[str, GateKind] = {k.gate_name: k for k in GateKind}
@@ -70,8 +64,6 @@ class GateApp:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.kind.is_unitary:
-            raise ValueError(f"{self.kind.gate_name} cannot appear in the gate list")
         if len(self.qubits) != self.kind.num_qubits:
             raise QubitIndexError(
                 f"{self.kind.gate_name} expects {self.kind.num_qubits} qubits, got {len(self.qubits)}"

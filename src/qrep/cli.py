@@ -145,27 +145,24 @@ def _parse_fault_gate(text: str) -> GateId:
         ) from None
 
 
-_CATALOG_GATES = tuple(name for name, kind in GATE_BY_NAME.items() if kind.is_unitary)
-
-
 def _parse_catalog(text: str) -> tuple[str, ...]:
     names = tuple(n.strip() for n in text.split(",") if n.strip())
     if not names:
         raise argparse.ArgumentTypeError("catalog must name at least one gate")
     for name in names:
-        if name not in _CATALOG_GATES:
+        if name not in GATE_BY_NAME:
             raise argparse.ArgumentTypeError(
-                f"{name!r} is not a catalog gate; choose from {','.join(_CATALOG_GATES)}"
+                f"{name!r} is not a catalog gate; choose from {','.join(GATE_BY_NAME)}"
             )
     return names
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shots-mode", choices=("exact", "sampled"), default="exact")
+    p.add_argument("--shots-mode", choices=("exact", "sampled"), default=OracleConfig.mode)
     p.add_argument("--shots", type=_shot_count, default=None, help="override sampled-mode shot count")
     p.add_argument("--tau-fail", type=_positive_float, default=None, help="override the failure threshold")
-    p.add_argument("--eps-zero", type=_positive_float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps-zero", type=_positive_float, default=OracleConfig.eps_zero)
+    p.add_argument("--seed", type=int, default=OracleConfig.seed)
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -180,12 +177,12 @@ def _add_repair_flags(p: argparse.ArgumentParser) -> None:
     budget = p.add_mutually_exclusive_group(required=True)
     budget.add_argument("--budget-evals", type=_positive_int, default=None)
     budget.add_argument("--budget-seconds", type=_positive_float, default=None)
-    p.add_argument("--iterations", type=_positive_int, default=4)
-    p.add_argument("--opt-max-evals", type=_positive_int, default=20)
-    p.add_argument("--opt-tol", type=_positive_float, default=1e-3,
+    p.add_argument("--iterations", type=_positive_int, default=RepairConfig.iterations)
+    p.add_argument("--opt-max-evals", type=_positive_int, default=OptBudget.max_evals)
+    p.add_argument("--opt-tol", type=_positive_float, default=OptBudget.tolerance,
                    help=f"the angle search's final trust-region radius; a value below {TOL_FLOOR:g} acts "
                    f"as {TOL_FLOOR:g}, one above pi/2 as pi/2")
-    p.add_argument("--top-k", type=_positive_int, default=10)
+    p.add_argument("--top-k", type=_positive_int, default=RepairConfig.top_k)
     p.add_argument("--catalog", type=_parse_catalog, default=DEFAULT_PATCH_CATALOG)
     p.add_argument("--fault-gate", type=_parse_fault_gate, default=None,
                    help="ground-truth gate id like '2:cx:0-1' for rank metrics")

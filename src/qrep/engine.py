@@ -26,6 +26,7 @@ would be, so the reports are those of trying every edit alone, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -119,7 +120,10 @@ class Budget:
 
     @property
     def limit(self) -> float:
-        return float(self.max_evals if self.max_evals is not None else self.max_seconds)
+        if self.max_evals is None:
+            return float(self.max_seconds)
+        # a count too big for a float spends as the largest float does
+        return float(min(self.max_evals, sys.float_info.max))
 
     @property
     def spent(self) -> float:

@@ -76,16 +76,6 @@ def apply_patch(c: Circuit, p: Patch, params: tuple[float, ...] | None = None) -
     raise ValueError(f"unknown patch kind {p.kind!r}")
 
 
-def revert_patch(edited: Circuit, p: Patch, original: Circuit) -> Circuit:
-    """Undo ``p`` on its edited result, restoring ``original`` exactly."""
-    if p.kind == "add":
-        return remove_gate(edited, p.position)
-    if p.kind == "replace":
-        g = original.gates[p.position]
-        return replace_gate(edited, p.position, g)
-    raise ValueError(f"unknown patch kind {p.kind!r}")
-
-
 @cache
 def _qubit_choices(kind: GateKind, num_qubits: int) -> tuple[tuple[int, ...], ...]:
     return tuple(permutations(range(num_qubits), kind.num_qubits))
@@ -99,9 +89,10 @@ def _anchor(c: Circuit, pos: int) -> GateId | None:
 
 def _patch_kinds(c: Circuit, catalog: tuple[str, ...]) -> list[GateKind]:
     """The catalog's gate kinds that fit ``c``, each once, in catalog order."""
-    kinds = [GATE_BY_NAME[name] for name in dict.fromkeys(catalog)]
-    if bad := [k.gate_name for k in kinds if not k.is_unitary]:
-        raise ValueError(f"{bad[0]} cannot be a patch gate")
+    try:
+        kinds = [GATE_BY_NAME[name] for name in dict.fromkeys(catalog)]
+    except KeyError as e:
+        raise ValueError(f"{e.args[0]!r} is not a gate") from None
     return [k for k in kinds if k.num_qubits <= c.num_qubits]
 
 

@@ -164,7 +164,7 @@ class _Parser:
     def parse_gate(self, name: str, at: int, qreg: tuple[str, int] | None) -> list[GateApp]:
         """The applications of one gate statement whose name is at offset ``at``."""
         kind = GATE_BY_NAME.get(name)
-        if kind is None or not kind.is_unitary:
+        if kind is None:
             raise self.error(f"unsupported gate {name!r}", cls=UnsupportedGateError)
         if qreg is None:
             raise self.error("gate before qreg declaration")

@@ -165,7 +165,7 @@ def _narrowed(m: np.ndarray) -> np.ndarray:
 _FIXED_1Q = {
     kind: _narrowed(_matrix_1q(kind, ()))
     for kind in GateKind
-    if kind.is_unitary and kind.num_qubits == 1 and not kind.param_count
+    if kind.num_qubits == 1 and not kind.param_count
 }
 
 
@@ -472,7 +472,7 @@ def run_all_bases(
     is kept. The state comes from one path, :func:`_staircase` over the
     cache's kernels: ``c`` alone joins it after its last gate, and each
     edit at its own step. A row does not depend on the batch or the block
-    it is computed in, so :func:`run_exact` agrees bit for bit with a
+    it is computed in, so one input run alone agrees bit for bit with a
     suite, and a circuit's edits stacked on a block axis with each edited
     circuit alone.
 
@@ -500,11 +500,6 @@ def run_all_bases(
     for lo in range(0, len(bases), step):
         _measure(t, bases[lo : lo + step], n, out[lo : lo + step])
     return out[:, 0] if edits is None else out.transpose(1, 0, 2, 3)
-
-
-def run_exact(c: Circuit, input_state: int, basis: MeasBasis = MeasBasis.Z) -> Distribution:
-    """Born-rule outcome probabilities for |input_state> under ``c`` in ``basis``."""
-    return Distribution(c.num_qubits, run_all_bases(c, [input_state], bases=(basis,))[0, 0])
 
 
 # the largest draw count numpy's multinomial takes (a C long)

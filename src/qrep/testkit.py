@@ -35,7 +35,7 @@ from .simulator import (
 
 DEFAULT_TAU_FAIL = 0.1
 DEFAULT_EPS_ZERO = 1e-9
-DEFAULT_MAX_SUITE_QUBITS = 16
+MAX_SUITE_QUBITS = 16
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,11 @@ def parse_case_id(cid: str) -> tuple[MeasBasis, int, int]:
     raise ExpectedTableError(f"bad test-case id {cid!r}; expected like 'Z:0010'")
 
 
-def generate_suite(
-    reference: Circuit, max_qubits: int = DEFAULT_MAX_SUITE_QUBITS
-) -> TestSuite:
+def generate_suite(reference: Circuit) -> TestSuite:
     """All-inputs x all-bases suite with expected distributions from ``reference``."""
     q = reference.num_qubits
-    if q > max_qubits:
-        raise SuiteTooWideError(f"{q} qubits would need {3 * 2**q} test cases (max {max_qubits} qubits)")
+    if q > MAX_SUITE_QUBITS:
+        raise SuiteTooWideError(f"{q} qubits would need {3 * 2**q} test cases (max {MAX_SUITE_QUBITS} qubits)")
     # input-major with the bases in BASIS_ORDER, the order fitness sums in
     n = len(BASIS_ORDER)
     probs = run_all_bases(reference, range(2**q)).transpose(1, 0, 2).reshape(-1, 2**q)
@@ -236,8 +234,8 @@ def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
     try:
         for cid in ids:
             basis, input_state, q = parse_case_id(cid)
-            if q > DEFAULT_MAX_SUITE_QUBITS:
-                raise SuiteTooWideError(f"case {cid!r} has {q} qubits (max {DEFAULT_MAX_SUITE_QUBITS})")
+            if q > MAX_SUITE_QUBITS:
+                raise SuiteTooWideError(f"case {cid!r} has {q} qubits (max {MAX_SUITE_QUBITS})")
             if width is None:
                 width = q
             elif q != width:
@@ -264,15 +262,6 @@ def suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSuite:
     # its reference
     order = np.lexsort((bases, inputs))
     return TestSuite(width, np.array(bases)[order], np.array(inputs)[order], rows[order])
-
-
-def hellinger(p: Distribution, q: Distribution) -> float:
-    """(1/sqrt(2)) * ||sqrt(p) - sqrt(q)||_2, clamped to [0, 1]."""
-    if p.num_qubits != q.num_qubits:
-        raise WidthMismatchError(f"{p.num_qubits} vs {q.num_qubits} qubits")
-    diff = np.sqrt(p.probs) - np.sqrt(q.probs)
-    h = math.sqrt(float(np.dot(diff, diff))) / math.sqrt(2.0)
-    return min(max(h, 0.0), 1.0)
 
 
 def _case_seed(master: int, index: int) -> int:
@@ -350,7 +339,7 @@ def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[Fitn
     wrong = ((observed > cfg.eps_zero) & ts.ruled_out(cfg.eps_zero)[None]).any(axis=2)
     diff = np.sqrt(observed) - ts.sqrt_expected[None]
     # a stack of (1 x n) @ (n x 1) products runs numpy's dot loop, so each
-    # distance is rounded exactly as hellinger()'s np.dot rounds it
+    # distance is rounded exactly as one np.dot of the two rows rounds it
     sq = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
     h = np.minimum(np.sqrt(sq) / math.sqrt(2.0), 1.0)
     failed = wrong | (h > cfg.resolve_tau(ts.num_qubits))

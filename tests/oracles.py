@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qrep.circuit import GATE_BY_NAME, Circuit, GateApp
+from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, remove_gate, replace_gate
 from qrep.errors import (
     ExpectedTableError,
     QasmSyntaxError,
@@ -28,12 +28,11 @@ from qrep.qasm import _MAX_EXPR_DEPTH, _RESERVED_FEATURES
 from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, sample_frequencies
 from qrep.testkit import (
     DEFAULT_EPS_ZERO,
-    DEFAULT_MAX_SUITE_QUBITS,
+    MAX_SUITE_QUBITS,
     DEFAULT_TAU_FAIL,
     TestCase,
     TestSuite,
     case_id,
-    hellinger,
     parse_case_id,
 )
 
@@ -185,6 +184,15 @@ def hellinger_ref(p: np.ndarray, q: np.ndarray) -> float:
 #
 # The two rules judged one case at a time, on Distributions: the reference
 # that testkit's array scoring of every case at once is tested against.
+
+def hellinger(p: Distribution, q: Distribution) -> float:
+    """(1/sqrt(2)) * ||sqrt(p) - sqrt(q)||_2, clamped to [0, 1]."""
+    if p.num_qubits != q.num_qubits:
+        raise WidthMismatchError(f"{p.num_qubits} vs {q.num_qubits} qubits")
+    diff = np.sqrt(p.probs) - np.sqrt(q.probs)
+    h = math.sqrt(float(np.dot(diff, diff))) / math.sqrt(2.0)
+    return min(max(h, 0.0), 1.0)
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -841,7 +849,7 @@ def token_loop_parse_qasm(text: str) -> Circuit:
 
         else:
             # gate application
-            if tok.val not in GATE_BY_NAME or not GATE_BY_NAME[tok.val].is_unitary:
+            if tok.val not in GATE_BY_NAME:
                 raise UnsupportedGateError(f"unsupported gate {tok.val!r}", tok.line, tok.col)
             kind = GATE_BY_NAME[tok.val]
             if qreg is None:
@@ -1016,8 +1024,8 @@ def looped_suite_from_expected(expected: dict[str, dict[str, float]]) -> TestSui
     width = None
     for cid in sorted(expected):
         basis, input_state, q = split_case_id(cid)
-        if q > DEFAULT_MAX_SUITE_QUBITS:
-            raise SuiteTooWideError(f"case {cid!r} has {q} qubits (max {DEFAULT_MAX_SUITE_QUBITS})")
+        if q > MAX_SUITE_QUBITS:
+            raise SuiteTooWideError(f"case {cid!r} has {q} qubits (max {MAX_SUITE_QUBITS})")
         if width is None:
             width = q
         elif q != width:
@@ -1053,6 +1061,20 @@ def load_outcome(loader, table):
 # ------------------------------------------------------ test-only helpers
 #
 # Used only by tests, so they live here rather than in the package.
+
+
+def run_exact(c: Circuit, input_state: int, basis: MeasBasis = MeasBasis.Z) -> Distribution:
+    """Born-rule outcome probabilities for |input_state> under ``c`` in ``basis``."""
+    return Distribution(c.num_qubits, run_all_bases(c, [input_state], bases=(basis,))[0, 0])
+
+
+def revert_patch(edited: Circuit, p, original: Circuit) -> Circuit:
+    """Undo the patch ``p`` on its edited result, restoring ``original`` exactly."""
+    if p.kind == "add":
+        return remove_gate(edited, p.position)
+    if p.kind == "replace":
+        return replace_gate(edited, p.position, original.gates[p.position])
+    raise ValueError(f"unknown patch kind {p.kind!r}")
 
 
 def distribution_from_dict(num_qubits: int, probs: dict[str, float]) -> Distribution:

@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from conftest import RANDOM_KINDS, random_circuit
-from oracles import dense_probs
+from oracles import dense_probs, hellinger, revert_patch, run_exact
 from qrep.benchmarks import build_benchmark, standard_catalog
 from qrep.circuit import GateKind, build_circuit
 from qrep.cli import EXIT_OK, main
 from qrep.engine import STATUS_NOT_FIXED, STATUS_REPAIRED, RepairConfig, random_search, repair
 from qrep.localizer import localize
-from qrep.patcher import apply_patch, generate_patches, inject_faults, revert_patch
+from qrep.patcher import apply_patch, generate_patches, inject_faults
 from qrep.qasm import emit_qasm
-from qrep.simulator import MeasBasis, run_exact
-from qrep.testkit import fitness, generate_suite, hellinger, suite_from_expected
+from qrep.simulator import MeasBasis
+from qrep.testkit import fitness, generate_suite, suite_from_expected
 
 # one injection seed per algorithm; chosen so the corpus exercises both
 # outcomes (14 repaired, 4 honestly unrepairable under the default catalog)
@@ -61,8 +61,6 @@ def test_criterion_1_simulator_matches_dense_oracle():
     # every catalog gate appears in at least one directly checked circuit
     rng = np.random.default_rng(1905)
     for kind in GateKind:
-        if not kind.is_unitary:
-            continue
         q = max(2, kind.num_qubits)
         ops = [("h", (i,)) for i in range(q)]
         params = tuple(rng.uniform(0, 2 * math.pi, kind.param_count))
@@ -97,6 +95,19 @@ def test_criterion_2_hellinger_unit_values():
     assert hellinger(p_half, p_half) == 0.0
     assert hellinger(p_zero, p_one) == 1.0
     assert hellinger(p_half, p_zero) == pytest.approx(0.5411961, abs=1e-6)
+
+    # the same three values through fitness, the path every evaluation runs:
+    # a circuit whose Z output is the first distribution, scored on a one-case
+    # suite expecting the second
+    h, empty = build_circuit(1, [("h", 0)]), build_circuit(1, [])
+
+    def distance(c, expected):
+        return fitness(c, suite_from_expected({"Z:0": expected})).hellinger_sum
+
+    assert distance(h, {"0": 0.5, "1": 0.5}) == 0.0
+    assert distance(empty, {"1": 1.0}) == 1.0
+    assert distance(h, {"0": 1.0}) == pytest.approx(0.5411961, abs=1e-6)
+    assert distance(h, {"0": 1.0}) == hellinger(p_half, p_zero)
 
 
 # 3 ------------------------------------------------------------------------

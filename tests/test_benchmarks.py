@@ -1,9 +1,8 @@
 """Reference-circuit builders: structure and measured behavior."""
 import pytest
 
-from oracles import gate_names
+from oracles import gate_names, run_exact
 from qrep.benchmarks import BENCHMARKS, build_benchmark, standard_catalog
-from qrep.simulator import run_exact
 
 
 def zdist(c):

@@ -5,10 +5,11 @@ import pytest
 
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, replace_gate
-from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, build_parser, main
+from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, _config_from_args, _oracle_from_args, build_parser, main
+from qrep.engine import RepairConfig
 from qrep.patcher import inject_faults
 from qrep.qasm import emit_qasm
-from qrep.testkit import generate_suite
+from qrep.testkit import OracleConfig, generate_suite
 
 
 @pytest.fixture()
@@ -308,16 +309,21 @@ def test_baseline_rs_mirrors_repair(circuits, tmp_path):
     assert report["evals_used"] <= 2000
 
 
-@pytest.mark.parametrize("sub", ["repair", "baseline-rs"])
-def test_count_budget_beyond_sys_maxsize_ends_in_a_report(circuits, tmp_path, sub):
-    # 10**30 is above sys.maxsize, which no islice or slice can take as a bound
+@pytest.mark.parametrize(
+    "sub, zeros",
+    [("repair", 30), ("baseline-rs", 30), ("repair", 400), ("baseline-rs", 400)],
+    ids=["repair", "baseline-rs", "repair-10**400", "baseline-rs-10**400"],
+)
+def test_count_budget_beyond_sys_maxsize_ends_in_a_report(circuits, tmp_path, sub, zeros):
+    # both budgets are above sys.maxsize, which no islice or slice can take as a
+    # bound, and 10**400 is above the largest float too
     out = tmp_path / "report.json"
     code = run([
         sub, "--circuit", circuits["hard"], "--reference", circuits["ref"],
-        "--budget-evals", "1" + "0" * 30, "--out", str(out),
+        "--budget-evals", "1" + "0" * zeros, "--out", str(out),
     ])
     report = json.loads(out.read_text())
-    assert report["manifest"]["config"]["budget_evals"] == 10**30
+    assert report["manifest"]["config"]["budget_evals"] == 10**zeros
     assert code == (EXIT_OK if report["status"] == "Repaired" else EXIT_NOT_FIXED)
 
 
@@ -367,6 +373,14 @@ def test_missing_subcommand_is_exactly_one_line(capsys):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_bare_flags_parse_to_the_config_defaults():
+    inputs = ["--circuit", "bad.qasm", "--reference", "good.qasm"]
+    for sub in ("repair", "baseline-rs"):
+        args = build_parser().parse_args([sub, *inputs, "--budget-evals", "7"])
+        assert _config_from_args(args) == RepairConfig(budget_evals=7)
+    assert _oracle_from_args(build_parser().parse_args(["localize", *inputs])) == OracleConfig()
 
 
 @pytest.mark.parametrize("flag,printed", [("--version", "qrep "), ("--help", "usage: qrep")])

@@ -299,9 +299,10 @@ def test_budget_exactness_sweep(bell, bell_suite):
 
 
 @pytest.mark.parametrize("search", [repair, random_search])
-@pytest.mark.parametrize("budget", [2**63 + 1, 10**30], ids=["2**63+1", "10**30"])
+@pytest.mark.parametrize("budget", [2**63 + 1, 10**30, 10**400], ids=["2**63+1", "10**30", "10**400"])
 def test_count_budget_beyond_sys_maxsize_runs_as_the_largest_index_does(bell, bell_suite, search, budget):
-    # both budgets are above sys.maxsize, which no islice or slice can take as a bound
+    # every budget is above sys.maxsize, which no islice or slice can take as a
+    # bound, and 10**400 is above the largest float too
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
     want = search(broken, bell_suite, cfg_evals(2**63 - 1)).to_dict()
     got = search(broken, bell_suite, cfg_evals(budget)).to_dict()
@@ -672,7 +673,7 @@ def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind,
     c = random_circuit(rng, q, int(rng.integers(0, 9 if q < 5 else 6)))
     ts = random_suite(c, suite_kind, rng)
     oracle = OracleConfig(mode="sampled", seed=seed) if sampled else OracleConfig()
-    kinds = [k for k in GateKind if k.is_unitary and k.param_count and k.num_qubits <= q]
+    kinds = [k for k in GateKind if k.param_count and k.num_qubits <= q]
     slots = [("add", pos) for pos in range(len(c.gates) + 1)] + [("replace", pos) for pos in range(len(c.gates))]
     patches = [
         Patch(kind, pos, k, tuple(int(b) for b in rng.permutation(q)[: k.num_qubits]))
@@ -780,7 +781,7 @@ def test_stacked_runs_match_one_patch_at_a_time(seed, q, chunk, budget, iteratio
         c = insert_gate(c, int(rng.integers(len(c.gates) + 1)), random_circuit(rng, q, 1).gates[0])
     ts = generate_suite(ref)
     assume(not fitness(c, ts).all_passed())
-    names = [k.gate_name for k in GateKind if k.is_unitary and k.num_qubits <= q]
+    names = [k.gate_name for k in GateKind if k.num_qubits <= q]
     catalog = tuple(rng.choice(names, size=int(rng.integers(1, 6)), replace=False).tolist())
     cfg = cfg_evals(budget, iterations=iterations, seed=seed, patch_catalog=catalog, opt=OptBudget(max_evals=3))
     with pytest.MonkeyPatch.context() as mp:

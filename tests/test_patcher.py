@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_circuit, random_suite
 from hypothesis import given, settings, strategies as st
-from oracles import _MUTANT_ANGLES, cursor_order_uniform, eager_inject_faults, eager_order_uniform
+from oracles import _MUTANT_ANGLES, cursor_order_uniform, eager_inject_faults, eager_order_uniform, revert_patch
 
 from qrep import patcher, testkit
 from qrep.benchmarks import build_benchmark, standard_catalog
@@ -23,7 +23,6 @@ from qrep.patcher import (
     inject_faults,
     order_uniform,
     prune_to_gates,
-    revert_patch,
 )
 from qrep.testkit import fitness, generate_suite
 
@@ -68,6 +67,13 @@ def test_pool_rejects_non_unitary_catalog():
     c = build_circuit(1, [("h", 0)])
     with pytest.raises(ValueError):
         generate_patches(c, catalog=("measure",))
+
+
+def test_unknown_catalog_name_is_a_value_error_naming_it(bell):
+    with pytest.raises(ValueError, match="'foo' is not a gate"):
+        generate_patches(bell, ("foo",))
+    with pytest.raises(ValueError, match="'foo' is not a gate"):
+        inject_faults(bell, seed=0, per_group=1, catalog=("foo",))
 
 
 def test_add_anchors_point_at_displaced_gate():
@@ -168,7 +174,7 @@ def test_order_uniform_matches_cursor_reference():
                 assert list(q) == want
 
 
-_UNITARY_NAMES = [k.gate_name for k in GateKind if k.is_unitary]
+_GATE_NAMES = [k.gate_name for k in GateKind]
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,12 +182,12 @@ _UNITARY_NAMES = [k.gate_name for k in GateKind if k.is_unitary]
 def test_counted_queue_matches_eager_pool(seed, q):
     """The queue counts its slots rather than enumerating their qubit
     choices, and builds each position's anchor once: over random circuits
-    and catalogs of every unitary kind (``id``, ``u``, ``cp``, ``crz`` and
+    and catalogs of every gate kind (``id``, ``u``, ``cp``, ``crz`` and
     ``ccx`` among them), each slot's count is its patches in the pool, and
     the queue pops the eager pool order, pruned copies included."""
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, q, int(rng.integers(0, 9)))
-    catalog = tuple(rng.choice(_UNITARY_NAMES, size=int(rng.integers(1, len(_UNITARY_NAMES) + 1))).tolist())
+    catalog = tuple(rng.choice(_GATE_NAMES, size=int(rng.integers(1, len(_GATE_NAMES) + 1))).tolist())
     pool = generate_patches(c, catalog)
     queue = order_uniform(c, catalog)
     assert {s: n for s, n in queue.counts.items() if n} == Counter((p.position, p.kind) for p in pool)
@@ -472,6 +478,6 @@ def test_inject_faults_rejects_unknown_group_and_non_unitary_catalog(bell, monke
     with pytest.raises(ValueError, match="unknown mutation group 'swap'"):
         inject_faults(bell, seed=0, per_group=1, groups=("add", "swap"))
     assert judged == []
-    with pytest.raises(ValueError, match="measure cannot be a patch gate"):
+    with pytest.raises(ValueError, match="'measure' is not a gate"):
         inject_faults(bell, seed=0, per_group=1, catalog=("x", "measure"), groups=("remove",))
     assert judged == []

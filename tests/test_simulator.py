@@ -14,6 +14,7 @@ from oracles import (
     distribution_from_dict,
     distributions_allclose,
     gate_matrix,
+    run_exact,
     sample,
     stacked_run_all_bases,
 )
@@ -28,7 +29,6 @@ from qrep.simulator import (
     PrefixCache,
     default_shots,
     run_all_bases,
-    run_exact,
     sample_frequencies,
 )
 

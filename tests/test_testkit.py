@@ -10,12 +10,14 @@ from hypothesis import given, strategies as st
 
 from conftest import random_circuit
 from oracles import (
+    hellinger,
     hellinger_ref,
     judge,
     load_outcome,
     looped_suite_from_expected,
     per_case_generate_suite,
     per_case_suite_from_expected,
+    run_exact,
     sample,
 )
 from qrep import cli, testkit
@@ -26,7 +28,7 @@ from qrep.errors import ExpectedTableError, NoFailingTestError, SuiteTooWideErro
 from qrep.localizer import localize
 from qrep.patcher import inject_faults
 from qrep.qasm import emit_qasm
-from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, run_exact
+from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases
 from qrep.testkit import (
     OracleConfig,
     _case_seed,
@@ -35,7 +37,6 @@ from qrep.testkit import (
     edit_fitness,
     fitness,
     generate_suite,
-    hellinger,
     parse_case_id,
     require_failing,
     suite_from_expected,
@@ -116,9 +117,10 @@ def test_parse_case_id_rejects_garbage():
 
 
 def test_suite_width_guard():
-    wide = build_circuit(3, [("h", 0)])
+    # rejected before any state is allocated: a 17-qubit suite would hold 3 * 2**34 probabilities
+    wide = build_circuit(17, [("h", 0)])
     with pytest.raises(SuiteTooWideError):
-        generate_suite(wide, max_qubits=2)
+        generate_suite(wide)
 
 
 def test_suite_from_expected_map():
