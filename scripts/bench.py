@@ -235,8 +235,7 @@ def angle_trial(broken: Circuit, ts, patch: Patch):
     cache, budget = ts.prefixes(broken), OptBudget(max_evals=TRIAL_PROBES)
 
     def probe(angles) -> float:
-        edit = (patch.position, GateApp(patch.gate, patch.qubits, tuple(angles)), patch.kind == "replace")
-        return next(edit_fitness(broken, ts, [edit], prefixes=cache)).value
+        return next(edit_fitness(broken, ts, [patch.edit(angles)], prefixes=cache)).value
 
     return partial(minimize_params, probe, patch.gate.param_count, budget)
 

@@ -4,12 +4,13 @@ A circuit is an ordered tuple of unitary gate applications over one quantum
 register, plus a qubit -> classical-bit measurement map. Measurements and
 barriers never appear in the gate tuple, so a gate's position, its index
 there, counts exactly the repairable gates. All values are immutable; an
-edit slices the gate tuple around the one gate it adds or replaces.
+edit slices the gate tuple around the gate it adds or replaces into a new
+``Circuit``, which checks the qubits of its gates (:func:`check_qubits`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import GateIndexError, QubitIndexError
@@ -97,7 +98,7 @@ class Circuit:
         if self.num_clbits < 0:
             raise ValueError("negative classical register size")
         for g in self.gates:
-            _check_qubits(g, self.num_qubits)
+            check_qubits(g, self.num_qubits)
         for q, c in self.measurements.items():
             if not 0 <= q < self.num_qubits:
                 raise QubitIndexError(f"measured qubit {q} does not exist")
@@ -108,40 +109,32 @@ class Circuit:
         return len(self.gates)
 
 
-def _check_qubits(g: GateApp, num_qubits: int) -> None:
+def check_qubits(g: GateApp, num_qubits: int) -> None:
+    """The rule of every gate of a circuit: each qubit it names is one of ``num_qubits``."""
     for q in g.qubits:
         if not 0 <= q < num_qubits:
             raise QubitIndexError(f"qubit {q} out of range for {num_qubits}-qubit circuit")
-
-
-def _with_gates(c: Circuit, gates: tuple[GateApp, ...]) -> Circuit:
-    """``c`` with ``gates``; only an edit calls it, after checking the gate it adds."""
-    out = object.__new__(Circuit)
-    out.__dict__.update(c.__dict__, gates=gates)
-    return out
 
 
 def remove_gate(c: Circuit, pos: int) -> Circuit:
     """Copy of ``c`` without the gate at ``pos``; later positions shift down."""
     if not 0 <= pos < len(c.gates):
         raise GateIndexError(f"position {pos} out of range for {len(c.gates)} gates")
-    return _with_gates(c, c.gates[:pos] + c.gates[pos + 1 :])
+    return replace(c, gates=c.gates[:pos] + c.gates[pos + 1 :])
 
 
 def insert_gate(c: Circuit, pos: int, g: GateApp) -> Circuit:
     """Copy of ``c`` with ``g`` inserted before position ``pos`` (append at len)."""
     if not 0 <= pos <= len(c.gates):
         raise GateIndexError(f"insert position {pos} out of range for {len(c.gates)} gates")
-    _check_qubits(g, c.num_qubits)
-    return _with_gates(c, c.gates[:pos] + (g,) + c.gates[pos:])
+    return replace(c, gates=c.gates[:pos] + (g,) + c.gates[pos:])
 
 
 def replace_gate(c: Circuit, pos: int, g: GateApp) -> Circuit:
     """Copy of ``c`` with the gate at ``pos`` swapped for ``g``."""
     if not 0 <= pos < len(c.gates):
         raise GateIndexError(f"position {pos} out of range for {len(c.gates)} gates")
-    _check_qubits(g, c.num_qubits)
-    return _with_gates(c, c.gates[:pos] + (g,) + c.gates[pos + 1 :])
+    return replace(c, gates=c.gates[:pos] + (g,) + c.gates[pos + 1 :])
 
 
 def build_circuit(

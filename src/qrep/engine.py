@@ -79,7 +79,7 @@ class RepairConfig:
             raise ValueError("set exactly one of budget_evals / budget_seconds")
         if self.budget_evals is not None and self.budget_evals < 1:
             raise ValueError("budget_evals must be >= 1")
-        if self.budget_seconds is not None and self.budget_seconds <= 0:
+        if self.budget_seconds is not None and not self.budget_seconds > 0:  # NaN fails too
             raise ValueError("budget_seconds must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -228,41 +228,37 @@ class _Run:
 
     # -- patch trials ------------------------------------------------------
 
-    def settle(self, patch: Patch, params: tuple[float, ...], value: float, repaired: Circuit | None) -> float:
+    def settle(self, patch: Patch, params: tuple[float, ...], score: FitnessScore) -> float:
         """End the trial of ``patch``, whose best probe (the passing one,
-        on a repair) took ``params`` and scored ``value``: record it once,
-        then raise _FullPass with ``repaired`` when a probe passed, else
-        credit the fitness gained over the baseline to the anchor gate."""
-        self.record(patch.kind, patch.position, patch.gate.gate_name, patch.qubits, params, value)
-        if repaired is not None:
-            raise _FullPass(repaired)
+        on a repair) took ``params`` and scored ``score``: record it once,
+        then raise _FullPass with ``c_init`` patched (:func:`apply_patch`)
+        if it passed, else credit the gain over the baseline to the anchor."""
+        self.record(patch.kind, patch.position, patch.gate.gate_name, patch.qubits, params, score.value)
+        if score.all_passed():
+            raise _FullPass(apply_patch(self.c_init, patch, params))
         if patch.anchor in self.table.scores:
-            self.table.add(patch.anchor, self.baseline.value - value)
-        return value
+            self.table.add(patch.anchor, self.baseline.value - score.value)
+        return score.value
 
     def try_patch(self, patch: Patch, rng: np.random.Generator | None = None) -> float:
         """Best fitness achieved by the parametric ``patch``, settled as
-        :meth:`settle` says; each probe is the patch's edit of ``c_init``
-        with the probe's angles, drawn through :meth:`scored`.
+        :meth:`settle` says, and a passing probe as it is scored; each probe
+        is :meth:`Patch.edit` of ``c_init`` at its angles, drawn through :meth:`scored`.
 
         Raises _FullPass on a repair, and BudgetExhaustedError when the
         budget runs out mid-trial; both propagate through the solver. A
         trial cut short records its best probe, if any. The angles come
         from COBYLA, or, given ``rng`` (random search), from ``max_evals``
         uniform draws."""
-        best_value = math.inf
-        best_params: tuple[float, ...] = ()
-        repaired = None
+        best: tuple[tuple[float, ...], FitnessScore] | None = None
 
         def objective(params: tuple[float, ...]) -> float:
-            nonlocal best_value, best_params
-            edit = (patch.position, GateApp(patch.gate, patch.qubits, params), patch.kind == "replace")
-            score = next(self.scored([edit]))
-            passed = score.all_passed()
-            if passed or score.value < best_value:
-                best_value, best_params = score.value, params
-            if passed:
-                raise _FullPass(apply_patch(self.c_init, patch, params))
+            nonlocal best
+            score = next(self.scored([patch.edit(params)]))
+            if score.all_passed():
+                self.settle(patch, params, score)
+            if best is None or score.value < best[1].value:
+                best = params, score
             return score.value
 
         try:
@@ -271,13 +267,11 @@ class _Run:
             else:
                 for _ in range(self.cfg.opt.max_evals):
                     objective(tuple(rng.uniform(0.0, 2.0 * math.pi, patch.gate.param_count).tolist()))
-        except _FullPass as fp:
-            repaired = fp.circuit
         except BudgetExhaustedError:
-            if best_value < math.inf:
-                self.record(patch.kind, patch.position, patch.gate.gate_name, patch.qubits, best_params, best_value)
+            if best is not None:
+                self.record(patch.kind, patch.position, patch.gate.gate_name, patch.qubits, best[0], best[1].value)
             raise
-        return self.settle(patch, best_params, best_value, repaired)
+        return self.settle(patch, *best)
 
     def try_run(self, first: Patch, queue: PatchQueue | deque[Patch], mark: float) -> Patch | None:
         """Score the fixed patch ``first`` and the fixed patches popped
@@ -299,10 +293,8 @@ class _Run:
                 nxt = p
             else:
                 run.append(p)
-        edits = ((p.position, GateApp(p.gate, p.qubits), p.kind == "replace") for p in run)
-        for patch, score in zip(run, self.scored(edits)):
-            repaired = apply_patch(self.c_init, patch) if score.all_passed() else None
-            self.settle(patch, (), score.value, repaired)
+        for patch, score in zip(run, self.scored(p.edit() for p in run)):
+            self.settle(patch, (), score)
         return nxt
 
     def consume(self, queue: PatchQueue | deque[Patch], mark: float, rng: np.random.Generator | None = None) -> None:

@@ -65,15 +65,18 @@ class Patch:
     def is_parametric(self) -> bool:
         return self.gate.param_count > 0
 
+    def edit(self, params: tuple[float, ...] = ()) -> tuple[int, GateApp, bool]:
+        """The patch with angles ``params`` (a parametric patch needs them) as
+        the edit (position, gate, replaces) :func:`~qrep.testkit.edit_fitness` scores."""
+        if self.kind not in ("add", "replace"):
+            raise ValueError(f"unknown patch kind {self.kind!r}")
+        return self.position, GateApp(self.gate, self.qubits, tuple(params)), self.kind == "replace"
+
 
 def apply_patch(c: Circuit, p: Patch, params: tuple[float, ...] | None = None) -> Circuit:
-    """Edited copy of ``c``; ``params`` must be given for parametric patches."""
-    g = GateApp(p.gate, p.qubits, tuple(params) if params is not None else ())
-    if p.kind == "add":
-        return insert_gate(c, p.position, g)
-    if p.kind == "replace":
-        return replace_gate(c, p.position, g)
-    raise ValueError(f"unknown patch kind {p.kind!r}")
+    """Copy of ``c`` with the patch's edit (:meth:`Patch.edit`) made."""
+    position, g, replaces = p.edit(() if params is None else params)
+    return (replace_gate if replaces else insert_gate)(c, position, g)
 
 
 @cache

@@ -34,8 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateApp, GateKind
-from .errors import WidthMismatchError
+from .circuit import Circuit, GateApp, GateKind, check_qubits
+from .errors import QRepError, WidthMismatchError
 
 _NORM_ATOL = 1e-9
 _NEG_ATOL = 1e-12  # a probability at most this far below zero is rounding, and clips to 0
@@ -226,6 +226,7 @@ def _kernel(g: GateApp, n: int) -> Callable[[np.ndarray], np.ndarray]:
     and operand order, and the in-place and scalar-first forms made a row's
     rounding depend on how many inputs shared the batch.
     """
+    check_qubits(g, n)  # a qubit outside the tensor would index another axis
     kind, qs = g.kind, g.qubits
     if kind.num_qubits == 1:
         m, width = _gate_1q(kind, g.params), 2 ** qs[0]
@@ -335,14 +336,17 @@ class PrefixCache:
 
     def __init__(self, c: Circuit, inputs, keep: bool = True):
         n = c.num_qubits
-        idx = np.asarray(inputs, dtype=np.intp).reshape(-1)
+        idx = np.asarray(inputs, dtype=object).reshape(-1)  # as given: not rounded, parsed or widened to floats
+        wrong = [x for x in idx.tolist() if not isinstance(x, (int, np.integer)) or isinstance(x, bool)]
+        if wrong:
+            raise QRepError(f"input {wrong[0]!r} is not an integer")
         if not idx.size:
             raise ValueError("no inputs to simulate")
         bad = idx[(idx < 0) | (idx >= 2**n)]
         if bad.size:
             raise WidthMismatchError(f"input {bad[0]} out of range for {n} qubits")
         self.num_qubits = n
-        self.inputs = idx
+        self.inputs = idx = idx.astype(np.intp)
         self.given = inputs if isinstance(inputs, (tuple, range)) else None  # immutable, so checked once
         self.columns = np.repeat(idx, 2) if len(idx) == 1 else idx
         self.gates = c.gates

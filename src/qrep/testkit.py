@@ -24,6 +24,7 @@ from .circuit import Circuit, GateApp
 from .errors import ExpectedTableError, NoFailingTestError, QRepError, SuiteTooWideError, WidthMismatchError
 from .simulator import (
     BASIS_ORDER,
+    MAX_SHOTS,
     Distribution,
     MeasBasis,
     PrefixCache,
@@ -136,6 +137,12 @@ class OracleConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.tau_fail is not None and not 0 < self.tau_fail < math.inf:
+            raise ValueError(f"tau_fail must be finite and > 0, got {self.tau_fail}")
+        if not 0 < self.eps_zero < math.inf:
+            raise ValueError(f"eps_zero must be finite and > 0, got {self.eps_zero}")
+        if self.shots is not None and not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {self.shots}")
 
     def resolve_shots(self, num_qubits: int) -> int:
         return self.shots if self.shots is not None else default_shots(num_qubits)

@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.append(str(Path(__file__).parents[1] / "perfbench"))  # for workloads.py
 
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, build_circuit
 from qrep.simulator import MeasBasis
 from qrep.testkit import TestSuite, generate_suite, suite_from_expected
+from workloads import CORPUS as _BENCHMARK_CORPUS, INJECTION_SEEDS
+
+# (family, qubits, injection seed) of the benchmark corpus: the 18 mutants
+# of perfbench's corpus workload and of scripts/run_benchmark.py
+CORPUS = [(family, n, INJECTION_SEEDS[family]) for family, n in _BENCHMARK_CORPUS]
 
 # kinds eligible for random circuits in property tests
 RANDOM_KINDS = [
@@ -29,6 +35,22 @@ def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) ->
         params = tuple(float(a) for a in rng.uniform(-2 * math.pi, 2 * math.pi, kind.param_count))
         gates.append(GateApp(kind, qubits, params))
     return Circuit(num_qubits=num_qubits, gates=tuple(gates))
+
+
+def out_of_range_edits(c: Circuit):
+    """Adds at every position and replaces of every gate of ``c`` whose gate
+    (an ``x``, ``rz``, ``cx`` or ``ccx``) names a qubit that ``c`` lacks: -1
+    or the first index past both the register and the kind's own qubits, in
+    each of the kind's qubit slots in turn."""
+    n, m = c.num_qubits, len(c.gates)
+    for name in ("x", "rz", "cx", "ccx"):
+        kind = GATE_BY_NAME[name]
+        k = kind.num_qubits
+        for bad in (max(n, k), -1):
+            for slot in range(k):
+                g = GateApp(kind, tuple(bad if i == slot else i for i in range(k)), (0.5,) * kind.param_count)
+                yield from ((pos, g, False) for pos in range(m + 1))
+                yield from ((pos, g, True) for pos in range(m))
 
 
 def random_suite(ref: Circuit, kind: str, rng: np.random.Generator):

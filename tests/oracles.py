@@ -511,9 +511,8 @@ def looped_try(run, patch, rng=None) -> float:
 
     if patch.is_parametric:
         return run.try_patch(patch, rng)
-    cand = engine.apply_patch(run.c_init, patch)
-    score = looped_evaluate(run, cand)
-    return run.settle(patch, (), score.value, cand if score.all_passed() else None)
+    score = looped_evaluate(run, engine.apply_patch(run.c_init, patch))
+    return run.settle(patch, (), score)
 
 
 def looped_guided_search(run) -> None:

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RANDOM_KINDS, random_circuit
+from conftest import CORPUS, random_circuit
 from oracles import dense_probs, hellinger, revert_patch, run_exact
 from qrep.benchmarks import build_benchmark, standard_catalog
 from qrep.circuit import GateKind, build_circuit
-from qrep.cli import EXIT_OK, main
+from qrep.cli import main
 from qrep.engine import STATUS_NOT_FIXED, STATUS_REPAIRED, RepairConfig, random_search, repair
 from qrep.localizer import localize
 from qrep.patcher import apply_patch, generate_patches, inject_faults
@@ -24,10 +24,8 @@ from qrep.qasm import emit_qasm
 from qrep.simulator import MeasBasis
 from qrep.testkit import fitness, generate_suite, suite_from_expected
 
-# one injection seed per algorithm; chosen so the corpus exercises both
+# the benchmark corpus (conftest.CORPUS): its injection seeds give both
 # outcomes (14 repaired, 4 honestly unrepairable under the default catalog)
-MUTANT_SEEDS = {"ghz": 2, "dj": 1, "graphstate": 4, "wstate": 0, "qft": 5, "grover": 3}
-CORPUS = [("ghz", 3), ("dj", 4), ("graphstate", 4), ("wstate", 4), ("qft", 4), ("grover", 3)]
 CORPUS_BUDGET = 5000
 CORPUS_ITERATIONS = 4
 
@@ -39,8 +37,7 @@ def corpus_runs():
     """18 mutants -> (record, QRep report, RS report) rows plus wall time."""
     rows = []
     qrep_wall = 0.0
-    for name, n in CORPUS:
-        seed = MUTANT_SEEDS[name]
+    for name, n, seed in CORPUS:
         ref = build_benchmark(name, n)
         ts = generate_suite(ref)
         for rec in inject_faults(ref, seed=seed, per_group=1):

@@ -9,7 +9,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from conftest import random_circuit, random_suite
+from conftest import CORPUS, random_circuit, random_suite
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from oracles import (
     eager_order_uniform,
@@ -67,6 +67,7 @@ def test_config_validation_ranges():
     for bad in (
         dict(budget_evals=0),
         dict(budget_seconds=0.0),
+        dict(budget_seconds=math.nan),  # a deadline never reached
         dict(budget_evals=10, iterations=0),
         dict(budget_evals=10, top_k=0),
     ):
@@ -523,11 +524,7 @@ def test_sampled_oracle_end_to_end(bell, bell_suite):
 
 # ------------------------------------------- lazy queue against the eager one
 
-# the corpus of scripts/run_benchmark.py and its injection seeds
-_CORPUS = [("ghz", 3, 2), ("dj", 4, 1), ("graphstate", 4, 4), ("wstate", 4, 0), ("qft", 4, 5), ("grover", 3, 3)]
-
-
-@pytest.mark.parametrize("family,n,seed", _CORPUS)
+@pytest.mark.parametrize("family,n,seed", CORPUS)
 def test_guided_search_matches_eager_queue_on_corpus(family, n, seed, monkeypatch):
     """Every report field but the wall time equals a run whose queue is the
     eager pool ordered up front and pruned by filtering it."""
@@ -557,7 +554,7 @@ def test_guided_search_stops_when_budget_spent(bell, bell_suite):
         assert rep.status == STATUS_NOT_FIXED and rep.evals_used == 30
 
 
-@pytest.mark.parametrize("family,n,seed", _CORPUS)
+@pytest.mark.parametrize("family,n,seed", CORPUS)
 def test_skipped_iterations_match_every_iteration_loop_on_corpus(family, n, seed, monkeypatch):
     """Skipping the iterations whose end mark is passed, with one prune for
     them, gives the report of the loop that runs every iteration."""

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_circuit, random_suite
+from conftest import CORPUS, random_circuit, random_suite
 from hypothesis import given, settings, strategies as st
 from oracles import _MUTANT_ANGLES, cursor_order_uniform, eager_inject_faults, eager_order_uniform, revert_patch
 
@@ -13,7 +13,7 @@ from qrep import patcher, testkit
 from qrep.benchmarks import build_benchmark, standard_catalog
 from qrep.circuit import GateApp, GateKind, build_circuit
 from qrep.errors import NoNonEquivalentMutantError
-from qrep.localizer import GateId, gate_id
+from qrep.localizer import gate_id
 from qrep.patcher import (
     DEFAULT_MUTATION_CATALOG,
     DEFAULT_PATCH_CATALOG,
@@ -331,10 +331,6 @@ def test_inject_faults_equivalent_only_pool_raises():
 
 # ------------------------------------- injector against the eager reference
 
-# the corpus of perfbench/workloads.py (CORPUS) and its injection seeds
-_CORPUS = [("ghz", 3, 2), ("dj", 4, 1), ("graphstate", 4, 4), ("wstate", 4, 0), ("qft", 4, 5), ("grover", 3, 3)]
-
-
 def _outcome(fn, *args, **kwargs):
     """Comparable result: every field of every record, or the error raised."""
     try:
@@ -387,14 +383,14 @@ def _assert_injectors_agree(ref, seed, catalog, per_groups=(1, 3), suite=None, *
 
 
 @pytest.mark.parametrize("catalog", [DEFAULT_MUTATION_CATALOG, _PARAMETRIC_CATALOG])
-@pytest.mark.parametrize("family,n,seed", _CORPUS)
+@pytest.mark.parametrize("family,n,seed", CORPUS)
 def test_inject_faults_matches_eager_reference_on_corpus(family, n, seed, catalog):
     _assert_injectors_agree(build_benchmark(family, n), seed, catalog)
 
 
 @pytest.mark.parametrize("catalog", [DEFAULT_MUTATION_CATALOG, _PARAMETRIC_CATALOG])
 @pytest.mark.parametrize("kind", ["z", "sparse"])
-@pytest.mark.parametrize("family,n,seed", _CORPUS)
+@pytest.mark.parametrize("family,n,seed", CORPUS)
 def test_inject_faults_matches_eager_reference_on_partial_suites(family, n, seed, kind, catalog):
     """Against the Z-basis table perfbench's cli-expected workload writes, or
     a seeded sparse subset of the cases, many candidates pass the suite, so

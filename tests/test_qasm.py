@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import gate_names
-from qrep.circuit import GateKind, build_circuit
+from qrep.circuit import build_circuit
 from qrep.errors import (
     QasmError,
     QasmSyntaxError,

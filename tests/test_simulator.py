@@ -13,14 +13,14 @@ from oracles import (
     dense_probs_all,
     distribution_from_dict,
     distributions_allclose,
-    gate_matrix,
     run_exact,
     sample,
     stacked_run_all_bases,
 )
-from conftest import RANDOM_KINDS, random_circuit
+from conftest import RANDOM_KINDS, out_of_range_edits, random_circuit
 from qrep import simulator
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
+from qrep.errors import QRepError, QubitIndexError, WidthMismatchError
 from qrep.simulator import (
     BASIS_ORDER,
     MAX_SHOTS,
@@ -217,9 +217,11 @@ def test_run_all_bases_input_order_and_bounds(bell):
     probs = run_all_bases(bell, [3, 0, 3])
     assert np.array_equal(probs[:, 0], probs[:, 2])
     assert np.array_equal(probs[:, 1], run_all_bases(bell, [0])[:, 0])
-    for bad in ([4], [0, -1]):
-        with pytest.raises(ValueError):
+    for bad in ([4], [0, -1], [2**63], [0, 2**64], [2**70]):  # past any index too
+        with pytest.raises(WidthMismatchError, match=f"^input {bad[-1]} out of range for 2 qubits$"):
             run_all_bases(bell, bad)
+    for dtype in (np.uint8, np.int32, np.uint64):  # an integer array of any width
+        assert np.array_equal(run_all_bases(bell, np.array([3, 0], dtype=dtype)), probs[:, :2])
 
 
 BASIS_SUBSETS = [sub for r in (1, 2, 3) for sub in combinations(BASIS_ORDER, r)]
@@ -345,6 +347,35 @@ def test_empty_input_batch_is_a_value_error(bell):
     for call in (lambda: run_all_bases(bell, []), lambda: PrefixCache(bell, [])):
         with pytest.raises(ValueError, match="no inputs"):
             call()
+
+
+def test_inputs_that_are_not_integers_are_named(bell):
+    """An input is an integer: a float, a string, a bool or None is named,
+    not rounded, parsed or read as 0 or 1."""
+    cases = (([0.5, 1.7], "0.5"), (["1"], "'1'"), (np.array([1.0, 0.0]), "1.0"), ([0, True], "True"), ([3, None], "None"))
+    for inputs, first in cases:
+        for call in (lambda: run_all_bases(bell, inputs), lambda: PrefixCache(bell, inputs)):
+            with pytest.raises(QRepError, match=rf"^input {re.escape(first)} is not an integer$"):
+                call()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_simulated_edits_keep_the_circuits_qubit_rule(n):
+    """An add or replace whose gate names a qubit the circuit lacks raises
+    the QubitIndexError that insert_gate and replace_gate raise for it,
+    alone or after an edit that is fine, from a given cache or none."""
+    c = build_circuit(n, [("h", q) for q in range(n)])
+    cache, fine = PrefixCache(c, range(2**n)), (0, GateApp(GateKind.X, (0,)), False)
+    checked = 0
+    for e in out_of_range_edits(c):
+        message = rf"^qubit {next(q for q in e[1].qubits if not 0 <= q < n)} out of range for {n}-qubit circuit$"
+        with pytest.raises(QubitIndexError, match=message):
+            (replace_gate if e[2] else insert_gate)(c, e[0], e[1])
+        for edits, prefixes in (([e], cache), ([fine, e], cache), ([e], None)):
+            with pytest.raises(QubitIndexError, match=message):
+                run_all_bases(c, range(2**n), prefixes=prefixes, edits=edits)
+        checked += 1
+    assert checked == 2 * (1 + 1 + 2 + 3) * (2 * n + 1)
 
 
 def test_prefix_cache_stores_and_simulates_nothing_when_one_state_is_over_the_cap(monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_circuit
+from conftest import CORPUS, out_of_range_edits, random_circuit
 from oracles import (
     hellinger,
     hellinger_ref,
@@ -24,11 +24,11 @@ from qrep import cli, testkit
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import build_circuit, remove_gate
 from qrep.engine import RepairConfig, random_search, repair
-from qrep.errors import ExpectedTableError, NoFailingTestError, SuiteTooWideError, WidthMismatchError
+from qrep.errors import ExpectedTableError, NoFailingTestError, QubitIndexError, SuiteTooWideError, WidthMismatchError
 from qrep.localizer import localize
 from qrep.patcher import inject_faults
 from qrep.qasm import emit_qasm
-from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases
+from qrep.simulator import BASIS_ORDER, MAX_SHOTS, Distribution, MeasBasis, run_all_bases
 from qrep.testkit import (
     OracleConfig,
     _case_seed,
@@ -203,6 +203,24 @@ def test_fitness_width_mismatch(bell):
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(mode="approximate")
+
+
+def test_oracle_config_thresholds_are_finite_and_positive():
+    """--tau-fail and --eps-zero's rule, kept by the config: under
+    tau_fail=-1 even the reference would fail every case."""
+    for name in ("tau_fail", "eps_zero"):
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad}$"):
+                OracleConfig(**{name: bad})
+        assert getattr(OracleConfig(**{name: 1e-300}), name) == 1e-300
+
+
+def test_oracle_config_shots_are_in_the_samplers_range():
+    """--shots' rule, kept by the config rather than met at the first sampled evaluation."""
+    for bad in (0, -1, MAX_SHOTS + 1):
+        with pytest.raises(ValueError, match=f"^shots must be in 1..{MAX_SHOTS}, got {bad}$"):
+            OracleConfig(mode="sampled", shots=bad)
+    assert OracleConfig(shots=1).shots == 1 and OracleConfig(shots=MAX_SHOTS).shots == MAX_SHOTS
 
 
 def test_sampled_tau_widens():
@@ -380,14 +398,23 @@ def test_suite_matrix_matches_per_case_construction():
     assert checked == 24 * 4 * 2 * 2
 
 
-# the corpus of scripts/run_benchmark.py and its injection seeds
-_CORPUS = [("ghz", 3, 2), ("dj", 4, 1), ("graphstate", 4, 4), ("wstate", 4, 0), ("qft", 4, 5), ("grover", 3, 3)]
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_edit_fitness_keeps_the_circuits_qubit_rule(n):
+    """An edit whose gate names a qubit the circuit lacks is not scored: it
+    raises the QubitIndexError that insert_gate raises for it."""
+    c = build_circuit(n, [("h", q) for q in range(n)])
+    ts = generate_suite(build_circuit(n, [("x", 0)]))
+    cache = ts.prefixes(c)
+    for e in out_of_range_edits(c):
+        for prefixes in (cache, None):
+            with pytest.raises(QubitIndexError, match=f"out of range for {n}-qubit circuit$"):
+                next(edit_fitness(c, ts, [e], prefixes=prefixes))
 
 
 def test_full_table_repairs_like_its_reference():
     """A table of every case of a reference is the reference's own suite,
     in the same case order, so it sums fitness and repairs the same."""
-    for family, n, seed in _CORPUS:
+    for family, n, seed in CORPUS:
         ref = build_benchmark(family, n)
         ts = generate_suite(ref)
         table = suite_from_expected(json.loads(json.dumps({tc.id: tc.expected.as_dict() for tc in ts.cases})))
