@@ -12,7 +12,9 @@ circuit, in the three bases and (qft4) in Z only,
 one ``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
 wstate4, dj6), one localisation sweep of a grover3 add mutant (40 gates,
 8 inputs; it stops at the added gate), a qft4 replace mutant and a dj6
-replace mutant (full sweeps of 16 and 64 inputs), and the
+replace mutant (full sweeps of 16 and 64 inputs), each ``localize`` over
+the exact removal scores of ``edit_fitness``, which builds its prefix
+cache within the timed call, and the
 guided search's patch queue of dj6 and grover3 (build it, pop 20 patches,
 prune once to three quarters of the gates, as the first of four
 iterations does), the single-gate edits of grover3 and dj6 (a removal
@@ -71,7 +73,7 @@ from qrep import patcher, simulator
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate, replace_gate
 from qrep.engine import RepairConfig, random_search, repair
-from qrep.localizer import SuspiciousnessTable, localize
+from qrep.localizer import SuspiciousnessTable, localize, removals
 from qrep.optimizer import OptBudget, minimize_params
 from qrep.patcher import DEFAULT_PATCH_CATALOG, Patch, inject_faults, order_uniform, prune_to_gates
 from qrep.qasm import emit_qasm, parse_qasm
@@ -164,14 +166,15 @@ def layers() -> dict:
         ts = generate_suite(ref)
         mutant = inject_faults(ref, seed=seed, per_group=1, groups=(group,), suite=ts)[0].mutant
         baseline = fitness(mutant, ts)
-        sweep = localize(mutant, ts, baseline)
+        sweep = partial(exact_sweep, mutant, ts, baseline)
+        res = sweep()
         facts = {
             "gates": len(mutant.gates),
             "inputs": len(ts.inputs),
-            "evals": sweep.evals_used,
-            "ranking": [str(g) for g in sweep.table.ranking()],
+            "evals": len(res.removal_fitness),
+            "ranking": [str(g) for g in res.table.ranking()],
         }
-        out[f"localize_{fam}{n}"] = (partial(localize, mutant, ts, baseline), facts)
+        out[f"localize_{fam}{n}"] = (sweep, facts)
     for fam, n in QUEUE_CIRCUITS:
         ref = build_benchmark(fam, n)
         facts = {"gates": len(ref.gates), "left": len(patch_queue(ref))}
@@ -224,6 +227,11 @@ def layers() -> dict:
         res = trial()
         out[name] = (trial, {"probes": res.evals, "best": res.value, "converged": res.converged})
     return out
+
+
+def exact_sweep(c: Circuit, ts, baseline):
+    """``localize`` of ``c`` over its exact-mode removal scores."""
+    return localize(c, baseline, edit_fitness(c, ts, removals(c)))
 
 
 def angle_trial(broken: Circuit, ts, patch: Patch):

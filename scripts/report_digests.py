@@ -1,4 +1,4 @@
-"""Print one sha256 per repair report, wall time masked, to compare two commits.
+"""Print one sha256 per repair and localize report, wall time masked, to compare two commits.
 
     python scripts/report_digests.py > change.txt
     PYTHONPATH=<other checkout>/src python scripts/report_digests.py > parent.txt
@@ -12,12 +12,19 @@ evaluations, oracle seed 3), the fixed kinds of ``DEFAULT_PATCH_CATALOG``
 (80 evaluations), ``iterations=10**6`` (55 evaluations) and the catalog
 ``u,cx`` (300 evaluations), the only one that tries ``u`` patches. Each line
 names the configuration, the search and the mutant, then the digest of the
-report's JSON less ``wall_seconds``, or the error the run ended in. qrep is
-imported from ``PYTHONPATH`` when it names a checkout, else from this one.
+report's JSON less ``wall_seconds``, or the error the run ended in. Then
+each mutant's ``qrep localize`` report, run through ``cli.main`` against
+its reference in exact and in sampled mode (oracle seed 3), is digested
+less ``wall_seconds``, the manifest's timestamp and its input paths, or
+its exit code and error line. qrep is imported from ``PYTHONPATH`` when it
+names a checkout, else from this one.
 """
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,11 +33,13 @@ sys.path.append(str(ROOT / "perfbench"))
 
 from workloads import CORPUS, INJECTION_SEEDS, WIDE
 
+from qrep import cli
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GATE_BY_NAME
 from qrep.engine import RepairConfig, random_search, repair
 from qrep.errors import QRepError
 from qrep.patcher import DEFAULT_PATCH_CATALOG, inject_faults
+from qrep.qasm import emit_qasm
 from qrep.testkit import OracleConfig, generate_suite
 
 FIXED_KINDS = tuple(name for name in DEFAULT_PATCH_CATALOG if not GATE_BY_NAME[name].param_count)
@@ -58,17 +67,36 @@ def digest(search, mutant, suite, cfg) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+def localize_digest(mutant, ref, flags: list[str], tmp: Path) -> str:
+    (tmp / "mutant.qasm").write_text(emit_qasm(mutant))
+    (tmp / "ref.qasm").write_text(emit_qasm(ref))
+    out = tmp / "report.json"
+    argv = ["localize", "--circuit", str(tmp / "mutant.qasm"), "--reference", str(tmp / "ref.qasm"), "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv + flags)
+    if code != cli.EXIT_OK:
+        return f"exit {code}: {err.getvalue().strip()}"
+    report = json.loads(out.read_text())
+    del report["wall_seconds"], report["manifest"]["timestamp"], report["manifest"]["inputs"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def main() -> None:
     mutants = []
     for fam, n in CORPUS + WIDE:
         ref = build_benchmark(fam, n)
         suite = generate_suite(ref)
         for rec in inject_faults(ref, seed=INJECTION_SEEDS[fam], per_group=1, suite=suite):
-            mutants.append((f"{fam}{n}/{rec.group}", rec.mutant, suite))
+            mutants.append((f"{fam}{n}/{rec.group}", rec.mutant, suite, ref))
     for name, cfg in configs().items():
         for search in (repair, random_search):
-            for tag, mutant, suite in mutants:
+            for tag, mutant, suite, _ in mutants:
                 print(f"{name} {search.__name__} {tag} {digest(search, mutant, suite, cfg)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, flags in (("exact", []), ("sampled,oracle_seed=3", ["--shots-mode", "sampled", "--seed", "3"])):
+            for tag, mutant, _, ref in mutants:
+                print(f"{name} localize {tag} {localize_digest(mutant, ref, flags, Path(tmp))}", flush=True)
 
 
 if __name__ == "__main__":

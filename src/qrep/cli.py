@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
@@ -28,8 +29,7 @@ from .localizer import GateId, localize, removals
 from .optimizer import TOL_FLOOR, OptBudget
 from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, inject_faults
 from .qasm import emit_qasm, parse_qasm
-from .simulator import MAX_SHOTS
-from .testkit import OracleConfig, edit_fitness, fitness, generate_suite, suite_from_expected
+from .testkit import MAX_SHOTS, OracleConfig, edit_fitness, fitness, generate_suite, suite_from_expected
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -239,7 +239,9 @@ def _cmd_localize(args) -> int:
     oracle = _oracle_from_args(args)
     prefixes = ts.prefixes(c)
     baseline = fitness(c, ts, oracle, prefixes)
-    result = localize(c, ts, baseline, edit_fitness(c, ts, removals(c), oracle, prefixes))
+    start = time.monotonic()
+    result = localize(c, baseline, edit_fitness(c, ts, removals(c), oracle, prefixes))
+    wall_seconds = time.monotonic() - start
     repaired_qasm = emit_qasm(result.repaired) if result.repaired is not None else None
     removed = result.repaired_by_removing
     payload = {
@@ -248,8 +250,8 @@ def _cmd_localize(args) -> int:
         "ranking": result.table.records(),
         "repaired_qasm": repaired_qasm,
         "repaired_by_removing": str(removed) if removed is not None else None,
-        "evals_used": result.evals_used + 1,  # sweep plus the baseline evaluation
-        "wall_seconds": result.wall_seconds,
+        "evals_used": len(result.removal_fitness) + 1,  # sweep plus the baseline evaluation
+        "wall_seconds": wall_seconds,
     }
     _write_json(payload, args.out)
     _write_repaired(args.out, repaired_qasm)
@@ -329,10 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except QRepError as e:
-        print(f"qrep: error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as e:
+    except (QRepError, OSError) as e:
         print(f"qrep: error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as e:

@@ -51,6 +51,7 @@ from .patcher import (
     Patch,
     PatchQueue,
     apply_patch,
+    catalog_kinds,
     generate_patches,
     order_uniform,
     prune_to_gates,
@@ -79,12 +80,14 @@ class RepairConfig:
             raise ValueError("set exactly one of budget_evals / budget_seconds")
         if self.budget_evals is not None and self.budget_evals < 1:
             raise ValueError("budget_evals must be >= 1")
-        if self.budget_seconds is not None and not self.budget_seconds > 0:  # NaN fails too
-            raise ValueError("budget_seconds must be positive")
+        if self.budget_seconds is not None and not 0 < self.budget_seconds < math.inf:  # NaN fails too
+            raise ValueError(f"budget_seconds must be finite and > 0, got {self.budget_seconds}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
+        if not catalog_kinds(self.patch_catalog):  # a name that is not a gate raises
+            raise ValueError("catalog must name at least one gate")
 
     def to_dict(self) -> dict:
         return {
@@ -357,7 +360,7 @@ class _Run:
         return self.finalize(STATUS_NOT_FIXED, None)
 
     def guided_search(self) -> None:
-        loc = localize(self.c_init, self.ts, self.baseline, self.scored(removals(self.c_init)))
+        loc = localize(self.c_init, self.baseline, self.scored(removals(self.c_init)))
         self.table = loc.table
         for gid, value in loc.removal_fitness.items():
             self.record("delete", gid.position, gid.gate, gid.qubits, (), value)

@@ -4,20 +4,19 @@ Each repairable gate is removed in turn; if the pruned circuit passes the
 whole suite the sweep short-circuits and returns it as a complete repair.
 Otherwise the gate's score grows by (baseline fitness - pruned fitness), so
 gates whose removal helps accumulate positive scores and gates whose removal
-hurts go negative. The pruned circuits are the removal edits
-(:func:`removals`) that :func:`~qrep.testkit.edit_fitness` simulates a
-chunk at a time, as one staircase on one state tensor, and scores one by
-one.
+hurts go negative. The sweep ranks the scores its caller draws: the
+fitness of each removal edit (:func:`removals`), as
+:func:`~qrep.testkit.edit_fitness` gives it under the caller's oracle, or
+the repair engine's budget-charging stream of the same scores.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .circuit import Circuit, GateApp, remove_gate
 from .errors import QRepError, UnknownGateError
-from .testkit import FitnessScore, TestSuite, edit_fitness, require_failing
+from .testkit import FitnessScore, require_failing
 
 
 class BudgetExhaustedError(QRepError):
@@ -85,9 +84,7 @@ class LocalizeResult:
     table: SuspiciousnessTable
     repaired: Circuit | None = None
     repaired_by_removing: GateId | None = None
-    removal_fitness: dict[GateId, float] = field(default_factory=dict)
-    evals_used: int = 0
-    wall_seconds: float = 0.0
+    removal_fitness: dict[GateId, float] = field(default_factory=dict)  # one entry per score drawn
     partial: bool = False  # budget ran out before the sweep finished
 
 
@@ -97,32 +94,20 @@ def removals(c: Circuit) -> Iterator[tuple[int, None, bool]]:
     return ((p, None, True) for p in range(len(c.gates)))
 
 
-def localize(
-    c_init: Circuit,
-    ts: TestSuite,
-    baseline: FitnessScore,
-    scores: Iterable[FitnessScore] | None = None,
-) -> LocalizeResult:
+def localize(c_init: Circuit, baseline: FitnessScore, scores: Iterable[FitnessScore]) -> LocalizeResult:
     """Gate-removal sweep over ``c_init`` (ascending position order).
 
     ``scores`` yields the fitness of ``c_init`` without each gate, in
-    position order; it defaults to :func:`~qrep.testkit.edit_fitness` of
-    :func:`removals` in exact mode. The repair engine passes its
-    budget-charging stream of those scores instead. The
-    sweep draws one score per gate and stops drawing at a passing removal;
-    an iterator that raises :class:`BudgetExhaustedError` cuts it short,
-    and the partial table is returned, flagged.
+    position order, under the oracle that scored ``baseline``. The sweep
+    draws one score per gate and stops drawing at a passing removal; an
+    iterator that raises :class:`BudgetExhaustedError` cuts it short, and
+    the partial table is returned, flagged.
     """
     require_failing(baseline)
-    if scores is None:
-        scores = edit_fitness(c_init, ts, removals(c_init))
-
-    start = time.monotonic()
     result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init))
     try:
         for pos, (g, score) in enumerate(zip(c_init.gates, scores)):
             gid = gate_id(pos, g)
-            result.evals_used += 1
             result.removal_fitness[gid] = score.value
             if score.all_passed():
                 result.repaired = remove_gate(c_init, pos)
@@ -131,5 +116,4 @@ def localize(
             result.table.add(gid, baseline.value - score.value)
     except BudgetExhaustedError:
         result.partial = True
-    result.wall_seconds = time.monotonic() - start
     return result

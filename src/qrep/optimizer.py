@@ -26,8 +26,8 @@ class OptBudget:
     def __post_init__(self) -> None:
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # NaN fails too
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

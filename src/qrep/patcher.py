@@ -90,13 +90,18 @@ def _anchor(c: Circuit, pos: int) -> GateId | None:
     return gate_id(pos, c.gates[pos]) if c.gates else None
 
 
-def _patch_kinds(c: Circuit, catalog: tuple[str, ...]) -> list[GateKind]:
-    """The catalog's gate kinds that fit ``c``, each once, in catalog order."""
+def catalog_kinds(catalog: tuple[str, ...]) -> list[GateKind]:
+    """The catalog's gate kinds, each once, in catalog order; a name that is
+    not a gate raises ``ValueError``."""
     try:
-        kinds = [GATE_BY_NAME[name] for name in dict.fromkeys(catalog)]
+        return [GATE_BY_NAME[name] for name in dict.fromkeys(catalog)]
     except KeyError as e:
         raise ValueError(f"{e.args[0]!r} is not a gate") from None
-    return [k for k in kinds if k.num_qubits <= c.num_qubits]
+
+
+def _patch_kinds(c: Circuit, catalog: tuple[str, ...]) -> list[GateKind]:
+    """The catalog's gate kinds that fit ``c``, each once, in catalog order."""
+    return [k for k in catalog_kinds(catalog) if k.num_qubits <= c.num_qubits]
 
 
 def _slot_qubits(c: Circuit, pos: int, typ: str, kind: GateKind) -> Sequence[tuple[int, ...]]:
@@ -299,6 +304,8 @@ def inject_faults(
     one at a time would score too, and the round's draws of all groups are
     scored as one stream of edits, so they share stacked simulations.
     """
+    if per_group < 0:
+        raise ValueError(f"per_group must be >= 0, got {per_group}")
     if suite is None:
         suite = generate_suite(c)
     kinds = _patch_kinds(c, catalog)

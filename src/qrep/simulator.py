@@ -20,7 +20,9 @@ simulation is one staircase over those kernels (:func:`_staircase`), and
 every candidate is an edit: the cached circuit joins it after its last
 gate, and each single-gate edit at the edit, so it is simulated from the
 edit on. No full 2^q x 2^q matrix is ever built here; the dense-matrix
-product lives in the test suite as an independent oracle.
+product lives in the test suite as an independent oracle. Every
+probability returned here is exact: a sampled-mode oracle draws its shots
+from them in :mod:`qrep.testkit`.
 """
 from __future__ import annotations
 
@@ -316,6 +318,17 @@ def _y_phases(n: int) -> np.ndarray:
     return table
 
 
+def _integers(inputs) -> np.ndarray:
+    """``inputs`` as given, in a flat object array: not rounded, parsed or
+    widened to floats. The first that is not an integer (a bool is not) is
+    named in a :class:`QRepError`."""
+    idx = np.asarray(inputs, dtype=object).reshape(-1)
+    wrong = [x for x in idx.tolist() if not isinstance(x, (int, np.integer)) or isinstance(x, bool)]
+    if wrong:
+        raise QRepError(f"input {wrong[0]!r} is not an integer")
+    return idx
+
+
 class PrefixCache:
     """States of a fixed batch of inputs after the leading gates of one
     circuit, so that each single-gate edit of it is simulated only from the
@@ -336,10 +349,7 @@ class PrefixCache:
 
     def __init__(self, c: Circuit, inputs, keep: bool = True):
         n = c.num_qubits
-        idx = np.asarray(inputs, dtype=object).reshape(-1)  # as given: not rounded, parsed or widened to floats
-        wrong = [x for x in idx.tolist() if not isinstance(x, (int, np.integer)) or isinstance(x, bool)]
-        if wrong:
-            raise QRepError(f"input {wrong[0]!r} is not an integer")
+        idx = _integers(inputs)
         if not idx.size:
             raise ValueError("no inputs to simulate")
         bad = idx[(idx < 0) | (idx >= 2**n)]
@@ -472,8 +482,9 @@ def run_all_bases(
 
     All inputs pass through the gate list together as one (2,) * n + (B,)
     tensor (see :class:`PrefixCache`). A given cache must be built for
-    ``c``; with none, ``c`` runs through its own kernels and no prefix state
-    is kept. The state comes from one path, :func:`_staircase` over the
+    ``c`` and ``inputs``, which are held to its integer rule; with none,
+    ``c`` runs through its own kernels and no prefix state is kept. The
+    state comes from one path, :func:`_staircase` over the
     cache's kernels: ``c`` alone joins it after its last gate, and each
     edit at its own step. A row does not depend on the batch or the block
     it is computed in, so one input run alone agrees bit for bit with a
@@ -490,7 +501,7 @@ def run_all_bases(
     """
     if prefixes is None:
         prefixes = PrefixCache(c, inputs, keep=False)
-    elif inputs is not prefixes.given and not np.array_equal(prefixes.inputs, np.asarray(inputs).reshape(-1)):
+    elif inputs is not prefixes.given and not np.array_equal(prefixes.inputs, _integers(inputs)):
         raise ValueError("prefix cache was built for other inputs")
     if c.num_qubits != prefixes.num_qubits:
         raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {prefixes.num_qubits}")
@@ -504,23 +515,3 @@ def run_all_bases(
     for lo in range(0, len(bases), step):
         _measure(t, bases[lo : lo + step], n, out[lo : lo + step])
     return out[:, 0] if edits is None else out.transpose(1, 0, 2, 3)
-
-
-# the largest draw count numpy's multinomial takes (a C long)
-MAX_SHOTS = 2**63 - 1
-
-
-def sample_frequencies(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Empirical frequencies from ``shots`` independent draws; seed-deterministic."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if shots > MAX_SHOTS:
-        raise ValueError(f"shots must be <= {MAX_SHOTS}")
-    return np.random.default_rng(seed).multinomial(shots, probs) / shots
-
-
-def default_shots(q: int) -> int:
-    """Shot count proportional to register size: 2^q * 2."""
-    if q < 1:
-        raise ValueError("qubit count must be >= 1")
-    return 2**q * 2

@@ -7,6 +7,9 @@ the observed output contains an outcome the expected distribution rules
 out, or when its Hellinger distance from the expected distribution exceeds
 the failure threshold. Fitness is the failed-case count plus the Hellinger
 distances summed over every case; ``_scores`` is the one implementation.
+The simulator gives exact probabilities; in sampled mode the oracle first
+replaces each case's row by the frequencies of ``shots`` seeded multinomial
+draws from it, with ``shots`` checked once, by :class:`OracleConfig`.
 """
 from __future__ import annotations
 
@@ -22,21 +25,13 @@ import numpy as np
 from . import simulator
 from .circuit import Circuit, GateApp
 from .errors import ExpectedTableError, NoFailingTestError, QRepError, SuiteTooWideError, WidthMismatchError
-from .simulator import (
-    BASIS_ORDER,
-    MAX_SHOTS,
-    Distribution,
-    MeasBasis,
-    PrefixCache,
-    check_probability_rows,
-    default_shots,
-    run_all_bases,
-    sample_frequencies,
-)
+from .simulator import BASIS_ORDER, Distribution, MeasBasis, PrefixCache, check_probability_rows, run_all_bases
 
 DEFAULT_TAU_FAIL = 0.1
 DEFAULT_EPS_ZERO = 1e-9
 MAX_SUITE_QUBITS = 16
+# the largest draw count numpy's multinomial takes (a C long)
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,9 @@ class FitnessScore:
 class OracleConfig:
     """Evaluation policy: exact probabilities by default, sampling opt-in.
 
-    ``tau_fail=None`` resolves to 0.1 in exact mode and 0.1 + 2/sqrt(shots)
-    in sampled mode (widened to absorb shot noise).
+    ``shots=None`` resolves to 2^q * 2 draws per case, and ``tau_fail=None``
+    to 0.1 in exact mode and 0.1 + 2/sqrt(shots) in sampled mode (widened
+    to absorb shot noise).
     """
 
     mode: str = "exact"  # "exact" | "sampled"
@@ -145,7 +141,7 @@ class OracleConfig:
             raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {self.shots}")
 
     def resolve_shots(self, num_qubits: int) -> int:
-        return self.shots if self.shots is not None else default_shots(num_qubits)
+        return self.shots if self.shots is not None else 2**num_qubits * 2
 
     def resolve_tau(self, num_qubits: int) -> float:
         if self.tau_fail is not None:
@@ -339,7 +335,8 @@ def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[Fitn
     if cfg.mode == "sampled":
         shots = cfg.resolve_shots(ts.num_qubits)
         seeds = _case_seeds(cfg.seed, len(ts)) * blocks
-        observed = np.stack([sample_frequencies(row, shots, seed) for row, seed in zip(observed, seeds)])
+        rows = zip(observed, seeds)
+        observed = np.stack([np.random.default_rng(seed).multinomial(shots, row) / shots for row, seed in rows])
     observed = observed.reshape(blocks, *ts.expected.shape)
     # the suite's rows on a leading axis of one, so that one block runs
     # numpy's same-shape loops and more blocks broadcast

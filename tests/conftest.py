@@ -10,8 +10,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 sys.path.append(str(Path(__file__).parents[1] / "perfbench"))  # for workloads.py
 
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, build_circuit
+from qrep.localizer import LocalizeResult, localize, removals
 from qrep.simulator import MeasBasis
-from qrep.testkit import TestSuite, generate_suite, suite_from_expected
+from qrep.testkit import FitnessScore, TestSuite, edit_fitness, generate_suite, suite_from_expected
 from workloads import CORPUS as _BENCHMARK_CORPUS, INJECTION_SEEDS
 
 # (family, qubits, injection seed) of the benchmark corpus: the 18 mutants
@@ -51,6 +52,11 @@ def out_of_range_edits(c: Circuit):
                 g = GateApp(kind, tuple(bad if i == slot else i for i in range(k)), (0.5,) * kind.param_count)
                 yield from ((pos, g, False) for pos in range(m + 1))
                 yield from ((pos, g, True) for pos in range(m))
+
+
+def exact_localize(c: Circuit, ts: TestSuite, baseline: FitnessScore) -> LocalizeResult:
+    """``localize`` of ``c`` over its exact-mode removal scores on ``ts``."""
+    return localize(c, baseline, edit_fitness(c, ts, removals(c)))
 
 
 def random_suite(ref: Circuit, kind: str, rng: np.random.Generator):

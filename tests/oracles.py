@@ -25,7 +25,7 @@ from qrep.errors import (
     WidthMismatchError,
 )
 from qrep.qasm import _MAX_EXPR_DEPTH, _RESERVED_FEATURES
-from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases, sample_frequencies
+from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases
 from qrep.testkit import (
     DEFAULT_EPS_ZERO,
     MAX_SUITE_QUBITS,
@@ -522,7 +522,7 @@ def looped_guided_search(run) -> None:
     every patch is tried alone (:func:`looped_try`)."""
     import qrep.engine as engine
 
-    loc = engine.localize(run.c_init, run.ts, run.baseline, run.scored(engine.removals(run.c_init)))
+    loc = engine.localize(run.c_init, run.baseline, run.scored(engine.removals(run.c_init)))
     run.table = loc.table
     for gid, value in loc.removal_fitness.items():
         run.record("delete", gid.position, gid.gate, gid.qubits, (), value)
@@ -568,8 +568,6 @@ def looped_random_search(run) -> None:
 
 
 def looped_localize(c_init, ts, baseline, evaluate=None):
-    import time
-
     from qrep.circuit import remove_gate
     from qrep.localizer import BudgetExhaustedError, LocalizeResult, SuspiciousnessTable, gate_id
     from qrep.testkit import fitness, require_failing
@@ -578,7 +576,6 @@ def looped_localize(c_init, ts, baseline, evaluate=None):
     if evaluate is None:
         evaluate = lambda c: fitness(c, ts)  # noqa: E731
 
-    start = time.monotonic()
     result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init))
     for pos, g in enumerate(c_init.gates):
         gid = gate_id(pos, g)
@@ -588,14 +585,12 @@ def looped_localize(c_init, ts, baseline, evaluate=None):
         except BudgetExhaustedError:
             result.partial = True
             break
-        result.evals_used += 1
         result.removal_fitness[gid] = score.value
         if score.all_passed():
             result.repaired = candidate
             result.repaired_by_removing = gid
             break
         result.table.add(gid, baseline.value - score.value)
-    result.wall_seconds = time.monotonic() - start
     return result
 
 
@@ -1088,8 +1083,9 @@ def distribution_from_dict(num_qubits: int, probs: dict[str, float]) -> Distribu
 
 
 def sample(d, shots: int, seed: int):
-    """``simulator.sample_frequencies`` of a ``Distribution``, as a ``Distribution``."""
-    return Distribution(d.num_qubits, sample_frequencies(d.probs, shots, seed))
+    """The frequencies of ``shots`` seeded multinomial draws from a
+    ``Distribution``, as a ``Distribution``: the sampled oracle's draw."""
+    return Distribution(d.num_qubits, np.random.default_rng(seed).multinomial(shots, d.probs) / shots)
 
 
 def distributions_allclose(a, b, atol: float = 1e-10) -> bool:

@@ -12,13 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORPUS, random_circuit
+from conftest import CORPUS, exact_localize, random_circuit
 from oracles import dense_probs, hellinger, revert_patch, run_exact
 from qrep.benchmarks import build_benchmark, standard_catalog
 from qrep.circuit import GateKind, build_circuit
 from qrep.cli import main
 from qrep.engine import STATUS_NOT_FIXED, STATUS_REPAIRED, RepairConfig, random_search, repair
-from qrep.localizer import localize
 from qrep.patcher import apply_patch, generate_patches, inject_faults
 from qrep.qasm import emit_qasm
 from qrep.simulator import MeasBasis
@@ -138,7 +137,7 @@ def test_criterion_4_localisation_short_circuits_add_faults():
                 break
             t0 = time.monotonic()
             baseline = fitness(rec.mutant, ts)
-            res = localize(rec.mutant, ts, baseline)
+            res = exact_localize(rec.mutant, ts, baseline)
             elapsed = time.monotonic() - t0
             assert res.repaired is not None, rec.description
             assert fitness(res.repaired, ts).all_passed()

@@ -75,6 +75,24 @@ def test_config_validation_ranges():
             RepairConfig(**bad)
 
 
+def test_config_budget_seconds_is_finite_and_positive():
+    """--budget-seconds' rule: an infinite deadline never ends a search on time."""
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^budget_seconds must be finite and > 0, got {bad}$"):
+            RepairConfig(budget_seconds=bad)
+    assert RepairConfig(budget_seconds=1e-300).budget_seconds == 1e-300
+
+
+def test_config_catalog_names_gates_at_construction():
+    """--catalog's rule, kept by the config before any evaluation is
+    charged: an unknown name, or no name at all."""
+    with pytest.raises(ValueError, match="^'foo' is not a gate$"):
+        RepairConfig(budget_evals=10, patch_catalog=("x", "foo"))
+    with pytest.raises(ValueError, match="^catalog must name at least one gate$"):
+        RepairConfig(budget_evals=10, patch_catalog=())
+    assert RepairConfig(budget_evals=10, patch_catalog=("x", "x")).patch_catalog == ("x", "x")
+
+
 def test_budget_ledger_semantics():
     with pytest.raises(ValueError):
         Budget()
@@ -412,10 +430,10 @@ def test_seconds_budget_checks_each_edit_before_its_chunk_and_charges_every_chun
         blocks = _ticking_simulations(mp)
         run = _Run(broken, ts, RepairConfig(budget_seconds=1.5), None)
         run.budget.started = 0.0
-        loc = qrep.engine.localize(broken, ts, baseline, run.scored(qrep.engine.removals(broken)))
+        loc = qrep.engine.localize(broken, baseline, run.scored(qrep.engine.removals(broken)))
     # the second chunk starts at 1 s and ends at 2 s, past the deadline
     assert blocks == [2, 2]
-    assert loc.partial and loc.evals_used == run.budget.evals_used == 4
+    assert loc.partial and len(loc.removal_fitness) == run.budget.evals_used == 4
     # the baseline ends at 1 s and each run of one fixed patch a second later
     with pytest.MonkeyPatch.context() as mp:
         blocks = _ticking_simulations(mp)

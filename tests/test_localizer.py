@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from conftest import random_circuit, random_suite
+from conftest import exact_localize, random_circuit, random_suite
 from oracles import gate_names, looped_evaluate, looped_localize
 from qrep import simulator, testkit
 from qrep.benchmarks import build_benchmark
@@ -33,7 +33,7 @@ def test_gate_id_format(bell):
 def test_localize_requires_failing_baseline(bell):
     ts = generate_suite(bell)
     with pytest.raises(NoFailingTestError):
-        localize(bell, ts, fitness(bell, ts))
+        exact_localize(bell, ts, fitness(bell, ts))
 
 
 def test_short_circuit_on_spurious_gate(bell):
@@ -41,12 +41,12 @@ def test_short_circuit_on_spurious_gate(bell):
     ts = generate_suite(bell)
     broken = insert_gate(bell, 2, GateApp(GateKind.Z, (1,)))
     baseline = fitness(broken, ts)
-    res = localize(broken, ts, baseline)
+    res = exact_localize(broken, ts, baseline)
     assert res.repaired is not None
     assert res.repaired_by_removing == GateId(2, "z", (1,))
     assert gate_names(res.repaired) == ["h", "cx"]
     assert fitness(res.repaired, ts).all_passed()
-    assert res.evals_used == 3  # swept h, cx, z then stopped
+    assert len(res.removal_fitness) == 3  # swept h, cx, z then stopped
     assert not res.partial
 
 
@@ -54,11 +54,11 @@ def test_scores_accumulate_baseline_minus_removal(bell):
     ts = generate_suite(bell)
     broken = remove_gate(bell, 1)  # H-only circuit fails the suite
     baseline = fitness(broken, ts)
-    res = localize(broken, ts, baseline)
+    res = exact_localize(broken, ts, baseline)
     assert res.repaired is None
     gid = gate_id(0, broken.gates[0])
     assert res.table.scores[gid] == pytest.approx(baseline.value - res.removal_fitness[gid])
-    assert res.evals_used == 1
+    assert len(res.removal_fitness) == 1
 
 
 def test_negative_score_for_helpful_gate():
@@ -68,7 +68,7 @@ def test_negative_score_for_helpful_gate():
     ts = generate_suite(ref)
     broken = build_circuit(1, [("h", 0), ("t", 0)])
     baseline = fitness(broken, ts)
-    res = localize(broken, ts, baseline)
+    res = exact_localize(broken, ts, baseline)
     if res.repaired is None:
         h_id = gate_id(0, broken.gates[0])
         assert res.table.scores[h_id] < 0  # removing the needed H makes it worse
@@ -137,10 +137,9 @@ def test_partial_sweep_on_budget(bell):
             allowance[0] -= 1
             yield fitness(remove_gate(broken, pos), ts)
 
-    res = localize(broken, ts, baseline, scores())
+    res = localize(broken, baseline, scores())
     assert res.partial
     assert res.repaired is None
-    assert res.evals_used == 2
     assert len(res.removal_fitness) == 2  # only the gates actually swept
 
 
@@ -157,21 +156,21 @@ def test_sweep_visits_gates_in_position_order():
             seen.append(len(c.gates))
             yield fitness(c, ts)
 
-    res = localize(broken, ts, baseline, scores())
+    res = localize(broken, baseline, scores())
     assert all(n == 2 for n in seen)  # each candidate removes exactly one gate
-    assert res.evals_used == len(seen)
-    # the default sweep scores the same removals, in position order
-    default = localize(broken, ts, baseline)
-    assert [g.position for g in default.removal_fitness] == list(range(default.evals_used))
-    assert default.removal_fitness == res.removal_fitness
+    assert len(res.removal_fitness) == len(seen)
+    # the exact removal edits score the same removals, in position order
+    edited = exact_localize(broken, ts, baseline)
+    assert [g.position for g in edited.removal_fitness] == list(range(len(edited.removal_fitness)))
+    assert edited.removal_fitness == res.removal_fitness
 
 
 # ------------------------------------------- the stacked sweep vs one by one
 
 
 def _fields(res) -> dict:
-    """Every field of a LocalizeResult but its wall time, dicts in order."""
-    out = {k: v for k, v in vars(res).items() if k != "wall_seconds"}
+    """Every field of a LocalizeResult, dicts in order."""
+    out = dict(vars(res))
     out["scores"] = list(res.table.scores.items())
     out["removal_fitness"] = list(res.removal_fitness.items())
     return out
@@ -199,10 +198,9 @@ def _stacked_sweep(c, ts, baseline, cfg, budget):
     with pytest.MonkeyPatch.context() as mp:
         blocks = _count_blocks(mp)
         if budget is None:
-            scores = None if cfg == OracleConfig() else edit_fitness(c, ts, removals(c), cfg)
-            return localize(c, ts, baseline, scores), blocks, None
+            return localize(c, baseline, edit_fitness(c, ts, removals(c), cfg)), blocks, None
         run = _Run(c, ts, RepairConfig(budget_evals=budget, oracle=cfg), None)
-        return localize(c, ts, baseline, run.scored(removals(c))), blocks, run.budget.evals_used
+        return localize(c, baseline, run.scored(removals(c))), blocks, run.budget.evals_used
 
 
 def _looped_sweep(c, ts, baseline, cfg, budget):
@@ -265,12 +263,12 @@ def test_sweep_chunks_stop_at_budget_and_score_a_mid_chunk_repair(monkeypatch):
     baseline = fitness(broken, ts)
     monkeypatch.setattr(simulator, "SWEEP_CHUNK_BYTES", 4 * ts.prefixes(broken).state_bytes)
     blocks = _count_blocks(monkeypatch)
-    res = localize(broken, ts, baseline)
+    res = exact_localize(broken, ts, baseline)
     assert blocks == [4]
-    assert res.repaired_by_removing == GateId(2, "z", (1,)) and res.evals_used == 3
+    assert res.repaired_by_removing == GateId(2, "z", (1,)) and len(res.removal_fitness) == 3
     assert _fields(res) == _fields(looped_localize(broken, ts, baseline))
     blocks.clear()
     run = _Run(broken, ts, RepairConfig(budget_evals=2), None)
-    res = localize(broken, ts, baseline, run.scored(removals(broken)))
+    res = localize(broken, baseline, run.scored(removals(broken)))
     assert blocks == [2]
-    assert res.partial and res.evals_used == 2 and run.budget.evals_used == 2
+    assert res.partial and len(res.removal_fitness) == 2 and run.budget.evals_used == 2

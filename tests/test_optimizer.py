@@ -25,6 +25,15 @@ def test_budget_validation():
         OptBudget(tolerance=-1.0)
 
 
+def test_tolerance_is_finite_and_positive():
+    """--opt-tol's rule, kept by the budget: a NaN tolerance stopped a trial
+    on (x-0.7)^2 early and unconverged, an infinite one at once as converged."""
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^tolerance must be finite and > 0, got {bad}$"):
+            OptBudget(tolerance=bad)
+    assert OptBudget(tolerance=1e-300).tolerance == 1e-300
+
+
 def test_eval_cap_is_exact():
     calls = []
 

@@ -309,6 +309,12 @@ def test_inject_faults_zero_per_group(bell):
     assert inject_faults(bell, seed=0, per_group=0) == []
 
 
+def test_inject_faults_negative_per_group_raises(bell):
+    """--per-group's rule: a negative count is refused, not read as zero."""
+    with pytest.raises(ValueError, match="^per_group must be >= 0, got -1$"):
+        inject_faults(bell, seed=0, per_group=-1)
+
+
 def test_inject_faults_all_equivalent_raises():
     # reference with no gates: "remove" has no candidates, "add" candidates all
     # differ; use a 1-qubit empty circuit where adds exist and all fail -> ok.
@@ -463,9 +469,10 @@ def test_inject_faults_matches_eager_reference_on_repeated_gates(seed, catalog):
 
 
 def test_inject_faults_takes_any_per_group(bell):
-    """A negative ``per_group`` draws nothing, and one past ``sys.maxsize``
-    draws every candidate, as the one-at-a-time draw does."""
-    _assert_injectors_agree(bell, 0, DEFAULT_MUTATION_CATALOG, per_groups=(-1, 2**63))
+    """A ``per_group`` past ``sys.maxsize`` draws every candidate, as the
+    one-at-a-time draw does; a negative one is refused
+    (:func:`test_inject_faults_negative_per_group_raises`)."""
+    _assert_injectors_agree(bell, 0, DEFAULT_MUTATION_CATALOG, per_groups=(2**63,))
 
 
 def test_inject_faults_rejects_unknown_group_and_non_unitary_catalog(bell, monkeypatch):

@@ -23,13 +23,10 @@ from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_g
 from qrep.errors import QRepError, QubitIndexError, WidthMismatchError
 from qrep.simulator import (
     BASIS_ORDER,
-    MAX_SHOTS,
     Distribution,
     MeasBasis,
     PrefixCache,
-    default_shots,
     run_all_bases,
-    sample_frequencies,
 )
 
 
@@ -160,19 +157,6 @@ def test_sampling_is_seeded_and_normalized():
     assert not np.array_equal(s1.probs, s3.probs)
     assert s1.probs.sum() == pytest.approx(1.0)
     assert abs(s1.probs[1] - 0.7) < 0.1
-
-
-def test_sample_frequencies_shot_range():
-    probs = np.array([0.25, 0.75])
-    assert sample_frequencies(probs, MAX_SHOTS, seed=1).sum() == pytest.approx(1.0)
-    for bad in (0, MAX_SHOTS + 1, 10**400):
-        with pytest.raises(ValueError, match="shots must be"):
-            sample_frequencies(probs, bad, seed=1)
-
-
-def test_default_shots_formula():
-    assert default_shots(3) == 16  # 2^q * 2
-    assert default_shots(5) == 64
 
 
 def test_input_state_bounds(bell):
@@ -357,6 +341,20 @@ def test_inputs_that_are_not_integers_are_named(bell):
         for call in (lambda: run_all_bases(bell, inputs), lambda: PrefixCache(bell, inputs)):
             with pytest.raises(QRepError, match=rf"^input {re.escape(first)} is not an integer$"):
                 call()
+
+
+def test_inputs_given_with_a_cache_keep_its_integer_rule(bell):
+    """Inputs passed with a cache are held to the rule the cache was built
+    by, not matched to it by value: [0.0, 1.0] equal the cache's [0, 1] but
+    are not integers. Integers of any type that equal them still match."""
+    cache = PrefixCache(bell, [0, 1])
+    cases = (([0.0, 1.0], "0.0"), ((0.0, 1.0), "0.0"), (np.array([0.0, 1.0]), "0.0"), ([0, True], "True"), (["0", "1"], "'0'"))
+    for inputs, first in cases:
+        with pytest.raises(QRepError, match=rf"^input {re.escape(first)} is not an integer$"):
+            run_all_bases(bell, inputs, prefixes=cache)
+    want = run_all_bases(bell, [0, 1])
+    for inputs in ([0, 1], (0, 1), np.array([0, 1], dtype=np.uint8)):
+        assert np.array_equal(run_all_bases(bell, inputs, prefixes=cache), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

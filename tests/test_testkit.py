@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CORPUS, out_of_range_edits, random_circuit
+from conftest import CORPUS, exact_localize, out_of_range_edits, random_circuit
 from oracles import (
     hellinger,
     hellinger_ref,
@@ -25,11 +25,11 @@ from qrep.benchmarks import build_benchmark
 from qrep.circuit import build_circuit, remove_gate
 from qrep.engine import RepairConfig, random_search, repair
 from qrep.errors import ExpectedTableError, NoFailingTestError, QubitIndexError, SuiteTooWideError, WidthMismatchError
-from qrep.localizer import localize
 from qrep.patcher import inject_faults
 from qrep.qasm import emit_qasm
-from qrep.simulator import BASIS_ORDER, MAX_SHOTS, Distribution, MeasBasis, run_all_bases
+from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases
 from qrep.testkit import (
+    MAX_SHOTS,
     OracleConfig,
     _case_seed,
     _case_seeds,
@@ -216,11 +216,21 @@ def test_oracle_config_thresholds_are_finite_and_positive():
 
 
 def test_oracle_config_shots_are_in_the_samplers_range():
-    """--shots' rule, kept by the config rather than met at the first sampled evaluation."""
-    for bad in (0, -1, MAX_SHOTS + 1):
+    """--shots' rule, kept by the config rather than met at the first
+    sampled evaluation; the largest count is one numpy's sampler draws."""
+    for bad in (0, -1, MAX_SHOTS + 1, 10**400):
         with pytest.raises(ValueError, match=f"^shots must be in 1..{MAX_SHOTS}, got {bad}$"):
             OracleConfig(mode="sampled", shots=bad)
     assert OracleConfig(shots=1).shots == 1 and OracleConfig(shots=MAX_SHOTS).shots == MAX_SHOTS
+    c = build_circuit(1, [("h", 0)])
+    ts = suite_from_expected({"Z:0": {"0": 0.5, "1": 0.5}})
+    score = fitness(c, ts, OracleConfig(mode="sampled", shots=MAX_SHOTS, seed=1))
+    assert score.all_passed() and score.hellinger_sum == pytest.approx(0.0, abs=1e-6)
+
+
+def test_default_shots_formula():
+    assert OracleConfig().resolve_shots(3) == 16  # 2^q * 2
+    assert OracleConfig().resolve_shots(5) == 64
 
 
 def test_sampled_tau_widens():
@@ -466,7 +476,7 @@ def test_evaluation_path_never_builds_the_case_view(monkeypatch, tmp_path):
     cfg = RepairConfig(budget_evals=200, seed=3)
     repair(mutant, ts, cfg)
     random_search(mutant, ts, cfg)
-    localize(mutant, ts, fitness(mutant, ts))
+    exact_localize(mutant, ts, fitness(mutant, ts))
     inject_faults(ref, seed=3, per_group=1, suite=ts)
     argv = ["repair", "--circuit", str(circuit), "--expected", str(table), "--budget-evals", "200"]
     assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) in (cli.EXIT_OK, cli.EXIT_NOT_FIXED)
