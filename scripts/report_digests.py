@@ -6,10 +6,11 @@
 
 The reports are those of ``repair`` and ``random_search`` on the 27 mutants
 of perfbench's ``corpus`` and ``wide`` workloads (their families and
-injection seeds) under 14 configurations: count budgets of 1, 7, 20, 55 and
+injection seeds) under 15 configurations: count budgets of 1, 7, 20, 55 and
 300 evaluations at 1 and 4 iterations, a sampled-mode oracle (60
 evaluations, oracle seed 3), the fixed kinds of ``DEFAULT_PATCH_CATALOG``
-(80 evaluations), ``iterations=10**6`` (55 evaluations) and the catalog
+(80 evaluations), ``iterations=10**6`` and ``iterations=2**70`` (55
+evaluations each; the second's count is beyond a C long) and the catalog
 ``u,cx`` (300 evaluations), the only one that tries ``u`` patches. Each line
 names the configuration, the search and the mutant, then the digest of the
 report's JSON less ``wall_seconds``, or the error the run ended in. Then
@@ -54,6 +55,7 @@ def configs() -> dict[str, RepairConfig]:
     out["sampled,evals=60"] = RepairConfig(budget_evals=60, oracle=OracleConfig(mode="sampled", seed=3))
     out["fixed_kinds,evals=80"] = RepairConfig(budget_evals=80, patch_catalog=FIXED_KINDS)
     out["iterations=10**6,evals=55"] = RepairConfig(budget_evals=55, iterations=10**6)
+    out["iterations=2**70,evals=55"] = RepairConfig(budget_evals=55, iterations=2**70)
     out["catalog=u,cx,evals=300"] = RepairConfig(budget_evals=300, patch_catalog=("u", "cx"))
     return out
 

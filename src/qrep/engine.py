@@ -3,10 +3,12 @@
 The run charges every fitness evaluation (baseline, localisation sweep,
 patch trials, angle probes) to one budget, expressed either as a
 maximum evaluation count or as wall-clock seconds. After localisation the
-remainder is split evenly across the configured iterations; each iteration
-consumes ordered patches until its cumulative mark, then prunes the queue
-to patches anchored on the currently most suspicious gates. Iterations
-whose mark the spend has already passed are skipped, so the search ends
+remainder is split evenly across the configured iterations. Each turn of
+the search counts the iterations whose cumulative mark the spend has
+reached, prunes the queue once to patches anchored on the currently most
+suspicious gates, and consumes ordered patches up to the next mark. Every
+turn tries at least one patch, so a seconds budget split into more
+iterations than it has time for still tries patches, and the search ends
 with the budget whatever the iteration count. A random-search baseline
 shares the evaluator, stopping rules, and report format: it runs the same
 patch-trial loop (:meth:`_Run.consume`) as one iteration up to the
@@ -162,13 +164,6 @@ class RepairReport:
         return dict(vars(self))
 
 
-def pruning_keep_fraction(i: int, total: int) -> float:
-    """Fraction of the suspiciousness ranking retained after iteration i."""
-    if not 1 <= i <= total:
-        raise ValueError(f"iteration {i} outside 1..{total}")
-    return 1.0 - i / total
-
-
 class _FullPass(Exception):
     """Internal: a candidate passed the whole suite; unwind and report."""
 
@@ -301,17 +296,21 @@ class _Run:
         return nxt
 
     def consume(self, queue: PatchQueue | deque[Patch], mark: float, rng: np.random.Generator | None = None) -> None:
-        """Pop patches from ``queue`` and try them until it is empty or the
-        spend reaches ``mark``: the one patch-trial loop of both searches.
-        A fixed patch starts a run (:meth:`try_run`); a parametric one, or
-        the one a run hands back, is tried alone (:meth:`try_patch`, with
-        ``rng``)."""
-        while queue and self.budget.spent < mark:
+        """Pop patches from ``queue`` and try them until it is empty or,
+        after a trial, the spend has reached ``mark``: the one patch-trial
+        loop of both searches. The first patch is tried whatever the spend,
+        so every call tries at least one (or ends the run when the budget is
+        spent). A fixed patch starts a run (:meth:`try_run`); a parametric
+        one, or the one a run hands back, is tried alone
+        (:meth:`try_patch`, with ``rng``)."""
+        while queue:
             patch = queue.popleft()
             if not patch.is_parametric:
                 patch = self.try_run(patch, queue, mark)
             if patch is not None:
                 self.try_patch(patch, rng)
+            if self.budget.spent >= mark:
+                return
 
     # -- report ------------------------------------------------------------
 
@@ -378,23 +377,18 @@ class _Run:
         def end_mark(i: int) -> float:
             return spent0 + b_r * (i / total)
 
-        i = 1
-        while i <= total:
-            self.consume(queue, end_mark(i))
-            if not queue:
+        while queue:
+            # done: the end marks the spend has reached (end_mark(0) has)
+            spent, done, hi = self.budget.spent, 0, total
+            while done < hi:
+                mid = (done + hi + 1) // 2
+                done, hi = (mid, hi) if end_mark(mid) <= spent else (done, mid - 1)
+            if done == total:
                 return
-            # skip to the next iteration whose end mark is above the spend:
-            # the ones between would try nothing, and with the table
-            # unchanged their nested prunes equal one at the last fraction
-            spent, nxt, hi = self.budget.spent, i + 1, total + 1
-            while nxt < hi:
-                mid = (nxt + hi) // 2
-                nxt, hi = (nxt, mid) if end_mark(mid) > spent else (mid + 1, hi)
-            if nxt <= total and self.table.scores:
-                frac = pruning_keep_fraction(nxt - 1, total)
-                keep_n = max(1, math.ceil(frac * len(self.table.scores)))
+            if done and self.table.scores:
+                keep_n = max(1, math.ceil((1.0 - done / total) * len(self.table.scores)))
                 queue = prune_to_gates(queue, set(self.table.ranking()[:keep_n]))
-            i = nxt
+            self.consume(queue, end_mark(done + 1))
 
     def random_search(self) -> None:
         pool = generate_patches(self.c_init, self.cfg.patch_catalog)

@@ -543,8 +543,7 @@ def looped_guided_search(run) -> None:
         if not queue:
             return
         if i < total and run.table.scores:
-            frac = engine.pruning_keep_fraction(i, total)
-            keep_n = max(1, math.ceil(frac * len(run.table.scores)))
+            keep_n = max(1, math.ceil((1.0 - i / total) * len(run.table.scores)))
             queue = engine.prune_to_gates(queue, set(run.table.ranking()[:keep_n]))
 
 

@@ -30,7 +30,6 @@ from qrep.engine import (
     Budget,
     RepairConfig,
     _Run,
-    pruning_keep_fraction,
     random_search,
     repair,
 )
@@ -102,22 +101,6 @@ def test_budget_ledger_semantics():
     with pytest.raises(BudgetExhaustedError):
         b.precheck()
     assert b.evals_used == 2
-
-
-# --------------------------------------------------------------- pruning
-
-def test_pruning_keep_fraction_examples():
-    assert pruning_keep_fraction(1, 4) == 0.75
-    assert pruning_keep_fraction(2, 4) == 0.5
-    assert pruning_keep_fraction(4, 4) == 0.0
-    assert math.ceil(pruning_keep_fraction(2, 4) * 10) == 5
-
-
-def test_pruning_keep_fraction_bounds():
-    with pytest.raises(ValueError):
-        pruning_keep_fraction(0, 4)
-    with pytest.raises(ValueError):
-        pruning_keep_fraction(5, 4)
 
 
 # --------------------------------------------------- repair: example cases
@@ -570,6 +553,14 @@ def test_guided_search_stops_when_budget_spent(bell, bell_suite):
         rep = repair(broken, bell_suite, cfg_evals(30, iterations=iterations))
         assert time.monotonic() - start < 1.0
         assert rep.status == STATUS_NOT_FIXED and rep.evals_used == 30
+
+
+def test_seconds_budget_over_many_iterations_tries_patches(bell, bell_suite):
+    """Each turn of the search tries a patch, even when the spend has passed
+    many iterations' end marks by the time it starts."""
+    broken = build_circuit(2, [("x", 0), ("y", 1), ("cx", (0, 1))])
+    rep = repair(broken, bell_suite, RepairConfig(budget_seconds=0.5, iterations=10**7))
+    assert {row["kind"] for row in rep.best_patches} - {"delete"}, rep.best_patches
 
 
 @pytest.mark.parametrize("family,n,seed", CORPUS)

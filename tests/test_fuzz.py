@@ -223,7 +223,9 @@ def _flag_value(flag: str):
     if flag == "--budget-evals":
         return st.one_of(st.integers(-3, 60).map(str), st.integers(1, 60).map(str), _BAD_TEXT)
     if flag == "--budget-seconds":
-        return st.one_of(st.sampled_from(["0.5", "0.05", "1e-300", "0", "-0.0", "nan", "inf", "1e400"]), _BAD_TEXT)
+        # not "1e3" or "1_000": float() reads both as a valid 1000 s budget
+        return st.one_of(st.sampled_from(["0.5", "0.05", "1e-300", "0", "-0.0", "nan", "inf", "1e400"]),
+                         _BAD_TEXT.filter(lambda text: text not in ("1e3", "1_000")))
     if flag in ("--tau-fail", "--eps-zero", "--opt-tol"):
         return st.one_of(_FLOATS, _BAD_TEXT)
     if flag == "--shots-mode":
