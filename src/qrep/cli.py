@@ -3,13 +3,13 @@
 Reports are JSON with a manifest block (subcommand, inputs, config, seed,
 tool version, timestamp); the timestamp is the only intentionally
 nondeterministic field besides measured wall time. Exit codes: 0 repaired
-or success, 2 not fixed, 1 any error.
+or success, 2 not fixed, 1 any error. A flag that fills a config field is
+held to that field's own check as it is parsed (``_checked``).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -17,7 +17,6 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .circuit import GATE_BY_NAME
 from .engine import (
     STATUS_REPAIRED,
     RepairConfig,
@@ -27,9 +26,9 @@ from .engine import (
 from .errors import ExpectedTableError, QRepError
 from .localizer import GateId, localize, removals
 from .optimizer import TOL_FLOOR, OptBudget
-from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, inject_faults
+from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, catalog_kinds, inject_faults
 from .qasm import emit_qasm, parse_qasm
-from .testkit import MAX_SHOTS, OracleConfig, edit_fitness, fitness, generate_suite, suite_from_expected
+from .testkit import OracleConfig, edit_fitness, fitness, generate_suite, suite_from_expected
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -49,31 +48,28 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+def _checked(convert, rule):
+    """An argparse type: ``convert`` the flag's text, then hold the value to ``rule``, the
+    check of what the flag fills; a ``ValueError`` of either is the flag's usage error."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            rule(value)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+
+    return parse
 
 
-def _shot_count(text: str) -> int:
-    v = _positive_int(text)
-    if v > MAX_SHOTS:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_SHOTS}, got {v}")
-    return v
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(n.strip() for n in text.split(",") if n.strip())
 
 
 def _nonneg_int(text: str) -> int:
     v = int(text)
     if v < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
-    return v
-
-
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return v
 
 
@@ -145,24 +141,15 @@ def _parse_fault_gate(text: str) -> GateId:
         ) from None
 
 
-def _parse_catalog(text: str) -> tuple[str, ...]:
-    names = tuple(n.strip() for n in text.split(",") if n.strip())
-    if not names:
-        raise argparse.ArgumentTypeError("catalog must name at least one gate")
-    for name in names:
-        if name not in GATE_BY_NAME:
-            raise argparse.ArgumentTypeError(
-                f"{name!r} is not a catalog gate; choose from {','.join(GATE_BY_NAME)}"
-            )
-    return names
-
-
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots-mode", choices=("exact", "sampled"), default=OracleConfig.mode)
-    p.add_argument("--shots", type=_shot_count, default=None, help="override sampled-mode shot count")
-    p.add_argument("--tau-fail", type=_positive_float, default=None, help="override the failure threshold")
-    p.add_argument("--eps-zero", type=_positive_float, default=OracleConfig.eps_zero)
-    p.add_argument("--seed", type=int, default=OracleConfig.seed)
+    p.add_argument("--shots", type=_checked(int, lambda v: OracleConfig(shots=v)),
+                   help="override sampled-mode shot count")
+    p.add_argument("--tau-fail", type=_checked(float, lambda v: OracleConfig(tau_fail=v)),
+                   help="override the failure threshold")
+    p.add_argument("--eps-zero", type=_checked(float, lambda v: OracleConfig(eps_zero=v)),
+                   default=OracleConfig.eps_zero)
+    p.add_argument("--seed", type=_checked(int, lambda v: OracleConfig(seed=v)), default=OracleConfig.seed)
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -175,15 +162,18 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 def _add_repair_flags(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     budget = p.add_mutually_exclusive_group(required=True)
-    budget.add_argument("--budget-evals", type=_positive_int, default=None)
-    budget.add_argument("--budget-seconds", type=_positive_float, default=None)
-    p.add_argument("--iterations", type=_positive_int, default=RepairConfig.iterations)
-    p.add_argument("--opt-max-evals", type=_positive_int, default=OptBudget.max_evals)
-    p.add_argument("--opt-tol", type=_positive_float, default=OptBudget.tolerance,
+    budget.add_argument("--budget-evals", type=_checked(int, lambda v: RepairConfig(budget_evals=v)))
+    budget.add_argument("--budget-seconds", type=_checked(float, lambda v: RepairConfig(budget_seconds=v)))
+    p.add_argument("--iterations", type=_checked(int, lambda v: RepairConfig(budget_evals=1, iterations=v)),
+                   default=RepairConfig.iterations)
+    p.add_argument("--opt-max-evals", type=_checked(int, lambda v: OptBudget(max_evals=v)),
+                   default=OptBudget.max_evals)
+    p.add_argument("--opt-tol", type=_checked(float, lambda v: OptBudget(tolerance=v)), default=OptBudget.tolerance,
                    help=f"the angle search's final trust-region radius; a value below {TOL_FLOOR:g} acts "
                    f"as {TOL_FLOOR:g}, one above pi/2 as pi/2")
-    p.add_argument("--top-k", type=_positive_int, default=RepairConfig.top_k)
-    p.add_argument("--catalog", type=_parse_catalog, default=DEFAULT_PATCH_CATALOG)
+    p.add_argument("--top-k", type=_checked(int, lambda v: RepairConfig(budget_evals=1, top_k=v)),
+                   default=RepairConfig.top_k)
+    p.add_argument("--catalog", type=_checked(_names, catalog_kinds), default=DEFAULT_PATCH_CATALOG)
     p.add_argument("--fault-gate", type=_parse_fault_gate, default=None,
                    help="ground-truth gate id like '2:cx:0-1' for rank metrics")
     p.add_argument("--out", default=None, help="report path (stdout when omitted)")
@@ -316,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mut.add_argument("--circuit", required=True)
     p_mut.add_argument("--per-group", type=_nonneg_int, required=True)
     p_mut.add_argument("--seed", type=int, default=0)
-    p_mut.add_argument("--catalog", type=_parse_catalog, default=DEFAULT_MUTATION_CATALOG)
+    p_mut.add_argument("--catalog", type=_checked(_names, catalog_kinds), default=DEFAULT_MUTATION_CATALOG)
     p_mut.add_argument("--out-dir", required=True)
     p_mut.set_defaults(fn=_cmd_mutate)
 

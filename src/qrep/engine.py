@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .circuit import Circuit, GateApp
-from .errors import UnknownGateError
+from .errors import UnknownGateError, check_integer
 from .localizer import (
     BudgetExhaustedError,
     GateId,
@@ -80,16 +80,14 @@ class RepairConfig:
     def __post_init__(self) -> None:
         if (self.budget_evals is None) == (self.budget_seconds is None):
             raise ValueError("set exactly one of budget_evals / budget_seconds")
-        if self.budget_evals is not None and self.budget_evals < 1:
-            raise ValueError("budget_evals must be >= 1")
+        if self.budget_evals is not None:
+            check_integer("budget_evals", self.budget_evals, 1)
         if self.budget_seconds is not None and not 0 < self.budget_seconds < math.inf:  # NaN fails too
             raise ValueError(f"budget_seconds must be finite and > 0, got {self.budget_seconds}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if not catalog_kinds(self.patch_catalog):  # a name that is not a gate raises
-            raise ValueError("catalog must name at least one gate")
+        check_integer("iterations", self.iterations, 1)
+        check_integer("top_k", self.top_k, 1)
+        check_integer("seed", self.seed)
+        catalog_kinds(self.patch_catalog)  # refuses an empty catalog or a name that is not a gate
 
     def to_dict(self) -> dict:
         return {
@@ -118,10 +116,6 @@ class Budget:
     max_seconds: float | None = None
     evals_used: int = 0
     started: float = field(default_factory=time.monotonic)
-
-    def __post_init__(self) -> None:
-        if (self.max_evals is None) == (self.max_seconds is None):
-            raise ValueError("set exactly one of max_evals / max_seconds")
 
     @property
     def limit(self) -> float:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer rule of counts and seeds, shared across the package."""
+import numpy as np
 
 
 class QRepError(Exception):
@@ -58,3 +59,11 @@ class NoFailingTestError(QRepError, ValueError):
 
 class NoNonEquivalentMutantError(QRepError, ValueError):
     """Every candidate mutant passes the reference suite."""
+
+
+def check_integer(name: str, value, low: int | None = None) -> None:
+    """Refuse a ``value`` that is not an integer (a bool or float is not; a numpy one is) or is below ``low``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")

@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import check_integer
+
 
 @dataclass(frozen=True)
 class OptBudget:
@@ -24,8 +26,7 @@ class OptBudget:
     tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
+        check_integer("max_evals", self.max_evals, 1)
         if not 0 < self.tolerance < math.inf:  # NaN fails too
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 

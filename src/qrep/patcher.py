@@ -39,7 +39,7 @@ from itertools import accumulate, islice, permutations, repeat, zip_longest
 import numpy as np
 
 from .circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate, replace_gate
-from .errors import NoNonEquivalentMutantError
+from .errors import NoNonEquivalentMutantError, check_integer
 from .localizer import GateId, gate_id
 from .testkit import TestSuite, edit_fitness, generate_suite
 
@@ -91,12 +91,14 @@ def _anchor(c: Circuit, pos: int) -> GateId | None:
 
 
 def catalog_kinds(catalog: tuple[str, ...]) -> list[GateKind]:
-    """The catalog's gate kinds, each once, in catalog order; a name that is
-    not a gate raises ``ValueError``."""
+    """The catalog's gate kinds, each once, in catalog order; an empty
+    catalog, or a name that is not a gate, raises ``ValueError``."""
+    if not catalog:
+        raise ValueError("catalog must name at least one gate")
     try:
         return [GATE_BY_NAME[name] for name in dict.fromkeys(catalog)]
     except KeyError as e:
-        raise ValueError(f"{e.args[0]!r} is not a gate") from None
+        raise ValueError(f"{e.args[0]!r} is not a gate; choose from {','.join(GATE_BY_NAME)}") from None
 
 
 def _patch_kinds(c: Circuit, catalog: tuple[str, ...]) -> list[GateKind]:
@@ -304,8 +306,7 @@ def inject_faults(
     one at a time would score too, and the round's draws of all groups are
     scored as one stream of edits, so they share stacked simulations.
     """
-    if per_group < 0:
-        raise ValueError(f"per_group must be >= 0, got {per_group}")
+    check_integer("per_group", per_group, 0)
     if suite is None:
         suite = generate_suite(c)
     kinds = _patch_kinds(c, catalog)

@@ -25,6 +25,7 @@ import numpy as np
 from . import simulator
 from .circuit import Circuit, GateApp
 from .errors import ExpectedTableError, NoFailingTestError, QRepError, SuiteTooWideError, WidthMismatchError
+from .errors import check_integer
 from .simulator import BASIS_ORDER, Distribution, MeasBasis, PrefixCache, check_probability_rows, run_all_bases
 
 DEFAULT_TAU_FAIL = 0.1
@@ -137,8 +138,11 @@ class OracleConfig:
             raise ValueError(f"tau_fail must be finite and > 0, got {self.tau_fail}")
         if not 0 < self.eps_zero < math.inf:
             raise ValueError(f"eps_zero must be finite and > 0, got {self.eps_zero}")
-        if self.shots is not None and not 1 <= self.shots <= MAX_SHOTS:
-            raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {self.shots}")
+        if self.shots is not None:
+            check_integer("shots", self.shots)
+            if not 1 <= self.shots <= MAX_SHOTS:
+                raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {self.shots}")
+        check_integer("seed", self.seed)
 
     def resolve_shots(self, num_qubits: int) -> int:
         return self.shots if self.shots is not None else 2**num_qubits * 2

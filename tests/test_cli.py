@@ -1,13 +1,16 @@
 """CLI behavior: exit codes, report JSON shape, side files, determinism."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, replace_gate
 from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, _config_from_args, _oracle_from_args, build_parser, main
 from qrep.engine import RepairConfig
-from qrep.patcher import inject_faults
+from qrep.patcher import catalog_kinds, inject_faults
 from qrep.qasm import emit_qasm
 from qrep.testkit import OracleConfig, generate_suite
 
@@ -363,7 +366,7 @@ def test_usage_error_is_exactly_one_line(circuits, capsys):
         "--budget-evals", "0",
     ])
     assert code == EXIT_ERROR
-    assert capsys.readouterr().err == "qrep: error: argument --budget-evals: must be >= 1, got 0\n"
+    assert capsys.readouterr().err == "qrep: error: argument --budget-evals: budget_evals must be >= 1, got 0\n"
 
 
 def test_missing_subcommand_is_exactly_one_line(capsys):
@@ -430,6 +433,89 @@ def test_bad_catalog_rejected_at_parse_time(circuits, tmp_path, capsys, sub, cat
     err = capsys.readouterr().err
     assert _one_error_line(err)
     assert "--catalog" in err
+
+
+def _catalog_names(text: str) -> tuple[str, ...]:
+    # --catalog's text: comma-separated names, blanks around and between dropped
+    return tuple(n.strip() for n in text.split(",") if n.strip())
+
+
+# each (subcommand, flag) that fills a config field, or inject_faults'
+# catalog, with the conversion of its text
+_FILLING_FLAGS = {
+    ("repair", "--budget-evals"): int,
+    ("repair", "--budget-seconds"): float,
+    ("repair", "--iterations"): int,
+    ("repair", "--top-k"): int,
+    ("repair", "--opt-max-evals"): int,
+    ("repair", "--opt-tol"): float,
+    ("repair", "--shots"): int,
+    ("repair", "--tau-fail"): float,
+    ("repair", "--eps-zero"): float,
+    ("repair", "--seed"): int,
+    ("repair", "--catalog"): _catalog_names,
+    ("mutate", "--catalog"): _catalog_names,
+}
+_FLAG_TEXT = st.one_of(
+    st.sampled_from(["0", "-1", str(2**63), str(2**63 - 1), "nan", "inf", "-inf", "1e-300", "1e400", "2.5", "",
+                     " 7 ", ",", "foo", "h,,x", "h, cx", "x,measure", "u"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    # not "--": argparse reads "--seed=--" as a missing value
+    st.text(alphabet="hxcu,-.0123456789e ", max_size=6).filter(lambda t: t != "--"),
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _refusal(sub: str, flag: str, value) -> str | None:
+    """The message with which what the flag fills refuses ``value``, every
+    other flag at its default; None when it takes the value."""
+    try:
+        if sub == "mutate":
+            catalog_kinds(value)
+        else:
+            args = build_parser().parse_args(["repair", "--circuit", "c", "--reference", "r", "--budget-evals", "1"])
+            if flag == "--budget-seconds":
+                args.budget_evals = None
+            setattr(args, _dest(flag), value)
+            _config_from_args(args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_FILLING_FLAGS)), _FLAG_TEXT)
+def test_each_flag_is_refused_exactly_when_its_config_refuses_it(sub_flag, text):
+    """A flag is held to the rule of what it fills, kept once: parsing
+    refuses a value exactly when that config (or catalog_kinds) refuses the
+    converted value, as one line giving the config's own message."""
+    sub, flag = sub_flag
+    argv = [sub, "--circuit", "c.qasm"]
+    if sub == "mutate":
+        argv += ["--out-dir", "m", "--per-group", "1"]
+    else:
+        argv += ["--reference", "r.qasm"]
+        argv += [] if flag in ("--budget-evals", "--budget-seconds") else ["--budget-evals", "1"]
+    argv.append(f"{flag}={text}")
+    convert = _FILLING_FLAGS[sub_flag]
+    try:
+        value = convert(text)
+    except ValueError as e:  # Python's own message, such as "invalid literal for int()"
+        expected = str(e)
+    else:
+        expected = _refusal(sub, flag, value)
+    if expected is None:
+        assert getattr(build_parser().parse_args(argv), _dest(flag)) == value
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    assert exited.value.code == EXIT_ERROR
+    assert err.getvalue() == f"qrep: error: argument {flag}: {expected}\n"
 
 
 @pytest.mark.parametrize(

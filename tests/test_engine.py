@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 from collections import deque
 from functools import partial
@@ -40,6 +41,9 @@ from qrep.patcher import Patch, apply_patch, generate_patches, inject_faults
 from qrep.qasm import emit_qasm, parse_qasm
 from qrep.testkit import FitnessScore, OracleConfig, edit_fitness, fitness, generate_suite
 
+# the hint of an unknown catalog name's error, written out
+_ALL_GATES = "id,x,y,z,h,s,sdg,t,tdg,rx,ry,rz,p,u,cx,cz,cp,crz,swap,ccx"
+
 
 @pytest.fixture()
 def bell_suite(bell):
@@ -74,6 +78,20 @@ def test_config_validation_ranges():
             RepairConfig(**bad)
 
 
+def test_config_counts_and_seed_are_integers_at_construction():
+    """top_k=2.5 used to spend the whole run and then fail slicing the
+    ranking, budget_evals=30.5 after the baseline: a float or a bool is
+    refused when the config is built, and a numpy integer is an integer."""
+    for name in ("budget_evals", "iterations", "top_k", "seed"):
+        for bad in (2.5, 3.0, True, np.float64(2.0)):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+                RepairConfig(**{"budget_evals": 30, name: bad})
+        assert getattr(RepairConfig(**{"budget_evals": 30, name: np.int64(3)}), name) == 3
+    for name in ("budget_evals", "iterations", "top_k"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            RepairConfig(**{"budget_evals": 30, name: 0})
+
+
 def test_config_budget_seconds_is_finite_and_positive():
     """--budget-seconds' rule: an infinite deadline never ends a search on time."""
     for bad in (math.inf, math.nan, 0.0, -1.0):
@@ -85,7 +103,7 @@ def test_config_budget_seconds_is_finite_and_positive():
 def test_config_catalog_names_gates_at_construction():
     """--catalog's rule, kept by the config before any evaluation is
     charged: an unknown name, or no name at all."""
-    with pytest.raises(ValueError, match="^'foo' is not a gate$"):
+    with pytest.raises(ValueError, match=f"^'foo' is not a gate; choose from {_ALL_GATES}$"):
         RepairConfig(budget_evals=10, patch_catalog=("x", "foo"))
     with pytest.raises(ValueError, match="^catalog must name at least one gate$"):
         RepairConfig(budget_evals=10, patch_catalog=())
@@ -93,8 +111,6 @@ def test_config_catalog_names_gates_at_construction():
 
 
 def test_budget_ledger_semantics():
-    with pytest.raises(ValueError):
-        Budget()
     b = Budget(max_evals=2)
     b.precheck(); b.charge()
     b.precheck(); b.charge()

@@ -25,6 +25,16 @@ def test_budget_validation():
         OptBudget(tolerance=-1.0)
 
 
+def test_max_evals_is_an_integer():
+    """max_evals=2.5 used to crash random search at its first parametric patch."""
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"^max_evals must be an integer, got {bad}$"):
+            OptBudget(max_evals=bad)
+    with pytest.raises(ValueError, match="^max_evals must be >= 1, got 0$"):
+        OptBudget(max_evals=0)
+    assert OptBudget(max_evals=np.int64(3)).max_evals == 3
+
+
 def test_tolerance_is_finite_and_positive():
     """--opt-tol's rule, kept by the budget: a NaN tolerance stopped a trial
     on (x-0.7)^2 early and unconverged, an infinite one at once as converged."""

@@ -26,6 +26,9 @@ from qrep.patcher import (
 )
 from qrep.testkit import fitness, generate_suite
 
+# the hint of an unknown catalog name's error, written out
+_ALL_GATES = "id,x,y,z,h,s,sdg,t,tdg,rx,ry,rz,p,u,cx,cz,cp,crz,swap,ccx"
+
 
 # ------------------------------------------------------------- enumeration
 
@@ -70,10 +73,19 @@ def test_pool_rejects_non_unitary_catalog():
 
 
 def test_unknown_catalog_name_is_a_value_error_naming_it(bell):
-    with pytest.raises(ValueError, match="'foo' is not a gate"):
+    with pytest.raises(ValueError, match=f"^'foo' is not a gate; choose from {_ALL_GATES}$"):
         generate_patches(bell, ("foo",))
-    with pytest.raises(ValueError, match="'foo' is not a gate"):
+    with pytest.raises(ValueError, match=f"^'foo' is not a gate; choose from {_ALL_GATES}$"):
         inject_faults(bell, seed=0, per_group=1, catalog=("foo",))
+
+
+def test_an_empty_catalog_is_refused(bell):
+    """--catalog's rule, kept by catalog_kinds for both of its flags:
+    inject_faults used to return only the remove group's mutants."""
+    with pytest.raises(ValueError, match="^catalog must name at least one gate$"):
+        inject_faults(bell, seed=0, per_group=2, catalog=())
+    with pytest.raises(ValueError, match="^catalog must name at least one gate$"):
+        generate_patches(bell, ())
 
 
 def test_add_anchors_point_at_displaced_gate():
@@ -313,6 +325,8 @@ def test_inject_faults_negative_per_group_raises(bell):
     """--per-group's rule: a negative count is refused, not read as zero."""
     with pytest.raises(ValueError, match="^per_group must be >= 0, got -1$"):
         inject_faults(bell, seed=0, per_group=-1)
+    with pytest.raises(ValueError, match="^per_group must be an integer, got 2.5$"):
+        inject_faults(bell, seed=0, per_group=2.5)
 
 
 def test_inject_faults_all_equivalent_raises():
@@ -481,6 +495,6 @@ def test_inject_faults_rejects_unknown_group_and_non_unitary_catalog(bell, monke
     with pytest.raises(ValueError, match="unknown mutation group 'swap'"):
         inject_faults(bell, seed=0, per_group=1, groups=("add", "swap"))
     assert judged == []
-    with pytest.raises(ValueError, match="'measure' is not a gate"):
+    with pytest.raises(ValueError, match=f"^'measure' is not a gate; choose from {_ALL_GATES}$"):
         inject_faults(bell, seed=0, per_group=1, catalog=("x", "measure"), groups=("remove",))
     assert judged == []

@@ -215,6 +215,16 @@ def test_oracle_config_thresholds_are_finite_and_positive():
         assert getattr(OracleConfig(**{name: 1e-300}), name) == 1e-300
 
 
+def test_oracle_config_shots_and_seed_are_integers():
+    """shots=2.5 used to sample a count numpy truncated while the failure
+    threshold widened by 2/sqrt(2.5)."""
+    for name in ("shots", "seed"):
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+                OracleConfig(mode="sampled", **{name: bad})
+        assert getattr(OracleConfig(mode="sampled", **{name: np.int64(3)}), name) == 3
+
+
 def test_oracle_config_shots_are_in_the_samplers_range():
     """--shots' rule, kept by the config rather than met at the first
     sampled evaluation; the largest count is one numpy's sampler draws."""
