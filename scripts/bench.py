@@ -35,9 +35,13 @@ workload writes) and dj6, and qft6's table of all three bases, and one
 parametric patch trial: ``minimize_params`` tuning, in 20 probes, the
 angle of an ry add patch that puts back the ry removed from position 3 of
 wstate4, and, capped at 20 probes too, the three angles of a u replace
-patch on dj4 whose first h became an x, each probe scored as the engine
-scores it (the one edit the patch makes, through ``edit_fitness`` from the
-broken circuit's prefix cache), and both searches over fixed patches:
+patch on dj4 whose first h became an x, each probe scored as a repair run
+scores it (the one edit the patch makes, through ``_Run.probe``, or at a
+commit without it ``_Run.scored``, from the broken circuit's prefix
+cache), one such probe alone (``probe_ry_wstate4``: the ry add patch of
+that trial at one angle; its facts hold the ``tracemalloc`` peak of one
+lone ``edit_fitness`` on qft10's suite, prefix cache built within the
+call), and both searches over fixed patches:
 ``repair`` and ``random_search`` of the qft4 replace mutant (injection
 seed 5) at 55 evaluations with the fixed kinds of ``DEFAULT_PATCH_CATALOG``
 (their facts are the status, the evaluations and a digest of the report
@@ -72,7 +76,7 @@ import qrep
 from qrep import patcher, simulator
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate, replace_gate
-from qrep.engine import RepairConfig, random_search, repair
+from qrep.engine import RepairConfig, _Run, random_search, repair
 from qrep.localizer import SuspiciousnessTable, localize, removals
 from qrep.optimizer import OptBudget, minimize_params
 from qrep.patcher import DEFAULT_PATCH_CATALOG, Patch, inject_faults, order_uniform, prune_to_gates
@@ -226,7 +230,25 @@ def layers() -> dict:
         trial = angle_trial(broken, generate_suite(ref), patch)
         res = trial()
         out[name] = (trial, {"probes": res.evals, "best": res.value, "converged": res.converged})
+    fam, n, pos = TRIAL
+    ref = build_benchmark(fam, n)
+    gate = ref.gates[pos]
+    probe = partial(prober(remove_gate(ref, pos), generate_suite(ref)), Patch("add", pos, gate.kind, gate.qubits).edit((1.0,)))
+    ts10 = generate_suite(qft10)
+    lone = (len(qft10.gates) // 2, GateApp(GateKind.RY, (3,), (0.4,)), False)
+    facts = {"value": probe().value, "lone_peak_mib_qft10": peak_bytes(lambda: next(edit_fitness(qft10, ts10, [lone]))) / 2**20}
+    out[f"probe_{gate.kind.gate_name}_{fam}{n}"] = (probe, facts)
     return out
+
+
+def prober(broken: Circuit, ts):
+    """The call that scores an angle probe (an edit) of ``broken`` as a
+    repair run does: the run's budget gate and charge and one simulation
+    from its prefix cache, built here, once, as the run builds it."""
+    run = _Run(broken, ts, RepairConfig(budget_evals=sys.maxsize), None)
+    if hasattr(run, "probe"):
+        return run.probe
+    return lambda edit: next(run.scored([edit]))
 
 
 def exact_sweep(c: Circuit, ts, baseline):
@@ -237,15 +259,13 @@ def exact_sweep(c: Circuit, ts, baseline):
 def angle_trial(broken: Circuit, ts, patch: Patch):
     """The engine's angle search for the parametric ``patch`` of ``broken``:
     ``minimize_params`` in at most ``TRIAL_PROBES`` probes, each the one
-    edit the patch makes with the probe's angles, scored by ``edit_fitness``
-    from ``broken``'s prefix cache, which is built here, once, as a repair
-    run builds it."""
-    cache, budget = ts.prefixes(broken), OptBudget(max_evals=TRIAL_PROBES)
+    edit the patch makes with the probe's angles, scored by :func:`prober`."""
+    score = prober(broken, ts)
 
     def probe(angles) -> float:
-        return next(edit_fitness(broken, ts, [patch.edit(angles)], prefixes=cache)).value
+        return score(patch.edit(angles)).value
 
-    return partial(minimize_params, probe, patch.gate.param_count, budget)
+    return partial(minimize_params, probe, patch.gate.param_count, OptBudget(max_evals=TRIAL_PROBES))
 
 
 def scored(inject) -> int:

@@ -17,8 +17,12 @@ report's JSON less ``wall_seconds``, or the error the run ended in. Then
 each mutant's ``qrep localize`` report, run through ``cli.main`` against
 its reference in exact and in sampled mode (oracle seed 3), is digested
 less ``wall_seconds``, the manifest's timestamp and its input paths, or
-its exit code and error line. qrep is imported from ``PYTHONPATH`` when it
-names a checkout, else from this one.
+its exit code and error line. Last, each mutant's ``qrep repair`` report
+against its reference's Z-basis rows as an ``--expected`` table (as
+perfbench's ``cli-expected`` workload writes it; 50 evaluations, 4
+iterations), run through ``cli.main``, is digested the same way: the
+only configuration with a partial suite. qrep is imported from
+``PYTHONPATH`` when it names a checkout, else from this one.
 """
 import contextlib
 import hashlib
@@ -41,6 +45,7 @@ from qrep.engine import RepairConfig, random_search, repair
 from qrep.errors import QRepError
 from qrep.patcher import DEFAULT_PATCH_CATALOG, inject_faults
 from qrep.qasm import emit_qasm
+from qrep.simulator import MeasBasis
 from qrep.testkit import OracleConfig, generate_suite
 
 FIXED_KINDS = tuple(name for name in DEFAULT_PATCH_CATALOG if not GATE_BY_NAME[name].param_count)
@@ -69,19 +74,34 @@ def digest(search, mutant, suite, cfg) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
-def localize_digest(mutant, ref, flags: list[str], tmp: Path) -> str:
-    (tmp / "mutant.qasm").write_text(emit_qasm(mutant))
-    (tmp / "ref.qasm").write_text(emit_qasm(ref))
+def cli_digest(argv: list[str], tmp: Path, ok=(cli.EXIT_OK,)) -> str:
+    """The digest of the report ``cli.main(argv)`` writes to ``tmp``, less its
+    wall time, the manifest's timestamp and its input paths, or the exit
+    code and error line when the code is not one of ``ok``."""
     out = tmp / "report.json"
-    argv = ["localize", "--circuit", str(tmp / "mutant.qasm"), "--reference", str(tmp / "ref.qasm"), "--out", str(out)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli.main(argv + flags)
-    if code != cli.EXIT_OK:
+        code = cli.main(argv + ["--out", str(out)])
+    if code not in ok:
         return f"exit {code}: {err.getvalue().strip()}"
     report = json.loads(out.read_text())
     del report["wall_seconds"], report["manifest"]["timestamp"], report["manifest"]["inputs"]
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def localize_digest(mutant, ref, flags: list[str], tmp: Path) -> str:
+    (tmp / "mutant.qasm").write_text(emit_qasm(mutant))
+    (tmp / "ref.qasm").write_text(emit_qasm(ref))
+    return cli_digest(["localize", "--circuit", str(tmp / "mutant.qasm"), "--reference", str(tmp / "ref.qasm")] + flags, tmp)
+
+
+def expected_digest(mutant, suite, tmp: Path) -> str:
+    (tmp / "mutant.qasm").write_text(emit_qasm(mutant))
+    table = {tc.id: tc.expected.as_dict() for tc in suite.cases if tc.basis is MeasBasis.Z}
+    (tmp / "expected.json").write_text(json.dumps(table, sort_keys=True))
+    argv = ["repair", "--circuit", str(tmp / "mutant.qasm"), "--expected", str(tmp / "expected.json"),
+            "--budget-evals", "50", "--iterations", "4"]
+    return cli_digest(argv, tmp, ok=(cli.EXIT_OK, cli.EXIT_NOT_FIXED))
 
 
 def main() -> None:
@@ -99,6 +119,8 @@ def main() -> None:
         for name, flags in (("exact", []), ("sampled,oracle_seed=3", ["--shots-mode", "sampled", "--seed", "3"])):
             for tag, mutant, _, ref in mutants:
                 print(f"{name} localize {tag} {localize_digest(mutant, ref, flags, Path(tmp))}", flush=True)
+        for tag, mutant, suite, _ in mutants:
+            print(f"expected_z,evals=50 repair {tag} {expected_digest(mutant, suite, Path(tmp))}", flush=True)
 
 
 if __name__ == "__main__":

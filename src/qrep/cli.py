@@ -23,7 +23,7 @@ from .engine import (
     random_search,
     repair,
 )
-from .errors import ExpectedTableError, QRepError
+from .errors import ExpectedTableError, QRepError, check_integer
 from .localizer import GateId, localize, removals
 from .optimizer import TOL_FLOOR, OptBudget
 from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, catalog_kinds, inject_faults
@@ -64,13 +64,6 @@ def _checked(convert, rule):
 
 def _names(text: str) -> tuple[str, ...]:
     return tuple(n.strip() for n in text.split(",") if n.strip())
-
-
-def _nonneg_int(text: str) -> int:
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
-    return v
 
 
 def _timestamp() -> str:
@@ -304,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mut = sub.add_parser("mutate", help="generate a seeded mutant corpus")
     p_mut.add_argument("--circuit", required=True)
-    p_mut.add_argument("--per-group", type=_nonneg_int, required=True)
+    p_mut.add_argument("--per-group", type=_checked(int, lambda v: check_integer("per_group", v, 0)), required=True)
     p_mut.add_argument("--seed", type=int, default=0)
     p_mut.add_argument("--catalog", type=_checked(_names, catalog_kinds), default=DEFAULT_MUTATION_CATALOG)
     p_mut.add_argument("--out-dir", required=True)

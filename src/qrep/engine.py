@@ -17,13 +17,19 @@ localisation or pruning.
 
 Every candidate is a single-gate edit of the faulty circuit: a removal of
 the sweep, a fixed patch of a run (those taken between two parametric
-patches) or an angle probe. All are scored by
-:func:`~qrep.testkit.edit_fitness`, sweeps and runs in stacked chunks and a
-probe as a chunk of one, and charged through one generator
-(:meth:`_Run.scored`), the one place that caps them at a count budget: the
-budget is checked as each edit is drawn and each score is charged as it is
-drawn. Each score is recorded and credited as a trial of that edit alone
-would be, so the reports are those of trying every edit alone, bit for bit.
+patches) or an angle probe. Sweeps and runs are scored by
+:func:`~qrep.testkit.edit_fitness` in stacked chunks, through one generator
+(:meth:`_Run.scored`); a probe is scored alone by
+:func:`~qrep.testkit.fitness` of its edit, which runs in the prefix cache's
+plan, through :meth:`_Run.probe`, with no generator. Both pass one budget
+gate (:meth:`_Run.gate`, the count cap and the seconds deadline) before an
+edit is simulated, and charge each score as it is drawn. A probe at
+all-zero angles is charged but not simulated when the run already holds
+its score (:meth:`_Run.recalled`): every parametric kind is then the
+identity, so an add scores as the baseline and a replace as the sweep's
+removal of the gate, bit for bit. Each score is recorded and credited as a
+trial of that edit alone would be, so the reports are those of trying
+every edit alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -32,7 +38,6 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -185,28 +190,63 @@ class _Run:
         self.prefixes = ts.prefixes(c_init)
         self.candidates: list[dict] = []  # one report row per trial or removal
         self.baseline: FitnessScore | None = None
+        self.removed: dict[int, FitnessScore] = {}  # the sweep's score of each removal, by position
         self.partial_localisation = False
+
+    def gate(self, used: int) -> bool:
+        """The one budget gate every edit passes before it is simulated,
+        ``used`` being the evaluations charged so far plus the edits drawn
+        and not yet charged: False once ``used`` reaches a count budget's
+        cap, and BudgetExhaustedError once a seconds budget's deadline has
+        passed."""
+        b = self.budget
+        if b.max_evals is not None and used >= b.max_evals:
+            return False
+        b.precheck()
+        return True
 
     def scored(self, edits: Iterable[tuple[int, GateApp | None, bool]]) -> Iterator[FitnessScore]:
         """The scores of ``c_init`` with each of ``edits`` made alone
         (:func:`edit_fitness`), each charged as one evaluation when it is
-        drawn. This is the one place that caps stacked edits at a count
-        budget: no more edits are drawn than it has evaluations left. The
-        budget is also checked as each edit is drawn, before its chunk is
-        simulated, so no chunk starts after the deadline of a seconds budget
-        (one that started before it is charged). Drawing past the cap raises
+        drawn. Each edit passes :meth:`gate` before it is drawn: no more are
+        drawn than a count budget has evaluations left, and none after the
+        deadline of a seconds budget, so no chunk starts after it (one that
+        started before it is charged). Drawing past the cap raises
         BudgetExhaustedError."""
+        edits = iter(edits)
 
         def checked() -> Iterator[tuple[int, GateApp | None, bool]]:
-            b = self.budget
-            for _, e in zip(count() if b.max_evals is None else range(b.max_evals - b.evals_used), edits):
-                b.precheck()
+            used = self.budget.evals_used
+            while self.gate(used) and (e := next(edits, None)) is not None:
+                used += 1
                 yield e
 
         for score in edit_fitness(self.c_init, self.ts, checked(), self.cfg.oracle, self.prefixes):
             self.budget.charge()
             yield score
         self.budget.precheck()
+
+    def probe(self, edit: tuple[int, GateApp, bool]) -> FitnessScore:
+        """The score of ``c_init`` with the angle probe ``edit`` made, charged
+        as one evaluation once it has passed :meth:`gate`: the score the run
+        already holds for it (:meth:`recalled`), or one :func:`fitness` of
+        the edit alone, which runs in the prefix cache's plan."""
+        if not self.gate(self.budget.evals_used):
+            raise BudgetExhaustedError(f"budget spent ({self.budget.evals_used} of {self.budget.max_evals} evaluations)")
+        score = self.recalled(edit) or fitness(self.c_init, self.ts, self.cfg.oracle, self.prefixes, edit)
+        self.budget.charge()
+        return score
+
+    def recalled(self, edit: tuple[int, GateApp, bool]) -> FitnessScore | None:
+        """The score the run already holds for the parametric ``edit`` when
+        its angles are all zero, where every parametric kind is the
+        identity: an add scores as ``c_init`` (the baseline), and a replace
+        as the removal of the gate it replaces (the sweep's score, once the
+        sweep has drawn it). None for any other edit."""
+        position, gate, replaces = edit
+        if not gate.params or any(gate.params):
+            return None
+        return self.removed.get(position) if replaces else self.baseline
 
     def record(self, kind: str, position: int, gate: str, qubits, params, value: float) -> None:
         self.candidates.append({
@@ -235,7 +275,7 @@ class _Run:
     def try_patch(self, patch: Patch, rng: np.random.Generator | None = None) -> float:
         """Best fitness achieved by the parametric ``patch``, settled as
         :meth:`settle` says, and a passing probe as it is scored; each probe
-        is :meth:`Patch.edit` of ``c_init`` at its angles, drawn through :meth:`scored`.
+        is :meth:`Patch.edit` of ``c_init`` at its angles, scored by :meth:`probe`.
 
         Raises _FullPass on a repair, and BudgetExhaustedError when the
         budget runs out mid-trial; both propagate through the solver. A
@@ -246,7 +286,7 @@ class _Run:
 
         def objective(params: tuple[float, ...]) -> float:
             nonlocal best
-            score = next(self.scored([patch.edit(params)]))
+            score = self.probe(patch.edit(params))
             if score.all_passed():
                 self.settle(patch, params, score)
             if best is None or score.value < best[1].value:
@@ -353,7 +393,9 @@ class _Run:
         return self.finalize(STATUS_NOT_FIXED, None)
 
     def guided_search(self) -> None:
-        loc = localize(self.c_init, self.baseline, self.scored(removals(self.c_init)))
+        # the sweep's scores, kept by position for the probes that recall them
+        swept = enumerate(self.scored(removals(self.c_init)))
+        loc = localize(self.c_init, self.baseline, (self.removed.setdefault(p, score) for p, score in swept))
         self.table = loc.table
         for gid, value in loc.removal_fitness.items():
             self.record("delete", gid.position, gid.gate, gid.qubits, (), value)

@@ -19,10 +19,16 @@ tensor after the leading gates of one circuit, and a kernel per gate. Every
 simulation is one staircase over those kernels (:func:`_staircase`), and
 every candidate is an edit: the cached circuit joins it after its last
 gate, and each single-gate edit at the edit, so it is simulated from the
-edit on. No full 2^q x 2^q matrix is ever built here; the dense-matrix
-product lives in the test suite as an independent oracle. Every
-probability returned here is exact: a sampled-mode oracle draws its shots
-from them in :mod:`qrep.testkit`.
+edit on. Once an angle probe has built it, a lone edit, one simulated
+with no other, runs in the cache's plan instead (:meth:`PrefixCache.plan`
+and :meth:`PrefixCache.lone`): two state tensors, a rotation stack and its
+twin, moduli and rows, all sized once from the cache's shape and
+:data:`BASIS_STACK_BYTES`, with every per-qubit view and a step per
+cached gate made once, so its one-qubit gates and measurement write into
+buffers and round as the staircase does. No full 2^q x 2^q matrix is ever
+built here; the dense-matrix product lives in the test suite as an
+independent oracle. Every probability returned here is exact: a
+sampled-mode oracle draws its shots from them in :mod:`qrep.testkit`.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -157,7 +164,7 @@ def _matrix_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
 def _narrowed(m: np.ndarray) -> np.ndarray:
     """``m`` read-only, and real (float64) when every imaginary part is zero:
     the dtype is the flag :func:`_apply_1q` picks its product by."""
-    if not m.imag.any():
+    if not np.count_nonzero(m.imag):
         m = m.real.copy()
     m.setflags(write=False)
     return m
@@ -365,6 +372,7 @@ class PrefixCache:
         slots = PREFIX_CACHE_BYTES // self.state_bytes if keep else 0
         self.stride = max(1, -(-len(c.gates) // slots)) if slots else len(c.gates) + 1
         self.states: dict[int, np.ndarray] = {}
+        self._plan: _LonePlan | None = None
         last = len(c.gates) - len(c.gates) % self.stride
         t = self._start() if last else None
         for k, kernel in enumerate(self.kernels[:last], 1):
@@ -388,20 +396,175 @@ class PrefixCache:
             t = kernel(t)
         return t
 
-    def edit(self, e: tuple[int, GateApp | None, bool]) -> tuple[int, np.ndarray]:
-        """(step, state): where the cached circuit with the single-gate edit
+    def check(self, c: Circuit, inputs) -> None:
+        """Raise unless the cache was built for ``c`` and ``inputs``, which
+        are held to its integer rule; the inputs it was built from pass at
+        once."""
+        if inputs is not self.given and not np.array_equal(self.inputs, _integers(inputs)):
+            raise ValueError("prefix cache was built for other inputs")
+        if c.num_qubits != self.num_qubits:
+            raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {self.num_qubits}")
+        if self.gates is not c.gates and self.gates != c.gates:
+            raise ValueError("prefix cache was built for another circuit")
+
+    def joins_at(self, e: tuple[int, GateApp | None, bool]) -> int:
+        """The step at which the cached circuit with the single-gate edit
         ``e`` = (position, gate, replaces) made joins the cached gates for
-        good, and a fresh state of it up to there: ``gate`` put before gate
-        ``position``, or in its place when ``replaces``; a gate of None with
-        ``replaces`` removes gate ``position``. An add joins at step
-        ``position``, a replace or removal one step later, with the cached
-        state after ``position`` gates and its own gate (if any) applied."""
+        good: ``gate`` put before gate ``position``, or in its place when
+        ``replaces``; a gate of None with ``replaces`` removes gate
+        ``position``. An add joins at step ``position``, a replace or
+        removal one step later. Raises ValueError for an edit the circuit
+        cannot take."""
         position, gate, replaces = e
         m = len(self.gates)
         if not 0 <= position < m + (not replaces) or (gate is None and not replaces):
             raise ValueError(f"no edit ({position}, {gate}, {replaces}) of a circuit of {m} gates")
+        return position + bool(replaces)
+
+    def edit(self, e: tuple[int, GateApp | None, bool]) -> tuple[int, np.ndarray]:
+        """(step, state): :meth:`joins_at` of the edit ``e``, and a fresh
+        state of the edited circuit up to there: the cached state after
+        ``position`` gates with the edit's own gate (if any) applied."""
+        step, (position, gate, _) = self.joins_at(e), e
         t = self.after(position)
-        return position + bool(replaces), t if gate is None else _kernel(gate, self.num_qubits)(t)
+        return step, t if gate is None else _kernel(gate, self.num_qubits)(t)
+
+    def plan(self) -> bool:
+        """Build the cache's plan for lone edits (:class:`_LonePlan`) unless
+        it has one, and say whether it has one. A caller about to simulate
+        many lone edits builds it, as an angle probe does: a sweep's or an
+        injection's chunk of one may be the cache's only lone edits, and
+        would not pay for the buffers. There is no plan on one qubit, whose
+        products keep :func:`_apply_1q`'s core form, or when a state is
+        wider than :data:`BASIS_STACK_BYTES`: the plan keeps six to nine
+        states, so its buffers stay under 1.5 MiB, and at such widths the
+        arithmetic, not the calls around it, is the cost."""
+        if self._plan is None and self.num_qubits > 1 and self.state_bytes <= BASIS_STACK_BYTES:
+            self._plan = _LonePlan(self)
+        return self._plan is not None
+
+    def lone(self, c: Circuit, inputs, e: tuple[int, GateApp | None, bool], bases: tuple[MeasBasis, ...]):
+        """:func:`run_all_bases` of ``c`` with the one edit ``e`` made,
+        indexed ``[basis, k, outcome]``, simulated in the cache's plan and
+        returned in its buffer, valid until the next call; ``c`` and
+        ``inputs`` are held to :meth:`check`. None, with nothing simulated,
+        when the cache has no plan (see :meth:`plan`)."""
+        if self._plan is None:
+            return None
+        self.check(c, inputs)
+        return self._plan.run(self, e, bases)
+
+
+def _real_views(t: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Per qubit q, the float64 (-1, 2, 2 * 2^q * B) view of the C-contiguous
+    state tensor ``t`` (any block axes merged into the first dimension)
+    that a real one-qubit product reads and writes (see :func:`_apply_1q`)."""
+    return tuple(t.reshape(-1, 2, 2**q * t.shape[-1]).view(np.float64) for q in range(n))
+
+
+def _complex_1q(m_t: np.ndarray, cols: np.ndarray, scratch: np.ndarray) -> None:
+    # the amplitude rows times m.T into a contiguous scratch, then copied
+    # back through the transposed view: _apply_1q's complex product
+    np.matmul(cols, m_t, out=scratch)
+    np.copyto(cols, scratch)
+
+
+class _LonePlan:
+    """Buffers, views and steps that simulate a :class:`PrefixCache`'s
+    circuit with one single-gate edit made, one edit per call, with no block
+    axis (:meth:`PrefixCache.lone`). It keeps no reference to the cache, so
+    a cache is freed as soon as its run drops it. Everything that depends
+    only on the cache is made once, here: two state tensors and each one's
+    views per qubit, one step per cached gate and per tensor holding the
+    state (built the first time it runs), the rotated-basis stack and its
+    twin, sized for the bases one measurement pass holds (one at a time
+    where :data:`BASIS_STACK_BYTES` requires it), the moduli and the
+    probability rows.
+
+    A real one-qubit step is ``np.matmul(m, src, out=dst)`` from one state
+    tensor into the other. A complex one multiplies the amplitude rows into
+    the other tensor, used as scratch, and copies them back through the
+    transposed view. Both round as :func:`_apply_1q` does, and the phase and
+    exchange kernels update the state in place, as they do in a staircase,
+    so a call's rows equal, bit for bit, those of the edit simulated alone by
+    :func:`run_all_bases`. The rows are the plan's own, valid until its
+    next call.
+    """
+
+    def __init__(self, cache: PrefixCache):
+        n, cols = cache.num_qubits, len(cache.columns)
+        shape = (2,) * n + (cols,)
+        self.n = n
+        self.states = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+        self.real = [_real_views(t, n) for t in self.states]
+        self.cols = [tuple(t.reshape(-1, 2, 2**q * cols).transpose(0, 2, 1) for q in range(n)) for t in self.states]
+        self.scratch = [tuple(t.reshape(-1, 2**q * cols, 2) for q in range(n)) for t in self.states]
+        self.start = self.states[0].reshape(2**n, cols), (cache.columns, np.arange(cols))
+        self.steps: list[tuple | None] = [None] * len(cache.gates)  # built on first use
+        self.per_pass = max(1, BASIS_STACK_BYTES // cache.state_bytes)
+        # the stack and its twin, and the views of their first r states
+        stack = [np.empty((min(self.per_pass, 2),) + shape, dtype=complex) for _ in (0, 1)]
+        self.stacks = {
+            r: ([s[:r] for s in stack], [_real_views(s[:r], n) for s in stack]) for r in range(1, len(stack[0]) + 1)
+        }
+        self.moduli = np.empty((min(self.per_pass, len(BASIS_ORDER)),) + shape)
+        self.rows = np.empty((len(BASIS_ORDER), 1, len(cache.inputs), 2**n))
+
+    def _step(self, g: GateApp, i: int, kernel: Callable | None = None) -> tuple[Callable[[], object], int]:
+        """``g`` as a step on the state in tensor ``i``: the call, and the
+        tensor that holds the state after it. ``kernel`` is ``g``'s
+        :func:`_kernel` when the cache has built it."""
+        if g.kind.num_qubits > 1:
+            return partial(kernel or _kernel(g, self.n), self.states[i]), i
+        check_qubits(g, self.n)
+        m, q = _gate_1q(g.kind, g.params), g.qubits[0]
+        if m.dtype == np.float64:
+            return partial(np.matmul, m, self.real[i][q], out=self.real[1 - i][q]), 1 - i
+        return partial(_complex_1q, m.T, self.cols[i][q], self.scratch[1 - i][q]), i
+
+    def _cached_gates(self, cache: PrefixCache, lo: int, hi: int, i: int) -> int:
+        # cached gates lo..hi-1 on the state in tensor i; returns the tensor
+        # that holds it after them
+        for k in range(lo, hi):
+            steps = self.steps[k]
+            if steps is None:
+                g, kernel = cache.gates[k], cache.kernels[k]
+                steps = self.steps[k] = (self._step(g, 0, kernel), self._step(g, 1, kernel))
+            call, i = steps[i]
+            call()
+        return i
+
+    def rotated(self, t: np.ndarray, rotated: list[MeasBasis]) -> np.ndarray:
+        """:func:`_rotated` in the plan's stack and twin."""
+        (s, twin), views = self.stacks[len(rotated)]
+        _fill(s, t, rotated, self.n)
+        i = 0
+        for q in range(self.n):
+            np.matmul(_H, views[i][q], out=views[1 - i][q])
+            i = 1 - i
+        return (s, twin)[i]
+
+    def run(self, cache: PrefixCache, e: tuple[int, GateApp | None, bool], bases: tuple[MeasBasis, ...]) -> np.ndarray:
+        """The rows of ``cache``'s circuit with the edit ``e`` made, indexed
+        ``[basis, k, outcome]``, in the plan's own buffer."""
+        join = cache.joins_at(e)
+        position, gate, _ = e
+        start = position - position % cache.stride
+        if start:
+            np.copyto(self.states[0], cache.states[start])
+        else:  # the one-hot inputs, as PrefixCache._start builds them
+            flat, ones = self.start
+            flat.fill(0)
+            flat[ones] = 1.0
+        i = self._cached_gates(cache, start, position, 0)
+        if gate is not None:
+            call, i = self._step(gate, i)
+            call()
+        i = self._cached_gates(cache, join, len(self.steps), i)
+        out = self.rows[: len(bases)]
+        for lo in range(0, len(bases), self.per_pass):
+            _measure(self.states[i], bases[lo : lo + self.per_pass], self.n, out[lo : lo + self.per_pass], self)
+        return out[:, 0]
 
 
 def _staircase(prefixes: PrefixCache, joins: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
@@ -428,33 +591,48 @@ def _staircase(prefixes: PrefixCache, joins: Sequence[tuple[int, np.ndarray]]) -
     return t if order == sorted(order) else t[np.argsort(order)]
 
 
-def _measure(t: np.ndarray, bases: tuple[MeasBasis, ...], n: int, out: np.ndarray) -> None:
+def _fill(s: np.ndarray, t: np.ndarray, rotated: list[MeasBasis], n: int) -> None:
+    # block j of the stack s: the final states t, times the phase table
+    # (sdg on every qubit) for Y
+    for j, basis in enumerate(rotated):
+        if basis is MeasBasis.Y:
+            np.multiply(t, _y_phases(n), out=s[j])
+        else:
+            s[j] = t
+
+
+def _rotated(t: np.ndarray, rotated: list[MeasBasis], n: int) -> np.ndarray:
+    """The final ``n``-qubit states ``t`` rotated into each of ``rotated``
+    (X or Y), stacked on a leading axis and put through one ``h`` layer."""
+    if len(rotated) == 1:  # no stack to build
+        s = (t * _y_phases(n) if rotated[0] is MeasBasis.Y else t)[None]
+    else:
+        s = np.empty((len(rotated),) + t.shape, dtype=complex)
+        _fill(s, t, rotated, n)
+    for q in range(n):
+        s = _apply_1q(s, _H, 2**q, n)
+    return s
+
+
+def _measure(
+    t: np.ndarray, bases: tuple[MeasBasis, ...], n: int, out: np.ndarray, plan: _LonePlan | None = None
+) -> None:
     """The probabilities of the final ``n``-qubit states ``t`` in each of
     ``bases``, written into ``out``, indexed ``[basis, block, input,
     outcome]``. The X and Y states are stacked on a leading axis and
-    rotated by one ``h`` layer; Z reads ``t`` as it is. The moduli are
-    taken in the states' own layout, where numpy's complex ``abs`` runs
-    its contiguous loop, and squared into ``out`` through a transpose, so
-    each row is contiguous when it is summed and sums in the same order in
-    any batch. One row sum, one drift check and one in-place divide follow
-    while the rows are in cache. The stack is freed on return, before the
-    next chunk's is built."""
+    rotated by one ``h`` layer (:func:`_rotated`, or in ``plan``'s
+    buffers); Z reads ``t`` as it is. The moduli are taken in the states'
+    own layout, where numpy's complex ``abs`` runs its contiguous loop, and
+    squared into ``out`` through a transpose, so each row is contiguous
+    when it is summed and sums in the same order in any batch. One row
+    sum, one drift check and one in-place divide follow while the rows are
+    in cache. Without a plan the stack is freed on return, before the next
+    chunk's is built."""
     rotated = [b for b in bases if b is not MeasBasis.Z]
     stack = iter(())
     if rotated:
-        if len(rotated) == 1:  # no stack to build
-            s = (t * _y_phases(n) if rotated[0] is MeasBasis.Y else t)[None]
-        else:
-            s = np.empty((len(rotated),) + t.shape, dtype=complex)
-            for j, basis in enumerate(rotated):
-                if basis is MeasBasis.Y:
-                    np.multiply(t, _y_phases(n), out=s[j])
-                else:
-                    s[j] = t
-        for q in range(n):
-            s = _apply_1q(s, _H, 2**q, n)
-        stack = iter(s)
-    moduli = np.empty((len(bases),) + t.shape)
+        stack = iter(_rotated(t, rotated, n) if plan is None else plan.rotated(t, rotated))
+    moduli = np.empty((len(bases),) + t.shape) if plan is None else plan.moduli[: len(bases)]
     for i, basis in enumerate(bases):
         np.abs(t if basis is MeasBasis.Z else next(stack), out=moduli[i])
     blocks, batch = out.shape[1], out.shape[2]
@@ -501,12 +679,8 @@ def run_all_bases(
     """
     if prefixes is None:
         prefixes = PrefixCache(c, inputs, keep=False)
-    elif inputs is not prefixes.given and not np.array_equal(prefixes.inputs, _integers(inputs)):
-        raise ValueError("prefix cache was built for other inputs")
-    if c.num_qubits != prefixes.num_qubits:
-        raise WidthMismatchError(f"circuit has {c.num_qubits} qubits, cache {prefixes.num_qubits}")
-    if prefixes.gates is not c.gates and prefixes.gates != c.gates:
-        raise ValueError("prefix cache was built for another circuit")
+    else:
+        prefixes.check(c, inputs)
     joins = [(len(c.gates), prefixes.after(len(c.gates)))] if edits is None else [prefixes.edit(e) for e in edits]
     n, t = c.num_qubits, _staircase(prefixes, joins)
     blocks, batch = t.size // (2**n * t.shape[-1]), len(prefixes.inputs)

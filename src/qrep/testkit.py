@@ -7,6 +7,12 @@ the observed output contains an outcome the expected distribution rules
 out, or when its Hellinger distance from the expected distribution exceeds
 the failure threshold. Fitness is the failed-case count plus the Hellinger
 distances summed over every case; ``_scores`` is the one implementation.
+Every simulation of a suite's circuits goes through ``_observed``: a lone
+edit runs in its prefix cache's plan (:meth:`~qrep.simulator.PrefixCache.lone`),
+which the first edit scored alone by :func:`fitness` (an angle probe)
+builds, and its case rows are gathered by one flat ``np.take`` into the
+suite's buffer; the circuit itself and stacked chunks of edits are one
+:func:`~qrep.simulator.run_all_bases` call. Both are scored by ``_scores``.
 The simulator gives exact probabilities; in sampled mode the oracle first
 replaces each case's row by the frequencies of ``shots`` seeded multinomial
 draws from it, with ``shots`` checked once, by :class:`OracleConfig`.
@@ -18,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +55,8 @@ class TestSuite:
     An evaluation is one kernel call plus array operations on what is
     derived here once: the sorted simulated inputs, the measured bases in
     BASIS_ORDER, each case's (basis, input) index into the kernel's output,
-    the expected rows with their square roots, and the outcomes the rows
-    rule out (see :meth:`ruled_out`).
+    also as one flat index (``gather``), the expected rows with their square
+    roots, and the outcomes the rows rule out (see :meth:`ruled_out`).
     """
 
     def __init__(self, num_qubits: int, basis_index: np.ndarray, input_states: np.ndarray, expected):
@@ -65,7 +71,16 @@ class TestSuite:
         inputs = np.flatnonzero(np.bincount(input_states))
         self.inputs = tuple(inputs.tolist())
         self.case_rows = (np.searchsorted(used, basis_index), np.searchsorted(inputs, input_states))
+        # the same rows as one flat index into the [basis * input, outcome]
+        # rows of one simulation
+        self.gather = self.case_rows[0] * len(inputs) + self.case_rows[1]
         self._ruled_out: tuple[float, np.ndarray] | None = None
+
+    @cached_property
+    def lone_rows(self) -> np.ndarray:
+        """The buffer a lone edit's case rows are gathered into (see
+        :func:`_observed`), made on first use."""
+        return np.empty(self.expected.shape)
 
     def ruled_out(self, eps_zero: float) -> np.ndarray:
         """The read-only mask ``expected <= eps_zero``: the outcomes each
@@ -288,19 +303,27 @@ def fitness(
     ts: TestSuite,
     cfg: OracleConfig = OracleConfig(),
     prefixes: PrefixCache | None = None,
+    edit: tuple[int, GateApp | None, bool] | None = None,
 ) -> FitnessScore:
     """Evaluate every test case; value = failed count + summed Hellinger.
 
     One kernel call simulates every suite input in the suite's bases, from
-    ``prefixes`` when given, which must be built for ``c`` (an edit of ``c``
-    goes to :func:`edit_fitness`). A case fails when its row puts more than
-    ``eps_zero`` on an outcome its expected row rules out, or lies farther
-    than the failure threshold from that row in Hellinger distance; the
-    distances are summed sequentially in suite order.
+    ``prefixes`` when given, which must be built for ``c``. Given ``edit``,
+    a single-gate edit of ``c`` (see :func:`edit_fitness`), the circuit
+    scored is ``c`` with it made, simulated alone from ``prefixes`` (built
+    here when not given), whose plan for lone edits it builds first: an
+    edit scored alone is an angle probe, one of many. A case fails when
+    its row puts more than ``eps_zero`` on an outcome its expected row
+    rules out, or lies farther than the failure threshold from that row in
+    Hellinger distance; the distances are summed sequentially in suite
+    order.
     """
     _require_width(c, ts)
-    observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes)[ts.case_rows]
-    return _scores(observed, ts, cfg)[0]
+    if edit is None:
+        return _scores(_observed(c, ts, prefixes), ts, cfg)[0]
+    prefixes = prefixes or ts.prefixes(c)
+    prefixes.plan()
+    return _scores(_observed(c, ts, prefixes, (edit,)), ts, cfg)[0]
 
 
 def edit_fitness(
@@ -316,9 +339,10 @@ def edit_fitness(
 
     The edits are drawn a chunk at a time, as many as fit
     :data:`~qrep.simulator.SWEEP_CHUNK_BYTES` of stacked states (at least
-    one), and each chunk is one stacked simulation: a caller that stops
-    drawing scores leaves the later edits undrawn and unsimulated.
-    ``prefixes`` must be built for ``c``; it is built once when not given.
+    one), and each chunk is one simulation (:func:`_observed`): a caller
+    that stops drawing scores leaves the later edits undrawn and
+    unsimulated. ``prefixes`` must be built for ``c``; it is built once
+    when not given.
     """
     _require_width(c, ts)
     if prefixes is None:
@@ -326,9 +350,30 @@ def edit_fitness(
     size = max(1, simulator.SWEEP_CHUNK_BYTES // prefixes.state_bytes)
     edits = iter(edits)
     while chunk := list(islice(edits, size)):
-        observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=chunk)
-        observed = observed[(slice(None), *ts.case_rows)]
-        yield from _scores(observed.reshape(-1, observed.shape[2]), ts, cfg)
+        yield from _scores(_observed(c, ts, prefixes, chunk), ts, cfg)
+
+
+def _observed(
+    c: Circuit,
+    ts: TestSuite,
+    prefixes: PrefixCache | None,
+    edits: Sequence[tuple[int, GateApp | None, bool]] | None = None,
+) -> np.ndarray:
+    """The rows the suite's cases observe, in suite order: of ``c`` (no
+    ``edits``) or, one block of ``len(ts)`` rows each, of ``c`` with each of
+    ``edits`` made alone, ``prefixes`` being built for ``c``. This is the
+    one place a suite's circuits are simulated. A lone edit runs in the
+    cache's plan (:meth:`PrefixCache.lone`) once one is built, and its rows
+    are gathered into the suite's buffer, valid until the next lone edit;
+    anything else is one stacked :func:`run_all_bases` call."""
+    if edits is not None and len(edits) == 1:
+        rows = prefixes.lone(c, ts.inputs, edits[0], ts.bases)
+        if rows is not None:
+            return np.take(rows.reshape(-1, rows.shape[2]), ts.gather, axis=0, out=ts.lone_rows)
+    observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=edits)
+    if edits is None:
+        return observed[ts.case_rows]
+    return observed[(slice(None), *ts.case_rows)].reshape(-1, observed.shape[3])
 
 
 def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[FitnessScore]:
@@ -345,14 +390,17 @@ def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[Fitn
     # the suite's rows on a leading axis of one, so that one block runs
     # numpy's same-shape loops and more blocks broadcast
     wrong = ((observed > cfg.eps_zero) & ts.ruled_out(cfg.eps_zero)[None]).any(axis=2)
-    diff = np.sqrt(observed) - ts.sqrt_expected[None]
+    diff = np.sqrt(observed)
+    diff -= ts.sqrt_expected[None]
     # a stack of (1 x n) @ (n x 1) products runs numpy's dot loop, so each
     # distance is rounded exactly as one np.dot of the two rows rounds it
-    sq = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-    h = np.minimum(np.sqrt(sq) / math.sqrt(2.0), 1.0)
-    failed = wrong | (h > cfg.resolve_tau(ts.num_qubits))
+    h = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    h /= math.sqrt(2.0)
+    np.minimum(h, 1.0, out=h)
+    wrong |= h > cfg.resolve_tau(ts.num_qubits)
+    failed = np.add.reduce(wrong, axis=1).tolist()
     sums = np.cumsum(h, axis=1)[:, -1].tolist()  # in suite order
-    return [FitnessScore(failed_count=int(np.count_nonzero(f)), hellinger_sum=v) for f, v in zip(failed, sums)]
+    return [FitnessScore(failed_count=f, hellinger_sum=v) for f, v in zip(failed, sums)]
 
 
 def require_failing(score: FitnessScore, what: str = "circuit") -> None:

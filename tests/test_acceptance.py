@@ -17,7 +17,7 @@ from oracles import dense_probs, hellinger, revert_patch, run_exact
 from qrep.benchmarks import build_benchmark, standard_catalog
 from qrep.circuit import GateKind, build_circuit
 from qrep.cli import main
-from qrep.engine import STATUS_NOT_FIXED, STATUS_REPAIRED, RepairConfig, random_search, repair
+from qrep.engine import STATUS_NOT_FIXED, STATUS_REPAIRED, RepairConfig, _Run, random_search, repair
 from qrep.patcher import apply_patch, generate_patches, inject_faults
 from qrep.qasm import emit_qasm
 from qrep.simulator import MeasBasis
@@ -247,24 +247,31 @@ def test_criterion_9_budget_exactness(monkeypatch):
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
     ts = generate_suite(bell)
 
-    real = testkit_mod.run_all_bases
+    real, recalled = testkit_mod._observed, _Run.recalled
     calls = {"n": 0}
 
-    def probe(c, inputs, **kw):
+    def probe(c, suite, prefixes, edits=None):
         # the removal sweep and a run of fixed patches stack their circuits,
         # one block per edit, in one call
-        edits = kw.get("edits")
         calls["last_blocks"] = 1 if edits is None else len(edits)
         calls["n"] += calls["last_blocks"]
-        assert sorted(inputs) == list(range(2**bell.num_qubits))
-        return real(c, inputs, **kw)
+        assert sorted(suite.inputs) == list(range(2**bell.num_qubits))
+        return real(c, suite, prefixes, edits)
 
-    monkeypatch.setattr(testkit_mod, "run_all_bases", probe)
+    def remembered(self, edit):
+        # a zero-angle probe the run holds the score of is charged, not simulated
+        score = recalled(self, edit)
+        calls["n"] += score is not None
+        return score
+
+    monkeypatch.setattr(testkit_mod, "_observed", probe)
+    monkeypatch.setattr(_Run, "recalled", remembered)
     for n in (1, 2, 3, 7, 25, 60):
         calls["n"] = 0
         rep = repair(broken, ts, RepairConfig(budget_evals=n, iterations=4))
         assert rep.evals_used <= n
-        # each counted evaluation is one circuit simulated on all 2^q inputs;
+        # each counted evaluation is one circuit simulated on all 2^q inputs,
+        # or one zero-angle probe answered from a score the run holds;
         # a repair inside a stacked chunk leaves that chunk's later circuits
         # simulated but not charged
         if rep.status == STATUS_NOT_FIXED:

@@ -32,12 +32,13 @@ def test_every_bench_layer_runs_once(layers):
         "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "inject_qft4_z",
         "parse_grover3", "report_grover3",
         "suite_dj6", "suite_table_qft4", "suite_table_dj6", "suite_table_qft6", "trial_ry_wstate4",
-        "trial_u_dj4", "repair_fixed_qft4",
+        "trial_u_dj4", "repair_fixed_qft4", "probe_ry_wstate4",
     } <= set(layers)
     for name, (fn, facts) in layers.items():
         fn()
         assert isinstance(facts, dict), name
     assert layers["run_all_bases_qft8"][1]["qft10_peak_mib"] > 0
+    assert layers["probe_ry_wstate4"][1]["lone_peak_mib_qft10"] > 0
     # the timed gate acts on the simulator's own 6-qubit state of 64 inputs
     fn, _ = layers["gate_1q_q6"]
     assert np.isclose(np.linalg.norm(fn()), 8.0)
@@ -60,6 +61,8 @@ def test_bench_layers_time_the_work_their_facts_name(layers):
         rep = fn()
         rows = hashlib.sha256(json.dumps([rep.best_patches, rep.ranking], sort_keys=True).encode()).hexdigest()
         assert (rep.status, rep.evals_used, rows) == (facts["status"], facts["evals"], facts["rows_sha256"]), name
+    fn, facts = layers["probe_ry_wstate4"]
+    assert fn().value == facts["value"]
     fn, facts = layers["report_grover3"]
     report = json.loads(fn())
     assert (report["status"], report["evals_used"], len(report["ranking"])) == (

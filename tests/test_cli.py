@@ -441,7 +441,7 @@ def _catalog_names(text: str) -> tuple[str, ...]:
 
 
 # each (subcommand, flag) that fills a config field, or inject_faults'
-# catalog, with the conversion of its text
+# catalog or count, with the conversion of its text
 _FILLING_FLAGS = {
     ("repair", "--budget-evals"): int,
     ("repair", "--budget-seconds"): float,
@@ -455,6 +455,7 @@ _FILLING_FLAGS = {
     ("repair", "--seed"): int,
     ("repair", "--catalog"): _catalog_names,
     ("mutate", "--catalog"): _catalog_names,
+    ("mutate", "--per-group"): int,
 }
 _FLAG_TEXT = st.one_of(
     st.sampled_from(["0", "-1", str(2**63), str(2**63 - 1), "nan", "inf", "-inf", "1e-300", "1e400", "2.5", "",
@@ -474,7 +475,9 @@ def _refusal(sub: str, flag: str, value) -> str | None:
     """The message with which what the flag fills refuses ``value``, every
     other flag at its default; None when it takes the value."""
     try:
-        if sub == "mutate":
+        if flag == "--per-group":
+            inject_faults(build_circuit(1, [("h", 0)]), 0, value, groups=())
+        elif sub == "mutate":
             catalog_kinds(value)
         else:
             args = build_parser().parse_args(["repair", "--circuit", "c", "--reference", "r", "--budget-evals", "1"])
@@ -491,12 +494,13 @@ def _refusal(sub: str, flag: str, value) -> str | None:
 @given(st.sampled_from(sorted(_FILLING_FLAGS)), _FLAG_TEXT)
 def test_each_flag_is_refused_exactly_when_its_config_refuses_it(sub_flag, text):
     """A flag is held to the rule of what it fills, kept once: parsing
-    refuses a value exactly when that config (or catalog_kinds) refuses the
-    converted value, as one line giving the config's own message."""
+    refuses a value exactly when that config (or catalog_kinds, or
+    inject_faults for --per-group) refuses the converted value, as one
+    line giving the config's own message."""
     sub, flag = sub_flag
     argv = [sub, "--circuit", "c.qasm"]
     if sub == "mutate":
-        argv += ["--out-dir", "m", "--per-group", "1"]
+        argv += ["--out-dir", "m"] + ([] if flag == "--per-group" else ["--per-group", "1"])
     else:
         argv += ["--reference", "r.qasm"]
         argv += [] if flag in ("--budget-evals", "--budget-seconds") else ["--budget-evals", "1"]

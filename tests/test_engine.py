@@ -35,11 +35,12 @@ from qrep.engine import (
     repair,
 )
 from qrep.errors import NoFailingTestError, UnknownGateError
-from qrep.localizer import BudgetExhaustedError, GateId, gate_id
+from qrep.localizer import BudgetExhaustedError, GateId, gate_id, removals
 from qrep.optimizer import OptBudget
-from qrep.patcher import Patch, apply_patch, generate_patches, inject_faults
+from qrep.patcher import Patch, _qubit_choices, apply_patch, generate_patches, inject_faults
 from qrep.qasm import emit_qasm, parse_qasm
 from qrep.testkit import FitnessScore, OracleConfig, edit_fitness, fitness, generate_suite
+from workloads import INJECTION_SEEDS, WIDE
 
 # the hint of an unknown catalog name's error, written out
 _ALL_GATES = "id,x,y,z,h,s,sdg,t,tdg,rx,ry,rz,p,u,cx,cz,cp,crz,swap,ccx"
@@ -178,16 +179,25 @@ def test_not_fixed_report_shape(bell, bell_suite):
 
 
 def _spy_scored(monkeypatch):
-    """Count the calls of ``_Run.scored`` (a removal sweep is one call, and
-    so is each angle probe) and log every edit it draws."""
+    """Count the calls of ``_Run.scored`` and ``_Run.probe`` (a removal
+    sweep is one call, and so is each angle probe) and log every edit they
+    draw: a probe's edit once it has passed the budget gate and been
+    scored."""
     calls, drawn = [], []
-    real = _Run.scored
+    real, real_probe = _Run.scored, _Run.probe
 
     def scored(self, edits):
         calls.append(None)
         return real(self, (drawn.append(e) or e for e in edits))
 
+    def probe(self, edit):
+        calls.append(None)
+        score = real_probe(self, edit)
+        drawn.append(edit)
+        return score
+
     monkeypatch.setattr(_Run, "scored", scored)
+    monkeypatch.setattr(_Run, "probe", probe)
     return calls, drawn
 
 
@@ -204,30 +214,22 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
     # baseline + 2-gate sweep = 3 evaluations; the first rx trial gets the
     # remaining 5 of its 20 and is cut by the budget on its 6th probe
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
-    values = []
-    real_fitness = qrep.engine.fitness
+    calls, drawn = _spy_scored(monkeypatch)
+    values = []  # the value of each probe scored, simulated or recalled
+    spied = _Run.probe
 
-    def fitness_spy(*args):
-        score = real_fitness(*args)
+    def probe_spy(self, edit):
+        score = spied(self, edit)
         values.append(score.value)
         return score
 
-    real_sweep = qrep.engine.edit_fitness
-
-    def sweep_spy(*args):
-        for score in real_sweep(*args):
-            values.append(score.value)
-            yield score
-
-    monkeypatch.setattr(qrep.engine, "fitness", fitness_spy)
-    monkeypatch.setattr(qrep.engine, "edit_fitness", sweep_spy)
-    calls, drawn = _spy_scored(monkeypatch)
+    monkeypatch.setattr(_Run, "probe", probe_spy)
     rep = repair(broken, bell_suite, cfg_evals(8, iterations=1, patch_catalog=("rx",)))
     assert rep.status == STATUS_NOT_FIXED
     assert rep.evals_used == 8
     probes = [params for params, _ in _probes(broken, drawn)]
     assert len(calls) == 1 + 6 and len(probes) == 5  # the 6th probe was refused before its edit was drawn
-    trial = list(zip(probes, values[3:]))
+    trial = list(zip(probes, values))
     assert len(trial) == 5
     best_params, best_value = min(trial, key=lambda pv: pv[1])
     patches = [p for p in rep.best_patches if p["kind"] != "delete"]
@@ -239,10 +241,14 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
 
 def _script_trials(monkeypatch, scores):
     """Make the engine's evaluations, the removal sweep's included, return
-    ``scores`` in order; count the calls of ``_Run.scored`` and log the
-    edits it draws (see :func:`_spy_scored`)."""
+    ``scores`` in order; count the calls of ``_Run.scored`` and
+    ``_Run.probe`` and log the edits they draw (see :func:`_spy_scored`).
+    Scripted scores need not keep the rule the run's memory of scores
+    rests on (a zero-angle add scores as the baseline), so no probe is
+    recalled: each takes the next scripted score."""
     scripted = iter(scores)
     monkeypatch.setattr(qrep.engine, "fitness", lambda *args: next(scripted))
+    monkeypatch.setattr(_Run, "recalled", lambda self, edit: None)
     monkeypatch.setattr(qrep.engine, "edit_fitness", lambda c, ts, edits, *args: (next(scripted) for _ in edits))
     return _spy_scored(monkeypatch)
 
@@ -404,13 +410,13 @@ def _ticking_simulations(mp) -> list[int]:
     as ``time.monotonic``, and the circuits each simulation stacks."""
     clock = [0.0]
     blocks = _simulated_blocks(mp)
-    counted = testkit.run_all_bases
+    counted = testkit._observed
 
-    def ticking(*args, **kwargs):
+    def ticking(c, ts, prefixes, edits=None):
         clock[0] += 1.0
-        return counted(*args, **kwargs)
+        return counted(c, ts, prefixes, edits)
 
-    mp.setattr(testkit, "run_all_bases", ticking)
+    mp.setattr(testkit, "_observed", ticking)
     mp.setattr(time, "monotonic", lambda: clock[0])
     return blocks
 
@@ -684,7 +690,7 @@ def test_stacked_edits_match_each_edited_circuit_alone(seed, q, suite_kind, samp
     checkpoints=st.booleans(),
 )
 def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind, sampled, checkpoints):
-    """Every angle probe ``try_patch`` draws through ``_Run.scored`` scores,
+    """Every angle probe ``try_patch`` scores through ``_Run.probe`` scores,
     to the bit, as a fresh ``fitness`` of ``apply_patch``'s circuit with no
     prefix cache: random circuits of 1-6 qubits, every parametric kind, an
     add at every position (the append included) and a replace of every
@@ -707,15 +713,14 @@ def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind,
     with pytest.MonkeyPatch.context() as mp:
         if checkpoints:
             mp.setattr(simulator, "PREFIX_CACHE_BYTES", 2 * ts.prefixes(c).state_bytes)
-        real = qrep.engine.edit_fitness
+        real = _Run.probe
 
-        def logged(c, ts, edits, *args):
-            drawn = []
-            for i, score in enumerate(real(c, ts, (drawn.append(e) or e for e in edits), *args)):
-                log.append((drawn[i], score))
-                yield score
+        def logged(self, edit):
+            score = real(self, edit)
+            log.append((edit, score))
+            return score
 
-        mp.setattr(qrep.engine, "edit_fitness", logged)
+        mp.setattr(_Run, "probe", logged)
         run = _Run(c, ts, cfg, None)
         for i, patch in enumerate(patches):
             start = len(log)
@@ -733,15 +738,25 @@ def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind,
 
 
 def _simulated_blocks(mp) -> list[int]:
-    """The number of circuits each simulation from now on stacks."""
+    """The number of circuits each simulation from now on stacks (a lone
+    edit is one), and a 1 for each angle probe a run answers from the
+    scores it holds (``_Run.recalled``), which is charged but not
+    simulated: the list sums to the evaluations scored."""
     blocks = []
-    real = testkit.run_all_bases
+    real, recalled = testkit._observed, _Run.recalled
 
-    def counted(*args, **kwargs):
-        blocks.append(1 if kwargs.get("edits") is None else len(kwargs["edits"]))
-        return real(*args, **kwargs)
+    def counted(c, ts, prefixes, edits=None):
+        blocks.append(1 if edits is None else len(edits))
+        return real(c, ts, prefixes, edits)
 
-    mp.setattr(testkit, "run_all_bases", counted)
+    def remembered(self, edit):
+        score = recalled(self, edit)
+        if score is not None:
+            blocks.append(1)
+        return score
+
+    mp.setattr(testkit, "_observed", counted)
+    mp.setattr(_Run, "recalled", remembered)
     return blocks
 
 
@@ -757,20 +772,19 @@ def _searched(c, ts, cfg, search, chunk):
     with pytest.MonkeyPatch.context() as mp:
         blocks = _simulated_blocks(mp)
         run, trail = _Run(c, ts, cfg, None), []
-        prune, simulate = qrep.engine.prune_to_gates, testkit.run_all_bases
+        prune, simulate = qrep.engine.prune_to_gates, testkit._observed
 
         def pruned(*args):
             trail.append(("prune", run.budget.evals_used))
             return prune(*args)
 
-        def simulated(*args, **kwargs):
+        def simulated(c, ts, prefixes, edits=None):
             # a run of fixed patches is the only simulation of gates without angles
-            edits = kwargs.get("edits")
             trail.append(("sim", 0 if edits is None or edits[0][1] is None or edits[0][1].params else len(edits)))
-            return simulate(*args, **kwargs)
+            return simulate(c, ts, prefixes, edits)
 
         mp.setattr(qrep.engine, "prune_to_gates", pruned)
-        mp.setattr(testkit, "run_all_bases", simulated)
+        mp.setattr(testkit, "_observed", simulated)
         rep = run.drive(getattr(run, search) if isinstance(search, str) else partial(search, run)).to_dict()
     rep.pop("wall_seconds")
     prunes = [v for v in dict.fromkeys(v for k, v in trail if k == "prune") if v < cfg.budget_evals]
@@ -870,3 +884,61 @@ def test_a_run_ends_at_the_first_whole_evaluation_past_a_fractional_mark(bell, b
     rep = repair(broken, bell_suite, cfg_evals(13, patch_catalog=("x", "y", "z", "s", "t")))
     assert rep.status == STATUS_NOT_FIXED and rep.evals_used == 13
     assert events == [1, 2, 3, "prune", 2, "prune", 3, "prune", 2]
+
+
+def _benchmark_mutants():
+    """The 27 mutants of perfbench's ``corpus`` and ``wide`` workloads, each
+    with its reference's suite."""
+    for family, n, seed in CORPUS + [(family, n, INJECTION_SEEDS[family]) for family, n in WIDE]:
+        ts = generate_suite(build_benchmark(family, n))
+        for record in inject_faults(build_benchmark(family, n), seed=seed, per_group=1, suite=ts):
+            yield f"{family}{n}/{record.group}", record.mutant, ts
+
+
+def test_zero_angle_edits_score_as_the_circuit_or_its_removal():
+    """On the 27 benchmark mutants, every parametric kind at all-zero
+    angles, on every qubit tuple, added at every position and simulated
+    alone as a probe is, scores bit for bit as the mutant (the baseline),
+    and put in place of any gate as that gate's removal scored by the
+    sweep: the rule ``_Run.recalled`` rests on, checked on 39,624 edits."""
+    kinds = [k for k in GateKind if k.param_count]
+    checked = 0
+    for name, c, ts in _benchmark_mutants():
+        cache = ts.prefixes(c)
+        baseline = _hex([fitness(c, ts, prefixes=cache)])
+        removed = [_hex([s]) for s in edit_fitness(c, ts, removals(c), prefixes=cache)]
+        for kind in (k for k in kinds if k.num_qubits <= c.num_qubits):
+            for qubits in _qubit_choices(kind, c.num_qubits):
+                g = GateApp(kind, qubits, (0.0,) * kind.param_count)
+                for p in range(len(c.gates) + 1):
+                    assert _hex([fitness(c, ts, prefixes=cache, edit=(p, g, False))]) == baseline, (name, g, p)
+                for p in range(len(c.gates)):
+                    assert _hex([fitness(c, ts, prefixes=cache, edit=(p, g, True))]) == removed[p], (name, g, p)
+                checked += 2 * len(c.gates) + 1
+    assert checked == 39624
+
+
+def test_a_recalled_probe_gives_the_report_of_a_simulated_one():
+    """A guided repair of each of the 27 benchmark mutants at perfbench's
+    ``corpus`` budget gives the same report, less its wall time, whether
+    the zero-angle probes the run holds the score of are recalled or
+    simulated; and some are recalled."""
+    recalled = []
+    real = _Run.recalled
+
+    def counted(self, edit):
+        score = real(self, edit)
+        recalled.append(score is not None)
+        return score
+
+    cfg = cfg_evals(55)
+    for name, c, ts in _benchmark_mutants():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Run, "recalled", counted)
+            got = repair(c, ts, cfg).to_dict()
+            mp.setattr(_Run, "recalled", lambda self, edit: None)
+            want = repair(c, ts, cfg).to_dict()
+        got.pop("wall_seconds"), want.pop("wall_seconds")
+        assert got == want, name
+    assert sum(recalled) >= 27
+

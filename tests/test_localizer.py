@@ -177,18 +177,17 @@ def _fields(res) -> dict:
 
 
 def _count_blocks(mp) -> list[int]:
-    """The number of blocks of each stacked removal simulation run from
-    now on, through ``testkit``'s kernel call."""
+    """The number of blocks of each removal simulation run from now on (a
+    lone removal is one), through ``testkit``'s one simulation call."""
     blocks = []
-    run_all_bases = testkit.run_all_bases
+    observed = testkit._observed
 
-    def counted(*args, **kwargs):
-        out = run_all_bases(*args, **kwargs)
-        if out.ndim == 4:  # [removal, basis, input, outcome]
-            blocks.append(len(out))
-        return out
+    def counted(c, ts, prefixes, edits=None):
+        if edits is not None:
+            blocks.append(len(edits))
+        return observed(c, ts, prefixes, edits)
 
-    mp.setattr(testkit, "run_all_bases", counted)
+    mp.setattr(testkit, "_observed", counted)
     return blocks
 
 

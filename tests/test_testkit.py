@@ -6,9 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, exact_localize, out_of_range_edits, random_circuit
+from conftest import CORPUS, exact_localize, out_of_range_edits, random_circuit, random_suite
 from oracles import (
     hellinger,
     hellinger_ref,
@@ -20,7 +20,7 @@ from oracles import (
     run_exact,
     sample,
 )
-from qrep import cli, testkit
+from qrep import cli, simulator, testkit
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import build_circuit, remove_gate
 from qrep.engine import RepairConfig, random_search, repair
@@ -665,3 +665,51 @@ def test_sampled_scores_are_unchanged():
         cfg = OracleConfig(mode="sampled", seed=5, shots=shots, eps_zero=eps)
         score = fitness(mutants[description], ts, cfg)
         assert (score.failed_count, score.hellinger_sum.hex()) == (failed, h_sum), description
+
+
+def _hex(score):
+    return score.failed_count, score.hellinger_sum.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(2, 8),
+    suite_kind=st.sampled_from(["full", "z", "sparse"]),
+    sampled=st.booleans(),
+    checkpoints=st.booleans(),
+)
+def test_lone_edits_in_the_plan_match_the_stacked_path_bit_for_bit(seed, q, suite_kind, sampled, checkpoints):
+    """A lone edit, simulated in its prefix cache's plan, observes the same
+    rows, byte for byte, and scores the same ``FitnessScore``, to the bit,
+    as the same edit stacked beside another in one simulation: random
+    circuits of 2-8 qubits over ``RANDOM_KINDS``, an add of a random gate
+    at every position, a replace of every gate and every removal, full,
+    Z-only and sparse suites, both oracles (sampled with oracle seed 3),
+    and caches that keep every state or only every few. A cache has a plan
+    once asked for one, exactly when its states fit ``BASIS_STACK_BYTES``."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, q, int(rng.integers(1, 7 if q < 7 else 4)))
+    ts = random_suite(random_circuit(rng, q, int(rng.integers(0, 4))), suite_kind, rng)
+    cfg = OracleConfig(mode="sampled", seed=3) if sampled else OracleConfig()
+    m = len(c.gates)
+    edits = [(p, None, True) for p in range(m)]
+    edits += [(p, random_circuit(rng, q, 1).gates[0], False) for p in range(m + 1)]
+    edits += [(p, random_circuit(rng, q, 1).gates[0], True) for p in range(m)]
+    beside = (m, random_circuit(rng, q, 1).gates[0], False)
+    with pytest.MonkeyPatch.context() as mp:
+        state_bytes = ts.prefixes(c).state_bytes
+        mp.setattr(simulator, "SWEEP_CHUNK_BYTES", 2 * state_bytes)
+        if checkpoints:
+            mp.setattr(simulator, "PREFIX_CACHE_BYTES", 2 * state_bytes)
+        cache = ts.prefixes(c)
+        assert cache.lone(c, ts.inputs, edits[0], ts.bases) is None  # no plan before a probe builds it
+        assert cache.plan() == (state_bytes <= simulator.BASIS_STACK_BYTES)
+        for e in edits:
+            lone = testkit._observed(c, ts, cache, [e]).tobytes()
+            assert lone == testkit._observed(c, ts, cache, [e, beside])[: len(ts)].tobytes(), e
+            stacked = next(edit_fitness(c, ts, [e, beside], cfg, cache))
+            assert _hex(fitness(c, ts, cfg, cache, e)) == _hex(next(edit_fitness(c, ts, [e], cfg, cache))) == _hex(stacked)
+    if checkpoints and m > 2:
+        assert cache.stride > 1
+
