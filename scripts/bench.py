@@ -14,7 +14,10 @@ wstate4, dj6), one localisation sweep of a grover3 add mutant (40 gates,
 8 inputs; it stops at the added gate), a qft4 replace mutant and a dj6
 replace mutant (full sweeps of 16 and 64 inputs), each ``localize`` over
 the exact removal scores of ``edit_fitness``, which builds its prefix
-cache within the timed call, and the
+cache within the timed call, the dj6 mutant's removals drawn as a repair
+run draws them (``sweep_run_dj6``: ``_Run.scored`` of a run built once,
+with its prefix cache and, where the run builds one, the cache's plan for
+lone edits), and the
 guided search's patch queue of dj6 and grover3 (build it, pop 20 patches,
 prune once to three quarters of the gates, as the first of four
 iterations does), the single-gate edits of grover3 and dj6 (a removal
@@ -95,6 +98,7 @@ MEASURE_CIRCUITS = (("qft", 4, BASIS_ORDER, ""), ("qft", 4, (MeasBasis.Z,), "_z"
 TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (family, size, Z basis only)
 # (family, size, injection seed, group): states of 1, 4 and 64 KiB
 SWEEP_MUTANTS = (("grover", 3, 3, "add"), ("qft", 4, 5, "replace"), ("dj", 6, 1, "replace"))
+RUN_SWEEP = SWEEP_MUTANTS[-1]  # its removals drawn through a repair run
 REPORT_BUDGET = 50
 # (family, size, injection seed, group): both searches over fixed patches only
 FIXED_RUN = ("qft", 4, 5, "replace")
@@ -179,6 +183,16 @@ def layers() -> dict:
             "ranking": [str(g) for g in res.table.ranking()],
         }
         out[f"localize_{fam}{n}"] = (sweep, facts)
+    fam, n, seed, group = RUN_SWEEP
+    ref = build_benchmark(fam, n)
+    ts = generate_suite(ref)
+    mutant = inject_faults(ref, seed=seed, per_group=1, groups=(group,), suite=ts)[0].mutant
+    run = _Run(mutant, ts, RepairConfig(budget_evals=sys.maxsize), None)
+    sweep = partial(run_sweep, run)
+    values = sweep()
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    facts = {"gates": len(mutant.gates), "evals": len(values), "values_sha256": digest}
+    out[f"sweep_run_{fam}{n}"] = (sweep, facts)
     for fam, n in QUEUE_CIRCUITS:
         ref = build_benchmark(fam, n)
         facts = {"gates": len(ref.gates), "left": len(patch_queue(ref))}
@@ -254,6 +268,12 @@ def prober(broken: Circuit, ts):
 def exact_sweep(c: Circuit, ts, baseline):
     """``localize`` of ``c`` over its exact-mode removal scores."""
     return localize(c, baseline, edit_fitness(c, ts, removals(c)))
+
+
+def run_sweep(run) -> list[float]:
+    """The fitness values of ``run``'s removal sweep, each edit drawn and
+    charged through ``_Run.scored`` as the guided search draws them."""
+    return [score.value for score in run.scored(removals(run.c_init))]
 
 
 def angle_trial(broken: Circuit, ts, patch: Patch):

@@ -40,17 +40,14 @@ class GateKind(Enum):
     SWAP = ("swap", 2, 0)
     CCX = ("ccx", 3, 0)
 
-    @property
-    def gate_name(self) -> str:
-        return self.value[0]
+    def __init__(self, gate_name: str, num_qubits: int, param_count: int):
+        # plain attributes, not properties: a repair reads them thousands of times
+        self.gate_name = gate_name
+        self.num_qubits = num_qubits
+        self.param_count = param_count
 
-    @property
-    def num_qubits(self) -> int:
-        return self.value[1]
-
-    @property
-    def param_count(self) -> int:
-        return self.value[2]
+    # a member is its own key: Enum hashes its name in a Python frame per call
+    __hash__ = object.__hash__
 
 
 GATE_BY_NAME: dict[str, GateKind] = {k.gate_name: k for k in GateKind}

@@ -21,7 +21,9 @@ patches) or an angle probe. Sweeps and runs are scored by
 :func:`~qrep.testkit.edit_fitness` in stacked chunks, through one generator
 (:meth:`_Run.scored`); a probe is scored alone by
 :func:`~qrep.testkit.fitness` of its edit, which runs in the prefix cache's
-plan, through :meth:`_Run.probe`, with no generator. Both pass one budget
+plan, through :meth:`_Run.probe`, with no generator. When the cache's
+chunks hold one edit (a 6-qubit state fills one), the run builds the plan
+before the sweep, so every edit it scores runs in the plan. Both pass one budget
 gate (:meth:`_Run.gate`, the count cap and the seconds deadline) before an
 edit is simulated, and charge each score as it is drawn. A probe at
 all-zero angles is charged but not simulated when the run already holds
@@ -186,8 +188,11 @@ class _Run:
         self.table = SuspiciousnessTable.for_circuit(c_init)
         if fault_gate is not None and fault_gate not in self.table.scores:
             raise UnknownGateError(f"fault gate {fault_gate} names no gate of the circuit")
-        # every candidate is c_init or a single-gate edit of it
+        # every candidate is c_init or a single-gate edit of it; when a chunk
+        # holds one edit (a 6-qubit state fills one), every edit is lone
         self.prefixes = ts.prefixes(c_init)
+        if self.prefixes.chunk == 1:
+            self.prefixes.plan()
         self.candidates: list[dict] = []  # one report row per trial or removal
         self.baseline: FitnessScore | None = None
         self.removed: dict[int, FitnessScore] = {}  # the sweep's score of each removal, by position

@@ -19,15 +19,18 @@ tensor after the leading gates of one circuit, and a kernel per gate. Every
 simulation is one staircase over those kernels (:func:`_staircase`), and
 every candidate is an edit: the cached circuit joins it after its last
 gate, and each single-gate edit at the edit, so it is simulated from the
-edit on. Once an angle probe has built it, a lone edit, one simulated
-with no other, runs in the cache's plan instead (:meth:`PrefixCache.plan`
-and :meth:`PrefixCache.lone`): two state tensors, a rotation stack and its
-twin, moduli and rows, all sized once from the cache's shape and
+edit on. Once a caller has built it (an angle probe, or a repair whose
+chunks hold one edit), a lone edit, one simulated with no other, runs in
+the cache's plan instead (:meth:`PrefixCache.plan` and
+:meth:`PrefixCache.lone`): two state tensors, a rotation stack and its
+twin, and moduli, all sized once from the cache's shape and
 :data:`BASIS_STACK_BYTES`, with every per-qubit view and a step per
 cached gate made once, so its one-qubit gates and measurement write into
-buffers and round as the staircase does. No full 2^q x 2^q matrix is ever
-built here; the dense-matrix product lives in the test suite as an
-independent oracle. Every probability returned here is exact: a
+buffers and round as the staircase does. Both paths measure the rows into
+one buffer laid out ``[edit, input, basis, outcome]``, the order a suite
+reads its cases in; the plan's buffer is the caller's. No full 2^q x 2^q
+matrix is ever built here; the dense-matrix product lives in the test
+suite as an independent oracle. Every probability returned here is exact: a
 sampled-mode oracle draws its shots from them in :mod:`qrep.testkit`.
 """
 from __future__ import annotations
@@ -178,9 +181,41 @@ _FIXED_1Q = {
 }
 
 
+def _param_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
+    """``_narrowed(_matrix_1q(kind, params))`` of a parametric kind, built
+    from its four entries, computed as :func:`_matrix_1q` computes them:
+    the real parts in a float64 matrix when every imaginary part is zero,
+    with no complex matrix built and copied out first (``ry``'s entries are
+    floats, so it is always real)."""
+    if kind is GateKind.RX:
+        t = params[0] / 2.0
+        a, b = math.cos(t), -1j * math.sin(t)
+        c, d = b, a
+    elif kind is GateKind.RY:
+        t = params[0] / 2.0
+        a, b, c, d = math.cos(t), -math.sin(t), math.sin(t), math.cos(t)
+    elif kind is GateKind.RZ:
+        t = params[0] / 2.0
+        a, b, c, d = cmath.exp(-1j * t), 0, 0, cmath.exp(1j * t)
+    elif kind is GateKind.P:
+        a, b, c, d = 1, 0, 0, cmath.exp(1j * params[0])
+    elif kind is GateKind.U:
+        theta, phi, lam = params
+        a, b = math.cos(theta / 2), -cmath.exp(1j * lam) * math.sin(theta / 2)
+        c, d = cmath.exp(1j * phi) * math.sin(theta / 2), cmath.exp(1j * (phi + lam)) * math.cos(theta / 2)
+    else:
+        raise ValueError(f"{kind.gate_name} is not a parametric single-qubit gate")
+    if a.imag or b.imag or c.imag or d.imag:
+        m = np.array([[a, b], [c, d]], dtype=complex)
+    else:
+        m = np.array([[a.real, b.real], [c.real, d.real]], dtype=np.float64)
+    m.setflags(write=False)
+    return m
+
+
 def _gate_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
     m = _FIXED_1Q.get(kind)
-    return _narrowed(_matrix_1q(kind, params)) if m is None else m
+    return _param_1q(kind, params) if m is None else m
 
 
 def _apply_1q(t: np.ndarray, m: np.ndarray, width: int, n: int) -> np.ndarray:
@@ -429,12 +464,19 @@ class PrefixCache:
         t = self.after(position)
         return step, t if gate is None else _kernel(gate, self.num_qubits)(t)
 
+    @property
+    def chunk(self) -> int:
+        """Edits per stacked simulation: as many as fit
+        :data:`SWEEP_CHUNK_BYTES` of states, and at least one."""
+        return max(1, SWEEP_CHUNK_BYTES // self.state_bytes)
+
     def plan(self) -> bool:
         """Build the cache's plan for lone edits (:class:`_LonePlan`) unless
         it has one, and say whether it has one. A caller about to simulate
-        many lone edits builds it, as an angle probe does: a sweep's or an
-        injection's chunk of one may be the cache's only lone edits, and
-        would not pay for the buffers. There is no plan on one qubit, whose
+        many lone edits builds it: an angle probe, or a repair whose chunks
+        hold one edit (a 6-qubit state fills :data:`SWEEP_CHUNK_BYTES`).
+        A mutant injection's few chunks of one would not pay for the
+        buffers, and build none. There is no plan on one qubit, whose
         products keep :func:`_apply_1q`'s core form, or when a state is
         wider than :data:`BASIS_STACK_BYTES`: the plan keeps six to nine
         states, so its buffers stay under 1.5 MiB, and at such widths the
@@ -443,16 +485,25 @@ class PrefixCache:
             self._plan = _LonePlan(self)
         return self._plan is not None
 
-    def lone(self, c: Circuit, inputs, e: tuple[int, GateApp | None, bool], bases: tuple[MeasBasis, ...]):
-        """:func:`run_all_bases` of ``c`` with the one edit ``e`` made,
-        indexed ``[basis, k, outcome]``, simulated in the cache's plan and
-        returned in its buffer, valid until the next call; ``c`` and
-        ``inputs`` are held to :meth:`check`. None, with nothing simulated,
-        when the cache has no plan (see :meth:`plan`)."""
+    @property
+    def planned(self) -> bool:
+        """Whether the cache has its plan for lone edits (see :meth:`plan`)."""
+        return self._plan is not None
+
+    def lone(
+        self, c: Circuit, inputs, e: tuple[int, GateApp | None, bool], bases: tuple[MeasBasis, ...], out: np.ndarray
+    ):
+        """:func:`run_all_bases` of ``c`` with the edits ``[e]``, indexed
+        ``[0, basis, k, outcome]``, simulated in the cache's plan and
+        measured into ``out``, a ``[1, k, basis, outcome]`` buffer of the
+        caller's, of which it is a transposed view; ``c`` and ``inputs``
+        are held to :meth:`check`. None, with nothing simulated, when the
+        cache has no plan (see :meth:`plan`)."""
         if self._plan is None:
             return None
         self.check(c, inputs)
-        return self._plan.run(self, e, bases)
+        self._plan.run(self, e, bases, out)
+        return out.transpose(0, 2, 1, 3)
 
 
 def _real_views(t: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -478,8 +529,8 @@ class _LonePlan:
     views per qubit, one step per cached gate and per tensor holding the
     state (built the first time it runs), the rotated-basis stack and its
     twin, sized for the bases one measurement pass holds (one at a time
-    where :data:`BASIS_STACK_BYTES` requires it), the moduli and the
-    probability rows.
+    where :data:`BASIS_STACK_BYTES` requires it), and the moduli. The rows
+    are measured into a buffer the caller passes in.
 
     A real one-qubit step is ``np.matmul(m, src, out=dst)`` from one state
     tensor into the other. A complex one multiplies the amplitude rows into
@@ -487,8 +538,7 @@ class _LonePlan:
     transposed view. Both round as :func:`_apply_1q` does, and the phase and
     exchange kernels update the state in place, as they do in a staircase,
     so a call's rows equal, bit for bit, those of the edit simulated alone by
-    :func:`run_all_bases`. The rows are the plan's own, valid until its
-    next call.
+    :func:`run_all_bases`.
     """
 
     def __init__(self, cache: PrefixCache):
@@ -507,8 +557,7 @@ class _LonePlan:
         self.stacks = {
             r: ([s[:r] for s in stack], [_real_views(s[:r], n) for s in stack]) for r in range(1, len(stack[0]) + 1)
         }
-        self.moduli = np.empty((min(self.per_pass, len(BASIS_ORDER)),) + shape)
-        self.rows = np.empty((len(BASIS_ORDER), 1, len(cache.inputs), 2**n))
+        self.moduli = _spaced(min(self.per_pass, len(BASIS_ORDER)), shape)
 
     def _step(self, g: GateApp, i: int, kernel: Callable | None = None) -> tuple[Callable[[], object], int]:
         """``g`` as a step on the state in tensor ``i``: the call, and the
@@ -544,9 +593,12 @@ class _LonePlan:
             i = 1 - i
         return (s, twin)[i]
 
-    def run(self, cache: PrefixCache, e: tuple[int, GateApp | None, bool], bases: tuple[MeasBasis, ...]) -> np.ndarray:
-        """The rows of ``cache``'s circuit with the edit ``e`` made, indexed
-        ``[basis, k, outcome]``, in the plan's own buffer."""
+    def run(
+        self, cache: PrefixCache, e: tuple[int, GateApp | None, bool], bases: tuple[MeasBasis, ...], out: np.ndarray
+    ) -> None:
+        """The rows of ``cache``'s circuit with the edit ``e`` made, measured
+        into ``out``, indexed ``[0, k, basis, outcome]``, in as many passes
+        as :data:`BASIS_STACK_BYTES` requires."""
         join = cache.joins_at(e)
         position, gate, _ = e
         start = position - position % cache.stride
@@ -561,10 +613,9 @@ class _LonePlan:
             call, i = self._step(gate, i)
             call()
         i = self._cached_gates(cache, join, len(self.steps), i)
-        out = self.rows[: len(bases)]
-        for lo in range(0, len(bases), self.per_pass):
-            _measure(self.states[i], bases[lo : lo + self.per_pass], self.n, out[lo : lo + self.per_pass], self)
-        return out[:, 0]
+        step = self.per_pass
+        for lo in range(0, len(bases), step):
+            _measure(self.states[i], bases[lo : lo + step], self.n, out[:, :, lo : lo + step], self)
 
 
 def _staircase(prefixes: PrefixCache, joins: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
@@ -614,34 +665,47 @@ def _rotated(t: np.ndarray, rotated: list[MeasBasis], n: int) -> np.ndarray:
     return s
 
 
+def _spaced(count: int, shape: tuple[int, ...]) -> np.ndarray:
+    """``np.empty((count,) + shape)`` with each block one cache line (8
+    floats) past the end of the one before: blocks of a power-of-two size
+    share cache sets, and :func:`_measure`'s square, which reads one
+    column of every block in turn through its transpose, then ran 50%
+    slower (3 blocks of 64 x 64 moduli)."""
+    size = math.prod(shape)
+    return np.empty((count, size + 8))[:, :size].reshape((count,) + shape)
+
+
 def _measure(
     t: np.ndarray, bases: tuple[MeasBasis, ...], n: int, out: np.ndarray, plan: _LonePlan | None = None
 ) -> None:
     """The probabilities of the final ``n``-qubit states ``t`` in each of
-    ``bases``, written into ``out``, indexed ``[basis, block, input,
-    outcome]``. The X and Y states are stacked on a leading axis and
-    rotated by one ``h`` layer (:func:`_rotated`, or in ``plan``'s
-    buffers); Z reads ``t`` as it is. The moduli are taken in the states'
-    own layout, where numpy's complex ``abs`` runs its contiguous loop, and
-    squared into ``out`` through a transpose, so each row is contiguous
-    when it is summed and sums in the same order in any batch. One row
-    sum, one drift check and one in-place divide follow while the rows are
-    in cache. Without a plan the stack is freed on return, before the next
-    chunk's is built."""
+    ``bases``, written into ``out``, indexed ``[block, input, basis,
+    outcome]``: the order a suite reads its cases in. The X and Y states
+    are stacked on a leading axis and rotated by one ``h`` layer
+    (:func:`_rotated`, or in ``plan``'s buffers); Z reads ``t`` as it is.
+    The moduli are taken in the states' own layout, where numpy's complex
+    ``abs`` runs its contiguous loop, and squared into ``out`` through a
+    transpose, so each row is contiguous when it is summed and sums in the
+    same order in any batch. One row sum, one drift check (an error names
+    the norm of the row that drifts most, the first such in ``[basis,
+    block, input]`` order) and one in-place divide follow while the rows
+    are in cache. Without a plan the stack is freed on return, before the
+    next chunk's is built."""
     rotated = [b for b in bases if b is not MeasBasis.Z]
     stack = iter(())
     if rotated:
         stack = iter(_rotated(t, rotated, n) if plan is None else plan.rotated(t, rotated))
-    moduli = np.empty((len(bases),) + t.shape) if plan is None else plan.moduli[: len(bases)]
+    moduli = _spaced(len(bases), t.shape) if plan is None else plan.moduli[: len(bases)]
     for i, basis in enumerate(bases):
         np.abs(t if basis is MeasBasis.Z else next(stack), out=moduli[i])
-    blocks, batch = out.shape[1], out.shape[2]
-    np.square(moduli.reshape(len(bases), blocks, 2**n, -1).transpose(0, 1, 3, 2)[:, :, :batch], out=out)
-    norms = out.sum(axis=3)
+    blocks, batch = out.shape[0], out.shape[1]
+    np.square(moduli.reshape(len(bases), blocks, 2**n, -1).transpose(1, 3, 0, 2)[:, :batch], out=out)
+    norms = np.add.reduce(out, axis=3)
     drift = np.abs(norms - 1.0)
     if (drift > _NORM_ATOL).any():
-        raise AssertionError(f"final norm {norms.flat[drift.argmax()]} drifted beyond tolerance")
-    out /= norms[..., None]
+        first = drift.transpose(2, 0, 1).argmax()
+        raise AssertionError(f"final norm {norms.transpose(2, 0, 1).flat[first]} drifted beyond tolerance")
+    np.divide(out, norms[..., None], out=out)
 
 
 def run_all_bases(
@@ -674,8 +738,9 @@ def run_all_bases(
     through one ``h`` layer together, X as the final states and Y as the
     states times a phase table (``sdg`` on every qubit), and Z is the final
     states unrotated; each such chunk is squared, summed, checked for norm
-    drift and normalised in one pass over its rows. An edit run's output
-    is the ``[basis, i, k, outcome]`` array seen through a transpose.
+    drift and normalised in one pass over its rows. The output is a view,
+    through a transpose, of one buffer laid out ``[i, k, basis, outcome]``,
+    the order a suite reads its cases in (see :mod:`qrep.testkit`).
     """
     if prefixes is None:
         prefixes = PrefixCache(c, inputs, keep=False)
@@ -684,8 +749,9 @@ def run_all_bases(
     joins = [(len(c.gates), prefixes.after(len(c.gates)))] if edits is None else [prefixes.edit(e) for e in edits]
     n, t = c.num_qubits, _staircase(prefixes, joins)
     blocks, batch = t.size // (2**n * t.shape[-1]), len(prefixes.inputs)
-    out = np.empty((len(bases), blocks, batch, 2**n))
+    out = np.empty((blocks, batch, len(bases), 2**n))
     step = max(1, BASIS_STACK_BYTES // t.nbytes)
     for lo in range(0, len(bases), step):
-        _measure(t, bases[lo : lo + step], n, out[lo : lo + step])
-    return out[:, 0] if edits is None else out.transpose(1, 0, 2, 3)
+        _measure(t, bases[lo : lo + step], n, out[:, :, lo : lo + step])
+    rows = out.transpose(0, 2, 1, 3)
+    return rows[0] if edits is None else rows

@@ -6,13 +6,17 @@ A suite holds one test case per (classical input, measurement basis) pair,
 the observed output contains an outcome the expected distribution rules
 out, or when its Hellinger distance from the expected distribution exceeds
 the failure threshold. Fitness is the failed-case count plus the Hellinger
-distances summed over every case; ``_scores`` is the one implementation.
-Every simulation of a suite's circuits goes through ``_observed``: a lone
-edit runs in its prefix cache's plan (:meth:`~qrep.simulator.PrefixCache.lone`),
-which the first edit scored alone by :func:`fitness` (an angle probe)
-builds, and its case rows are gathered by one flat ``np.take`` into the
-suite's buffer; the circuit itself and stacked chunks of edits are one
-:func:`~qrep.simulator.run_all_bases` call. Both are scored by ``_scores``.
+distances summed over every case; ``_scores`` is the one implementation,
+run over buffers. Every simulation of a suite's circuits goes through
+``_observed``: a lone edit runs in its prefix cache's plan
+(:meth:`~qrep.simulator.PrefixCache.lone`) once the cache has one (the
+first edit scored alone by :func:`fitness`, an angle probe, builds it, and
+so does a repair whose chunks hold one edit), measured into a rows buffer
+the suite makes once, and is scored in temporaries the suite makes once;
+the circuit itself and stacked chunks of edits are one
+:func:`~qrep.simulator.run_all_bases` call, scored in temporaries made per
+call. Both lay their rows out in suite order, so a suite that holds every
+(basis, input) pair once reads them as a reshape, with no gather.
 The simulator gives exact probabilities; in sampled mode the oracle first
 replaces each case's row by the frequencies of ``shots`` seeded multinomial
 draws from it, with ``shots`` checked once, by :class:`OracleConfig`.
@@ -28,7 +32,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import simulator
 from .circuit import Circuit, GateApp
 from .errors import ExpectedTableError, NoFailingTestError, QRepError, SuiteTooWideError, WidthMismatchError
 from .errors import check_integer
@@ -55,8 +58,8 @@ class TestSuite:
     An evaluation is one kernel call plus array operations on what is
     derived here once: the sorted simulated inputs, the measured bases in
     BASIS_ORDER, each case's (basis, input) index into the kernel's output,
-    also as one flat index (``gather``), the expected rows with their square
-    roots, and the outcomes the rows rule out (see :meth:`ruled_out`).
+    the expected rows with their square roots, and the outcomes the rows
+    rule out (see :meth:`ruled_out`).
     """
 
     def __init__(self, num_qubits: int, basis_index: np.ndarray, input_states: np.ndarray, expected):
@@ -71,16 +74,16 @@ class TestSuite:
         inputs = np.flatnonzero(np.bincount(input_states))
         self.inputs = tuple(inputs.tolist())
         self.case_rows = (np.searchsorted(used, basis_index), np.searchsorted(inputs, input_states))
-        # the same rows as one flat index into the [basis * input, outcome]
-        # rows of one simulation
-        self.gather = self.case_rows[0] * len(inputs) + self.case_rows[1]
         self._ruled_out: tuple[float, np.ndarray] | None = None
 
     @cached_property
-    def lone_rows(self) -> np.ndarray:
-        """The buffer a lone edit's case rows are gathered into (see
-        :func:`_observed`), made on first use."""
-        return np.empty(self.expected.shape)
+    def lone(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(rows, scratch): the ``[1, input, basis, outcome]`` buffer a lone
+        edit is measured into in its prefix cache's plan (see
+        :func:`_observed`), and the temporaries :func:`_scores` judges one
+        block in, made on first use."""
+        rows = np.empty((1, len(self.inputs), len(self.bases), 2**self.num_qubits))
+        return rows, _scratch(1, self.expected.shape)
 
     def ruled_out(self, eps_zero: float) -> np.ndarray:
         """The read-only mask ``expected <= eps_zero``: the outcomes each
@@ -320,10 +323,10 @@ def fitness(
     """
     _require_width(c, ts)
     if edit is None:
-        return _scores(_observed(c, ts, prefixes), ts, cfg)[0]
+        return _judged(c, ts, cfg, prefixes)[0]
     prefixes = prefixes or ts.prefixes(c)
     prefixes.plan()
-    return _scores(_observed(c, ts, prefixes, (edit,)), ts, cfg)[0]
+    return _judged(c, ts, cfg, prefixes, (edit,))[0]
 
 
 def edit_fitness(
@@ -337,9 +340,8 @@ def edit_fitness(
     edits; see :func:`run_all_bases`), in order. Each score equals the one
     its circuit gets alone.
 
-    The edits are drawn a chunk at a time, as many as fit
-    :data:`~qrep.simulator.SWEEP_CHUNK_BYTES` of stacked states (at least
-    one), and each chunk is one simulation (:func:`_observed`): a caller
+    The edits are drawn a chunk at a time (:attr:`PrefixCache.chunk` of
+    them), and each chunk is one simulation (:func:`_observed`): a caller
     that stops drawing scores leaves the later edits undrawn and
     unsimulated. ``prefixes`` must be built for ``c``; it is built once
     when not given.
@@ -347,10 +349,14 @@ def edit_fitness(
     _require_width(c, ts)
     if prefixes is None:
         prefixes = ts.prefixes(c)
-    size = max(1, simulator.SWEEP_CHUNK_BYTES // prefixes.state_bytes)
-    edits = iter(edits)
+    size, edits = prefixes.chunk, iter(edits)
     while chunk := list(islice(edits, size)):
-        yield from _scores(_observed(c, ts, prefixes, chunk), ts, cfg)
+        yield from _judged(c, ts, cfg, prefixes, chunk)
+
+
+def _in_plan(prefixes: PrefixCache | None, edits) -> bool:
+    # a lone edit runs in its cache's plan once one is built
+    return edits is not None and len(edits) == 1 and prefixes.planned
 
 
 def _observed(
@@ -363,23 +369,58 @@ def _observed(
     ``edits``) or, one block of ``len(ts)`` rows each, of ``c`` with each of
     ``edits`` made alone, ``prefixes`` being built for ``c``. This is the
     one place a suite's circuits are simulated. A lone edit runs in the
-    cache's plan (:meth:`PrefixCache.lone`) once one is built, and its rows
-    are gathered into the suite's buffer, valid until the next lone edit;
-    anything else is one stacked :func:`run_all_bases` call."""
-    if edits is not None and len(edits) == 1:
-        rows = prefixes.lone(c, ts.inputs, edits[0], ts.bases)
-        if rows is not None:
-            return np.take(rows.reshape(-1, rows.shape[2]), ts.gather, axis=0, out=ts.lone_rows)
-    observed = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=edits)
-    if edits is None:
-        return observed[ts.case_rows]
-    return observed[(slice(None), *ts.case_rows)].reshape(-1, observed.shape[3])
+    cache's plan (:meth:`PrefixCache.lone`) once one is built, measured into
+    the suite's buffer (:attr:`TestSuite.lone`), valid until the next lone
+    edit; anything else is one stacked :func:`run_all_bases` call.
+
+    Both lay their rows out ``[edit, input, basis, outcome]``. A suite that
+    holds every (basis, input) pair of its bases and inputs once, as every
+    generated suite and every full one-basis table does, orders its cases
+    so (input-major, bases in BASIS_ORDER) and reads the rows as a reshape;
+    any other picks its cases' rows by ``case_rows``."""
+    if _in_plan(prefixes, edits):
+        rows = prefixes.lone(c, ts.inputs, edits[0], ts.bases, ts.lone[0])
+    else:
+        rows = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=edits)
+        if edits is None:
+            rows = rows[None]
+    if len(ts) == len(ts.bases) * len(ts.inputs):
+        return rows.transpose(0, 2, 1, 3).reshape(-1, rows.shape[3])
+    return rows[(slice(None), *ts.case_rows)].reshape(-1, rows.shape[3])
 
 
-def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[FitnessScore]:
+def _judged(
+    c: Circuit, ts: TestSuite, cfg: OracleConfig, prefixes: PrefixCache | None, edits=None
+) -> list[FitnessScore]:
+    """:func:`_scores` of :func:`_observed`; a lone edit in its cache's plan
+    is judged in the suite's scratch (:attr:`TestSuite.lone`)."""
+    scratch = ts.lone[1] if _in_plan(prefixes, edits) else None
+    return _scores(_observed(c, ts, prefixes, edits), ts, cfg, scratch)
+
+
+def _scratch(blocks: int, shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """The temporaries :func:`_scores` judges ``blocks`` blocks of a suite
+    whose expected matrix has ``shape`` in."""
+    cases, width = shape
+    return (
+        np.empty((blocks, cases, width), dtype=bool),  # rows over eps_zero where ruled out
+        np.empty((blocks, cases, width)),  # sqrt(observed) - sqrt(expected)
+        np.empty((blocks, cases, 1, 1)),  # squared distances
+        np.empty((blocks, cases)),  # Hellinger distances
+        np.empty((blocks, cases), dtype=bool),  # failed cases
+        np.empty((blocks, cases), dtype=bool),  # cases past the failure threshold
+        np.empty((blocks, cases)),  # running sums of the distances
+    )
+
+
+def _scores(
+    observed: np.ndarray, ts: TestSuite, cfg: OracleConfig, scratch: tuple[np.ndarray, ...] | None = None
+) -> list[FitnessScore]:
     """One :func:`fitness` score per block of ``len(ts)`` rows of ``observed``,
     all blocks judged at once against the suite's rows by the two rules; in
-    sampled mode each block's rows are first drawn with the per-case seeds."""
+    sampled mode each block's rows are first drawn with the per-case seeds.
+    Every step writes into ``scratch`` (:func:`_scratch` of the blocks),
+    made here when not given, so the same ufunc loops run either way."""
     blocks = len(observed) // len(ts)
     if cfg.mode == "sampled":
         shots = cfg.resolve_shots(ts.num_qubits)
@@ -387,20 +428,26 @@ def _scores(observed: np.ndarray, ts: TestSuite, cfg: OracleConfig) -> list[Fitn
         rows = zip(observed, seeds)
         observed = np.stack([np.random.default_rng(seed).multinomial(shots, row) / shots for row, seed in rows])
     observed = observed.reshape(blocks, *ts.expected.shape)
+    over, diff, dots, h, wrong, far, sums = scratch or _scratch(blocks, ts.expected.shape)
     # the suite's rows on a leading axis of one, so that one block runs
-    # numpy's same-shape loops and more blocks broadcast
-    wrong = ((observed > cfg.eps_zero) & ts.ruled_out(cfg.eps_zero)[None]).any(axis=2)
-    diff = np.sqrt(observed)
-    diff -= ts.sqrt_expected[None]
+    # numpy's same-shape loops and more blocks broadcast. Each step is its
+    # ufunc called with out= (an in-place operator costs a few µs more)
+    np.greater(observed, cfg.eps_zero, out=over)
+    np.logical_and(over, ts.ruled_out(cfg.eps_zero)[None], out=over)
+    np.logical_or.reduce(over, axis=2, out=wrong)
+    np.sqrt(observed, out=diff)
+    np.subtract(diff, ts.sqrt_expected[None], out=diff)
     # a stack of (1 x n) @ (n x 1) products runs numpy's dot loop, so each
     # distance is rounded exactly as one np.dot of the two rows rounds it
-    h = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    h /= math.sqrt(2.0)
+    np.matmul(diff[..., None, :], diff[..., :, None], out=dots)
+    np.sqrt(dots[..., 0, 0], out=h)
+    np.divide(h, math.sqrt(2.0), out=h)
     np.minimum(h, 1.0, out=h)
-    wrong |= h > cfg.resolve_tau(ts.num_qubits)
+    np.greater(h, cfg.resolve_tau(ts.num_qubits), out=far)
+    np.logical_or(wrong, far, out=wrong)
     failed = np.add.reduce(wrong, axis=1).tolist()
-    sums = np.cumsum(h, axis=1)[:, -1].tolist()  # in suite order
-    return [FitnessScore(failed_count=f, hellinger_sum=v) for f, v in zip(failed, sums)]
+    totals = np.add.accumulate(h, axis=1, out=sums)[:, -1].tolist()  # in suite order
+    return [FitnessScore(failed_count=f, hellinger_sum=v) for f, v in zip(failed, totals)]
 
 
 def require_failing(score: FitnessScore, what: str = "circuit") -> None:

@@ -28,7 +28,7 @@ def layers():
 def test_every_bench_layer_runs_once(layers):
     assert {
         "gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "measure_qft4", "measure_qft4_z", "measure_qft6",
-        "localize_grover3", "localize_qft4", "localize_dj6",
+        "localize_grover3", "localize_qft4", "localize_dj6", "sweep_run_dj6",
         "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "inject_qft4_z",
         "parse_grover3", "report_grover3",
         "suite_dj6", "suite_table_qft4", "suite_table_dj6", "suite_table_qft6", "trial_ry_wstate4",
@@ -63,6 +63,11 @@ def test_bench_layers_time_the_work_their_facts_name(layers):
         assert (rep.status, rep.evals_used, rows) == (facts["status"], facts["evals"], facts["rows_sha256"]), name
     fn, facts = layers["probe_ry_wstate4"]
     assert fn().value == facts["value"]
+    # each call draws the whole sweep again from the run built once
+    fn, facts = layers["sweep_run_dj6"]
+    values = fn()
+    assert len(values) == facts["evals"] == facts["gates"]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == facts["values_sha256"]
     fn, facts = layers["report_grover3"]
     report = json.loads(fn())
     assert (report["status"], report["evals_used"], len(report["ranking"])) == (

@@ -32,6 +32,20 @@ def test_gate_catalog_arities():
     assert GATE_BY_NAME["cx"] is GateKind.CX
 
 
+def test_gate_kind_fields_are_its_value_and_it_hashes_by_identity():
+    """Each kind's fields are plain attributes equal to its value tuple,
+    ``GATE_BY_NAME`` maps every qasm name to its kind, and a kind is a
+    dict key by identity, equal only to itself."""
+    assert len(GateKind) == 20
+    for kind in GateKind:
+        assert (kind.gate_name, kind.num_qubits, kind.param_count) == kind.value
+        assert GATE_BY_NAME[kind.gate_name] is kind
+        assert hash(kind) == object.__hash__(kind)
+    assert list(GATE_BY_NAME) == [k.value[0] for k in GateKind]
+    assert {k: k.value for k in GateKind} == {k: k.value for k in reversed(GateKind)}
+    assert len(set(GateKind)) == 20
+
+
 def test_gateapp_validation():
     with pytest.raises(QubitIndexError):
         GateApp(GateKind.CX, (0,))

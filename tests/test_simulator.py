@@ -272,6 +272,59 @@ def test_norm_drift_is_an_assertion_naming_the_drifting_row(monkeypatch):
         run_all_bases(c, [0], prefixes=PrefixCache(c, [0]), edits=[(0, None, True)])
 
 
+def test_norm_drift_names_the_row_that_drifts_most_in_basis_block_input_order(monkeypatch):
+    """The rows are measured ``[block, input, basis]``, but a drift error
+    names the norm of the row that drifts most, the first such row in
+    ``[basis, block, input]`` order, as when the rows were laid out so: on
+    the stacked path, across blocks, and in a prefix cache's plan."""
+    # h with its rows scaled by 2 and 1: |+> rotates to norm 4, |-> to 1,
+    # and sdg|+> or sdg|-> to 2.5, per qubit
+    monkeypatch.setattr(simulator, "_H", np.diag([2.0, 1.0]) @ simulator._H)
+    # input 0 ends in |-->, whose X row keeps norm 1; input 1 in |-+>, whose
+    # X row drifts to 4; every Y row drifts to 6.25. Row 2 is Y of input 0
+    # in [basis, input] order, but X of input 1 in [input, basis] order
+    c = build_circuit(2, [("x", 0), ("h", 0), ("x", 1), ("h", 1)])
+    same, flipped = (4, GateApp(GateKind.ID, (0,)), False), (4, GateApp(GateKind.Z, (0,)), False)
+    bases = (MeasBasis.X, MeasBasis.Y)
+
+    def named(call) -> float:
+        with pytest.raises(AssertionError, match="^final norm .* drifted beyond tolerance$") as err:
+            call()
+        return float(str(err.value).split()[2])
+
+    assert abs(named(lambda: run_all_bases(c, [0, 1], bases=bases)) - 6.25) < 1e-9
+    # block 1 (z on qubit 0 flips it to |+>) drifts to 4 in X, both blocks to 6.25 in Y
+    cache = PrefixCache(c, [0])
+    assert abs(named(lambda: run_all_bases(c, [0], bases, cache, [same, flipped])) - 6.25) < 1e-9
+    cache = PrefixCache(c, [0, 1])
+    assert cache.plan()
+    out = np.empty((1, 2, len(bases), 4))
+    assert abs(named(lambda: cache.lone(c, [0, 1], same, bases, out)) - 6.25) < 1e-9
+
+
+def test_parametric_matrices_are_built_as_the_complex_matrix_narrows():
+    """``_param_1q`` builds every parametric one-qubit kind's matrix as
+    ``_narrowed(_matrix_1q(...))`` does, dtype and bytes: real where every
+    imaginary part is zero (``ry`` always), at angles of +-0, +-pi, +-2pi,
+    +-4pi and random ones, and read-only."""
+    rng = np.random.default_rng(35)
+    special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 4 * math.pi, -4 * math.pi]
+    kinds = [k for k in GateKind if k.num_qubits == 1 and k.param_count]
+    real = checked = 0
+    for kind in kinds:
+        for _ in range(200):
+            params = tuple(
+                special[int(rng.integers(len(special)))] if rng.random() < 0.7 else float(rng.uniform(-20, 20))
+                for _ in range(kind.param_count)
+            )
+            got, want = simulator._param_1q(kind, params), simulator._narrowed(simulator._matrix_1q(kind, params))
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (kind, params)
+            assert not got.flags.writeable and got.flags.c_contiguous
+            real += got.dtype == np.float64
+            checked += 1
+    assert checked == 1000 and 200 < real < checked
+
+
 def _random_edit(rng, c):
     """One gate added, replaced or removed at a random position of ``c``:
     the edit, and the circuit it makes."""

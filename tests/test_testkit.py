@@ -22,7 +22,7 @@ from oracles import (
 )
 from qrep import cli, simulator, testkit
 from qrep.benchmarks import build_benchmark
-from qrep.circuit import build_circuit, remove_gate
+from qrep.circuit import build_circuit, insert_gate, remove_gate, replace_gate
 from qrep.engine import RepairConfig, random_search, repair
 from qrep.errors import ExpectedTableError, NoFailingTestError, QubitIndexError, SuiteTooWideError, WidthMismatchError
 from qrep.patcher import inject_faults
@@ -703,7 +703,7 @@ def test_lone_edits_in_the_plan_match_the_stacked_path_bit_for_bit(seed, q, suit
         if checkpoints:
             mp.setattr(simulator, "PREFIX_CACHE_BYTES", 2 * state_bytes)
         cache = ts.prefixes(c)
-        assert cache.lone(c, ts.inputs, edits[0], ts.bases) is None  # no plan before a probe builds it
+        assert cache.lone(c, ts.inputs, edits[0], ts.bases, ts.lone[0]) is None  # no plan before a probe builds it
         assert cache.plan() == (state_bytes <= simulator.BASIS_STACK_BYTES)
         for e in edits:
             lone = testkit._observed(c, ts, cache, [e]).tobytes()
@@ -713,3 +713,64 @@ def test_lone_edits_in_the_plan_match_the_stacked_path_bit_for_bit(seed, q, suit
     if checkpoints and m > 2:
         assert cache.stride > 1
 
+
+
+def _basis_suite(ref, kind, rng):
+    """``ref``'s suite of ``kind``: :func:`random_suite`'s kinds, or its
+    X and Z cases ("xz") or its Y cases ("y") as an expected table."""
+    if kind not in ("xz", "y"):
+        return random_suite(ref, kind, rng)
+    keep = {"xz": (MeasBasis.X, MeasBasis.Z), "y": (MeasBasis.Y,)}[kind]
+    return suite_from_expected({tc.id: tc.expected.as_dict() for tc in generate_suite(ref).cases if tc.basis in keep})
+
+
+@pytest.mark.parametrize("kind", ["full", "z", "xz", "y", "sparse"])
+@pytest.mark.parametrize("q", range(1, 9))
+def test_rows_in_suite_order_equal_the_gathered_rows(q, kind):
+    """The rows a suite reads in suite order (a reshape of the simulation's
+    ``[edit, input, basis, outcome]`` buffer when the suite holds every
+    (basis, input) pair once, else picked by ``case_rows``) equal, byte for
+    byte, ``run_all_bases`` of each circuit alone gathered by ``case_rows``:
+    of the circuit, and of every removal, an add and a replace, each edit
+    lone (in the prefix cache's plan where it has one) and stacked beside
+    another; and each such edit scores, to the bit in exact and in sampled
+    mode (seed 3), as its gathered rows and its circuit alone do. Full,
+    Z-only, X+Z, Y-only and sparse suites at 1-8 qubits; at 7 and 8 qubits
+    the bases are measured in more than one pass (at 8, a larger
+    ``BASIS_STACK_BYTES`` gives the lone edits a plan with two passes)."""
+    rng = np.random.default_rng([q, len(kind)])
+    ts = _basis_suite(random_circuit(rng, q, 3), kind, rng)
+    c = random_circuit(rng, q, 4 if q < 7 else 2)
+    m = len(c.gates)
+    edits = [(p, None, True) for p in range(m)]
+    edits += [(int(rng.integers(m + 1)), random_circuit(rng, q, 1).gates[0], False)]
+    edits += [(int(rng.integers(m)), random_circuit(rng, q, 1).gates[0], True)]
+    beside = (m, random_circuit(rng, q, 1).gates[0], False)
+    rectangular = len(ts) == len(ts.bases) * len(ts.inputs)
+    assert rectangular == (kind != "sparse" or len(ts) == 3 * 2**q)
+    with pytest.MonkeyPatch.context() as mp:
+        state_bytes = ts.prefixes(c).state_bytes
+        if q == 8:
+            mp.setattr(simulator, "BASIS_STACK_BYTES", 2 * state_bytes)
+        per_pass = max(1, simulator.BASIS_STACK_BYTES // state_bytes)
+        if q >= 7 and kind == "full":
+            assert per_pass < len(ts.bases)
+        cache = ts.prefixes(c)
+        assert cache.plan() == (q > 1)
+
+        def gathered(circuit):
+            return run_all_bases(circuit, ts.inputs, bases=ts.bases)[ts.case_rows]
+
+        assert testkit._observed(c, ts, cache).tobytes() == gathered(c).tobytes()
+        for e in edits:
+            position, gate, replaces = e
+            if gate is None:
+                alone = remove_gate(c, position)
+            else:
+                alone = (replace_gate if replaces else insert_gate)(c, position, gate)
+            want = gathered(alone)
+            assert testkit._observed(c, ts, cache, [e]).tobytes() == want.tobytes(), e
+            assert testkit._observed(c, ts, cache, [e, beside])[: len(ts)].tobytes() == want.tobytes(), e
+            for cfg in (OracleConfig(), OracleConfig(mode="sampled", seed=3)):
+                scores = (fitness(c, ts, cfg, cache, e), testkit._scores(want, ts, cfg)[0], fitness(alone, ts, cfg))
+                assert len({_hex(s) for s in scores}) == 1, (e, cfg.mode)
