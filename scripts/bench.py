@@ -3,10 +3,13 @@
     python scripts/bench.py --label change --out BENCH_8.json
     PYTHONPATH=<other checkout>/src python scripts/bench.py --label parent --out BENCH_8.json
 
-Layers: one ``h`` gate kernel on the middle qubit of the simulator's state
-of the full input batch at 4 and 6 qubits, ``run_all_bases`` of qft8 (all 256 inputs, three bases;
+Layers: one ``h`` gate step on the middle qubit of the simulator's state
+of the full input batch at 4 and 6 qubits (a step of the prefix cache's
+workspace into its other state tensor, or at a commit without one the
+allocating kernel), ``run_all_bases`` of qft8 (all 256 inputs, three bases;
 its facts hold the ``tracemalloc`` peak of one qft10 ``run_all_bases`` over
-all 1,024 inputs), the measurement alone: ``run_all_bases`` of qft4 and
+all 1,024 inputs, and the minor page faults per call of qft8, fresh as
+timed and resumed from a prefix cache built once), the measurement alone: ``run_all_bases`` of qft4 and
 qft6 over all inputs, resumed from a prefix cache that holds the whole
 circuit, in the three bases and (qft4) in Z only,
 one ``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
@@ -16,8 +19,9 @@ replace mutant (full sweeps of 16 and 64 inputs), each ``localize`` over
 the exact removal scores of ``edit_fitness``, which builds its prefix
 cache within the timed call, the dj6 mutant's removals drawn as a repair
 run draws them (``sweep_run_dj6``: ``_Run.scored`` of a run built once,
-with its prefix cache and, where the run builds one, the cache's plan for
-lone edits), and the
+with its prefix cache), the first 13 fixed patches of the dj4 replace
+mutant's patch queue drawn the same way (``run_fixed_dj4``: one stacked
+chunk of 13 edits), and the
 guided search's patch queue of dj6 and grover3 (build it, pop 20 patches,
 prune once to three quarters of the gates, as the first of four
 iterations does), the single-gate edits of grover3 and dj6 (a removal
@@ -63,6 +67,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -99,6 +104,9 @@ TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (fami
 # (family, size, injection seed, group): states of 1, 4 and 64 KiB
 SWEEP_MUTANTS = (("grover", 3, 3, "add"), ("qft", 4, 5, "replace"), ("dj", 6, 1, "replace"))
 RUN_SWEEP = SWEEP_MUTANTS[-1]  # its removals drawn through a repair run
+# (family, size, injection seed, group, patches): its first fixed patches drawn through a repair run
+RUN_FIXED = ("dj", 4, 1, "replace", 13)
+FAULT_CALLS = 20
 REPORT_BUDGET = 50
 # (family, size, injection seed, group): both searches over fixed patches only
 FIXED_RUN = ("qft", 4, 5, "replace")
@@ -146,16 +154,18 @@ def layers() -> dict:
     """name -> zero-argument call to time, plus the facts that pin its work."""
     out = {}
     for q in (4, 6):
-        # the simulator's own state tensor and kernel of an h on the middle qubit
-        t = simulator.PrefixCache(Circuit(q), range(2**q))._start()
-        out[f"gate_1q_q{q}"] = (partial(simulator._kernel(GateApp(GateKind.H, (q // 2,)), q), t), {})
+        out[f"gate_1q_q{q}"] = (gate_step(q), {})
     qft8, qft10 = build_benchmark("qft", 8), build_benchmark("qft", 10)
+    fresh = partial(simulator.run_all_bases, qft8, range(2**8))
+    resumed = partial(simulator.run_all_bases, qft8, range(2**8), prefixes=simulator.PrefixCache(qft8, range(2**8)))
     out["run_all_bases_qft8"] = (
-        partial(simulator.run_all_bases, qft8, range(2**8)),
+        fresh,
         {
             "gates": len(qft8.gates),
             "inputs": 2**8,
             "qft10_peak_mib": peak_bytes(partial(simulator.run_all_bases, qft10, range(2**10))) / 2**20,
+            "minor_faults_per_call": minor_faults(fresh),
+            "minor_faults_per_call_resumed": minor_faults(resumed),
         },
     )
     for fam, n, bases, suffix in MEASURE_CIRCUITS:
@@ -193,6 +203,16 @@ def layers() -> dict:
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
     facts = {"gates": len(mutant.gates), "evals": len(values), "values_sha256": digest}
     out[f"sweep_run_{fam}{n}"] = (sweep, facts)
+    fam, n, seed, group, count = RUN_FIXED
+    ref = build_benchmark(fam, n)
+    ts = generate_suite(ref)
+    mutant = inject_faults(ref, seed=seed, per_group=1, groups=(group,), suite=ts)[0].mutant
+    run = _Run(mutant, ts, RepairConfig(budget_evals=sys.maxsize), None)
+    fixed = [p.edit() for p in order_uniform(mutant) if not p.is_parametric][:count]
+    chunk = partial(run_edits, run, fixed)
+    values = chunk()
+    facts = {"edits": len(values), "values_sha256": hashlib.sha256(repr(values).encode()).hexdigest()}
+    out[f"run_fixed_{fam}{n}"] = (chunk, facts)
     for fam, n in QUEUE_CIRCUITS:
         ref = build_benchmark(fam, n)
         facts = {"gates": len(ref.gates), "left": len(patch_queue(ref))}
@@ -265,6 +285,32 @@ def prober(broken: Circuit, ts):
     return lambda edit: next(run.scored([edit]))
 
 
+def gate_step(q: int):
+    """A call of the simulator's step of an ``h`` on the middle qubit of its
+    state of all 2^q inputs, which returns the state after it: a step of
+    the prefix cache's workspace from one state tensor into the other, or
+    at a commit without a workspace the allocating kernel."""
+    cache = simulator.PrefixCache(Circuit(q), range(2**q))
+    h = GateApp(GateKind.H, (q // 2,))
+    if not hasattr(cache, "workspace"):
+        return partial(simulator._kernel(h, q), cache._start())
+    ws = cache.workspace(1)
+    blocks = ws.at(0, 1)
+    ws.load(cache, 0, blocks.t[0])
+    step, i = ws._bind(simulator._op(h, q), h.qubits[0], blocks, 0, 1)
+    return lambda: (step(), blocks.t[i][0])[1]
+
+
+def minor_faults(fn) -> float:
+    """Minor page faults per call of ``fn`` over ``FAULT_CALLS`` calls, after
+    one call not counted."""
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(FAULT_CALLS):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / FAULT_CALLS
+
+
 def exact_sweep(c: Circuit, ts, baseline):
     """``localize`` of ``c`` over its exact-mode removal scores."""
     return localize(c, baseline, edit_fitness(c, ts, removals(c)))
@@ -274,6 +320,13 @@ def run_sweep(run) -> list[float]:
     """The fitness values of ``run``'s removal sweep, each edit drawn and
     charged through ``_Run.scored`` as the guided search draws them."""
     return [score.value for score in run.scored(removals(run.c_init))]
+
+
+def run_edits(run, edits) -> list[float]:
+    """The fitness values of ``run``'s circuit with each of ``edits`` made,
+    drawn and charged through ``_Run.scored`` as a run of fixed patches
+    draws them."""
+    return [score.value for score in run.scored(edits)]
 
 
 def angle_trial(broken: Circuit, ts, patch: Patch):

@@ -75,6 +75,9 @@ class GateApp:
         for p in self.params:
             if not math.isfinite(p):
                 raise ValueError(f"non-finite angle {p} on {self.kind.gate_name}")
+        if self.kind is GateKind.U and not math.isfinite(self.params[1] + self.params[2]):
+            # u's matrix takes exp(i(phi + lambda)): an infinite sum makes every amplitude NaN
+            raise ValueError(f"non-finite phi + lambda {self.params[1] + self.params[2]} on u")
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,16 @@ the sweep, a fixed patch of a run (those taken between two parametric
 patches) or an angle probe. Sweeps and runs are scored by
 :func:`~qrep.testkit.edit_fitness` in stacked chunks, through one generator
 (:meth:`_Run.scored`); a probe is scored alone by
-:func:`~qrep.testkit.fitness` of its edit, which runs in the prefix cache's
-plan, through :meth:`_Run.probe`, with no generator. When the cache's
-chunks hold one edit (a 6-qubit state fills one), the run builds the plan
-before the sweep, so every edit it scores runs in the plan. Both pass one budget
-gate (:meth:`_Run.gate`, the count cap and the seconds deadline) before an
-edit is simulated, and charge each score as it is drawn. A probe at
-all-zero angles is charged but not simulated when the run already holds
-its score (:meth:`_Run.recalled`): every parametric kind is then the
-identity, so an add scores as the baseline and a replace as the sweep's
-removal of the gate, bit for bit. Each score is recorded and credited as a
-trial of that edit alone would be, so the reports are those of trying
-every edit alone, bit for bit.
+:func:`~qrep.testkit.fitness` of its edit, through :meth:`_Run.probe`,
+with no generator. Both simulate in the prefix cache's workspace, and
+both pass one budget gate (:meth:`_Run.gate`, the count cap and the
+seconds deadline) before an edit is simulated, and charge each score as
+it is drawn. A probe at all-zero angles is charged but not simulated when
+the run already holds its score (:meth:`_Run.recalled`): every parametric
+kind is then the identity, so an add scores as the baseline and a replace
+as the sweep's removal of the gate, bit for bit. Each score is recorded
+and credited as a trial of that edit alone would be, so the reports are
+those of trying every edit alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -188,11 +186,8 @@ class _Run:
         self.table = SuspiciousnessTable.for_circuit(c_init)
         if fault_gate is not None and fault_gate not in self.table.scores:
             raise UnknownGateError(f"fault gate {fault_gate} names no gate of the circuit")
-        # every candidate is c_init or a single-gate edit of it; when a chunk
-        # holds one edit (a 6-qubit state fills one), every edit is lone
+        # every candidate is c_init or a single-gate edit of it
         self.prefixes = ts.prefixes(c_init)
-        if self.prefixes.chunk == 1:
-            self.prefixes.plan()
         self.candidates: list[dict] = []  # one report row per trial or removal
         self.baseline: FitnessScore | None = None
         self.removed: dict[int, FitnessScore] = {}  # the sweep's score of each removal, by position
@@ -235,7 +230,7 @@ class _Run:
         """The score of ``c_init`` with the angle probe ``edit`` made, charged
         as one evaluation once it has passed :meth:`gate`: the score the run
         already holds for it (:meth:`recalled`), or one :func:`fitness` of
-        the edit alone, which runs in the prefix cache's plan."""
+        the edit alone."""
         if not self.gate(self.budget.evals_used):
             raise BudgetExhaustedError(f"budget spent ({self.budget.evals_used} of {self.budget.max_evals} evaluations)")
         score = self.recalled(edit) or fitness(self.c_init, self.ts, self.cfg.oracle, self.prefixes, edit)

@@ -16,7 +16,7 @@ import math
 import re
 from typing import Callable, TypeVar
 
-from .circuit import GATE_BY_NAME, Circuit, GateApp
+from .circuit import GATE_BY_NAME, Circuit, GateApp, GateKind
 from .errors import QasmError, QasmSyntaxError, UnsupportedFeatureError, UnsupportedGateError
 
 # numbers use ASCII digits only, as in the OpenQASM 2.0 grammar; any other
@@ -174,6 +174,8 @@ class _Parser:
             self.expect(")")
         if len(params) != kind.param_count:
             raise self.error(f"{kind.gate_name} expects {kind.param_count} parameter(s), got {len(params)}", at)
+        if kind is GateKind.U and not math.isfinite(params[1] + params[2]):
+            raise self.error(f"non-finite phi + lambda {params[1] + params[2]} on u", at)
         qubits = [q for q, _ in self.comma_list(lambda: self.parse_operand(qreg, "gate"))]
         self.expect(";")
         if None in qubits:

@@ -2,46 +2,41 @@
 
 Conventions: little-endian amplitude ordering (qubit 0 is the least
 significant bit of the state index) and outcome bitstrings with qubit 0
-rightmost, so index i maps to ``format(i, f"0{q}b")``. Gates are applied as
-amplitude kernels on one (2,) * q + (B,) tensor that holds a batch of B
-inputs, one per column, batch last; qubit k lives on axis q-1-k. A real
-one-qubit matrix then multiplies the tensor as it is laid out, with no
-transpose or copy. A gate's kernel (:func:`_kernel`) is built once, with
-its matrix or its amplitude slices and phases worked out, and applied as
-often as the gate is. The tensor may carry leading block axes, one block
-per circuit or per basis: the kernels index qubits from the right, so
-every block is updated by the same call and rounds as it would alone. A
-run of single-gate edits of one circuit (a removal sweep's, or a patch
-search's run of fixed patches) is stacked this way, as a staircase of
-edited circuits, and the measurement stacks the X and Y bases of the
-final states (see :func:`run_all_bases`). A :class:`PrefixCache` keeps the
-tensor after the leading gates of one circuit, and a kernel per gate. Every
-simulation is one staircase over those kernels (:func:`_staircase`), and
-every candidate is an edit: the cached circuit joins it after its last
-gate, and each single-gate edit at the edit, so it is simulated from the
-edit on. Once a caller has built it (an angle probe, or a repair whose
-chunks hold one edit), a lone edit, one simulated with no other, runs in
-the cache's plan instead (:meth:`PrefixCache.plan` and
-:meth:`PrefixCache.lone`): two state tensors, a rotation stack and its
-twin, and moduli, all sized once from the cache's shape and
-:data:`BASIS_STACK_BYTES`, with every per-qubit view and a step per
-cached gate made once, so its one-qubit gates and measurement write into
-buffers and round as the staircase does. Both paths measure the rows into
-one buffer laid out ``[edit, input, basis, outcome]``, the order a suite
-reads its cases in; the plan's buffer is the caller's. No full 2^q x 2^q
-matrix is ever built here; the dense-matrix product lives in the test
-suite as an independent oracle. Every probability returned here is exact: a
+rightmost, so index i maps to ``format(i, f"0{q}b")``. Gates are applied
+to one (2,) * q + (B,) tensor that holds a batch of B inputs, one per
+column, batch last; qubit k lives on axis q-1-k. A real one-qubit matrix
+then multiplies the tensor as it is laid out, with no transpose. The
+tensor may carry a leading block axis, one block per circuit or per
+basis: every step indexes qubits from the right, so every block is
+updated by the same call and rounds as it would alone.
+
+There is one simulation path, :func:`run_all_bases`. A
+:class:`PrefixCache` keeps the tensor after the leading gates of one
+circuit, and every candidate is an edit of it: the cached circuit enters
+after its last gate, and each single-gate edit at the edit, so it is
+simulated from the edit on. A run of edits (a removal sweep's, or a patch
+search's run of fixed patches) is stacked on the block axis as a
+staircase, each edit entering at its step, and a lone edit (an angle
+probe) is a staircase of one. Everything runs in a workspace that the
+caches of one shape share (:class:`_Workspace`): state tensors sized once
+for a chunk of edits, views and steps made on first use, so no one-qubit
+gate and no measurement allocates its result. The measurement stacks the
+X and Y bases of the final states, and writes the rows into one buffer
+laid out ``[edit, input, basis, outcome]``, the order a suite reads its
+cases in: the suite's own, or a fresh array. No full 2^q x 2^q matrix is
+ever built here; the dense-matrix product lives in the test suite as an
+independent oracle. Every probability returned here is exact: a
 sampled-mode oracle draws its shots from them in :mod:`qrep.testkit`.
 """
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,7 +161,7 @@ def _matrix_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
 
 def _narrowed(m: np.ndarray) -> np.ndarray:
     """``m`` read-only, and real (float64) when every imaginary part is zero:
-    the dtype is the flag :func:`_apply_1q` picks its product by."""
+    the dtype is the flag a one-qubit step picks its product by."""
     if not np.count_nonzero(m.imag):
         m = m.real.copy()
     m.setflags(write=False)
@@ -213,38 +208,6 @@ def _param_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
     return m
 
 
-def _gate_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
-    m = _FIXED_1Q.get(kind)
-    return _param_1q(kind, params) if m is None else m
-
-
-def _apply_1q(t: np.ndarray, m: np.ndarray, width: int, n: int) -> np.ndarray:
-    """``m`` on every amplitude pair of the qubit ``log2(width)`` of the
-    C-contiguous state tensor ``t``, as a new C-contiguous tensor.
-
-    ``t`` is viewed as (-1, 2, width * B): the qubits above the gate's and
-    any block axis merge into the leading dimension. A real ``m``
-    multiplies the view from the left, read as float64: no transpose, no
-    copy. A complex ``m`` multiplies the transposed view from the right,
-    as amplitude rows, and the result is copied back; from the left it
-    would round ``rx``, ``t`` and ``u`` differently. A batch of one input
-    is padded to two columns (see :class:`PrefixCache`), because a
-    one-column product rounds differently from a wider one, and a row must
-    not depend on its batch. On one qubit each block's batch is multiplied
-    as stacked (B, 1, 2) cores of one amplitude row each.
-    """
-    if n == 1:
-        blocks = t.reshape(-1, 2, t.shape[-1])
-        cores = np.ascontiguousarray(blocks.transpose(0, 2, 1)).reshape(-1, 1, 2)
-        rows = (cores @ m.T).reshape(len(blocks), -1, 2)
-        return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(t.shape)
-    view = t.reshape(-1, 2, width * t.shape[-1])
-    if m.dtype == np.float64:
-        return np.matmul(m, view.view(np.float64)).view(complex).reshape(t.shape)
-    rows = view.transpose(0, 2, 1) @ m.T
-    return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(t.shape)
-
-
 @functools.cache
 def _slices(n: int, *assignments: int) -> tuple:
     # index of the amplitudes whose qubits hold the assigned bits, given as
@@ -256,14 +219,11 @@ def _slices(n: int, *assignments: int) -> tuple:
     return (Ellipsis, *idx, slice(None))
 
 
-def _kernel(g: GateApp, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``g`` as a kernel on the batched ``n``-qubit tensor: a call takes a
-    tensor that belongs to the running simulation, which it may update in
-    place, and returns the result. Everything a call needs is worked out
-    here, once. A one-qubit kernel holds its narrowed matrix and view width
-    and returns a new tensor; the others hold the amplitudes whose qubits
-    hold given bits, in every column at once, and their phases, and update
-    them in place.
+def _kernel(g: GateApp, n: int) -> Callable[[np.ndarray], None]:
+    """``g``, a gate on two or three qubits, as an in-place update of the
+    batched ``n``-qubit tensor (with any leading block axes): the
+    amplitudes whose qubits hold given bits, in every column at once, and
+    their phases, all worked out here, once.
 
     Phases are multiplied out of place with the array first
     (``t[s] = t[s] * z``): numpy picks its complex-multiply loop by length
@@ -272,15 +232,11 @@ def _kernel(g: GateApp, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """
     check_qubits(g, n)  # a qubit outside the tensor would index another axis
     kind, qs = g.kind, g.qubits
-    if kind.num_qubits == 1:
-        m, width = _gate_1q(kind, g.params), 2 ** qs[0]
-        return lambda t: _apply_1q(t, m, width, n)
     if kind is GateKind.CZ:
         s = _slices(n, qs[0], 1, qs[1], 1)
 
-        def negate(t: np.ndarray) -> np.ndarray:
+        def negate(t: np.ndarray) -> None:
             t[s] = -t[s]
-            return t
 
         return negate
     if kind is GateKind.CP:
@@ -301,18 +257,42 @@ def _kernel(g: GateApp, n: int) -> Callable[[np.ndarray], np.ndarray]:
         else:
             raise ValueError(f"no kernel for {kind.gate_name}")
 
-        def exchange(t: np.ndarray) -> np.ndarray:
+        def exchange(t: np.ndarray) -> None:
             t[a], t[b] = t[b].copy(), t[a].copy()
-            return t
 
         return exchange
 
-    def phase(t: np.ndarray) -> np.ndarray:
+    def phase(t: np.ndarray) -> None:
         for s, z in phases:
             t[s] = t[s] * z
-        return t
 
     return phase
+
+
+def _op(g: GateApp, n: int) -> np.ndarray | Callable[[np.ndarray], None]:
+    """What simulating ``g`` takes, worked out once: its narrowed matrix
+    (real where it can be) on one qubit, else its in-place kernel."""
+    if g.kind.num_qubits > 1:
+        return _kernel(g, n)
+    m = _FIXED_1Q.get(g.kind)
+    return _param_1q(g.kind, g.params) if m is None else m
+
+
+def _complex_1q(m_t: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> None:
+    # the amplitude rows times m.T into contiguous rows, then copied back
+    # through the transposed view; from the left, or into a transposed
+    # out=, the product rounds rx, t and u differently
+    np.matmul(cols, m_t, out=rows)
+    np.copyto(cols, rows)
+
+
+def _cores_1q(m_t: np.ndarray, state: np.ndarray, cores: np.ndarray, rows: np.ndarray, back: np.ndarray) -> None:
+    # one qubit: each column's amplitude row copied out as a (1, 2) core,
+    # the cores times m.T into rows, and the rows copied back transposed.
+    # A (B, 2) product would round a row by its batch's size
+    np.copyto(cores, state)
+    np.matmul(cores.reshape(-1, 1, 2), m_t, out=rows.reshape(-1, 1, 2))
+    np.copyto(back, rows)
 
 
 BASIS_ORDER = (MeasBasis.X, MeasBasis.Y, MeasBasis.Z)
@@ -321,7 +301,8 @@ _H = _FIXED_1Q[GateKind.H]
 
 # bytes of prefix states one PrefixCache keeps; above it, only checkpoints.
 # A 6-qubit suite keeps every prefix of up to 128 gates; from 8 qubits on a
-# repair's peak memory is 90 MB or more, so the cache adds under a tenth
+# repair's peak memory is 90 MB or more, so the cache adds under a tenth.
+# A cache keeps its workspace too while the workspace fits in it
 PREFIX_CACHE_BYTES = 8 * 2**20
 
 # bytes of stacked states one chunk of edits holds, a removal sweep's or a
@@ -371,10 +352,13 @@ def _integers(inputs) -> np.ndarray:
     return idx
 
 
+_tokens = itertools.count()
+
+
 class PrefixCache:
     """States of a fixed batch of inputs after the leading gates of one
     circuit, so that each single-gate edit of it is simulated only from the
-    edit on.
+    edit on, and the workspace it and its edits are simulated in.
 
     The states after every prefix are kept when they fit in
     :data:`PREFIX_CACHE_BYTES`; otherwise only every ``stride``-th, and none
@@ -382,6 +366,8 @@ class PrefixCache:
     layout-preserving copy of the running tensor, so going on from one
     rounds exactly as simulating from the inputs does. The empty prefix is
     the inputs themselves, built afresh on each use rather than stored.
+    The states are simulated in a workspace (:meth:`workspace`), as
+    everything else is.
 
     A state is a (2,) * n + (B,) tensor: column b holds the amplitudes of
     ``columns[b]``, qubit k on axis n-1-k, so its 2^n x B reshape has one
@@ -401,35 +387,33 @@ class PrefixCache:
         self.inputs = idx = idx.astype(np.intp)
         self.given = inputs if isinstance(inputs, (tuple, range)) else None  # immutable, so checked once
         self.columns = np.repeat(idx, 2) if len(idx) == 1 else idx
+        self.ones = self.columns, np.arange(len(self.columns))  # where the one-hot inputs hold their 1s
         self.gates = c.gates
-        self.kernels = [_kernel(g, n) for g in c.gates]
         self.state_bytes = len(self.columns) * 2**n * np.dtype(complex).itemsize
         slots = PREFIX_CACHE_BYTES // self.state_bytes if keep else 0
         self.stride = max(1, -(-len(c.gates) // slots)) if slots else len(c.gates) + 1
         self.states: dict[int, np.ndarray] = {}
-        self._plan: _LonePlan | None = None
+        self.token = next(_tokens)  # names the cache to the workspace its steps are bound in
         last = len(c.gates) - len(c.gates) % self.stride
-        t = self._start() if last else None
-        for k, kernel in enumerate(self.kernels[:last], 1):
-            t = kernel(t)
-            if k % self.stride == 0:
-                self.states[k] = np.copy(t)
+        if last:
+            ws, i = self.workspace(1), 0
+            blocks = ws.at(0, 1)
+            ws.load(self, 0, blocks.t[0])
+            for k in range(self.stride, last + 1, self.stride):
+                i = ws.gates(self, blocks, k - self.stride, k, i)
+                self.states[k] = blocks.t[i][0].copy()
 
-    def _start(self) -> np.ndarray:
-        # the one-hot (2,) * n + (B,) tensor of the input columns
-        n, cols = self.num_qubits, len(self.columns)
-        t = np.zeros((2**n, cols), dtype=complex)
-        t[self.columns, np.arange(cols)] = 1.0
-        return t.reshape((2,) * n + (cols,))
-
-    def after(self, k: int) -> np.ndarray:
-        """A fresh copy of the state after the cached circuit's first ``k``
-        gates, simulated on from the last stored state at or before it."""
-        start = k - k % self.stride
-        t = np.copy(self.states[start]) if start else self._start()
-        for kernel in self.kernels[start:k]:
-            t = kernel(t)
-        return t
+    def workspace(self, blocks: int) -> _Workspace:
+        """The workspace a simulation of ``blocks`` blocks runs in, claimed
+        for this cache's steps: the one every cache of this shape shares,
+        sized for :attr:`chunk` blocks, while it fits in
+        :data:`PREFIX_CACHE_BYTES` and holds them (see :func:`_shared`),
+        else one made for the call."""
+        ws = _shared(self.num_qubits, len(self.columns), self.chunk, BASIS_STACK_BYTES, PREFIX_CACHE_BYTES)
+        if ws is None or blocks > ws.blocks:
+            ws = _Workspace(self.num_qubits, len(self.columns), blocks)
+        ws.claim(self.token)
+        return ws
 
     def check(self, c: Circuit, inputs) -> None:
         """Raise unless the cache was built for ``c`` and ``inputs``, which
@@ -449,20 +433,14 @@ class PrefixCache:
         ``replaces``; a gate of None with ``replaces`` removes gate
         ``position``. An add joins at step ``position``, a replace or
         removal one step later. Raises ValueError for an edit the circuit
-        cannot take."""
+        cannot take, and QubitIndexError for a gate on a qubit it lacks."""
         position, gate, replaces = e
         m = len(self.gates)
         if not 0 <= position < m + (not replaces) or (gate is None and not replaces):
             raise ValueError(f"no edit ({position}, {gate}, {replaces}) of a circuit of {m} gates")
+        if gate is not None:
+            check_qubits(gate, self.num_qubits)
         return position + bool(replaces)
-
-    def edit(self, e: tuple[int, GateApp | None, bool]) -> tuple[int, np.ndarray]:
-        """(step, state): :meth:`joins_at` of the edit ``e``, and a fresh
-        state of the edited circuit up to there: the cached state after
-        ``position`` gates with the edit's own gate (if any) applied."""
-        step, (position, gate, _) = self.joins_at(e), e
-        t = self.after(position)
-        return step, t if gate is None else _kernel(gate, self.num_qubits)(t)
 
     @property
     def chunk(self) -> int:
@@ -470,242 +448,269 @@ class PrefixCache:
         :data:`SWEEP_CHUNK_BYTES` of states, and at least one."""
         return max(1, SWEEP_CHUNK_BYTES // self.state_bytes)
 
-    def plan(self) -> bool:
-        """Build the cache's plan for lone edits (:class:`_LonePlan`) unless
-        it has one, and say whether it has one. A caller about to simulate
-        many lone edits builds it: an angle probe, or a repair whose chunks
-        hold one edit (a 6-qubit state fills :data:`SWEEP_CHUNK_BYTES`).
-        A mutant injection's few chunks of one would not pay for the
-        buffers, and build none. There is no plan on one qubit, whose
-        products keep :func:`_apply_1q`'s core form, or when a state is
-        wider than :data:`BASIS_STACK_BYTES`: the plan keeps six to nine
-        states, so its buffers stay under 1.5 MiB, and at such widths the
-        arithmetic, not the calls around it, is the cost."""
-        if self._plan is None and self.num_qubits > 1 and self.state_bytes <= BASIS_STACK_BYTES:
-            self._plan = _LonePlan(self)
-        return self._plan is not None
 
-    @property
-    def planned(self) -> bool:
-        """Whether the cache has its plan for lone edits (see :meth:`plan`)."""
-        return self._plan is not None
-
-    def lone(
-        self, c: Circuit, inputs, e: tuple[int, GateApp | None, bool], bases: tuple[MeasBasis, ...], out: np.ndarray
-    ):
-        """:func:`run_all_bases` of ``c`` with the edits ``[e]``, indexed
-        ``[0, basis, k, outcome]``, simulated in the cache's plan and
-        measured into ``out``, a ``[1, k, basis, outcome]`` buffer of the
-        caller's, of which it is a transposed view; ``c`` and ``inputs``
-        are held to :meth:`check`. None, with nothing simulated, when the
-        cache has no plan (see :meth:`plan`)."""
-        if self._plan is None:
-            return None
-        self.check(c, inputs)
-        self._plan.run(self, e, bases, out)
-        return out.transpose(0, 2, 1, 3)
+def _most(blocks: int, state_bytes: int, stack_bytes: int) -> int:
+    """The most states a measurement pass of up to ``blocks`` blocks
+    stacks (two to a block while ``stack_bytes`` holds two bases), and
+    at least ``blocks``."""
+    return max(blocks, 2 * min(blocks, stack_bytes // (2 * state_bytes)))
 
 
-def _real_views(t: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Per qubit q, the float64 (-1, 2, 2 * 2^q * B) view of the C-contiguous
-    state tensor ``t`` (any block axes merged into the first dimension)
-    that a real one-qubit product reads and writes (see :func:`_apply_1q`)."""
-    return tuple(t.reshape(-1, 2, 2**q * t.shape[-1]).view(np.float64) for q in range(n))
+class _Blocks:
+    """Blocks lo..hi-1 of a workspace's two running state tensors (``t``),
+    with their views, steps and measurement plans, each made on first use."""
+
+    __slots__ = ("lo", "hi", "t", "views", "steps", "measured")
+
+    def __init__(self, bufs: tuple[np.ndarray, ...], lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+        self.t = (bufs[0][lo:hi], bufs[1][lo:hi])
+        self.views: dict[tuple[str, int, int], np.ndarray] = {}
+        self.steps: dict[int, tuple] = {}  # by 2 * gate + the tensor it starts from
+        self.measured: dict = {}
 
 
-def _complex_1q(m_t: np.ndarray, cols: np.ndarray, scratch: np.ndarray) -> None:
-    # the amplitude rows times m.T into a contiguous scratch, then copied
-    # back through the transposed view: _apply_1q's complex product
-    np.matmul(cols, m_t, out=scratch)
-    np.copyto(cols, scratch)
+class _Workspace:
+    """The buffers every simulation of a :class:`PrefixCache`'s circuit and
+    its single-gate edits runs in, up to ``blocks`` circuits at once, one
+    per block of a leading axis: three state tensors, each of as many
+    blocks as a measurement pass of ``blocks`` blocks stacks, sized once.
+    Views of a block range (:class:`_Blocks`) and steps of a cached gate on
+    one are made on first use; it keeps no reference to a cache.
 
-
-class _LonePlan:
-    """Buffers, views and steps that simulate a :class:`PrefixCache`'s
-    circuit with one single-gate edit made, one edit per call, with no block
-    axis (:meth:`PrefixCache.lone`). It keeps no reference to the cache, so
-    a cache is freed as soon as its run drops it. Everything that depends
-    only on the cache is made once, here: two state tensors and each one's
-    views per qubit, one step per cached gate and per tensor holding the
-    state (built the first time it runs), the rotated-basis stack and its
-    twin, sized for the bases one measurement pass holds (one at a time
-    where :data:`BASIS_STACK_BYTES` requires it), and the moduli. The rows
-    are measured into a buffer the caller passes in.
-
-    A real one-qubit step is ``np.matmul(m, src, out=dst)`` from one state
-    tensor into the other. A complex one multiplies the amplitude rows into
-    the other tensor, used as scratch, and copies them back through the
-    transposed view. Both round as :func:`_apply_1q` does, and the phase and
-    exchange kernels update the state in place, as they do in a staircase,
-    so a call's rows equal, bit for bit, those of the edit simulated alone by
-    :func:`run_all_bases`.
+    Tensors 0 and 1 hold the running states: a real one-qubit step is
+    ``np.matmul(m, src, out=dst)`` on the float view, from one into the
+    other; a complex one multiplies the amplitude rows into the other,
+    used as scratch, and copies them back through the transposed view; on
+    one qubit, the amplitude rows go through the other as (1, 2) cores;
+    the phase and exchange kernels update the state in place. The
+    measurement stacks the rotated bases in the spent one of the two and
+    puts them through the ``h`` layer between it and tensor 2, its twin,
+    and takes the moduli into the one of those the result is not in. A
+    row's bits do not depend on the block it is computed in, on how many
+    blocks share a step, or on the batch.
     """
 
-    def __init__(self, cache: PrefixCache):
-        n, cols = cache.num_qubits, len(cache.columns)
-        shape = (2,) * n + (cols,)
-        self.n = n
-        self.states = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
-        self.real = [_real_views(t, n) for t in self.states]
-        self.cols = [tuple(t.reshape(-1, 2, 2**q * cols).transpose(0, 2, 1) for q in range(n)) for t in self.states]
-        self.scratch = [tuple(t.reshape(-1, 2**q * cols, 2) for q in range(n)) for t in self.states]
-        self.start = self.states[0].reshape(2**n, cols), (cache.columns, np.arange(cols))
-        self.steps: list[tuple | None] = [None] * len(cache.gates)  # built on first use
-        self.per_pass = max(1, BASIS_STACK_BYTES // cache.state_bytes)
-        # the stack and its twin, and the views of their first r states
-        stack = [np.empty((min(self.per_pass, 2),) + shape, dtype=complex) for _ in (0, 1)]
-        self.stacks = {
-            r: ([s[:r] for s in stack], [_real_views(s[:r], n) for s in stack]) for r in range(1, len(stack[0]) + 1)
-        }
-        self.moduli = _spaced(min(self.per_pass, len(BASIS_ORDER)), shape)
+    def __init__(self, n: int, cols: int, blocks: int):
+        self.n, self.cols, self.blocks = n, cols, blocks
+        self.state_bytes, self.stack_bytes = cols * 2**n * np.dtype(complex).itemsize, BASIS_STACK_BYTES
+        self.shape = (2,) * n + (cols,)
+        self.size = _most(blocks, self.state_bytes, self.stack_bytes)  # blocks a tensor holds
+        # the twin is made when the first measurement needs it, so a wide
+        # simulation holds two states, as an allocating kernel's did
+        self.bufs = [np.empty((self.size,) + self.shape, dtype=complex) for _ in range(2)] + [None]
+        self.ranges: dict[tuple[int, int], _Blocks] = {}
+        self.owner: int | None = None  # the token of the cache whose steps are bound
 
-    def _step(self, g: GateApp, i: int, kernel: Callable | None = None) -> tuple[Callable[[], object], int]:
-        """``g`` as a step on the state in tensor ``i``: the call, and the
-        tensor that holds the state after it. ``kernel`` is ``g``'s
-        :func:`_kernel` when the cache has built it."""
-        if g.kind.num_qubits > 1:
-            return partial(kernel or _kernel(g, self.n), self.states[i]), i
-        check_qubits(g, self.n)
-        m, q = _gate_1q(g.kind, g.params), g.qubits[0]
-        if m.dtype == np.float64:
-            return partial(np.matmul, m, self.real[i][q], out=self.real[1 - i][q]), 1 - i
-        return partial(_complex_1q, m.T, self.cols[i][q], self.scratch[1 - i][q]), i
+    def tensor(self, j: int) -> np.ndarray:
+        """State tensor ``j``, the twin (2) made the first time it is asked for."""
+        if self.bufs[j] is None:
+            self.bufs[j] = np.empty((self.size,) + self.shape, dtype=complex)
+        return self.bufs[j]
 
-    def _cached_gates(self, cache: PrefixCache, lo: int, hi: int, i: int) -> int:
-        # cached gates lo..hi-1 on the state in tensor i; returns the tensor
-        # that holds it after them
-        for k in range(lo, hi):
-            steps = self.steps[k]
-            if steps is None:
-                g, kernel = cache.gates[k], cache.kernels[k]
-                steps = self.steps[k] = (self._step(g, 0, kernel), self._step(g, 1, kernel))
-            call, i = steps[i]
+    def claim(self, token: int) -> None:
+        """Bind steps for the cache named ``token`` from now on, dropping
+        those of any other."""
+        if self.owner != token:
+            for blocks in self.ranges.values():
+                blocks.steps.clear()
+            self.owner = token
+
+    def at(self, lo: int, hi: int) -> _Blocks:
+        """Blocks lo..hi-1, made the first time they are asked for."""
+        blocks = self.ranges.get((lo, hi))
+        if blocks is None:
+            blocks = self.ranges[lo, hi] = _Blocks(self.bufs, lo, hi)
+        return blocks
+
+    def _view(self, kind: str, j: int, q: int, blocks: _Blocks) -> np.ndarray:
+        """A view of tensor ``j`` of ``blocks`` for a step on qubit ``q``,
+        made on first use: "real", the float64 (-1, 2, 2 * 2^q * B) view a
+        real product reads and writes; "cols", the amplitude rows, its
+        (-1, 2^q * B, 2) transpose; "rows", the same rows laid out
+        contiguously."""
+        view = blocks.views.get((kind, j, q))
+        if view is None:
+            t, w = self.tensor(j)[blocks.lo : blocks.hi], 2**q * self.cols
+            if kind == "rows":
+                view = t.reshape(-1, w, 2)
+            else:
+                view = t.reshape(-1, 2, w)
+                view = view.view(np.float64) if kind == "real" else view.transpose(0, 2, 1)
+            blocks.views[kind, j, q] = view
+        return view
+
+    def _bind(self, op, q: int, blocks: _Blocks, j: int, d: int) -> tuple[Callable[[], object], int]:
+        """``op`` (see :func:`_op`), on qubit ``q`` when it is a matrix, as
+        a call on tensor ``j`` of ``blocks``, with tensor ``d`` for its
+        result or scratch, and the tensor that holds the state after it."""
+        if not isinstance(op, np.ndarray):
+            return partial(op, blocks.t[j]), j
+        view = self._view
+        if self.n == 1:
+            state, rows = view("cols", j, 0, blocks), view("rows", j, 0, blocks)
+            return partial(_cores_1q, op.T, state, view("rows", d, 0, blocks), rows, view("cols", d, 0, blocks)), d
+        if op.dtype == np.float64:
+            return partial(np.matmul, op, view("real", j, q, blocks), out=view("real", d, q, blocks)), d
+        return partial(_complex_1q, op.T, view("cols", j, q, blocks), view("rows", d, q, blocks)), j
+
+    def gates(self, cache: PrefixCache, blocks: _Blocks, start: int, stop: int, i: int) -> int:
+        """The cached gates start..stop-1 on tensor ``i`` (0 or 1) of
+        ``blocks``, one step each, built the first time it runs; returns
+        the tensor that holds the states after them."""
+        steps = blocks.steps
+        for k in range(start, stop):
+            step = steps.get(2 * k + i)
+            if step is None:
+                g = cache.gates[k]
+                step = steps[2 * k + i] = self._bind(_op(g, self.n), g.qubits[0], blocks, i, 1 - i)
+            call, i = step
             call()
         return i
 
-    def rotated(self, t: np.ndarray, rotated: list[MeasBasis]) -> np.ndarray:
-        """:func:`_rotated` in the plan's stack and twin."""
-        (s, twin), views = self.stacks[len(rotated)]
-        _fill(s, t, rotated, self.n)
-        i = 0
-        for q in range(self.n):
-            np.matmul(_H, views[i][q], out=views[1 - i][q])
-            i = 1 - i
-        return (s, twin)[i]
-
-    def run(
-        self, cache: PrefixCache, e: tuple[int, GateApp | None, bool], bases: tuple[MeasBasis, ...], out: np.ndarray
-    ) -> None:
-        """The rows of ``cache``'s circuit with the edit ``e`` made, measured
-        into ``out``, indexed ``[0, k, basis, outcome]``, in as many passes
-        as :data:`BASIS_STACK_BYTES` requires."""
-        join = cache.joins_at(e)
-        position, gate, _ = e
-        start = position - position % cache.stride
+    def load(self, cache: PrefixCache, start: int, t: np.ndarray) -> None:
+        """``t``, one block: the cached state after ``start`` gates, or the
+        one-hot inputs when ``start`` is 0."""
         if start:
-            np.copyto(self.states[0], cache.states[start])
-        else:  # the one-hot inputs, as PrefixCache._start builds them
-            flat, ones = self.start
-            flat.fill(0)
-            flat[ones] = 1.0
-        i = self._cached_gates(cache, start, position, 0)
-        if gate is not None:
-            call, i = self._step(gate, i)
-            call()
-        i = self._cached_gates(cache, join, len(self.steps), i)
-        step = self.per_pass
-        for lo in range(0, len(bases), step):
-            _measure(self.states[i], bases[lo : lo + step], self.n, out[:, :, lo : lo + step], self)
-
-
-def _staircase(prefixes: PrefixCache, joins: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-    """The final states of the circuits that ``joins`` (the cached circuit
-    after its last gate, or :meth:`PrefixCache.edit`) start, stacked one
-    block per join in the order given. Each state joins the stack at its
-    step, and every later gate is applied once to all the blocks that have
-    joined, by the kernel the cache built for it. States that join at one
-    step are stacked in the order given. One join is simulated with no
-    block axis: its state, then the cache's kernels from its step."""
-    if not joins:
-        raise ValueError("no edit to simulate")
-    order = sorted(range(len(joins)), key=lambda i: joins[i][0])
-    step, t = joins[order[0]]
-    if len(joins) > 1:
-        t = None
-        for at, group in groupby(order, key=lambda i: joins[i][0]):
-            for kernel in prefixes.kernels[step:at]:
-                t = kernel(t)
-            blocks = [joins[i][1][None] for i in group]
-            t, step = np.concatenate(blocks if t is None else [t, *blocks]), at
-    for kernel in prefixes.kernels[step:]:
-        t = kernel(t)
-    return t if order == sorted(order) else t[np.argsort(order)]
-
-
-def _fill(s: np.ndarray, t: np.ndarray, rotated: list[MeasBasis], n: int) -> None:
-    # block j of the stack s: the final states t, times the phase table
-    # (sdg on every qubit) for Y
-    for j, basis in enumerate(rotated):
-        if basis is MeasBasis.Y:
-            np.multiply(t, _y_phases(n), out=s[j])
+            np.copyto(t, cache.states[start])
         else:
-            s[j] = t
+            flat = t.reshape(2**self.n, self.cols)
+            flat.fill(0)
+            flat[cache.ones] = 1.0
+
+    def _enter(self, cache: PrefixCache, position: int, gate: GateApp | None, slot: int, i: int | None) -> int:
+        """Block ``slot`` of tensor ``i``, or of either when ``i`` is None
+        (the first block to enter): the state after the cached circuit's
+        first ``position`` gates, simulated on from the last state stored at
+        or before it, with ``gate`` applied when given; started in the
+        tensor that makes ``gate``'s step end in ``i``, and copied there if
+        the gates before it flipped it. Returns the tensor it is in."""
+        start = position - position % cache.stride
+        if gate is None and start == position:  # a stored state, as it is
+            self.load(cache, start, self.bufs[i or 0][slot])
+            return i or 0
+        blocks = self.at(slot, slot + 1)
+        op = None if gate is None else _op(gate, self.n)
+        j = (i or 0) ^ (isinstance(op, np.ndarray) and (self.n == 1 or op.dtype == np.float64))
+        self.load(cache, start, blocks.t[j])
+        if start < position:
+            j = self.gates(cache, blocks, start, position, j)
+        if op is not None:
+            call, j = self._bind(op, gate.qubits[0], blocks, j, 1 - j)
+            call()
+        if i is None:
+            return j
+        if j != i:
+            np.copyto(blocks.t[i], blocks.t[j])
+        return i
+
+    def run(self, cache: PrefixCache, joins: Sequence[tuple[int, int, GateApp | None]], bases, out: np.ndarray) -> None:
+        """The rows of the circuits ``joins`` start, in each of ``bases``,
+        measured into ``out``, indexed ``[join, input, basis, outcome]``.
+        A join (step, position, gate) is the cached circuit with ``gate``
+        (if any) after its first ``position`` gates, and its gates from
+        ``step`` on. Each enters the stack of blocks at its step (joins of
+        one step in the order given), and every later cached gate is
+        applied once to all the blocks that have entered; the blocks are
+        put back in the order given before they are measured."""
+        order = sorted(range(len(joins)), key=lambda j: joins[j][0]) if len(joins) > 1 else [0]
+        b = i = step = 0
+        for j in order:
+            at, position, gate = joins[j]
+            if b and at > step:
+                i = self.gates(cache, self.at(0, b), step, at, i)
+            i = self._enter(cache, position, gate, b, i if b else None)
+            b, step = b + 1, at
+        blocks = self.at(0, b)
+        i = self.gates(cache, blocks, step, len(cache.gates), i)
+        if b > 1 and order != list(range(b)):
+            np.take(blocks.t[i], np.argsort(order), axis=0, out=blocks.t[1 - i], mode="clip")
+            i = 1 - i
+        per_pass = max(1, self.stack_bytes // (b * self.state_bytes))  # bases a pass holds
+        if per_pass >= len(bases):  # one pass, as a chunk's bases mostly are
+            self._measure(blocks, i, bases, out)
+            return
+        for lo in range(0, len(bases), per_pass):
+            self._measure(blocks, i, bases[lo : lo + per_pass], out[:, :, lo : lo + per_pass])
+
+    def _rotated(self, blocks: _Blocks, i: int, rotated: list[MeasBasis]) -> tuple[np.ndarray, int]:
+        """The final states, tensor ``i`` of ``blocks``, rotated into each
+        of ``rotated`` (X or Y), stacked on a leading axis in the spent
+        tensor and put through one ``h`` layer between it and tensor 2;
+        and the one of the two the result is not in."""
+        r, b = len(rotated), len(blocks.t[i])
+        plan = blocks.measured.get(("stack", i, r))
+        if plan is None:
+            stack, src, other, calls = self.at(0, r * b), 1 - i, 2, []
+            for q in range(self.n):
+                call, res = self._bind(_H, q, stack, src, other)
+                calls.append(call)
+                if res != src:
+                    src, other = other, src
+            shape = (r, b) + self.shape
+            plan = stack.t[1 - i].reshape(shape), calls, self.tensor(src)[: r * b].reshape(shape), other
+            blocks.measured["stack", i, r] = plan
+        stack, calls, result, free = plan
+        for j, basis in enumerate(rotated):  # Y is the states times sdg on every qubit
+            if basis is MeasBasis.Y:
+                np.multiply(blocks.t[i], _y_phases(self.n), out=stack[j])
+            else:
+                stack[j] = blocks.t[i]
+        for call in calls:
+            call()
+        return result, free
+
+    def _measure(self, blocks: _Blocks, i: int, bases: tuple[MeasBasis, ...], out: np.ndarray) -> None:
+        """The probabilities of the final states, tensor ``i`` of
+        ``blocks``, in each of ``bases``, written into ``out``, indexed
+        ``[block, input, basis, outcome]``. X and Y are rotated by one ``h``
+        layer (:meth:`_rotated`), Z read as it is. The moduli are taken in
+        the states' own layout, where numpy's complex ``abs`` runs its
+        contiguous loop, and squared into ``out`` through a transpose, so
+        each row sums contiguously, in the same order in any batch. One
+        drift check follows (an error names the norm of the row that drifts
+        most, the first such in ``[basis, block, input]`` order; a norm that
+        is not finite drifts too), and one in-place divide."""
+        t, count = blocks.t[i], len(bases)
+        rotated = [basis for basis in bases if basis is not MeasBasis.Z]
+        result, free = self._rotated(blocks, i, rotated) if rotated else ((), 1 - i)
+        stack = iter(result)
+        batch = out.shape[1]
+        moduli = blocks.measured.get(("moduli", count, free, batch))
+        if moduli is None:
+            # in the float view of the tensor the states are not in, each
+            # basis one cache line (8 floats) past the last's end: blocks of
+            # a power-of-two size share cache sets, and the square, which
+            # reads one column of every basis in turn through its transpose,
+            # then ran 50% slower (3 bases of 64 x 64 moduli)
+            size, room = t.size, self.tensor(free).reshape(-1).view(np.float64)
+            pad = 8 if count * (size + 8) <= room.size else 0  # a few tiny states leave no room
+            spaced = room[: count * (size + pad)].reshape(count, size + pad)[:, :size]
+            moduli = spaced.reshape((count,) + t.shape)
+            squared = moduli.reshape(count, len(t), 2**self.n, -1).transpose(1, 3, 0, 2)[:, :batch]
+            moduli = blocks.measured["moduli", count, free, batch] = moduli, squared
+        moduli, squared = moduli
+        for k, basis in enumerate(bases):
+            np.abs(t if basis is MeasBasis.Z else next(stack), out=moduli[k])
+        np.square(squared, out=out)
+        norms = np.add.reduce(out, axis=3)
+        drift = np.abs(norms - 1.0)
+        if not (drift <= _NORM_ATOL).all():
+            first = drift.transpose(2, 0, 1).argmax()
+            raise AssertionError(f"final norm {norms.transpose(2, 0, 1).flat[first]} drifted beyond tolerance")
+        np.divide(out, norms[..., None], out=out)
 
 
-def _rotated(t: np.ndarray, rotated: list[MeasBasis], n: int) -> np.ndarray:
-    """The final ``n``-qubit states ``t`` rotated into each of ``rotated``
-    (X or Y), stacked on a leading axis and put through one ``h`` layer."""
-    if len(rotated) == 1:  # no stack to build
-        s = (t * _y_phases(n) if rotated[0] is MeasBasis.Y else t)[None]
-    else:
-        s = np.empty((len(rotated),) + t.shape, dtype=complex)
-        _fill(s, t, rotated, n)
-    for q in range(n):
-        s = _apply_1q(s, _H, 2**q, n)
-    return s
-
-
-def _spaced(count: int, shape: tuple[int, ...]) -> np.ndarray:
-    """``np.empty((count,) + shape)`` with each block one cache line (8
-    floats) past the end of the one before: blocks of a power-of-two size
-    share cache sets, and :func:`_measure`'s square, which reads one
-    column of every block in turn through its transpose, then ran 50%
-    slower (3 blocks of 64 x 64 moduli)."""
-    size = math.prod(shape)
-    return np.empty((count, size + 8))[:, :size].reshape((count,) + shape)
-
-
-def _measure(
-    t: np.ndarray, bases: tuple[MeasBasis, ...], n: int, out: np.ndarray, plan: _LonePlan | None = None
-) -> None:
-    """The probabilities of the final ``n``-qubit states ``t`` in each of
-    ``bases``, written into ``out``, indexed ``[block, input, basis,
-    outcome]``: the order a suite reads its cases in. The X and Y states
-    are stacked on a leading axis and rotated by one ``h`` layer
-    (:func:`_rotated`, or in ``plan``'s buffers); Z reads ``t`` as it is.
-    The moduli are taken in the states' own layout, where numpy's complex
-    ``abs`` runs its contiguous loop, and squared into ``out`` through a
-    transpose, so each row is contiguous when it is summed and sums in the
-    same order in any batch. One row sum, one drift check (an error names
-    the norm of the row that drifts most, the first such in ``[basis,
-    block, input]`` order) and one in-place divide follow while the rows
-    are in cache. Without a plan the stack is freed on return, before the
-    next chunk's is built."""
-    rotated = [b for b in bases if b is not MeasBasis.Z]
-    stack = iter(())
-    if rotated:
-        stack = iter(_rotated(t, rotated, n) if plan is None else plan.rotated(t, rotated))
-    moduli = _spaced(len(bases), t.shape) if plan is None else plan.moduli[: len(bases)]
-    for i, basis in enumerate(bases):
-        np.abs(t if basis is MeasBasis.Z else next(stack), out=moduli[i])
-    blocks, batch = out.shape[0], out.shape[1]
-    np.square(moduli.reshape(len(bases), blocks, 2**n, -1).transpose(1, 3, 0, 2)[:, :batch], out=out)
-    norms = np.add.reduce(out, axis=3)
-    drift = np.abs(norms - 1.0)
-    if (drift > _NORM_ATOL).any():
-        first = drift.transpose(2, 0, 1).argmax()
-        raise AssertionError(f"final norm {norms.transpose(2, 0, 1).flat[first]} drifted beyond tolerance")
-    np.divide(out, norms[..., None], out=out)
+@functools.lru_cache(maxsize=4)
+def _shared(n: int, cols: int, blocks: int, stack_bytes: int, cap: int) -> _Workspace | None:
+    """The workspace every :class:`PrefixCache` of ``n`` qubits and ``cols``
+    columns shares, of ``blocks`` blocks under the byte caps ``stack_bytes``
+    and ``cap`` (:data:`PREFIX_CACHE_BYTES`), or None when it would not fit
+    in ``cap``: a suite's build, a run and the checks of its repairs reuse
+    its buffers, views and measurement steps. A cache claims it before it
+    simulates, so its gates' steps are bound afresh after another's."""
+    state_bytes = cols * 2**n * np.dtype(complex).itemsize
+    return None if 3 * _most(blocks, state_bytes, stack_bytes) * state_bytes > cap else _Workspace(n, cols, blocks)
 
 
 def run_all_bases(
@@ -714,44 +719,38 @@ def run_all_bases(
     bases: tuple[MeasBasis, ...] = BASIS_ORDER,
     prefixes: PrefixCache | None = None,
     edits: Sequence[tuple[int, GateApp | None, bool]] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Born-rule probabilities of every input in each of ``bases``, as an
     array indexed ``[basis, k, outcome]``: ``k`` the position of the input
     in ``inputs``. Given ``edits``, a sequence of single-gate edits of
-    ``c`` (see :meth:`PrefixCache.edit`), the array is indexed ``[i, basis,
-    k, outcome]`` instead, for ``c`` with ``edits[i]`` made, and
+    ``c`` (see :meth:`PrefixCache.joins_at`), the array is indexed ``[i,
+    basis, k, outcome]`` instead, for ``c`` with ``edits[i]`` made, and
     ``prefixes`` must be built for ``c``.
 
-    All inputs pass through the gate list together as one (2,) * n + (B,)
-    tensor (see :class:`PrefixCache`). A given cache must be built for
-    ``c`` and ``inputs``, which are held to its integer rule; with none,
-    ``c`` runs through its own kernels and no prefix state is kept. The
-    state comes from one path, :func:`_staircase` over the
-    cache's kernels: ``c`` alone joins it after its last gate, and each
-    edit at its own step. A row does not depend on the batch or the block
-    it is computed in, so one input run alone agrees bit for bit with a
-    suite, and a circuit's edits stacked on a block axis with each edited
-    circuit alone.
-
-    The bases are measured as blocks of one tensor (see :func:`_measure`):
-    consecutive bases, as many as fit :data:`BASIS_STACK_BYTES`, go
-    through one ``h`` layer together, X as the final states and Y as the
-    states times a phase table (``sdg`` on every qubit), and Z is the final
-    states unrotated; each such chunk is squared, summed, checked for norm
-    drift and normalised in one pass over its rows. The output is a view,
-    through a transpose, of one buffer laid out ``[i, k, basis, outcome]``,
-    the order a suite reads its cases in (see :mod:`qrep.testkit`).
+    This is the one simulation call: all inputs pass through the gates
+    together as one (2,) * n + (B,) tensor (see :class:`PrefixCache`), in
+    a workspace of ``prefixes`` (:meth:`PrefixCache.workspace`), which
+    must be built for ``c`` and ``inputs`` (held to its integer rule); with
+    none, one that keeps no prefix state is built. ``c`` enters the
+    staircase after its last gate, and each edit at its own step. A row
+    does not depend on the batch or the block it is computed in. The rows
+    are measured (see :meth:`_Workspace._measure`, as many bases to a pass
+    as :data:`BASIS_STACK_BYTES` allows) into a buffer laid out ``[i, k,
+    basis, outcome]``, the order a suite reads its cases in: ``out``, with
+    room for ``len(edits)`` blocks (one without edits), or else a fresh
+    array no later call writes into. The result is a transposed view of it.
     """
     if prefixes is None:
         prefixes = PrefixCache(c, inputs, keep=False)
     else:
         prefixes.check(c, inputs)
-    joins = [(len(c.gates), prefixes.after(len(c.gates)))] if edits is None else [prefixes.edit(e) for e in edits]
-    n, t = c.num_qubits, _staircase(prefixes, joins)
-    blocks, batch = t.size // (2**n * t.shape[-1]), len(prefixes.inputs)
-    out = np.empty((blocks, batch, len(bases), 2**n))
-    step = max(1, BASIS_STACK_BYTES // t.nbytes)
-    for lo in range(0, len(bases), step):
-        _measure(t, bases[lo : lo + step], n, out[:, :, lo : lo + step])
-    rows = out.transpose(0, 2, 1, 3)
+    m = len(c.gates)
+    joins = [(m, m, None)] if edits is None else [(prefixes.joins_at(e), e[0], e[1]) for e in edits]
+    if not joins:
+        raise ValueError("no edit to simulate")
+    b = len(joins)
+    rows = np.empty((b, len(prefixes.inputs), len(bases), 2**c.num_qubits)) if out is None else out[:b]
+    prefixes.workspace(b).run(prefixes, joins, bases, rows)
+    rows = rows.transpose(0, 2, 1, 3)
     return rows[0] if edits is None else rows

@@ -7,16 +7,13 @@ the observed output contains an outcome the expected distribution rules
 out, or when its Hellinger distance from the expected distribution exceeds
 the failure threshold. Fitness is the failed-case count plus the Hellinger
 distances summed over every case; ``_scores`` is the one implementation,
-run over buffers. Every simulation of a suite's circuits goes through
-``_observed``: a lone edit runs in its prefix cache's plan
-(:meth:`~qrep.simulator.PrefixCache.lone`) once the cache has one (the
-first edit scored alone by :func:`fitness`, an angle probe, builds it, and
-so does a repair whose chunks hold one edit), measured into a rows buffer
-the suite makes once, and is scored in temporaries the suite makes once;
-the circuit itself and stacked chunks of edits are one
-:func:`~qrep.simulator.run_all_bases` call, scored in temporaries made per
-call. Both lay their rows out in suite order, so a suite that holds every
-(basis, input) pair once reads them as a reshape, with no gather.
+run over buffers. Every simulation of a suite's circuits (the circuit, a
+lone edit or a stacked chunk of edits) is one
+:func:`~qrep.simulator.run_all_bases` call in ``_observed``, measured into
+a rows buffer and scored in temporaries the suite makes once for a chunk
+of edits (:meth:`TestSuite.buffers`). The rows are laid out in suite
+order, so a suite that holds every (basis, input) pair once reads them as
+a reshape, with no gather.
 The simulator gives exact probabilities; in sampled mode the oracle first
 replaces each case's row by the frequencies of ``shots`` seeded multinomial
 draws from it, with ``shots`` checked once, by :class:`OracleConfig`.
@@ -75,15 +72,26 @@ class TestSuite:
         self.inputs = tuple(inputs.tolist())
         self.case_rows = (np.searchsorted(used, basis_index), np.searchsorted(inputs, input_states))
         self._ruled_out: tuple[float, np.ndarray] | None = None
+        self._held: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
+        self._views: dict[int, tuple[np.ndarray, tuple[np.ndarray, ...]]] = {}
 
-    @cached_property
-    def lone(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """(rows, scratch): the ``[1, input, basis, outcome]`` buffer a lone
-        edit is measured into in its prefix cache's plan (see
-        :func:`_observed`), and the temporaries :func:`_scores` judges one
-        block in, made on first use."""
-        rows = np.empty((1, len(self.inputs), len(self.bases), 2**self.num_qubits))
-        return rows, _scratch(1, self.expected.shape)
+    def buffers(self, blocks: int, room: int = 0) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(rows, scratch) of exactly ``blocks`` blocks: the ``[block,
+        input, basis, outcome]`` buffer their rows are measured into (see
+        :func:`_observed`), and the temporaries :func:`_scores` judges them
+        in, views of arrays made once with room for ``room`` blocks (a
+        chunk of edits), and again only for more. The scores' square roots
+        are taken in the rows buffer, whose rows are spent by then."""
+        views = self._views.get(blocks)
+        if views is None:
+            if self._held is None or len(self._held[0]) < blocks:
+                size, (cases, width) = max(blocks, room), self.expected.shape
+                rows = np.empty((size, len(self.inputs), len(self.bases), width))
+                diff = rows.reshape(size, -1)[:, : cases * width].reshape(size, cases, width)
+                self._held, self._views = (rows, _scratch(size, self.expected.shape, diff)), {}
+            rows, scratch = self._held
+            views = self._views[blocks] = rows[:blocks], tuple(a[:blocks] for a in scratch)
+        return views
 
     def ruled_out(self, eps_zero: float) -> np.ndarray:
         """The read-only mask ``expected <= eps_zero``: the outcomes each
@@ -310,23 +318,19 @@ def fitness(
 ) -> FitnessScore:
     """Evaluate every test case; value = failed count + summed Hellinger.
 
-    One kernel call simulates every suite input in the suite's bases, from
+    One simulation runs every suite input in the suite's bases, from
     ``prefixes`` when given, which must be built for ``c``. Given ``edit``,
     a single-gate edit of ``c`` (see :func:`edit_fitness`), the circuit
     scored is ``c`` with it made, simulated alone from ``prefixes`` (built
-    here when not given), whose plan for lone edits it builds first: an
-    edit scored alone is an angle probe, one of many. A case fails when
-    its row puts more than ``eps_zero`` on an outcome its expected row
-    rules out, or lies farther than the failure threshold from that row in
-    Hellinger distance; the distances are summed sequentially in suite
-    order.
+    here when not given). A case fails when its row puts more than
+    ``eps_zero`` on an outcome its expected row rules out, or lies farther
+    than the failure threshold from that row in Hellinger distance; the
+    distances are summed sequentially in suite order.
     """
     _require_width(c, ts)
     if edit is None:
         return _judged(c, ts, cfg, prefixes)[0]
-    prefixes = prefixes or ts.prefixes(c)
-    prefixes.plan()
-    return _judged(c, ts, cfg, prefixes, (edit,))[0]
+    return _judged(c, ts, cfg, prefixes or ts.prefixes(c), (edit,))[0]
 
 
 def edit_fitness(
@@ -354,11 +358,6 @@ def edit_fitness(
         yield from _judged(c, ts, cfg, prefixes, chunk)
 
 
-def _in_plan(prefixes: PrefixCache | None, edits) -> bool:
-    # a lone edit runs in its cache's plan once one is built
-    return edits is not None and len(edits) == 1 and prefixes.planned
-
-
 def _observed(
     c: Circuit,
     ts: TestSuite,
@@ -367,23 +366,22 @@ def _observed(
 ) -> np.ndarray:
     """The rows the suite's cases observe, in suite order: of ``c`` (no
     ``edits``) or, one block of ``len(ts)`` rows each, of ``c`` with each of
-    ``edits`` made alone, ``prefixes`` being built for ``c``. This is the
-    one place a suite's circuits are simulated. A lone edit runs in the
-    cache's plan (:meth:`PrefixCache.lone`) once one is built, measured into
-    the suite's buffer (:attr:`TestSuite.lone`), valid until the next lone
-    edit; anything else is one stacked :func:`run_all_bases` call.
+    ``edits`` made alone, ``prefixes`` being built for ``c`` (with none,
+    from a cache that keeps no state). This is the one place a suite's
+    circuits are simulated: one :func:`run_all_bases` call, measured into
+    the suite's rows buffer (:meth:`TestSuite.buffers`, made with room for
+    a chunk of edits), valid until the next call.
 
-    Both lay their rows out ``[edit, input, basis, outcome]``. A suite that
+    The rows are laid out ``[edit, input, basis, outcome]``. A suite that
     holds every (basis, input) pair of its bases and inputs once, as every
     generated suite and every full one-basis table does, orders its cases
     so (input-major, bases in BASIS_ORDER) and reads the rows as a reshape;
     any other picks its cases' rows by ``case_rows``."""
-    if _in_plan(prefixes, edits):
-        rows = prefixes.lone(c, ts.inputs, edits[0], ts.bases, ts.lone[0])
-    else:
-        rows = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=edits)
-        if edits is None:
-            rows = rows[None]
+    prefixes = prefixes or PrefixCache(c, ts.inputs, keep=False)
+    out = ts.buffers(1 if edits is None else len(edits), prefixes.chunk)[0]
+    rows = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=edits, out=out)
+    if edits is None:
+        rows = rows[None]
     if len(ts) == len(ts.bases) * len(ts.inputs):
         return rows.transpose(0, 2, 1, 3).reshape(-1, rows.shape[3])
     return rows[(slice(None), *ts.case_rows)].reshape(-1, rows.shape[3])
@@ -392,19 +390,20 @@ def _observed(
 def _judged(
     c: Circuit, ts: TestSuite, cfg: OracleConfig, prefixes: PrefixCache | None, edits=None
 ) -> list[FitnessScore]:
-    """:func:`_scores` of :func:`_observed`; a lone edit in its cache's plan
-    is judged in the suite's scratch (:attr:`TestSuite.lone`)."""
-    scratch = ts.lone[1] if _in_plan(prefixes, edits) else None
-    return _scores(_observed(c, ts, prefixes, edits), ts, cfg, scratch)
+    """:func:`_scores` of :func:`_observed`, judged in the suite's
+    temporaries (:meth:`TestSuite.buffers`)."""
+    observed = _observed(c, ts, prefixes, edits)
+    return _scores(observed, ts, cfg, ts.buffers(1 if edits is None else len(edits))[1])
 
 
-def _scratch(blocks: int, shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+def _scratch(blocks: int, shape: tuple[int, int], diff: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """The temporaries :func:`_scores` judges ``blocks`` blocks of a suite
-    whose expected matrix has ``shape`` in."""
+    whose expected matrix has ``shape`` in; ``diff``, when given, is the
+    one for sqrt(observed) - sqrt(expected)."""
     cases, width = shape
     return (
         np.empty((blocks, cases, width), dtype=bool),  # rows over eps_zero where ruled out
-        np.empty((blocks, cases, width)),  # sqrt(observed) - sqrt(expected)
+        np.empty((blocks, cases, width)) if diff is None else diff,  # sqrt(observed) - sqrt(expected)
         np.empty((blocks, cases, 1, 1)),  # squared distances
         np.empty((blocks, cases)),  # Hellinger distances
         np.empty((blocks, cases), dtype=bool),  # failed cases

@@ -488,6 +488,67 @@ def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
     return out
 
 
+# ----------------------------------------------- the allocating kernels
+#
+# The one-qubit product and the measurement as they stood before every
+# simulation ran in a prefix cache's workspace: each one-qubit gate a new
+# tensor (a complex product copied back contiguous, one qubit as stacked
+# (B, 1, 2) cores), and each basis pass rotated in fresh stacks, one
+# circuit at a time. The multi-qubit gates are the package's in-place
+# kernels, which that change left as they were. test_testkit.py holds the
+# one path to these bit for bit.
+
+
+def kernel_apply_1q(t: np.ndarray, m: np.ndarray, width: int, n: int) -> np.ndarray:
+    if n == 1:
+        blocks = t.reshape(-1, 2, t.shape[-1])
+        cores = np.ascontiguousarray(blocks.transpose(0, 2, 1)).reshape(-1, 1, 2)
+        rows = (cores @ m.T).reshape(len(blocks), -1, 2)
+        return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(t.shape)
+    view = t.reshape(-1, 2, width * t.shape[-1])
+    if m.dtype == np.float64:
+        return np.matmul(m, view.view(np.float64)).view(complex).reshape(t.shape)
+    rows = view.transpose(0, 2, 1) @ m.T
+    return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(t.shape)
+
+
+def kernel_run_all_bases(circuit, inputs, bases=BASIS_ORDER) -> np.ndarray:
+    """``run_all_bases(circuit, inputs, bases)``, indexed [basis, k,
+    outcome], by the allocating kernels: a single input fills two columns,
+    and the bases go through the ``h`` layer as many to a pass as
+    ``BASIS_STACK_BYTES`` allows."""
+    from qrep import simulator
+
+    n = circuit.num_qubits
+    idx = np.asarray(inputs, dtype=np.intp).reshape(-1)
+    cols = np.repeat(idx, 2) if len(idx) == 1 else idx
+    t = np.zeros((2**n, len(cols)), dtype=complex)
+    t[cols, np.arange(len(cols))] = 1.0
+    t = t.reshape((2,) * n + (len(cols),))
+    for g in circuit.gates:
+        if g.kind.num_qubits == 1:
+            m = simulator._narrowed(simulator._matrix_1q(g.kind, g.params))
+            t = kernel_apply_1q(t, m, 2 ** g.qubits[0], n)
+        else:
+            simulator._kernel(g, n)(t)
+    out = np.empty((len(idx), len(bases), 2**n))
+    step = max(1, simulator.BASIS_STACK_BYTES // t.nbytes)
+    for lo in range(0, len(bases), step):
+        chunk = bases[lo : lo + step]
+        rotated = [b for b in chunk if b is not MeasBasis.Z]
+        s = np.empty((len(rotated),) + t.shape, dtype=complex)
+        for j, basis in enumerate(rotated):
+            s[j] = t * simulator._y_phases(n) if basis is MeasBasis.Y else t
+        for q in range(n if rotated else 0):
+            s = kernel_apply_1q(s, simulator._H, 2**q, n)
+        stack = iter(s)
+        moduli = np.stack([np.abs(t if b is MeasBasis.Z else next(stack)) for b in chunk])
+        rows = out[:, lo : lo + step]
+        np.square(moduli.reshape(len(chunk), 2**n, -1).transpose(2, 0, 1)[: len(idx)], out=rows)
+        np.divide(rows, np.add.reduce(rows, axis=2)[..., None], out=rows)
+    return out.transpose(1, 0, 2)
+
+
 # ------------------------------------ the searches, one patch at a time
 
 def looped_evaluate(run, c):
@@ -931,6 +992,13 @@ class PerCaseSuite:
 
     def ruled_out(self, eps_zero: float) -> np.ndarray:
         return self.expected <= eps_zero
+
+    def buffers(self, blocks: int, room: int = 0) -> tuple:
+        # TestSuite.buffers' rows and scoring temporaries, made afresh on every call
+        from qrep.testkit import _scratch
+
+        rows = np.empty((blocks, len(self.inputs), len(self.bases), 2**self.num_qubits))
+        return rows, _scratch(blocks, self.expected.shape)
 
     def __len__(self) -> int:
         return len(self.cases)

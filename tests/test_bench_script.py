@@ -28,7 +28,7 @@ def layers():
 def test_every_bench_layer_runs_once(layers):
     assert {
         "gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "measure_qft4", "measure_qft4_z", "measure_qft6",
-        "localize_grover3", "localize_qft4", "localize_dj6", "sweep_run_dj6",
+        "localize_grover3", "localize_qft4", "localize_dj6", "sweep_run_dj6", "run_fixed_dj4",
         "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "inject_qft4_z",
         "parse_grover3", "report_grover3",
         "suite_dj6", "suite_table_qft4", "suite_table_dj6", "suite_table_qft6", "trial_ry_wstate4",
@@ -38,6 +38,7 @@ def test_every_bench_layer_runs_once(layers):
         fn()
         assert isinstance(facts, dict), name
     assert layers["run_all_bases_qft8"][1]["qft10_peak_mib"] > 0
+    assert layers["run_all_bases_qft8"][1]["minor_faults_per_call_resumed"] >= 0
     assert layers["probe_ry_wstate4"][1]["lone_peak_mib_qft10"] > 0
     # the timed gate acts on the simulator's own 6-qubit state of 64 inputs
     fn, _ = layers["gate_1q_q6"]
@@ -67,6 +68,11 @@ def test_bench_layers_time_the_work_their_facts_name(layers):
     fn, facts = layers["sweep_run_dj6"]
     values = fn()
     assert len(values) == facts["evals"] == facts["gates"]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == facts["values_sha256"]
+    # one stacked chunk of fixed patches, drawn again from the run built once
+    fn, facts = layers["run_fixed_dj4"]
+    values = fn()
+    assert len(values) == facts["edits"] == 13
     assert hashlib.sha256(repr(values).encode()).hexdigest() == facts["values_sha256"]
     fn, facts = layers["report_grover3"]
     report = json.loads(fn())

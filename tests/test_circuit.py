@@ -18,7 +18,7 @@ from qrep.circuit import (
 )
 from qrep.errors import GateIndexError, QubitIndexError
 from qrep.qasm import emit_qasm, parse_qasm
-from qrep.simulator import _kernel
+from qrep.simulator import PrefixCache
 
 
 def test_gate_catalog_arities():
@@ -63,12 +63,21 @@ def test_every_gate_kind_builds_simulates_and_round_trips(kind):
     n = 3
     g = GateApp(kind, tuple(range(n - 1, n - 1 - kind.num_qubits, -1)), (0.3, -1.1, 2.5)[: kind.param_count])
     c = Circuit(num_qubits=n, num_clbits=n, gates=(g,), measurements={q: q for q in range(n)})
-    rng = np.random.default_rng(3)
-    state = rng.normal(size=(2**n, 2)) + 1j * rng.normal(size=(2**n, 2))
-    out = _kernel(g, n)(state.reshape((2,) * n + (2,)).copy())
-    assert np.allclose(out.reshape(2**n, 2), dense_unitary(c) @ state, atol=1e-12)
+    # the state after the gate of every basis input, one per column: the gate's unitary
+    out = PrefixCache(c, range(2**n)).states[1]
+    assert np.allclose(out.reshape(2**n, 2**n), dense_unitary(c), atol=1e-12)
     back = parse_qasm(emit_qasm(c))
     assert back.gates == c.gates and back.measurements == c.measurements
+
+
+def test_u_whose_phi_plus_lambda_overflows_is_refused():
+    """u's matrix takes exp(i(phi + lambda)): finite angles whose sum
+    overflows would make every amplitude NaN, so the gate is refused; a
+    sum that stays finite is a gate."""
+    for phi, lam in ((1e308, 1e308), (-1e308, -1.7e308)):
+        with pytest.raises(ValueError, match=r"^non-finite phi \+ lambda -?inf on u$"):
+            GateApp(GateKind.U, (0,), (0.5, phi, lam))
+    assert GateApp(GateKind.U, (0,), (0.5, 1e308, -1e308)).params == (0.5, 1e308, -1e308)
 
 
 def test_same_gate_ignores_position():

@@ -93,6 +93,24 @@ def test_parse_error_exit_one(tmp_path, circuits, capsys):
     assert "line 4" in err
 
 
+_OVERFLOWING_U = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nu(0.5,1e308,1e308) q[0];\ncx q[0],q[1];\n'
+
+
+@pytest.mark.parametrize("role", ["--circuit", "--reference"])
+def test_a_u_whose_phi_plus_lambda_overflows_is_one_line_error(tmp_path, circuits, capsys, role):
+    """Each angle of ``u(0.5,1e308,1e308)`` is finite, but phi + lambda is
+    not, and it would simulate to NaN rows that fail no case: as the
+    circuit it would pass the whole suite, and as the reference every
+    circuit would. Either way it is refused where it is parsed."""
+    bad = tmp_path / "overflow.qasm"
+    bad.write_text(_OVERFLOWING_U)
+    other = "--reference" if role == "--circuit" else "--circuit"
+    code = run(["repair", role, str(bad), other, circuits["hard"], "--budget-evals", "10"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "qrep: error: line 4, column 1: non-finite phi + lambda inf on u\n"
+
+
 def test_missing_file_exit_one(circuits):
     code = run([
         "repair", "--circuit", "/nonexistent.qasm", "--reference", circuits["ref"],

@@ -945,23 +945,20 @@ def test_a_recalled_probe_gives_the_report_of_a_simulated_one():
 
 
 @pytest.mark.parametrize("oracle", [OracleConfig(), OracleConfig(mode="sampled", seed=3)], ids=["exact", "sampled"])
-def test_a_planned_6_qubit_repair_reports_as_an_unplanned_one(oracle):
-    """A repair whose chunks hold one edit (a 6-qubit state fills one)
-    builds its prefix cache's plan before the sweep and runs every edit in
-    it (removals, fixed patches and angle probes): each of perfbench's
-    ``wide`` mutants gives the same report, less its wall time, as a repair
-    in which no cache builds a plan and every edit is one stacked
-    ``run_all_bases``, at the workload's 20-evaluation budget and at 150."""
-    calls = []
-    planned, stacked = simulator._LonePlan.run, testkit.run_all_bases
-
-    def in_plan(self, *args):
-        calls.append("plan")
-        return planned(self, *args)
+def test_a_wide_repair_reports_alike_with_one_or_two_edits_to_a_chunk(oracle):
+    """A 6-qubit state fills ``SWEEP_CHUNK_BYTES``, so a repair simulates
+    every edit (removals, fixed patches and angle probes) alone, a
+    staircase of one block in its prefix cache's workspace; with room for
+    two states, its removals and runs of fixed patches stack two blocks.
+    Each of perfbench's ``wide`` mutants gives the same report, less its
+    wall time, either way, at the workload's 20-evaluation budget and at
+    150."""
+    blocks = []
+    simulate = testkit.run_all_bases
 
     def simulated(*args, edits=None, **kwargs):
-        calls.append("stacked" if edits is not None else "circuit")
-        return stacked(*args, edits=edits, **kwargs)
+        blocks.append(0 if edits is None else len(edits))
+        return simulate(*args, edits=edits, **kwargs)
 
     for family, n in WIDE:
         ref = build_benchmark(family, n)
@@ -970,14 +967,13 @@ def test_a_planned_6_qubit_repair_reports_as_an_unplanned_one(oracle):
             for budget in (20, 150):
                 cfg = cfg_evals(budget, oracle=oracle)
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(simulator._LonePlan, "run", in_plan)
                     mp.setattr(testkit, "run_all_bases", simulated)
-                    del calls[:]
+                    del blocks[:]
                     got = repair(record.mutant, ts, cfg).to_dict()
-                    assert calls[0] == "circuit" and set(calls[1:]) == {"plan"}  # the baseline, then every edit
-                    mp.setattr(simulator.PrefixCache, "plan", lambda self: False)
-                    del calls[:]
+                    assert blocks[0] == 0 and set(blocks[1:]) == {1}  # the baseline, then every edit alone
+                    mp.setattr(simulator, "SWEEP_CHUNK_BYTES", 2 * simulator.SWEEP_CHUNK_BYTES)
+                    del blocks[:]
                     want = repair(record.mutant, ts, cfg).to_dict()
-                    assert "plan" not in calls
+                    assert 2 in blocks
                 got.pop("wall_seconds"), want.pop("wall_seconds")
                 assert got == want, (record.description, budget)

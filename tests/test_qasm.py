@@ -97,6 +97,20 @@ def test_non_finite_angle_rejected_with_location(angle):
     assert "non-finite angle" in str(exc.value)
 
 
+@pytest.mark.parametrize("phi,lam,total", [("1e308", "1e308", "inf"), ("-1e308", "-1.7e308", "-inf")])
+def test_u_whose_phi_plus_lambda_overflows_is_rejected_with_location(phi, lam, total):
+    """Each angle is finite, but u's matrix takes exp(i(phi + lambda)), which
+    an infinite sum makes NaN; the statement is refused at its gate name.
+    Sums that stay finite parse."""
+    src = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[1];\n  u(0.5,{phi},{lam}) q[0];\n'
+    with pytest.raises(QasmSyntaxError) as exc:
+        parse_qasm(src)
+    assert (exc.value.line, exc.value.col) == (5, 3)
+    assert str(exc.value).endswith(f"non-finite phi + lambda {total} on u")
+    finite = src.replace(f"u(0.5,{phi},{lam})", f"u(0.5,{phi},-{phi})")
+    assert parse_qasm(finite).gates[1].params == (0.5, float(phi), -float(phi))
+
+
 @pytest.mark.parametrize("opener,closer", [("(", ")"), ("-", ""), ("+", ""), ("-(", ")")])
 def test_angle_nesting_depth_is_bounded_with_location(opener, closer):
     def src(depth):

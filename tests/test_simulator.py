@@ -1,4 +1,5 @@
 """Statevector simulator tests, anchored to the dense-matrix oracle."""
+import functools
 import math
 import re
 
@@ -259,10 +260,18 @@ def test_stacked_bases_match_each_basis_and_removal_alone(monkeypatch):
     assert seen == set(RANDOM_KINDS)
 
 
+def _patch_h(monkeypatch, h: np.ndarray) -> None:
+    """``h`` as the measurement's ``h``, in workspaces made from now on:
+    the shared ones bind ``h`` the first time they measure, so the test
+    gets a pool of its own, and leaves none bound to ``h`` behind."""
+    monkeypatch.setattr(simulator, "_shared", functools.lru_cache(maxsize=4)(simulator._shared.__wrapped__))
+    monkeypatch.setattr(simulator, "_H", h)
+
+
 def test_norm_drift_is_an_assertion_naming_the_drifting_row(monkeypatch):
     # h scaled by 2 makes every X row sum to about 4; the Z rows still sum to 1
     scaled = 2 * simulator._H
-    monkeypatch.setattr(simulator, "_H", scaled)
+    _patch_h(monkeypatch, scaled)
     c = build_circuit(1, [("x", 0)])
     norm = float((np.abs(scaled @ [0.0, 1.0]) ** 2).sum())
     assert abs(norm - 4.0) < 1e-9
@@ -272,14 +281,27 @@ def test_norm_drift_is_an_assertion_naming_the_drifting_row(monkeypatch):
         run_all_bases(c, [0], prefixes=PrefixCache(c, [0]), edits=[(0, None, True)])
 
 
+def test_a_norm_that_is_not_finite_drifts(monkeypatch):
+    """A NaN row fails the drift check, where a comparison with the
+    tolerance alone would let it through (NaN > tol is False): h with a
+    NaN entry makes every X row NaN."""
+    _patch_h(monkeypatch, np.array([[np.nan, 1.0], [1.0, -1.0]]))
+    c = build_circuit(2, [("h", 0), ("cx", (0, 1))])
+    with pytest.raises(AssertionError, match="^final norm nan drifted beyond tolerance$"):
+        run_all_bases(c, range(4))
+    with pytest.raises(AssertionError, match="^final norm nan drifted beyond tolerance$"):
+        run_all_bases(c, range(4), prefixes=PrefixCache(c, range(4)), edits=[(1, None, True)])
+
+
 def test_norm_drift_names_the_row_that_drifts_most_in_basis_block_input_order(monkeypatch):
     """The rows are measured ``[block, input, basis]``, but a drift error
     names the norm of the row that drifts most, the first such row in
-    ``[basis, block, input]`` order, as when the rows were laid out so: on
-    the stacked path, across blocks, and in a prefix cache's plan."""
+    ``[basis, block, input]`` order, as when the rows were laid out so: for
+    a circuit, across blocks, and for a lone edit measured into a caller's
+    buffer."""
     # h with its rows scaled by 2 and 1: |+> rotates to norm 4, |-> to 1,
     # and sdg|+> or sdg|-> to 2.5, per qubit
-    monkeypatch.setattr(simulator, "_H", np.diag([2.0, 1.0]) @ simulator._H)
+    _patch_h(monkeypatch, np.diag([2.0, 1.0]) @ simulator._H)
     # input 0 ends in |-->, whose X row keeps norm 1; input 1 in |-+>, whose
     # X row drifts to 4; every Y row drifts to 6.25. Row 2 is Y of input 0
     # in [basis, input] order, but X of input 1 in [input, basis] order
@@ -297,9 +319,8 @@ def test_norm_drift_names_the_row_that_drifts_most_in_basis_block_input_order(mo
     cache = PrefixCache(c, [0])
     assert abs(named(lambda: run_all_bases(c, [0], bases, cache, [same, flipped])) - 6.25) < 1e-9
     cache = PrefixCache(c, [0, 1])
-    assert cache.plan()
     out = np.empty((1, 2, len(bases), 4))
-    assert abs(named(lambda: cache.lone(c, [0, 1], same, bases, out)) - 6.25) < 1e-9
+    assert abs(named(lambda: run_all_bases(c, [0, 1], bases, cache, [same], out)) - 6.25) < 1e-9
 
 
 def test_parametric_matrices_are_built_as_the_complex_matrix_narrows():
@@ -432,20 +453,22 @@ def test_simulated_edits_keep_the_circuits_qubit_rule(n):
 def test_prefix_cache_stores_and_simulates_nothing_when_one_state_is_over_the_cap(monkeypatch):
     c = build_circuit(3, [("h", 0), ("cx", (0, 1)), ("t", 2), ("cx", (1, 2))])
     applied = []
-    real = simulator._kernel
+    real = simulator._Workspace.gates
 
-    def counted(g, n):
-        kernel = real(g, n)
-        return lambda t: applied.append(g) or kernel(t)
+    def counted(self, cache, blocks, start, stop, i):
+        applied.extend(cache.gates[start:stop])
+        return real(self, cache, blocks, start, stop, i)
 
-    monkeypatch.setattr(simulator, "_kernel", counted)
+    monkeypatch.setattr(simulator._Workspace, "gates", counted)
     monkeypatch.setattr(simulator, "PREFIX_CACHE_BYTES", 8 * 8 * 16 - 1)
     cache = PrefixCache(c, range(8))
     assert cache.states == {} and applied == []
     # every candidate then runs in full from the inputs
-    assert np.array_equal(cache.after(0).reshape(8, 8), np.eye(8)) and applied == []
+    ws = cache.workspace(1)
+    ws.load(cache, 0, ws.bufs[0][0])
+    assert np.array_equal(ws.bufs[0][0].reshape(8, 8), np.eye(8)) and applied == []
     assert np.array_equal(run_all_bases(c, range(8), prefixes=cache), run_all_bases(c, range(8)))
-    assert len(applied) == 2 * len(c.gates)
+    assert applied == 2 * list(c.gates)
 
 
 def test_edit_runs_reject_edits_the_circuit_cannot_take(bell):
@@ -455,7 +478,7 @@ def test_edit_runs_reject_edits_the_circuit_cannot_take(bell):
             run_all_bases(bell, range(4), prefixes=cache, edits=edits)
         for e in edits:  # the cache names the edit it cannot make
             with pytest.raises(ValueError, match=rf"no edit \({e[0]}, .* of a circuit of 2 gates"):
-                cache.edit(e)
+                cache.joins_at(e)
     with pytest.raises(ValueError, match="another circuit"):
         run_all_bases(build_circuit(2, [("h", 0)]), range(4), prefixes=cache, edits=[(0, None, True)])
     # an append and a replace of the last gate are the edits at the ends

@@ -13,16 +13,18 @@ from oracles import (
     hellinger,
     hellinger_ref,
     judge,
+    kernel_run_all_bases,
     load_outcome,
     looped_suite_from_expected,
     per_case_generate_suite,
     per_case_suite_from_expected,
     run_exact,
     sample,
+    stacked_run_all_bases,
 )
 from qrep import cli, simulator, testkit
 from qrep.benchmarks import build_benchmark
-from qrep.circuit import build_circuit, insert_gate, remove_gate, replace_gate
+from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
 from qrep.engine import RepairConfig, random_search, repair
 from qrep.errors import ExpectedTableError, NoFailingTestError, QubitIndexError, SuiteTooWideError, WidthMismatchError
 from qrep.patcher import inject_faults
@@ -679,15 +681,17 @@ def _hex(score):
     sampled=st.booleans(),
     checkpoints=st.booleans(),
 )
-def test_lone_edits_in_the_plan_match_the_stacked_path_bit_for_bit(seed, q, suite_kind, sampled, checkpoints):
-    """A lone edit, simulated in its prefix cache's plan, observes the same
-    rows, byte for byte, and scores the same ``FitnessScore``, to the bit,
-    as the same edit stacked beside another in one simulation: random
-    circuits of 2-8 qubits over ``RANDOM_KINDS``, an add of a random gate
-    at every position, a replace of every gate and every removal, full,
-    Z-only and sparse suites, both oracles (sampled with oracle seed 3),
-    and caches that keep every state or only every few. A cache has a plan
-    once asked for one, exactly when its states fit ``BASIS_STACK_BYTES``."""
+def test_lone_edits_match_the_stacked_path_bit_for_bit(seed, q, suite_kind, sampled, checkpoints):
+    """A lone edit, simulated as a staircase of one block in its prefix
+    cache's workspace, observes the same rows, byte for byte, and scores
+    the same ``FitnessScore``, to the bit, as the same edit stacked beside
+    another in one simulation: random circuits of 2-8 qubits over
+    ``RANDOM_KINDS``, an add of a random gate at every position, a replace
+    of every gate and every removal, full, Z-only and sparse suites, both
+    oracles (sampled with oracle seed 3), and caches that keep every state
+    or only every few. Caches of one shape share one workspace exactly when
+    it fits ``PREFIX_CACHE_BYTES`` (not with checkpoints, whose cap holds
+    two states)."""
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, q, int(rng.integers(1, 7 if q < 7 else 4)))
     ts = random_suite(random_circuit(rng, q, int(rng.integers(0, 4))), suite_kind, rng)
@@ -703,8 +707,8 @@ def test_lone_edits_in_the_plan_match_the_stacked_path_bit_for_bit(seed, q, suit
         if checkpoints:
             mp.setattr(simulator, "PREFIX_CACHE_BYTES", 2 * state_bytes)
         cache = ts.prefixes(c)
-        assert cache.lone(c, ts.inputs, edits[0], ts.bases, ts.lone[0]) is None  # no plan before a probe builds it
-        assert cache.plan() == (state_bytes <= simulator.BASIS_STACK_BYTES)
+        ws = cache.workspace(1)
+        assert (ws is cache.workspace(cache.chunk) is ts.prefixes(c).workspace(1)) == (not checkpoints)
         for e in edits:
             lone = testkit._observed(c, ts, cache, [e]).tobytes()
             assert lone == testkit._observed(c, ts, cache, [e, beside])[: len(ts)].tobytes(), e
@@ -732,12 +736,13 @@ def test_rows_in_suite_order_equal_the_gathered_rows(q, kind):
     (basis, input) pair once, else picked by ``case_rows``) equal, byte for
     byte, ``run_all_bases`` of each circuit alone gathered by ``case_rows``:
     of the circuit, and of every removal, an add and a replace, each edit
-    lone (in the prefix cache's plan where it has one) and stacked beside
+    lone and stacked beside
     another; and each such edit scores, to the bit in exact and in sampled
     mode (seed 3), as its gathered rows and its circuit alone do. Full,
     Z-only, X+Z, Y-only and sparse suites at 1-8 qubits; at 7 and 8 qubits
     the bases are measured in more than one pass (at 8, a larger
-    ``BASIS_STACK_BYTES`` gives the lone edits a plan with two passes)."""
+    ``BASIS_STACK_BYTES`` gives the lone edits two passes). Every cache
+    here keeps one workspace for its lone edits and its chunks."""
     rng = np.random.default_rng([q, len(kind)])
     ts = _basis_suite(random_circuit(rng, q, 3), kind, rng)
     c = random_circuit(rng, q, 4 if q < 7 else 2)
@@ -756,7 +761,7 @@ def test_rows_in_suite_order_equal_the_gathered_rows(q, kind):
         if q >= 7 and kind == "full":
             assert per_pass < len(ts.bases)
         cache = ts.prefixes(c)
-        assert cache.plan() == (q > 1)
+        assert cache.workspace(1) is cache.workspace(cache.chunk)
 
         def gathered(circuit):
             return run_all_bases(circuit, ts.inputs, bases=ts.bases)[ts.case_rows]
@@ -774,3 +779,91 @@ def test_rows_in_suite_order_equal_the_gathered_rows(q, kind):
             for cfg in (OracleConfig(), OracleConfig(mode="sampled", seed=3)):
                 scores = (fitness(c, ts, cfg, cache, e), testkit._scores(want, ts, cfg)[0], fitness(alone, ts, cfg))
                 assert len({_hex(s) for s in scores}) == 1, (e, cfg.mode)
+
+
+def _edited(c, e):
+    position, gate, replaces = e
+    if gate is None:
+        return remove_gate(c, position)
+    return (replace_gate if replaces else insert_gate)(c, position, gate)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 8),
+    suite_kind=st.sampled_from(["full", "z", "sparse"]),
+    sampled=st.booleans(),
+    checkpoints=st.booleans(),
+)
+def test_the_one_path_matches_the_allocating_kernels_bit_for_bit(seed, q, suite_kind, sampled, checkpoints):
+    """Every simulation runs in a prefix cache's workspace. Its rows equal,
+    byte for byte, those of each edited circuit alone under the frozen
+    allocating kernels (``kernel_run_all_bases``) and under the stacked
+    oracle (``stacked_run_all_bases``), and its scores equal, to the bit,
+    those rows' scores: random circuits of 1-8 qubits, 1 to ``chunk``
+    edits stacked (a chunk holds at least three at any width here), some
+    joining at one step and others at different ones, in the order drawn;
+    caches with stride 1 and above 1; full, Z-only and sparse suites; the
+    exact oracle and the sampled one with oracle seed 3. The circuit
+    itself, and a lone edit, match too."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, q, int(rng.integers(1, 9 if q < 7 else 4)))
+    ts = random_suite(random_circuit(rng, q, 2), suite_kind, rng)
+    cfg = OracleConfig(mode="sampled", seed=3) if sampled else OracleConfig()
+    m = len(c.gates)
+    with pytest.MonkeyPatch.context() as mp:
+        state_bytes = ts.prefixes(c).state_bytes
+        mp.setattr(simulator, "SWEEP_CHUNK_BYTES", max(simulator.SWEEP_CHUNK_BYTES, 3 * state_bytes))
+        if checkpoints:
+            mp.setattr(simulator, "PREFIX_CACHE_BYTES", 2 * state_bytes)
+        cache = ts.prefixes(c)
+        assert cache.stride == 1 or checkpoints
+        count = int(rng.integers(1, min(cache.chunk, 12) + 1))
+        shared = int(rng.integers(m + 1))  # a step several edits join at
+        edits = []
+        for _ in range(count):
+            position = shared if rng.random() < 0.4 else int(rng.integers(m + 1))
+            kind = rng.choice(["add", "replace", "remove"]) if position < m else "add"
+            gate = None if kind == "remove" else random_circuit(rng, q, 1).gates[0]
+            edits.append((position, gate, kind != "add"))
+        bases = [BASIS_ORDER.index(b) for b in ts.bases]
+
+        def frozen(circuit):
+            want = kernel_run_all_bases(circuit, ts.inputs, ts.bases)
+            assert want.tobytes() == stacked_run_all_bases(circuit, ts.inputs)[bases].tobytes()
+            return want
+
+        assert run_all_bases(c, ts.inputs, ts.bases, cache).tobytes() == frozen(c).tobytes()
+        got = run_all_bases(c, ts.inputs, ts.bases, cache, edits)
+        scores = list(edit_fitness(c, ts, edits, cfg, cache))
+        for e, rows, score in zip(edits, got, scores):
+            want = frozen(_edited(c, e))
+            assert rows.tobytes() == want.tobytes(), e
+            assert _hex(score) == _hex(testkit._scores(want[ts.case_rows], ts, cfg)[0]), e
+        assert _hex(fitness(c, ts, cfg, cache, edits[0])) == _hex(scores[0])
+    if checkpoints and m > 2:
+        assert cache.stride > 1
+
+
+def test_rows_a_caller_keeps_are_never_written_again():
+    """``run_all_bases`` without a buffer returns a fresh array: later
+    simulations on the same cache, of the circuit, of edits and of lone
+    edits, and scores drawn through the suite's buffers, leave it as it
+    was. ``generate_suite`` keeps such an array as its expected rows."""
+    ref = build_benchmark("qft", 3)
+    ts = generate_suite(ref)
+    cache = ts.prefixes(ref)
+    first = run_all_bases(ref, ts.inputs, prefixes=cache)
+    kept, copy = first.copy(), ts.expected.copy()
+    edits = [(p, None, True) for p in range(len(ref.gates))]
+    lone = run_all_bases(ref, ts.inputs, prefixes=cache, edits=edits[:1])
+    kept_lone = lone.copy()
+    run_all_bases(ref, ts.inputs, prefixes=cache)
+    run_all_bases(ref, ts.inputs, prefixes=cache, edits=edits)
+    run_all_bases(ref, ts.inputs, prefixes=cache, edits=[(0, GateApp(GateKind.H, (1,)), False)])
+    list(edit_fitness(ref, ts, edits, prefixes=cache))
+    fitness(ref, ts, prefixes=cache, edit=edits[1])
+    assert first.tobytes() == kept.tobytes() and lone.tobytes() == kept_lone.tobytes()
+    assert ts.expected.tobytes() == copy.tobytes()
+    assert not np.shares_memory(first, lone)
