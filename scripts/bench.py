@@ -48,7 +48,10 @@ commit without it ``_Run.scored``, from the broken circuit's prefix
 cache), one such probe alone (``probe_ry_wstate4``: the ry add patch of
 that trial at one angle; its facts hold the ``tracemalloc`` peak of one
 lone ``edit_fitness`` on qft10's suite, prefix cache built within the
-call), and both searches over fixed patches:
+call), a lone edit of qft10 on a suite of 8 seeded inputs
+(``probe_qft10_8in``: an ry added at the middle of the circuit without
+its middle gate, scored as that probe; a 128 KiB state, measured one
+basis a pass), and both searches over fixed patches:
 ``repair`` and ``random_search`` of the qft4 replace mutant (injection
 seed 5) at 55 evaluations with the fixed kinds of ``DEFAULT_PATCH_CATALOG``
 (their facts are the status, the evaluations and a digest of the report
@@ -90,7 +93,7 @@ from qrep.optimizer import OptBudget, minimize_params
 from qrep.patcher import DEFAULT_PATCH_CATALOG, Patch, inject_faults, order_uniform, prune_to_gates
 from qrep.qasm import emit_qasm, parse_qasm
 from qrep.simulator import BASIS_ORDER, MeasBasis
-from qrep.testkit import edit_fitness, fitness, generate_suite, suite_from_expected
+from qrep.testkit import TestSuite, edit_fitness, fitness, generate_suite, suite_from_expected
 
 FITNESS_CIRCUITS = (("ghz", 3), ("qft", 4), ("grover", 3), ("wstate", 4), ("dj", 6))
 QUEUE_CIRCUITS = (("dj", 6), ("grover", 3))
@@ -272,6 +275,15 @@ def layers() -> dict:
     lone = (len(qft10.gates) // 2, GateApp(GateKind.RY, (3,), (0.4,)), False)
     facts = {"value": probe().value, "lone_peak_mib_qft10": peak_bytes(lambda: next(edit_fitness(qft10, ts10, [lone]))) / 2**20}
     out[f"probe_{gate.kind.gate_name}_{fam}{n}"] = (probe, facts)
+    fam, n, k = "qft", 10, 8  # a lone edit on a suite of k seeded inputs, laid out as generate_suite's
+    ref = build_benchmark(fam, n)
+    pos = len(ref.gates) // 2
+    inputs = sorted(np.random.default_rng(10).choice(2**n, size=k, replace=False).tolist())
+    probs = simulator.run_all_bases(ref, inputs).transpose(1, 0, 2).reshape(-1, 2**n)
+    ts = TestSuite(n, np.tile(np.arange(len(BASIS_ORDER)), k), np.repeat(inputs, len(BASIS_ORDER)), probs)
+    probe = partial(prober(remove_gate(ref, pos), ts), (pos, GateApp(GateKind.RY, (3,), (0.4,)), False))
+    facts = {"gates": len(ref.gates) - 1, "inputs": len(ts.inputs), "value": probe().value}
+    out[f"probe_{fam}{n}_{k}in"] = (probe, facts)
     return out
 
 

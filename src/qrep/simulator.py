@@ -21,12 +21,13 @@ probe) is a staircase of one. Everything runs in a workspace that the
 caches of one shape share (:class:`_Workspace`): state tensors sized once
 for a chunk of edits, views and steps made on first use, so no one-qubit
 gate and no measurement allocates its result. The measurement stacks the
-X and Y bases of the final states, and writes the rows into one buffer
-laid out ``[edit, input, basis, outcome]``, the order a suite reads its
-cases in: the suite's own, or a fresh array. No full 2^q x 2^q matrix is
-ever built here; the dense-matrix product lives in the test suite as an
-independent oracle. Every probability returned here is exact: a
-sampled-mode oracle draws its shots from them in :mod:`qrep.testkit`.
+X and Y bases where :data:`SWEEP_CHUNK_BYTES` leaves room, else takes one
+basis a pass, and writes the rows into one buffer laid out ``[edit,
+input, basis, outcome]``, the order a suite reads its cases in: the
+suite's own, or a fresh array. No full 2^q x 2^q matrix is ever built
+here; the dense-matrix product lives in the test suite as an independent
+oracle. Every probability returned here is exact: a sampled-mode oracle
+draws its shots from them in :mod:`qrep.testkit`.
 """
 from __future__ import annotations
 
@@ -110,78 +111,11 @@ class Distribution:
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
-def _matrix_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
-    if kind is GateKind.ID:
-        return np.eye(2, dtype=complex)
-    if kind is GateKind.X:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if kind is GateKind.Y:
-        return np.array([[0, -1j], [1j, 0]], dtype=complex)
-    if kind is GateKind.Z:
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    if kind is GateKind.H:
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2
-    if kind is GateKind.S:
-        return np.array([[1, 0], [0, 1j]], dtype=complex)
-    if kind is GateKind.SDG:
-        return np.array([[1, 0], [0, -1j]], dtype=complex)
-    if kind is GateKind.T:
-        return np.array([[1, 0], [0, cmath.exp(0.25j * math.pi)]], dtype=complex)
-    if kind is GateKind.TDG:
-        return np.array([[1, 0], [0, cmath.exp(-0.25j * math.pi)]], dtype=complex)
-    if kind is GateKind.RX:
-        t = params[0] / 2.0
-        return np.array(
-            [[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]], dtype=complex
-        )
-    if kind is GateKind.RY:
-        t = params[0] / 2.0
-        return np.array(
-            [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex
-        )
-    if kind is GateKind.RZ:
-        t = params[0] / 2.0
-        return np.array([[cmath.exp(-1j * t), 0], [0, cmath.exp(1j * t)]], dtype=complex)
-    if kind is GateKind.P:
-        return np.array([[1, 0], [0, cmath.exp(1j * params[0])]], dtype=complex)
-    if kind is GateKind.U:
-        theta, phi, lam = params
-        return np.array(
-            [
-                [math.cos(theta / 2), -cmath.exp(1j * lam) * math.sin(theta / 2)],
-                [
-                    cmath.exp(1j * phi) * math.sin(theta / 2),
-                    cmath.exp(1j * (phi + lam)) * math.cos(theta / 2),
-                ],
-            ],
-            dtype=complex,
-        )
-    raise ValueError(f"{kind.gate_name} is not a single-qubit gate")
-
-
-def _narrowed(m: np.ndarray) -> np.ndarray:
-    """``m`` read-only, and real (float64) when every imaginary part is zero:
-    the dtype is the flag a one-qubit step picks its product by."""
-    if not np.count_nonzero(m.imag):
-        m = m.real.copy()
-    m.setflags(write=False)
-    return m
-
-
-# the matrices of the gate kinds without parameters, built once
-_FIXED_1Q = {
-    kind: _narrowed(_matrix_1q(kind, ()))
-    for kind in GateKind
-    if kind.num_qubits == 1 and not kind.param_count
-}
-
-
-def _param_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
-    """``_narrowed(_matrix_1q(kind, params))`` of a parametric kind, built
-    from its four entries, computed as :func:`_matrix_1q` computes them:
-    the real parts in a float64 matrix when every imaginary part is zero,
-    with no complex matrix built and copied out first (``ry``'s entries are
-    floats, so it is always real)."""
+def _matrix_1q(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
+    """The matrix of a one-qubit gate, read-only, built from its four
+    entries: float64 when every imaginary part is zero (``ry`` always),
+    else complex. The dtype is the flag a one-qubit step picks its product
+    by."""
     if kind is GateKind.RX:
         t = params[0] / 2.0
         a, b = math.cos(t), -1j * math.sin(t)
@@ -198,14 +132,36 @@ def _param_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
         theta, phi, lam = params
         a, b = math.cos(theta / 2), -cmath.exp(1j * lam) * math.sin(theta / 2)
         c, d = cmath.exp(1j * phi) * math.sin(theta / 2), cmath.exp(1j * (phi + lam)) * math.cos(theta / 2)
+    elif kind is GateKind.ID:
+        a, b, c, d = 1, 0, 0, 1
+    elif kind is GateKind.X:
+        a, b, c, d = 0, 1, 1, 0
+    elif kind is GateKind.Y:
+        a, b, c, d = 0, -1j, 1j, 0
+    elif kind is GateKind.Z:
+        a, b, c, d = 1, 0, 0, -1
+    elif kind is GateKind.H:
+        a, b, c, d = _SQRT1_2, _SQRT1_2, _SQRT1_2, -_SQRT1_2
+    elif kind is GateKind.S:
+        a, b, c, d = 1, 0, 0, 1j
+    elif kind is GateKind.SDG:
+        a, b, c, d = 1, 0, 0, -1j
+    elif kind is GateKind.T:
+        a, b, c, d = 1, 0, 0, cmath.exp(0.25j * math.pi)
+    elif kind is GateKind.TDG:
+        a, b, c, d = 1, 0, 0, cmath.exp(-0.25j * math.pi)
     else:
-        raise ValueError(f"{kind.gate_name} is not a parametric single-qubit gate")
+        raise ValueError(f"{kind.gate_name} is not a single-qubit gate")
     if a.imag or b.imag or c.imag or d.imag:
         m = np.array([[a, b], [c, d]], dtype=complex)
     else:
         m = np.array([[a.real, b.real], [c.real, d.real]], dtype=np.float64)
     m.setflags(write=False)
     return m
+
+
+# the matrices of the gate kinds without parameters, built once
+_FIXED_1Q = {kind: _matrix_1q(kind) for kind in GateKind if kind.num_qubits == 1 and not kind.param_count}
 
 
 @functools.cache
@@ -270,12 +226,12 @@ def _kernel(g: GateApp, n: int) -> Callable[[np.ndarray], None]:
 
 
 def _op(g: GateApp, n: int) -> np.ndarray | Callable[[np.ndarray], None]:
-    """What simulating ``g`` takes, worked out once: its narrowed matrix
-    (real where it can be) on one qubit, else its in-place kernel."""
+    """What simulating ``g`` takes, worked out once: its matrix on one
+    qubit (real where it can be, :func:`_matrix_1q`), else its kernel."""
     if g.kind.num_qubits > 1:
         return _kernel(g, n)
     m = _FIXED_1Q.get(g.kind)
-    return _param_1q(g.kind, g.params) if m is None else m
+    return _matrix_1q(g.kind, g.params) if m is None else m
 
 
 def _complex_1q(m_t: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> None:
@@ -309,18 +265,14 @@ PREFIX_CACHE_BYTES = 8 * 2**20
 # run of fixed patches': a full suite's edits go 64 to a chunk at 3 qubits
 # and 16 at 4, and a 6-qubit state fills a chunk alone. Stacking two
 # 6-qubit states made a dj6 sweep slower, not faster (scripts/bench.py's
-# localize_* layers measure this)
+# localize_* layers measure this). It sets a measurement's passes too: a
+# workspace whose blocks fit in it stacks the X and Y states of every block
+# and measures all bases in one pass (a full suite up to 6 qubits, and any
+# chunk of smaller states); a wider one measures one basis per pass, so it
+# holds one extra state, not three: measured in one pass, generate_suite
+# plus one fitness of qft11 peaked at 655 MB RSS against 495 MB
+# (scripts/bench.py's measure_* layers time the measurement alone)
 SWEEP_CHUNK_BYTES = 64 * 2**10
-
-# bytes of basis-rotated states one measurement pass stacks: a full suite's
-# X and Y states go through one h layer together up to 6 qubits (64 KiB a
-# state), and so do a chunk of edits'. From 7 qubits on each basis is
-# rotated alone, so a wide measurement holds one stack of one state: with
-# no cap, generate_suite plus one fitness of qft11 peaked at 655 MB RSS
-# against 495 MB. SWEEP_CHUNK_BYTES, a quarter of this, would rotate a
-# 6-qubit suite one basis at a time (scripts/bench.py's measure_* layers
-# time the measurement alone)
-BASIS_STACK_BYTES = 256 * 2**10
 
 # freeing one mapped 1 MiB block raises glibc's mmap and trim thresholds
 # (mallopt(3)), so a measurement's temporaries stay in the heap instead of
@@ -409,7 +361,7 @@ class PrefixCache:
         sized for :attr:`chunk` blocks, while it fits in
         :data:`PREFIX_CACHE_BYTES` and holds them (see :func:`_shared`),
         else one made for the call."""
-        ws = _shared(self.num_qubits, len(self.columns), self.chunk, BASIS_STACK_BYTES, PREFIX_CACHE_BYTES)
+        ws = _shared(self.num_qubits, len(self.columns), self.chunk, PREFIX_CACHE_BYTES)
         if ws is None or blocks > ws.blocks:
             ws = _Workspace(self.num_qubits, len(self.columns), blocks)
         ws.claim(self.token)
@@ -449,11 +401,11 @@ class PrefixCache:
         return max(1, SWEEP_CHUNK_BYTES // self.state_bytes)
 
 
-def _most(blocks: int, state_bytes: int, stack_bytes: int) -> int:
-    """The most states a measurement pass of up to ``blocks`` blocks
-    stacks (two to a block while ``stack_bytes`` holds two bases), and
-    at least ``blocks``."""
-    return max(blocks, 2 * min(blocks, stack_bytes // (2 * state_bytes)))
+def _most(blocks: int, state_bytes: int) -> int:
+    """The states each tensor of a workspace of ``blocks`` blocks holds:
+    two to a block, the room to stack the X and Y states of every block,
+    when the blocks fit in :data:`SWEEP_CHUNK_BYTES`, else one."""
+    return 2 * blocks if blocks * state_bytes <= SWEEP_CHUNK_BYTES else blocks
 
 
 class _Blocks:
@@ -473,10 +425,10 @@ class _Blocks:
 class _Workspace:
     """The buffers every simulation of a :class:`PrefixCache`'s circuit and
     its single-gate edits runs in, up to ``blocks`` circuits at once, one
-    per block of a leading axis: three state tensors, each of as many
-    blocks as a measurement pass of ``blocks`` blocks stacks, sized once.
-    Views of a block range (:class:`_Blocks`) and steps of a cached gate on
-    one are made on first use; it keeps no reference to a cache.
+    per block of a leading axis: three state tensors of :func:`_most`
+    blocks each, sized once. Views of a block range (:class:`_Blocks`) and
+    steps of a cached gate on one are made on first use; it keeps no
+    reference to a cache.
 
     Tensors 0 and 1 hold the running states: a real one-qubit step is
     ``np.matmul(m, src, out=dst)`` on the float view, from one into the
@@ -493,9 +445,8 @@ class _Workspace:
 
     def __init__(self, n: int, cols: int, blocks: int):
         self.n, self.cols, self.blocks = n, cols, blocks
-        self.state_bytes, self.stack_bytes = cols * 2**n * np.dtype(complex).itemsize, BASIS_STACK_BYTES
         self.shape = (2,) * n + (cols,)
-        self.size = _most(blocks, self.state_bytes, self.stack_bytes)  # blocks a tensor holds
+        self.size = _most(blocks, cols * 2**n * np.dtype(complex).itemsize)  # blocks a tensor holds
         # the twin is made when the first measurement needs it, so a wide
         # simulation holds two states, as an allocating kernel's did
         self.bufs = [np.empty((self.size,) + self.shape, dtype=complex) for _ in range(2)] + [None]
@@ -626,12 +577,10 @@ class _Workspace:
         if b > 1 and order != list(range(b)):
             np.take(blocks.t[i], np.argsort(order), axis=0, out=blocks.t[1 - i], mode="clip")
             i = 1 - i
-        per_pass = max(1, self.stack_bytes // (b * self.state_bytes))  # bases a pass holds
-        if per_pass >= len(bases):  # one pass, as a chunk's bases mostly are
-            self._measure(blocks, i, bases, out)
-            return
-        for lo in range(0, len(bases), per_pass):
-            self._measure(blocks, i, bases[lo : lo + per_pass], out[:, :, lo : lo + per_pass])
+        if 2 * b <= self.size:  # room to stack X and Y: one pass
+            return self._measure(blocks, i, bases, out)
+        for k in range(len(bases)):
+            self._measure(blocks, i, bases[k : k + 1], out[:, :, k : k + 1])
 
     def _rotated(self, blocks: _Blocks, i: int, rotated: list[MeasBasis]) -> tuple[np.ndarray, int]:
         """The final states, tensor ``i`` of ``blocks``, rotated into each
@@ -702,15 +651,15 @@ class _Workspace:
 
 
 @functools.lru_cache(maxsize=4)
-def _shared(n: int, cols: int, blocks: int, stack_bytes: int, cap: int) -> _Workspace | None:
+def _shared(n: int, cols: int, blocks: int, cap: int) -> _Workspace | None:
     """The workspace every :class:`PrefixCache` of ``n`` qubits and ``cols``
-    columns shares, of ``blocks`` blocks under the byte caps ``stack_bytes``
-    and ``cap`` (:data:`PREFIX_CACHE_BYTES`), or None when it would not fit
-    in ``cap``: a suite's build, a run and the checks of its repairs reuse
-    its buffers, views and measurement steps. A cache claims it before it
-    simulates, so its gates' steps are bound afresh after another's."""
+    columns shares, of ``blocks`` blocks, or None when it would not fit in
+    ``cap`` (:data:`PREFIX_CACHE_BYTES`): a suite's build, a run and the
+    checks of its repairs reuse its buffers, views and measurement steps.
+    A cache claims it before it simulates, so its gates' steps are bound
+    afresh after another's."""
     state_bytes = cols * 2**n * np.dtype(complex).itemsize
-    return None if 3 * _most(blocks, state_bytes, stack_bytes) * state_bytes > cap else _Workspace(n, cols, blocks)
+    return None if 3 * _most(blocks, state_bytes) * state_bytes > cap else _Workspace(n, cols, blocks)
 
 
 def run_all_bases(
@@ -721,12 +670,12 @@ def run_all_bases(
     edits: Sequence[tuple[int, GateApp | None, bool]] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Born-rule probabilities of every input in each of ``bases``, as an
-    array indexed ``[basis, k, outcome]``: ``k`` the position of the input
-    in ``inputs``. Given ``edits``, a sequence of single-gate edits of
-    ``c`` (see :meth:`PrefixCache.joins_at`), the array is indexed ``[i,
-    basis, k, outcome]`` instead, for ``c`` with ``edits[i]`` made, and
-    ``prefixes`` must be built for ``c``.
+    """Born-rule probabilities of every input in each of ``bases``, distinct
+    :class:`MeasBasis`, as an array indexed ``[basis, k, outcome]``: ``k``
+    the position of the input in ``inputs``. Given ``edits``, a sequence of
+    single-gate edits of ``c`` (see :meth:`PrefixCache.joins_at`), the
+    array is indexed ``[i, basis, k, outcome]`` instead, for ``c`` with
+    ``edits[i]`` made, and ``prefixes`` must be built for ``c``.
 
     This is the one simulation call: all inputs pass through the gates
     together as one (2,) * n + (B,) tensor (see :class:`PrefixCache`), in
@@ -735,12 +684,20 @@ def run_all_bases(
     none, one that keeps no prefix state is built. ``c`` enters the
     staircase after its last gate, and each edit at its own step. A row
     does not depend on the batch or the block it is computed in. The rows
-    are measured (see :meth:`_Workspace._measure`, as many bases to a pass
-    as :data:`BASIS_STACK_BYTES` allows) into a buffer laid out ``[i, k,
-    basis, outcome]``, the order a suite reads its cases in: ``out``, with
-    room for ``len(edits)`` blocks (one without edits), or else a fresh
-    array no later call writes into. The result is a transposed view of it.
+    are measured (see :meth:`_Workspace._measure`; in one pass when the
+    workspace has room to stack X and Y, see :func:`_most`, else one basis
+    a pass) into a buffer laid out ``[i, k, basis, outcome]``, the order a
+    suite reads its cases in: ``out``, with room for ``len(edits)`` blocks
+    (one without edits), or else a fresh array no later call writes into.
+    The result is a transposed view of it.
     """
+    for k, basis in enumerate(bases):
+        if not isinstance(basis, MeasBasis):
+            raise ValueError(f"basis {basis!r} is not a MeasBasis")
+        if basis in bases[:k]:  # a third stacked basis would not fit the workspace
+            raise ValueError(f"basis {basis!r} is given twice")
+    if not bases:
+        raise ValueError("no basis to measure")
     if prefixes is None:
         prefixes = PrefixCache(c, inputs, keep=False)
     else:

@@ -361,24 +361,25 @@ def edit_fitness(
 def _observed(
     c: Circuit,
     ts: TestSuite,
-    prefixes: PrefixCache | None,
+    prefixes: PrefixCache,
     edits: Sequence[tuple[int, GateApp | None, bool]] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The rows the suite's cases observe, in suite order: of ``c`` (no
     ``edits``) or, one block of ``len(ts)`` rows each, of ``c`` with each of
-    ``edits`` made alone, ``prefixes`` being built for ``c`` (with none,
-    from a cache that keeps no state). This is the one place a suite's
-    circuits are simulated: one :func:`run_all_bases` call, measured into
-    the suite's rows buffer (:meth:`TestSuite.buffers`, made with room for
-    a chunk of edits), valid until the next call.
+    ``edits`` made alone, ``prefixes`` being built for ``c``. This is the
+    one place a suite's circuits are simulated: one :func:`run_all_bases`
+    call, measured into ``out``, the suite's rows buffer for the blocks
+    (:meth:`TestSuite.buffers`, made with room for a chunk of edits; taken
+    here when not given), valid until the next call.
 
     The rows are laid out ``[edit, input, basis, outcome]``. A suite that
     holds every (basis, input) pair of its bases and inputs once, as every
     generated suite and every full one-basis table does, orders its cases
     so (input-major, bases in BASIS_ORDER) and reads the rows as a reshape;
     any other picks its cases' rows by ``case_rows``."""
-    prefixes = prefixes or PrefixCache(c, ts.inputs, keep=False)
-    out = ts.buffers(1 if edits is None else len(edits), prefixes.chunk)[0]
+    if out is None:
+        out = ts.buffers(1 if edits is None else len(edits), prefixes.chunk)[0]
     rows = run_all_bases(c, ts.inputs, bases=ts.bases, prefixes=prefixes, edits=edits, out=out)
     if edits is None:
         rows = rows[None]
@@ -390,10 +391,12 @@ def _observed(
 def _judged(
     c: Circuit, ts: TestSuite, cfg: OracleConfig, prefixes: PrefixCache | None, edits=None
 ) -> list[FitnessScore]:
-    """:func:`_scores` of :func:`_observed`, judged in the suite's
-    temporaries (:meth:`TestSuite.buffers`)."""
-    observed = _observed(c, ts, prefixes, edits)
-    return _scores(observed, ts, cfg, ts.buffers(1 if edits is None else len(edits))[1])
+    """:func:`_scores` of :func:`_observed` (from a cache that keeps no
+    state when ``prefixes`` is None), in the suite's buffers, taken once
+    (:meth:`TestSuite.buffers`)."""
+    prefixes = prefixes or PrefixCache(c, ts.inputs, keep=False)
+    rows, scratch = ts.buffers(1 if edits is None else len(edits), prefixes.chunk)
+    return _scores(_observed(c, ts, prefixes, edits, rows), ts, cfg, scratch)
 
 
 def _scratch(blocks: int, shape: tuple[int, int], diff: np.ndarray | None = None) -> tuple[np.ndarray, ...]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.append(str(Path(__file__).parents[1] / "perfbench"))  # for workloads.py
 
+from qrep import simulator
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, build_circuit
 from qrep.localizer import LocalizeResult, localize, removals
 from qrep.simulator import MeasBasis
@@ -69,6 +71,13 @@ def random_suite(ref: Circuit, kind: str, rng: np.random.Generator):
     if kind == "sparse":
         cases = [tc for tc in cases if rng.random() < 0.3] or cases[-1:]
     return suite_from_expected({tc.id: tc.expected.as_dict() for tc in cases})
+
+
+def own_workspace_pool(mp: pytest.MonkeyPatch) -> None:
+    """A pool of shared workspaces (``simulator._shared``) for one test
+    alone: none made before it is reused (one sized under other caps, or
+    bound to another ``h``), and none it makes is left behind."""
+    mp.setattr(simulator, "_shared", functools.lru_cache(maxsize=4)(simulator._shared.__wrapped__))
 
 
 @pytest.fixture

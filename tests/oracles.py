@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, remove_gate, replace_gate
+from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, remove_gate, replace_gate
 from qrep.errors import (
     ExpectedTableError,
     QasmSyntaxError,
@@ -412,6 +412,66 @@ def cursor_order_uniform(patches, c) -> list:
 _BASIS_ROTATIONS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
 
 
+def complex_matrix_1q(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
+    """A one-qubit gate's matrix, always complex, written out per kind: the
+    reference ``simulator._matrix_1q`` is held to, through
+    :func:`narrowed`."""
+    if kind is GateKind.ID:
+        return np.eye(2, dtype=complex)
+    if kind is GateKind.X:
+        return np.array([[0, 1], [1, 0]], dtype=complex)
+    if kind is GateKind.Y:
+        return np.array([[0, -1j], [1j, 0]], dtype=complex)
+    if kind is GateKind.Z:
+        return np.array([[1, 0], [0, -1]], dtype=complex)
+    if kind is GateKind.H:
+        return np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2
+    if kind is GateKind.S:
+        return np.array([[1, 0], [0, 1j]], dtype=complex)
+    if kind is GateKind.SDG:
+        return np.array([[1, 0], [0, -1j]], dtype=complex)
+    if kind is GateKind.T:
+        return np.array([[1, 0], [0, cmath.exp(0.25j * math.pi)]], dtype=complex)
+    if kind is GateKind.TDG:
+        return np.array([[1, 0], [0, cmath.exp(-0.25j * math.pi)]], dtype=complex)
+    if kind is GateKind.RX:
+        t = params[0] / 2.0
+        return np.array(
+            [[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]], dtype=complex
+        )
+    if kind is GateKind.RY:
+        t = params[0] / 2.0
+        return np.array(
+            [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex
+        )
+    if kind is GateKind.RZ:
+        t = params[0] / 2.0
+        return np.array([[cmath.exp(-1j * t), 0], [0, cmath.exp(1j * t)]], dtype=complex)
+    if kind is GateKind.P:
+        return np.array([[1, 0], [0, cmath.exp(1j * params[0])]], dtype=complex)
+    if kind is GateKind.U:
+        theta, phi, lam = params
+        return np.array(
+            [
+                [math.cos(theta / 2), -cmath.exp(1j * lam) * math.sin(theta / 2)],
+                [
+                    cmath.exp(1j * phi) * math.sin(theta / 2),
+                    cmath.exp(1j * (phi + lam)) * math.cos(theta / 2),
+                ],
+            ],
+            dtype=complex,
+        )
+    raise ValueError(f"{kind.gate_name} is not a single-qubit gate")
+
+
+def narrowed(m: np.ndarray) -> np.ndarray:
+    """``m`` read-only, and real (float64) when every imaginary part is zero."""
+    if not np.count_nonzero(m.imag):
+        m = m.real.copy()
+    m.setflags(write=False)
+    return m
+
+
 def stacked_apply_1q(t: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
     axis = n + 1 - qubit
     return np.moveaxis(np.moveaxis(t, axis, -1) @ m.T, -1, axis)
@@ -460,11 +520,8 @@ def stacked_apply_multi(t: np.ndarray, g, n: int) -> np.ndarray:
 
 
 def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
-    """[3, len(inputs), 2^q] probabilities in X, Y, Z order; the package's
-    gate matrices, every kernel the stacked one above."""
-    from qrep.circuit import GATE_BY_NAME
-    from qrep.simulator import _matrix_1q
-
+    """[3, len(inputs), 2^q] probabilities in X, Y, Z order; the complex
+    gate matrices above, every kernel the stacked one above."""
     n = circuit.num_qubits
     idx = np.asarray(inputs, dtype=np.intp)
     batch = len(idx)
@@ -473,14 +530,14 @@ def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
     t = state.reshape((batch, 1) + (2,) * n)
     for g in circuit.gates:
         if g.kind.num_qubits == 1:
-            t = stacked_apply_1q(t, _matrix_1q(g.kind, g.params), g.qubits[0], n)
+            t = stacked_apply_1q(t, complex_matrix_1q(g.kind, g.params), g.qubits[0], n)
         else:
             t = stacked_apply_multi(t, g, n)
     out = np.empty((3, batch, 2**n))
     for k, basis in enumerate("XYZ"):
         s = t
         for rot in _BASIS_ROTATIONS[basis]:
-            m = _matrix_1q(GATE_BY_NAME[rot], ())
+            m = complex_matrix_1q(GATE_BY_NAME[rot])
             for q in range(n):
                 s = stacked_apply_1q(s, m, q, n)
         probs = np.abs(s.reshape(batch, -1)) ** 2
@@ -515,8 +572,9 @@ def kernel_apply_1q(t: np.ndarray, m: np.ndarray, width: int, n: int) -> np.ndar
 def kernel_run_all_bases(circuit, inputs, bases=BASIS_ORDER) -> np.ndarray:
     """``run_all_bases(circuit, inputs, bases)``, indexed [basis, k,
     outcome], by the allocating kernels: a single input fills two columns,
-    and the bases go through the ``h`` layer as many to a pass as
-    ``BASIS_STACK_BYTES`` allows."""
+    and the bases go through the ``h`` layer all in one pass when a state
+    fits in ``SWEEP_CHUNK_BYTES``, else one basis a pass, as a lone
+    circuit's workspace measures them."""
     from qrep import simulator
 
     n = circuit.num_qubits
@@ -527,12 +585,12 @@ def kernel_run_all_bases(circuit, inputs, bases=BASIS_ORDER) -> np.ndarray:
     t = t.reshape((2,) * n + (len(cols),))
     for g in circuit.gates:
         if g.kind.num_qubits == 1:
-            m = simulator._narrowed(simulator._matrix_1q(g.kind, g.params))
+            m = narrowed(complex_matrix_1q(g.kind, g.params))
             t = kernel_apply_1q(t, m, 2 ** g.qubits[0], n)
         else:
             simulator._kernel(g, n)(t)
     out = np.empty((len(idx), len(bases), 2**n))
-    step = max(1, simulator.BASIS_STACK_BYTES // t.nbytes)
+    step = len(bases) if t.nbytes <= simulator.SWEEP_CHUNK_BYTES else 1
     for lo in range(0, len(bases), step):
         chunk = bases[lo : lo + step]
         rotated = [b for b in chunk if b is not MeasBasis.Z]

@@ -250,13 +250,13 @@ def test_criterion_9_budget_exactness(monkeypatch):
     real, recalled = testkit_mod._observed, _Run.recalled
     calls = {"n": 0}
 
-    def probe(c, suite, prefixes, edits=None):
+    def probe(c, suite, prefixes, edits=None, out=None):
         # the removal sweep and a run of fixed patches stack their circuits,
         # one block per edit, in one call
         calls["last_blocks"] = 1 if edits is None else len(edits)
         calls["n"] += calls["last_blocks"]
         assert sorted(suite.inputs) == list(range(2**bell.num_qubits))
-        return real(c, suite, prefixes, edits)
+        return real(c, suite, prefixes, edits, out)
 
     def remembered(self, edit):
         # a zero-angle probe the run holds the score of is charged, not simulated

@@ -32,7 +32,7 @@ def test_every_bench_layer_runs_once(layers):
         "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "inject_qft4_z",
         "parse_grover3", "report_grover3",
         "suite_dj6", "suite_table_qft4", "suite_table_dj6", "suite_table_qft6", "trial_ry_wstate4",
-        "trial_u_dj4", "repair_fixed_qft4", "probe_ry_wstate4",
+        "trial_u_dj4", "repair_fixed_qft4", "probe_ry_wstate4", "probe_qft10_8in",
     } <= set(layers)
     for name, (fn, facts) in layers.items():
         fn()
@@ -62,8 +62,10 @@ def test_bench_layers_time_the_work_their_facts_name(layers):
         rep = fn()
         rows = hashlib.sha256(json.dumps([rep.best_patches, rep.ranking], sort_keys=True).encode()).hexdigest()
         assert (rep.status, rep.evals_used, rows) == (facts["status"], facts["evals"], facts["rows_sha256"]), name
-    fn, facts = layers["probe_ry_wstate4"]
-    assert fn().value == facts["value"]
+    for name in ("probe_ry_wstate4", "probe_qft10_8in"):
+        fn, facts = layers[name]
+        assert fn().value == facts["value"], name
+    assert layers["probe_qft10_8in"][1]["inputs"] == 8
     # each call draws the whole sweep again from the run built once
     fn, facts = layers["sweep_run_dj6"]
     values = fn()

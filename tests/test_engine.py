@@ -412,9 +412,9 @@ def _ticking_simulations(mp) -> list[int]:
     blocks = _simulated_blocks(mp)
     counted = testkit._observed
 
-    def ticking(c, ts, prefixes, edits=None):
+    def ticking(c, ts, prefixes, edits=None, out=None):
         clock[0] += 1.0
-        return counted(c, ts, prefixes, edits)
+        return counted(c, ts, prefixes, edits, out)
 
     mp.setattr(testkit, "_observed", ticking)
     mp.setattr(time, "monotonic", lambda: clock[0])
@@ -745,9 +745,9 @@ def _simulated_blocks(mp) -> list[int]:
     blocks = []
     real, recalled = testkit._observed, _Run.recalled
 
-    def counted(c, ts, prefixes, edits=None):
+    def counted(c, ts, prefixes, edits=None, out=None):
         blocks.append(1 if edits is None else len(edits))
-        return real(c, ts, prefixes, edits)
+        return real(c, ts, prefixes, edits, out)
 
     def remembered(self, edit):
         score = recalled(self, edit)
@@ -778,10 +778,10 @@ def _searched(c, ts, cfg, search, chunk):
             trail.append(("prune", run.budget.evals_used))
             return prune(*args)
 
-        def simulated(c, ts, prefixes, edits=None):
+        def simulated(c, ts, prefixes, edits=None, out=None):
             # a run of fixed patches is the only simulation of gates without angles
             trail.append(("sim", 0 if edits is None or edits[0][1] is None or edits[0][1].params else len(edits)))
-            return simulate(c, ts, prefixes, edits)
+            return simulate(c, ts, prefixes, edits, out)
 
         mp.setattr(qrep.engine, "prune_to_gates", pruned)
         mp.setattr(testkit, "_observed", simulated)

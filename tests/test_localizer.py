@@ -182,10 +182,10 @@ def _count_blocks(mp) -> list[int]:
     blocks = []
     observed = testkit._observed
 
-    def counted(c, ts, prefixes, edits=None):
+    def counted(c, ts, prefixes, edits=None, out=None):
         if edits is not None:
             blocks.append(len(edits))
-        return observed(c, ts, prefixes, edits)
+        return observed(c, ts, prefixes, edits, out)
 
     mp.setattr(testkit, "_observed", counted)
     return blocks

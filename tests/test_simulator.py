@@ -1,5 +1,4 @@
 """Statevector simulator tests, anchored to the dense-matrix oracle."""
-import functools
 import math
 import re
 
@@ -10,15 +9,18 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations, product
 
 from oracles import (
+    complex_matrix_1q,
     dense_probs,
     dense_probs_all,
     distribution_from_dict,
     distributions_allclose,
+    kernel_run_all_bases,
+    narrowed,
     run_exact,
     sample,
     stacked_run_all_bases,
 )
-from conftest import RANDOM_KINDS, out_of_range_edits, random_circuit
+from conftest import RANDOM_KINDS, out_of_range_edits, own_workspace_pool, random_circuit
 from qrep import simulator
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
 from qrep.errors import QRepError, QubitIndexError, WidthMismatchError
@@ -231,9 +233,12 @@ def test_kernel_matches_stacked_reference_bit_for_bit():
 
 
 def test_stacked_bases_match_each_basis_and_removal_alone(monkeypatch):
-    # the bases stacked one per chunk (a 1-byte cap) and all in one (1 GiB),
-    # with and without a removal run, byte for byte against the stacked
-    # oracle measuring each circuit alone in every basis
+    # the bases measured one per pass (a 1-byte chunk cap, so no workspace
+    # has room to stack) and all in one pass (1 GiB), with and without a
+    # removal run, byte for byte against the stacked oracle measuring each
+    # circuit alone in every basis; a pool of its own, so no workspace sized
+    # under the default cap is reused
+    own_workspace_pool(monkeypatch)
     rng = np.random.default_rng(4242)
     seen = set()
     for trial in range(24):
@@ -249,7 +254,7 @@ def test_stacked_bases_match_each_basis_and_removal_alone(monkeypatch):
             plain = stacked_run_all_bases(c, inputs)
             alone = [stacked_run_all_bases(remove_gate(c, p), inputs) for p in range(g)]
             for cap, bases in product((1, 2**30), BASIS_SUBSETS):
-                monkeypatch.setattr(simulator, "BASIS_STACK_BYTES", cap)
+                monkeypatch.setattr(simulator, "SWEEP_CHUNK_BYTES", cap)
                 rows = [BASIS_ORDER.index(b) for b in bases]
                 got = run_all_bases(c, inputs, bases=bases, prefixes=cache)
                 assert got.shape == plain[rows].shape and got.tobytes() == plain[rows].tobytes(), (q, size, bases)
@@ -262,9 +267,8 @@ def test_stacked_bases_match_each_basis_and_removal_alone(monkeypatch):
 
 def _patch_h(monkeypatch, h: np.ndarray) -> None:
     """``h`` as the measurement's ``h``, in workspaces made from now on:
-    the shared ones bind ``h`` the first time they measure, so the test
-    gets a pool of its own, and leaves none bound to ``h`` behind."""
-    monkeypatch.setattr(simulator, "_shared", functools.lru_cache(maxsize=4)(simulator._shared.__wrapped__))
+    the shared ones bind ``h`` the first time they measure."""
+    own_workspace_pool(monkeypatch)
     monkeypatch.setattr(simulator, "_H", h)
 
 
@@ -323,27 +327,96 @@ def test_norm_drift_names_the_row_that_drifts_most_in_basis_block_input_order(mo
     assert abs(named(lambda: run_all_bases(c, [0, 1], bases, cache, [same], out)) - 6.25) < 1e-9
 
 
-def test_parametric_matrices_are_built_as_the_complex_matrix_narrows():
-    """``_param_1q`` builds every parametric one-qubit kind's matrix as
-    ``_narrowed(_matrix_1q(...))`` does, dtype and bytes: real where every
-    imaginary part is zero (``ry`` always), at angles of +-0, +-pi, +-2pi,
-    +-4pi and random ones, and read-only."""
+def test_one_qubit_matrices_are_built_as_the_complex_matrix_narrows():
+    """``_matrix_1q`` builds every one-qubit kind's matrix (all 14) as the
+    reference complex matrix narrowed (``tests/oracles.py``), dtype and
+    bytes: real where every imaginary part is zero (``ry`` always), for the
+    nine fixed kinds (each as ``_FIXED_1Q`` holds it) and the five
+    parametric ones at angles of +-0, +-pi, +-2pi, +-4pi and random ones,
+    and read-only."""
     rng = np.random.default_rng(35)
     special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 4 * math.pi, -4 * math.pi]
-    kinds = [k for k in GateKind if k.num_qubits == 1 and k.param_count]
+    kinds = [k for k in GateKind if k.num_qubits == 1]
+    assert len(kinds) == 14 and set(simulator._FIXED_1Q) == {k for k in kinds if not k.param_count}
     real = checked = 0
     for kind in kinds:
-        for _ in range(200):
+        for _ in range(200 if kind.param_count else 1):
             params = tuple(
                 special[int(rng.integers(len(special)))] if rng.random() < 0.7 else float(rng.uniform(-20, 20))
                 for _ in range(kind.param_count)
             )
-            got, want = simulator._param_1q(kind, params), simulator._narrowed(simulator._matrix_1q(kind, params))
+            got, want = simulator._matrix_1q(kind, params), narrowed(complex_matrix_1q(kind, params))
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (kind, params)
             assert not got.flags.writeable and got.flags.c_contiguous
+            if not kind.param_count:
+                fixed = simulator._FIXED_1Q[kind]
+                assert (fixed.dtype, fixed.tobytes()) == (want.dtype, want.tobytes()), kind
             real += got.dtype == np.float64
             checked += 1
-    assert checked == 1000 and 200 < real < checked
+    # id, x, z and h of the fixed kinds are real
+    assert checked == 1009 and 204 < real < checked
+
+
+def test_bases_must_be_measurement_bases():
+    """A basis that is not a ``MeasBasis``, one given twice, or no basis at
+    all, is refused with one line, not measured as another basis or failed
+    inside numpy (a third stacked basis overran a 6-qubit suite's
+    workspace)."""
+    c = build_circuit(1, [("x", 0)])
+    assert run_all_bases(c, [0], bases=(MeasBasis.Z,)).tolist() == [[[0.0, 1.0]]]
+    for bases in (("Z",), (MeasBasis.X, "Y")):
+        with pytest.raises(ValueError, match=f"^basis {re.escape(repr(bases[-1]))} is not a MeasBasis$"):
+            run_all_bases(c, [0], bases=bases)
+    with pytest.raises(ValueError, match="^no basis to measure$"):
+        run_all_bases(c, [0], bases=())
+    wide = build_circuit(6, [("h", 0)])
+    for bases in ((MeasBasis.X, MeasBasis.Y, MeasBasis.X), (MeasBasis.Z, MeasBasis.Z)):
+        with pytest.raises(ValueError, match=f"^basis {re.escape(repr(bases[-1]))} is given twice$"):
+            run_all_bases(wide, range(64), bases=bases)
+    cache = PrefixCache(c, [0])
+    with pytest.raises(ValueError, match="^basis 'Z' is not a MeasBasis$"):
+        run_all_bases(c, [0], bases=("Z",), prefixes=cache, edits=[(0, None, True)])
+
+
+@pytest.mark.parametrize(
+    "q, inputs, bases, passes",
+    [(q, 2**q, BASIS_ORDER, 1) for q in range(1, 7)]
+    + [(q, 2**q, BASIS_ORDER, 3) for q in (7, 8)]
+    + [(8, 256, (MeasBasis.Z,), 1), (10, 8, BASIS_ORDER, 3), (9, 16, BASIS_ORDER, 3), (6, 64, (MeasBasis.X, MeasBasis.Z), 1)],
+)
+def test_measurement_passes(monkeypatch, q, inputs, bases, passes):
+    """How many passes a measurement makes, which sets its peak memory: a
+    workspace whose blocks fit in ``SWEEP_CHUNK_BYTES`` has room to stack
+    X and Y and measures every basis in one pass (a full suite at 1-6
+    qubits, any one basis); a wider one measures one basis a pass (a full
+    suite at 7-8 qubits, 10 qubits x 8 inputs, 9 x 16). The circuit, a
+    lone edit and a chunk of edits, with and without a cache; the rows
+    equal, byte for byte, the allocating kernels'."""
+    calls = []
+    measure = simulator._Workspace._measure
+
+    def counted(self, blocks, i, bases, out):
+        calls.append(len(bases))
+        return measure(self, blocks, i, bases, out)
+
+    monkeypatch.setattr(simulator._Workspace, "_measure", counted)
+    own_workspace_pool(monkeypatch)
+    rng = np.random.default_rng([q, inputs])
+    c = random_circuit(rng, q, 3)
+    idx = sorted(rng.choice(2**q, size=inputs, replace=False).tolist())
+    want = kernel_run_all_bases(c, idx, bases)
+    cache = PrefixCache(c, idx)
+    for prefixes in (None, cache):
+        calls.clear()
+        got = run_all_bases(c, idx, bases, prefixes)
+        assert calls == [len(bases) // passes] * passes and got.tobytes() == want.tobytes()
+    edits = [(p, None, True) for p in range(len(c.gates))][: cache.chunk]
+    for chunk in (edits[:1], edits):
+        calls.clear()
+        got = run_all_bases(c, idx, bases, cache, chunk)
+        assert calls == [len(bases) // passes] * passes
+        for e, rows in zip(chunk, got):
+            assert rows.tobytes() == kernel_run_all_bases(remove_gate(c, e[0]), idx, bases).tobytes()
 
 
 def _random_edit(rng, c):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, exact_localize, out_of_range_edits, random_circuit, random_suite
+from conftest import CORPUS, exact_localize, out_of_range_edits, own_workspace_pool, random_circuit, random_suite
 from oracles import (
     hellinger,
     hellinger_ref,
@@ -690,8 +690,8 @@ def test_lone_edits_match_the_stacked_path_bit_for_bit(seed, q, suite_kind, samp
     of every gate and every removal, full, Z-only and sparse suites, both
     oracles (sampled with oracle seed 3), and caches that keep every state
     or only every few. Caches of one shape share one workspace exactly when
-    it fits ``PREFIX_CACHE_BYTES`` (not with checkpoints, whose cap holds
-    two states)."""
+    its three tensors fit ``PREFIX_CACHE_BYTES`` (never with checkpoints,
+    whose cap holds two states)."""
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, q, int(rng.integers(1, 7 if q < 7 else 4)))
     ts = random_suite(random_circuit(rng, q, int(rng.integers(0, 4))), suite_kind, rng)
@@ -708,7 +708,8 @@ def test_lone_edits_match_the_stacked_path_bit_for_bit(seed, q, suite_kind, samp
             mp.setattr(simulator, "PREFIX_CACHE_BYTES", 2 * state_bytes)
         cache = ts.prefixes(c)
         ws = cache.workspace(1)
-        assert (ws is cache.workspace(cache.chunk) is ts.prefixes(c).workspace(1)) == (not checkpoints)
+        fits = 3 * simulator._most(cache.chunk, state_bytes) * state_bytes <= simulator.PREFIX_CACHE_BYTES
+        assert (ws is cache.workspace(cache.chunk) is ts.prefixes(c).workspace(1)) == fits
         for e in edits:
             lone = testkit._observed(c, ts, cache, [e]).tobytes()
             assert lone == testkit._observed(c, ts, cache, [e, beside])[: len(ts)].tobytes(), e
@@ -739,10 +740,11 @@ def test_rows_in_suite_order_equal_the_gathered_rows(q, kind):
     lone and stacked beside
     another; and each such edit scores, to the bit in exact and in sampled
     mode (seed 3), as its gathered rows and its circuit alone do. Full,
-    Z-only, X+Z, Y-only and sparse suites at 1-8 qubits; at 7 and 8 qubits
-    the bases are measured in more than one pass (at 8, a larger
-    ``BASIS_STACK_BYTES`` gives the lone edits two passes). Every cache
-    here keeps one workspace for its lone edits and its chunks."""
+    Z-only, X+Z, Y-only and sparse suites at 1-8 qubits; a full suite's
+    bases are measured one a pass at 7 qubits, and at 8 a chunk cap of one
+    state measures the lone edits in one pass and the pairs one basis a
+    pass. Every cache here keeps one workspace for its lone edits and its
+    chunks."""
     rng = np.random.default_rng([q, len(kind)])
     ts = _basis_suite(random_circuit(rng, q, 3), kind, rng)
     c = random_circuit(rng, q, 4 if q < 7 else 2)
@@ -756,10 +758,12 @@ def test_rows_in_suite_order_equal_the_gathered_rows(q, kind):
     with pytest.MonkeyPatch.context() as mp:
         state_bytes = ts.prefixes(c).state_bytes
         if q == 8:
-            mp.setattr(simulator, "BASIS_STACK_BYTES", 2 * state_bytes)
-        per_pass = max(1, simulator.BASIS_STACK_BYTES // state_bytes)
-        if q >= 7 and kind == "full":
-            assert per_pass < len(ts.bases)
+            own_workspace_pool(mp)
+            mp.setattr(simulator, "SWEEP_CHUNK_BYTES", state_bytes)
+            # a lone edit has room to stack X and Y, a pair does not
+            assert (simulator._most(1, state_bytes), simulator._most(2, state_bytes)) == (2, 2)
+        elif q == 7 and kind == "full":
+            assert state_bytes > simulator.SWEEP_CHUNK_BYTES
         cache = ts.prefixes(c)
         assert cache.workspace(1) is cache.workspace(cache.chunk)
 
@@ -867,3 +871,22 @@ def test_rows_a_caller_keeps_are_never_written_again():
     assert first.tobytes() == kept.tobytes() and lone.tobytes() == kept_lone.tobytes()
     assert ts.expected.tobytes() == copy.tobytes()
     assert not np.shares_memory(first, lone)
+
+
+def test_each_simulation_takes_the_suite_buffers_once(monkeypatch):
+    """A simulation and its scores take the suite's rows buffer and scoring
+    temporaries in one ``TestSuite.buffers`` call, sized for the cache's
+    chunk: the circuit with and without a cache, a lone edit and each
+    chunk of edits."""
+    ref = build_benchmark("qft", 3)
+    ts = generate_suite(ref)
+    cache = ts.prefixes(ref)
+    edits = [(p, None, True) for p in range(len(ref.gates))] * (cache.chunk // len(ref.gates) + 1)
+    calls, buffers = [], type(ts).buffers
+    monkeypatch.setattr(type(ts), "buffers", lambda self, *args: calls.append(args) or buffers(self, *args))
+    fitness(ref, ts)
+    fitness(ref, ts, prefixes=cache)
+    fitness(ref, ts, prefixes=cache, edit=edits[0])
+    list(edit_fitness(ref, ts, edits, prefixes=cache))
+    chunks = [cache.chunk, len(edits) - cache.chunk]
+    assert calls == [(1, cache.chunk)] * 3 + [(b, cache.chunk) for b in chunks]
