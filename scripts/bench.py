@@ -43,12 +43,12 @@ parametric patch trial: ``minimize_params`` tuning, in 20 probes, the
 angle of an ry add patch that puts back the ry removed from position 3 of
 wstate4, and, capped at 20 probes too, the three angles of a u replace
 patch on dj4 whose first h became an x, each probe scored as a repair run
-scores it (the one edit the patch makes, through ``_Run.probe``, or at a
-commit without it ``_Run.scored``, from the broken circuit's prefix
-cache), one such probe alone (``probe_ry_wstate4``: the ry add patch of
-that trial at one angle; its facts hold the ``tracemalloc`` peak of one
-lone ``edit_fitness`` on qft10's suite, prefix cache built within the
-call), a lone edit of qft10 on a suite of 8 seeded inputs
+scores it (the one edit the patch makes, drawn through ``_Run.scored`` as
+a stream of one edit, or at a commit that has it through ``_Run.probe``,
+from the broken circuit's prefix cache), one such probe alone
+(``probe_ry_wstate4``: the ry add patch of that trial at one angle; its
+facts hold the ``tracemalloc`` peak of one lone ``edit_fitness`` on
+qft10's suite, prefix cache built within the call), a lone edit of qft10 on a suite of 8 seeded inputs
 (``probe_qft10_8in``: an ry added at the middle of the circuit without
 its middle gate, scored as that probe; a 128 KiB state, measured one
 basis a pass), and both searches over fixed patches:
@@ -289,8 +289,9 @@ def layers() -> dict:
 
 def prober(broken: Circuit, ts):
     """The call that scores an angle probe (an edit) of ``broken`` as a
-    repair run does: the run's budget gate and charge and one simulation
-    from its prefix cache, built here, once, as the run builds it."""
+    repair run does: the run's budget check and charge and one simulation
+    from its prefix cache, built here, once, as the run builds it; at a
+    commit that has ``_Run.probe``, through it."""
     run = _Run(broken, ts, RepairConfig(budget_evals=sys.maxsize), None)
     if hasattr(run, "probe"):
         return run.probe

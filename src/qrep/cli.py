@@ -66,6 +66,15 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(n.strip() for n in text.split(",") if n.strip())
 
 
+def _report_path(text: str) -> str:
+    """An argparse type: an ``--out`` a report can be written to at the end, checked before any work."""
+    path = Path(text)  # checked, not created: a run that fails later leaves no report
+    if path.is_dir() or not path.parent.is_dir():
+        why = "is a directory" if path.is_dir() else "names no existing directory"
+        raise argparse.ArgumentTypeError(f"{text!r} {why}")
+    return text
+
+
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -169,7 +178,7 @@ def _add_repair_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", type=_checked(_names, catalog_kinds), default=DEFAULT_PATCH_CATALOG)
     p.add_argument("--fault-gate", type=_parse_fault_gate, default=None,
                    help="ground-truth gate id like '2:cx:0-1' for rank metrics")
-    p.add_argument("--out", default=None, help="report path (stdout when omitted)")
+    p.add_argument("--out", type=_report_path, default=None, help="report path (stdout when omitted)")
     _add_oracle_flags(p)
 
 
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loc = sub.add_parser("localize", help="suspiciousness ranking only")
     _add_input_flags(p_loc)
-    p_loc.add_argument("--out", default=None)
+    p_loc.add_argument("--out", type=_report_path, default=None)
     _add_oracle_flags(p_loc)
     p_loc.set_defaults(fn=_cmd_localize)
 

@@ -20,7 +20,7 @@ from .testkit import FitnessScore, require_failing
 
 
 class BudgetExhaustedError(QRepError):
-    """Raised by a budgeted evaluator when no allowance remains."""
+    """Raised by a budgeted evaluator once its budget is spent (no evaluations left, or past the deadline)."""
 
 
 @dataclass(frozen=True, order=True)

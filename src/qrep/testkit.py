@@ -7,8 +7,8 @@ the observed output contains an outcome the expected distribution rules
 out, or when its Hellinger distance from the expected distribution exceeds
 the failure threshold. Fitness is the failed-case count plus the Hellinger
 distances summed over every case; ``_scores`` is the one implementation,
-run over buffers. Every simulation of a suite's circuits (the circuit, a
-lone edit or a stacked chunk of edits) is one
+run over buffers. :func:`fitness` scores a circuit and :func:`edit_fitness`
+its single-gate edits, alone or stacked; every simulation of either is one
 :func:`~qrep.simulator.run_all_bases` call in ``_observed``, measured into
 a rows buffer and scored in temporaries the suite makes once for a chunk
 of edits (:meth:`TestSuite.buffers`). The rows are laid out in suite
@@ -314,23 +314,19 @@ def fitness(
     ts: TestSuite,
     cfg: OracleConfig = OracleConfig(),
     prefixes: PrefixCache | None = None,
-    edit: tuple[int, GateApp | None, bool] | None = None,
 ) -> FitnessScore:
     """Evaluate every test case; value = failed count + summed Hellinger.
 
     One simulation runs every suite input in the suite's bases, from
-    ``prefixes`` when given, which must be built for ``c``. Given ``edit``,
-    a single-gate edit of ``c`` (see :func:`edit_fitness`), the circuit
-    scored is ``c`` with it made, simulated alone from ``prefixes`` (built
-    here when not given). A case fails when its row puts more than
-    ``eps_zero`` on an outcome its expected row rules out, or lies farther
-    than the failure threshold from that row in Hellinger distance; the
-    distances are summed sequentially in suite order.
+    ``prefixes`` when given, which must be built for ``c``; an edit of
+    ``c``, alone or stacked, is scored by :func:`edit_fitness`. A case fails
+    when its row puts more than ``eps_zero`` on an outcome its expected row
+    rules out, or lies farther than the failure threshold from that row in
+    Hellinger distance; the distances are summed sequentially in suite
+    order.
     """
     _require_width(c, ts)
-    if edit is None:
-        return _judged(c, ts, cfg, prefixes)[0]
-    return _judged(c, ts, cfg, prefixes or ts.prefixes(c), (edit,))[0]
+    return _judged(c, ts, cfg, prefixes)[0]
 
 
 def edit_fitness(

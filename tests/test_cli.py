@@ -129,6 +129,36 @@ def test_passing_circuit_exit_one(circuits, capsys):
     assert "nothing to repair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["repair", "baseline-rs", "localize"])
+@pytest.mark.parametrize("out", ["missing/r.json", "."])
+def test_an_out_that_cannot_be_written_is_refused_before_the_search(circuits, tmp_path, capsys, monkeypatch, sub, out):
+    """An ``--out`` whose directory does not exist, or that is a directory,
+    is one error line and exit 1 before the suite is loaded: no subcommand
+    calls the engine, and nothing is created."""
+    def searched(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    for name in ("repair", "random_search", "localize", "_load_suite"):
+        monkeypatch.setattr(f"qrep.cli.{name}", searched)
+    argv = [sub, "--circuit", circuits["hard"], "--reference", circuits["ref"], "--out", str(tmp_path / out)]
+    argv += [] if sub == "localize" else ["--budget-evals", "10"]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and err.startswith("qrep: error: argument --out: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("sub", ["repair", "baseline-rs", "localize"])
+def test_a_run_that_fails_after_its_out_is_checked_leaves_no_report(circuits, tmp_path, sub):
+    # the --out check creates nothing, so a passing circuit refused later leaves no empty report
+    out = tmp_path / "report.json"
+    argv = [sub, "--circuit", circuits["ref"], "--reference", circuits["ref"], "--out", str(out)]
+    argv += [] if sub == "localize" else ["--budget-evals", "10"]
+    assert run(argv) == EXIT_ERROR
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ report shape
 
 def test_report_manifest_and_keys(circuits, tmp_path):

@@ -179,25 +179,18 @@ def test_not_fixed_report_shape(bell, bell_suite):
 
 
 def _spy_scored(monkeypatch):
-    """Count the calls of ``_Run.scored`` and ``_Run.probe`` (a removal
-    sweep is one call, and so is each angle probe) and log every edit they
-    draw: a probe's edit once it has passed the budget gate and been
-    scored."""
+    """Count the calls of ``_Run.scored`` (a removal sweep is one call, and
+    so is each angle probe, a stream of one edit) and log every edit they
+    draw: an edit is drawn only once its chunk has passed the budget
+    check."""
     calls, drawn = [], []
-    real, real_probe = _Run.scored, _Run.probe
+    real = _Run.scored
 
     def scored(self, edits):
         calls.append(None)
         return real(self, (drawn.append(e) or e for e in edits))
 
-    def probe(self, edit):
-        calls.append(None)
-        score = real_probe(self, edit)
-        drawn.append(edit)
-        return score
-
     monkeypatch.setattr(_Run, "scored", scored)
-    monkeypatch.setattr(_Run, "probe", probe)
     return calls, drawn
 
 
@@ -215,21 +208,21 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
     # remaining 5 of its 20 and is cut by the budget on its 6th probe
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
     calls, drawn = _spy_scored(monkeypatch)
-    values = []  # the value of each probe scored, simulated or recalled
-    spied = _Run.probe
+    values = []  # the value of each score drawn, in draw order, simulated or recalled
+    spied = _Run.scored
 
-    def probe_spy(self, edit):
-        score = spied(self, edit)
-        values.append(score.value)
-        return score
+    def scored_spy(self, edits):
+        for score in spied(self, edits):
+            values.append(score.value)
+            yield score
 
-    monkeypatch.setattr(_Run, "probe", probe_spy)
+    monkeypatch.setattr(_Run, "scored", scored_spy)
     rep = repair(broken, bell_suite, cfg_evals(8, iterations=1, patch_catalog=("rx",)))
     assert rep.status == STATUS_NOT_FIXED
     assert rep.evals_used == 8
     probes = [params for params, _ in _probes(broken, drawn)]
     assert len(calls) == 1 + 6 and len(probes) == 5  # the 6th probe was refused before its edit was drawn
-    trial = list(zip(probes, values))
+    trial = list(zip(probes, values[len(drawn) - len(probes):]))  # the sweep's 2 scores come first
     assert len(trial) == 5
     best_params, best_value = min(trial, key=lambda pv: pv[1])
     patches = [p for p in rep.best_patches if p["kind"] != "delete"]
@@ -241,8 +234,8 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
 
 def _script_trials(monkeypatch, scores):
     """Make the engine's evaluations, the removal sweep's included, return
-    ``scores`` in order; count the calls of ``_Run.scored`` and
-    ``_Run.probe`` and log the edits they draw (see :func:`_spy_scored`).
+    ``scores`` in order; count the calls of ``_Run.scored`` and log the
+    edits they draw (see :func:`_spy_scored`).
     Scripted scores need not keep the rule the run's memory of scores
     rests on (a zero-angle add scores as the baseline), so no probe is
     recalled: each takes the next scripted score."""
@@ -422,7 +415,7 @@ def _ticking_simulations(mp) -> list[int]:
 
 
 def test_seconds_budget_checks_each_edit_before_its_chunk_and_charges_every_chunk_it_starts(monkeypatch):
-    """Under a seconds budget the budget is checked as each edit is drawn:
+    """Under a seconds budget the budget is checked before each chunk is drawn:
     a chunk whose simulation ends past the deadline is charged in full,
     and no chunk starts once a check has failed, in a sweep (two removals
     to a chunk) and in the runs of fixed patches (one patch to a run)."""
@@ -448,6 +441,27 @@ def test_seconds_budget_checks_each_edit_before_its_chunk_and_charges_every_chun
     assert rep.status == STATUS_NOT_FIXED
     assert blocks == [1, 1, 1] and rep.evals_used == 3
     assert len(run.candidates) == 2
+
+
+@pytest.mark.parametrize("seconds, evals, simulated, end", [(6.5, 15, 14, 7.0), (9.5, 18, 17, 10.0), (12.5, 21, 20, 13.0)])
+def test_seconds_budget_starts_no_angle_probe_after_its_deadline(seconds, evals, simulated, end):
+    """Under a seconds budget an angle probe, a stream of one edit, is
+    checked before it is drawn: on a clock that ticks once per simulation,
+    the baseline, the sweep's one chunk, a zero-angle probe answered from
+    the baseline and the ry probes simulated one at a time end with the
+    last probe that started before the deadline, charged in full."""
+    ref = build_benchmark("wstate", 3)
+    broken = remove_gate(ref, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _ticking_simulations(mp)
+        recalled, remembered = [], _Run.recalled
+        mp.setattr(_Run, "recalled", lambda self, edit: recalled.append(score := remembered(self, edit)) or score)
+        run = _Run(broken, generate_suite(ref), RepairConfig(budget_seconds=seconds, patch_catalog=("ry",)), None)
+        run.budget.started = 0.0
+        rep = run.drive(run.guided_search)
+        assert time.monotonic() == end
+    held = sum(score is not None for score in recalled)
+    assert (rep.status, rep.evals_used, sum(blocks) - held, held) == (STATUS_NOT_FIXED, evals, simulated, 1)
 
 
 @pytest.mark.parametrize("search", [repair, random_search])
@@ -690,13 +704,13 @@ def test_stacked_edits_match_each_edited_circuit_alone(seed, q, suite_kind, samp
     checkpoints=st.booleans(),
 )
 def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind, sampled, checkpoints):
-    """Every angle probe ``try_patch`` scores through ``_Run.probe`` scores,
-    to the bit, as a fresh ``fitness`` of ``apply_patch``'s circuit with no
-    prefix cache: random circuits of 1-6 qubits, every parametric kind, an
-    add at every position (the append included) and a replace of every
-    gate, angles from COBYLA and from random draws, prefix caches that keep
-    every state or only checkpoints, full, Z-only and sparse suites, and
-    both oracles."""
+    """Every angle probe ``try_patch`` draws through ``_Run.scored``, a stream
+    of one edit, scores to the bit as a fresh ``fitness`` of
+    ``apply_patch``'s circuit with no prefix cache: random circuits of
+    1-6 qubits, every parametric kind, an add at every position (the
+    append included) and a replace of every gate, angles from COBYLA and
+    from random draws, prefix caches that keep every state or only
+    checkpoints, full, Z-only and sparse suites, and both oracles."""
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, q, int(rng.integers(0, 9 if q < 5 else 6)))
     ts = random_suite(c, suite_kind, rng)
@@ -713,14 +727,15 @@ def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind,
     with pytest.MonkeyPatch.context() as mp:
         if checkpoints:
             mp.setattr(simulator, "PREFIX_CACHE_BYTES", 2 * ts.prefixes(c).state_bytes)
-        real = _Run.probe
+        real = _Run.scored
 
-        def logged(self, edit):
-            score = real(self, edit)
-            log.append((edit, score))
-            return score
+        def logged(self, edits):
+            (edit,) = edits  # a probe is drawn alone
+            for score in real(self, (edit,)):
+                log.append((edit, score))
+                yield score
 
-        mp.setattr(_Run, "probe", logged)
+        mp.setattr(_Run, "scored", logged)
         run = _Run(c, ts, cfg, None)
         for i, patch in enumerate(patches):
             start = len(log)
@@ -911,9 +926,9 @@ def test_zero_angle_edits_score_as_the_circuit_or_its_removal():
             for qubits in _qubit_choices(kind, c.num_qubits):
                 g = GateApp(kind, qubits, (0.0,) * kind.param_count)
                 for p in range(len(c.gates) + 1):
-                    assert _hex([fitness(c, ts, prefixes=cache, edit=(p, g, False))]) == baseline, (name, g, p)
+                    assert _hex(edit_fitness(c, ts, [(p, g, False)], prefixes=cache)) == baseline, (name, g, p)
                 for p in range(len(c.gates)):
-                    assert _hex([fitness(c, ts, prefixes=cache, edit=(p, g, True))]) == removed[p], (name, g, p)
+                    assert _hex(edit_fitness(c, ts, [(p, g, True)], prefixes=cache)) == removed[p], (name, g, p)
                 checked += 2 * len(c.gates) + 1
     assert checked == 39624
 

@@ -714,7 +714,7 @@ def test_lone_edits_match_the_stacked_path_bit_for_bit(seed, q, suite_kind, samp
             lone = testkit._observed(c, ts, cache, [e]).tobytes()
             assert lone == testkit._observed(c, ts, cache, [e, beside])[: len(ts)].tobytes(), e
             stacked = next(edit_fitness(c, ts, [e, beside], cfg, cache))
-            assert _hex(fitness(c, ts, cfg, cache, e)) == _hex(next(edit_fitness(c, ts, [e], cfg, cache))) == _hex(stacked)
+            assert _hex(next(edit_fitness(c, ts, [e], cfg, cache))) == _hex(stacked)
     if checkpoints and m > 2:
         assert cache.stride > 1
 
@@ -781,7 +781,7 @@ def test_rows_in_suite_order_equal_the_gathered_rows(q, kind):
             assert testkit._observed(c, ts, cache, [e]).tobytes() == want.tobytes(), e
             assert testkit._observed(c, ts, cache, [e, beside])[: len(ts)].tobytes() == want.tobytes(), e
             for cfg in (OracleConfig(), OracleConfig(mode="sampled", seed=3)):
-                scores = (fitness(c, ts, cfg, cache, e), testkit._scores(want, ts, cfg)[0], fitness(alone, ts, cfg))
+                scores = (next(edit_fitness(c, ts, [e], cfg, cache)), testkit._scores(want, ts, cfg)[0], fitness(alone, ts, cfg))
                 assert len({_hex(s) for s in scores}) == 1, (e, cfg.mode)
 
 
@@ -845,7 +845,7 @@ def test_the_one_path_matches_the_allocating_kernels_bit_for_bit(seed, q, suite_
             want = frozen(_edited(c, e))
             assert rows.tobytes() == want.tobytes(), e
             assert _hex(score) == _hex(testkit._scores(want[ts.case_rows], ts, cfg)[0]), e
-        assert _hex(fitness(c, ts, cfg, cache, edits[0])) == _hex(scores[0])
+        assert _hex(next(edit_fitness(c, ts, edits[:1], cfg, cache))) == _hex(scores[0])
     if checkpoints and m > 2:
         assert cache.stride > 1
 
@@ -867,7 +867,7 @@ def test_rows_a_caller_keeps_are_never_written_again():
     run_all_bases(ref, ts.inputs, prefixes=cache, edits=edits)
     run_all_bases(ref, ts.inputs, prefixes=cache, edits=[(0, GateApp(GateKind.H, (1,)), False)])
     list(edit_fitness(ref, ts, edits, prefixes=cache))
-    fitness(ref, ts, prefixes=cache, edit=edits[1])
+    next(edit_fitness(ref, ts, edits[1:2], prefixes=cache))
     assert first.tobytes() == kept.tobytes() and lone.tobytes() == kept_lone.tobytes()
     assert ts.expected.tobytes() == copy.tobytes()
     assert not np.shares_memory(first, lone)
@@ -886,7 +886,7 @@ def test_each_simulation_takes_the_suite_buffers_once(monkeypatch):
     monkeypatch.setattr(type(ts), "buffers", lambda self, *args: calls.append(args) or buffers(self, *args))
     fitness(ref, ts)
     fitness(ref, ts, prefixes=cache)
-    fitness(ref, ts, prefixes=cache, edit=edits[0])
+    next(edit_fitness(ref, ts, edits[:1], prefixes=cache))
     list(edit_fitness(ref, ts, edits, prefixes=cache))
     chunks = [cache.chunk, len(edits) - cache.chunk]
     assert calls == [(1, cache.chunk)] * 3 + [(b, cache.chunk) for b in chunks]
