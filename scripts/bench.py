@@ -5,8 +5,7 @@
 
 Layers: one ``h`` gate step on the middle qubit of the simulator's state
 of the full input batch at 4 and 6 qubits (a step of the prefix cache's
-workspace into its other state tensor, or at a commit without one the
-allocating kernel), ``run_all_bases`` of qft8 (all 256 inputs, three bases;
+workspace into its other state tensor), ``run_all_bases`` of qft8 (all 256 inputs, three bases;
 its facts hold the ``tracemalloc`` peak of one qft10 ``run_all_bases`` over
 all 1,024 inputs, and the minor page faults per call of qft8, fresh as
 timed and resumed from a prefix cache built once), the measurement alone: ``run_all_bases`` of qft4 and
@@ -44,8 +43,7 @@ angle of an ry add patch that puts back the ry removed from position 3 of
 wstate4, and, capped at 20 probes too, the three angles of a u replace
 patch on dj4 whose first h became an x, each probe scored as a repair run
 scores it (the one edit the patch makes, drawn through ``_Run.scored`` as
-a stream of one edit, or at a commit that has it through ``_Run.probe``,
-from the broken circuit's prefix cache), one such probe alone
+a stream of one edit, from the broken circuit's prefix cache), one such probe alone
 (``probe_ry_wstate4``: the ry add patch of that trial at one angle; its
 facts hold the ``tracemalloc`` peak of one lone ``edit_fitness`` on
 qft10's suite, prefix cache built within the call), a lone edit of qft10 on a suite of 8 seeded inputs
@@ -290,23 +288,17 @@ def layers() -> dict:
 def prober(broken: Circuit, ts):
     """The call that scores an angle probe (an edit) of ``broken`` as a
     repair run does: the run's budget check and charge and one simulation
-    from its prefix cache, built here, once, as the run builds it; at a
-    commit that has ``_Run.probe``, through it."""
+    from its prefix cache, built here, once, as the run builds it."""
     run = _Run(broken, ts, RepairConfig(budget_evals=sys.maxsize), None)
-    if hasattr(run, "probe"):
-        return run.probe
     return lambda edit: next(run.scored([edit]))
 
 
 def gate_step(q: int):
     """A call of the simulator's step of an ``h`` on the middle qubit of its
     state of all 2^q inputs, which returns the state after it: a step of
-    the prefix cache's workspace from one state tensor into the other, or
-    at a commit without a workspace the allocating kernel."""
+    the prefix cache's workspace from one state tensor into the other."""
     cache = simulator.PrefixCache(Circuit(q), range(2**q))
     h = GateApp(GateKind.H, (q // 2,))
-    if not hasattr(cache, "workspace"):
-        return partial(simulator._kernel(h, q), cache._start())
     ws = cache.workspace(1)
     blocks = ws.at(0, 1)
     ws.load(cache, 0, blocks.t[0])

@@ -20,11 +20,13 @@ staircase, each edit entering at its step, and a lone edit (an angle
 probe) is a staircase of one. Everything runs in a workspace that the
 caches of one shape share (:class:`_Workspace`): state tensors sized once
 for a chunk of edits, views and steps made on first use, so no one-qubit
-gate and no measurement allocates its result. The measurement stacks the
-X and Y bases where :data:`SWEEP_CHUNK_BYTES` leaves room, else takes one
-basis a pass, and writes the rows into one buffer laid out ``[edit,
-input, basis, outcome]``, the order a suite reads its cases in: the
-suite's own, or a fresh array. No full 2^q x 2^q matrix is ever built
+gate and no measurement allocates its result. A gate on more qubits is a
+phase on slices of the tensor or an exchange of two. Each measurement runs
+the calls of one plan, bound once: it stacks the X and Y bases where
+:data:`SWEEP_CHUNK_BYTES` leaves room, else takes one basis a pass, and
+writes the rows into one buffer laid out ``[edit, input, basis,
+outcome]``, the order a suite reads its cases in: the suite's own, or a
+fresh array. No full 2^q x 2^q matrix is ever built
 here; the dense-matrix product lives in the test suite as an independent
 oracle. Every probability returned here is exact: a sampled-mode oracle
 draws its shots from them in :mod:`qrep.testkit`.
@@ -177,25 +179,25 @@ def _slices(n: int, *assignments: int) -> tuple:
 
 def _kernel(g: GateApp, n: int) -> Callable[[np.ndarray], None]:
     """``g``, a gate on two or three qubits, as an in-place update of the
-    batched ``n``-qubit tensor (with any leading block axes): the
-    amplitudes whose qubits hold given bits, in every column at once, and
-    their phases, all worked out here, once.
+    batched ``n``-qubit tensor (with any leading block axes), worked out
+    here, once, of one of two kinds: ``phase`` multiplies the amplitudes
+    whose qubits hold given bits, in every column at once, by a phase
+    (``cz``'s -1, ``cp``'s and ``crz``'s from their angles), and
+    ``exchange`` swaps two such slices (``cx``, ``swap``, ``ccx``).
 
     Phases are multiplied out of place with the array first
     (``t[s] = t[s] * z``): numpy picks its complex-multiply loop by length
     and operand order, and the in-place and scalar-first forms made a row's
-    rounding depend on how many inputs shared the batch.
+    rounding depend on how many inputs shared the batch. Times ``-1 + 0j``,
+    an amplitude differs from its negation only in the sign of a zero part,
+    which no later step turns into a difference in a non-zero and ``abs``
+    erases.
     """
     check_qubits(g, n)  # a qubit outside the tensor would index another axis
     kind, qs = g.kind, g.qubits
     if kind is GateKind.CZ:
-        s = _slices(n, qs[0], 1, qs[1], 1)
-
-        def negate(t: np.ndarray) -> None:
-            t[s] = -t[s]
-
-        return negate
-    if kind is GateKind.CP:
+        phases = ((_slices(n, qs[0], 1, qs[1], 1), -1 + 0j),)
+    elif kind is GateKind.CP:
         phases = ((_slices(n, qs[0], 1, qs[1], 1), cmath.exp(1j * g.params[0])),)
     elif kind is GateKind.CRZ:
         half = g.params[0] / 2.0
@@ -419,7 +421,7 @@ class _Blocks:
         self.t = (bufs[0][lo:hi], bufs[1][lo:hi])
         self.views: dict[tuple[str, int, int], np.ndarray] = {}
         self.steps: dict[int, tuple] = {}  # by 2 * gate + the tensor it starts from
-        self.measured: dict = {}
+        self.measured: dict[tuple, tuple] = {}  # by (tensor, bases, batch)
 
 
 class _Workspace:
@@ -435,12 +437,13 @@ class _Workspace:
     other; a complex one multiplies the amplitude rows into the other,
     used as scratch, and copies them back through the transposed view; on
     one qubit, the amplitude rows go through the other as (1, 2) cores;
-    the phase and exchange kernels update the state in place. The
-    measurement stacks the rotated bases in the spent one of the two and
-    puts them through the ``h`` layer between it and tensor 2, its twin,
-    and takes the moduli into the one of those the result is not in. A
-    row's bits do not depend on the block it is computed in, on how many
-    blocks share a step, or on the batch.
+    the phase and exchange kernels update the state in place. A
+    measurement's plan, made once per tensor, bases and batch, stacks the
+    rotated bases in the spent one of the two, puts them through the ``h``
+    layer between it and tensor 2, its twin, and takes the moduli into the
+    one of those the result is not in. A row's bits do not depend on the
+    block it is computed in, on how many blocks share a step, or on the
+    batch.
     """
 
     def __init__(self, n: int, cols: int, blocks: int):
@@ -537,9 +540,6 @@ class _Workspace:
         tensor that makes ``gate``'s step end in ``i``, and copied there if
         the gates before it flipped it. Returns the tensor it is in."""
         start = position - position % cache.stride
-        if gate is None and start == position:  # a stored state, as it is
-            self.load(cache, start, self.bufs[i or 0][slot])
-            return i or 0
         blocks = self.at(slot, slot + 1)
         op = None if gate is None else _op(gate, self.n)
         j = (i or 0) ^ (isinstance(op, np.ndarray) and (self.n == 1 or op.dtype == np.float64))
@@ -582,65 +582,48 @@ class _Workspace:
         for k in range(len(bases)):
             self._measure(blocks, i, bases[k : k + 1], out[:, :, k : k + 1])
 
-    def _rotated(self, blocks: _Blocks, i: int, rotated: list[MeasBasis]) -> tuple[np.ndarray, int]:
-        """The final states, tensor ``i`` of ``blocks``, rotated into each
-        of ``rotated`` (X or Y), stacked on a leading axis in the spent
-        tensor and put through one ``h`` layer between it and tensor 2;
-        and the one of the two the result is not in."""
-        r, b = len(rotated), len(blocks.t[i])
-        plan = blocks.measured.get(("stack", i, r))
-        if plan is None:
-            stack, src, other, calls = self.at(0, r * b), 1 - i, 2, []
-            for q in range(self.n):
-                call, res = self._bind(_H, q, stack, src, other)
-                calls.append(call)
-                if res != src:
-                    src, other = other, src
-            shape = (r, b) + self.shape
-            plan = stack.t[1 - i].reshape(shape), calls, self.tensor(src)[: r * b].reshape(shape), other
-            blocks.measured["stack", i, r] = plan
-        stack, calls, result, free = plan
-        for j, basis in enumerate(rotated):  # Y is the states times sdg on every qubit
-            if basis is MeasBasis.Y:
-                np.multiply(blocks.t[i], _y_phases(self.n), out=stack[j])
-            else:
-                stack[j] = blocks.t[i]
-        for call in calls:
-            call()
-        return result, free
-
     def _measure(self, blocks: _Blocks, i: int, bases: tuple[MeasBasis, ...], out: np.ndarray) -> None:
         """The probabilities of the final states, tensor ``i`` of
         ``blocks``, in each of ``bases``, written into ``out``, indexed
-        ``[block, input, basis, outcome]``. X and Y are rotated by one ``h``
-        layer (:meth:`_rotated`), Z read as it is. The moduli are taken in
-        the states' own layout, where numpy's complex ``abs`` runs its
-        contiguous loop, and squared into ``out`` through a transpose, so
-        each row sums contiguously, in the same order in any batch. One
-        drift check follows (an error names the norm of the row that drifts
-        most, the first such in ``[basis, block, input]`` order; a norm that
-        is not finite drifts too), and one in-place divide."""
-        t, count = blocks.t[i], len(bases)
-        rotated = [basis for basis in bases if basis is not MeasBasis.Z]
-        result, free = self._rotated(blocks, i, rotated) if rotated else ((), 1 - i)
-        stack = iter(result)
-        batch = out.shape[1]
-        moduli = blocks.measured.get(("moduli", count, free, batch))
-        if moduli is None:
+        ``[block, input, basis, outcome]``, by one plan per ``(i, bases,
+        batch)``, its calls bound on first use. X and Y are rotated by one
+        ``h`` layer (Y after ``sdg`` on every qubit), Z read as it is. The
+        moduli are taken in the states' own layout, where numpy's complex
+        ``abs`` runs its contiguous loop, and squared into ``out`` through a
+        transpose, so each row sums contiguously, in the same order in any
+        batch. One drift check follows (an error names the norm of the row
+        that drifts most, the first such in ``[basis, block, input]`` order;
+        a norm that is not finite drifts too), and one in-place divide."""
+        t, batch = blocks.t[i], out.shape[1]
+        plan = blocks.measured.get((i, bases, batch))
+        if plan is None:
+            ys = [basis is MeasBasis.Y for basis in bases if basis is not MeasBasis.Z]
+            r, shape = len(ys) * len(t), (len(ys), len(t)) + self.shape
+            calls = [
+                partial(np.multiply, t, _y_phases(self.n), out=slot) if y else partial(np.copyto, slot, t)
+                for slot, y in zip(self.tensor(1 - i)[:r].reshape(shape), ys)
+            ]
+            src, free = 1 - i, 2 if ys else 1 - i
+            for q in range(self.n if ys else 0):
+                call, res = self._bind(_H, q, self.at(0, r), src, free)
+                calls.append(call)
+                if res != src:
+                    src, free = free, src
+            rotated = iter(self.tensor(src)[:r].reshape(shape))
             # in the float view of the tensor the states are not in, each
             # basis one cache line (8 floats) past the last's end: blocks of
             # a power-of-two size share cache sets, and the square, which
             # reads one column of every basis in turn through its transpose,
             # then ran 50% slower (3 bases of 64 x 64 moduli)
-            size, room = t.size, self.tensor(free).reshape(-1).view(np.float64)
+            count, size, room = len(bases), t.size, self.tensor(free).reshape(-1).view(np.float64)
             pad = 8 if count * (size + 8) <= room.size else 0  # a few tiny states leave no room
-            spaced = room[: count * (size + pad)].reshape(count, size + pad)[:, :size]
-            moduli = spaced.reshape((count,) + t.shape)
+            moduli = room[: count * (size + pad)].reshape(count, size + pad)[:, :size].reshape((count,) + t.shape)
+            calls += [partial(np.abs, t if b is MeasBasis.Z else next(rotated), out=m) for b, m in zip(bases, moduli)]
             squared = moduli.reshape(count, len(t), 2**self.n, -1).transpose(1, 3, 0, 2)[:, :batch]
-            moduli = blocks.measured["moduli", count, free, batch] = moduli, squared
-        moduli, squared = moduli
-        for k, basis in enumerate(bases):
-            np.abs(t if basis is MeasBasis.Z else next(stack), out=moduli[k])
+            plan = blocks.measured[i, bases, batch] = calls, squared
+        calls, squared = plan
+        for call in calls:
+            call()
         np.square(squared, out=out)
         norms = np.add.reduce(out, axis=3)
         drift = np.abs(norms - 1.0)
@@ -691,6 +674,7 @@ def run_all_bases(
     (one without edits), or else a fresh array no later call writes into.
     The result is a transposed view of it.
     """
+    bases = tuple(bases)  # the measurement plans' key
     for k, basis in enumerate(bases):
         if not isinstance(basis, MeasBasis):
             raise ValueError(f"basis {basis!r} is not a MeasBasis")

@@ -552,8 +552,9 @@ def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
 # tensor (a complex product copied back contiguous, one qubit as stacked
 # (B, 1, 2) cores), and each basis pass rotated in fresh stacks, one
 # circuit at a time. The multi-qubit gates are the package's in-place
-# kernels, which that change left as they were. test_testkit.py holds the
-# one path to these bit for bit.
+# kernels, which that change left as they were, except ``cz``: it is
+# negated here, as it was before the package made it a phase of -1.
+# test_testkit.py holds the one path to these bit for bit.
 
 
 def kernel_apply_1q(t: np.ndarray, m: np.ndarray, width: int, n: int) -> np.ndarray:
@@ -587,6 +588,9 @@ def kernel_run_all_bases(circuit, inputs, bases=BASIS_ORDER) -> np.ndarray:
         if g.kind.num_qubits == 1:
             m = narrowed(complex_matrix_1q(g.kind, g.params))
             t = kernel_apply_1q(t, m, 2 ** g.qubits[0], n)
+        elif g.kind is GateKind.CZ:  # negated, as cz was before it became a phase
+            s = simulator._slices(n, g.qubits[0], 1, g.qubits[1], 1)
+            t[s] = -t[s]
         else:
             simulator._kernel(g, n)(t)
     out = np.empty((len(idx), len(bases), 2**n))

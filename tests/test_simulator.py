@@ -361,9 +361,10 @@ def test_bases_must_be_measurement_bases():
     """A basis that is not a ``MeasBasis``, one given twice, or no basis at
     all, is refused with one line, not measured as another basis or failed
     inside numpy (a third stacked basis overran a 6-qubit suite's
-    workspace)."""
+    workspace). A list of bases is measured as the tuple of them."""
     c = build_circuit(1, [("x", 0)])
-    assert run_all_bases(c, [0], bases=(MeasBasis.Z,)).tolist() == [[[0.0, 1.0]]]
+    for bases in ((MeasBasis.Z,), [MeasBasis.Z]):
+        assert run_all_bases(c, [0], bases=bases).tolist() == [[[0.0, 1.0]]]
     for bases in (("Z",), (MeasBasis.X, "Y")):
         with pytest.raises(ValueError, match=f"^basis {re.escape(repr(bases[-1]))} is not a MeasBasis$"):
             run_all_bases(c, [0], bases=bases)
@@ -382,16 +383,19 @@ def test_bases_must_be_measurement_bases():
     "q, inputs, bases, passes",
     [(q, 2**q, BASIS_ORDER, 1) for q in range(1, 7)]
     + [(q, 2**q, BASIS_ORDER, 3) for q in (7, 8)]
-    + [(8, 256, (MeasBasis.Z,), 1), (10, 8, BASIS_ORDER, 3), (9, 16, BASIS_ORDER, 3), (6, 64, (MeasBasis.X, MeasBasis.Z), 1)],
+    + [(8, 256, (MeasBasis.Z,), 1), (10, 8, BASIS_ORDER, 3), (9, 16, BASIS_ORDER, 3), (6, 64, (MeasBasis.X, MeasBasis.Z), 1)]
+    + [(6, 64, (MeasBasis.Z, MeasBasis.X), 1), (6, 64, (MeasBasis.Y, MeasBasis.Z, MeasBasis.X), 1)]
+    + [(7, 128, (MeasBasis.Z, MeasBasis.Y, MeasBasis.X), 3)],
 )
 def test_measurement_passes(monkeypatch, q, inputs, bases, passes):
     """How many passes a measurement makes, which sets its peak memory: a
     workspace whose blocks fit in ``SWEEP_CHUNK_BYTES`` has room to stack
     X and Y and measures every basis in one pass (a full suite at 1-6
     qubits, any one basis); a wider one measures one basis a pass (a full
-    suite at 7-8 qubits, 10 qubits x 8 inputs, 9 x 16). The circuit, a
-    lone edit and a chunk of edits, with and without a cache; the rows
-    equal, byte for byte, the allocating kernels'."""
+    suite at 7-8 qubits, 10 qubits x 8 inputs, 9 x 16), with the bases in
+    several orders. The circuit, a lone edit and a chunk of edits, with and
+    without a cache; the rows equal, byte for byte, the allocating
+    kernels' for the same order."""
     calls = []
     measure = simulator._Workspace._measure
 
@@ -417,6 +421,19 @@ def test_measurement_passes(monkeypatch, q, inputs, bases, passes):
         assert calls == [len(bases) // passes] * passes
         for e, rows in zip(chunk, got):
             assert rows.tobytes() == kernel_run_all_bases(remove_gate(c, e[0]), idx, bases).tobytes()
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_cz_on_exact_zero_parts_matches_the_negating_kernel(q):
+    """``cz`` is a phase of -1 on its slice; times ``-1 + 0j``, an amplitude
+    differs from its negation only in the sign of a zero part. An ``x`` then
+    a ``cz`` on every ordered qubit pair, over all inputs, leaves states of
+    exact zero parts: their rows equal, byte for byte, those of the frozen
+    kernel that negates."""
+    for a, b in product(range(q), repeat=2):
+        if a != b:
+            c = build_circuit(q, [("x", a), ("cz", (a, b))])
+            assert run_all_bases(c, range(2**q)).tobytes() == kernel_run_all_bases(c, range(2**q)).tobytes(), (a, b)
 
 
 def _random_edit(rng, c):
