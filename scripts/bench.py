@@ -38,14 +38,18 @@ report, and suite building: ``generate_suite`` of dj6, and
 ``suite_from_expected`` of expected tables as a JSON round trip gives
 them: the Z-basis tables of qft4 (the table perfbench's ``cli-expected``
 workload writes) and dj6, and qft6's table of all three bases, and one
-parametric patch trial: ``minimize_params`` tuning, in 20 probes, the
-angle of an ry add patch that puts back the ry removed from position 3 of
-wstate4, and, capped at 20 probes too, the three angles of a u replace
-patch on dj4 whose first h became an x, each probe scored as a repair run
-scores it (the one edit the patch makes, drawn through ``_Run.scored`` as
-a stream of one edit, from the broken circuit's prefix cache), one such probe alone
-(``probe_ry_wstate4``: the ry add patch of that trial at one angle; its
-facts hold the ``tracemalloc`` peak of one lone ``edit_fitness`` on
+parametric patch trial as a repair run tries it: ``_Run.try_patch``, on
+a run built once, tuning in at most 20 probes the angle of an ry add
+patch that puts back the ry removed from position 3 of wstate4 (its
+failing probes answered from the trial's curve, three simulations made
+within each call), and, capped at 20 probes too, the three angles of a u
+replace patch on dj4 whose first h became an x, the u on the next qubit
+so that no probe passes (``trial_u_dj4``, whose probes are all simulated:
+each the one edit the patch makes, drawn through ``_Run.scored`` as a
+stream of one edit, from the broken circuit's prefix cache); the facts
+of each hold its best value, its probes and whether one passed; one
+simulated probe alone (``probe_ry_wstate4``: the ry add patch of that
+trial at one angle, outside a trial; its facts hold the ``tracemalloc`` peak of one lone ``edit_fitness`` on
 qft10's suite, prefix cache built within the call), a lone edit of qft10 on a suite of 8 seeded inputs
 (``probe_qft10_8in``: an ry added at the middle of the circuit without
 its middle gate, scored as that probe; a 128 KiB state, measured one
@@ -85,9 +89,9 @@ import qrep
 from qrep import patcher, simulator
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GATE_BY_NAME, Circuit, GateApp, GateKind, insert_gate, remove_gate, replace_gate
-from qrep.engine import RepairConfig, _Run, random_search, repair
+from qrep.engine import RepairConfig, _FullPass, _Run, random_search, repair
 from qrep.localizer import SuspiciousnessTable, localize, removals
-from qrep.optimizer import OptBudget, minimize_params
+from qrep.optimizer import OptBudget
 from qrep.patcher import DEFAULT_PATCH_CATALOG, Patch, inject_faults, order_uniform, prune_to_gates
 from qrep.qasm import emit_qasm, parse_qasm
 from qrep.simulator import BASIS_ORDER, MeasBasis
@@ -114,7 +118,9 @@ FIXED_RUN = ("qft", 4, 5, "replace")
 FIXED_RUN_BUDGET = 55
 FIXED_KINDS = tuple(name for name in DEFAULT_PATCH_CATALOG if not GATE_BY_NAME[name].param_count)
 TRIAL = ("wstate", 4, 3)  # (family, size, position of the gate the trial's add patch restores)
-U_TRIAL = ("dj", 4)  # its first h becomes an x, which a u replace patch tunes back
+# its first h becomes an x, replaced by a u on the next qubit: no angles pass,
+# so the trial spends every probe, each simulated
+U_TRIAL = ("dj", 4)
 TRIAL_PROBES = 20
 SAMPLE_S = 0.02
 
@@ -260,11 +266,11 @@ def layers() -> dict:
     ref = build_benchmark(fam, n)
     pos, h = next((p, g) for p, g in enumerate(ref.gates) if g.kind is GateKind.H)
     x_for_h = replace_gate(ref, pos, GateApp(GateKind.X, h.qubits))
-    trials[f"trial_u_{fam}{n}"] = (ref, x_for_h, Patch("replace", pos, GateKind.U, h.qubits))
+    trials[f"trial_u_{fam}{n}"] = (ref, x_for_h, Patch("replace", pos, GateKind.U, ((h.qubits[0] + 1) % n,)))
     for name, (ref, broken, patch) in trials.items():
         trial = angle_trial(broken, generate_suite(ref), patch)
-        res = trial()
-        out[name] = (trial, {"probes": res.evals, "best": res.value, "converged": res.converged})
+        best, probes, repaired = trial()
+        out[name] = (trial, {"probes": probes, "best": best, "repaired": repaired})
     fam, n, pos = TRIAL
     ref = build_benchmark(fam, n)
     gate = ref.gates[pos]
@@ -287,8 +293,9 @@ def layers() -> dict:
 
 def prober(broken: Circuit, ts):
     """The call that scores an angle probe (an edit) of ``broken`` as a
-    repair run does: the run's budget check and charge and one simulation
-    from its prefix cache, built here, once, as the run builds it."""
+    repair run does outside a one-angle trial: the run's budget check and
+    charge and one simulation from its prefix cache, built here, once, as
+    the run builds it."""
     run = _Run(broken, ts, RepairConfig(budget_evals=sys.maxsize), None)
     return lambda edit: next(run.scored([edit]))
 
@@ -335,15 +342,24 @@ def run_edits(run, edits) -> list[float]:
 
 
 def angle_trial(broken: Circuit, ts, patch: Patch):
-    """The engine's angle search for the parametric ``patch`` of ``broken``:
-    ``minimize_params`` in at most ``TRIAL_PROBES`` probes, each the one
-    edit the patch makes with the probe's angles, scored by :func:`prober`."""
-    score = prober(broken, ts)
+    """The engine's trial of the parametric ``patch`` of ``broken``:
+    ``_Run.try_patch`` in at most ``TRIAL_PROBES`` probes, on a run built
+    once with its prefix cache and baseline, as ``run_sweep``'s is. Each
+    call returns the trial's best value (that of the passing probe, when
+    one ends it), the probes charged and whether one passed."""
+    run = _Run(broken, ts, RepairConfig(budget_evals=sys.maxsize, opt=OptBudget(max_evals=TRIAL_PROBES)), None)
+    run.baseline = fitness(broken, ts, run.cfg.oracle, run.prefixes)
 
-    def probe(angles) -> float:
-        return score(patch.edit(angles)).value
+    def trial():
+        spent, passed = run.budget.evals_used, False
+        try:
+            run.try_patch(patch)
+        except _FullPass:
+            passed = True
+        best = run.candidates.pop()["fitness"]  # the trial's one row
+        return best, run.budget.evals_used - spent, passed
 
-    return partial(minimize_params, probe, patch.gate.param_count, OptBudget(max_evals=TRIAL_PROBES))
+    return trial
 
 
 def scored(inject) -> int:

@@ -1,4 +1,4 @@
-"""Print one sha256 per repair and localize report, wall time masked, to compare two commits.
+"""Print the outcome and a sha256 of each repair and localize report, wall time masked, to compare two commits.
 
     python scripts/report_digests.py > change.txt
     PYTHONPATH=<other checkout>/src python scripts/report_digests.py > parent.txt
@@ -12,16 +12,18 @@ evaluations, oracle seed 3), the fixed kinds of ``DEFAULT_PATCH_CATALOG``
 (80 evaluations), ``iterations=10**6`` and ``iterations=2**70`` (55
 evaluations each; the second's count is beyond a C long) and the catalog
 ``u,cx`` (300 evaluations), the only one that tries ``u`` patches. Each line
-names the configuration, the search and the mutant, then the digest of the
-report's JSON less ``wall_seconds``, or the error the run ended in. Then
+names the configuration, the search and the mutant, then the report's
+status and ``evals_used`` and the digest of its JSON less ``wall_seconds``,
+or the error the run ended in, so a diff of two commits shows which
+outcomes moved and which reports changed only in their values. Then
 each mutant's ``qrep localize`` report, run through ``cli.main`` against
 its reference in exact and in sampled mode (oracle seed 3), is digested
 less ``wall_seconds``, the manifest's timestamp and its input paths, or
-its exit code and error line. Last, each mutant's ``qrep repair`` report
-against its reference's Z-basis rows as an ``--expected`` table (as
-perfbench's ``cli-expected`` workload writes it; 50 evaluations, 4
-iterations), run through ``cli.main``, is digested the same way: the
-only configuration with a partial suite. qrep is imported from
+its exit code and error line (a localize report has no status: ``-``).
+Last, each mutant's ``qrep repair`` report against its reference's Z-basis
+rows as an ``--expected`` table (as perfbench's ``cli-expected`` workload
+writes it; 50 evaluations, 4 iterations), run through ``cli.main``, is
+digested the same way: the only configuration with a partial suite. qrep is imported from
 ``PYTHONPATH`` when it names a checkout, else from this one.
 """
 import contextlib
@@ -65,19 +67,27 @@ def configs() -> dict[str, RepairConfig]:
     return out
 
 
+def outcome(report: dict) -> str:
+    """The report's status (``-`` for a localize report, which has none),
+    its evaluations and the digest of its JSON; the caller has masked
+    what differs between runs."""
+    sha = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return f"{report.get('status', '-')} {report['evals_used']} {sha}"
+
+
 def digest(search, mutant, suite, cfg) -> str:
     try:
         report = search(mutant, suite, cfg).to_dict()
     except QRepError as e:
         return f"{type(e).__name__}: {e}"
     report.pop("wall_seconds")
-    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return outcome(report)
 
 
 def cli_digest(argv: list[str], tmp: Path, ok=(cli.EXIT_OK,)) -> str:
-    """The digest of the report ``cli.main(argv)`` writes to ``tmp``, less its
-    wall time, the manifest's timestamp and its input paths, or the exit
-    code and error line when the code is not one of ``ok``."""
+    """The :func:`outcome` of the report ``cli.main(argv)`` writes to ``tmp``,
+    less its wall time, the manifest's timestamp and its input paths, or
+    the exit code and error line when the code is not one of ``ok``."""
     out = tmp / "report.json"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -86,7 +96,7 @@ def cli_digest(argv: list[str], tmp: Path, ok=(cli.EXIT_OK,)) -> str:
         return f"exit {code}: {err.getvalue().strip()}"
     report = json.loads(out.read_text())
     del report["wall_seconds"], report["manifest"]["timestamp"], report["manifest"]["inputs"]
-    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return outcome(report)
 
 
 def localize_digest(mutant, ref, flags: list[str], tmp: Path) -> str:

@@ -24,9 +24,16 @@ budget before it is drawn, and each score charged as it is drawn. A probe
 at all-zero angles is charged but not simulated when the run holds its
 score (:meth:`_Run.recalled`): every parametric kind is then the identity,
 so an add scores as the baseline and a replace as the sweep's removal of
-the gate, bit for bit. Each score is recorded and credited as a trial of
-that edit alone would be, so the reports are those of trying every edit
-alone, bit for bit.
+the gate, bit for bit. A trial of one angle of ``rx``, ``ry``, ``rz``, ``p``
+or ``cp``, whose outcome probabilities are all ``a + b·cos θ + c·sin θ``,
+simulates its edit at three angles for its first probe not recalled,
+uncharged, and answers every later probe from that curve
+(:class:`~qrep.testkit.AngleCurve`, :meth:`_Run.traced`), charged as one
+evaluation; a probe the curve passes is simulated, so a repair is
+declared only from simulated rows. ``crz`` (period 4π) and ``u`` (three
+angles) simulate every probe. Each score is recorded and credited as a
+trial of that edit alone would be, so the reports are those of trying
+every edit alone: bit for bit, but for the rounding of the curve.
 """
 from __future__ import annotations
 
@@ -41,7 +48,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .circuit import Circuit, GateApp
+from .circuit import Circuit, GateApp, GateKind
 from .errors import UnknownGateError, check_integer
 from .localizer import (
     BudgetExhaustedError,
@@ -62,7 +69,7 @@ from .patcher import (
     prune_to_gates,
 )
 from .qasm import emit_qasm
-from .testkit import FitnessScore, OracleConfig, TestSuite, edit_fitness, fitness, require_failing
+from .testkit import AngleCurve, FitnessScore, OracleConfig, TestSuite, edit_fitness, fitness, require_failing
 
 STATUS_REPAIRED = "Repaired"
 STATUS_NOT_FIXED = "NotFixed"
@@ -189,6 +196,8 @@ class _Run:
         self.candidates: list[dict] = []  # one report row per trial or removal
         self.baseline: FitnessScore | None = None
         self.removed: dict[int, FitnessScore] = {}  # the sweep's score of each removal, by position
+        self.trial: Patch | None = None  # the one-angle patch being tried, whose probes its curve answers
+        self.curve: AngleCurve | None = None  # the trial's, simulated for its first probe not recalled
         self.partial_localisation = False
 
     def scored(self, edits: Iterable[tuple[int, GateApp | None, bool]]) -> Iterator[FitnessScore]:
@@ -199,15 +208,16 @@ class _Run:
         budget starts no chunk after its deadline (one started before it is
         charged); drawing past either raises BudgetExhaustedError. A probe is
         always drawn alone, a stream of one edit. A lone edit the run holds the
-        score of (:meth:`recalled`) is charged but not simulated; every other
-        chunk is scored by :func:`edit_fitness`."""
+        score of (:meth:`recalled`), or a failing probe of a one-angle trial
+        (:meth:`traced`), is charged but not simulated; every other chunk is
+        scored by :func:`edit_fitness`."""
         b, edits = self.budget, iter(edits)
         while True:
             b.precheck()
             left = math.inf if b.max_evals is None else b.max_evals - b.evals_used
             if not (chunk := list(islice(edits, min(self.prefixes.chunk, left)))):
                 return
-            held = self.recalled(chunk[0]) if len(chunk) == 1 else None
+            held = (self.recalled(chunk[0]) or self.traced(chunk[0])) if len(chunk) == 1 else None
             for score in [held] if held else edit_fitness(self.c_init, self.ts, chunk, self.cfg.oracle, self.prefixes):
                 b.charge()
                 yield score
@@ -222,6 +232,19 @@ class _Run:
         if gate is None or not gate.params or any(gate.params):
             return None
         return self.removed.get(position) if replaces else self.baseline
+
+    def traced(self, edit: tuple[int, GateApp | None, bool]) -> FitnessScore | None:
+        """The score the curve of the one-angle trial under way gives its
+        probe ``edit`` (:class:`AngleCurve`, simulated the first time it is
+        asked and not charged, as the prefix cache is not), when that score
+        fails; None when it passes, so that the probe is simulated and only
+        simulated rows declare a repair, and None outside such a trial."""
+        if self.trial is None:
+            return None
+        if self.curve is None:
+            self.curve = AngleCurve(self.c_init, self.ts, self.trial.edit((0.0,)), self.cfg.oracle, self.prefixes)
+        score = self.curve.score(edit[1].params[0])
+        return None if score.all_passed() else score
 
     def record(self, kind: str, position: int, gate: str, qubits, params, value: float) -> None:
         self.candidates.append({
@@ -256,8 +279,12 @@ class _Run:
         budget runs out mid-trial; both propagate through the solver. A
         trial cut short records its best probe, if any. The angles come
         from COBYLA, or, given ``rng`` (random search), from ``max_evals``
-        uniform draws."""
+        uniform draws. A one-angle kind's failing probes are scored from
+        its curve (:meth:`traced`)."""
         best: tuple[tuple[float, ...], FitnessScore] | None = None
+        # their outcome probabilities are a + b·cos θ + c·sin θ; crz's period is 4π
+        one_angle = patch.gate in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.P, GateKind.CP)
+        self.trial = patch if one_angle else None
 
         def objective(params: tuple[float, ...]) -> float:
             nonlocal best
@@ -278,6 +305,8 @@ class _Run:
             if best is not None:
                 self.record(patch.kind, patch.position, patch.gate.gate_name, patch.qubits, best[0], best[1].value)
             raise
+        finally:
+            self.trial = self.curve = None
         return self.settle(patch, *best)
 
     def try_run(self, first: Patch, queue: PatchQueue | deque[Patch], mark: float) -> Patch | None:

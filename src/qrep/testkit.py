@@ -13,7 +13,8 @@ its single-gate edits, alone or stacked; every simulation of either is one
 a rows buffer and scored in temporaries the suite makes once for a chunk
 of edits (:meth:`TestSuite.buffers`). The rows are laid out in suite
 order, so a suite that holds every (basis, input) pair once reads them as
-a reshape, with no gather.
+a reshape, with no gather. :class:`AngleCurve` scores a one-angle edit at
+any angle from three such simulations.
 The simulator gives exact probabilities; in sampled mode the oracle first
 replaces each case's row by the frequencies of ``shots`` seeded multinomial
 draws from it, with ``shots`` checked once, by :class:`OracleConfig`.
@@ -393,6 +394,61 @@ def _judged(
     prefixes = prefixes or PrefixCache(c, ts.inputs, keep=False)
     rows, scratch = ts.buffers(1 if edits is None else len(edits), prefixes.chunk)
     return _scores(_observed(c, ts, prefixes, edits, rows), ts, cfg, scratch)
+
+
+class AngleCurve:
+    """The rows the suite's cases observe for ``c`` with a one-angle edit
+    made at any angle θ, for a gate whose outcome probabilities are all
+    ``a + b·cos θ + c·sin θ`` (``rx``, ``ry``, ``rz``, ``p`` and ``cp``:
+    Nakanishi, Fujii & Todo, PRR 2, 043158, 2020).
+
+    Three simulations of ``edit`` (:func:`_observed`, a chunk at a time,
+    its own angle ignored) at θ = π/3, π and 5π/3 give rows p1, p2 and p3,
+    kept in suite order as one ``[3, cases, width]`` array: p2,
+    B = (p1 + p3 − 2·p2)/3 and C = (p1 − p3)/√3. :meth:`score` then writes
+    r(θ) = p2 + B·(1 + cos θ) + C·sin θ, clipped to [0, 1] (a sampled
+    oracle's draw refuses a rounding past either end), into the suite's
+    rows buffer and scores it with :func:`_scores` in the suite's scratch
+    arrays, allocating nothing. An entry equal in all three rows comes back
+    bit for bit; any other within rounding of a simulation of its own."""
+
+    def __init__(
+        self, c: Circuit, ts: TestSuite, edit: tuple[int, GateApp, bool], cfg: OracleConfig, prefixes: PrefixCache
+    ):
+        position, gate, replaces = edit
+        angles = (math.pi, math.pi / 3, 5 * math.pi / 3)  # p2 first, then p1 and p3
+        edits = [(position, GateApp(gate.kind, gate.qubits, (a,)), replaces) for a in angles]
+        self.ts, self.cfg, self.curve = ts, cfg, np.empty((3, *ts.expected.shape))
+        for lo in range(0, 3, prefixes.chunk):
+            part = edits[lo : lo + prefixes.chunk]
+            self.curve[lo : lo + len(part)] = _observed(c, ts, prefixes, part).reshape(len(part), *ts.expected.shape)
+        # two blocks of the rows buffer (the scores' square roots are taken
+        # in the first): r is written into the first, C·sin θ into the second
+        _, scratch = ts.buffers(2, prefixes.chunk)
+        self.out, self.tmp = scratch[1]
+        self.scratch = tuple(a[:1] for a in scratch)
+        p2, p1, p3 = self.curve  # B and C take the places of p1 and p3
+        np.subtract(p1, p3, out=self.tmp)
+        np.add(p1, p3, out=p1)
+        np.multiply(p2, 2.0, out=p3)
+        np.subtract(p1, p3, out=p1)
+        np.divide(p1, 3.0, out=p1)
+        np.divide(self.tmp, math.sqrt(3.0), out=p3)
+
+    def rows(self, theta: float) -> np.ndarray:
+        """r(``theta``), ``[cases, width]`` in suite order, in the suite's
+        rows buffer: valid until the buffer is next written."""
+        p2, b, c = self.curve
+        np.multiply(b, 1.0 + math.cos(theta), out=self.out)
+        np.add(self.out, p2, out=self.out)
+        np.multiply(c, math.sin(theta), out=self.tmp)
+        np.add(self.out, self.tmp, out=self.out)
+        np.maximum(self.out, 0.0, out=self.out)
+        return np.minimum(self.out, 1.0, out=self.out)
+
+    def score(self, theta: float) -> FitnessScore:
+        """:func:`fitness` of the edit at angle ``theta``, from :meth:`rows`."""
+        return _scores(self.rows(theta), self.ts, self.cfg, self.scratch)[0]
 
 
 def _scratch(blocks: int, shape: tuple[int, int], diff: np.ndarray | None = None) -> tuple[np.ndarray, ...]:

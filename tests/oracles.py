@@ -642,10 +642,13 @@ def looped_guided_search(run) -> None:
     """``_Run.guided_search`` as it stood before it skipped iterations and
     stacked its runs of fixed patches: every iteration runs, each one whose
     end mark the spend has passed prunes the queue and tries nothing, and
-    every patch is tried alone (:func:`looped_try`)."""
+    every patch is tried alone (:func:`looped_try`). The run keeps the
+    sweep's scores, as the guided search does, for the zero-angle probes
+    that recall them (``_Run.recalled``)."""
     import qrep.engine as engine
 
-    loc = engine.localize(run.c_init, run.baseline, run.scored(engine.removals(run.c_init)))
+    swept = enumerate(run.scored(engine.removals(run.c_init)))
+    loc = engine.localize(run.c_init, run.baseline, (run.removed.setdefault(p, score) for p, score in swept))
     run.table = loc.table
     for gid, value in loc.removal_fitness.items():
         run.record("delete", gid.position, gid.gate, gid.qubits, (), value)
@@ -679,6 +682,27 @@ def looped_random_search(run) -> None:
     rng = np.random.default_rng([run.cfg.seed & (2**63 - 1), 17])
     for idx in rng.permutation(len(pool)):
         looped_try(run, pool[int(idx)], rng)
+
+
+def curve_fitness(c, patch, theta: float, ts, cfg):
+    """The score ``testkit.AngleCurve`` gives the one-angle ``patch`` of ``c``
+    at angle ``theta``, from three fresh simulations of the patched circuits
+    at π/3, π and 5π/3 (no prefix cache, no suite buffers), and the
+    reconstruction written out term by term in the curve's order of
+    operations, so the score agrees to the bit."""
+    from qrep.engine import apply_patch
+    from qrep.simulator import PrefixCache
+    from qrep.testkit import _observed, _scores
+
+    def rows(angle):
+        e = apply_patch(c, patch, (angle,))
+        return _observed(e, ts, PrefixCache(e, ts.inputs, keep=False)).copy()
+
+    p1, p2, p3 = rows(math.pi / 3), rows(math.pi), rows(5 * math.pi / 3)
+    b = ((p1 + p3) - p2 * 2.0) / 3.0
+    s = (p1 - p3) / math.sqrt(3.0)
+    r = np.minimum(np.maximum((b * (1.0 + math.cos(theta)) + p2) + s * math.sin(theta), 0.0), 1.0)
+    return _scores(r, ts, cfg)[0]
 
 
 # ------------------------------------------ removal sweep, one by one

@@ -247,39 +247,61 @@ def test_criterion_9_budget_exactness(monkeypatch):
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
     ts = generate_suite(bell)
 
-    real, recalled = testkit_mod._observed, _Run.recalled
-    calls = {"n": 0}
+    real, recalled, traced, build = testkit_mod._observed, _Run.recalled, _Run.traced, testkit_mod.AngleCurve.__init__
+    calls = {"n": 0, "curves": 0, "curve_blocks": 0, "building": False}
 
     def probe(c, suite, prefixes, edits=None, out=None):
         # the removal sweep and a run of fixed patches stack their circuits,
-        # one block per edit, in one call
-        calls["last_blocks"] = 1 if edits is None else len(edits)
-        calls["n"] += calls["last_blocks"]
+        # one block per edit, in one call; a one-angle trial's curve is
+        # simulated, not charged
+        blocks = 1 if edits is None else len(edits)
+        if calls["building"]:
+            calls["curve_blocks"] += blocks
+        else:
+            calls["last_blocks"] = blocks
+            calls["n"] += blocks
         assert sorted(suite.inputs) == list(range(2**bell.num_qubits))
         return real(c, suite, prefixes, edits, out)
 
-    def remembered(self, edit):
-        # a zero-angle probe the run holds the score of is charged, not simulated
-        score = recalled(self, edit)
-        calls["n"] += score is not None
-        return score
+    def built(self, *args):
+        calls["curves"] += 1
+        calls["building"] = True
+        try:
+            build(self, *args)
+        finally:
+            calls["building"] = False
+
+    def answered(method):
+        # a zero-angle probe the run holds the score of, or a probe the
+        # trial's curve fails, is charged, not simulated
+        def counted(self, edit):
+            score = method(self, edit)
+            calls["n"] += score is not None
+            return score
+
+        return counted
 
     monkeypatch.setattr(testkit_mod, "_observed", probe)
-    monkeypatch.setattr(_Run, "recalled", remembered)
+    monkeypatch.setattr(testkit_mod.AngleCurve, "__init__", built)
+    monkeypatch.setattr(_Run, "recalled", answered(recalled))
+    monkeypatch.setattr(_Run, "traced", answered(traced))
     for n in (1, 2, 3, 7, 25, 60):
         calls["n"] = 0
         rep = repair(broken, ts, RepairConfig(budget_evals=n, iterations=4))
         assert rep.evals_used <= n
         # each counted evaluation is one circuit simulated on all 2^q inputs,
-        # or one zero-angle probe answered from a score the run holds;
+        # or one probe answered from a score the run holds or from a curve;
         # a repair inside a stacked chunk leaves that chunk's later circuits
         # simulated but not charged
         if rep.status == STATUS_NOT_FIXED:
             assert calls["n"] == rep.evals_used
         else:
             assert rep.evals_used <= calls["n"] <= rep.evals_used + calls["last_blocks"] - 1
+        # three uncharged circuits per curve, counted over the budgets so far
+        assert calls["curve_blocks"] == 3 * calls["curves"]
         if rep.status == STATUS_NOT_FIXED and not rep.partial_localisation:
             assert rep.evals_used == n  # exhausted budgets are spent exactly
+    assert calls["curves"] > 0  # some budget reaches a one-angle trial past its recalled probe
 
 
 # 10 -----------------------------------------------------------------------

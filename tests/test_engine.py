@@ -13,6 +13,7 @@ import pytest
 from conftest import CORPUS, random_circuit, random_suite
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from oracles import (
+    curve_fitness,
     eager_order_uniform,
     looped_evaluate,
     looped_guided_search,
@@ -236,12 +237,14 @@ def _script_trials(monkeypatch, scores):
     """Make the engine's evaluations, the removal sweep's included, return
     ``scores`` in order; count the calls of ``_Run.scored`` and log the
     edits they draw (see :func:`_spy_scored`).
-    Scripted scores need not keep the rule the run's memory of scores
-    rests on (a zero-angle add scores as the baseline), so no probe is
-    recalled: each takes the next scripted score."""
+    Scripted scores need not keep the rules the run's memory of scores
+    and a one-angle trial's curve rest on (a zero-angle add scores as the
+    baseline; rows are trigonometric in the angle), so no probe is
+    recalled or answered by a curve: each takes the next scripted score."""
     scripted = iter(scores)
     monkeypatch.setattr(qrep.engine, "fitness", lambda *args: next(scripted))
     monkeypatch.setattr(_Run, "recalled", lambda self, edit: None)
+    monkeypatch.setattr(_Run, "traced", lambda self, edit: None)
     monkeypatch.setattr(qrep.engine, "edit_fitness", lambda c, ts, edits, *args: (next(scripted) for _ in edits))
     return _spy_scored(monkeypatch)
 
@@ -398,11 +401,12 @@ def test_seconds_budget_mode_smoke(bell, bell_suite):
     assert rep.wall_seconds < 30.0
 
 
-def _ticking_simulations(mp) -> list[int]:
+def _ticking_simulations(mp, curves: list | None = None) -> list[int]:
     """A clock that stands still but for one second per simulation, read
-    as ``time.monotonic``, and the circuits each simulation stacks."""
+    as ``time.monotonic``, and the circuits each simulation stacks (see
+    :func:`_simulated_blocks`; a curve's simulations go to ``curves``)."""
     clock = [0.0]
-    blocks = _simulated_blocks(mp)
+    blocks = _simulated_blocks(mp, curves)
     counted = testkit._observed
 
     def ticking(c, ts, prefixes, edits=None, out=None):
@@ -443,25 +447,35 @@ def test_seconds_budget_checks_each_edit_before_its_chunk_and_charges_every_chun
     assert len(run.candidates) == 2
 
 
-@pytest.mark.parametrize("seconds, evals, simulated, end", [(6.5, 15, 14, 7.0), (9.5, 18, 17, 10.0), (12.5, 21, 20, 13.0)])
-def test_seconds_budget_starts_no_angle_probe_after_its_deadline(seconds, evals, simulated, end):
+@pytest.mark.parametrize(
+    "seconds, evals, traced, trials, end", [(6.5, 77, 63, 5, 7.0), (9.5, 125, 108, 8, 10.0), (12.5, 175, 155, 11, 13.0)]
+)
+def test_seconds_budget_starts_no_angle_probe_after_its_deadline(seconds, evals, traced, trials, end):
     """Under a seconds budget an angle probe, a stream of one edit, is
     checked before it is drawn: on a clock that ticks once per simulation,
-    the baseline, the sweep's one chunk, a zero-angle probe answered from
-    the baseline and the ry probes simulated one at a time end with the
-    last probe that started before the deadline, charged in full."""
+    the baseline, the sweep's one chunk, and then ry trials, each a
+    zero-angle probe answered from the baseline, a curve (three angles in
+    one chunk, built for the second probe and not charged) and the probes
+    the curve answers, end with the last probe that started before the
+    deadline, charged in full: the one whose curve crossed it."""
     ref = build_benchmark("wstate", 3)
     broken = remove_gate(ref, 2)
     with pytest.MonkeyPatch.context() as mp:
-        blocks = _ticking_simulations(mp)
-        recalled, remembered = [], _Run.recalled
-        mp.setattr(_Run, "recalled", lambda self, edit: recalled.append(score := remembered(self, edit)) or score)
+        built = []
+        blocks = _ticking_simulations(mp, built)
+        answered = {"recalled": [], "traced": []}
+        for name, log in answered.items():
+            mp.setattr(_Run, name, lambda self, edit, real=getattr(_Run, name), log=log: log.append(score := real(self, edit)) or score)
         run = _Run(broken, generate_suite(ref), RepairConfig(budget_seconds=seconds, patch_catalog=("ry",)), None)
         run.budget.started = 0.0
         rep = run.drive(run.guided_search)
         assert time.monotonic() == end
-    held = sum(score is not None for score in recalled)
-    assert (rep.status, rep.evals_used, sum(blocks) - held, held) == (STATUS_NOT_FIXED, evals, simulated, 1)
+    held, answers = (sum(score is not None for score in log) for log in answered.values())
+    # the simulated circuits are the baseline and the sweep's 8 removals
+    assert (rep.status, rep.evals_used, sum(blocks) - held - answers, held, answers) == (
+        STATUS_NOT_FIXED, evals, 9, trials, traced
+    )
+    assert [sum(b) for b in built] == [3] * trials
 
 
 @pytest.mark.parametrize("search", [repair, random_search])
@@ -706,11 +720,15 @@ def test_stacked_edits_match_each_edited_circuit_alone(seed, q, suite_kind, samp
 def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind, sampled, checkpoints):
     """Every angle probe ``try_patch`` draws through ``_Run.scored``, a stream
     of one edit, scores to the bit as a fresh ``fitness`` of
-    ``apply_patch``'s circuit with no prefix cache: random circuits of
+    ``apply_patch``'s circuit with no prefix cache, or, when its trial's
+    curve answers it (``_Run.traced``), as the curve rebuilt from three
+    such circuits (``oracles.curve_fitness``): random circuits of
     1-6 qubits, every parametric kind, an add at every position (the
     append included) and a replace of every gate, angles from COBYLA and
     from random draws, prefix caches that keep every state or only
-    checkpoints, full, Z-only and sparse suites, and both oracles."""
+    checkpoints, full, Z-only and sparse suites, and both oracles. Only
+    ``rx``, ``ry``, ``rz``, ``p`` and ``cp`` probes are answered by a curve,
+    and only failing ones."""
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, q, int(rng.integers(0, 9 if q < 5 else 6)))
     ts = random_suite(c, suite_kind, rng)
@@ -723,11 +741,12 @@ def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind,
         for k in kinds
     ]
     cfg = cfg_evals(10**6, oracle=oracle, opt=OptBudget(max_evals=3))
-    log = []
+    log, traced = [], []
     with pytest.MonkeyPatch.context() as mp:
         if checkpoints:
             mp.setattr(simulator, "PREFIX_CACHE_BYTES", 2 * ts.prefixes(c).state_bytes)
-        real = _Run.scored
+        real, answer = _Run.scored, _Run.traced
+        mp.setattr(_Run, "traced", lambda self, edit: traced.append(score := answer(self, edit)) or score)
 
         def logged(self, edits):
             (edit,) = edits  # a probe is drawn alone
@@ -747,31 +766,53 @@ def test_angle_probes_score_as_their_patched_circuits_alone(seed, q, suite_kind,
             for (pos, g, replaces), score in log[start:]:
                 assert (pos, replaces) == (patch.position, patch.kind == "replace")
                 assert (g.kind, g.qubits) == (patch.gate, patch.qubits)
-                assert _hex([score]) == _hex([fitness(apply_patch(c, patch, g.params), ts, oracle)]), (patch, g.params)
+                if any(score is held for held in traced):
+                    assert g.kind in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.P, GateKind.CP)
+                    assert not score.all_passed()
+                    want = curve_fitness(c, patch, g.params[0], ts, oracle)
+                else:
+                    want = fitness(apply_patch(c, patch, g.params), ts, oracle)
+                assert _hex([score]) == _hex([want]), (patch, g.params)
     if checkpoints and len(c.gates) > 2:
         assert run.prefixes.stride > 1
 
 
-def _simulated_blocks(mp) -> list[int]:
+def _simulated_blocks(mp, curves: list | None = None) -> list[int]:
     """The number of circuits each simulation from now on stacks (a lone
-    edit is one), and a 1 for each angle probe a run answers from the
-    scores it holds (``_Run.recalled``), which is charged but not
-    simulated: the list sums to the evaluations scored."""
-    blocks = []
-    real, recalled = testkit._observed, _Run.recalled
+    edit is one), and a 1 for each angle probe a run answers without a
+    simulation of its own, from the scores it holds (``_Run.recalled``) or
+    from its trial's curve (``_Run.traced``), which is charged but not
+    simulated: the list sums to the evaluations scored. The simulations a
+    curve is built from, which are not charged, go to ``curves`` instead:
+    one list of the circuits each stacks per curve built."""
+    blocks, building, curves = [], [], [] if curves is None else curves
+    real, build = testkit._observed, testkit.AngleCurve.__init__
 
     def counted(c, ts, prefixes, edits=None, out=None):
-        blocks.append(1 if edits is None else len(edits))
+        (curves[-1] if building else blocks).append(1 if edits is None else len(edits))
         return real(c, ts, prefixes, edits, out)
 
-    def remembered(self, edit):
-        score = recalled(self, edit)
-        if score is not None:
-            blocks.append(1)
-        return score
+    def built(self, *args):
+        curves.append([])
+        building.append(None)
+        try:
+            build(self, *args)
+        finally:
+            building.pop()
+
+    def answered(method):
+        def counted_answer(self, edit):
+            score = method(self, edit)
+            if score is not None:
+                blocks.append(1)
+            return score
+
+        return counted_answer
 
     mp.setattr(testkit, "_observed", counted)
-    mp.setattr(_Run, "recalled", remembered)
+    mp.setattr(testkit.AngleCurve, "__init__", built)
+    mp.setattr(_Run, "recalled", answered(_Run.recalled))
+    mp.setattr(_Run, "traced", answered(_Run.traced))
     return blocks
 
 
@@ -785,7 +826,8 @@ def _searched(c, ts, cfg, search, chunk):
     followed by more fixed patches with no prune between (an angle probe,
     one edit that has angles, is not a run)."""
     with pytest.MonkeyPatch.context() as mp:
-        blocks = _simulated_blocks(mp)
+        curves = []
+        blocks = _simulated_blocks(mp, curves)
         run, trail = _Run(c, ts, cfg, None), []
         prune, simulate = qrep.engine.prune_to_gates, testkit._observed
 
@@ -804,7 +846,7 @@ def _searched(c, ts, cfg, search, chunk):
     rep.pop("wall_seconds")
     prunes = [v for v in dict.fromkeys(v for k, v in trail if k == "prune") if v < cfg.budget_evals]
     split = sum(a[0] == b[0] == "sim" and 0 < a[1] < chunk and b[1] > 0 for a, b in zip(trail, trail[1:]))
-    return rep, run.candidates, blocks, prunes, split
+    return rep, run.candidates, blocks, prunes, split, curves
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -824,7 +866,9 @@ def test_stacked_runs_match_one_patch_at_a_time(seed, q, chunk, budget, iteratio
     budgets that cut runs, and they prune their queues at the same spends.
     A run of fixed patches is simulated in whole chunks but for its last,
     no simulation stacks more than a chunk, none goes past the budget, and
-    only a repair leaves blocks uncharged: the ones after it in its chunk."""
+    only a repair leaves blocks uncharged: the ones after it in its chunk.
+    The curve of a one-angle trial is counted apart: three uncharged
+    circuits, simulated a chunk at a time."""
     rng = np.random.default_rng(seed)
     ref = random_circuit(rng, q, int(rng.integers(1, 6)))
     c = ref
@@ -838,10 +882,12 @@ def test_stacked_runs_match_one_patch_at_a_time(seed, q, chunk, budget, iteratio
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "SWEEP_CHUNK_BYTES", chunk * ts.prefixes(c).state_bytes)
         for search, looped in (("guided_search", looped_guided_search), ("random_search", looped_random_search)):
-            got, got_rows, blocks, got_prunes, split = _searched(c, ts, cfg, search, chunk)
-            want, want_rows, _, want_prunes, _ = _searched(c, ts, cfg, looped, chunk)
+            got, got_rows, blocks, got_prunes, split, curves = _searched(c, ts, cfg, search, chunk)
+            want, want_rows, _, want_prunes, _, _ = _searched(c, ts, cfg, looped, chunk)
             assert (got, got_rows, got_prunes, split) == (want, want_rows, want_prunes, 0), search
             assert all(1 <= n <= chunk for n in blocks) and sum(blocks) <= budget
+            # each curve is three uncharged circuits, simulated a chunk at a time
+            assert all(sum(built) == 3 and all(1 <= n <= chunk for n in built) for built in curves)
             if got["status"] == STATUS_NOT_FIXED:
                 assert sum(blocks) == got["evals_used"]
             else:
@@ -901,6 +947,60 @@ def test_a_run_ends_at_the_first_whole_evaluation_past_a_fractional_mark(bell, b
     assert events == [1, 2, 3, "prune", 2, "prune", 3, "prune", 2]
 
 
+def test_a_probe_the_curve_passes_is_simulated_and_a_failing_simulation_goes_on(bell, bell_suite, monkeypatch):
+    """A curve that passes every probe never declares a repair: each probe
+    past the recalled one is simulated, charged once and scored as
+    simulated, so the rx trials of a bell whose h became an x go on to
+    the end of the budget, and each records its best simulated probe."""
+    broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
+    monkeypatch.setattr(testkit.AngleCurve, "score", lambda self, theta: FitnessScore(0, 0.0))
+    curves = []
+    blocks = _simulated_blocks(monkeypatch, curves)
+    rep = repair(broken, bell_suite, cfg_evals(43, iterations=1, patch_catalog=("rx",)))
+    assert rep.status == STATUS_NOT_FIXED and rep.evals_used == 43
+    assert sum(blocks) == 43 and curves and all(sum(built) == 3 for built in curves)
+    trials = [r for r in rep.best_patches if r["kind"] != "delete"]
+    assert trials
+    for row in trials:
+        patch = Patch(row["kind"], row["position"], GateKind.RX, tuple(row["qubits"]))
+        assert row["fitness"] == fitness(apply_patch(broken, patch, tuple(row["params"])), bell_suite).value > 0.0
+
+
+def test_a_pass_the_curve_finds_is_confirmed_by_simulation():
+    """A curve's pass is simulated before it is believed: the ry add that
+    puts back a removed ry(π/2) passes on the curve at its second probe,
+    and the repair is declared from that probe's simulation, charged once;
+    the report names the repaired circuit."""
+    ref = build_circuit(2, [("ry", 0, (math.pi / 2,)), ("cx", (0, 1))])
+    broken = remove_gate(ref, 0)
+    ts = generate_suite(ref)
+    curve_scores, simulated_probes = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        score, observed = testkit.AngleCurve.score, testkit._observed
+
+        def curve_score(self, theta):
+            curve_scores.append(got := score(self, theta))
+            return got
+
+        def spy(c, ts, prefixes, edits=None, out=None):
+            if edits is not None and len(edits) == 1 and edits[0][1] is not None:
+                simulated_probes.append(edits[0])
+            return observed(c, ts, prefixes, edits, out)
+
+        mp.setattr(testkit.AngleCurve, "score", curve_score)
+        mp.setattr(testkit, "_observed", spy)
+        rep = repair(broken, ts, cfg_evals(100, iterations=1, patch_catalog=("ry",)))
+    # the baseline, the removal of the cx, the recalled zero-angle probe and the confirmed pass
+    assert rep.status == STATUS_REPAIRED and rep.evals_used == 4
+    assert [s.all_passed() for s in curve_scores] == [True]
+    (edit,) = simulated_probes
+    patch = Patch("add", 0, GateKind.RY, (0,))
+    assert edit == patch.edit(edit[1].params)
+    assert rep.repaired_qasm == emit_qasm(apply_patch(broken, patch, edit[1].params))
+    assert fitness(parse_qasm(rep.repaired_qasm), ts).all_passed()
+    assert rep.best_patches[0]["params"] == list(edit[1].params) and rep.best_patches[0]["fitness"] == 0.0
+
+
 def _benchmark_mutants():
     """The 27 mutants of perfbench's ``corpus`` and ``wide`` workloads, each
     with its reference's suite."""
@@ -937,7 +1037,8 @@ def test_a_recalled_probe_gives_the_report_of_a_simulated_one():
     """A guided repair of each of the 27 benchmark mutants at perfbench's
     ``corpus`` budget gives the same report, less its wall time, whether
     the zero-angle probes the run holds the score of are recalled or
-    simulated; and some are recalled."""
+    simulated; and some are recalled. No probe is answered by a curve in
+    either run, so that the one left unrecalled is simulated."""
     recalled = []
     real = _Run.recalled
 
@@ -949,6 +1050,7 @@ def test_a_recalled_probe_gives_the_report_of_a_simulated_one():
     cfg = cfg_evals(55)
     for name, c, ts in _benchmark_mutants():
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Run, "traced", lambda self, edit: None)
             mp.setattr(_Run, "recalled", counted)
             got = repair(c, ts, cfg).to_dict()
             mp.setattr(_Run, "recalled", lambda self, edit: None)
