@@ -10,7 +10,9 @@ its facts hold the ``tracemalloc`` peak of one qft10 ``run_all_bases`` over
 all 1,024 inputs, and the minor page faults per call of qft8, fresh as
 timed and resumed from a prefix cache built once), the measurement alone: ``run_all_bases`` of qft4 and
 qft6 over all inputs, resumed from a prefix cache that holds the whole
-circuit, in the three bases and (qft4) in Z only,
+circuit (its states written by a call made when the layer is built, as
+the first simulation of a cache writes them), in the three bases and
+(qft4) in Z only,
 one ``fitness`` call of a reference on its own suite (ghz3, qft4, grover3,
 wstate4, dj6), one localisation sweep of a grover3 add mutant (40 gates,
 8 inputs; it stops at the added gate), a qft4 replace mutant and a dj6
@@ -20,7 +22,13 @@ cache within the timed call, the dj6 mutant's removals drawn as a repair
 run draws them (``sweep_run_dj6``: ``_Run.scored`` of a run built once,
 with its prefix cache), the first 13 fixed patches of the dj4 replace
 mutant's patch queue drawn the same way (``run_fixed_dj4``: one stacked
-chunk of 13 edits), and the
+chunk of 13 edits), a repair's start for the grover3 add and qft4 replace
+mutants (``start_grover3_add``, ``start_qft4_replace``: ``_Run`` built,
+with its suspiciousness table and an empty prefix cache, the baseline
+drawn and the removal sweep ranked as ``_Run.guided_search`` draws them,
+the baseline as the first score of the sweep's stream, whose first
+simulation writes the prefix states; on a checkout from before that, the
+baseline is scored alone first, as its ``_Run.drive`` scored it), and the
 guided search's patch queue of dj6 and grover3 (build it, pop 20 patches,
 prune once to three quarters of the gates, as the first of four
 iterations does), the single-gate edits of grover3 and dj6 (a removal
@@ -109,6 +117,7 @@ TABLE_CIRCUITS = (("qft", 4, True), ("dj", 6, True), ("qft", 6, False))  # (fami
 # (family, size, injection seed, group): states of 1, 4 and 64 KiB
 SWEEP_MUTANTS = (("grover", 3, 3, "add"), ("qft", 4, 5, "replace"), ("dj", 6, 1, "replace"))
 RUN_SWEEP = SWEEP_MUTANTS[-1]  # its removals drawn through a repair run
+START_MUTANTS = SWEEP_MUTANTS[:2]  # a repair's start: run, baseline and sweep
 # (family, size, injection seed, group, patches): its first fixed patches drawn through a repair run
 RUN_FIXED = ("dj", 4, 1, "replace", 13)
 FAULT_CALLS = 20
@@ -165,6 +174,7 @@ def layers() -> dict:
     qft8, qft10 = build_benchmark("qft", 8), build_benchmark("qft", 10)
     fresh = partial(simulator.run_all_bases, qft8, range(2**8))
     resumed = partial(simulator.run_all_bases, qft8, range(2**8), prefixes=simulator.PrefixCache(qft8, range(2**8)))
+    resumed()  # writes the cache's states
     out["run_all_bases_qft8"] = (
         fresh,
         {
@@ -178,8 +188,9 @@ def layers() -> dict:
     for fam, n, bases, suffix in MEASURE_CIRCUITS:
         ref, inputs = build_benchmark(fam, n), range(2**n)
         cache = simulator.PrefixCache(ref, inputs)
-        facts = {"gates": len(ref.gates), "stride": cache.stride, "bases": [b.value for b in bases]}
         measure_only = partial(simulator.run_all_bases, ref, inputs, bases=bases, prefixes=cache)
+        measure_only()  # writes the cache's states, so that each timed call resumes after the last gate
+        facts = {"gates": len(ref.gates), "stride": cache.stride, "states": len(cache.states), "bases": [b.value for b in bases]}
         out[f"measure_{fam}{n}{suffix}"] = (measure_only, facts)
     for fam, n in FITNESS_CIRCUITS:
         ref = build_benchmark(fam, n)
@@ -220,6 +231,20 @@ def layers() -> dict:
     values = chunk()
     facts = {"edits": len(values), "values_sha256": hashlib.sha256(repr(values).encode()).hexdigest()}
     out[f"run_fixed_{fam}{n}"] = (chunk, facts)
+    for fam, n, seed, group in START_MUTANTS:
+        ref = build_benchmark(fam, n)
+        ts = generate_suite(ref)
+        mutant = inject_faults(ref, seed=seed, per_group=1, groups=(group,), suite=ts)[0].mutant
+        start = partial(repair_start, mutant, ts)
+        loc = start()
+        ranking = json.dumps(loc.table.records()).encode()
+        facts = {
+            "gates": len(mutant.gates),
+            "evals": 1 + len(loc.removal_fitness),
+            "repaired_by_removing": None if loc.repaired_by_removing is None else str(loc.repaired_by_removing),
+            "ranking_sha256": hashlib.sha256(ranking).hexdigest(),
+        }
+        out[f"start_{fam}{n}_{group}"] = (start, facts)
     for fam, n in QUEUE_CIRCUITS:
         ref = build_benchmark(fam, n)
         facts = {"gates": len(ref.gates), "left": len(patch_queue(ref))}
@@ -332,6 +357,20 @@ def run_sweep(run) -> list[float]:
     """The fitness values of ``run``'s removal sweep, each edit drawn and
     charged through ``_Run.scored`` as the guided search draws them."""
     return [score.value for score in run.scored(removals(run.c_init))]
+
+
+def repair_start(mutant: Circuit, ts):
+    """A repair run's start, as ``_Run.guided_search`` begins: the run
+    built (its suspiciousness table and prefix cache), the baseline drawn
+    and the removal sweep ranked by ``localize``; its result."""
+    run = _Run(mutant, ts, RepairConfig(budget_evals=sys.maxsize), None)
+    if not hasattr(run, "started"):  # a checkout whose baseline is scored before the sweep
+        run.budget.charge()
+        run.baseline = fitness(mutant, ts, run.cfg.oracle, run.prefixes)
+        return localize(mutant, run.baseline, run.scored(removals(mutant)))
+    swept = run.started(removals(mutant))
+    run.baseline = next(swept)
+    return localize(mutant, run.baseline, swept, run.table)
 
 
 def run_edits(run, edits) -> list[float]:

@@ -14,6 +14,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +29,7 @@ from .localizer import GateId, localize, removals
 from .optimizer import TOL_FLOOR, OptBudget
 from .patcher import DEFAULT_MUTATION_CATALOG, DEFAULT_PATCH_CATALOG, catalog_kinds, inject_faults
 from .qasm import emit_qasm, parse_qasm
-from .testkit import OracleConfig, edit_fitness, fitness, generate_suite, suite_from_expected
+from .testkit import OracleConfig, edit_fitness, generate_suite, suite_from_expected
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -229,10 +230,11 @@ def _cmd_localize(args) -> int:
     c = _load_circuit(args.circuit)
     ts = _load_suite(args)
     oracle = _oracle_from_args(args)
-    prefixes = ts.prefixes(c)
-    baseline = fitness(c, ts, oracle, prefixes)
     start = time.monotonic()
-    result = localize(c, baseline, edit_fitness(c, ts, removals(c), oracle, prefixes))
+    # the baseline is the first score, simulated with the first removals
+    scores = edit_fitness(c, ts, chain((None,), removals(c)), oracle)
+    baseline = next(scores)
+    result = localize(c, baseline, scores)
     wall_seconds = time.monotonic() - start
     repaired_qasm = emit_qasm(result.repaired) if result.repaired is not None else None
     removed = result.repaired_by_removing

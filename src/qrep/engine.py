@@ -20,7 +20,11 @@ the sweep, a fixed patch of a run (those taken between two parametric
 patches) or an angle probe. One generator (:meth:`_Run.scored`) gates,
 charges and scores them all, sweeps and runs as streams of stacked chunks
 and a probe as a stream of one edit: each chunk is checked against the
-budget before it is drawn, and each score charged as it is drawn. A probe
+budget before it is drawn, and each score charged as it is drawn. The
+baseline, the faulty circuit's own score, is the first score of the
+guided search's sweep (:meth:`_Run.started`): its simulation stacks the
+first removals behind the circuit, and writes the prefix states they
+enter from. A probe
 at all-zero angles is charged but not simulated when the run holds its
 score (:meth:`_Run.recalled`): every parametric kind is then the identity,
 so an add scores as the baseline and a replace as the sweep's removal of
@@ -69,7 +73,8 @@ from .patcher import (
     prune_to_gates,
 )
 from .qasm import emit_qasm
-from .testkit import AngleCurve, FitnessScore, OracleConfig, TestSuite, edit_fitness, fitness, require_failing
+from .testkit import AngleCurve, FitnessScore, OracleConfig, TestSuite, edit_fitness, require_failing
+from .testkit import fitness  # noqa: F401  unused; perfbench/tracer.py binds qrep.engine.fitness by name
 
 STATUS_REPAIRED = "Repaired"
 STATUS_NOT_FIXED = "NotFixed"
@@ -191,7 +196,8 @@ class _Run:
         self.table = SuspiciousnessTable.for_circuit(c_init)
         if fault_gate is not None and fault_gate not in self.table.scores:
             raise UnknownGateError(f"fault gate {fault_gate} names no gate of the circuit")
-        # every candidate is c_init or a single-gate edit of it
+        # every candidate is c_init or a single-gate edit of it; the first
+        # simulation writes the prefix states
         self.prefixes = ts.prefixes(c_init)
         self.candidates: list[dict] = []  # one report row per trial or removal
         self.baseline: FitnessScore | None = None
@@ -221,6 +227,27 @@ class _Run:
             for score in [held] if held else edit_fitness(self.c_init, self.ts, chunk, self.cfg.oracle, self.prefixes):
                 b.charge()
                 yield score
+
+    def started(self, edits: Iterable[tuple[int, GateApp | None, bool]] = ()) -> Iterator[FitnessScore]:
+        """The baseline, the score of ``c_init`` itself, then the scores of
+        ``edits`` as :meth:`scored` gives them. The baseline is charged
+        unchecked (a seconds budget spent by then ends the search, not the
+        run) and simulated in one chunk with as many of the first edits as
+        the budget then lets a chunk hold: none once it is spent, and no
+        more than a count budget has evaluations left. Those edits are
+        checked after the baseline is drawn; when the check fails, their
+        rows are dropped uncharged."""
+        b, edits = self.budget, iter(edits)
+        b.charge()
+        left = 0 if b.spent >= b.limit else math.inf if b.max_evals is None else b.max_evals - b.evals_used
+        first = [None, *islice(edits, min(self.prefixes.chunk - 1, left))]
+        scores = edit_fitness(self.c_init, self.ts, first, self.cfg.oracle, self.prefixes)
+        yield next(scores)
+        b.precheck()
+        for score in scores:
+            b.charge()
+            yield score
+        yield from self.scored(edits)
 
     def recalled(self, edit: tuple[int, GateApp | None, bool]) -> FitnessScore | None:
         """The score the run already holds for the parametric ``edit`` when
@@ -382,12 +409,9 @@ class _Run:
     # -- searches ----------------------------------------------------------
 
     def drive(self, search: Callable[[], None]) -> RepairReport:
-        """Baseline, then ``search``; it ends the run by returning (not
-        fixed), by raising _FullPass, or by running out of budget."""
-        # unchecked: a seconds budget spent by now ends the search, not the run
-        self.budget.charge()
-        self.baseline = fitness(self.c_init, self.ts, self.cfg.oracle, self.prefixes)
-        require_failing(self.baseline)
+        """``search``, which draws the baseline first; it ends the run by
+        returning (not fixed), by raising _FullPass, or by running out of
+        budget."""
         try:
             search()
         except _FullPass as fp:
@@ -397,10 +421,12 @@ class _Run:
         return self.finalize(STATUS_NOT_FIXED, None)
 
     def guided_search(self) -> None:
+        swept = self.started(removals(self.c_init))
+        self.baseline = next(swept)
+        require_failing(self.baseline)
         # the sweep's scores, kept by position for the probes that recall them
-        swept = enumerate(self.scored(removals(self.c_init)))
-        loc = localize(self.c_init, self.baseline, (self.removed.setdefault(p, score) for p, score in swept))
-        self.table = loc.table
+        scores = (self.removed.setdefault(p, score) for p, score in enumerate(swept))
+        loc = localize(self.c_init, self.baseline, scores, self.table)
         for gid, value in loc.removal_fitness.items():
             self.record("delete", gid.position, gid.gate, gid.qubits, (), value)
         if loc.repaired is not None:
@@ -431,6 +457,8 @@ class _Run:
             self.consume(queue, end_mark(done + 1))
 
     def random_search(self) -> None:
+        self.baseline = next(self.started())
+        require_failing(self.baseline)
         pool = generate_patches(self.c_init, self.cfg.patch_catalog)
         rng = np.random.default_rng([self.cfg.seed & (2**63 - 1), 17])
         self.consume(deque(pool[i] for i in rng.permutation(len(pool)).tolist()), self.budget.limit, rng)

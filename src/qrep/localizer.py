@@ -94,23 +94,26 @@ def removals(c: Circuit) -> Iterator[tuple[int, None, bool]]:
     return ((p, None, True) for p in range(len(c.gates)))
 
 
-def localize(c_init: Circuit, baseline: FitnessScore, scores: Iterable[FitnessScore]) -> LocalizeResult:
+def localize(
+    c_init: Circuit, baseline: FitnessScore, scores: Iterable[FitnessScore], table: SuspiciousnessTable | None = None
+) -> LocalizeResult:
     """Gate-removal sweep over ``c_init`` (ascending position order).
 
     ``scores`` yields the fitness of ``c_init`` without each gate, in
     position order, under the oracle that scored ``baseline``. The sweep
     draws one score per gate and stops drawing at a passing removal; an
     iterator that raises :class:`BudgetExhaustedError` cuts it short, and
-    the partial table is returned, flagged.
+    the partial table is returned, flagged. The deltas accumulate in
+    ``table`` (a repair run's own), a table of ``c_init``'s gates, else in
+    a fresh one.
     """
     require_failing(baseline)
-    result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init))
+    result = LocalizeResult(table=SuspiciousnessTable.for_circuit(c_init) if table is None else table)
     try:
-        for pos, (g, score) in enumerate(zip(c_init.gates, scores)):
-            gid = gate_id(pos, g)
+        for gid, score in zip(result.table.scores, scores):
             result.removal_fitness[gid] = score.value
             if score.all_passed():
-                result.repaired = remove_gate(c_init, pos)
+                result.repaired = remove_gate(c_init, gid.position)
                 result.repaired_by_removing = gid
                 break
             result.table.add(gid, baseline.value - score.value)

@@ -17,8 +17,11 @@ after its last gate, and each single-gate edit at the edit, so it is
 simulated from the edit on. A run of edits (a removal sweep's, or a patch
 search's run of fixed patches) is stacked on the block axis as a
 staircase, each edit entering at its step, and a lone edit (an angle
-probe) is a staircase of one. Everything runs in a workspace that the
-caches of one shape share (:class:`_Workspace`): state tensors sized once
+probe) is a staircase of one. The first staircase to carry the cached
+circuit writes the cache's states: the circuit enters it at step 0, and
+its block is copied as it passes each kept step, so an edit stacked
+behind it enters from a state written moments before. Everything runs in
+a workspace that the caches of one shape share (:class:`_Workspace`): state tensors sized once
 for a chunk of edits, views and steps made on first use, so no one-qubit
 gate and no measurement allocates its result. A gate on more qubits is a
 phase on slices of the tensor or an exchange of two. Each measurement runs
@@ -316,12 +319,13 @@ class PrefixCache:
 
     The states after every prefix are kept when they fit in
     :data:`PREFIX_CACHE_BYTES`; otherwise only every ``stride``-th, and none
-    when a single state does not fit or ``keep`` is false. Each is a
-    layout-preserving copy of the running tensor, so going on from one
-    rounds exactly as simulating from the inputs does. The empty prefix is
-    the inputs themselves, built afresh on each use rather than stored.
-    The states are simulated in a workspace (:meth:`workspace`), as
-    everything else is.
+    when a single state does not fit or ``keep`` is false. They are written
+    by the first simulation that carries the circuit itself
+    (:meth:`_Workspace.run`), not here: each is a layout-preserving copy of
+    its block of the running tensor, so going on from one rounds exactly as
+    simulating from the inputs does. Until then (:attr:`pending`) the
+    circuit joins a simulation at step 0. The empty prefix is the inputs
+    themselves, built afresh on each use rather than stored.
 
     A state is a (2,) * n + (B,) tensor: column b holds the amplitudes of
     ``columns[b]``, qubit k on axis n-1-k, so its 2^n x B reshape has one
@@ -346,16 +350,14 @@ class PrefixCache:
         self.state_bytes = len(self.columns) * 2**n * np.dtype(complex).itemsize
         slots = PREFIX_CACHE_BYTES // self.state_bytes if keep else 0
         self.stride = max(1, -(-len(c.gates) // slots)) if slots else len(c.gates) + 1
+        self.last = len(c.gates) - len(c.gates) % self.stride  # the last step a state is kept after; 0: none
         self.states: dict[int, np.ndarray] = {}
         self.token = next(_tokens)  # names the cache to the workspace its steps are bound in
-        last = len(c.gates) - len(c.gates) % self.stride
-        if last:
-            ws, i = self.workspace(1), 0
-            blocks = ws.at(0, 1)
-            ws.load(self, 0, blocks.t[0])
-            for k in range(self.stride, last + 1, self.stride):
-                i = ws.gates(self, blocks, k - self.stride, k, i)
-                self.states[k] = blocks.t[i][0].copy()
+
+    @property
+    def pending(self) -> bool:
+        """Whether states are kept but not yet written (the last is written last)."""
+        return self.last > 0 and self.last not in self.states
 
     def workspace(self, blocks: int) -> _Workspace:
         """The workspace a simulation of ``blocks`` blocks runs in, claimed
@@ -380,16 +382,21 @@ class PrefixCache:
         if self.gates is not c.gates and self.gates != c.gates:
             raise ValueError("prefix cache was built for another circuit")
 
-    def joins_at(self, e: tuple[int, GateApp | None, bool]) -> int:
+    def joins_at(self, e: tuple[int, GateApp | None, bool] | None) -> int:
         """The step at which the cached circuit with the single-gate edit
         ``e`` = (position, gate, replaces) made joins the cached gates for
         good: ``gate`` put before gate ``position``, or in its place when
         ``replaces``; a gate of None with ``replaces`` removes gate
         ``position``. An add joins at step ``position``, a replace or
-        removal one step later. Raises ValueError for an edit the circuit
-        cannot take, and QubitIndexError for a gate on a qubit it lacks."""
-        position, gate, replaces = e
+        removal one step later. ``e`` of None is the cached circuit itself:
+        it joins at step 0 while the states are :attr:`pending`, so that
+        its simulation writes them, and after its last gate afterwards.
+        Raises ValueError for an edit the circuit cannot take, and
+        QubitIndexError for a gate on a qubit it lacks."""
         m = len(self.gates)
+        if e is None:
+            return 0 if self.pending else m
+        position, gate, replaces = e
         if not 0 <= position < m + (not replaces) or (gate is None and not replaces):
             raise ValueError(f"no edit ({position}, {gate}, {replaces}) of a circuit of {m} gates")
         if gate is not None:
@@ -555,6 +562,18 @@ class _Workspace:
             np.copyto(blocks.t[i], blocks.t[j])
         return i
 
+    def _carry(self, cache: PrefixCache, blocks: _Blocks, start: int, stop: int, i: int, writer: int | None) -> int:
+        """:meth:`gates` start..stop-1; with ``writer``, the block of
+        ``blocks`` that holds the cached circuit carried from step 0, a copy
+        of that block is kept in the cache as it passes each kept step."""
+        if writer is not None:
+            s = cache.stride
+            for k in range(start - start % s + s, min(stop, cache.last) + 1, s):
+                i = self.gates(cache, blocks, start, k, i)
+                cache.states[k] = blocks.t[i][writer].copy()
+                start = k
+        return self.gates(cache, blocks, start, stop, i)
+
     def run(self, cache: PrefixCache, joins: Sequence[tuple[int, int, GateApp | None]], bases, out: np.ndarray) -> None:
         """The rows of the circuits ``joins`` start, in each of ``bases``,
         measured into ``out``, indexed ``[join, input, basis, outcome]``.
@@ -563,17 +582,26 @@ class _Workspace:
         ``step`` on. Each enters the stack of blocks at its step (joins of
         one step in the order given), and every later cached gate is
         applied once to all the blocks that have entered; the blocks are
-        put back in the order given before they are measured."""
+        put back in the order given before they are measured. The cached
+        circuit carried from step 0, the join (0, 0, None), writes the
+        cache's states as it passes each kept step; a cache whose states
+        are :attr:`~PrefixCache.pending` without that join first carries
+        the circuit alone, measuring nothing."""
+        if cache.pending and (0, 0, None) not in joins:
+            self._carry(cache, self.at(0, 1), 0, len(cache.gates), self._enter(cache, 0, None, 0, None), 0)
         order = sorted(range(len(joins)), key=lambda j: joins[j][0]) if len(joins) > 1 else [0]
         b = i = step = 0
+        writer = None
         for j in order:
             at, position, gate = joins[j]
             if b and at > step:
-                i = self.gates(cache, self.at(0, b), step, at, i)
+                i = self._carry(cache, self.at(0, b), step, at, i, writer)
+            if gate is None and not at and writer is None:  # the cached circuit from step 0
+                writer = b
             i = self._enter(cache, position, gate, b, i if b else None)
             b, step = b + 1, at
         blocks = self.at(0, b)
-        i = self.gates(cache, blocks, step, len(cache.gates), i)
+        i = self._carry(cache, blocks, step, len(cache.gates), i, writer)
         if b > 1 and order != list(range(b)):
             np.take(blocks.t[i], np.argsort(order), axis=0, out=blocks.t[1 - i], mode="clip")
             i = 1 - i
@@ -656,17 +684,19 @@ def run_all_bases(
     """Born-rule probabilities of every input in each of ``bases``, distinct
     :class:`MeasBasis`, as an array indexed ``[basis, k, outcome]``: ``k``
     the position of the input in ``inputs``. Given ``edits``, a sequence of
-    single-gate edits of ``c`` (see :meth:`PrefixCache.joins_at`), the
-    array is indexed ``[i, basis, k, outcome]`` instead, for ``c`` with
-    ``edits[i]`` made, and ``prefixes`` must be built for ``c``.
+    single-gate edits of ``c`` (see :meth:`PrefixCache.joins_at`), each of
+    which may be None, ``c`` itself, the array is indexed ``[i, basis, k,
+    outcome]`` instead, for ``c`` with ``edits[i]`` made, and ``prefixes``
+    must be built for ``c``.
 
     This is the one simulation call: all inputs pass through the gates
     together as one (2,) * n + (B,) tensor (see :class:`PrefixCache`), in
     a workspace of ``prefixes`` (:meth:`PrefixCache.workspace`), which
     must be built for ``c`` and ``inputs`` (held to its integer rule); with
     none, one that keeps no prefix state is built. ``c`` enters the
-    staircase after its last gate, and each edit at its own step. A row
-    does not depend on the batch or the block it is computed in. The rows
+    staircase after its last gate (at step 0 while the cache's states are
+    pending, writing them), and each edit at its own step. A row does not
+    depend on the batch or the block it is computed in. The rows
     are measured (see :meth:`_Workspace._measure`; in one pass when the
     workspace has room to stack X and Y, see :func:`_most`, else one basis
     a pass) into a buffer laid out ``[i, k, basis, outcome]``, the order a
@@ -686,8 +716,10 @@ def run_all_bases(
         prefixes = PrefixCache(c, inputs, keep=False)
     else:
         prefixes.check(c, inputs)
-    m = len(c.gates)
-    joins = [(m, m, None)] if edits is None else [(prefixes.joins_at(e), e[0], e[1]) for e in edits]
+    joins = []
+    for e in [None] if edits is None else edits:
+        at = prefixes.joins_at(e)
+        joins.append((at, at, None) if e is None else (at, e[0], e[1]))
     if not joins:
         raise ValueError("no edit to simulate")
     b = len(joins)

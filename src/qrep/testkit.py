@@ -120,7 +120,8 @@ class TestSuite:
 
     def prefixes(self, c: Circuit) -> PrefixCache:
         """Prefix states of ``c`` over the suite's inputs, for evaluating
-        ``c`` and its single-gate edits (:func:`edit_fitness`)."""
+        ``c`` and its single-gate edits (:func:`edit_fitness`), written by
+        the first simulation that uses them."""
         _require_width(c, self)
         return PrefixCache(c, self.inputs)
 
@@ -338,8 +339,8 @@ def edit_fitness(
     prefixes: PrefixCache | None = None,
 ) -> Iterator[FitnessScore]:
     """:func:`fitness` of ``c`` with each of ``edits`` made alone (single-gate
-    edits; see :func:`run_all_bases`), in order. Each score equals the one
-    its circuit gets alone.
+    edits; see :func:`run_all_bases`), in order; an edit of None is ``c``
+    itself. Each score equals the one its circuit gets alone.
 
     The edits are drawn a chunk at a time (:attr:`PrefixCache.chunk` of
     them), and each chunk is one simulation (:func:`_observed`): a caller
@@ -364,11 +365,11 @@ def _observed(
 ) -> np.ndarray:
     """The rows the suite's cases observe, in suite order: of ``c`` (no
     ``edits``) or, one block of ``len(ts)`` rows each, of ``c`` with each of
-    ``edits`` made alone, ``prefixes`` being built for ``c``. This is the
-    one place a suite's circuits are simulated: one :func:`run_all_bases`
-    call, measured into ``out``, the suite's rows buffer for the blocks
-    (:meth:`TestSuite.buffers`, made with room for a chunk of edits; taken
-    here when not given), valid until the next call.
+    ``edits`` made alone (an edit of None: ``c``), ``prefixes`` being built
+    for ``c``. This is the one place a suite's circuits are simulated: one
+    :func:`run_all_bases` call, measured into ``out``, the suite's rows
+    buffer for the blocks (:meth:`TestSuite.buffers`, made with room for a
+    chunk of edits; taken here when not given), valid until the next call.
 
     The rows are laid out ``[edit, input, basis, outcome]``. A suite that
     holds every (basis, input) pair of its bases and inputs once, as every
@@ -404,13 +405,14 @@ class AngleCurve:
 
     Three simulations of ``edit`` (:func:`_observed`, a chunk at a time,
     its own angle ignored) at θ = π/3, π and 5π/3 give rows p1, p2 and p3,
-    kept in suite order as one ``[3, cases, width]`` array: p2,
-    B = (p1 + p3 − 2·p2)/3 and C = (p1 − p3)/√3. :meth:`score` then writes
-    r(θ) = p2 + B·(1 + cos θ) + C·sin θ, clipped to [0, 1] (a sampled
-    oracle's draw refuses a rounding past either end), into the suite's
-    rows buffer and scores it with :func:`_scores` in the suite's scratch
-    arrays, allocating nothing. An entry equal in all three rows comes back
-    bit for bit; any other within rounding of a simulation of its own."""
+    kept in suite order in one ``[4, cases, width]`` array: p2,
+    B = (p1 + p3 − 2·p2)/3 and C = (p1 − p3)/√3, and room for C·sin θ.
+    :meth:`score` then writes r(θ) = p2 + B·(1 + cos θ) + C·sin θ, clipped
+    to [0, 1] (a sampled oracle's draw refuses a rounding past either end),
+    into one block of the suite's rows buffer and scores it with
+    :func:`_scores` in the suite's scratch arrays, allocating nothing. An
+    entry equal in all three rows comes back bit for bit; any other within
+    rounding of a simulation of its own."""
 
     def __init__(
         self, c: Circuit, ts: TestSuite, edit: tuple[int, GateApp, bool], cfg: OracleConfig, prefixes: PrefixCache
@@ -418,15 +420,15 @@ class AngleCurve:
         position, gate, replaces = edit
         angles = (math.pi, math.pi / 3, 5 * math.pi / 3)  # p2 first, then p1 and p3
         edits = [(position, GateApp(gate.kind, gate.qubits, (a,)), replaces) for a in angles]
-        self.ts, self.cfg, self.curve = ts, cfg, np.empty((3, *ts.expected.shape))
+        self.ts, self.cfg, curve = ts, cfg, np.empty((4, *ts.expected.shape))
         for lo in range(0, 3, prefixes.chunk):
             part = edits[lo : lo + prefixes.chunk]
-            self.curve[lo : lo + len(part)] = _observed(c, ts, prefixes, part).reshape(len(part), *ts.expected.shape)
-        # two blocks of the rows buffer (the scores' square roots are taken
-        # in the first): r is written into the first, C·sin θ into the second
-        _, scratch = ts.buffers(2, prefixes.chunk)
-        self.out, self.tmp = scratch[1]
-        self.scratch = tuple(a[:1] for a in scratch)
+            curve[lo : lo + len(part)] = _observed(c, ts, prefixes, part).reshape(len(part), *ts.expected.shape)
+        # r is written into the block of the rows buffer the scores' square
+        # roots are taken in, and C·sin θ into the curve's fourth row
+        _, self.scratch = ts.buffers(1, prefixes.chunk)
+        (self.out,), self.tmp = self.scratch[1], curve[3]
+        self.curve = curve[:3]
         p2, p1, p3 = self.curve  # B and C take the places of p1 and p3
         np.subtract(p1, p3, out=self.tmp)
         np.add(p1, p3, out=p1)

@@ -545,6 +545,30 @@ def stacked_run_all_bases(circuit, inputs) -> np.ndarray:
     return out
 
 
+# ------------------------------------------------ the eager prefix build
+#
+# The prefix states as ``PrefixCache``'s constructor simulated them before
+# the first staircase that carries the circuit wrote them.
+# test_simulator.py holds the written states to these bit for bit.
+
+
+def eager_prefix_states(cache) -> dict:
+    """The prefix states of ``cache``'s circuit, eagerly: the circuit
+    alone, from its inputs, in one block of the cache's workspace, its
+    gates stepped a stride at a time and a copy of the block kept after
+    each stride up to the last whole one. ``cache.states`` is not touched."""
+    m, stride = len(cache.gates), cache.stride
+    last, states = m - m % stride, {}
+    if last:
+        ws, i = cache.workspace(1), 0
+        blocks = ws.at(0, 1)
+        ws.load(cache, 0, blocks.t[0])
+        for k in range(stride, last + 1, stride):
+            i = ws.gates(cache, blocks, k - stride, k, i)
+            states[k] = blocks.t[i][0].copy()
+    return states
+
+
 # ----------------------------------------------- the allocating kernels
 #
 # The one-qubit product and the measurement as they stood before every
@@ -625,6 +649,18 @@ def looped_evaluate(run, c):
     return fitness(c, run.ts, run.cfg.oracle)
 
 
+def looped_baseline(run) -> None:
+    """``run``'s baseline as ``_Run.drive`` drew it before it became the
+    first score of the guided search's sweep: one evaluation charged
+    unchecked, and ``run``'s circuit scored alone by ``fitness``, from the
+    run's prefix cache; it must fail a case."""
+    from qrep.testkit import fitness, require_failing
+
+    run.budget.charge()
+    run.baseline = fitness(run.c_init, run.ts, run.cfg.oracle, run.prefixes)
+    require_failing(run.baseline)
+
+
 def looped_try(run, patch, rng=None) -> float:
     """``patch`` tried alone, as ``_Run.try_patch`` tried every patch before
     runs of fixed patches were stacked: a parametric patch goes to
@@ -642,11 +678,13 @@ def looped_guided_search(run) -> None:
     """``_Run.guided_search`` as it stood before it skipped iterations and
     stacked its runs of fixed patches: every iteration runs, each one whose
     end mark the spend has passed prunes the queue and tries nothing, and
-    every patch is tried alone (:func:`looped_try`). The run keeps the
+    every patch is tried alone (:func:`looped_try`). The baseline is
+    scored alone first (:func:`looped_baseline`). The run keeps the
     sweep's scores, as the guided search does, for the zero-angle probes
     that recall them (``_Run.recalled``)."""
     import qrep.engine as engine
 
+    looped_baseline(run)
     swept = enumerate(run.scored(engine.removals(run.c_init)))
     loc = engine.localize(run.c_init, run.baseline, (run.removed.setdefault(p, score) for p, score in swept))
     run.table = loc.table
@@ -675,9 +713,11 @@ def looped_guided_search(run) -> None:
 
 def looped_random_search(run) -> None:
     """``_Run.random_search`` as it stood before it stacked its runs of
-    fixed patches: every draw is tried alone (:func:`looped_try`)."""
+    fixed patches: the baseline scored alone (:func:`looped_baseline`),
+    then every draw tried alone (:func:`looped_try`)."""
     import qrep.engine as engine
 
+    looped_baseline(run)
     pool = engine.generate_patches(run.c_init, run.cfg.patch_catalog)
     rng = np.random.default_rng([run.cfg.seed & (2**63 - 1), 17])
     for idx in rng.permutation(len(pool)):

@@ -29,6 +29,7 @@ def test_every_bench_layer_runs_once(layers):
     assert {
         "gate_1q_q4", "gate_1q_q6", "run_all_bases_qft8", "measure_qft4", "measure_qft4_z", "measure_qft6",
         "localize_grover3", "localize_qft4", "localize_dj6", "sweep_run_dj6", "run_fixed_dj4",
+        "start_grover3_add", "start_qft4_replace",
         "edit_grover3", "edit_dj6", "inject_grover3", "inject_dj6", "inject_qft4_z",
         "parse_grover3", "report_grover3",
         "suite_dj6", "suite_table_qft4", "suite_table_dj6", "suite_table_qft6", "trial_ry_wstate4",
@@ -48,11 +49,20 @@ def test_every_bench_layer_runs_once(layers):
 def test_bench_layers_time_the_work_their_facts_name(layers):
     """Each layer, run again after every layer was built, does the work its
     own facts were taken from: no later layer rebinds what it reads."""
-    # a cache that keeps the state after every gate resumes from the whole
-    # circuit, so the measure_* layers time the measurement alone
+    # a cache that keeps the state after every gate, written when the layer
+    # was built, resumes from the whole circuit, so the measure_* layers
+    # time the measurement alone
     for name in ("measure_qft4", "measure_qft4_z", "measure_qft6"):
         _, facts = layers[name]
-        assert facts["stride"] == 1 and facts["gates"] > 0, name
+        assert facts["stride"] == 1 and facts["states"] == facts["gates"] > 0, name
+    # each call builds a run and draws its baseline and sweep afresh: the
+    # grover3 sweep stops at the added gate, the qft4 sweep removes every gate
+    for name, full in (("start_grover3_add", False), ("start_qft4_replace", True)):
+        fn, facts = layers[name]
+        loc = fn()
+        ranking = hashlib.sha256(json.dumps(loc.table.records()).encode()).hexdigest()
+        assert (1 + len(loc.removal_fitness), ranking) == (facts["evals"], facts["ranking_sha256"]), name
+        assert (facts["evals"] == 1 + facts["gates"]) == full == (facts["repaired_by_removing"] is None), name
     for name in ("trial_ry_wstate4", "trial_u_dj4"):
         fn, facts = layers[name]
         assert fn() == (facts["best"], facts["probes"], facts["repaired"]), name

@@ -18,7 +18,7 @@ from qrep.circuit import (
 )
 from qrep.errors import GateIndexError, QubitIndexError
 from qrep.qasm import emit_qasm, parse_qasm
-from qrep.simulator import PrefixCache
+from qrep.simulator import PrefixCache, run_all_bases
 
 
 def test_gate_catalog_arities():
@@ -63,8 +63,11 @@ def test_every_gate_kind_builds_simulates_and_round_trips(kind):
     n = 3
     g = GateApp(kind, tuple(range(n - 1, n - 1 - kind.num_qubits, -1)), (0.3, -1.1, 2.5)[: kind.param_count])
     c = Circuit(num_qubits=n, num_clbits=n, gates=(g,), measurements={q: q for q in range(n)})
-    # the state after the gate of every basis input, one per column: the gate's unitary
-    out = PrefixCache(c, range(2**n)).states[1]
+    # the state after the gate of every basis input, one per column: the
+    # gate's unitary, kept by the cache's first simulation
+    cache = PrefixCache(c, range(2**n))
+    run_all_bases(c, range(2**n), prefixes=cache)
+    out = cache.states[1]
     assert np.allclose(out.reshape(2**n, 2**n), dense_unitary(c), atol=1e-12)
     back = parse_qasm(emit_qasm(c))
     assert back.gates == c.gates and back.measurements == c.measurements

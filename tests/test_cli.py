@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from qrep.benchmarks import build_benchmark
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, replace_gate
 from qrep.cli import EXIT_ERROR, EXIT_NOT_FIXED, EXIT_OK, _config_from_args, _oracle_from_args, build_parser, main
+from qrep import testkit
 from qrep.engine import RepairConfig
+from qrep.localizer import localize, removals
 from qrep.patcher import catalog_kinds, inject_faults
 from qrep.qasm import emit_qasm
-from qrep.testkit import OracleConfig, generate_suite
+from qrep.testkit import OracleConfig, edit_fitness, fitness, generate_suite
 
 
 @pytest.fixture()
@@ -278,6 +280,42 @@ def test_localize_zero_gate_repair_emits_fix(tmp_path):
     assert payload["repaired_by_removing"] == "0:x:0"
     assert payload["repaired_qasm"] == ref.read_text()
     assert (tmp_path / "loc.repaired.qasm").read_text() == ref.read_text()
+
+
+@pytest.mark.parametrize("family,n,seed,group", [("grover", 3, 3, "add"), ("qft", 4, 5, "replace")])
+def test_localize_draws_its_baseline_with_the_first_removals(tmp_path, monkeypatch, family, n, seed, group):
+    """``qrep localize`` scores its baseline as the first score of one
+    ``edit_fitness`` stream, simulated in one chunk with the first
+    removals, and reports what scoring the baseline alone before the sweep
+    gives: for a mutant the sweep repairs midway (grover3's added gate)
+    and one it ranks in full (qft4's replaced gate)."""
+    ref = build_benchmark(family, n)
+    ts = generate_suite(ref)
+    mutant = inject_faults(ref, seed=seed, per_group=1, groups=(group,), suite=ts)[0].mutant
+    (tmp_path / "ref.qasm").write_text(emit_qasm(ref))
+    (tmp_path / "mutant.qasm").write_text(emit_qasm(mutant))
+    blocks, observed = [], testkit._observed
+
+    def counted(c, ts, prefixes, edits=None, out=None):
+        blocks.append(1 if edits is None else len(edits))
+        return observed(c, ts, prefixes, edits, out)
+
+    monkeypatch.setattr(testkit, "_observed", counted)
+    out = tmp_path / "loc.json"
+    code = run(["localize", "--circuit", str(tmp_path / "mutant.qasm"), "--reference", str(tmp_path / "ref.qasm"), "--out", str(out)])
+    monkeypatch.undo()
+    payload = json.loads(out.read_text())
+    baseline = fitness(mutant, ts)
+    want = localize(mutant, baseline, edit_fitness(mutant, ts, removals(mutant)))
+    assert code == EXIT_OK and blocks[0] == min(1 + len(mutant.gates), ts.prefixes(mutant).chunk) > 1
+    assert payload["baseline_fitness"] == baseline.value
+    assert payload["ranking"] == want.table.records()
+    removed = want.repaired_by_removing
+    assert payload["repaired_by_removing"] == (None if removed is None else str(removed))
+    assert (removed is None) == (group == "replace")
+    assert payload["evals_used"] == len(want.removal_fitness) + 1
+    if removed is None:  # the full sweep: every simulated circuit is charged
+        assert sum(blocks) == payload["evals_used"]
 
 
 # --------------------------------------------------------- report encoding

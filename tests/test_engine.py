@@ -205,8 +205,9 @@ def _probes(c, drawn):
 
 
 def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, monkeypatch):
-    # baseline + 2-gate sweep = 3 evaluations; the first rx trial gets the
-    # remaining 5 of its 20 and is cut by the budget on its 6th probe
+    # baseline + 2-gate sweep = 3 evaluations, one chunk drawn by
+    # _Run.started; the first rx trial gets the remaining 5 of its 20 and
+    # is cut by the budget on its 6th probe
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
     calls, drawn = _spy_scored(monkeypatch)
     values = []  # the value of each score drawn, in draw order, simulated or recalled
@@ -222,8 +223,8 @@ def test_budget_spent_inside_cobyla_trial_records_its_best(bell, bell_suite, mon
     assert rep.status == STATUS_NOT_FIXED
     assert rep.evals_used == 8
     probes = [params for params, _ in _probes(broken, drawn)]
-    assert len(calls) == 1 + 6 and len(probes) == 5  # the 6th probe was refused before its edit was drawn
-    trial = list(zip(probes, values[len(drawn) - len(probes):]))  # the sweep's 2 scores come first
+    assert len(calls) == 6 and len(probes) == 5  # the 6th probe was refused before its edit was drawn
+    trial = list(zip(probes, values[len(drawn) - len(probes):]))  # every score drawn through scored is a probe's
     assert len(trial) == 5
     best_params, best_value = min(trial, key=lambda pv: pv[1])
     patches = [p for p in rep.best_patches if p["kind"] != "delete"]
@@ -448,12 +449,12 @@ def test_seconds_budget_checks_each_edit_before_its_chunk_and_charges_every_chun
 
 
 @pytest.mark.parametrize(
-    "seconds, evals, traced, trials, end", [(6.5, 77, 63, 5, 7.0), (9.5, 125, 108, 8, 10.0), (12.5, 175, 155, 11, 13.0)]
+    "seconds, evals, traced, trials, end", [(5.5, 77, 63, 5, 6.0), (8.5, 125, 108, 8, 9.0), (11.5, 175, 155, 11, 12.0)]
 )
 def test_seconds_budget_starts_no_angle_probe_after_its_deadline(seconds, evals, traced, trials, end):
     """Under a seconds budget an angle probe, a stream of one edit, is
     checked before it is drawn: on a clock that ticks once per simulation,
-    the baseline, the sweep's one chunk, and then ry trials, each a
+    the baseline and the sweep in one chunk, and then ry trials, each a
     zero-angle probe answered from the baseline, a curve (three angles in
     one chunk, built for the second probe and not charged) and the probes
     the curve answers, end with the last probe that started before the
@@ -476,6 +477,78 @@ def test_seconds_budget_starts_no_angle_probe_after_its_deadline(seconds, evals,
         STATUS_NOT_FIXED, evals, 9, trials, traced
     )
     assert [sum(b) for b in built] == [3] * trials
+
+
+def test_a_seconds_budget_spent_during_the_baseline_drops_the_removals_simulated_with_it():
+    """On a clock that ticks one second per simulation, a half-second
+    budget is not yet spent when the baseline's chunk starts, so that chunk
+    stacks every removal of the mutant behind the circuit; it is spent when
+    the baseline is drawn, so the sweep stops at its first check: one
+    evaluation charged, the removal rows dropped uncharged and unrecorded,
+    and the sweep partial."""
+    ghz = build_benchmark("ghz", 3)
+    ts = generate_suite(ghz)
+    broken = insert_gate(ghz, 1, GateApp(GateKind.X, (2,)))
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _ticking_simulations(mp)
+        run = _Run(broken, ts, RepairConfig(budget_seconds=0.5), None)
+        run.budget.started = 0.0
+        rep = run.drive(run.guided_search)
+    assert blocks == [1 + len(broken.gates)]
+    assert (rep.status, rep.evals_used, rep.partial_localisation) == (STATUS_NOT_FIXED, 1, True)
+    assert run.candidates == [] and run.removed == {} and rep.best_patches == []
+    assert [row["score"] for row in rep.ranking] == [0.0] * len(broken.gates)
+
+
+@pytest.mark.parametrize("oracle", [OracleConfig(), OracleConfig(mode="sampled", seed=3)], ids=["exact", "sampled"])
+def test_the_baseline_drawn_from_a_stacked_chunk_is_fitness_alone(oracle):
+    """The guided search draws its baseline as the first score of its
+    sweep (``_Run.started``), simulated in one chunk with the first
+    removals: for every corpus mutant it equals ``fitness`` of the mutant
+    alone, from no prefix cache, bit for bit, and so does each removal's
+    score the circuit without that gate."""
+    for family, n, seed in CORPUS:
+        ref = build_benchmark(family, n)
+        ts = generate_suite(ref)
+        for rec in inject_faults(ref, seed=seed, per_group=1, suite=ts):
+            c, m = rec.mutant, len(rec.mutant.gates)
+            with pytest.MonkeyPatch.context() as mp:
+                blocks = _simulated_blocks(mp)
+                run = _Run(c, ts, cfg_evals(10**6, oracle=oracle), None)
+                scores = list(run.started(removals(c)))
+            assert blocks[0] == min(1 + m, run.prefixes.chunk) > 1 and sum(blocks) == 1 + m
+            assert _hex(scores[:1]) == _hex([fitness(c, ts, oracle)]), rec.description
+            assert _hex(scores[1:]) == _hex([fitness(remove_gate(c, p), ts, oracle) for p in range(m)])
+
+
+@pytest.mark.parametrize("family,n,seed", CORPUS)
+def test_count_budgets_around_the_sweep_report_as_a_baseline_scored_alone(family, n, seed):
+    """Budgets of 1, 2, m and m + 1 evaluations (m gates): the guided
+    search, whose first chunk stacks the baseline and as many removals as
+    the budget has evaluations left after it, gives the report of the
+    search that scores its baseline alone first (``looped_guided_search``),
+    ``evals_used`` and ``partial_localisation`` among it."""
+    ref = build_benchmark(family, n)
+    ts = generate_suite(ref)
+    for rec in inject_faults(ref, seed=seed, per_group=1, suite=ts):
+        m = len(rec.mutant.gates)
+        for budget in (1, 2, m, m + 1):
+            cfg = cfg_evals(budget, seed=seed)
+            with pytest.MonkeyPatch.context() as mp:
+                blocks = _simulated_blocks(mp)
+                run = _Run(rec.mutant, ts, cfg, rec.fault_gate)
+                got = run.drive(run.guided_search).to_dict()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_Run, "guided_search", looped_guided_search)
+                want = repair(rec.mutant, ts, cfg, fault_gate=rec.fault_gate).to_dict()
+            assert blocks[0] == min(budget, 1 + m, run.prefixes.chunk), (rec.description, budget)
+            assert (got["evals_used"], got["partial_localisation"]) == (want["evals_used"], want["partial_localisation"])
+            if budget == 1:
+                assert (got["evals_used"], got["partial_localisation"]) == (1, True)
+            # a sweep cut short is partial, unless a removal before the cut repairs
+            assert got["partial_localisation"] == (budget <= m and got["status"] == STATUS_NOT_FIXED)
+            got.pop("wall_seconds"), want.pop("wall_seconds")
+            assert got == want, (rec.description, budget)
 
 
 @pytest.mark.parametrize("search", [repair, random_search])
@@ -836,8 +909,10 @@ def _searched(c, ts, cfg, search, chunk):
             return prune(*args)
 
         def simulated(c, ts, prefixes, edits=None, out=None):
-            # a run of fixed patches is the only simulation of gates without angles
-            trail.append(("sim", 0 if edits is None or edits[0][1] is None or edits[0][1].params else len(edits)))
+            # a run of fixed patches is the only simulation of gates without
+            # angles (the baseline, an edit of None, leads the sweep's first chunk)
+            first = None if edits is None else edits[0]
+            trail.append(("sim", 0 if first is None or first[1] is None or first[1].params else len(edits)))
             return simulate(c, ts, prefixes, edits, out)
 
         mp.setattr(qrep.engine, "prune_to_gates", pruned)
@@ -930,9 +1005,10 @@ def test_a_fixed_patch_repairing_mid_chunk_drops_the_rest_of_its_chunk(bell, bel
 
 def test_a_run_ends_at_the_first_whole_evaluation_past_a_fractional_mark(bell, bell_suite, monkeypatch):
     """13 evaluations over four iterations, after the baseline and a sweep
-    of two removals, put the end marks at 5.5, 8, 10.5 and 13: each run of
-    fixed patches holds ``ceil(mark) - evals_used`` of them (3, 2, 3, 2),
-    and the queue is pruned before the patch after the run is tried."""
+    of two removals (one chunk), put the end marks at 5.5, 8, 10.5 and 13:
+    each run of fixed patches holds ``ceil(mark) - evals_used`` of them
+    (3, 2, 3, 2), and the queue is pruned before the patch after the run
+    is tried."""
     broken = replace_gate(bell, 0, GateApp(GateKind.X, (0,)))
     events = _simulated_blocks(monkeypatch)
     prune = qrep.engine.prune_to_gates
@@ -944,7 +1020,7 @@ def test_a_run_ends_at_the_first_whole_evaluation_past_a_fractional_mark(bell, b
     monkeypatch.setattr(qrep.engine, "prune_to_gates", logged_prune)
     rep = repair(broken, bell_suite, cfg_evals(13, patch_catalog=("x", "y", "z", "s", "t")))
     assert rep.status == STATUS_NOT_FIXED and rep.evals_used == 13
-    assert events == [1, 2, 3, "prune", 2, "prune", 3, "prune", 2]
+    assert events == [3, 3, "prune", 2, "prune", 3, "prune", 2]
 
 
 def test_a_probe_the_curve_passes_is_simulated_and_a_failing_simulation_goes_on(bell, bell_suite, monkeypatch):
@@ -1074,7 +1150,7 @@ def test_a_wide_repair_reports_alike_with_one_or_two_edits_to_a_chunk(oracle):
     simulate = testkit.run_all_bases
 
     def simulated(*args, edits=None, **kwargs):
-        blocks.append(0 if edits is None else len(edits))
+        blocks.append(0 if edits is None or edits == [None] else len(edits))  # 0: the circuit alone
         return simulate(*args, edits=edits, **kwargs)
 
     for family, n in WIDE:

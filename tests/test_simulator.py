@@ -17,12 +17,13 @@ from oracles import (
     kernel_run_all_bases,
     narrowed,
     run_exact,
+    eager_prefix_states,
     sample,
     stacked_run_all_bases,
 )
 from conftest import RANDOM_KINDS, out_of_range_edits, own_workspace_pool, random_circuit
 from qrep import simulator
-from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
+from qrep.circuit import Circuit, GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
 from qrep.errors import QRepError, QubitIndexError, WidthMismatchError
 from qrep.simulator import (
     BASIS_ORDER,
@@ -463,11 +464,11 @@ def test_prefix_cache_matches_full_simulation(small_cap, seed):
         # with room for three states, a circuit of 4+ gates keeps checkpoints only
         mp.setattr(simulator, "PREFIX_CACHE_BYTES", cap)
         cache = PrefixCache(c, inputs)
-    assert sum(t.nbytes for t in cache.states.values()) <= cap
     if small_cap and len(c.gates) >= 4:
         assert cache.stride > 1
     # the cached circuit, then its edits, each alone and all stacked, from one cache
     assert np.array_equal(run_all_bases(c, inputs, prefixes=cache), run_all_bases(c, inputs))
+    assert sum(t.nbytes for t in cache.states.values()) <= cap  # written by that first simulation
     edits, circuits = zip(*(_random_edit(rng, c) for _ in range(5)))
     stacked = run_all_bases(c, inputs, prefixes=cache, edits=edits)
     for e, cand, got in zip(edits, circuits, stacked):
@@ -538,6 +539,68 @@ def test_simulated_edits_keep_the_circuits_qubit_rule(n):
                 run_all_bases(c, range(2**n), prefixes=prefixes, edits=edits)
         checked += 1
     assert checked == 2 * (1 + 1 + 2 + 3) * (2 * n + 1)
+
+
+@pytest.mark.parametrize("entry", ["alone", "stacked", "edits-first"])
+@pytest.mark.parametrize("kept", ["stride-1", "stride-above-1", "keep-false"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_first_staircase_writes_the_states_of_an_eager_build(n, kept, entry):
+    """A prefix cache simulates nothing when it is built. The first
+    simulation that carries its circuit writes its states, bit for bit the
+    states of the eager gate-by-gate build (``eager_prefix_states``): the
+    circuit alone; the circuit stacked in one chunk with its removals and
+    two adds, one joining before it at step 0; or edits alone, which first
+    run the circuit alone. Every gate kind that fits n qubits, twice, in
+    seeded order; every input, or a seeded subset (one input, padded to
+    two columns, at two qubits); every prefix kept, every few
+    (``PREFIX_CACHE_BYTES`` of three states) or none (``keep=False``).
+    Every row matches a simulation without a cache, and a second
+    simulation writes nothing."""
+    rng = np.random.default_rng([n, len(kept), len(entry)])
+    kinds = [k for k in GateKind if k.num_qubits <= n] * 2
+    gates = [
+        GateApp(k, tuple(rng.choice(n, size=k.num_qubits, replace=False).tolist()), tuple(rng.uniform(-6, 6, k.param_count).tolist()))
+        for k in (kinds[i] for i in rng.permutation(len(kinds)))
+    ]
+    c = Circuit(num_qubits=n, gates=tuple(gates))
+    m = len(gates)
+    inputs = range(2**n) if n % 2 else sorted(rng.choice(2**n, size=2**n // 4 or 1, replace=False).tolist())
+    add = lambda pos: (pos, random_circuit(rng, n, 1).gates[0], False)  # noqa: E731
+    edits = {
+        "alone": None,
+        "stacked": [add(0), None, *((p, None, True) for p in range(m)), add(m)],
+        "edits-first": [*((p, None, True) for p in range(m)), add(0)],
+    }[entry]
+    applied = []
+    real = simulator._Workspace.gates
+
+    def counted(self, cache, blocks, start, stop, i):
+        applied.append(stop - start)
+        return real(self, cache, blocks, start, stop, i)
+
+    with pytest.MonkeyPatch.context() as mp:
+        state_bytes = len(inputs) * 2**n * 16 * (2 if len(inputs) == 1 else 1)
+        if kept == "stride-above-1":
+            mp.setattr(simulator, "PREFIX_CACHE_BYTES", 3 * state_bytes)
+        mp.setattr(simulator._Workspace, "gates", counted)
+        cache = PrefixCache(c, inputs, keep=kept != "keep-false")
+        assert cache.states == {} and applied == [] and cache.pending == (kept != "keep-false")
+        assert (cache.stride == 1) == (kept == "stride-1")
+        got = run_all_bases(c, inputs, prefixes=cache, edits=edits)
+        want = eager_prefix_states(PrefixCache(c, inputs, keep=kept != "keep-false"))
+        assert not cache.pending and sorted(cache.states) == sorted(want)
+        assert all(cache.states[k].tobytes() == want[k].tobytes() for k in want), (n, kept, entry)
+        assert {"stride-1": len(want) == m, "stride-above-1": 1 <= len(want) <= 3, "keep-false": not want}[kept]
+        written = dict(cache.states)
+        again = run_all_bases(c, inputs, prefixes=cache, edits=edits)
+        assert all(cache.states[k] is written[k] for k in written)
+    assert again.tobytes() == got.tobytes()
+    for e, rows in zip([None] if edits is None else edits, [got] if edits is None else got):
+        if e is None:
+            circuit = c
+        else:
+            circuit = (replace_gate if e[2] else insert_gate)(c, e[0], e[1]) if e[1] else remove_gate(c, e[0])
+        assert rows.tobytes() == run_all_bases(circuit, inputs).tobytes(), e
 
 
 def test_prefix_cache_stores_and_simulates_nothing_when_one_state_is_over_the_cap(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, exact_localize, out_of_range_edits, own_workspace_pool, random_circuit, random_suite
 from oracles import (
+    curve_fitness,
     hellinger,
     hellinger_ref,
     judge,
@@ -27,7 +28,7 @@ from qrep.benchmarks import build_benchmark
 from qrep.circuit import GateApp, GateKind, build_circuit, insert_gate, remove_gate, replace_gate
 from qrep.engine import RepairConfig, random_search, repair
 from qrep.errors import ExpectedTableError, NoFailingTestError, QubitIndexError, SuiteTooWideError, WidthMismatchError
-from qrep.patcher import inject_faults
+from qrep.patcher import Patch, inject_faults
 from qrep.qasm import emit_qasm
 from qrep.simulator import BASIS_ORDER, Distribution, MeasBasis, run_all_bases
 from qrep.testkit import (
@@ -939,3 +940,24 @@ def test_a_curve_gives_the_rows_and_scores_of_its_edit_simulated(q, suite_kind):
                 assert abs(score.hellinger_sum - direct.hellinger_sum) <= 1e-12, (kind, position, replaces, angle)
                 checked += 1
     assert checked == 7 * (2 * m + 1) * (5 if q > 1 else 4) and flat_entries
+
+
+@pytest.mark.parametrize("oracle", [OracleConfig(), OracleConfig(mode="sampled", seed=3)], ids=["exact", "sampled"])
+def test_a_curve_asks_the_suite_for_one_block_of_rows(oracle):
+    """On qft6's full suite a state fills a chunk alone, so the suite's
+    buffers hold one block; a one-angle trial's curve writes C·sin θ into a
+    fourth row of its own and leaves them at one block, and scores its
+    probes as ``curve_fitness`` does, bit for bit."""
+    ref = build_benchmark("qft", 6)
+    ts = generate_suite(ref)
+    c = remove_gate(ref, 7)
+    cache = ts.prefixes(c)
+    patch = Patch("add", 7, GateKind.RY, (2,))
+    next(edit_fitness(c, ts, [patch.edit((0.5,))], oracle, cache))
+    (held, scratch), views = ts._held, dict(ts._views)
+    assert cache.chunk == 1 and len(held) == 1
+    curve = testkit.AngleCurve(c, ts, patch.edit((0.0,)), oracle, cache)
+    assert curve.curve.shape == (3, *ts.expected.shape)
+    for theta in (0.4, math.pi / 2, -2.0):
+        assert _hex(curve.score(theta)) == _hex(curve_fitness(c, patch, theta, ts, oracle))
+    assert ts._held[0] is held and ts._held[1] is scratch and ts._views == views
